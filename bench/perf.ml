@@ -4,13 +4,18 @@
 open Bechamel
 open Toolkit
 
-let heap_churn () =
-  let h = Engine.Heap.create ~cmp:Int.compare () in
+(* The engine's per-event pair on the timing wheel the simulator runs:
+   256 events at scattered instants within 65 us, then popped in order. *)
+let wheel_churn () =
+  let q = Engine.Event_queue.create () in
   for i = 0 to 255 do
-    Engine.Heap.push h ((i * 2_654_435_761) land 0xFFFF)
+    ignore
+      (Engine.Event_queue.add q
+         ~time:(Engine.Time.of_int_ns ((i * 2_654_435_761) land 0xFFFF))
+         ignore)
   done;
-  for _ = 0 to 255 do
-    ignore (Engine.Heap.pop h)
+  while Engine.Event_queue.pop q do
+    ()
   done
 
 let sim_event_churn () =
@@ -62,7 +67,7 @@ let small_transfer () =
 let tests =
   Test.make_grouped ~name:"substrate"
     [
-      Test.make ~name:"heap 256 push+pop" (Staged.stage heap_churn);
+      Test.make ~name:"wheel 256 schedule+pop" (Staged.stage wheel_churn);
       Test.make ~name:"sim 1k chained events" (Staged.stage sim_event_churn);
       Test.make ~name:"queue 128 enq+deq" (Staged.stage queue_churn);
       Test.make ~name:"dctcp 100-segment transfer" (Staged.stage small_transfer);

@@ -10,14 +10,19 @@ type reduction_context = {
   snd_una : int;
 }
 
+(* Per-ACK state, kept free of boxes: alpha lives in a one-slot float
+   array (a mutable float field of this mixed record would box on every
+   window end) and the last window's duration is an immediate ns count,
+   -1 until a window completes. The public [reduction_context] is built
+   only when a cut is due. *)
 type state = {
-  mutable alpha : float;
+  alpha : float array;
   mutable window_end : int;
   mutable acked_total : int;
   mutable acked_marked : int;
   mutable cwr_end : int;
   mutable epoch_started : Engine.Time.t;
-  mutable epoch_duration : Engine.Time.span option;
+  mutable epoch_duration_ns : int;
 }
 
 let cc_with_penalty ?(params = default_params) ~penalty () =
@@ -28,15 +33,16 @@ let cc_with_penalty ?(params = default_params) ~penalty () =
   fun (api : Tcp.Cc.flow_api) ->
     let st =
       {
-        alpha = params.init_alpha;
+        alpha = [| params.init_alpha |];
         window_end = 0;
         acked_total = 0;
         acked_marked = 0;
         cwr_end = 0;
         epoch_started = api.Tcp.Cc.now ();
-        epoch_duration = None;
+        epoch_duration_ns = -1;
       }
     in
+    let component = Printf.sprintf "flow%d" api.Tcp.Cc.flow in
     let grow newly_acked =
       if newly_acked > 0 then begin
         let cwnd = api.Tcp.Cc.get_cwnd () in
@@ -56,10 +62,12 @@ let cc_with_penalty ?(params = default_params) ~penalty () =
           let cwnd = api.Tcp.Cc.get_cwnd () in
           let ctx =
             {
-              alpha = st.alpha;
+              alpha = st.alpha.(0);
               cwnd;
               now = api.Tcp.Cc.now ();
-              rtt_estimate = st.epoch_duration;
+              rtt_estimate =
+                (if st.epoch_duration_ns < 0 then None
+                 else Some (Int64.of_int st.epoch_duration_ns));
               snd_una;
             }
           in
@@ -69,14 +77,14 @@ let cc_with_penalty ?(params = default_params) ~penalty () =
             Obs.Trace.emit api.Tcp.Cc.tracer
               {
                 Obs.Trace.time = api.Tcp.Cc.now ();
-                component = Printf.sprintf "flow%d" api.Tcp.Cc.flow;
+                component;
                 event =
                   Obs.Trace.Cwnd_cut
                     {
                       flow = api.Tcp.Cc.flow;
                       cwnd_before = cwnd;
                       cwnd_after = target;
-                      alpha = st.alpha;
+                      alpha = st.alpha.(0);
                     };
               };
           api.Tcp.Cc.set_cwnd target;
@@ -92,13 +100,15 @@ let cc_with_penalty ?(params = default_params) ~penalty () =
           if st.acked_total = 0 then 0.
           else float_of_int st.acked_marked /. float_of_int st.acked_total
         in
-        st.alpha <- ((1. -. params.g) *. st.alpha) +. (params.g *. f);
+        st.alpha.(0) <- ((1. -. params.g) *. st.alpha.(0)) +. (params.g *. f);
         st.acked_total <- 0;
         st.acked_marked <- 0;
         st.window_end <- snd_nxt;
         let now = api.Tcp.Cc.now () in
-        let span = Engine.Time.diff now st.epoch_started in
-        if Int64.compare span 0L > 0 then st.epoch_duration <- Some span;
+        let span =
+          Engine.Time.to_int_ns now - Engine.Time.to_int_ns st.epoch_started
+        in
+        if span > 0 then st.epoch_duration_ns <- span;
         st.epoch_started <- now
       end
     in
@@ -117,7 +127,7 @@ let cc_with_penalty ?(params = default_params) ~penalty () =
           let cwnd = api.Tcp.Cc.get_cwnd () in
           api.Tcp.Cc.set_ssthresh (Float.max (cwnd /. 2.) 1.);
           api.Tcp.Cc.set_cwnd 1.);
-      alpha = (fun () -> Some st.alpha);
+      alpha = (fun () -> Some st.alpha.(0));
     }
 
 let cc ?params () =

@@ -27,6 +27,7 @@ type store = {
   mutable dst : int array;  (* destination host id *)
   mutable ecn : int array;  (* codepoint, [ecn_*] above *)
   mutable enq_ns : int array;  (* ns instant of last queue admission *)
+  mutable word : int array;  (* transport header word, 0 = none *)
   mutable uid : int array;  (* per-sim debug id; -1 marks a free slot *)
   mutable payload : payload array;  (* opaque transport payload *)
   (* Free-list stack of recycled handles. *)
@@ -48,6 +49,7 @@ let create_store sim =
     dst = Array.make cap 0;
     ecn = Array.make cap 0;
     enq_ns = Array.make cap 0;
+    word = Array.make cap 0;
     uid = Array.make cap (-1);
     payload = Array.make cap No_payload;
     free_stack = Array.make cap 0;
@@ -85,11 +87,12 @@ let grow st =
   st.dst <- extend st.dst 0;
   st.ecn <- extend st.ecn 0;
   st.enq_ns <- extend st.enq_ns 0;
+  st.word <- extend st.word 0;
   st.uid <- extend st.uid (-1);
   st.payload <- extend st.payload No_payload;
   st.free_stack <- extend st.free_stack 0
 
-let make st ~src ~dst ~flow ~size ~ecn payload =
+let make_with_word st ~src ~dst ~flow ~size ~ecn ~word payload =
   if size <= 0 then invalid_arg "Packet.make: size must be positive";
   let p =
     if st.free_top > 0 then begin
@@ -109,14 +112,21 @@ let make st ~src ~dst ~flow ~size ~ecn payload =
   st.ecn.(p) <-
     (match ecn with Not_ect -> ecn_not_ect | Ect -> ecn_ect | Ce -> ecn_ce);
   st.enq_ns.(p) <- 0;
+  st.word.(p) <- word;
   (* Ids come from the owning simulation's counter (Sim.fresh_id), not a
      process-global Atomic: per-run sequences are deterministic
      regardless of what other simulations the process hosts, and
      concurrent runs (Exp.Runner -j) don't bounce a shared cache line. *)
   st.uid.(p) <- Engine.Sim.fresh_id st.sim;
-  st.payload.(p) <- payload;
+  (* Most packets carry no boxed payload (TCP keeps its header in
+     [word]), so the slot usually holds [No_payload] already: skipping
+     the store then saves the write barrier. *)
+  if st.payload.(p) != payload then st.payload.(p) <- payload;
   st.live <- st.live + 1;
   p
+
+let make st ~src ~dst ~flow ~size ~ecn payload =
+  make_with_word st ~src ~dst ~flow ~size ~ecn ~word:0 payload
 
 (* Handles are owned linearly: whoever consumes a packet (a terminal
    flow handler, a dropping queue, a routeless switch, a lossy link)
@@ -125,7 +135,8 @@ let make st ~src ~dst ~flow ~size ~ecn payload =
 let free st p =
   if st.uid.(p) < 0 then invalid_arg "Packet.free: handle already freed";
   st.uid.(p) <- -1;
-  st.payload.(p) <- No_payload (* don't pin a dead transport payload *);
+  (* don't pin a dead transport payload *)
+  if st.payload.(p) != No_payload then st.payload.(p) <- No_payload;
   st.free_stack.(st.free_top) <- p;
   st.free_top <- st.free_top + 1;
   st.live <- st.live - 1
@@ -136,6 +147,7 @@ let dst st p = st.dst.(p)
 let flow st p = st.flow.(p)
 let size st p = st.size.(p)
 let payload st p = st.payload.(p)
+let word st p = st.word.(p)
 
 let ecn st p =
   let e = st.ecn.(p) in

@@ -1,15 +1,16 @@
 (** Network packets, stored struct-of-arrays.
 
     A packet is an immediate handle (an int) into its simulation's
-    packet {!store}: size, addressing, ECN codepoint, and the enqueue
-    timestamp live in parallel int arrays indexed by the handle, and the
-    opaque transport payload (extensible variant, so the transport layer
-    can define its own segments without a dependency cycle) in a
-    parallel boxed array. The network hot loop — enqueue, dequeue, mark,
-    forward — therefore walks flat arrays instead of dereferencing a
-    boxed record per packet, handing a packet between components never
-    pays a write barrier, and a steady flow of traffic allocates no
-    packets at all: handles are pooled through a free-list stack.
+    packet {!store}: size, addressing, ECN codepoint, the enqueue
+    timestamp and one transport header word live in parallel int arrays
+    indexed by the handle, and the opaque transport payload (extensible
+    variant, so the transport layer can define its own segments without
+    a dependency cycle) in a parallel boxed array. The network hot loop
+    — enqueue, dequeue, mark, forward — therefore walks flat arrays
+    instead of dereferencing a boxed record per packet, handing a packet
+    between components never pays a write barrier, and a steady flow of
+    traffic allocates no packets at all: handles are pooled through a
+    free-list stack.
 
     {b Ownership is linear.} [make] transfers the handle to the caller;
     whoever consumes the packet — the terminal flow handler, a dropping
@@ -65,6 +66,21 @@ val make :
     other simulation in the process.
     @raise Invalid_argument if [size <= 0]. *)
 
+val make_with_word :
+  store ->
+  src:int ->
+  dst:int ->
+  flow:int ->
+  size:int ->
+  ecn:ecn ->
+  word:int ->
+  payload ->
+  t
+(** {!make} that also sets the packet's header {!word}. A transport
+    keeps its per-packet header fields (sequence and ACK numbers, flag
+    bits) there, so the common segment needs no boxed payload at all;
+    [make] stores word [0]. *)
+
 val free : store -> t -> unit
 (** Returns the handle to the pool and drops the payload reference.
     @raise Invalid_argument if the handle was already freed. *)
@@ -83,6 +99,11 @@ val size : store -> t -> int
 (** Bytes on the wire. *)
 
 val payload : store -> t -> payload
+
+val word : store -> t -> int
+(** The header word given to {!make_with_word}; [0] for {!make}. Its
+    encoding belongs to the transport that made the packet. *)
+
 val ecn : store -> t -> ecn
 
 val mark_ce : store -> t -> unit

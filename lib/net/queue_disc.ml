@@ -79,6 +79,12 @@ let emit t event =
   Trace_ev.emit t.tracer
     { Trace_ev.time = Sim.now t.sim; component = t.name; event }
 
+(* Occupancy events take the unboxed entry point. Call sites keep the
+   [enabled] guard so an untraced run evaluates none of the arguments. *)
+let emit_occ t cls pkt =
+  Trace_ev.emit_occ t.tracer cls ~time:(Sim.now t.sim) ~component:t.name
+    ~flow:(Packet.flow t.st pkt) ~occ_bytes:t.occ_bytes ~occ_pkts:t.occ_pkts
+
 let accumulate t =
   let now = Sim.now t.sim in
   (* Instants are immediate ints: subtracting them directly skips the
@@ -114,9 +120,7 @@ let enqueue t pkt =
              limit_bytes = Buffer_mgr.effective_limit t.buffer;
            });
     if Trace_ev.enabled t.tracer Trace_ev.C_drop then
-      emit t
-        (Trace_ev.Drop
-           { flow = Packet.flow t.st pkt; occ_bytes = t.occ_bytes });
+      emit_occ t Trace_ev.C_drop pkt;
     (* The queue consumed the packet by dropping it: its handle is
        recycled here, after the traces above read their fields. *)
     Packet.free t.st pkt;
@@ -150,23 +154,11 @@ let enqueue t pkt =
         Packet.mark_ce t.st pkt;
         t.marked <- t.marked + 1;
         if Trace_ev.enabled t.tracer Trace_ev.C_mark then
-          emit t
-            (Trace_ev.Mark
-               {
-                 flow = Packet.flow t.st pkt;
-                 occ_bytes = t.occ_bytes;
-                 occ_pkts = t.occ_pkts;
-               })
+          emit_occ t Trace_ev.C_mark pkt
       end
     end;
     if Trace_ev.enabled t.tracer Trace_ev.C_enqueue then
-      emit t
-        (Trace_ev.Enqueue
-           {
-             flow = Packet.flow t.st pkt;
-             occ_bytes = t.occ_bytes;
-             occ_pkts = t.occ_pkts;
-           });
+      emit_occ t Trace_ev.C_enqueue pkt;
     t.observer ();
     `Enqueued
   end
@@ -183,13 +175,7 @@ let dequeue_exn t =
       ~limit_bytes:(Buffer_mgr.effective_limit t.buffer);
   t.marking.Marking.on_dequeue ~bytes:t.occ_bytes ~packets:t.occ_pkts;
   if Trace_ev.enabled t.tracer Trace_ev.C_dequeue then
-    emit t
-      (Trace_ev.Dequeue
-         {
-           flow = Packet.flow t.st pkt;
-           occ_bytes = t.occ_bytes;
-           occ_pkts = t.occ_pkts;
-         });
+    emit_occ t Trace_ev.C_dequeue pkt;
   t.observer ();
   pkt
 

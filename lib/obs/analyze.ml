@@ -37,7 +37,10 @@ type t = {
   cfg : config;
   period_ns : int;
   rtt_ns : int;
-  on_sample : float -> unit;
+  on_sample : (float -> unit) option;
+  (* Float accumulators, slots [f_*] below: as mutable float fields of
+     this mixed record every store would box. *)
+  fl : float array;
   (* record bookkeeping *)
   mutable records : int;
   mutable first_t_ns : int;
@@ -46,10 +49,8 @@ type t = {
   (* zero-order-hold occupancy resampling *)
   mutable occ : int;  (* current occupancy in bytes *)
   mutable next_grid_ns : int;
-  (* Welford accumulator over grid samples *)
+  (* Welford accumulator over grid samples (mean and M2 in [fl]) *)
   mutable n_samples : int;
-  mutable mean : float;
-  mutable m2 : float;
   (* event-level occupancy extremes *)
   mutable min_occ : int;
   mutable max_occ : int;
@@ -65,9 +66,7 @@ type t = {
   mutable cyc_min : int;
   mutable cyc_max : int;
   mutable cycles : int;
-  mutable amp_sum : float;  (* bytes *)
   mutable amp_max : int;
-  mutable period_sum_ns : float;
   amp_hist : int array;
   period_hist : int array;
   (* marking flips *)
@@ -78,13 +77,17 @@ type t = {
   mutable seen_count : int;
   mutable cur_window : int;
   mutable active_windows : int;
-  mutable sync_sum : float;
-  mutable sync_max : float;
 }
 
-let ignore_sample (_ : float) = ()
+(* Slots of [fl]. *)
+let f_mean = 0
+let f_m2 = 1
+let f_amp_sum = 2 (* bytes *)
+let f_period_sum_ns = 3
+let f_sync_sum = 4
+let f_sync_max = 5
 
-let create ?(on_sample = ignore_sample) cfg =
+let create ?on_sample cfg =
   if Int64.compare cfg.sample_period 0L <= 0 then
     invalid_arg "Obs.Analyze.create: sample_period must be positive";
   if cfg.n_flows <= 0 then
@@ -105,6 +108,7 @@ let create ?(on_sample = ignore_sample) cfg =
     period_ns = Int64.to_int cfg.sample_period;
     rtt_ns = Int64.to_int cfg.rtt;
     on_sample;
+    fl = Array.make 6 0.;
     records = 0;
     first_t_ns = 0;
     last_t_ns = 0;
@@ -112,8 +116,6 @@ let create ?(on_sample = ignore_sample) cfg =
     occ = 0;
     next_grid_ns = 0;
     n_samples = 0;
-    mean = 0.;
-    m2 = 0.;
     min_occ = max_int;
     max_occ = 0;
     lagbuf = Array.make max_lag 0.;
@@ -125,9 +127,7 @@ let create ?(on_sample = ignore_sample) cfg =
     cyc_min = max_int;
     cyc_max = 0;
     cycles = 0;
-    amp_sum = 0.;
     amp_max = 0;
-    period_sum_ns = 0.;
     amp_hist = Array.make hist_bins 0;
     period_hist = Array.make hist_bins 0;
     flips = 0;
@@ -136,8 +136,6 @@ let create ?(on_sample = ignore_sample) cfg =
     seen_count = 0;
     cur_window = -1;
     active_windows = 0;
-    sync_sum = 0.;
-    sync_max = 0.;
   }
 
 (* --- uniform-grid resampling + Welford + autocorrelation ----------- *)
@@ -155,10 +153,11 @@ let push_sample t =
   done;
   t.lagbuf.(pos) <- x;
   t.n_samples <- n + 1;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n_samples);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  t.on_sample x
+  let fl = t.fl in
+  let delta = x -. fl.(f_mean) in
+  fl.(f_mean) <- fl.(f_mean) +. (delta /. float_of_int t.n_samples);
+  fl.(f_m2) <- fl.(f_m2) +. (delta *. (x -. fl.(f_mean)));
+  match t.on_sample with Some f -> f x | None -> ()
 
 let flush_grid t ~upto_ns ~inclusive =
   let stop = if inclusive then upto_ns + 1 else upto_ns in
@@ -172,11 +171,11 @@ let flush_grid t ~upto_ns ~inclusive =
 let record_cycle t ~now_ns =
   t.cycles <- t.cycles + 1;
   let amp = t.cyc_max - t.cyc_min in
-  t.amp_sum <- t.amp_sum +. float_of_int amp;
+  t.fl.(f_amp_sum) <- t.fl.(f_amp_sum) +. float_of_int amp;
   if amp > t.amp_max then t.amp_max <- amp;
   t.amp_hist.(log2_bin amp) <- t.amp_hist.(log2_bin amp) + 1;
   let period = now_ns - t.cycle_start_ns in
-  t.period_sum_ns <- t.period_sum_ns +. float_of_int period;
+  t.fl.(f_period_sum_ns) <- t.fl.(f_period_sum_ns) +. float_of_int period;
   t.period_hist.(log2_bin period) <- t.period_hist.(log2_bin period) + 1
 
 let occ_event t ~now_ns ~occ =
@@ -207,8 +206,8 @@ let close_window t =
   if t.seen_count > 0 then begin
     let frac = float_of_int t.seen_count /. float_of_int t.cfg.n_flows in
     t.active_windows <- t.active_windows + 1;
-    t.sync_sum <- t.sync_sum +. frac;
-    if frac > t.sync_max then t.sync_max <- frac;
+    t.fl.(f_sync_sum) <- t.fl.(f_sync_sum) +. frac;
+    if frac > t.fl.(f_sync_max) then t.fl.(f_sync_max) <- frac;
     Array.fill t.seen 0 (Array.length t.seen) false;
     t.seen_count <- 0
   end
@@ -226,9 +225,12 @@ let cut_event t ~now_ns ~flow =
 
 (* --- feeding ------------------------------------------------------- *)
 
-let feed t (r : Trace.record) =
+(* The step every event takes, whichever entry point delivered it:
+   advance the clock to [time] (sampling the grid instants it passes)
+   and count the record. Returns the event instant in ns. *)
+let advance t time =
   if t.finalized then invalid_arg "Obs.Analyze.feed: already finalized";
-  let now_ns = Int64.to_int (Time.to_ns r.Trace.time) in
+  let now_ns = Time.to_int_ns time in
   if t.records = 0 then begin
     t.first_t_ns <- now_ns;
     t.next_grid_ns <- now_ns
@@ -241,6 +243,10 @@ let feed t (r : Trace.record) =
   flush_grid t ~upto_ns:now_ns ~inclusive:false;
   t.records <- t.records + 1;
   t.last_t_ns <- now_ns;
+  now_ns
+
+let feed t (r : Trace.record) =
+  let now_ns = advance t r.Trace.time in
   match r.Trace.event with
   | Trace.Enqueue { occ_bytes; _ }
   | Trace.Dequeue { occ_bytes; _ }
@@ -254,8 +260,14 @@ let feed t (r : Trace.record) =
   | Trace.Cwnd_cut { flow; _ } -> cut_event t ~now_ns ~flow
   | _ -> ()
 
+(* Occupancy events sent with [Trace.emit_occ] arrive unboxed and take
+   the same steps as a fed record of the same class; records go to
+   [feed]. *)
 let tracer t =
-  Trace.create ~classes:required_classes (Trace.Fn (fun r -> feed t r))
+  Trace.create_handler ~classes:required_classes
+    ~occ:(fun _cls ~time ~component:_ ~flow:_ ~occ_bytes ~occ_pkts:_ ->
+      occ_event t ~now_ns:(advance t time) ~occ:occ_bytes)
+    (feed t)
 
 let finalize t =
   if not t.finalized then begin
@@ -284,10 +296,10 @@ let spectral t =
       (Printf.sprintf "series too short: %d samples (need >= %d)" n
          min_samples)
   else begin
-    let var = t.m2 /. float_of_int n in
+    let var = t.fl.(f_m2) /. float_of_int n in
     if var <= 0. then No_peak "no variation: occupancy series is flat"
     else begin
-      let mean2 = t.mean *. t.mean in
+      let mean2 = t.fl.(f_mean) *. t.fl.(f_mean) in
       let usable = Stdlib.min max_lag (n - min_pairs) in
       let rho l =
         ((t.acc.(l - 1) /. float_of_int (n - l)) -. mean2) /. var
@@ -343,7 +355,7 @@ let duration_s t =
   else float_of_int (t.last_t_ns - t.first_t_ns) /. 1e9
 
 let summary_occ_std t =
-  if t.n_samples = 0 then 0. else sqrt (t.m2 /. float_of_int t.n_samples)
+  if t.n_samples = 0 then 0. else sqrt (t.fl.(f_m2) /. float_of_int t.n_samples)
 
 type summary = {
   records : int;
@@ -368,18 +380,19 @@ let summary t =
   {
     records = t.records;
     duration_s = dur;
-    occ_mean_pkts = t.mean /. seg;
+    occ_mean_pkts = t.fl.(f_mean) /. seg;
     occ_std_pkts = summary_occ_std t /. seg;
     cycles = t.cycles;
-    amp_mean_pkts = (if t.cycles = 0 then 0. else t.amp_sum /. cyc /. seg);
+    amp_mean_pkts =
+      (if t.cycles = 0 then 0. else t.fl.(f_amp_sum) /. cyc /. seg);
     amp_max_pkts = float_of_int t.amp_max /. seg;
     period_mean_s =
-      (if t.cycles = 0 then 0. else t.period_sum_ns /. cyc /. 1e9);
+      (if t.cycles = 0 then 0. else t.fl.(f_period_sum_ns) /. cyc /. 1e9);
     flip_rate_hz = (if dur > 0. then float_of_int t.flips /. dur else 0.);
     sync_mean =
       (if t.active_windows = 0 then 0.
-       else t.sync_sum /. float_of_int t.active_windows);
-    sync_max = t.sync_max;
+       else t.fl.(f_sync_sum) /. float_of_int t.active_windows);
+    sync_max = t.fl.(f_sync_max);
     dominant_freq_hz =
       (match spectral t with
       | Peak { freq_hz; _ } -> Some freq_hz
@@ -436,7 +449,7 @@ let to_json t =
         Json.Obj
           [
             ("samples", Json.Int t.n_samples);
-            ("mean_bytes", Json.Float t.mean);
+            ("mean_bytes", Json.Float t.fl.(f_mean));
             ("std_bytes", Json.Float (summary_occ_std t));
             ( "min_bytes",
               Json.Int (if t.min_occ = max_int then 0 else t.min_occ) );

@@ -436,11 +436,30 @@ type sink =
   | Jsonl of out_channel
   | Fn of (record -> unit)
 
-type t = { mutable mask : int; sink : sink }
+(* Unboxed consumer of the four occupancy classes ([C_enqueue],
+   [C_dequeue], [C_mark], [C_drop]): every argument is immediate, so
+   delivering an event through it allocates nothing. *)
+type occ_handler =
+  cls ->
+  time:Time.t ->
+  component:string ->
+  flow:int ->
+  occ_bytes:int ->
+  occ_pkts:int ->
+  unit
+
+type target =
+  | Sink of sink
+  | Handler of { occ : occ_handler; other : record -> unit }
+  | Tee of t * t
+
+and t = { mutable mask : int; target : target }
 
 let full_mask = (1 lsl List.length all_classes) - 1
 let mask_of = List.fold_left (fun m c -> m lor (1 lsl cls_index c)) 0
-let null = { mask = 0; sink = Null }
+let null = { mask = 0; target = Sink Null }
+let class_mask classes =
+  match classes with None -> full_mask | Some cs -> mask_of cs
 
 let create ?classes sink =
   (match sink with
@@ -448,12 +467,12 @@ let create ?classes sink =
       output_string oc csv_header;
       output_char oc '\n'
   | Null | Ring _ | Jsonl _ | Fn _ -> ());
-  let mask =
-    match classes with None -> full_mask | Some cs -> mask_of cs
-  in
-  { mask; sink }
+  { mask = class_mask classes; target = Sink sink }
 
-let is_null t = match t.sink with Null -> true | _ -> false
+let create_handler ?classes ~occ other =
+  { mask = class_mask classes; target = Handler { occ; other } }
+
+let is_null t = match t.target with Sink Null -> true | _ -> false
 
 let set_classes t cs =
   if is_null t then
@@ -474,14 +493,65 @@ let dispatch sink r =
       output_char oc '\n'
   | Fn f -> f r
 
-let emit t r = if enabled t (cls_of_event r.event) then dispatch t.sink r
+let rec emit t r =
+  if enabled t (cls_of_event r.event) then
+    match t.target with
+    | Sink sink -> dispatch sink r
+    | Handler { other; _ } -> other r
+    | Tee (a, b) ->
+        emit a r;
+        emit b r
+
+let occ_record cls ~time ~component ~flow ~occ_bytes ~occ_pkts =
+  let event =
+    match cls with
+    | C_enqueue -> Enqueue { flow; occ_bytes; occ_pkts }
+    | C_dequeue -> Dequeue { flow; occ_bytes; occ_pkts }
+    | C_mark -> Mark { flow; occ_bytes; occ_pkts }
+    | _ (* C_drop: [emit_occ] rejected every other class *) ->
+        Drop { flow; occ_bytes }
+  in
+  { time; component; event }
+
+(* Physical sentinel for "no record built yet": a tee threads the
+   record the first record-consuming branch built through to the
+   others, so one emission builds at most one record, and none at all
+   when every enabled branch is a handler (or [Null]). *)
+let no_record = { dummy_record with component = "" }
+
+let rec occ_go t cls ~time ~component ~flow ~occ_bytes ~occ_pkts built =
+  if not (enabled t cls) then built
+  else
+    match t.target with
+    | Handler { occ; _ } ->
+        occ cls ~time ~component ~flow ~occ_bytes ~occ_pkts;
+        built
+    | Tee (a, b) ->
+        let built =
+          occ_go a cls ~time ~component ~flow ~occ_bytes ~occ_pkts built
+        in
+        occ_go b cls ~time ~component ~flow ~occ_bytes ~occ_pkts built
+    | Sink Null -> built
+    | Sink sink ->
+        let r =
+          if built == no_record then
+            occ_record cls ~time ~component ~flow ~occ_bytes ~occ_pkts
+          else built
+        in
+        dispatch sink r;
+        r
+
+let emit_occ t cls ~time ~component ~flow ~occ_bytes ~occ_pkts =
+  if cls_index cls > cls_index C_mark then
+    invalid_arg ("Obs.Trace.emit_occ: not an occupancy class: " ^ cls_name cls);
+  ignore
+    (occ_go t cls ~time ~component ~flow ~occ_bytes ~occ_pkts no_record
+      : record)
 
 let enabled_classes t = List.filter (enabled t) all_classes
 
 (* The tee accepts the union of both masks and lets each branch
-   re-filter in its own [emit], so a record flows to exactly the
-   tracers whose class sets admit it. The union mask is computed at
-   tee time; widening a branch's classes afterwards requires a new
-   tee. *)
-let tee a b =
-  { mask = a.mask lor b.mask; sink = Fn (fun r -> emit a r; emit b r) }
+   re-filter on delivery, so a record flows to exactly the tracers
+   whose class sets admit it. The union mask is computed at tee time;
+   widening a branch's classes afterwards requires a new tee. *)
+let tee a b = { mask = a.mask lor b.mask; target = Tee (a, b) }

@@ -12,6 +12,12 @@
 
     allocates nothing on an untraced run — [enabled] is one [land].
 
+    The four occupancy classes (enqueue, dequeue, mark, drop) fire on
+    every packet, so they have a second entry point, {!emit_occ}, that
+    takes the fields as immediate arguments. A tracer built with
+    {!create_handler} (the analyzer's) receives them unboxed; record
+    sinks receive the record {!emit} would have delivered.
+
     File sinks take a caller-owned [out_channel]; this module never opens
     files or writes to stdout (dtlint R4). *)
 
@@ -142,14 +148,52 @@ val emit : t -> record -> unit
 (** Forward to the sink if the record's class is enabled. Callers on hot
     paths should guard with {!enabled} to avoid constructing the record. *)
 
+type occ_handler =
+  cls ->
+  time:Engine.Time.t ->
+  component:string ->
+  flow:int ->
+  occ_bytes:int ->
+  occ_pkts:int ->
+  unit
+(** Consumer of one occupancy event, every field immediate. [cls] is
+    [C_enqueue], [C_dequeue], [C_mark] or [C_drop]. For a drop,
+    [occ_pkts] carries nothing (the [Drop] record has no such field). *)
+
+val create_handler :
+  ?classes:cls list -> occ:occ_handler -> (record -> unit) -> t
+(** A tracer with no record sink: events sent with {!emit_occ} go to
+    [occ], records sent with {!emit} to the function. The two must treat
+    an occupancy event the same whichever way it arrives. Accepts
+    [classes] (default: all). *)
+
+val emit_occ :
+  t ->
+  cls ->
+  time:Engine.Time.t ->
+  component:string ->
+  flow:int ->
+  occ_bytes:int ->
+  occ_pkts:int ->
+  unit
+(** [emit_occ t cls ~time ~component ~flow ~occ_bytes ~occ_pkts] is
+    [emit t r] for the occupancy record [r] of class [cls] ([occ_pkts]
+    is ignored for [C_drop]), delivered without building [r] where no
+    sink needs it: handlers get the fields, [Ring]/[Csv]/[Jsonl]/[Fn]
+    sinks get [r], built at most once per call however many tee
+    branches consume it. Keep the {!enabled} guard at the call site: it
+    saves evaluating the arguments on untraced runs.
+    @raise Invalid_argument if [cls] is not an occupancy class. *)
+
 val enabled_classes : t -> cls list
 (** The classes the tracer currently accepts, in {!all_classes} order.
     Used by the trace-file header so an offline consumer knows which
     classes the file can possibly contain. *)
 
 val tee : t -> t -> t
-(** [tee a b] forwards each record to both [a] and [b]. Its own mask is
-    the union of the two masks {e at tee time}, and each branch
+(** [tee a b] forwards each record to both [a] and [b], each through its
+    own path ({!emit_occ} stays unboxed into a handler branch). Its own
+    mask is the union of the two masks {e at tee time}, and each branch
     re-filters with its own mask on delivery — so emit-site [enabled]
     guards fire when either branch wants the class, and each branch
     still receives exactly its own class set. This is how analysis

@@ -43,9 +43,8 @@ let sack_blocks t =
 
 let send_ack t ~ece =
   let pkt =
-    Net.Packet.make t.st ~src:(Net.Host.id t.host) ~dst:t.peer ~flow:t.flow
-      ~size:t.ack_bytes ~ecn:Net.Packet.Not_ect
-      (Segment.ack ~ack:t.rcv_nxt ~ece ~sack:(sack_blocks t) ())
+    Segment.ack t.st ~src:(Net.Host.id t.host) ~dst:t.peer ~flow:t.flow
+      ~size:t.ack_bytes ~ack:t.rcv_nxt ~ece ~sack:(sack_blocks t)
   in
   t.acks_sent <- t.acks_sent + 1;
   Net.Host.send t.host pkt
@@ -123,13 +122,11 @@ let create sim ~host ~flow ~peer ?(echo = Per_packet) ?(sack = false)
     }
   in
   Net.Host.bind_flow host ~flow (fun pkt ->
-      let payload = Net.Packet.payload t.st pkt in
+      let seq = Segment.data_seq t.st pkt in
       let ce = Net.Packet.is_ce t.st pkt in
       (* Terminal consumer: extract fields, recycle, then process. *)
       Net.Packet.free t.st pkt;
-      match payload with
-      | Segment.Data { seq } -> handle_data t ~seq ~ce
-      | _ -> ());
+      if seq >= 0 then handle_data t ~seq ~ce);
   t
 
 let segments_delivered t = t.rcv_nxt

@@ -38,6 +38,7 @@ type t = {
   peer : int;
   flow : int;
   tracer : Obs.Trace.t;
+  component : string;  (* trace records' component, built once *)
   config : config;
   mutable cc : Cc.t;
   (* cwnd (slot 0) and ssthresh (slot 1) live in a flat float array: as
@@ -83,7 +84,7 @@ let emit t event =
   Obs.Trace.emit t.tracer
     {
       Obs.Trace.time = Sim.now t.sim;
-      component = Printf.sprintf "flow%d" t.flow;
+      component = t.component;
       event;
     }
 
@@ -105,8 +106,8 @@ let send_segment t ~seq ~retransmission =
     if t.config.ecn_capable then Net.Packet.Ect else Net.Packet.Not_ect
   in
   let pkt =
-    Net.Packet.make t.st ~src:(Net.Host.id t.host) ~dst:t.peer ~flow:t.flow
-      ~size:t.config.segment_bytes ~ecn (Segment.data ~seq)
+    Segment.data t.st ~src:(Net.Host.id t.host) ~dst:t.peer ~flow:t.flow
+      ~size:t.config.segment_bytes ~ecn ~seq
   in
   if retransmission then begin
     t.retransmissions <- t.retransmissions + 1;
@@ -293,6 +294,7 @@ let create sim ~host ~peer ~flow ~cc ?(tracer = Obs.Trace.null)
       peer;
       flow;
       tracer;
+      component = Printf.sprintf "flow%d" flow;
       config;
       cc = dummy_cc;
       w =
@@ -336,13 +338,12 @@ let create sim ~host ~peer ~flow ~cc ?(tracer = Obs.Trace.null)
   in
   t.cc <- cc api;
   Net.Host.bind_flow host ~flow (fun pkt ->
-      let payload = Net.Packet.payload t.st pkt in
+      let ack = Segment.ack_no t.st pkt in
+      let ece = Segment.ece t.st pkt and sack = Segment.sack t.st pkt in
       (* The sender is this flow's terminal consumer of ACKs: extract
          the fields, recycle the handle, then run the ACK machinery. *)
       Net.Packet.free t.st pkt;
-      match payload with
-      | Segment.Ack { ack; ece; sack } -> handle_ack t ~ack ~ece ~sack
-      | _ -> ());
+      if ack >= 0 then handle_ack t ~ack ~ece ~sack);
   t
 
 let start t =

@@ -270,6 +270,58 @@ let test_queue_observer () =
   ignore (Q.dequeue q);
   checki "three events" 3 !events
 
+(* With the analyzer attached, enqueue and dequeue allocate nothing:
+   occupancy events reach Obs.Analyze as immediate arguments through
+   [Trace.emit_occ], never as records. The sawtooth crosses the
+   analyzer's band (cycles) and the marking threshold (marks), and the
+   clock moves between sawtooths so grid samples are taken too. *)
+let test_queue_traced_zero_alloc () =
+  let sim = Sim.create () in
+  let an =
+    Obs.Analyze.create
+      {
+        Obs.Analyze.sample_period = 500L;
+        band_bytes = Some (6_000, 12_000);
+        n_flows = 4;
+        rtt = 10_000L;
+        segment_bytes = 1500;
+      }
+  in
+  let q =
+    Q.create sim
+      ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:30_000)
+      ~marking:(Dctcp.Marking_policies.single_threshold ~k_bytes:9_000)
+      ~tracer:(Obs.Analyze.tracer an) ()
+  in
+  let st = Packet.store_of sim in
+  let depth = 16 in
+  let sawtooth () =
+    for i = 1 to depth do
+      ignore
+        (Q.enqueue q
+           (Packet.make st ~src:0 ~dst:1 ~flow:(i land 3) ~size:1500
+              ~ecn:Packet.Ect Packet.No_payload))
+    done;
+    for _ = 1 to depth do
+      Packet.free st (Q.dequeue_exn q)
+    done
+  in
+  sawtooth () (* warm the packet pool *);
+  let words = [| 0. |] and cycles = 200 in
+  for k = 1 to cycles do
+    Sim.run ~until:(Time.of_int_ns (k * 1_000)) sim;
+    let before = Gc.minor_words () in
+    sawtooth ();
+    words.(0) <- words.(0) +. (Gc.minor_words () -. before)
+  done;
+  checki "marks taken" (cycles * 10 + 10) (Q.marked q);
+  let s = Obs.Analyze.summary an in
+  checkb "analyzer saw every event" true
+    (s.Obs.Analyze.records = (cycles + 1) * (2 * depth + 10));
+  checkb "cycles detected" true (s.Obs.Analyze.cycles > 0);
+  checkf "words per enqueue+dequeue" 0.
+    (words.(0) /. float_of_int (cycles * depth))
+
 let test_queue_validation () =
   let sim = Sim.create () in
   checkb "bad capacity raises" true
@@ -1121,6 +1173,8 @@ let suites =
         Alcotest.test_case "reset stats" `Quick test_queue_reset_stats;
         Alcotest.test_case "observer" `Quick test_queue_observer;
         Alcotest.test_case "validation" `Quick test_queue_validation;
+        Alcotest.test_case "traced path allocation-free" `Quick
+          test_queue_traced_zero_alloc;
       ] );
     ( "net.port",
       [

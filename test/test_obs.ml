@@ -680,6 +680,86 @@ let analyzer_bit_identity =
         records;
       Json.equal (An.to_json direct) (An.to_json replayed))
 
+(* Property: the unboxed occupancy entry point is observationally the
+   record one. Each occupancy record goes through [emit_occ] with its
+   fields; the rest of the stream goes through [emit] on both sides. *)
+
+let emit_via_occ tr (r : Trace.record) =
+  let occ cls ~flow ~occ_bytes ~occ_pkts =
+    Trace.emit_occ tr cls ~time:r.Trace.time ~component:r.Trace.component
+      ~flow ~occ_bytes ~occ_pkts
+  in
+  match r.Trace.event with
+  | Trace.Enqueue { flow; occ_bytes; occ_pkts } ->
+      occ Trace.C_enqueue ~flow ~occ_bytes ~occ_pkts
+  | Trace.Dequeue { flow; occ_bytes; occ_pkts } ->
+      occ Trace.C_dequeue ~flow ~occ_bytes ~occ_pkts
+  | Trace.Mark { flow; occ_bytes; occ_pkts } ->
+      occ Trace.C_mark ~flow ~occ_bytes ~occ_pkts
+  | Trace.Drop { flow; occ_bytes } ->
+      (* a drop's packet count is not part of its record *)
+      occ Trace.C_drop ~flow ~occ_bytes ~occ_pkts:7
+  | _ -> Trace.emit tr r
+
+(* What a Ring, a JSONL file and an analyzer make of [records] when
+   each is sent through [send], either to each tracer in turn or once
+   to a tee of all three. *)
+let observe ~tee ~send records =
+  let ring = Trace.ring ~capacity:128 in
+  let ring_tr = Trace.create (Trace.Ring ring) in
+  let tmp = Filename.temp_file "test_obs" ".jsonl" in
+  let oc = open_out tmp in
+  let jsonl_tr = Trace.create (Trace.Jsonl oc) in
+  let an = An.create (an_config ~band:(30_000, 60_000) ()) in
+  let an_tr = An.tracer an in
+  let targets =
+    if tee then [ Trace.tee (Trace.tee ring_tr jsonl_tr) an_tr ]
+    else [ ring_tr; jsonl_tr; an_tr ]
+  in
+  List.iter (fun r -> List.iter (fun tr -> send tr r) targets) records;
+  close_out oc;
+  let lines = In_channel.with_open_text tmp In_channel.input_all in
+  Sys.remove tmp;
+  (Trace.ring_records ring, lines, Json.to_string (An.to_json an))
+
+let emit_occ_matches_emit =
+  QCheck.Test.make ~count:50
+    ~name:"emit_occ and emit give identical ring, JSONL and analysis"
+    (QCheck.make gen_records)
+    (fun records ->
+      List.for_all
+        (fun tee ->
+          observe ~tee ~send:emit_via_occ records
+          = observe ~tee ~send:Trace.emit records)
+        [ false; true ])
+
+let test_emit_occ_tee_builds_once () =
+  let a = Trace.ring ~capacity:4 and b = Trace.ring ~capacity:4 in
+  let t =
+    Trace.tee
+      (Trace.create (Trace.Ring a))
+      (Trace.create (Trace.Ring b))
+  in
+  Trace.emit_occ t Trace.C_mark ~time:(Time.of_ns 5L) ~component:"q" ~flow:2
+    ~occ_bytes:3000 ~occ_pkts:2;
+  match (Trace.ring_records a, Trace.ring_records b) with
+  | [ ra ], [ rb ] ->
+      Alcotest.(check bool) "both branches share one record" true (ra == rb);
+      Alcotest.(check bool)
+        "the record emit would have built" true
+        (ra
+        = mk ~t:(Time.of_ns 5L)
+            (Trace.Mark { flow = 2; occ_bytes = 3000; occ_pkts = 2 }))
+  | _ -> Alcotest.fail "each branch should hold exactly one record"
+
+let test_emit_occ_rejects_other_classes () =
+  let tr = Trace.create (Trace.Ring (Trace.ring ~capacity:4)) in
+  Alcotest.check_raises "not an occupancy class"
+    (Invalid_argument "Obs.Trace.emit_occ: not an occupancy class: rto")
+    (fun () ->
+      Trace.emit_occ tr Trace.C_rto ~time:Time.zero ~component:"q" ~flow:0
+        ~occ_bytes:0 ~occ_pkts:0)
+
 (* --- self-profiler --- *)
 
 let test_selfprof_counts () =
@@ -776,6 +856,10 @@ let suites =
         Alcotest.test_case "sim instrument hooks" `Quick test_sim_instrument;
         qtest determinism_invariance;
         Alcotest.test_case "tee" `Quick test_tee;
+        Alcotest.test_case "emit_occ through a tee builds one record" `Quick
+          test_emit_occ_tee_builds_once;
+        Alcotest.test_case "emit_occ rejects other classes" `Quick
+          test_emit_occ_rejects_other_classes;
         Alcotest.test_case "record_of_json every constructor" `Quick
           test_record_of_json_every_constructor;
       ] );
@@ -792,6 +876,7 @@ let suites =
         Alcotest.test_case "trace header roundtrip" `Quick
           test_analyze_header_roundtrip;
         qtest analyzer_bit_identity;
+        qtest emit_occ_matches_emit;
       ] );
     ( "obs.selfprof",
       [

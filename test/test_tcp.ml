@@ -170,12 +170,20 @@ let test_aimd_validation () =
 (* --- Segment --- *)
 
 let test_segment_describe () =
+  let st = Net.Packet.store_of (Sim.create ()) in
+  let describe p = Tcp.Segment.describe (Tcp.Segment.view st p) in
   Alcotest.check Alcotest.string "data" "data seq=5"
-    (Tcp.Segment.describe (Tcp.Segment.data ~seq:5));
+    (describe
+       (Tcp.Segment.data st ~src:0 ~dst:1 ~flow:0 ~size:1500
+          ~ecn:Net.Packet.Ect ~seq:5));
   Alcotest.check Alcotest.string "ack" "ack=3 ece=true"
-    (Tcp.Segment.describe (Tcp.Segment.ack ~ack:3 ~ece:true ()));
+    (describe
+       (Tcp.Segment.ack st ~src:1 ~dst:0 ~flow:0 ~size:40 ~ack:3 ~ece:true
+          ~sack:[]));
   Alcotest.check Alcotest.string "other" "other"
-    (Tcp.Segment.describe Net.Packet.No_payload)
+    (describe
+       (Net.Packet.make st ~src:0 ~dst:1 ~flow:0 ~size:1500
+          ~ecn:Net.Packet.Ect Net.Packet.No_payload))
 
 (* --- End-to-end transfers --- *)
 
@@ -341,9 +349,8 @@ let test_receiver_ooo_buffering () =
   let r = Tcp.Receiver.create sim ~host:h ~flow:0 ~peer:0 () in
   let push seq =
     Net.Host.receive h
-      (Net.Packet.make (Net.Packet.store_of sim) ~src:0 ~dst:1 ~flow:0
-         ~size:1500 ~ecn:Net.Packet.Ect
-         (Tcp.Segment.data ~seq))
+      (Tcp.Segment.data (Net.Packet.store_of sim) ~src:0 ~dst:1 ~flow:0
+         ~size:1500 ~ecn:Net.Packet.Ect ~seq)
   in
   push 0;
   checki "in order" 1 (Tcp.Receiver.segments_delivered r);
@@ -364,7 +371,7 @@ let test_receiver_echo_per_packet () =
   Net.Host.attach_nic h
     (Net.Port.create sim ~rate_bps:1e9 ~delay:0L ~queue:q ~deliver:(fun p ->
          let st = Net.Packet.store_of sim in
-         (match Net.Packet.payload st p with
+         (match Tcp.Segment.view st p with
          | Tcp.Segment.Ack { ack; ece; sack = _ } ->
              acks := (ack, ece) :: !acks
          | _ -> ());
@@ -372,9 +379,8 @@ let test_receiver_echo_per_packet () =
   let _r = Tcp.Receiver.create sim ~host:h ~flow:0 ~peer:0 () in
   let push seq ecn =
     Net.Host.receive h
-      (Net.Packet.make (Net.Packet.store_of sim) ~src:0 ~dst:1 ~flow:0
-         ~size:1500 ~ecn
-         (Tcp.Segment.data ~seq))
+      (Tcp.Segment.data (Net.Packet.store_of sim) ~src:0 ~dst:1 ~flow:0
+         ~size:1500 ~ecn ~seq)
   in
   push 0 Net.Packet.Ect;
   push 1 Net.Packet.Ce;
@@ -394,7 +400,7 @@ let test_receiver_echo_dctcp_delayed () =
   Net.Host.attach_nic h
     (Net.Port.create sim ~rate_bps:1e9 ~delay:0L ~queue:q ~deliver:(fun p ->
          let st = Net.Packet.store_of sim in
-         (match Net.Packet.payload st p with
+         (match Tcp.Segment.view st p with
          | Tcp.Segment.Ack { ack; ece; sack = _ } ->
              acks := (ack, ece) :: !acks
          | _ -> ());
@@ -405,9 +411,8 @@ let test_receiver_echo_dctcp_delayed () =
   in
   let push seq ecn =
     Net.Host.receive h
-      (Net.Packet.make (Net.Packet.store_of sim) ~src:0 ~dst:1 ~flow:0
-         ~size:1500 ~ecn
-         (Tcp.Segment.data ~seq))
+      (Tcp.Segment.data (Net.Packet.store_of sim) ~src:0 ~dst:1 ~flow:0
+         ~size:1500 ~ecn ~seq)
   in
   (* two unmarked packets -> one coalesced ACK(ece=false) *)
   push 0 Net.Packet.Ect;
@@ -446,16 +451,15 @@ let test_receiver_sack_blocks () =
   Net.Host.attach_nic h
     (Net.Port.create sim ~rate_bps:1e9 ~delay:0L ~queue:q ~deliver:(fun p ->
          let st = Net.Packet.store_of sim in
-         (match Net.Packet.payload st p with
+         (match Tcp.Segment.view st p with
          | Tcp.Segment.Ack { sack; _ } -> last_sack := sack
          | _ -> ());
          Net.Packet.free st p));
   let _r = Tcp.Receiver.create sim ~host:h ~flow:0 ~peer:0 ~sack:true () in
   let push seq =
     Net.Host.receive h
-      (Net.Packet.make (Net.Packet.store_of sim) ~src:0 ~dst:1 ~flow:0
-         ~size:1500 ~ecn:Net.Packet.Ect
-         (Tcp.Segment.data ~seq));
+      (Tcp.Segment.data (Net.Packet.store_of sim) ~src:0 ~dst:1 ~flow:0
+         ~size:1500 ~ecn:Net.Packet.Ect ~seq);
     Sim.run sim
   in
   push 0;
@@ -485,7 +489,7 @@ let test_receiver_sack_block_limit () =
   Net.Host.attach_nic h
     (Net.Port.create sim ~rate_bps:1e9 ~delay:0L ~queue:q ~deliver:(fun p ->
          let st = Net.Packet.store_of sim in
-         (match Net.Packet.payload st p with
+         (match Tcp.Segment.view st p with
          | Tcp.Segment.Ack { sack; _ } -> last_sack := sack
          | _ -> ());
          Net.Packet.free st p));
@@ -493,9 +497,8 @@ let test_receiver_sack_block_limit () =
   List.iter
     (fun seq ->
       Net.Host.receive h
-        (Net.Packet.make (Net.Packet.store_of sim) ~src:0 ~dst:1 ~flow:0
-           ~size:1500 ~ecn:Net.Packet.Ect
-           (Tcp.Segment.data ~seq)))
+        (Tcp.Segment.data (Net.Packet.store_of sim) ~src:0 ~dst:1 ~flow:0
+           ~size:1500 ~ecn:Net.Packet.Ect ~seq))
     [ 2; 4; 6; 8; 10 ];
   Sim.run sim;
   checki "at most three blocks" 3 (List.length !last_sack)
