@@ -128,42 +128,9 @@ let parse_trace_events spec =
 
 let longlived_cmd =
   let run proto g k k1 k2 seed n rate_gbps rtt_us warmup_ms measure_ms
-      trace_csv cwnd_csv trace_out trace_events metrics_out analysis_out
+      trace_csv trace_out trace_events metrics_out analysis_out
       profile_out =
     let protocol = sim_protocol proto g k k1 k2 in
-    (* The cwnd trace needs direct access to a flow, so it runs its own
-       small scenario mirroring the workload's configuration. *)
-    (if cwnd_csv <> "" then begin
-       let bundle = Spec.protocol_of protocol in
-       let sim = Engine.Sim.create ~seed () in
-       let d =
-         Net.Topology.dumbbell sim ~n_senders:n
-           ~bottleneck_rate_bps:(rate_gbps *. 1e9)
-           ~rtt:(Time.span_of_us rtt_us)
-           ~buffer_bytes:(1000 * segment_bytes)
-           ~marking:(bundle.Dctcp.Protocol.marking ())
-           ()
-       in
-       let flows =
-         Array.mapi
-           (fun i src ->
-             Tcp.Flow.create sim ~src ~dst:d.Net.Topology.receiver ~flow:i
-               ~cc:bundle.Dctcp.Protocol.cc
-               ~echo:bundle.Dctcp.Protocol.echo ())
-           d.Net.Topology.senders
-       in
-       Array.iter Tcp.Flow.start flows;
-       let stop = Time.of_ms (warmup_ms +. measure_ms) in
-       let inst =
-         Workloads.Instrument.attach sim flows.(0)
-           ~period:(Time.span_of_us 100.) ~stop_at:stop
-       in
-       Engine.Sim.run ~until:stop sim;
-       let oc = open_out cwnd_csv in
-       Workloads.Instrument.to_csv inst oc;
-       close_out oc;
-       Printf.printf "cwnd trace          %s\n" cwnd_csv
-     end);
     let config =
       {
         Workloads.Longlived.default_config with
@@ -281,12 +248,6 @@ let longlived_cmd =
       & info [ "trace-csv" ] ~docv:"FILE"
           ~doc:"Dump the sampled queue series to FILE.")
   in
-  let cwnd_trace =
-    Arg.(
-      value & opt string ""
-      & info [ "cwnd-csv" ] ~docv:"FILE"
-          ~doc:"Dump flow 0's cwnd/alpha/srtt trace to FILE.")
-  in
   let trace_out =
     Arg.(
       value & opt string ""
@@ -335,7 +296,7 @@ let longlived_cmd =
        ~doc:"N long-lived flows over the 10 Gbps dumbbell (paper Figs 1, 10-12)")
     Term.(
       const run $ proto_arg $ g_arg $ k_arg $ k1_arg $ k2_arg $ seed_arg $ n
-      $ rate $ rtt $ warmup $ measure $ trace $ cwnd_trace $ trace_out
+      $ rate $ rtt $ warmup $ measure $ trace $ trace_out
       $ trace_events $ metrics_out $ analysis_out $ profile_out)
 
 (* --- incast --- *)

@@ -27,7 +27,7 @@
    append — seq is monotone — and cascaded arrivals insert from the
    tail); popping the head is therefore the global minimum. The qcheck
    suite proves the equivalence against both a naive model and the
-   retained generic {!Heap}.
+   reference binary heap in test/heap.ml.
 
    Two small (key, seq) binary min-heaps back the wheel up at its edges:
 

@@ -15,7 +15,7 @@
     Schedule and cancel are O(1) for wheel-resident events; pop is
     near-O(1) — each event cascades down at most [levels] times over
     its whole life. Pop order is bit-identical to the 4-ary heap this
-    replaced (the generic {!Heap} is retained as the qcheck oracle).
+    replaced (a generic binary heap, test/heap.ml, is the qcheck oracle).
 
     {b Pooling invariants.} An event record is owned by the queue from
     {!add} until it leaves the structure — by firing ({!pop}), by

@@ -25,7 +25,6 @@ type t = {
   mutable drops : int;
   mutable enqueued : int;
   mutable marked : int;
-  mutable observer : unit -> unit;
   (* time-weighted occupancy integrals *)
   mutable stats_start : Time.t;
   mutable last_change : Time.t;
@@ -50,7 +49,6 @@ let create sim ~buffer ?(marking = Marking.none ())
       drops = 0;
       enqueued = 0;
       marked = 0;
-      observer = (fun () -> ());
       stats_start = now;
       last_change = now;
       acc = Array.make 4 0.;
@@ -124,7 +122,6 @@ let enqueue t pkt =
     (* The queue consumed the packet by dropping it: its handle is
        recycled here, after the traces above read their fields. *)
     Packet.free t.st pkt;
-    t.observer ();
     `Dropped
   end
   else begin
@@ -159,7 +156,6 @@ let enqueue t pkt =
     end;
     if Trace_ev.enabled t.tracer Trace_ev.C_enqueue then
       emit_occ t Trace_ev.C_enqueue pkt;
-    t.observer ();
     `Enqueued
   end
 
@@ -176,7 +172,6 @@ let dequeue_exn t =
   t.marking.Marking.on_dequeue ~bytes:t.occ_bytes ~packets:t.occ_pkts;
   if Trace_ev.enabled t.tracer Trace_ev.C_dequeue then
     emit_occ t Trace_ev.C_dequeue pkt;
-  t.observer ();
   pkt
 
 let dequeue t =
@@ -192,7 +187,6 @@ let buffer t = t.buffer
 let drops t = t.drops
 let enqueued t = t.enqueued
 let marked t = t.marked
-let set_observer t f = t.observer <- f
 
 let reset_stats t =
   let now = Sim.now t.sim in

@@ -68,10 +68,6 @@ val enqueued : t -> int
 val marked : t -> int
 (** Packets CE-marked since creation. *)
 
-val set_observer : t -> (unit -> unit) -> unit
-(** Invoked after every occupancy change (enqueue, dequeue) and after every
-    drop; used by {!Trace}. *)
-
 (** {2 Time-weighted occupancy statistics} *)
 
 val reset_stats : t -> unit

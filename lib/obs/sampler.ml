@@ -1,32 +1,15 @@
 module Sim = Engine.Sim
 module Time = Engine.Time
 
-type t = { mutable active : bool }
-
 let cls_sample = Engine.Event_class.(index Sample)
 
-let start sim ~period ~stop_at ?(immediate = false) ?(clamp_first = false) f =
+let start sim ~period ~stop_at f =
   if Int64.compare period 0L <= 0 then
     invalid_arg "Obs.Sampler.start: period must be positive";
-  let t = { active = true } in
   let rec tick () =
-    if t.active then begin
-      f (Sim.now sim);
-      let next = Time.add (Sim.now sim) period in
-      if Time.(next <= stop_at) then
-        ignore (Sim.schedule_at_cls sim next ~cls:cls_sample tick)
-    end
+    f (Sim.now sim);
+    let next = Time.add (Sim.now sim) period in
+    if Time.(next <= stop_at) then
+      ignore (Sim.schedule_at_cls sim next ~cls:cls_sample tick)
   in
-  if immediate then tick ()
-  else begin
-    (* Historic wart, kept as the default for bit-identical manifests:
-       the first deferred tick fires unconditionally, even when it lands
-       past [stop_at]. [clamp_first] opts into the bounded behaviour. *)
-    let first = Time.add (Sim.now sim) period in
-    if (not clamp_first) || Time.(first <= stop_at) then
-      ignore (Sim.schedule_at_cls sim first ~cls:cls_sample tick)
-  end;
-  t
-
-let stop t = t.active <- false
-let active t = t.active
+  tick ()

@@ -1,36 +1,20 @@
 (** Periodic sampling loop on simulation time.
 
-    The one fixed-period polling pattern the repo needs, extracted from
-    [Net.Trace] and [Workloads.Instrument] (which previously each
-    reimplemented it): call [f now] every [period] until the {e next}
-    tick would land after [stop_at]. The [stop_at] bound is mandatory —
-    an unbounded self-rescheduling loop would keep the simulation alive
-    forever. Ticks are scheduled with the {!Engine.Event_class.Sample}
-    profiler tag. *)
-
-type t
+    The one fixed-period polling pattern the repo needs: call [f now] at
+    the current simulation time and then every [period] until the
+    {e next} tick would land after [stop_at]. The [stop_at] bound is
+    mandatory — an unbounded self-rescheduling loop would keep the
+    simulation alive forever. Ticks are scheduled with the
+    {!Engine.Event_class.Sample} profiler tag. *)
 
 val start :
   Engine.Sim.t ->
   period:Engine.Time.span ->
   stop_at:Engine.Time.t ->
-  ?immediate:bool ->
-  ?clamp_first:bool ->
   (Engine.Time.t -> unit) ->
-  t
-(** Start sampling. With [~immediate:true] the first call to [f] happens
-    synchronously at the current simulation time; otherwise the first
-    tick fires one [period] from now.
-
-    By default that first deferred tick is {e unconditional} even if it
-    lands past [stop_at] — the historic [Net.Trace] behaviour, preserved
-    because existing runs' manifests are bit-identical to it. Pass
-    [~clamp_first:true] to skip the first tick when it would land past
-    [stop_at], making the bound uniform across all ticks. Both
-    behaviours are pinned by regression tests.
+  unit
+(** [start sim ~period ~stop_at f] calls [f] synchronously at the
+    current time [t0], then at [t0 + k * period] for every [k] with
+    [t0 + k * period <= stop_at]. When [stop_at] precedes [t0 + period]
+    the synchronous call is the only one.
     @raise Invalid_argument if [period <= 0]. *)
-
-val stop : t -> unit
-(** Detach: pending ticks become no-ops. Idempotent. *)
-
-val active : t -> bool

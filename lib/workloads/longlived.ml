@@ -140,7 +140,19 @@ let run ?(tracer = Obs.Trace.null) ?metrics ?faults
   (* Measurement bookkeeping armed at the end of the warm-up. *)
   let alpha_stats = Stats.Descriptive.create () in
   let delivered_at_warm = Array.make nf 0 in
-  let trace = ref None in
+  (* The queue series: one sample at the warm-up instant and one per
+     [period] up to [t_stop], so [measure / period + 1] of them. *)
+  let series =
+    Option.map
+      (fun period ->
+        let n =
+          if Int64.compare period 0L > 0 then
+            Int64.to_int (Int64.div config.measure period) + 1
+          else 0
+        in
+        (period, Array.make n 0., Array.make n 0., ref 0))
+      config.trace_sampling
+  in
   ignore
     (Sim.schedule_at sim t_warm (fun () ->
          Net.Queue_disc.reset_stats bqueue;
@@ -148,22 +160,22 @@ let run ?(tracer = Obs.Trace.null) ?metrics ?faults
          Array.iteri
            (fun i f -> delivered_at_warm.(i) <- Tcp.Flow.segments_delivered f)
            flows;
-         (match config.trace_sampling with
-         | Some period ->
-             trace :=
-               Some
-                 (Net.Trace.on_queue sim bqueue ~mode:(Net.Trace.Sampled period)
-                    ~stop_at:t_stop ())
+         (match series with
+         | Some (period, times, pkts, len) ->
+             Obs.Sampler.start sim ~period ~stop_at:t_stop (fun now ->
+                 times.(!len) <- Time.to_sec now;
+                 pkts.(!len) <-
+                   float_of_int (Net.Queue_disc.occupancy_packets bqueue);
+                 incr len)
          | None -> ());
-         ignore
-           (Obs.Sampler.start sim ~period:config.alpha_sample_period
-              ~stop_at:t_stop ~immediate:true (fun _now ->
-                Array.iter
-                  (fun f ->
-                    match Tcp.Flow.alpha f with
-                    | Some a -> Stats.Descriptive.add alpha_stats a
-                    | None -> ())
-                  flows))));
+         Obs.Sampler.start sim ~period:config.alpha_sample_period
+           ~stop_at:t_stop (fun _now ->
+             Array.iter
+               (fun f ->
+                 match Tcp.Flow.alpha f with
+                 | Some a -> Stats.Descriptive.add alpha_stats a
+                 | None -> ())
+               flows)));
   Sim.run ~until:t_stop sim;
   let measure_s = Time.span_to_sec config.measure in
   let throughput_bps =
@@ -182,11 +194,9 @@ let run ?(tracer = Obs.Trace.null) ?metrics ?faults
   in
   let queue_series =
     Option.map
-      (fun tr ->
-        Array.map
-          (fun (t, v) -> (Time.to_sec t, v))
-          (Stats.Timeseries.samples (Net.Trace.series_packets tr)))
-      !trace
+      (fun (_, times, pkts, len) ->
+        Array.init !len (fun i -> (times.(i), pkts.(i))))
+      series
   in
   let pkt = float_of_int config.segment_bytes in
   {

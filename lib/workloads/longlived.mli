@@ -43,7 +43,10 @@ type result = {
       (** Jain's index over per-flow segments delivered during the
           measured window. *)
   queue_series : (float * float) array option;
-      (** (seconds, packets), present iff [trace_sampling] was set. *)
+      (** (seconds, packets), present iff [trace_sampling] was set: the
+          bottleneck occupancy sampled through {!Obs.Sampler} at the
+          warm-up instant and every period after it, [measure / period + 1]
+          samples in all. *)
 }
 
 val run :

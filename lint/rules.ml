@@ -64,7 +64,7 @@ let rule_doc = function
        explicit monomorphic comparator"
   | R4 ->
       "no print_* / Printf.printf / Format.printf under lib/; log through \
-       Logs or Net.Trace"
+       Logs or Obs.Trace"
   | R5 -> "every lib/**/*.ml must have a matching .mli"
   | R6 ->
       "no assert false or bare failwith \"\" in lib/engine and lib/net; \
@@ -333,7 +333,7 @@ let lint_source ?(rules = all_rules) ~filename source =
        | _ -> ());
     if active R4 && sc.in_lib && is_print_fn parts then
       emit R4 loc
-        "direct console output inside lib/; route through Logs or Net.Trace \
+        "direct console output inside lib/; route through Logs or Obs.Trace \
          so headless benches stay clean";
     if active R7 && (not sc.is_obs) && is_wall_clock parts then
       emit R7 loc

@@ -12,7 +12,7 @@
       event ordering must use an explicit monomorphic comparator.
     - {b R4} no [print_string] / [print_endline] / [Printf.printf] /
       [Format.printf] inside [lib/]: output goes through [Logs] or
-      [Net.Trace] so headless benches stay clean.
+      [Obs.Trace] so headless benches stay clean.
     - {b R5} every [lib/**/*.ml] has a matching [.mli].
     - {b R6} no [assert false] or bare [failwith ""] / [invalid_arg ""] in
       the [lib/engine] and [lib/net] hot paths: failures must carry context.
@@ -27,9 +27,11 @@
       (the runner fans whole specs across domains), never inside one, where
       scheduling nondeterminism would break bit-reproducibility.
     - {b R9} no [Obj.magic] outside [lib/engine/]: the engine's pooled
-      containers ({!Engine.Heap}, {!Engine.Ring}, the event pool) seed
-      empty slots with an immediate placeholder and are the only audited
-      sites; anywhere else [Obj.magic] defeats the type system.
+      containers ({!Engine.Event_queue}'s event pool and
+      {!Engine.Int_ring}) are the only audited sites a placeholder slot
+      value may live in — today both fill spare slots with real values
+      (a sentinel event, [min_int]) and need none; anywhere else
+      [Obj.magic] defeats the type system.
     - {b R10} no [Rng.create] / [Rng.split] outside the stream-owning
       layers ([lib/engine], [lib/fault], [lib/workloads], [lib/exp]): every
       random stream must be derivable from a spec seed, so only the layers

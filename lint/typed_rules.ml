@@ -367,10 +367,7 @@ let lint_units ?(rules = rules) ?(report_paths = [])
     let whole_module_roots src =
       match after_lib (segments src) with
       | Some
-          [
-            "engine";
-            ("event_queue.ml" | "heap.ml" | "ring.ml" | "int_ring.ml");
-          ] ->
+          [ "engine"; ("event_queue.ml" | "int_ring.ml") ] ->
           true
       | Some [ "net"; ("packet.ml" | "ecmp.ml") ] -> true
       | _ -> false

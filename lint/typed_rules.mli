@@ -31,8 +31,9 @@
       [int64] and stay fair game — the paper's queue dynamics live on
       spans, the unit bug lives on instants).
     - {b R14 — hot-path allocation.} In functions reachable from the
-      event-loop entry points ([Engine.Event_queue]/[Heap]/[Ring] whole
-      modules; [Sim.step/run/schedule_at/schedule_after/cancel];
+      event-loop entry points ([Engine.Event_queue]/[Int_ring] and
+      [Net.Packet]/[Ecmp] whole modules;
+      [Sim.step/run/schedule_at/schedule_after/cancel];
       [Port.send], [Queue_disc.enqueue/dequeue/dequeue_exn],
       [Switch.receive]), a partial application, an
       environment-capturing closure, or a float-returning function is a

@@ -48,7 +48,7 @@ let test_r2_float_equality () =
 let test_r3_polymorphic_compare () =
   check_findings "bare compare and Hashtbl.hash"
     [ ("R3", 1); ("R3", 2) ]
-    (findings ~file:"lib/engine/heap.ml"
+    (findings ~file:"lib/engine/event_queue.ml"
        "let sort l = List.sort compare l\nlet h x = Hashtbl.hash x\n")
 
 let test_r3_local_compare_ok () =
@@ -160,7 +160,7 @@ let test_r9_obj_magic () =
 
 let test_r9_engine_exempt () =
   check_findings "lib/engine containers may seed placeholder slots" []
-    (findings ~file:"lib/engine/ring.ml"
+    (findings ~file:"lib/engine/int_ring.ml"
        "let slot () = Obj.magic 0\n");
   check_findings "suppression works for R9" []
     (findings ~file:"lib/net/queue_disc.ml"

@@ -259,16 +259,27 @@ let test_queue_reset_stats () =
   checkf ~eps:1e-6 "mean after reset" 1500. (Q.mean_occupancy_bytes q);
   checki "counters reset" 0 (Q.enqueued q)
 
+(* Every occupancy change reaches the queue's tracer — enqueue, drop
+   and dequeue each as one record — which is what lets a trace stand in
+   for the queue's own statistics (see the invariants suite). *)
 let test_queue_observer () =
   let sim = Sim.create () in
-  let q = Q.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:2000) () in
-  let events = ref 0 in
-  Q.set_observer q (fun () -> incr events);
+  let seen = ref [] in
+  let tracer =
+    Obs.Trace.create
+      ~classes:Obs.Trace.[ C_enqueue; C_dequeue; C_drop ]
+      (Obs.Trace.Fn
+         (fun r -> seen := Obs.Trace.cls_of_event r.Obs.Trace.event :: !seen))
+  in
+  let q =
+    Q.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:2000) ~tracer ()
+  in
   ignore (Q.enqueue q (mk_pkt ~sim ~size:1500 ()));
   ignore (Q.enqueue q (mk_pkt ~sim ~size:1500 ()));
   (* dropped, still observed *)
   ignore (Q.dequeue q);
-  checki "three events" 3 !events
+  checkb "enqueue, drop, dequeue" true
+    (List.rev !seen = Obs.Trace.[ C_enqueue; C_drop; C_dequeue ])
 
 (* With the analyzer attached, enqueue and dequeue allocate nothing:
    occupancy events reach Obs.Analyze as immediate arguments through
@@ -668,64 +679,38 @@ let test_parking_lot_validation () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-(* --- Trace --- *)
-
-let test_trace_every_change () =
-  let sim = Sim.create () in
-  let q = Q.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:1_000_000) () in
-  let tr = Net.Trace.on_queue sim q ~mode:Net.Trace.Every_change () in
-  ignore
-    (Sim.schedule_at sim (Time.of_us 1.) (fun () ->
-         ignore (Q.enqueue q (mk_pkt ~sim ()))));
-  ignore
-    (Sim.schedule_at sim (Time.of_us 2.) (fun () -> ignore (Q.dequeue q)));
-  Sim.run sim;
-  (* initial sample + enqueue + dequeue *)
-  checki "three samples" 3
-    (Stats.Timeseries.length (Net.Trace.series_packets tr));
-  checkf "max occupancy seen" 1.
-    (Stats.Timeseries.max_value (Net.Trace.series_packets tr))
-
-let test_trace_sampled () =
-  let sim = Sim.create () in
-  let q = Q.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:1_000_000) () in
-  let tr =
-    Net.Trace.on_queue sim q
-      ~mode:(Net.Trace.Sampled (Time.span_of_us 10.))
-      ~stop_at:(Time.of_us 100.) ()
-  in
-  Sim.run ~until:(Time.of_ms 1.) sim;
-  (* initial sample plus 10 periodic ones *)
-  checki "eleven samples" 11
-    (Stats.Timeseries.length (Net.Trace.series_packets tr))
-
-let test_trace_sampled_requires_stop () =
-  let sim = Sim.create () in
-  let q = Q.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:1_000_000) () in
-  checkb "raises" true
-    (match
-       Net.Trace.on_queue sim q ~mode:(Net.Trace.Sampled 1000L) ()
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-let test_trace_detach () =
-  let sim = Sim.create () in
-  let q = Q.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:1_000_000) () in
-  let tr = Net.Trace.on_queue sim q ~mode:Net.Trace.Every_change () in
-  Net.Trace.detach tr;
-  ignore (Q.enqueue q (mk_pkt ~sim ()));
-  checki "no further samples" 1
-    (Stats.Timeseries.length (Net.Trace.series_packets tr))
-
 (* --- cross-validation invariants --- *)
 
 (* The queue's built-in time-weighted statistics must agree with the
-   statistics computed from an exhaustive occupancy trace. *)
+   statistics of an exhaustive occupancy trace. Every enqueue, dequeue
+   and drop record carries the occupancy after it (a drop leaves it
+   unchanged), so the records define
+   the occupancy step function exactly; its integrals are computed here
+   in two passes, independently of the queue's running sums. *)
 let test_queue_stats_match_trace () =
   let sim = Sim.create ~seed:77L () in
-  let q = Q.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:20_000) () in
-  let tr = Net.Trace.on_queue sim q ~mode:Net.Trace.Every_change () in
+  let last = ref 0 and occ = ref 0 and steps = ref [] in
+  let advance t_ns =
+    steps := (float_of_int (t_ns - !last) /. 1e9, float_of_int !occ) :: !steps;
+    last := t_ns
+  in
+  let on_record (r : Obs.Trace.record) =
+    match r.Obs.Trace.event with
+    | Obs.Trace.Enqueue { occ_bytes; _ }
+    | Obs.Trace.Dequeue { occ_bytes; _ }
+    | Obs.Trace.Drop { occ_bytes; _ } ->
+        advance (Time.to_int_ns r.Obs.Trace.time);
+        occ := occ_bytes
+    | _ -> ()
+  in
+  let tracer =
+    Obs.Trace.create
+      ~classes:Obs.Trace.[ C_enqueue; C_dequeue; C_drop ]
+      (Obs.Trace.Fn on_record)
+  in
+  let q =
+    Q.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:20_000) ~tracer ()
+  in
   let rng = Engine.Rng.create ~seed:3L in  (* dtlint: allow R10 *)
   for i = 1 to 400 do
     let at = Time.of_us (float_of_int i *. 7.) in
@@ -737,12 +722,12 @@ let test_queue_stats_match_trace () =
   done;
   let t_end = Time.of_us 3000. in
   Sim.run ~until:t_end sim;
-  let series = Net.Trace.series_bytes tr in
-  let trace_mean =
-    Stats.Timeseries.time_weighted_mean ~from:Time.zero ~until:t_end series
-  in
+  advance (Time.to_int_ns t_end);
+  let span = Time.to_sec t_end in
+  let integral f = List.fold_left (fun acc (dt, v) -> acc +. (f v *. dt)) 0. !steps in
+  let trace_mean = integral Fun.id /. span in
   let trace_std =
-    Stats.Timeseries.time_weighted_stddev ~from:Time.zero ~until:t_end series
+    sqrt (integral (fun v -> (v -. trace_mean) *. (v -. trace_mean)) /. span)
   in
   checkf ~eps:1e-3 "means agree" trace_mean (Q.mean_occupancy_bytes q);
   checkf ~eps:1e-3 "stddevs agree" trace_std (Q.stddev_occupancy_bytes q)
@@ -978,35 +963,45 @@ let prop_ecmp_flow_stickiness =
       && p = Net.Ecmp.select g ~src ~dst ~flow
       && p = Net.Ecmp.select g' ~src ~dst ~flow)
 
-(* Chi-squared-style balance check: over n = 1000 x width sequential
-   flows the per-port counts must look uniform. df <= 7 puts the
-   statistic's mean at w-1 and std near sqrt(2(w-1)); the 5w bound is
-   many sigmas out (no flaky seeds) yet fails decisively for a biased
-   hash — e.g. [hash mod width] over sequential flows without mixing
-   concentrates whole residue classes on one port and scores in the
-   thousands. *)
+(* Chi-squared balance check: over n = 1000 x width sequential flows the
+   per-port counts must look uniform. For a uniform hash the statistic
+   is chi-squared with w - 1 degrees of freedom, so the bound is that
+   distribution's upper quantile at a false-alarm rate of 1e-9 per case,
+   tabulated (rounded up) for w = 2..8 — for w = 3 it is 2 ln 1e9 = 41.45.
+   A biased hash still fails decisively: [hash mod width] over sequential
+   flows without mixing concentrates whole residue classes on one port
+   and scores in the thousands. *)
+let chi2_bound w = [| 37.33; 41.45; 44.85; 47.88; 50.70; 53.35; 55.88 |].(w - 2)
+
+let chi2_of_counts counts =
+  let n = Array.fold_left ( + ) 0 counts in
+  let e = float_of_int n /. float_of_int (Array.length counts) in
+  Array.fold_left
+    (fun acc c ->
+      let d = float_of_int c -. e in
+      acc +. (d *. d /. e))
+    0. counts
+
 let prop_ecmp_balance =
   QCheck.Test.make ~count:50 ~name:"ECMP spreads flows evenly (chi-squared)"
     QCheck.(pair int64 (int_range 2 8))
     (fun (salt, w) ->
       let g = Net.Ecmp.make_group ~salt ~ports:(Array.init w Fun.id) in
-      let n = 1_000 * w in
       let counts = Array.make w 0 in
-      for flow = 0 to n - 1 do
+      for flow = 0 to (1_000 * w) - 1 do
         let p =
           Net.Ecmp.select g ~src:(flow mod 17) ~dst:(flow mod 23) ~flow
         in
         counts.(p) <- counts.(p) + 1
       done;
-      let e = float_of_int n /. float_of_int w in
-      let chi2 =
-        Array.fold_left
-          (fun acc c ->
-            let d = float_of_int c -. e in
-            acc +. (d *. d /. e))
-          0. counts
-      in
-      chi2 < 5. *. float_of_int w)
+      chi2_of_counts counts < chi2_bound w)
+
+(* The bound still has teeth: a 60/40 split of 2000 flows over two
+   ports scores 80, twice the w = 2 bound. *)
+let test_ecmp_chi2_rejects_skew () =
+  let chi2 = chi2_of_counts [| 1_200; 800 |] in
+  checkf ~eps:1e-9 "60/40 split scores 80" 80. chi2;
+  checkb "60/40 split fails the bound" false (chi2 < chi2_bound 2)
 
 let test_switch_ecmp_routing () =
   let sim = Sim.create () in
@@ -1207,6 +1202,8 @@ let suites =
       [
         Alcotest.test_case "select basics" `Quick test_ecmp_select_basic;
         Alcotest.test_case "validation" `Quick test_ecmp_validation;
+        Alcotest.test_case "chi-squared bound rejects a 60/40 split" `Quick
+          test_ecmp_chi2_rejects_skew;
         qtest prop_ecmp_flow_stickiness;
         qtest prop_ecmp_balance;
       ] );
@@ -1231,14 +1228,6 @@ let suites =
         Alcotest.test_case "fat tree wiring" `Quick test_fat_tree_wiring;
         Alcotest.test_case "fat tree all-pairs connectivity" `Quick
           test_fat_tree_all_pairs;
-      ] );
-    ( "net.trace",
-      [
-        Alcotest.test_case "every change" `Quick test_trace_every_change;
-        Alcotest.test_case "sampled" `Quick test_trace_sampled;
-        Alcotest.test_case "sampled requires stop_at" `Quick
-          test_trace_sampled_requires_stop;
-        Alcotest.test_case "detach" `Quick test_trace_detach;
       ] );
     ( "net.invariants",
       [

@@ -215,62 +215,26 @@ let test_manifest_roundtrip () =
 (* --- sampler --- *)
 
 let test_sampler () =
-  let sim = Sim.create () in
-  let ticks = ref [] in
-  let s =
-    Obs.Sampler.start sim ~period:10L ~stop_at:(Time.of_ns 35L) ~immediate:true (fun now ->
-        ticks := Time.to_ns now :: !ticks)
+  let ticks_of ~period ~stop_at =
+    let sim = Sim.create () in
+    let ticks = ref [] in
+    Obs.Sampler.start sim ~period ~stop_at:(Time.of_ns stop_at) (fun now ->
+        ticks := Time.to_ns now :: !ticks);
+    Sim.run sim;
+    List.rev !ticks
   in
-  Sim.run sim;
   Alcotest.(check (list int64))
     "immediate: t=0 then every period up to stop_at" [ 0L; 10L; 20L; 30L ]
-    (List.rev !ticks);
-  Alcotest.(check bool) "still active when merely drained" true
-    (Obs.Sampler.active s);
-  (* Deferred first tick: fires one period in even if that lands past
-     stop_at (Net.Trace's historic contract). *)
-  let sim = Sim.create () in
-  let ticks = ref [] in
-  ignore
-    (Obs.Sampler.start sim ~period:50L ~stop_at:(Time.of_ns 20L) (fun now ->
-         ticks := Time.to_ns now :: !ticks));
-  Sim.run sim;
-  Alcotest.(check (list int64)) "deferred first tick unconditional" [ 50L ] !ticks;
-  (* Opt-in clamp: the same start suppresses the overshooting first tick. *)
-  let sim = Sim.create () in
-  let ticks = ref [] in
-  ignore
-    (Obs.Sampler.start sim ~period:50L ~stop_at:(Time.of_ns 20L)
-       ~clamp_first:true (fun now -> ticks := Time.to_ns now :: !ticks));
-  Sim.run sim;
-  Alcotest.(check (list int64)) "clamped first tick suppressed" [] !ticks;
-  (* The clamp is inert when the first tick lands within the bound. *)
-  let sim = Sim.create () in
-  let ticks = ref [] in
-  ignore
-    (Obs.Sampler.start sim ~period:10L ~stop_at:(Time.of_ns 35L)
-       ~clamp_first:true (fun now -> ticks := Time.to_ns now :: !ticks));
-  Sim.run sim;
+    (ticks_of ~period:10L ~stop_at:35L);
   Alcotest.(check (list int64))
-    "clamp inert within stop_at" [ 10L; 20L; 30L ]
-    (List.rev !ticks);
-  (* stop detaches mid-run. *)
-  let sim = Sim.create () in
-  let count = ref 0 in
-  let s =
-    Obs.Sampler.start sim ~period:10L ~stop_at:(Time.of_ns 1000L) ~immediate:true (fun _ ->
-        incr count)
-  in
-  ignore
-    (Sim.schedule_at sim (Time.of_ns 25L) (fun () -> Obs.Sampler.stop s));
-  Sim.run sim;
-  Alcotest.(check int) "stopped after t=25" 3 !count;
-  Alcotest.(check bool) "inactive after stop" false (Obs.Sampler.active s);
+    "a tick landing exactly on stop_at fires" [ 0L; 10L; 20L; 30L ]
+    (ticks_of ~period:10L ~stop_at:30L);
+  Alcotest.(check (list int64))
+    "stop_at before the first period: only the immediate tick" [ 0L ]
+    (ticks_of ~period:50L ~stop_at:20L);
   Alcotest.(check bool)
     "non-positive period rejected" true
-    (match
-       Obs.Sampler.start sim ~period:0L ~stop_at:(Time.of_ns 10L) (fun _ -> ())
-     with
+    (match ticks_of ~period:0L ~stop_at:10L with
     | exception Invalid_argument _ -> true
     | _ -> false)
 

@@ -1,10 +1,8 @@
-(* Tests for descriptive stats, percentiles, time series, EWMA, histograms,
-   tables, and plots. *)
+(* Tests for descriptive stats, percentiles, EWMA, histograms, tables,
+   and plots. *)
 
 module D = Stats.Descriptive
 module P = Stats.Percentile
-module Ts = Stats.Timeseries
-module Time = Engine.Time
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -167,82 +165,6 @@ let prop_percentile_monotone =
       in
       mono vals)
 
-(* --- Timeseries --- *)
-
-let series_of samples =
-  let ts = Ts.create () in
-  List.iter (fun (t_us, v) -> Ts.add ts (Time.of_us t_us) v) samples;
-  ts
-
-let test_ts_basic () =
-  let ts = series_of [ (0., 1.); (10., 3.); (20., 5.) ] in
-  checki "length" 3 (Ts.length ts);
-  checkb "not empty" false (Ts.is_empty ts);
-  (* step function: 1 over [0,10), 3 over [10,20) -> mean over [0,20] = 2 *)
-  checkf "time weighted mean" 2. (Ts.time_weighted_mean ts)
-
-let test_ts_weighted_mean_window () =
-  let ts = series_of [ (0., 2.); (10., 6.) ] in
-  checkf "window clips"
-    ((2. *. 5.) +. (6. *. 5.))
-    (10.
-    *. Ts.time_weighted_mean ~from:(Time.of_us 5.) ~until:(Time.of_us 15.) ts)
-
-let test_ts_stddev () =
-  (* half the time at 0, half at 2 -> mean 1, stddev 1 *)
-  let ts = series_of [ (0., 0.); (10., 2.); (20., 0.) ] in
-  checkf "mean" 1. (Ts.time_weighted_mean ts);
-  checkf "stddev" 1. (Ts.time_weighted_stddev ts)
-
-let test_ts_constant_series () =
-  let ts = series_of [ (0., 4.); (5., 4.); (30., 4.) ] in
-  checkf "mean" 4. (Ts.time_weighted_mean ts);
-  checkf "stddev" 0. (Ts.time_weighted_stddev ts)
-
-let test_ts_value_at () =
-  let ts = series_of [ (0., 1.); (10., 2.) ] in
-  checkf "at 0" 1. (Ts.value_at ts (Time.of_us 0.));
-  checkf "mid segment" 1. (Ts.value_at ts (Time.of_us 9.9));
-  checkf "boundary takes new" 2. (Ts.value_at ts (Time.of_us 10.));
-  checkf "after end" 2. (Ts.value_at ts (Time.of_us 100.))
-
-let test_ts_out_of_order () =
-  let ts = series_of [ (10., 1.) ] in
-  checkb "out of order raises" true
-    (match Ts.add ts (Time.of_us 5.) 2. with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-let test_ts_min_max () =
-  let ts = series_of [ (0., 5.); (1., -2.); (2., 9.) ] in
-  checkf "min" (-2.) (Ts.min_value ts);
-  checkf "max" 9. (Ts.max_value ts)
-
-let test_ts_resample () =
-  let ts = series_of [ (0., 1.); (10., 2.) ] in
-  let pts = Ts.resample ts ~from:(Time.of_us 0.) ~until:(Time.of_us 10.) ~n:3 in
-  checki "three points" 3 (Array.length pts);
-  checkf "first" 1. (snd pts.(0));
-  checkf "last" 2. (snd pts.(2))
-
-let test_ts_empty_mean () =
-  let ts = Ts.create () in
-  checkf "empty mean 0" 0. (Ts.time_weighted_mean ts)
-
-let test_ts_samples_roundtrip () =
-  let ts = series_of [ (0., 1.); (3., 2.) ] in
-  let s = Ts.samples ts in
-  checki "two" 2 (Array.length s);
-  checkf "value kept" 2. (snd s.(1))
-
-let test_ts_growth () =
-  (* exceed the initial capacity of 256 *)
-  let ts = Ts.create () in
-  for i = 0 to 999 do
-    Ts.add ts (Time.of_us (float_of_int i)) (float_of_int (i mod 7))
-  done;
-  checki "1000 samples" 1000 (Ts.length ts)
-
 (* --- Ewma --- *)
 
 let test_ewma_constant_input () =
@@ -377,18 +299,6 @@ let prop_percentile_extremes =
       let mx = List.fold_left max (List.hd l) l in
       Float.abs (P.of_array arr 0. -. mn) < 1e-9
       && Float.abs (P.of_array arr 100. -. mx) < 1e-9)
-
-let prop_ts_mean_bounded =
-  QCheck.Test.make ~count:200
-    ~name:"time-weighted mean lies within [min, max] of samples"
-    QCheck.(list_of_size Gen.(int_range 2 50) (float_range 0. 100.))
-    (fun values ->
-      let ts = Ts.create () in
-      List.iteri
-        (fun i v -> Ts.add ts (Time.of_us (float_of_int i)) v)
-        values;
-      let mean = Ts.time_weighted_mean ts in
-      mean >= Ts.min_value ts -. 1e-9 && mean <= Ts.max_value ts +. 1e-9)
 
 (* --- Spectrum --- *)
 
@@ -566,21 +476,6 @@ let suites =
         Alcotest.test_case "summary" `Quick test_percentile_summary;
         qtest prop_percentile_monotone;
         qtest prop_percentile_extremes;
-      ] );
-    ( "stats.timeseries",
-      [
-        Alcotest.test_case "time-weighted mean" `Quick test_ts_basic;
-        Alcotest.test_case "window clipping" `Quick test_ts_weighted_mean_window;
-        Alcotest.test_case "stddev" `Quick test_ts_stddev;
-        Alcotest.test_case "constant series" `Quick test_ts_constant_series;
-        Alcotest.test_case "value_at" `Quick test_ts_value_at;
-        Alcotest.test_case "out-of-order add" `Quick test_ts_out_of_order;
-        Alcotest.test_case "min/max" `Quick test_ts_min_max;
-        Alcotest.test_case "resample" `Quick test_ts_resample;
-        Alcotest.test_case "empty mean" `Quick test_ts_empty_mean;
-        Alcotest.test_case "samples roundtrip" `Quick test_ts_samples_roundtrip;
-        Alcotest.test_case "growth beyond capacity" `Quick test_ts_growth;
-        qtest prop_ts_mean_bounded;
       ] );
     ( "stats.ewma",
       [

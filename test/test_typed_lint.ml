@@ -194,8 +194,8 @@ let test_r13_instant_hygiene () =
 let s14 =
   lazy
     (let root = mkdtemp () in
-     (* lib/engine/ring.ml is a whole-module hot root *)
-     write root "lib/engine/ring.ml"
+     (* lib/engine/event_queue.ml is a whole-module hot root *)
+     write root "lib/engine/event_queue.ml"
        "let push x l = x :: l\n\
         let use_partial l = List.map (push 1) l\n\
         let use_closure n l = List.map (fun x -> x + n) l\n\
@@ -223,7 +223,7 @@ let s14 =
         let ok_select ports idx = ports.(idx)\n";
      compile root
        [
-         "lib/engine/ring.ml"; "lib/net/coldpath.ml";
+         "lib/engine/event_queue.ml"; "lib/net/coldpath.ml";
          "lib/engine/int_ring.ml"; "lib/net/packet.ml"; "lib/net/ecmp.ml";
        ];
      root)
@@ -234,14 +234,15 @@ let test_r14_hot_path_allocs () =
     "partial application, capturing closure and float return flagged; \
      capture-free closure, suppressed line and cold module stay legal"
     [
-      "R14 lib/engine/int_ring.ml:1"; "R14 lib/engine/ring.ml:2";
-      "R14 lib/engine/ring.ml:3"; "R14 lib/engine/ring.ml:5";
+      "R14 lib/engine/event_queue.ml:2"; "R14 lib/engine/event_queue.ml:3";
+      "R14 lib/engine/event_queue.ml:5"; "R14 lib/engine/int_ring.ml:1";
       "R14 lib/net/ecmp.ml:1"; "R14 lib/net/packet.ml:2";
     ]
     vs;
   let capture =
     List.find
-      (fun (v : R.violation) -> v.file = "lib/engine/ring.ml" && v.line = 3)
+      (fun (v : R.violation) ->
+        v.file = "lib/engine/event_queue.ml" && v.line = 3)
       vs
   in
   Alcotest.(check bool) "capture message names the variable" true

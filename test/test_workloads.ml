@@ -104,17 +104,25 @@ let test_longlived_fairness () =
     (Printf.sprintf "jain %.3f high" r.L.jain_fairness)
     true (r.L.jain_fairness > 0.8)
 
+(* The sampling contract of the queue series: one sample at the warm-up
+   instant, then one per period through the end of the window. *)
 let test_longlived_trace () =
-  let cfg =
-    { small_longlived with L.trace_sampling = Some (Time.span_of_us 100.) }
-  in
+  let period = Time.span_of_us 100. in
+  let cfg = { small_longlived with L.trace_sampling = Some period } in
   let r = L.run dctcp_proto cfg in
   match r.L.queue_series with
   | Some series ->
-      checkb "many samples" true (Array.length series > 100);
-      (* samples restricted to the measurement window *)
+      checki "measure / period + 1 samples"
+        (Int64.to_int (Int64.div cfg.L.measure period) + 1)
+        (Array.length series);
       let t0, _ = series.(0) in
-      checkb "starts at warmup" true (t0 >= 0.029)
+      checkb "first sample at the warm-up instant" true
+        (Float.equal t0 (Time.to_sec (Time.of_ns cfg.L.warmup)));
+      checkb "times strictly increase" true
+        (Array.for_all Fun.id
+           (Array.init
+              (Array.length series - 1)
+              (fun i -> fst series.(i) < fst series.(i + 1))))
   | None -> Alcotest.fail "expected a queue series"
 
 let test_longlived_no_trace_by_default () =
@@ -428,90 +436,6 @@ let test_convergence_validation () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-(* --- Instrument --- *)
-
-let test_instrument_samples_flow () =
-  let sim = Engine.Sim.create ~seed:3L () in
-  let d =
-    Net.Topology.dumbbell sim ~n_senders:1 ~bottleneck_rate_bps:1e9
-      ~rtt:(Time.span_of_us 100.) ~buffer_bytes:(100 * 1500)
-      ~marking:(Dctcp.Marking_policies.single_threshold ~k_bytes:(20 * 1500))
-      ()
-  in
-  let flow =
-    Tcp.Flow.create sim ~src:d.Net.Topology.senders.(0)
-      ~dst:d.Net.Topology.receiver ~flow:0 ~cc:(Dctcp.Dctcp_cc.cc ()) ()
-  in
-  Tcp.Flow.start flow;
-  let inst =
-    Workloads.Instrument.attach sim flow ~period:(Time.span_of_us 100.)
-      ~stop_at:(Time.of_ms 10.)
-  in
-  Engine.Sim.run ~until:(Time.of_ms 12.) sim;
-  let cwnd = Workloads.Instrument.cwnd_series inst in
-  checkb "many cwnd samples" true (Stats.Timeseries.length cwnd > 50);
-  checkb "cwnd grew" true (Stats.Timeseries.max_value cwnd > 2.);
-  checkb "alpha sampled" true
-    (Stats.Timeseries.length (Workloads.Instrument.alpha_series inst) > 50);
-  checkb "srtt eventually sampled" true
-    (Stats.Timeseries.length (Workloads.Instrument.srtt_series inst) > 10);
-  (* CSV export round-trips the sampled rows *)
-  let file = Filename.temp_file "inst" ".csv" in
-  let oc = open_out file in
-  Workloads.Instrument.to_csv inst oc;
-  close_out oc;
-  let ic = open_in file in
-  let lines = ref 0 in
-  (try
-     while true do
-       ignore (input_line ic);
-       incr lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  Sys.remove file;
-  checki "header plus one row per sample" (Stats.Timeseries.length cwnd + 1)
-    !lines
-
-let test_instrument_detach () =
-  let sim = Engine.Sim.create () in
-  let d =
-    Net.Topology.dumbbell sim ~n_senders:1 ~bottleneck_rate_bps:1e9
-      ~rtt:(Time.span_of_us 100.) ~buffer_bytes:(100 * 1500)
-      ~marking:(Net.Marking.none ()) ()
-  in
-  let flow =
-    Tcp.Flow.create sim ~src:d.Net.Topology.senders.(0)
-      ~dst:d.Net.Topology.receiver ~flow:0 ~cc:Tcp.Cc.reno ()
-  in
-  Tcp.Flow.start flow;
-  let inst =
-    Workloads.Instrument.attach sim flow ~period:(Time.span_of_us 100.)
-      ~stop_at:(Time.of_ms 10.)
-  in
-  Workloads.Instrument.detach inst;
-  Engine.Sim.run ~until:(Time.of_ms 2.) sim;
-  checki "only the immediate sample" 1
-    (Stats.Timeseries.length (Workloads.Instrument.cwnd_series inst))
-
-let test_instrument_validation () =
-  let sim = Engine.Sim.create () in
-  let d =
-    Net.Topology.dumbbell sim ~n_senders:1 ~bottleneck_rate_bps:1e9
-      ~rtt:(Time.span_of_us 100.) ~buffer_bytes:(100 * 1500)
-      ~marking:(Net.Marking.none ()) ()
-  in
-  let flow =
-    Tcp.Flow.create sim ~src:d.Net.Topology.senders.(0)
-      ~dst:d.Net.Topology.receiver ~flow:0 ~cc:Tcp.Cc.reno ()
-  in
-  checkb "bad period raises" true
-    (match
-       Workloads.Instrument.attach sim flow ~period:0L ~stop_at:(Time.of_ms 1.)
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
 (* --- Fattree --- *)
 
 module Ft = Workloads.Fattree
@@ -626,12 +550,6 @@ let suites =
           test_fattree_completes;
         Alcotest.test_case "determinism" `Quick test_fattree_determinism;
         Alcotest.test_case "validation" `Quick test_fattree_validation;
-      ] );
-    ( "workloads.instrument",
-      [
-        Alcotest.test_case "samples a flow" `Quick test_instrument_samples_flow;
-        Alcotest.test_case "detach" `Quick test_instrument_detach;
-        Alcotest.test_case "validation" `Quick test_instrument_validation;
       ] );
     ( "workloads.convergence",
       [
