@@ -67,9 +67,6 @@ type event = {
          An [int] (not [int64]) so compares are single unboxed compares —
          fine for any simulated instant below 2^62 ns. *)
   mutable seq : int;  (* FIFO tie-break: schedule order within an instant. *)
-  mutable time : Time.t;
-      (* The same instant, boxed once at schedule time, so firing can
-         advance the clock without re-boxing an int64. *)
   mutable action : unit -> unit;
   mutable cls : int;
       (* {!Event_class} index tag, carried for the self-profiler. An
@@ -168,7 +165,6 @@ let new_event idx =
   {
     key_ns = 0;
     seq = 0;
-    time = Time.zero;
     action = noop;
     cls = 0;
     live = false;
@@ -203,14 +199,13 @@ let alloc t =
 
 (* A record is released exactly once, when it leaves the structure
    (fired, cancelled out of the wheel, or swept out of a backstop heap).
-   The generation bump invalidates outstanding ids; dropping the
-   action/time references keeps the pool from pinning closures the
-   caller is done with. *)
+   The generation bump invalidates outstanding ids; dropping the action
+   reference keeps the pool from pinning closures the caller is done
+   with. *)
 let release t ev =
   ev.gen <- ev.gen + 1;
   ev.live <- false;
   ev.action <- noop;
-  ev.time <- Time.zero;
   ev.where <- loc_none;
   ev.next_ev <- -1;
   ev.prev_ev <- -1;
@@ -430,7 +425,6 @@ let add_cls t ~time ~cls action =
   ev.key_ns <- Time.to_int_ns time;
   ev.seq <- t.next_seq;
   t.next_seq <- t.next_seq + 1;
-  ev.time <- time;
   ev.action <- action;
   ev.cls <- cls;
   ev.live <- true;
@@ -548,15 +542,20 @@ let drain_overflow t root =
 
 (* The three sources, cheapest first. The wheel beats the overflow heap
    by construction (overflow keys live beyond the wheel's whole span);
-   only the overdue heap can undercut a wheel event. *)
+   only the overdue heap can undercut a wheel event. One walk finds the
+   live minimum and fires it if it is due, so a run-until loop pays for
+   [wheel_min] and both heap roots once per event. An overflow block is
+   drained only when its root is due: the wheel position never jumps
+   past [stop_ns], so an event scheduled between the deadline and that
+   root still files into the wheel. *)
 
-let pop t =
+let pop_until t stop_ns =
   let w = wheel_min t in
   let w =
     if w >= 0 then w
     else begin
       let o = mini_min t t.overflow in
-      if o < 0 then -1
+      if o < 0 || t.pool.(o).key_ns > stop_ns then -1
       else begin
         let od = mini_min t t.overdue in
         if od >= 0 && mini_less t.pool od o then -1
@@ -569,42 +568,22 @@ let pop t =
   in
   let best =
     let od = mini_min t t.overdue in
-    if od < 0 then w
-    else if w < 0 || mini_less t.pool od w then begin
-      mini_drop_root t.pool t.overdue;
-      od
-    end
-    else w
+    if od >= 0 && (w < 0 || mini_less t.pool od w) then od else w
   in
-  if best < 0 then false
+  if best < 0 || t.pool.(best).key_ns > stop_ns then false
   else begin
     let ev = t.pool.(best) in
-    if ev.where >= 0 then bucket_unlink t ev;
+    if ev.where >= 0 then bucket_unlink t ev
+    else mini_drop_root t.pool t.overdue;
     t.live_count <- t.live_count - 1;
-    t.popped_time <- ev.time;
+    t.popped_time <- Time.of_int_ns ev.key_ns;
     t.popped_action <- ev.action;
     t.popped_cls <- ev.cls;
     release t ev;
     true
   end
 
-(* Key of the next event [pop] would fire, or [max_int] when no live
-   event remains. Dead heap roots met on the way are recycled — exactly
-   the entries the next [pop] would skip — so the result is the true
-   live minimum and the run-until loop never fires a live event past its
-   deadline because a corpse sat in front of it. *)
-let live_min_key_ns t =
-  let w = wheel_min t in
-  let k = if w >= 0 then t.pool.(w).key_ns else max_int in
-  let k =
-    if w >= 0 then k
-    else begin
-      let o = mini_min t t.overflow in
-      if o >= 0 then t.pool.(o).key_ns else max_int
-    end
-  in
-  let od = mini_min t t.overdue in
-  if od >= 0 && t.pool.(od).key_ns < k then t.pool.(od).key_ns else k
+let pop t = pop_until t max_int
 
 let popped_time t = t.popped_time
 let popped_action t = t.popped_action

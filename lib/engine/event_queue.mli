@@ -18,12 +18,12 @@
     replaced (a generic binary heap, test/heap.ml, is the qcheck oracle).
 
     {b Pooling invariants.} An event record is owned by the queue from
-    {!add} until it leaves the structure — by firing ({!pop}), by
+    {!add} until it leaves the structure — by firing ({!pop_until}), by
     {!cancel} when wheel-resident (unlinked and recycled immediately),
     or, for heap-resident events, when the lazy sweep or a later pop
     reaches the dead record. At that point it is recycled: its
     generation is bumped (invalidating outstanding {!id}s) and its
-    action/time references are dropped (so the pool never pins a dead
+    action reference is dropped (so the pool never pins a dead
     closure). Callers interact only through {!id} values, which are
     immediate ints; a stale id — one whose event already fired or was
     cancelled — is detected by the generation check and {!cancel}
@@ -91,24 +91,25 @@ val cancel : t -> id -> bool
     swept lazily: once corpses exceed half that heap (and it holds at
     least 64 entries) it is compacted in O(n). *)
 
+val pop_until : t -> int -> bool
+(** [pop_until t stop_ns] removes the minimum live event if its key is
+    at or before [stop_ns] nanoseconds; otherwise it removes nothing and
+    returns [false], as it does when no live event remains. Finding the
+    minimum advances the wheel's virtual position (cascading
+    higher-level buckets as it crosses into them) and recycles any
+    cancelled heap roots met on the way, so a cancelled root never hides
+    a live event behind it. An overflow block is drained into the wheel
+    only when its earliest event is due, so the position never jumps
+    past [stop_ns]. On [true] the fired event's fields are readable via
+    {!popped_time} / {!popped_action} / {!popped_cls} until the next
+    pop. *)
+
 val pop : t -> bool
-(** Removes the minimum live event, advancing the wheel's virtual
-    position (cascading higher-level buckets as it crosses into them)
-    and recycling any cancelled heap roots met on the way. Returns
-    [false] when no live event remains. On [true] the fired event's
-    fields are readable via {!popped_time} / {!popped_action} until the
-    next [pop]. *)
+(** [pop_until t max_int]: removes the minimum live event, returning
+    [false] when none remains. *)
 
 val popped_time : t -> Time.t
 val popped_action : t -> unit -> unit
 
 val popped_cls : t -> int
 (** {!Event_class} index of the last popped event (0 = untagged). *)
-
-val live_min_key_ns : t -> int
-(** Nanosecond key of the next event {!pop} would fire, or [max_int]
-    when no live event remains. Advances the wheel to that event's tick
-    (the work {!pop} would do anyway) and recycles cancelled heap roots
-    met on the way, so the result is the true live minimum, never the
-    key of a stale cancelled root. Lets the run-until loop compare
-    against a deadline without boxing and without overshooting it. *)

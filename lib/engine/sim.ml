@@ -84,8 +84,9 @@ let schedule_after t span action = schedule_after_cls t span ~cls:0 action
 
 let cancel t id = ignore (Event_queue.cancel t.q id)
 
-let step t =
-  if Event_queue.pop t.q then begin
+(* Fire the minimum live event if it is due by [stop_ns]. *)
+let step_until t stop_ns =
+  if Event_queue.pop_until t.q stop_ns then begin
     t.now <- Event_queue.popped_time t.q;
     t.processed <- t.processed + 1;
     let action = Event_queue.popped_action t.q in
@@ -104,21 +105,19 @@ let step t =
   end
   else false
 
+let step t = step_until t max_int
+
 let run ?until t =
   match until with
   | None -> while step t do () done
   | Some stop ->
-      (* Keys are int nanoseconds, so the deadline comparison in the
-         loop is a single unboxed compare. [live_min_key_ns] recycles
-         not-yet-swept cancelled roots itself and returns [max_int]
-         when no live event remains, so the guard only passes when the
-         event [step] will actually fire is at or before [stop] — a
-         live event past the deadline never fires just because a dead
-         root sat in front of it. *)
+      (* Keys are int nanoseconds, so the deadline test inside
+         [pop_until] is a single unboxed compare on the live minimum —
+         found after cancelled roots are recycled, so a live event past
+         the deadline never fires just because a dead root sat in front
+         of it. *)
       let stop_ns = Time.to_int_ns stop in
-      while Event_queue.live_min_key_ns t.q <= stop_ns do
-        ignore (step t)
-      done;
+      while step_until t stop_ns do () done;
       if Time.(t.now < stop) then t.now <- stop
 
 let events_processed t = t.processed

@@ -393,6 +393,60 @@ let test_sim_events_processed () =
   Sim.run sim;
   checki "events" 7 (Sim.events_processed sim)
 
+(* A self-expanding schedule (children at delays across every wheel
+   level and past the 2^30 ns horizon, random cancels) driven by the
+   simulation's own RNG: any difference in firing order would also
+   change every later draw. Returns the fired (time, tag) sequence. *)
+let branching_run ~seed ~slices =
+  let sim = Sim.create ~seed () in
+  let rng = Sim.rng sim in
+  let log = ref [] in
+  let next_tag = ref 0 in
+  let ids = ref [] in
+  let rec spawn depth =
+    let tag = !next_tag in
+    incr next_tag;
+    let scale = Rng.int rng ~bound:7 in
+    let delay = Int64.of_int (Rng.int rng ~bound:1_000 lsl (5 * scale)) in
+    let id =
+      Sim.schedule_after sim delay (fun () ->
+          log := (Time.to_int_ns (Sim.now sim), tag) :: !log;
+          if depth < 4 then begin
+            spawn (depth + 1);
+            if Rng.bool rng then spawn (depth + 1)
+          end;
+          match !ids with
+          | l when Rng.int rng ~bound:4 = 0 ->
+              Sim.cancel sim (List.nth l (Rng.int rng ~bound:(List.length l)))
+          | _ -> ())
+    in
+    ids := id :: !ids
+  in
+  for _ = 1 to 16 do
+    spawn 0
+  done;
+  let stop = ref 0 in
+  List.iter
+    (fun w ->
+      stop := !stop + w;
+      Sim.run ~until:(Time.of_int_ns !stop) sim)
+    slices;
+  Sim.run sim;
+  List.rev !log
+
+let prop_sim_sliced_run_matches_unsliced =
+  QCheck.Test.make ~count:100
+    ~name:"sliced run ~until fires the same (time, order) sequence"
+    QCheck.(
+      pair small_nat
+        (list_of_size
+           Gen.(int_range 1 40)
+           (pair (int_bound 6) (int_bound 1_000))))
+    (fun (seed, widths) ->
+      let seed = Int64.of_int (seed + 1) in
+      let slices = List.map (fun (s, v) -> (v lsl (5 * s)) + 1) widths in
+      branching_run ~seed ~slices:[] = branching_run ~seed ~slices)
+
 (* --- Timer --- *)
 
 let test_timer_fires () =
@@ -590,7 +644,68 @@ let prop_event_queue_large_keys =
 (* Same game against the generic [Heap] the simulator used before: the
    reference orders (key, seq) pairs with a comparison closure and
    models cancellation as a skip-set consulted at pop, which is exactly
-   the old engine's scheme. *)
+   the old engine's scheme. Kind 0 adds an event keyed [v], kind 1
+   cancels a handle picked by [v], kind 2 calls [pop_until q (stop v)]:
+   it must fire exactly the reference's live minimum when that key is
+   at or before the deadline and fire nothing otherwise. *)
+let heap_oracle_trace ~stop ops =
+  let q = Eq.create ~capacity:4 () in
+  let cmp (k1, s1) (k2, s2) =
+    if k1 <> k2 then Int.compare k1 k2 else Int.compare s1 s2
+  in
+  let h = Heap.create ~capacity:4 ~cmp () in
+  let cancelled = Hashtbl.create 16 in
+  let ids = ref [] in
+  let n = ref 0 in
+  let fired = ref (-1) in
+  let ok = ref true in
+  let rec heap_peek () =
+    match Heap.peek h with
+    | Some (_, s) when Hashtbl.mem cancelled s ->
+        ignore (Heap.pop h);
+        heap_peek ()
+    | other -> other
+  in
+  let do_pop stop =
+    let due =
+      match heap_peek () with
+      | Some (k, _) as m when k <= stop -> m
+      | _ -> None
+    in
+    match (Eq.pop_until q stop, due) with
+    | false, None -> ()
+    | true, Some (k, s) ->
+        ignore (Heap.pop h);
+        fired := -1;
+        (Eq.popped_action q) ();
+        if !fired <> s then ok := false;
+        if Time.to_int_ns (Eq.popped_time q) <> k then ok := false
+    | true, None | false, Some _ -> ok := false
+  in
+  List.iter
+    (fun (kind, v) ->
+      match kind with
+      | 0 ->
+          let s = !n in
+          incr n;
+          let id = Eq.add q ~time:(Time.of_int_ns v) (fun () -> fired := s) in
+          Heap.push h (v, s);
+          ids := (s, id) :: !ids
+      | 1 -> (
+          match !ids with
+          | [] -> ()
+          | l ->
+              let s, id = List.nth l (v mod List.length l) in
+              if Eq.cancel q id then Hashtbl.replace cancelled s ())
+      | _ -> do_pop (stop v))
+    ops;
+  let guard = ref (List.length ops + 1) in
+  while !ok && Eq.live q > 0 && !guard > 0 do
+    decr guard;
+    do_pop max_int
+  done;
+  !ok && Eq.live q = 0 && heap_peek () = None
+
 let prop_event_queue_matches_heap =
   QCheck.Test.make ~count:200
     ~name:"Event_queue pop order equals the generic reference Heap's"
@@ -598,59 +713,38 @@ let prop_event_queue_matches_heap =
       list_of_size
         Gen.(int_range 0 150)
         (pair (int_bound 2) (int_bound 500)))
-    (fun ops ->
-      let q = Eq.create ~capacity:4 () in
-      let cmp (k1, s1) (k2, s2) =
-        if k1 <> k2 then Int.compare k1 k2 else Int.compare s1 s2
-      in
-      let h = Heap.create ~capacity:4 ~cmp () in
-      let cancelled = Hashtbl.create 16 in
-      let ids = ref [] in
-      let n = ref 0 in
-      let fired = ref (-1) in
-      let ok = ref true in
-      let rec heap_pop () =
-        match Heap.pop h with
-        | Some (_, s) when Hashtbl.mem cancelled s -> heap_pop ()
-        | other -> other
-      in
-      let do_pop () =
-        match (Eq.pop q, heap_pop ()) with
-        | false, None -> ()
-        | true, Some (k, s) ->
-            fired := -1;
-            (Eq.popped_action q) ();
-            if !fired <> s then ok := false;
-            if Int64.to_int (Time.to_ns (Eq.popped_time q)) <> k then
-              ok := false
-        | true, None | false, Some _ -> ok := false
-      in
-      List.iter
-        (fun (kind, v) ->
-          match kind with
-          | 0 ->
-              let s = !n in
-              incr n;
-              let id =
-                Eq.add q ~time:(Time.of_ns (Int64.of_int v)) (fun () ->
-                    fired := s)
-              in
-              Heap.push h (v, s);
-              ids := (s, id) :: !ids
-          | 1 -> (
-              match !ids with
-              | [] -> ()
-              | l ->
-                  let s, id = List.nth l (v mod List.length l) in
-                  if Eq.cancel q id then Hashtbl.replace cancelled s ())
-          | _ -> do_pop ())
-        ops;
-      let guard = ref (List.length ops + 1) in
-      while !ok && Eq.live q > 0 && !guard > 0 do
-        decr guard;
-        do_pop ()
-      done;
-      !ok && Eq.live q = 0 && heap_pop () = None)
+    (heap_oracle_trace ~stop:(fun _ -> max_int))
+
+(* Random deadlines: keys and deadlines mix every wheel level and the
+   beyond-horizon range (as in the large-keys property), so small keys
+   added after a large pop land in the overdue heap and deadlines fall
+   on both sides of undrained overflow roots. *)
+let prop_event_queue_pop_until_matches_heap =
+  QCheck.Test.make ~count:300
+    ~name:"Event_queue.pop_until fires exactly the live events due by stop"
+    QCheck.(
+      map
+        (List.map (fun (k, (s, v)) -> (k, (v lsl (5 * s)) + v)))
+        (list_of_size
+           Gen.(int_range 0 200)
+           (pair (int_bound 2) (pair (int_bound 6) (int_bound 2_000)))))
+    (heap_oracle_trace ~stop:Fun.id)
+
+(* A lone overflow event past the deadline must stay parked: draining
+   its block would jump the wheel position to its key, and an event
+   scheduled afterwards between the deadline and that key would then
+   land in the overdue heap instead of the wheel. *)
+let test_event_queue_pop_until_keeps_overflow () =
+  let q = Eq.create () in
+  ignore (Eq.add q ~time:(Time.of_int_ns (3 lsl 30)) ignore);
+  checki "parked in overflow" 1 (Eq.overflow_len q);
+  checkb "nothing due by 2^30 ns" false (Eq.pop_until q (1 lsl 30));
+  checki "overflow block not drained" 1 (Eq.overflow_len q);
+  ignore (Eq.add q ~time:(Time.of_int_ns 100) ignore);
+  checki "later add files into the wheel" 0 (Eq.overdue_len q);
+  checkb "the wheel event fires by its deadline" true (Eq.pop_until q 100);
+  checkb "overflow event fires once due" true (Eq.pop_until q (3 lsl 30));
+  checkb "queue empty" false (Eq.pop q)
 
 let test_event_queue_compaction_sweep () =
   let q = Eq.create ~capacity:4 () in
@@ -833,8 +927,10 @@ let test_event_queue_zero_alloc_fast_path () =
     true (delta < 64.)
 
 (* Steady-state schedule->pop churn through the pool must not allocate
-   per event beyond the boxed Time.t that [schedule_after] builds. The
-   budget (8 words/event) is far below what an event record or closure
+   per event beyond the boxed int64 span that [Time.span_of_us] returns
+   (3 words/event in the default build; the opaque --profile dev build
+   also boxes the scaled float inside [span_of_us] and reads 5). The
+   budget (4 words/event) is far below what an event record or closure
    per event would cost, so a pooling regression trips it. *)
 let test_event_queue_alloc_regression () =
   let sim = Sim.create () in
@@ -857,7 +953,7 @@ let test_event_queue_alloc_regression () =
   checkb
     (Printf.sprintf "%.1f words/event within budget" per_event)
     true
-    (per_event <= 8.);
+    (per_event <= 4.);
   checki "pool is steady under churn" pool0 (Sim.event_pool_size sim)
 
 (* --- event classes and the profiler hooks --- *)
@@ -937,7 +1033,7 @@ let test_profiler_disabled_alloc () =
   checkb
     (Printf.sprintf "%.1f words/event with profiler cleared" per_event)
     true
-    (per_event <= 8.)
+    (per_event <= 4.)
 
 let test_heap_drain_releases_elements () =
   (* After growth and a full drain the heap must not pin the popped
@@ -1100,6 +1196,7 @@ let suites =
         Alcotest.test_case "profiler disabled allocation" `Quick
           test_profiler_disabled_alloc;
         qtest prop_sim_fires_in_time_order;
+        qtest prop_sim_sliced_run_matches_unsliced;
       ] );
     ( "engine.event_queue",
       [
@@ -1115,6 +1212,8 @@ let suites =
           test_event_queue_overdue_backstop;
         Alcotest.test_case "cascade boundaries" `Quick
           test_event_queue_cascade_boundaries;
+        Alcotest.test_case "pop_until keeps an overflow block past stop"
+          `Quick test_event_queue_pop_until_keeps_overflow;
         Alcotest.test_case "zero-alloc fast path" `Quick
           test_event_queue_zero_alloc_fast_path;
         Alcotest.test_case "allocation regression" `Quick
@@ -1126,6 +1225,7 @@ let suites =
         qtest prop_event_queue_matches_model;
         qtest prop_event_queue_large_keys;
         qtest prop_event_queue_matches_heap;
+        qtest prop_event_queue_pop_until_matches_heap;
         qtest prop_event_queue_cancel_heavy;
       ] );
     ( "engine.ring",
