@@ -1,5 +1,5 @@
 (* Figure-reproduction harness: one section per table/figure of the paper's
-   evaluation, plus ablations and substrate micro-benchmarks.
+   evaluation, plus ablations, extensions and the events/s performance tables.
 
    Usage: main.exe [--quick] [-j N] [section ...]
    Sections: fig1 fig2 fig_df fig9 sweep fig14 fig15 ablations fluid

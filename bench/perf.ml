@@ -1,77 +1,6 @@
-(* Bechamel micro-benchmarks of the simulator substrate: these are the
-   performance tables (events/second) rather than paper figures. *)
-
-open Bechamel
-open Toolkit
-
-(* The engine's per-event pair on the timing wheel the simulator runs:
-   256 events at scattered instants within 65 us, then popped in order. *)
-let wheel_churn () =
-  let q = Engine.Event_queue.create () in
-  for i = 0 to 255 do
-    ignore
-      (Engine.Event_queue.add q
-         ~time:(Engine.Time.of_int_ns ((i * 2_654_435_761) land 0xFFFF))
-         ignore)
-  done;
-  while Engine.Event_queue.pop q do
-    ()
-  done
-
-let sim_event_churn () =
-  let sim = Engine.Sim.create () in
-  let count = ref 0 in
-  let rec tick () =
-    incr count;
-    if !count < 1024 then
-      ignore (Engine.Sim.schedule_after sim 100L tick)
-  in
-  ignore (Engine.Sim.schedule_after sim 100L tick);
-  Engine.Sim.run sim
-
-let queue_churn () =
-  let sim = Engine.Sim.create () in
-  let q = Net.Queue_disc.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:1_000_000) () in
-  let st = Net.Packet.store_of sim in
-  for _ = 0 to 127 do
-    ignore
-      (Net.Queue_disc.enqueue q
-         (Net.Packet.make st ~src:0 ~dst:1 ~flow:0 ~size:1500
-            ~ecn:Net.Packet.Ect Net.Packet.No_payload))
-  done;
-  let rec drain () =
-    match Net.Queue_disc.dequeue q with
-    | None -> ()
-    | Some pkt ->
-        Net.Packet.free st pkt;
-        drain ()
-  in
-  drain ()
-
-let small_transfer () =
-  let sim = Engine.Sim.create () in
-  let d =
-    Net.Topology.dumbbell sim ~n_senders:1 ~bottleneck_rate_bps:10e9
-      ~rtt:(Engine.Time.span_of_us 100.) ~buffer_bytes:(100 * 1500)
-      ~marking:(Dctcp.Marking_policies.single_threshold ~k_bytes:(40 * 1500))
-      ()
-  in
-  let flow =
-    Tcp.Flow.create sim ~src:d.Net.Topology.senders.(0)
-      ~dst:d.Net.Topology.receiver ~flow:0
-      ~cc:(Dctcp.Dctcp_cc.cc ()) ~limit_segments:100 ()
-  in
-  Tcp.Flow.start flow;
-  Engine.Sim.run ~until:(Engine.Time.of_ms 50.) sim
-
-let tests =
-  Test.make_grouped ~name:"substrate"
-    [
-      Test.make ~name:"wheel 256 schedule+pop" (Staged.stage wheel_churn);
-      Test.make ~name:"sim 1k chained events" (Staged.stage sim_event_churn);
-      Test.make ~name:"queue 128 enq+deq" (Staged.stage queue_churn);
-      Test.make ~name:"dctcp 100-segment transfer" (Staged.stage small_transfer);
-    ]
+(* Performance sections: the macro events/s baseline behind
+   BENCH_perf.json, its per-event-class breakdown, and the tracing-overhead
+   table. Per-stage ns/op rows live in perfbench/rows.ml. *)
 
 (* --- tracing overhead: events/s with the observability layer in each of
    its sink configurations, on a fixed DT-DCTCP dumbbell scenario. The
@@ -316,38 +245,4 @@ let macro_events_per_s () =
 let run () =
   macro_events_per_s ();
   macro_class_breakdown ();
-  tracing_overhead ();
-  Bench_common.section_header "Performance: simulator micro-benchmarks";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000
-      ~quota:(Time.second (if !Bench_common.quick then 0.25 else 1.0))
-      ~kde:(Some 1000) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let t =
-    Stats.Table.create ~title:"time per call (OLS fit on monotonic clock)"
-      ~columns:
-        [
-          Stats.Table.column ~align:Stats.Table.Left "benchmark";
-          Stats.Table.column "ns/call";
-        ]
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let est =
-        match Analyze.OLS.estimates ols_result with
-        | Some (x :: _) -> Printf.sprintf "%.0f" x
-        | Some [] | None -> "n/a"
-      in
-      rows := (name, est) :: !rows)
-    results;
-  List.iter
-    (fun (name, est) -> Stats.Table.add_row t [ name; est ])
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) !rows);
-  Stats.Table.print t
+  tracing_overhead ()

@@ -656,6 +656,36 @@ let robust_smoke_specs () =
     };
   ]
 
+(* --- one default run per workload ---
+
+   `dtsim sweep --name dtsim.<workload>` runs these, with `--set` for any
+   other value. Names and values must stay as they are: manifests
+   recorded by earlier CLI runs of each workload name these specs and
+   are reproduced byte for byte. *)
+
+let defaults_specs () =
+  let spec name protocol workload =
+    {
+      Spec.name;
+      protocol;
+      workload;
+      faults = None;
+      buffer = Net.Buffer_mgr.Static;
+    }
+  in
+  [
+    spec "dtsim.longlived" sim_dctcp (Spec.Longlived L.default_config);
+    spec "dtsim.incast" testbed_dctcp
+      (Spec.Incast
+         { config = { I.default_config with I.n_flows = 32 }; sack = false });
+    spec "dtsim.completion" testbed_dctcp
+      (Spec.Completion { Cp.default_config with Cp.n_flows = 32 });
+    spec "dtsim.deadline" testbed_dctcp
+      (Spec.Deadline { config = De.default_config; d2tcp = false });
+    spec "dtsim.dynamic" sim_dctcp (Spec.Dynamic Dy.default_config);
+    spec "dtsim.convergence" sim_dctcp (Spec.Convergence Cv.default_config);
+  ]
+
 (* --- the registry proper --- *)
 
 type entry = { name : string; doc : string; specs : unit -> Spec.t list }
@@ -763,8 +793,25 @@ let entries =
       doc = "fast faulted smoke sweep (CI): loss, flap, suppression, jitter";
       specs = robust_smoke_specs;
     };
+    {
+      name = "defaults";
+      doc = "one default run per workload (the specs behind dtsim.<workload>)";
+      specs = defaults_specs;
+    };
   ]
 
 let all () = entries
 let names () = List.map (fun e -> e.name) entries
 let find name = List.find_opt (fun e -> String.equal e.name name) entries
+
+let select name =
+  match find name with
+  | Some e -> Some (e.specs ())
+  | None ->
+      List.find_map
+        (fun e ->
+          List.find_opt
+            (fun (s : Spec.t) -> String.equal s.name name)
+            (e.specs ()))
+        entries
+      |> Option.map (fun s -> [ s ])

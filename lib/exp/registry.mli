@@ -217,3 +217,8 @@ type entry = {
 val all : unit -> entry list
 val names : unit -> string list
 val find : string -> entry option
+
+val select : string -> Spec.t list option
+(** [select name] is the spec list of the family [name] if there is one,
+    else the single spec called [name] in any family (spec names are
+    unique across the registry), else [None]. *)

@@ -637,6 +637,42 @@ let of_string s =
   let* j = Json.parse s in
   of_json j
 
+(* --- overrides ---
+
+   Edits happen on the canonical JSON tree, and only at paths it already
+   has, so an override can reach exactly what a spec file can say and a
+   misspelt key is an error rather than an ignored extra member. *)
+
+let rec set_path j keys v =
+  match (keys, j) with
+  | [], _ -> Some v
+  | key :: rest, Json.Obj fields -> (
+      match List.assoc_opt key fields with
+      | None -> None
+      | Some sub ->
+          Option.map
+            (fun sub' ->
+              Json.Obj
+                (List.map
+                   (fun (k, x) ->
+                     if String.equal k key then (k, sub') else (k, x))
+                   fields))
+            (set_path sub rest v))
+  | _ :: _, _ -> None
+
+let override t sets =
+  let* j =
+    List.fold_left
+      (fun acc (path, v) ->
+        let* j = acc in
+        match set_path j (String.split_on_char '.' path) v with
+        | Some j' -> Ok j'
+        | None -> Error (Printf.sprintf "Spec.override: no field %S" path))
+      (Ok (to_json t))
+      sets
+  in
+  of_json j
+
 (* Structural equality via the canonical JSON form: covers every field,
    and [Json.equal] compares floats by bit pattern, so specs containing
    identical configs are equal without tripping dtlint's R2/R3. *)

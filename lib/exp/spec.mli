@@ -98,6 +98,13 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 (** [of_json] composed with {!Obs.Json.parse}. *)
 
+val override : t -> (string * Obs.Json.t) list -> (t, string) result
+(** [override t sets] replaces, in order, the value at each dotted path
+    of [to_json t] (["workload.n_flows"], ["protocol"], ...) and parses
+    the edited tree once with {!of_json}. A path that is not already in
+    the tree is an [Error] naming it, so a typo is never silently
+    dropped; a value of the wrong type is {!of_json}'s error. *)
+
 val equal : t -> t -> bool
 (** Field-complete equality via the canonical JSON form (floats compare
     by bit pattern). *)

@@ -3,7 +3,7 @@
     One JSON object per run capturing what would be needed to reproduce
     and compare it: scenario name, RNG seed, parameters, wall-clock
     duration, engine event count and throughput, and the final metrics
-    snapshot. [dtsim] emits one per run ([--metrics-out]) and every bench
+    snapshot. [dtsim sweep] emits one per run ([--out-dir]) and every bench
     section emits one ([BENCH_*.json]), so results are comparable across
     PRs. *)
 

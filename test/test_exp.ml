@@ -276,6 +276,27 @@ let prop_json_roundtrip =
           Spec.equal s s' && Json.equal (Spec.to_json s) (Spec.to_json s')
       | Error e -> QCheck.Test.fail_reportf "of_string: %s" e)
 
+(* --- overrides ----------------------------------------------------- *)
+
+let rec leaf_paths prefix = function
+  | Json.Obj fields ->
+      List.concat_map
+        (fun (k, v) ->
+          leaf_paths (if prefix = "" then k else prefix ^ "." ^ k) v)
+        fields
+  | v -> [ (prefix, v) ]
+
+let prop_override_identity =
+  QCheck.Test.make ~count:200
+    ~name:"override of any leaf with its own value is the identity" spec_arb
+    (fun s ->
+      List.for_all
+        (fun (path, v) ->
+          match Spec.override s [ (path, v) ] with
+          | Ok s' -> Spec.equal s s'
+          | Error e -> QCheck.Test.fail_reportf "%s: %s" path e)
+        (leaf_paths "" (Spec.to_json s)))
+
 let smoke_longlived ~name ~seed =
   {
     Spec.name;
@@ -386,6 +407,81 @@ let test_buffer_json_default () =
         (Spec.equal dt dt')
   | Error e -> Alcotest.fail e
 
+let override_ok s sets =
+  match Spec.override s sets with
+  | Ok s' -> s'
+  | Error e -> Alcotest.fail e
+
+let check_spec msg expected got =
+  Alcotest.(check string) msg (Spec.to_string expected) (Spec.to_string got)
+
+let dt_json ~k1 ~k2 =
+  Json.Obj
+    [
+      ("kind", Json.String "dt-dctcp");
+      ("g", Json.Float (1. /. 16.));
+      ("k1_bytes", k1);
+      ("k2_bytes", k2);
+    ]
+
+let test_override_int () =
+  let s = smoke_longlived ~name:"override/int" ~seed:5L in
+  let cfg =
+    match s.Spec.workload with
+    | Spec.Longlived c -> c
+    | _ -> Alcotest.fail "not longlived"
+  in
+  check_spec "n_flows replaced, nothing else"
+    { s with Spec.workload = Spec.Longlived { cfg with n_flows = 7 } }
+    (override_ok s [ ("workload.n_flows", Json.Int 7) ])
+
+let test_override_protocol () =
+  let s = smoke_longlived ~name:"override/proto" ~seed:5L in
+  let dctcp = { s with Spec.protocol = Registry.sim_dctcp } in
+  check_spec "DCTCP -> DT-DCTCP" s
+    (override_ok dctcp
+       [ ("protocol", dt_json ~k1:(Json.Int 45_000) ~k2:(Json.Int 75_000)) ])
+
+(* The nulls are not a valid DT-DCTCP protocol; the later overrides fill
+   them in, which only works if every override lands before the one
+   parse. *)
+let test_override_sequence () =
+  let s = smoke_longlived ~name:"override/seq" ~seed:5L in
+  let dctcp = { s with Spec.protocol = Registry.sim_dctcp } in
+  check_spec "overrides compose before parsing" s
+    (override_ok dctcp
+       [
+         ("protocol", dt_json ~k1:Json.Null ~k2:Json.Null);
+         ("protocol.k1_bytes", Json.Int 45_000);
+         ("protocol.k2_bytes", Json.Int 75_000);
+       ])
+
+let test_override_missing_path () =
+  let s = smoke_longlived ~name:"override/missing" ~seed:5L in
+  List.iter
+    (fun path ->
+      match Spec.override s [ (path, Json.Int 1) ] with
+      | Ok _ -> Alcotest.fail ("override invented " ^ path)
+      | Error e ->
+          Alcotest.(check string) ("error names " ^ path)
+            (Printf.sprintf "Spec.override: no field %S" path)
+            e)
+    [
+      "workload.n_flow";
+      "workload.n_flows.x";
+      "protocol.k_bytes";
+      "buffer";
+      "";
+    ]
+
+let test_override_type_mismatch () =
+  let s = smoke_longlived ~name:"override/type" ~seed:5L in
+  match Spec.override s [ ("workload.n_flows", Json.String "x") ] with
+  | Ok _ -> Alcotest.fail "string accepted for n_flows"
+  | Error e ->
+      Alcotest.(check string)
+        "of_json's error" {|Spec.of_json: field "n_flows" is not a int|} e
+
 (* --- registry catalogue ---------------------------------------------- *)
 
 let test_registry_catalogue () =
@@ -417,9 +513,55 @@ let test_registry_catalogue () =
           | Error err -> Alcotest.fail (s.Spec.name ^ ": " ^ err))
         specs)
     entries;
-  match Registry.find "no-such-entry" with
+  (match Registry.find "no-such-entry" with
   | None -> ()
-  | Some _ -> Alcotest.fail "find invented an entry"
+  | Some _ -> Alcotest.fail "find invented an entry");
+  (* Spec names are unique across families too, so `dtsim sweep --name`
+     can address one registry point without naming its family. *)
+  let all_specs =
+    List.concat_map (fun (e : Registry.entry) -> e.specs ()) entries
+  in
+  let all_names = List.map (fun (s : Spec.t) -> s.Spec.name) all_specs in
+  Alcotest.(check int) "spec names unique across families"
+    (List.length all_names)
+    (List.length (List.sort_uniq String.compare all_names));
+  let names_of = Option.map (List.map (fun (s : Spec.t) -> s.Spec.name)) in
+  List.iter
+    (fun (e : Registry.entry) ->
+      Alcotest.(check (option (list string)))
+        ("select family " ^ e.name)
+        (names_of (Some (e.specs ())))
+        (names_of (Registry.select e.name)))
+    entries;
+  List.iter
+    (fun (s : Spec.t) ->
+      match Registry.select s.Spec.name with
+      | Some [ found ] ->
+          if not (Spec.equal s found) then
+            Alcotest.fail ("select returned another spec for " ^ s.Spec.name)
+      | _ -> Alcotest.fail ("select misses spec " ^ s.Spec.name))
+    all_specs;
+  Alcotest.(check bool) "select no-such" true (Registry.select "no-such" = None)
+
+(* The defaults family is the CLI's former per-workload flag defaults as
+   data: each spec must serialize exactly as the retired subcommand's
+   spec did, so `dtsim sweep --name dtsim.<workload>` keeps reproducing
+   the same manifests. *)
+let test_defaults_pinned () =
+  let expected =
+    [
+      {|{"name":"dtsim.longlived","protocol":{"kind":"dctcp","g":0.0625,"k_bytes":60000},"workload":{"kind":"longlived","n_flows":10,"bottleneck_rate_bps":10000000000.0,"rtt":100000,"buffer_bytes":1500000,"segment_bytes":1500,"warmup":100000000,"measure":200000000,"trace_sampling":null,"alpha_sample_period":1000000,"stagger":1000000,"min_rto":10000000,"seed":"1"}}|};
+      {|{"name":"dtsim.incast","protocol":{"kind":"dctcp","g":0.0625,"k_bytes":32768},"workload":{"kind":"incast","sack":false,"n_flows":32,"bytes_per_flow":65536,"repeats":20,"rate_bps":1000000000.0,"buffer_bytes":131072,"leaf_buffer_bytes":524288,"segment_bytes":1500,"min_rto":200000000,"time_cap":10000000000,"start_jitter":300000,"initial_cwnd":2.0,"seed":"1"}}|};
+      {|{"name":"dtsim.completion","protocol":{"kind":"dctcp","g":0.0625,"k_bytes":32768},"workload":{"kind":"completion","n_flows":32,"total_bytes":1048576,"repeats":20,"rate_bps":1000000000.0,"buffer_bytes":131072,"leaf_buffer_bytes":524288,"segment_bytes":1500,"min_rto":200000000,"time_cap":10000000000,"seed":"1"}}|};
+      {|{"name":"dtsim.deadline","protocol":{"kind":"dctcp","g":0.0625,"k_bytes":32768},"workload":{"kind":"deadline","d2tcp":false,"n_flows":16,"bytes_per_flow":65536,"deadline":20000000,"deadline_spread":20000000,"repeats":20,"rate_bps":1000000000.0,"buffer_bytes":131072,"leaf_buffer_bytes":524288,"segment_bytes":1500,"min_rto":200000000,"start_jitter":300000,"time_cap":10000000000,"seed":"1"}}|};
+      {|{"name":"dtsim.dynamic","protocol":{"kind":"dctcp","g":0.0625,"k_bytes":60000},"workload":{"kind":"dynamic","background_flows":2,"short_senders":32,"arrival_rate":5000.0,"short_flow_segments":14,"duration":200000000,"warmup":50000000,"drain":100000000,"bottleneck_rate_bps":10000000000.0,"rtt":100000,"buffer_bytes":1500000,"segment_bytes":1500,"min_rto":10000000,"seed":"1"}}|};
+      {|{"name":"dtsim.convergence","protocol":{"kind":"dctcp","g":0.0625,"k_bytes":60000},"workload":{"kind":"convergence","n_flows":5,"join_interval":500000000,"hold":500000000,"sample_window":10000000,"bottleneck_rate_bps":1000000000.0,"rtt":100000,"buffer_bytes":750000,"segment_bytes":1500,"min_rto":10000000,"convergence_band":0.25,"seed":"1"}}|};
+    ]
+  in
+  Alcotest.(check (list string))
+    "defaults = the former subcommands' default specs" expected
+    (List.map Spec.to_string
+       (Option.value (Registry.select "defaults") ~default:[]))
 
 (* The buffer-manager refactor must not move any pre-existing baseline:
    every registry family except the new fig_buffer sweep stays on the
@@ -619,12 +761,27 @@ let suites =
         Alcotest.test_case "buffer key omitted when Static" `Quick
           test_buffer_json_default;
       ] );
+    ( "exp.spec.override",
+      [
+        Alcotest.test_case "replaces an int field" `Quick test_override_int;
+        Alcotest.test_case "replaces the protocol object" `Quick
+          test_override_protocol;
+        Alcotest.test_case "applies every override before parsing" `Quick
+          test_override_sequence;
+        Alcotest.test_case "missing path is an error naming it" `Quick
+          test_override_missing_path;
+        Alcotest.test_case "type mismatch is of_json's error" `Quick
+          test_override_type_mismatch;
+        qtest prop_override_identity;
+      ] );
     ( "exp.registry",
       [
         Alcotest.test_case "catalogue integrity" `Quick
           test_registry_catalogue;
         Alcotest.test_case "baseline families stay Static" `Quick
           test_baseline_families_stay_static;
+        Alcotest.test_case "defaults pin the former CLI flags" `Quick
+          test_defaults_pinned;
       ] );
     ( "exp.runner",
       [

@@ -1,5 +1,4 @@
-(* Tests for descriptive stats, percentiles, EWMA, histograms, tables,
-   and plots. *)
+(* Tests for descriptive stats, percentiles, tables and plots. *)
 
 module D = Stats.Descriptive
 module P = Stats.Percentile
@@ -164,66 +163,6 @@ let prop_percentile_monotone =
         | _ -> true
       in
       mono vals)
-
-(* --- Ewma --- *)
-
-let test_ewma_constant_input () =
-  let e = Stats.Ewma.create ~gain:0.25 () in
-  for _ = 1 to 100 do
-    Stats.Ewma.update e 3.
-  done;
-  checkf ~eps:1e-6 "converges to input" 3. (Stats.Ewma.value e);
-  checki "observations" 100 (Stats.Ewma.observations e)
-
-let test_ewma_formula () =
-  let e = Stats.Ewma.create ~init:1. ~gain:0.5 () in
-  Stats.Ewma.update e 0.;
-  checkf "one step" 0.5 (Stats.Ewma.value e);
-  Stats.Ewma.update e 1.;
-  checkf "two steps" 0.75 (Stats.Ewma.value e)
-
-let test_ewma_bad_gain () =
-  checkb "gain 0 raises" true
-    (match Stats.Ewma.create ~gain:0. () with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  checkb "gain 2 raises" true
-    (match Stats.Ewma.create ~gain:2. () with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-(* --- Histogram --- *)
-
-let test_hist_basic () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~bins:5 in
-  List.iter (Stats.Histogram.add h) [ 0.; 1.; 2.5; 9.9; 10.; -1.; 11. ];
-  checki "total" 7 (Stats.Histogram.count h);
-  checki "underflow" 1 (Stats.Histogram.underflow h);
-  checki "overflow" 1 (Stats.Histogram.overflow h);
-  checki "bin0 has 0,1" 2 (Stats.Histogram.bin_count h 0);
-  checki "bin1 has 2.5" 1 (Stats.Histogram.bin_count h 1);
-  checki "last bin has 9.9 and 10" 2 (Stats.Histogram.bin_count h 4)
-
-let test_hist_bounds () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~bins:5 in
-  let lo, hi = Stats.Histogram.bin_bounds h 2 in
-  checkf "lo" 4. lo;
-  checkf "hi" 6. hi
-
-let test_hist_mode () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~bins:5 in
-  List.iter (Stats.Histogram.add h) [ 1.; 5.; 5.2; 5.9 ];
-  checki "mode bin" 2 (Stats.Histogram.mode_bin h)
-
-let test_hist_invalid () =
-  checkb "bad range" true
-    (match Stats.Histogram.create ~lo:1. ~hi:1. ~bins:5 with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  checkb "bad bins" true
-    (match Stats.Histogram.create ~lo:0. ~hi:1. ~bins:0 with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
 
 (* --- Table --- *)
 
@@ -476,19 +415,6 @@ let suites =
         Alcotest.test_case "summary" `Quick test_percentile_summary;
         qtest prop_percentile_monotone;
         qtest prop_percentile_extremes;
-      ] );
-    ( "stats.ewma",
-      [
-        Alcotest.test_case "constant input" `Quick test_ewma_constant_input;
-        Alcotest.test_case "update formula" `Quick test_ewma_formula;
-        Alcotest.test_case "gain validation" `Quick test_ewma_bad_gain;
-      ] );
-    ( "stats.histogram",
-      [
-        Alcotest.test_case "binning" `Quick test_hist_basic;
-        Alcotest.test_case "bin bounds" `Quick test_hist_bounds;
-        Alcotest.test_case "mode" `Quick test_hist_mode;
-        Alcotest.test_case "validation" `Quick test_hist_invalid;
       ] );
     ( "stats.fairness",
       [
