@@ -1,33 +1,36 @@
 (* Monomorphic event queue: a hierarchical bucketed timing wheel
    (Varghese–Lauck style) over pooled event records, keyed on (time, seq).
-   This is the simulator's hot path; the wheel replaces the PR 4 implicit
+   This is the simulator's hot path; the wheel replaces an implicit
    4-ary min-heap because the event mix is timer-dominated — RTO rearms,
    pacing ticks, link serialization completions — which is exactly the
    workload wheels make near-O(1):
 
    - schedule is a level computation (one xor, a short compare chain) and
-     a list append: no O(log n) sift;
+     a list append — in a level-0 bucket at most a short walk back from
+     the tail: no O(log n) sift;
    - cancel unlinks the slot from its bucket's intrusive doubly-linked
      list and recycles it immediately: no dead weight carried to the next
      compaction sweep, no sweep at all for wheel-resident events;
-   - pop finds the next occupied 1 ns tick through per-level occupancy
+   - pop finds the next occupied 32 ns tick through per-level occupancy
      bitmasks (find-first-set, not a scan) and cascades higher-level
      buckets down only when the virtual clock actually crosses into
-     them — each event is touched at most [levels] times over its life;
+     them — each event is filed at most [levels] times over its life;
    - event records come from a free-list pool, so steady schedule/fire
      and schedule/cancel churn allocates nothing;
    - ids handed to callers are immediate ints carrying a generation
      stamp, so a stale [cancel] (after the record was recycled) is
      detected and ignored instead of corrupting an unrelated event.
 
-   {b Pop order is bit-identical to the heap it replaced}: strict
-   (key_ns, seq) — earlier instants first, schedule order within an
-   instant. Within a 1 ns level-0 bucket every resident shares the same
-   key, so the bucket list is kept in ascending [seq] order (direct adds
-   append — seq is monotone — and cascaded arrivals insert from the
-   tail); popping the head is therefore the global minimum. The qcheck
-   suite proves the equivalence against both a naive model and the
-   reference binary heap in test/heap.ml.
+   {b Pop order is strict (key_ns, seq)} — earlier instants first,
+   schedule order within an instant — exactly the order of a (key, seq)
+   binary heap. A level-0 bucket holds one 32 ns tick, which may contain
+   several distinct keys, so its list is kept in ascending (key, seq)
+   order: an event that sorts after the tail appends (every same-tick
+   add in time order, and every overflow drain), anything else walks
+   back from the tail. The head of the first occupied level-0 bucket is
+   therefore the wheel's minimum. The qcheck suite proves the
+   equivalence against both a naive model and the reference binary heap
+   in test/heap.ml.
 
    Two small (key, seq) binary min-heaps back the wheel up at its edges:
 
@@ -45,15 +48,29 @@
    swept when the dead outnumber half the heap); wheel-resident events —
    the hot case — cancel in O(1). *)
 
-(* Wheel geometry: [levels] levels of [1 lsl slot_bits] buckets. Level 0
-   buckets are one tick (1 ns) wide; level l buckets span 2^(5l) ns. The
-   wheel as a whole covers keys sharing the current position's bits at or
-   above [horizon_bits]; everything further out is overflow. *)
+(* Wheel geometry: [levels] levels of [slots] buckets over [tick_bits]-
+   wide ticks. Level 0 buckets are one tick (32 ns) wide; level l buckets
+   span 2^(5 + 5l) ns. The wheel as a whole covers keys sharing the
+   current position's bits at or above [horizon_bits]; everything further
+   out is overflow.
+
+   Why a 32 ns tick and not 1 ns: with 1.2 us serialization and 25 us
+   propagation delays, a 1 ns bottom level sees almost no event filed
+   into it directly, so each fired event was filed 2-3 levels up and
+   cascaded down through every level in between — 3.2 bucket inserts and
+   2.0 [wheel_min] iterations per fired event on fig_queue DCTCP N=100.
+   With 32 ns ticks that falls to 2.25 inserts and 1.15 iterations. The
+   price is that a bottom bucket may hold distinct keys, kept in
+   (key, seq) order by a walk back from the tail; counted over whole
+   runs, the walk takes 0 steps per fired event on fig_queue N=100 and
+   0.09 on fig_fattree DCTCP k=8. Wider ticks lose that: at 256 and
+   1024 ns the same fat-tree run walks 1.9 and 9.3 steps per event. *)
+let tick_bits = 5
 let slot_bits = 5
 let slots = 1 lsl slot_bits (* 32 *)
 let slot_mask = slots - 1
-let levels = 6
-let horizon_bits = slot_bits * levels (* 30 *)
+let levels = 5
+let horizon_bits = tick_bits + (slot_bits * levels) (* 30 *)
 
 (* Location codes for [where]: a bucket index [level * slots + slot], or
    one of these. *)
@@ -228,23 +245,31 @@ let ctz_table =
 
 let ctz m = ctz_table.((((m land (-m)) * debruijn) land 0xFFFFFFFF) lsr 27)
 
-(* Smallest level whose bucket span covers [x] = key lxor pos. Written as
-   a compare chain: branch-predictable, no loop, no table. *)
+(* Smallest level whose bucket span covers [x] = (key lxor pos) lsr
+   tick_bits. Written as a compare chain: branch-predictable, no loop, no
+   table. [x < 2^25] always holds, since [file] sends keys outside the
+   position's horizon block to the overflow heap. *)
 let level_of_xor x =
   if x < 0x20 then 0
   else if x < 0x400 then 1
   else if x < 0x8000 then 2
   else if x < 0x100000 then 3
-  else if x < 0x2000000 then 4
-  else 5
+  else 4
 
 (* --- wheel buckets -------------------------------------------------- *)
 
-(* Append [ev] keeping the bucket's ascending-seq invariant. Direct adds
-   carry the highest seq ever issued, so the tail check succeeds
-   immediately; only cascaded arrivals (older events re-filed under a
-   new position) ever walk backwards, and only past same-instant
-   residents scheduled after them. *)
+(* [a] sorts strictly before [b] in (key, seq) order: the queue's one
+   ordering, shared by the level-0 buckets and the backstop heaps. *)
+let[@inline] before a b =
+  a.key_ns < b.key_ns || (a.key_ns = b.key_ns && a.seq < b.seq)
+
+(* Link [ev] into bucket [b]. A level-0 bucket ([b < slots]) is kept in
+   ascending (key, seq) order, so its head is the bucket's minimum: an
+   event that sorts after the tail appends, anything else walks back from
+   the tail to its spot. Direct adds carry the highest seq ever issued,
+   so they only walk past residents of the same tick with later keys.
+   Higher-level buckets are plain appends: a cascade re-files every
+   resident anyway, so their order is never observed. *)
 let bucket_insert t ev b =
   let pool = t.pool in
   ev.where <- b;
@@ -257,16 +282,15 @@ let bucket_insert t ev b =
     t.masks.(b lsr slot_bits) <-
       t.masks.(b lsr slot_bits) lor (1 lsl (b land slot_mask))
   end
-  else if pool.(tl).seq < ev.seq then begin
+  else if b >= slots || before pool.(tl) ev then begin
     ev.prev_ev <- tl;
     ev.next_ev <- -1;
     pool.(tl).next_ev <- ev.idx;
     t.tail.(b) <- ev.idx
   end
   else begin
-    (* Cascaded arrival older than some residents: walk back to its spot. *)
     let p = ref pool.(tl).prev_ev in
-    while !p >= 0 && pool.(!p).seq > ev.seq do
+    while !p >= 0 && not (before pool.(!p) ev) do
       p := pool.(!p).prev_ev
     done;
     let prev = !p in
@@ -289,19 +313,17 @@ let bucket_unlink t ev =
       t.masks.(b lsr slot_bits) land lnot (1 lsl (b land slot_mask))
 
 (* File a live event whose key shares the current position's top block.
-   The level is the highest 5-bit block where key and pos differ; the
-   slot is the key's bits at that level. Keys at [pos] itself land in
-   level 0, slot [pos land 31]. *)
+   The level is the highest 5-bit block above the tick where key and pos
+   differ; the slot is the key's bits at that level. Keys within [pos]'s
+   own 1024 ns level-0 span land in level 0, slot [(key lsr 5) land 31]. *)
 let wheel_insert t ev =
-  let l = level_of_xor (ev.key_ns lxor t.pos) in
-  let s = (ev.key_ns lsr (l * slot_bits)) land slot_mask in
+  let l = level_of_xor ((ev.key_ns lxor t.pos) lsr tick_bits) in
+  let s = (ev.key_ns lsr (tick_bits + (l * slot_bits))) land slot_mask in
   bucket_insert t ev ((l lsl slot_bits) lor s)
 
 (* --- backstop heaps ------------------------------------------------- *)
 
-let mini_less pool a b =
-  let ea = pool.(a) and eb = pool.(b) in
-  ea.key_ns < eb.key_ns || (ea.key_ns = eb.key_ns && ea.seq < eb.seq)
+let mini_less pool a b = before pool.(a) pool.(b)
 
 let mini_push t (m : mini) ev =
   if m.n = Array.length m.arr then begin
@@ -465,8 +487,8 @@ let cancel t id =
 
 (* Pull the contents of bucket [b] (level >= 1) back through [file]: with
    [pos] just advanced into the bucket's span, every resident re-files at
-   a strictly lower level. List order is preserved; same-instant events
-   restore seq order via [bucket_insert]'s tail walk. *)
+   a strictly lower level, and those reaching level 0 take their
+   (key, seq) place via [bucket_insert]'s tail walk. *)
 let cascade t b =
   let pool = t.pool in
   let cur = ref t.head.(b) in
@@ -481,19 +503,24 @@ let cascade t b =
   done
 
 (* Pool index of the wheel's earliest event — the head of the first
-   occupied level-0 bucket at or after [pos] — or -1 when the wheel is
-   empty. Advances [pos] to the event's tick, cascading any higher-level
-   bucket the position crosses into; skipped slots are provably empty, so
-   the advance never loses an event. Each iteration either returns or
-   strictly descends a level, bounding the loop at [levels] steps. *)
+   occupied level-0 bucket at or after [pos]'s tick — or -1 when the
+   wheel is empty. Advances [pos] to that event's key, cascading any
+   higher-level bucket the position crosses into; skipped slots are
+   provably empty, so the advance never loses an event. Setting [pos] to
+   the key itself, not to its tick's start, keeps every wheel resident
+   at or after [pos], so [file]'s "key < pos means overdue" stays exact.
+   Each iteration either returns or strictly descends a level, bounding
+   the loop at [levels] steps. *)
 let wheel_min t =
   let result = ref (-2) in
   while !result = -2 do
-    let m0 = t.masks.(0) land (-1 lsl (t.pos land slot_mask)) in
+    let m0 =
+      t.masks.(0) land (-1 lsl ((t.pos lsr tick_bits) land slot_mask))
+    in
     if m0 <> 0 then begin
-      let s = ctz m0 in
-      t.pos <- (t.pos land lnot slot_mask) lor s;
-      result := t.head.(s)
+      let h = t.head.(ctz m0) in
+      t.pos <- t.pool.(h).key_ns;
+      result := h
     end
     else begin
       (* Level 0 exhausted: find the lowest level with a bucket strictly
@@ -503,7 +530,9 @@ let wheel_min t =
       let l = ref 1 in
       let found = ref (-1) in
       while !found < 0 && !l < levels do
-        let sl = (t.pos lsr (!l * slot_bits)) land slot_mask in
+        let sl =
+          (t.pos lsr (tick_bits + (!l * slot_bits))) land slot_mask
+        in
         let m = t.masks.(!l) land (-1 lsl (sl + 1)) in
         if m <> 0 then found := (!l lsl slot_bits) lor ctz m else incr l
       done;
@@ -512,8 +541,9 @@ let wheel_min t =
         let l = !found lsr slot_bits and s = !found land slot_mask in
         (* Enter the bucket's span: keep the bits above it, set its slot,
            zero everything below. *)
-        let above = slot_bits * (l + 1) in
-        t.pos <- ((t.pos lsr above) lsl above) lor (s lsl (slot_bits * l));
+        let shift = tick_bits + (slot_bits * l) in
+        let above = shift + slot_bits in
+        t.pos <- ((t.pos lsr above) lsl above) lor (s lsl shift);
         cascade t !found
       end
     end
@@ -521,8 +551,8 @@ let wheel_min t =
   !result
 
 (* Jump the wheel to the earliest overflow block and file that whole
-   block's events. Heap pops deliver them in (key, seq) order, so
-   same-instant residents arrive seq-sorted. Only called when the wheel
+   block's events. Heap pops deliver them in (key, seq) order, so every
+   level-0 arrival appends at its bucket's tail. Only called when the wheel
    is empty, so the position jump cannot skip a wheel event. *)
 let drain_overflow t root =
   let pool = t.pool in

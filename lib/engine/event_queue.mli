@@ -2,20 +2,22 @@
 
     A hierarchical bucketed timing wheel (Varghese–Lauck style) over
     pooled event records, keyed on the (time, seq) pair: earlier
-    instants first, schedule order (FIFO) within an instant. Six levels
-    of 32 power-of-two time buckets keyed off the wheel's virtual
-    position cover a 2^30 ns (≈1.07 s) horizon; each bucket is an
-    intrusive doubly-linked list over the pooled slots, each level keeps
-    an occupancy bitmask so finding the next tick is a find-first-set,
-    not a scan. Two small (key, seq) binary heaps back the wheel up at
+    instants first, schedule order (FIFO) within an instant. Five levels
+    of 32 power-of-two time buckets over 32 ns ticks, keyed off the
+    wheel's virtual position, cover a 2^30 ns (≈1.07 s) horizon; each
+    bucket is an intrusive doubly-linked list over the pooled slots
+    (bottom-level buckets kept in (time, seq) order), and each level
+    keeps an occupancy bitmask so finding the next tick is a
+    find-first-set, not a scan. Two small (key, seq) binary heaps back the wheel up at
     its edges: {e overdue} (events dated at or before an instant the
     wheel already passed — {!Sim} never produces these, but arbitrary
     call sequences may) and {e overflow} (events beyond the horizon,
     drained into the wheel a block at a time as the clock advances).
     Schedule and cancel are O(1) for wheel-resident events; pop is
-    near-O(1) — each event cascades down at most [levels] times over
-    its whole life. Pop order is bit-identical to the 4-ary heap this
-    replaced (a generic binary heap, test/heap.ml, is the qcheck oracle).
+    near-O(1) — each event is filed at most five times over its whole
+    life, once per level it cascades through. Pop order is exactly a
+    (time, seq) min-heap's (a generic binary heap, test/heap.ml, is the
+    qcheck oracle).
 
     {b Pooling invariants.} An event record is owned by the queue from
     {!add} until it leaves the structure — by firing ({!pop_until}), by
@@ -42,8 +44,9 @@ val none : id
     as an initial value for fields that later hold real ids. *)
 
 val create : ?capacity:int -> unit -> t
-(** Empty queue. [capacity] (default 1024) pre-sizes the overflow heap
-    and pool arrays; both grow on demand. *)
+(** Empty queue. [capacity] (default 1024) pre-sizes the overflow
+    heap's array. The event pool starts empty and grows by doubling on
+    demand, as does the heap. *)
 
 val length : t -> int
 (** Occupancy the queue actually holds in memory: live events plus

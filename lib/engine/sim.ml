@@ -9,7 +9,6 @@ type t = {
   mutable processed : int;
   mutable hwm : int;
   mutable ids : int;
-  mutable instrument : unit -> unit;
   (* Self-profiler hooks: when [profiling] is false the step loop pays a
      single immediate-bool branch and touches neither closure. *)
   mutable profiling : bool;
@@ -23,7 +22,6 @@ type t = {
   mutable exts : ext list;
 }
 
-let noop () = ()
 let noop_cls (_ : int) = ()
 let no_event = Event_queue.none
 
@@ -35,7 +33,6 @@ let create ?(seed = 1L) () =
     processed = 0;
     hwm = 0;
     ids = 0;
-    instrument = noop;
     profiling = false;
     prof_before = noop_cls;
     prof_after = noop_cls;
@@ -100,7 +97,6 @@ let step_until t stop_ns =
       t.prof_after cls
     end
     else action ();
-    t.instrument ();
     true
   end
   else false
@@ -125,8 +121,6 @@ let pending t = Event_queue.live t.q
 let heap_size t = Event_queue.length t.q
 let heap_high_water t = t.hwm
 let event_pool_size t = Event_queue.pool_size t.q
-let set_instrument t f = t.instrument <- f
-let clear_instrument t = t.instrument <- noop
 
 let set_profiler t ~before ~after =
   t.prof_before <- before;

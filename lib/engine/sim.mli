@@ -108,15 +108,6 @@ val event_pool_size : t -> int
     pool's footprint). Stays constant across steady schedule→fire
     cycles; exposed for the allocation regression tests. *)
 
-val set_instrument : t -> (unit -> unit) -> unit
-(** Install a callback run after every executed event. Intended for the
-    observability layer (periodic flushing, progress accounting); the
-    callback must not perturb simulation state. At most one is installed;
-    setting replaces the previous one. *)
-
-val clear_instrument : t -> unit
-(** Restore the default no-op instrumentation callback. *)
-
 val set_profiler :
   t -> before:(int -> unit) -> after:(int -> unit) -> unit
 (** Install the self-profiler hook pair. Around every executed event the

@@ -629,16 +629,23 @@ let prop_event_queue_cancel_heavy =
 (* Mixed-magnitude keys: [v lsl (5 s)] places events across every wheel
    level and (for s = 6) beyond the 2^30 ns horizon, so the same model
    equivalence also covers cascade boundaries, the overdue heap after
-   large pops, and overflow drains — the paths small-key traces miss. *)
+   large pops, and overflow drains — the paths small-key traces miss.
+   The in-tick offset [o] (0-31 ns) and the frequent small [v] put
+   several distinct keys into one 32 ns tick, at every level, in random
+   key and seq order: cascaded and direct arrivals then meet occupied
+   bottom buckets holding later keys, and must sort by (key, seq). *)
 let prop_event_queue_large_keys =
   QCheck.Test.make ~count:200
     ~name:"Event_queue matches the model across wheel levels and overflow"
     QCheck.(
       map
-        (List.map (fun (k, (s, v)) -> (k, (v lsl (5 * s)) + v)))
+        (List.map (fun (k, (s, v, o)) -> (k, (v lsl (5 * s)) + v + o)))
         (list_of_size
            Gen.(int_range 0 120)
-           (pair (int_bound 2) (pair (int_bound 6) (int_bound 2_000)))))
+           (pair (int_bound 2)
+              (triple (int_bound 6)
+                 (make Gen.(frequency [ (3, int_bound 2_000); (1, int_bound 8) ]))
+                 (int_bound 31)))))
     run_event_queue_trace
 
 (* Same game against the generic [Heap] the simulator used before: the
@@ -857,39 +864,48 @@ let test_event_queue_overdue_backstop () =
     (List.rev !fired);
   checki "overdue drained" 0 (Eq.overdue_len q)
 
-(* Keys straddling every wheel-level boundary (2^5 .. 2^25), the
-   overflow horizon (2^30), and a same-instant group parked five levels
-   up: everything must fire in (key, seq) order, which means the cascade
-   path re-files events correctly at each level crossing and restores
-   schedule order within an instant. *)
+(* Keys on every bucket edge of the wheel — the 32 ns tick (31/32/33,
+   63/64), each level boundary (2^10, 2^15, 2^20, 2^25, +-1) and the
+   overflow horizon (2^30) — plus a same-instant group parked four levels
+   up and two groups of distinct keys inside one 32 ns tick, added in
+   reverse key order: one straight into a bottom bucket, one cascading
+   down from level 3. Everything must fire in (key, seq) order, which
+   means the cascade path re-files events correctly at each level
+   crossing and bottom buckets sort by key first, seq second. *)
 let test_event_queue_cascade_boundaries () =
   let q = Eq.create () in
   let fired = ref [] in
-  let add ns tag =
+  let added = ref [] in
+  let add ns =
+    let tag = List.length !added in
+    added := (ns, tag) :: !added;
     ignore
       (Eq.add q
          ~time:(Time.of_ns (Int64.of_int ns))
          (fun () -> fired := tag :: !fired))
   in
-  let keys =
+  List.iter add
     [
-      31; 32; 33; 1023; 1024; 32767; 32768;
-      (1 lsl 20) - 1; 1 lsl 20; (1 lsl 25) + 7;
-      (1 lsl 30) - 1; 1 lsl 30; (1 lsl 30) + 1;
-    ]
-  in
-  List.iteri (fun i k -> add k (100 + i)) keys;
-  add (1 lsl 25) 0;
-  add (1 lsl 25) 1;
-  add (1 lsl 25) 2;
+      31; 32; 33; 63; 64; 1023; 1024; 1025; 32767; 32768; 32769;
+      (1 lsl 20) - 1; 1 lsl 20; (1 lsl 20) + 1; (1 lsl 25) - 1;
+      (1 lsl 25) + 1; (1 lsl 25) + 7; (1 lsl 30) - 1; 1 lsl 30;
+      (1 lsl 30) + 1;
+    ];
+  List.iter add [ 1 lsl 25; 1 lsl 25; 1 lsl 25 ];
+  List.iter add [ 62; 57; 50; 48; 57 ];
+  let tick = (3 lsl 15) + (5 lsl 10) + (7 lsl 5) in
+  List.iter (fun o -> add (tick + o)) [ 31; 20; 20; 9; 0 ];
   checki "beyond-horizon keys overflowed" 2 (Eq.overflow_len q);
   while Eq.pop q do
     (Eq.popped_action q) ()
   done;
+  let expected =
+    List.rev !added
+    |> List.stable_sort (fun (k1, _) (k2, _) -> Int.compare k1 k2)
+    |> List.map snd
+  in
   Alcotest.(check (list int))
-    "(key, seq) order across every level boundary"
-    [ 100; 101; 102; 103; 104; 105; 106; 107; 108; 0; 1; 2; 109; 110; 111; 112 ]
-    (List.rev !fired)
+    "(key, seq) order across every bucket edge" expected (List.rev !fired)
 
 (* The schedule/pop fast path — pre-boxed times, wheel-resident keys —
    must allocate nothing at all: adds are a level computation plus a

@@ -1,6 +1,6 @@
 (* Tests for the observability layer (lib/obs): trace filtering and ring
    bounding, serialization, the metrics registry, manifest round-trips,
-   the shared sampler, engine profiling hooks, and the load-bearing
+   the shared sampler, and the load-bearing
    property that attaching observers never changes simulation results. *)
 
 module Trace = Obs.Trace
@@ -237,25 +237,6 @@ let test_sampler () =
     (match ticks_of ~period:0L ~stop_at:10L with
     | exception Invalid_argument _ -> true
     | _ -> false)
-
-(* --- engine profiling hooks --- *)
-
-let test_sim_instrument () =
-  let sim = Sim.create () in
-  let calls = ref 0 in
-  Sim.set_instrument sim (fun () -> incr calls);
-  for i = 1 to 5 do
-    ignore (Sim.schedule_at sim (Time.of_ns (Int64.of_int i)) (fun () -> ()))
-  done;
-  Sim.run sim;
-  Alcotest.(check int) "instrument called once per event" 5 !calls;
-  Alcotest.(check int)
-    "calls match the engine's own count" (Sim.events_processed sim) !calls;
-  Alcotest.(check int) "heap high-water saw the burst" 5 (Sim.heap_high_water sim);
-  Sim.clear_instrument sim;
-  ignore (Sim.schedule_at sim (Time.of_ns 10L) (fun () -> ()));
-  Sim.run sim;
-  Alcotest.(check int) "cleared hook is silent" 5 !calls
 
 (* --- observability must not perturb the simulation --- *)
 
@@ -817,7 +798,6 @@ let suites =
         Alcotest.test_case "metrics registry" `Quick test_metrics;
         Alcotest.test_case "manifest roundtrip" `Quick test_manifest_roundtrip;
         Alcotest.test_case "sampler" `Quick test_sampler;
-        Alcotest.test_case "sim instrument hooks" `Quick test_sim_instrument;
         qtest determinism_invariance;
         Alcotest.test_case "tee" `Quick test_tee;
         Alcotest.test_case "emit_occ through a tee builds one record" `Quick
