@@ -40,68 +40,63 @@ let bad_outcome name msg : 'a =
   Printf.eprintf "bench: run %s: %s\n" name msg;
   exit 1
 
-let longlived_of (o : Exp.Runner.outcome) =
+(* [payload_of pick o]: [o]'s result, narrowed by [pick] to one
+   workload's record. *)
+let payload_of pick (o : Exp.Runner.outcome) =
+  let name = o.Exp.Runner.spec.Exp.Spec.name in
   match o.Exp.Runner.result with
-  | Exp.Outcome.Done (Exp.Outcome.Longlived r) -> r
-  | Exp.Outcome.Failed { error; _ } ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name error
-  | Exp.Outcome.Done p ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name
-        ("unexpected payload " ^ Exp.Outcome.payload_kind p)
+  | Exp.Outcome.Failed { error; _ } -> bad_outcome name error
+  | Exp.Outcome.Done p -> (
+      match pick p with
+      | Some r -> r
+      | None ->
+          bad_outcome name ("unexpected payload " ^ Exp.Outcome.payload_kind p))
 
-let incast_of (o : Exp.Runner.outcome) =
-  match o.Exp.Runner.result with
-  | Exp.Outcome.Done (Exp.Outcome.Incast r) -> r
-  | Exp.Outcome.Failed { error; _ } ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name error
-  | Exp.Outcome.Done p ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name
-        ("unexpected payload " ^ Exp.Outcome.payload_kind p)
+let longlived_of =
+  payload_of (function Exp.Outcome.Longlived r -> Some r | _ -> None)
 
-let completion_of (o : Exp.Runner.outcome) =
-  match o.Exp.Runner.result with
-  | Exp.Outcome.Done (Exp.Outcome.Completion r) -> r
-  | Exp.Outcome.Failed { error; _ } ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name error
-  | Exp.Outcome.Done p ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name
-        ("unexpected payload " ^ Exp.Outcome.payload_kind p)
+let incast_of = payload_of (function Exp.Outcome.Incast r -> Some r | _ -> None)
 
-let deadline_of (o : Exp.Runner.outcome) =
-  match o.Exp.Runner.result with
-  | Exp.Outcome.Done (Exp.Outcome.Deadline r) -> r
-  | Exp.Outcome.Failed { error; _ } ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name error
-  | Exp.Outcome.Done p ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name
-        ("unexpected payload " ^ Exp.Outcome.payload_kind p)
+let completion_of =
+  payload_of (function Exp.Outcome.Completion r -> Some r | _ -> None)
 
-let dynamic_of (o : Exp.Runner.outcome) =
-  match o.Exp.Runner.result with
-  | Exp.Outcome.Done (Exp.Outcome.Dynamic r) -> r
-  | Exp.Outcome.Failed { error; _ } ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name error
-  | Exp.Outcome.Done p ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name
-        ("unexpected payload " ^ Exp.Outcome.payload_kind p)
+let deadline_of =
+  payload_of (function Exp.Outcome.Deadline r -> Some r | _ -> None)
 
-let convergence_of (o : Exp.Runner.outcome) =
-  match o.Exp.Runner.result with
-  | Exp.Outcome.Done (Exp.Outcome.Convergence r) -> r
-  | Exp.Outcome.Failed { error; _ } ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name error
-  | Exp.Outcome.Done p ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name
-        ("unexpected payload " ^ Exp.Outcome.payload_kind p)
+let dynamic_of =
+  payload_of (function Exp.Outcome.Dynamic r -> Some r | _ -> None)
 
-let fattree_of (o : Exp.Runner.outcome) =
-  match o.Exp.Runner.result with
-  | Exp.Outcome.Done (Exp.Outcome.Fattree r) -> r
-  | Exp.Outcome.Failed { error; _ } ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name error
-  | Exp.Outcome.Done p ->
+let convergence_of =
+  payload_of (function Exp.Outcome.Convergence r -> Some r | _ -> None)
+
+let fattree_of =
+  payload_of (function Exp.Outcome.Fattree r -> Some r | _ -> None)
+
+(* The streaming analyzer's block in [o]'s manifest (only longlived
+   runs carry one). *)
+let analysis_of (o : Exp.Runner.outcome) =
+  ignore (longlived_of o);
+  match o.Exp.Runner.manifest.Obs.Manifest.analysis with
+  | Some a -> a
+  | None ->
       bad_outcome o.Exp.Runner.spec.Exp.Spec.name
-        ("unexpected payload " ^ Exp.Outcome.payload_kind p)
+        "manifest has no analysis block"
+
+(* Navigate an analysis block; a missing path is a harness bug, not a
+   data point. *)
+let afloat name analysis path =
+  let rec go j = function
+    | [] -> (
+        match j with
+        | Obs.Json.Float f -> f
+        | Obs.Json.Int i -> float_of_int i
+        | _ -> bad_outcome name "analysis field is not a number")
+    | k :: rest -> (
+        match Obs.Json.member k j with
+        | Some v -> go v rest
+        | None -> bad_outcome name ("analysis block lacks " ^ k))
+  in
+  go analysis path
 
 let section_header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')

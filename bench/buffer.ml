@@ -32,29 +32,6 @@ let specs () =
   Exp.Registry.fig_buffer_specs ~pool_sizes ~alphas:[ alpha ]
     ~warmup:(Bench_common.warmup ()) ~measure:(Bench_common.measure ()) ()
 
-(* Navigate the manifest's analysis block; a missing path is a harness
-   bug, not a data point. *)
-let afloat name analysis path =
-  let rec go j = function
-    | [] -> (
-        match j with
-        | Json.Float f -> f
-        | Json.Int i -> float_of_int i
-        | _ -> Bench_common.bad_outcome name "analysis field is not a number")
-    | k :: rest -> (
-        match Json.member k j with
-        | Some v -> go v rest
-        | None ->
-            Bench_common.bad_outcome name ("analysis block lacks " ^ k))
-  in
-  go analysis path
-
-let analysis_of (o : Exp.Runner.outcome) =
-  let name = o.Exp.Runner.spec.Spec.name in
-  match o.Exp.Runner.manifest.Obs.Manifest.analysis with
-  | Some a -> a
-  | None -> Bench_common.bad_outcome name "manifest has no analysis block"
-
 let manifest_metric (o : Exp.Runner.outcome) key =
   let m = o.Exp.Runner.manifest.Obs.Manifest.metrics in
   match List.find_opt (fun (k, _) -> String.equal k key) m with
@@ -95,16 +72,16 @@ let run () =
       let label = List.nth slugs (i mod n_protos) in
       let name = o.Exp.Runner.spec.Spec.name in
       let r = Bench_common.longlived_of o in
-      let a = analysis_of o in
-      let amp_mean = afloat name a [ "cycles"; "amp_mean_pkts" ] in
-      let amp_max = afloat name a [ "cycles"; "amp_max_pkts" ] in
-      let cycles = afloat name a [ "cycles"; "count" ] in
+      let f = Bench_common.afloat name (Bench_common.analysis_of o) in
+      let amp_mean = f [ "cycles"; "amp_mean_pkts" ] in
+      let amp_max = f [ "cycles"; "amp_max_pkts" ] in
+      let cycles = f [ "cycles"; "count" ] in
       let amp_trim =
         if cycles >= 2. then
           ((amp_mean *. cycles) -. amp_max) /. (cycles -. 1.)
         else 0.
       in
-      let occ_std = afloat name a [ "occupancy"; "std_pkts" ] in
+      let occ_std = f [ "occupancy"; "std_pkts" ] in
       let rejects = manifest_metric o "buffer.pool_rejects" in
       let high_water = manifest_metric o "buffer.pool_high_water" in
       let ecn = List.mem label ecn_labels in

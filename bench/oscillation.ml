@@ -34,31 +34,6 @@ let spec_of ~label ~protocol ~n =
     buffer = Net.Buffer_mgr.Static;
   }
 
-(* Navigate the manifest's analysis block; a missing path is a harness
-   bug, not a data point. *)
-let afloat name analysis path =
-  let rec go j = function
-    | [] -> (
-        match j with
-        | Json.Float f -> f
-        | Json.Int i -> float_of_int i
-        | _ -> Bench_common.bad_outcome name "analysis field is not a number")
-    | k :: rest -> (
-        match Json.member k j with
-        | Some v -> go v rest
-        | None ->
-            Bench_common.bad_outcome name ("analysis block lacks " ^ k))
-  in
-  go analysis path
-
-let analysis_of (o : Exp.Runner.outcome) =
-  let name = o.Exp.Runner.spec.Spec.name in
-  (* run_one only skips the analyzer for non-longlived workloads *)
-  ignore (Bench_common.longlived_of o);
-  match o.Exp.Runner.manifest.Obs.Manifest.analysis with
-  | Some a -> a
-  | None -> Bench_common.bad_outcome name "manifest has no analysis block"
-
 let run () =
   Bench_common.section_header
     "Oscillation: streaming-analyzer N-sweep (DCTCP vs DT-DCTCP)";
@@ -98,8 +73,7 @@ let run () =
         (label, List.nth flow_counts (i mod List.length flow_counts))
       in
       let name = o.Exp.Runner.spec.Spec.name in
-      let a = analysis_of o in
-      let f path = afloat name a path in
+      let f = Bench_common.afloat name (Bench_common.analysis_of o) in
       let cycles = f [ "cycles"; "count" ] in
       let amp_mean = f [ "cycles"; "amp_mean_pkts" ] in
       let period_ms = f [ "cycles"; "period_mean_s" ] *. 1e3 in

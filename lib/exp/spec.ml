@@ -90,9 +90,12 @@ let with_seed seed t =
   in
   { t with workload }
 
-let with_name name t = { t with name }
+(* --- JSON codec ---
 
-(* --- JSON encoding ---
+   Each workload config is described once, as a table of fields: the
+   JSON key, a codec for its type, a getter and a functional setter.
+   [workload_to_json] maps a table in order; [workload_of_json] folds it
+   over the workload's [default_config], and every key is required.
 
    Spans are serialized as integer nanoseconds ([Engine.Time.span] is an
    [int64], always in-range for OCaml's 63-bit [int] at simulated
@@ -100,124 +103,326 @@ let with_name name t = { t with name }
    so full-width int64 values survive readers without exact 64-bit
    integers. *)
 
-let span s = Json.Int (Int64.to_int s)
-let span_opt = function None -> Json.Null | Some s -> span s
-let seed_json s = Json.String (Int64.to_string s)
+let ( let* ) = Result.bind
+let prefix = "Spec.of_json"
 
-let longlived_fields (c : L.config) =
+type 'a codec = {
+  enc : 'a -> Json.t;
+  dec : string -> Json.t -> ('a, string) result;
+      (* [dec key obj] reads member [key] of [obj]. *)
+}
+
+let int = { enc = (fun i -> Json.Int i); dec = Json.int prefix }
+let number = { enc = (fun f -> Json.Float f); dec = Json.number prefix }
+let bool = { enc = (fun b -> Json.Bool b); dec = Json.bool prefix }
+
+let span =
+  {
+    enc = (fun s -> Json.Int (Int64.to_int s));
+    dec = (fun k j -> Result.map Int64.of_int (Json.int prefix k j));
+  }
+
+let span_opt =
+  {
+    enc = (function None -> Json.Null | Some s -> span.enc s);
+    dec =
+      (fun k j ->
+        let* v = Json.field prefix k j in
+        match v with
+        | Json.Null -> Ok None
+        | Json.Int i -> Ok (Some (Int64.of_int i))
+        | _ -> Json.mistyped prefix k "int or null");
+  }
+
+let decimal =
+  {
+    enc = (fun s -> Json.String (Int64.to_string s));
+    dec =
+      (fun k j ->
+        let* v = Json.field prefix k j in
+        match v with
+        | Json.String s -> (
+            match Int64.of_string_opt s with
+            | Some i -> Ok i
+            | None -> Json.mistyped prefix k "decimal int64 string")
+        | Json.Int i -> Ok (Int64.of_int i)
+        | _ -> Json.mistyped prefix k "seed");
+  }
+
+type 'c field = {
+  key : string;
+  encode : 'c -> Json.t;
+  decode : Json.t -> 'c -> ('c, string) result;
+}
+
+let field key codec get set =
+  {
+    key;
+    encode = (fun c -> codec.enc (get c));
+    decode =
+      (fun j c ->
+        let* v = codec.dec key j in
+        Ok (set c v));
+  }
+
+(* A config's table seen through the [(flag, config)] pair of the
+   variants that carry a flag next to their config. *)
+let flagged flag_key fields =
+  field flag_key bool fst (fun (_, c) b -> (b, c))
+  :: List.map
+       (fun f ->
+         {
+           f with
+           encode = (fun (_, c) -> f.encode c);
+           decode =
+             (fun j (b, c) ->
+               let* c = f.decode j c in
+               Ok (b, c));
+         })
+       fields
+
+let to_fields fields c = List.map (fun f -> (f.key, f.encode c)) fields
+
+let of_fields fields default j =
+  List.fold_left
+    (fun acc f ->
+      let* c = acc in
+      f.decode j c)
+    (Ok default) fields
+
+let longlived_fields =
+  let open L in
   [
-    ("n_flows", Json.Int c.n_flows);
-    ("bottleneck_rate_bps", Json.Float c.bottleneck_rate_bps);
-    ("rtt", span c.rtt);
-    ("buffer_bytes", Json.Int c.buffer_bytes);
-    ("segment_bytes", Json.Int c.segment_bytes);
-    ("warmup", span c.warmup);
-    ("measure", span c.measure);
-    ("trace_sampling", span_opt c.trace_sampling);
-    ("alpha_sample_period", span c.alpha_sample_period);
-    ("stagger", span c.stagger);
-    ("min_rto", span c.min_rto);
-    ("seed", seed_json c.seed);
+    field "n_flows" int (fun c -> c.n_flows)
+      (fun c v -> { c with n_flows = v });
+    field "bottleneck_rate_bps" number (fun c -> c.bottleneck_rate_bps)
+      (fun c v -> { c with bottleneck_rate_bps = v });
+    field "rtt" span (fun c -> c.rtt) (fun c v -> { c with rtt = v });
+    field "buffer_bytes" int (fun c -> c.buffer_bytes)
+      (fun c v -> { c with buffer_bytes = v });
+    field "segment_bytes" int (fun c -> c.segment_bytes)
+      (fun c v -> { c with segment_bytes = v });
+    field "warmup" span (fun c -> c.warmup) (fun c v -> { c with warmup = v });
+    field "measure" span (fun c -> c.measure)
+      (fun c v -> { c with measure = v });
+    field "trace_sampling" span_opt (fun c -> c.trace_sampling)
+      (fun c v -> { c with trace_sampling = v });
+    field "alpha_sample_period" span (fun c -> c.alpha_sample_period)
+      (fun c v -> { c with alpha_sample_period = v });
+    field "stagger" span (fun c -> c.stagger)
+      (fun c v -> { c with stagger = v });
+    field "min_rto" span (fun c -> c.min_rto)
+      (fun c v -> { c with min_rto = v });
+    field "seed" decimal (fun c -> c.seed) (fun c v -> { c with seed = v });
   ]
 
-let incast_fields (c : I.config) sack =
+let incast_fields =
+  let open I in
+  flagged "sack"
+    [
+      field "n_flows" int (fun c -> c.n_flows)
+        (fun c v -> { c with n_flows = v });
+      field "bytes_per_flow" int (fun c -> c.bytes_per_flow)
+        (fun c v -> { c with bytes_per_flow = v });
+      field "repeats" int (fun c -> c.repeats)
+        (fun c v -> { c with repeats = v });
+      field "rate_bps" number (fun c -> c.rate_bps)
+        (fun c v -> { c with rate_bps = v });
+      field "buffer_bytes" int (fun c -> c.buffer_bytes)
+        (fun c v -> { c with buffer_bytes = v });
+      field "leaf_buffer_bytes" int (fun c -> c.leaf_buffer_bytes)
+        (fun c v -> { c with leaf_buffer_bytes = v });
+      field "segment_bytes" int (fun c -> c.segment_bytes)
+        (fun c v -> { c with segment_bytes = v });
+      field "min_rto" span (fun c -> c.min_rto)
+        (fun c v -> { c with min_rto = v });
+      field "time_cap" span (fun c -> c.time_cap)
+        (fun c v -> { c with time_cap = v });
+      field "start_jitter" span (fun c -> c.start_jitter)
+        (fun c v -> { c with start_jitter = v });
+      field "initial_cwnd" number (fun c -> c.initial_cwnd)
+        (fun c v -> { c with initial_cwnd = v });
+      field "seed" decimal (fun c -> c.seed) (fun c v -> { c with seed = v });
+    ]
+
+let completion_fields =
+  let open Cp in
   [
-    ("sack", Json.Bool sack);
-    ("n_flows", Json.Int c.n_flows);
-    ("bytes_per_flow", Json.Int c.bytes_per_flow);
-    ("repeats", Json.Int c.repeats);
-    ("rate_bps", Json.Float c.rate_bps);
-    ("buffer_bytes", Json.Int c.buffer_bytes);
-    ("leaf_buffer_bytes", Json.Int c.leaf_buffer_bytes);
-    ("segment_bytes", Json.Int c.segment_bytes);
-    ("min_rto", span c.min_rto);
-    ("time_cap", span c.time_cap);
-    ("start_jitter", span c.start_jitter);
-    ("initial_cwnd", Json.Float c.initial_cwnd);
-    ("seed", seed_json c.seed);
+    field "n_flows" int (fun c -> c.n_flows)
+      (fun c v -> { c with n_flows = v });
+    field "total_bytes" int (fun c -> c.total_bytes)
+      (fun c v -> { c with total_bytes = v });
+    field "repeats" int (fun c -> c.repeats)
+      (fun c v -> { c with repeats = v });
+    field "rate_bps" number (fun c -> c.rate_bps)
+      (fun c v -> { c with rate_bps = v });
+    field "buffer_bytes" int (fun c -> c.buffer_bytes)
+      (fun c v -> { c with buffer_bytes = v });
+    field "leaf_buffer_bytes" int (fun c -> c.leaf_buffer_bytes)
+      (fun c v -> { c with leaf_buffer_bytes = v });
+    field "segment_bytes" int (fun c -> c.segment_bytes)
+      (fun c v -> { c with segment_bytes = v });
+    field "min_rto" span (fun c -> c.min_rto)
+      (fun c v -> { c with min_rto = v });
+    field "time_cap" span (fun c -> c.time_cap)
+      (fun c v -> { c with time_cap = v });
+    field "seed" decimal (fun c -> c.seed) (fun c v -> { c with seed = v });
   ]
 
-let completion_fields (c : Cp.config) =
+let dynamic_fields =
+  let open Dy in
   [
-    ("n_flows", Json.Int c.n_flows);
-    ("total_bytes", Json.Int c.total_bytes);
-    ("repeats", Json.Int c.repeats);
-    ("rate_bps", Json.Float c.rate_bps);
-    ("buffer_bytes", Json.Int c.buffer_bytes);
-    ("leaf_buffer_bytes", Json.Int c.leaf_buffer_bytes);
-    ("segment_bytes", Json.Int c.segment_bytes);
-    ("min_rto", span c.min_rto);
-    ("time_cap", span c.time_cap);
-    ("seed", seed_json c.seed);
+    field "background_flows" int (fun c -> c.background_flows)
+      (fun c v -> { c with background_flows = v });
+    field "short_senders" int (fun c -> c.short_senders)
+      (fun c v -> { c with short_senders = v });
+    field "arrival_rate" number (fun c -> c.arrival_rate)
+      (fun c v -> { c with arrival_rate = v });
+    field "short_flow_segments" int (fun c -> c.short_flow_segments)
+      (fun c v -> { c with short_flow_segments = v });
+    field "duration" span (fun c -> c.duration)
+      (fun c v -> { c with duration = v });
+    field "warmup" span (fun c -> c.warmup) (fun c v -> { c with warmup = v });
+    field "drain" span (fun c -> c.drain) (fun c v -> { c with drain = v });
+    field "bottleneck_rate_bps" number (fun c -> c.bottleneck_rate_bps)
+      (fun c v -> { c with bottleneck_rate_bps = v });
+    field "rtt" span (fun c -> c.rtt) (fun c v -> { c with rtt = v });
+    field "buffer_bytes" int (fun c -> c.buffer_bytes)
+      (fun c v -> { c with buffer_bytes = v });
+    field "segment_bytes" int (fun c -> c.segment_bytes)
+      (fun c v -> { c with segment_bytes = v });
+    field "min_rto" span (fun c -> c.min_rto)
+      (fun c v -> { c with min_rto = v });
+    field "seed" decimal (fun c -> c.seed) (fun c v -> { c with seed = v });
   ]
 
-let dynamic_fields (c : Dy.config) =
+let convergence_fields =
+  let open Cv in
   [
-    ("background_flows", Json.Int c.background_flows);
-    ("short_senders", Json.Int c.short_senders);
-    ("arrival_rate", Json.Float c.arrival_rate);
-    ("short_flow_segments", Json.Int c.short_flow_segments);
-    ("duration", span c.duration);
-    ("warmup", span c.warmup);
-    ("drain", span c.drain);
-    ("bottleneck_rate_bps", Json.Float c.bottleneck_rate_bps);
-    ("rtt", span c.rtt);
-    ("buffer_bytes", Json.Int c.buffer_bytes);
-    ("segment_bytes", Json.Int c.segment_bytes);
-    ("min_rto", span c.min_rto);
-    ("seed", seed_json c.seed);
+    field "n_flows" int (fun c -> c.n_flows)
+      (fun c v -> { c with n_flows = v });
+    field "join_interval" span (fun c -> c.join_interval)
+      (fun c v -> { c with join_interval = v });
+    field "hold" span (fun c -> c.hold) (fun c v -> { c with hold = v });
+    field "sample_window" span (fun c -> c.sample_window)
+      (fun c v -> { c with sample_window = v });
+    field "bottleneck_rate_bps" number (fun c -> c.bottleneck_rate_bps)
+      (fun c v -> { c with bottleneck_rate_bps = v });
+    field "rtt" span (fun c -> c.rtt) (fun c v -> { c with rtt = v });
+    field "buffer_bytes" int (fun c -> c.buffer_bytes)
+      (fun c v -> { c with buffer_bytes = v });
+    field "segment_bytes" int (fun c -> c.segment_bytes)
+      (fun c v -> { c with segment_bytes = v });
+    field "min_rto" span (fun c -> c.min_rto)
+      (fun c v -> { c with min_rto = v });
+    field "convergence_band" number (fun c -> c.convergence_band)
+      (fun c v -> { c with convergence_band = v });
+    field "seed" decimal (fun c -> c.seed) (fun c v -> { c with seed = v });
   ]
 
-let convergence_fields (c : Cv.config) =
+let deadline_fields =
+  let open De in
+  flagged "d2tcp"
+    [
+      field "n_flows" int (fun c -> c.n_flows)
+        (fun c v -> { c with n_flows = v });
+      field "bytes_per_flow" int (fun c -> c.bytes_per_flow)
+        (fun c v -> { c with bytes_per_flow = v });
+      field "deadline" span (fun c -> c.deadline)
+        (fun c v -> { c with deadline = v });
+      field "deadline_spread" span (fun c -> c.deadline_spread)
+        (fun c v -> { c with deadline_spread = v });
+      field "repeats" int (fun c -> c.repeats)
+        (fun c v -> { c with repeats = v });
+      field "rate_bps" number (fun c -> c.rate_bps)
+        (fun c v -> { c with rate_bps = v });
+      field "buffer_bytes" int (fun c -> c.buffer_bytes)
+        (fun c v -> { c with buffer_bytes = v });
+      field "leaf_buffer_bytes" int (fun c -> c.leaf_buffer_bytes)
+        (fun c v -> { c with leaf_buffer_bytes = v });
+      field "segment_bytes" int (fun c -> c.segment_bytes)
+        (fun c v -> { c with segment_bytes = v });
+      field "min_rto" span (fun c -> c.min_rto)
+        (fun c v -> { c with min_rto = v });
+      field "start_jitter" span (fun c -> c.start_jitter)
+        (fun c v -> { c with start_jitter = v });
+      field "time_cap" span (fun c -> c.time_cap)
+        (fun c v -> { c with time_cap = v });
+      field "seed" decimal (fun c -> c.seed) (fun c v -> { c with seed = v });
+    ]
+
+let fattree_fields =
+  let open Ft in
   [
-    ("n_flows", Json.Int c.n_flows);
-    ("join_interval", span c.join_interval);
-    ("hold", span c.hold);
-    ("sample_window", span c.sample_window);
-    ("bottleneck_rate_bps", Json.Float c.bottleneck_rate_bps);
-    ("rtt", span c.rtt);
-    ("buffer_bytes", Json.Int c.buffer_bytes);
-    ("segment_bytes", Json.Int c.segment_bytes);
-    ("min_rto", span c.min_rto);
-    ("convergence_band", Json.Float c.convergence_band);
-    ("seed", seed_json c.seed);
+    field "k" int (fun c -> c.k) (fun c v -> { c with k = v });
+    field "incast_fanin" int (fun c -> c.incast_fanin)
+      (fun c v -> { c with incast_fanin = v });
+    field "incast_bytes" int (fun c -> c.incast_bytes)
+      (fun c v -> { c with incast_bytes = v });
+    field "long_flows" int (fun c -> c.long_flows)
+      (fun c v -> { c with long_flows = v });
+    field "long_bytes" int (fun c -> c.long_bytes)
+      (fun c v -> { c with long_bytes = v });
+    field "rate_bps" number (fun c -> c.rate_bps)
+      (fun c v -> { c with rate_bps = v });
+    field "link_delay" span (fun c -> c.link_delay)
+      (fun c v -> { c with link_delay = v });
+    field "queue_bytes" int (fun c -> c.queue_bytes)
+      (fun c v -> { c with queue_bytes = v });
+    field "segment_bytes" int (fun c -> c.segment_bytes)
+      (fun c v -> { c with segment_bytes = v });
+    field "min_rto" span (fun c -> c.min_rto)
+      (fun c v -> { c with min_rto = v });
+    field "time_cap" span (fun c -> c.time_cap)
+      (fun c v -> { c with time_cap = v });
+    field "start_spread" span (fun c -> c.start_spread)
+      (fun c v -> { c with start_spread = v });
+    field "initial_cwnd" number (fun c -> c.initial_cwnd)
+      (fun c v -> { c with initial_cwnd = v });
+    field "seed" decimal (fun c -> c.seed) (fun c v -> { c with seed = v });
   ]
 
-let deadline_fields (c : De.config) d2tcp =
-  [
-    ("d2tcp", Json.Bool d2tcp);
-    ("n_flows", Json.Int c.n_flows);
-    ("bytes_per_flow", Json.Int c.bytes_per_flow);
-    ("deadline", span c.deadline);
-    ("deadline_spread", span c.deadline_spread);
-    ("repeats", Json.Int c.repeats);
-    ("rate_bps", Json.Float c.rate_bps);
-    ("buffer_bytes", Json.Int c.buffer_bytes);
-    ("leaf_buffer_bytes", Json.Int c.leaf_buffer_bytes);
-    ("segment_bytes", Json.Int c.segment_bytes);
-    ("min_rto", span c.min_rto);
-    ("start_jitter", span c.start_jitter);
-    ("time_cap", span c.time_cap);
-    ("seed", seed_json c.seed);
-  ]
+let workload_to_json w =
+  let fields =
+    match w with
+    | Longlived c -> to_fields longlived_fields c
+    | Incast { config; sack } -> to_fields incast_fields (sack, config)
+    | Completion c -> to_fields completion_fields c
+    | Dynamic c -> to_fields dynamic_fields c
+    | Convergence c -> to_fields convergence_fields c
+    | Deadline { config; d2tcp } -> to_fields deadline_fields (d2tcp, config)
+    | Fattree c -> to_fields fattree_fields c
+  in
+  Json.Obj (("kind", Json.String (workload_name w)) :: fields)
 
-let fattree_fields (c : Ft.config) =
-  [
-    ("k", Json.Int c.k);
-    ("incast_fanin", Json.Int c.incast_fanin);
-    ("incast_bytes", Json.Int c.incast_bytes);
-    ("long_flows", Json.Int c.long_flows);
-    ("long_bytes", Json.Int c.long_bytes);
-    ("rate_bps", Json.Float c.rate_bps);
-    ("link_delay", span c.link_delay);
-    ("queue_bytes", Json.Int c.queue_bytes);
-    ("segment_bytes", Json.Int c.segment_bytes);
-    ("min_rto", span c.min_rto);
-    ("time_cap", span c.time_cap);
-    ("start_spread", span c.start_spread);
-    ("initial_cwnd", Json.Float c.initial_cwnd);
-    ("seed", seed_json c.seed);
-  ]
+let workload_of_json j =
+  let ( let+ ) r f = Result.map f r in
+  let* kind = Json.string prefix "kind" j in
+  match kind with
+  | "longlived" ->
+      let+ c = of_fields longlived_fields L.default_config j in
+      Longlived c
+  | "incast" ->
+      let+ sack, config = of_fields incast_fields (false, I.default_config) j in
+      Incast { config; sack }
+  | "completion" ->
+      let+ c = of_fields completion_fields Cp.default_config j in
+      Completion c
+  | "dynamic" ->
+      let+ c = of_fields dynamic_fields Dy.default_config j in
+      Dynamic c
+  | "convergence" ->
+      let+ c = of_fields convergence_fields Cv.default_config j in
+      Convergence c
+  | "deadline" ->
+      let+ d2tcp, config =
+        of_fields deadline_fields (false, De.default_config) j
+      in
+      Deadline { config; d2tcp }
+  | "fattree" ->
+      let+ c = of_fields fattree_fields Ft.default_config j in
+      Fattree c
+  | other -> Error (Printf.sprintf "%s: unknown workload %S" prefix other)
 
 let protocol_to_json p =
   let kind = ("kind", Json.String (protocol_name p)) in
@@ -246,19 +451,34 @@ let protocol_to_json p =
           ("k2_frac", Json.Float k2_frac);
         ]
 
-let workload_to_json w =
-  let kind = ("kind", Json.String (workload_name w)) in
-  let fields =
-    match w with
-    | Longlived c -> longlived_fields c
-    | Incast { config; sack } -> incast_fields config sack
-    | Completion c -> completion_fields c
-    | Dynamic c -> dynamic_fields c
-    | Convergence c -> convergence_fields c
-    | Deadline { config; d2tcp } -> deadline_fields config d2tcp
-    | Fattree c -> fattree_fields c
-  in
-  Json.Obj (kind :: fields)
+let protocol_of_json j =
+  let int k = Json.int prefix k j and number k = Json.number prefix k j in
+  let* kind = Json.string prefix "kind" j in
+  match kind with
+  | "dctcp" ->
+      let* g = number "g" in
+      let* k_bytes = int "k_bytes" in
+      Ok (Dctcp { g; k_bytes })
+  | "dt-dctcp" ->
+      let* g = number "g" in
+      let* k1_bytes = int "k1_bytes" in
+      let* k2_bytes = int "k2_bytes" in
+      Ok (Dt_dctcp { g; k1_bytes; k2_bytes })
+  | "reno" -> Ok Reno
+  | "ecn-reno" ->
+      let* k_bytes = int "k_bytes" in
+      Ok (Ecn_reno { k_bytes })
+  | "newreno" -> Ok Newreno
+  | "dctcp-scaled" ->
+      let* g = number "g" in
+      let* k_frac = number "k_frac" in
+      Ok (Dctcp_scaled { g; k_frac })
+  | "dt-dctcp-scaled" ->
+      let* g = number "g" in
+      let* k1_frac = number "k1_frac" in
+      let* k2_frac = number "k2_frac" in
+      Ok (Dt_dctcp_scaled { g; k1_frac; k2_frac })
+  | other -> Error (Printf.sprintf "%s: unknown protocol %S" prefix other)
 
 let buffer_to_json = function
   | Net.Buffer_mgr.Static -> None
@@ -266,6 +486,15 @@ let buffer_to_json = function
       Some
         (Json.Obj
            [ ("pool_bytes", Json.Int pool_bytes); ("alpha", Json.Float alpha) ])
+
+let buffer_of_json j =
+  let* pool_bytes = Json.int prefix "pool_bytes" j in
+  let* alpha = Json.number prefix "alpha" j in
+  if pool_bytes <= 0 then
+    Error "Spec.of_json: buffer pool_bytes must be positive"
+  else if not (alpha >= 1. /. 1024.) then
+    Error "Spec.of_json: buffer alpha must be >= 1/1024"
+  else Ok (Net.Buffer_mgr.Dynamic_threshold { pool_bytes; alpha })
 
 let to_json t =
   (* The "faults" and "buffer" keys are omitted (not null) when at their
@@ -290,334 +519,11 @@ let to_json t =
 
 let to_string t = Json.to_string (to_json t)
 
-(* --- JSON decoding --- *)
-
-let ( let* ) = Result.bind
-
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "Spec.of_json: missing field %S" name)
-
-let wrong name got =
-  Error (Printf.sprintf "Spec.of_json: field %S is not a %s" name got)
-
-let int_field name j =
-  let* v = field name j in
-  match v with Json.Int i -> Ok i | _ -> wrong name "int"
-
-let float_field name j =
-  let* v = field name j in
-  match v with
-  | Json.Float f -> Ok f
-  | Json.Int i -> Ok (float_of_int i)
-  | _ -> wrong name "number"
-
-let bool_field name j =
-  let* v = field name j in
-  match v with Json.Bool b -> Ok b | _ -> wrong name "bool"
-
-let string_field name j =
-  let* v = field name j in
-  match v with Json.String s -> Ok s | _ -> wrong name "string"
-
-let span_field name j =
-  let* i = int_field name j in
-  Ok (Int64.of_int i)
-
-let span_opt_field name j =
-  let* v = field name j in
-  match v with
-  | Json.Null -> Ok None
-  | Json.Int i -> Ok (Some (Int64.of_int i))
-  | _ -> wrong name "int or null"
-
-let seed_field name j =
-  let* v = field name j in
-  match v with
-  | Json.String s -> (
-      match Int64.of_string_opt s with
-      | Some i -> Ok i
-      | None -> wrong name "decimal int64 string")
-  | Json.Int i -> Ok (Int64.of_int i)
-  | _ -> wrong name "seed"
-
-let protocol_of_json j =
-  let* kind = string_field "kind" j in
-  match kind with
-  | "dctcp" ->
-      let* g = float_field "g" j in
-      let* k_bytes = int_field "k_bytes" j in
-      Ok (Dctcp { g; k_bytes })
-  | "dt-dctcp" ->
-      let* g = float_field "g" j in
-      let* k1_bytes = int_field "k1_bytes" j in
-      let* k2_bytes = int_field "k2_bytes" j in
-      Ok (Dt_dctcp { g; k1_bytes; k2_bytes })
-  | "reno" -> Ok Reno
-  | "ecn-reno" ->
-      let* k_bytes = int_field "k_bytes" j in
-      Ok (Ecn_reno { k_bytes })
-  | "newreno" -> Ok Newreno
-  | "dctcp-scaled" ->
-      let* g = float_field "g" j in
-      let* k_frac = float_field "k_frac" j in
-      Ok (Dctcp_scaled { g; k_frac })
-  | "dt-dctcp-scaled" ->
-      let* g = float_field "g" j in
-      let* k1_frac = float_field "k1_frac" j in
-      let* k2_frac = float_field "k2_frac" j in
-      Ok (Dt_dctcp_scaled { g; k1_frac; k2_frac })
-  | other -> Error (Printf.sprintf "Spec.of_json: unknown protocol %S" other)
-
-let longlived_of_json j =
-  let* n_flows = int_field "n_flows" j in
-  let* bottleneck_rate_bps = float_field "bottleneck_rate_bps" j in
-  let* rtt = span_field "rtt" j in
-  let* buffer_bytes = int_field "buffer_bytes" j in
-  let* segment_bytes = int_field "segment_bytes" j in
-  let* warmup = span_field "warmup" j in
-  let* measure = span_field "measure" j in
-  let* trace_sampling = span_opt_field "trace_sampling" j in
-  let* alpha_sample_period = span_field "alpha_sample_period" j in
-  let* stagger = span_field "stagger" j in
-  let* min_rto = span_field "min_rto" j in
-  let* seed = seed_field "seed" j in
-  Ok
-    (Longlived
-       {
-         L.n_flows;
-         bottleneck_rate_bps;
-         rtt;
-         buffer_bytes;
-         segment_bytes;
-         warmup;
-         measure;
-         trace_sampling;
-         alpha_sample_period;
-         stagger;
-         min_rto;
-         seed;
-       })
-
-let incast_of_json j =
-  let* sack = bool_field "sack" j in
-  let* n_flows = int_field "n_flows" j in
-  let* bytes_per_flow = int_field "bytes_per_flow" j in
-  let* repeats = int_field "repeats" j in
-  let* rate_bps = float_field "rate_bps" j in
-  let* buffer_bytes = int_field "buffer_bytes" j in
-  let* leaf_buffer_bytes = int_field "leaf_buffer_bytes" j in
-  let* segment_bytes = int_field "segment_bytes" j in
-  let* min_rto = span_field "min_rto" j in
-  let* time_cap = span_field "time_cap" j in
-  let* start_jitter = span_field "start_jitter" j in
-  let* initial_cwnd = float_field "initial_cwnd" j in
-  let* seed = seed_field "seed" j in
-  Ok
-    (Incast
-       {
-         config =
-           {
-             I.n_flows;
-             bytes_per_flow;
-             repeats;
-             rate_bps;
-             buffer_bytes;
-             leaf_buffer_bytes;
-             segment_bytes;
-             min_rto;
-             time_cap;
-             start_jitter;
-             initial_cwnd;
-             seed;
-           };
-         sack;
-       })
-
-let completion_of_json j =
-  let* n_flows = int_field "n_flows" j in
-  let* total_bytes = int_field "total_bytes" j in
-  let* repeats = int_field "repeats" j in
-  let* rate_bps = float_field "rate_bps" j in
-  let* buffer_bytes = int_field "buffer_bytes" j in
-  let* leaf_buffer_bytes = int_field "leaf_buffer_bytes" j in
-  let* segment_bytes = int_field "segment_bytes" j in
-  let* min_rto = span_field "min_rto" j in
-  let* time_cap = span_field "time_cap" j in
-  let* seed = seed_field "seed" j in
-  Ok
-    (Completion
-       {
-         Cp.n_flows;
-         total_bytes;
-         repeats;
-         rate_bps;
-         buffer_bytes;
-         leaf_buffer_bytes;
-         segment_bytes;
-         min_rto;
-         time_cap;
-         seed;
-       })
-
-let dynamic_of_json j =
-  let* background_flows = int_field "background_flows" j in
-  let* short_senders = int_field "short_senders" j in
-  let* arrival_rate = float_field "arrival_rate" j in
-  let* short_flow_segments = int_field "short_flow_segments" j in
-  let* duration = span_field "duration" j in
-  let* warmup = span_field "warmup" j in
-  let* drain = span_field "drain" j in
-  let* bottleneck_rate_bps = float_field "bottleneck_rate_bps" j in
-  let* rtt = span_field "rtt" j in
-  let* buffer_bytes = int_field "buffer_bytes" j in
-  let* segment_bytes = int_field "segment_bytes" j in
-  let* min_rto = span_field "min_rto" j in
-  let* seed = seed_field "seed" j in
-  Ok
-    (Dynamic
-       {
-         Dy.background_flows;
-         short_senders;
-         arrival_rate;
-         short_flow_segments;
-         duration;
-         warmup;
-         drain;
-         bottleneck_rate_bps;
-         rtt;
-         buffer_bytes;
-         segment_bytes;
-         min_rto;
-         seed;
-       })
-
-let convergence_of_json j =
-  let* n_flows = int_field "n_flows" j in
-  let* join_interval = span_field "join_interval" j in
-  let* hold = span_field "hold" j in
-  let* sample_window = span_field "sample_window" j in
-  let* bottleneck_rate_bps = float_field "bottleneck_rate_bps" j in
-  let* rtt = span_field "rtt" j in
-  let* buffer_bytes = int_field "buffer_bytes" j in
-  let* segment_bytes = int_field "segment_bytes" j in
-  let* min_rto = span_field "min_rto" j in
-  let* convergence_band = float_field "convergence_band" j in
-  let* seed = seed_field "seed" j in
-  Ok
-    (Convergence
-       {
-         Cv.n_flows;
-         join_interval;
-         hold;
-         sample_window;
-         bottleneck_rate_bps;
-         rtt;
-         buffer_bytes;
-         segment_bytes;
-         min_rto;
-         convergence_band;
-         seed;
-       })
-
-let deadline_of_json j =
-  let* d2tcp = bool_field "d2tcp" j in
-  let* n_flows = int_field "n_flows" j in
-  let* bytes_per_flow = int_field "bytes_per_flow" j in
-  let* deadline = span_field "deadline" j in
-  let* deadline_spread = span_field "deadline_spread" j in
-  let* repeats = int_field "repeats" j in
-  let* rate_bps = float_field "rate_bps" j in
-  let* buffer_bytes = int_field "buffer_bytes" j in
-  let* leaf_buffer_bytes = int_field "leaf_buffer_bytes" j in
-  let* segment_bytes = int_field "segment_bytes" j in
-  let* min_rto = span_field "min_rto" j in
-  let* start_jitter = span_field "start_jitter" j in
-  let* time_cap = span_field "time_cap" j in
-  let* seed = seed_field "seed" j in
-  Ok
-    (Deadline
-       {
-         config =
-           {
-             De.n_flows;
-             bytes_per_flow;
-             deadline;
-             deadline_spread;
-             repeats;
-             rate_bps;
-             buffer_bytes;
-             leaf_buffer_bytes;
-             segment_bytes;
-             min_rto;
-             start_jitter;
-             time_cap;
-             seed;
-           };
-         d2tcp;
-       })
-
-let fattree_of_json j =
-  let* k = int_field "k" j in
-  let* incast_fanin = int_field "incast_fanin" j in
-  let* incast_bytes = int_field "incast_bytes" j in
-  let* long_flows = int_field "long_flows" j in
-  let* long_bytes = int_field "long_bytes" j in
-  let* rate_bps = float_field "rate_bps" j in
-  let* link_delay = span_field "link_delay" j in
-  let* queue_bytes = int_field "queue_bytes" j in
-  let* segment_bytes = int_field "segment_bytes" j in
-  let* min_rto = span_field "min_rto" j in
-  let* time_cap = span_field "time_cap" j in
-  let* start_spread = span_field "start_spread" j in
-  let* initial_cwnd = float_field "initial_cwnd" j in
-  let* seed = seed_field "seed" j in
-  Ok
-    (Fattree
-       {
-         Ft.k;
-         incast_fanin;
-         incast_bytes;
-         long_flows;
-         long_bytes;
-         rate_bps;
-         link_delay;
-         queue_bytes;
-         segment_bytes;
-         min_rto;
-         time_cap;
-         start_spread;
-         initial_cwnd;
-         seed;
-       })
-
-let workload_of_json j =
-  let* kind = string_field "kind" j in
-  match kind with
-  | "longlived" -> longlived_of_json j
-  | "incast" -> incast_of_json j
-  | "completion" -> completion_of_json j
-  | "dynamic" -> dynamic_of_json j
-  | "convergence" -> convergence_of_json j
-  | "deadline" -> deadline_of_json j
-  | "fattree" -> fattree_of_json j
-  | other -> Error (Printf.sprintf "Spec.of_json: unknown workload %S" other)
-
-let buffer_of_json j =
-  let* pool_bytes = int_field "pool_bytes" j in
-  let* alpha = float_field "alpha" j in
-  if pool_bytes <= 0 then
-    Error "Spec.of_json: buffer pool_bytes must be positive"
-  else if not (alpha >= 1. /. 1024.) then
-    Error "Spec.of_json: buffer alpha must be >= 1/1024"
-  else Ok (Net.Buffer_mgr.Dynamic_threshold { pool_bytes; alpha })
-
 let of_json j =
-  let* name = string_field "name" j in
-  let* pj = field "protocol" j in
+  let* name = Json.string prefix "name" j in
+  let* pj = Json.field prefix "protocol" j in
   let* protocol = protocol_of_json pj in
-  let* wj = field "workload" j in
+  let* wj = Json.field prefix "workload" j in
   let* workload = workload_of_json wj in
   let* faults =
     match Json.member "faults" j with

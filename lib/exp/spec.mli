@@ -79,8 +79,6 @@ val seed : t -> int64
 val with_seed : int64 -> t -> t
 (** Functional update of the workload seed (for repeat sweeps). *)
 
-val with_name : string -> t -> t
-
 val to_json : t -> Obs.Json.t
 (** Spans are integer nanoseconds; seeds are decimal strings (the
     {!Obs.Manifest} convention, so full-width int64 seeds survive JSON

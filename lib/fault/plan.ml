@@ -123,29 +123,18 @@ let to_json t =
       ("suppression", suppression);
     ]
 
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> err "Fault.Plan.of_json: missing field %S" name
+let prefix = "Fault.Plan.of_json"
+let field = Json.field prefix
+let float_field = Json.number prefix
 
 let span_field name j =
-  let* v = field name j in
-  match v with
-  | Json.Int n when n >= 0 -> Ok (Int64.of_int n)
-  | _ -> err "Fault.Plan.of_json: %S must be a non-negative integer (ns)" name
-
-let float_field name j =
-  let* v = field name j in
-  match v with
-  | Json.Float f -> Ok f
-  | Json.Int n -> Ok (float_of_int n)
-  | _ -> err "Fault.Plan.of_json: %S must be a number" name
+  let* n = Json.int prefix name j in
+  if n >= 0 then Ok (Int64.of_int n)
+  else err "%s: %S must be a non-negative integer (ns)" prefix name
 
 let list_field name j =
   let* v = field name j in
-  match v with
-  | Json.List l -> Ok l
-  | _ -> err "Fault.Plan.of_json: %S must be a list" name
+  match v with Json.List l -> Ok l | _ -> Json.mistyped prefix name "list"
 
 let rec map_result f = function
   | [] -> Ok []
@@ -166,18 +155,18 @@ let rate_of_json j =
   Ok { at; until; factor }
 
 let suppression_of_json j =
-  let* kind = field "kind" j in
+  let* kind = Json.string prefix "kind" j in
   match kind with
-  | Json.String "none" -> Ok Keep_marks
-  | Json.String "all" -> Ok Suppress_all
-  | Json.String "window" ->
+  | "none" -> Ok Keep_marks
+  | "all" -> Ok Suppress_all
+  | "window" ->
       let* at = span_field "at" j in
       let* until = span_field "until" j in
       Ok (Suppress_window { at; until })
-  | Json.String "prob" ->
+  | "prob" ->
       let* p = float_field "p" j in
       Ok (Suppress_prob p)
-  | _ -> err "Fault.Plan.of_json: unknown suppression kind"
+  | _ -> err "%s: unknown suppression kind" prefix
 
 let of_json j =
   let* flaps_j = list_field "flaps" j in

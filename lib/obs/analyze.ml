@@ -520,27 +520,15 @@ module Header = struct
 
   let of_json j =
     let ( let* ) = Result.bind in
-    let field name =
-      match Json.member name j with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "trace header: missing field %S" name)
-    in
-    let int name =
-      let* v = field name in
-      match v with
-      | Json.Int i -> Ok i
-      | _ ->
-          Error (Printf.sprintf "trace header: field %S is not an integer" name)
-    in
+    let prefix = "trace header" in
+    let field name = Json.field prefix name j in
+    let int name = Json.int prefix name j in
     let opt_int name =
       let* v = field name in
       match v with
       | Json.Int i -> Ok (Some i)
       | Json.Null -> Ok None
-      | _ ->
-          Error
-            (Printf.sprintf "trace header: field %S is not an integer or null"
-               name)
+      | _ -> Json.mistyped prefix name "int or null"
     in
     let* v = int "trace_header" in
     let* () =
@@ -574,7 +562,7 @@ module Header = struct
             | _ -> Error "trace header: classes must be strings"
           in
           go [] items
-      | _ -> Error "trace header: field \"classes\" is not a list"
+      | _ -> Json.mistyped prefix "classes" "list"
     in
     Ok
       {

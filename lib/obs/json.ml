@@ -272,3 +272,34 @@ let rec equal a b =
         (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && equal v1 v2)
         xs ys
   | (Null | Bool _ | Int _ | Float _ | String _ | List _ | Obj _), _ -> false
+
+(* --- typed field readers --- *)
+
+let mistyped prefix name what =
+  Error (Printf.sprintf "%s: field %S is not a %s" prefix name what)
+
+let field prefix name j =
+  match member name j with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "%s: missing field %S" prefix name)
+
+let int prefix name j =
+  Result.bind (field prefix name j) (function
+    | Int i -> Ok i
+    | _ -> mistyped prefix name "int")
+
+let number prefix name j =
+  Result.bind (field prefix name j) (function
+    | Float f -> Ok f
+    | Int i -> Ok (float_of_int i)
+    | _ -> mistyped prefix name "number")
+
+let bool prefix name j =
+  Result.bind (field prefix name j) (function
+    | Bool b -> Ok b
+    | _ -> mistyped prefix name "bool")
+
+let string prefix name j =
+  Result.bind (field prefix name j) (function
+    | String s -> Ok s
+    | _ -> mistyped prefix name "string")

@@ -47,24 +47,10 @@ let to_json m =
 
 let of_json j =
   let ( let* ) r f = Result.bind r f in
-  let field name =
-    match Json.member name j with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "manifest: missing field %S" name)
-  in
-  let str name =
-    let* v = field name in
-    match v with
-    | Json.String s -> Ok s
-    | _ -> Error (Printf.sprintf "manifest: field %S is not a string" name)
-  in
-  let num name =
-    let* v = field name in
-    match v with
-    | Json.Float f -> Ok f
-    | Json.Int i -> Ok (float_of_int i)
-    | _ -> Error (Printf.sprintf "manifest: field %S is not a number" name)
-  in
+  let prefix = "manifest" in
+  let field name = Json.field prefix name j in
+  let str name = Json.string prefix name j in
+  let num name = Json.number prefix name j in
   let* name = str "name" in
   let* seed_s = str "seed" in
   let* seed =
@@ -76,15 +62,10 @@ let of_json j =
     let* v = field "params" in
     match v with
     | Json.Obj kvs -> Ok kvs
-    | _ -> Error "manifest: field \"params\" is not an object"
+    | _ -> Json.mistyped prefix "params" "object"
   in
   let* wall_clock_s = num "wall_clock_s" in
-  let* events =
-    let* v = field "events" in
-    match v with
-    | Json.Int i -> Ok i
-    | _ -> Error "manifest: field \"events\" is not an integer"
-  in
+  let* events = Json.int prefix "events" j in
   let* events_per_s = num "events_per_s" in
   let* metrics =
     let* v = field "metrics" in
@@ -98,7 +79,7 @@ let of_json j =
               Error (Printf.sprintf "manifest: metric %S is not a number" k)
         in
         go [] kvs
-    | _ -> Error "manifest: field \"metrics\" is not an object"
+    | _ -> Json.mistyped prefix "metrics" "object"
   in
   let analysis = Json.member "analysis" j in
   Ok { name; seed; params; wall_clock_s; events; events_per_s; metrics; analysis }

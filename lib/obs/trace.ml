@@ -222,36 +222,11 @@ let record_to_json r =
 
 let record_of_json j =
   let ( let* ) = Result.bind in
-  let field name =
-    match Json.member name j with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "trace record: missing field %S" name)
-  in
-  let int name =
-    let* v = field name in
-    match v with
-    | Json.Int i -> Ok i
-    | _ -> Error (Printf.sprintf "trace record: field %S is not an integer" name)
-  in
-  let num name =
-    let* v = field name in
-    match v with
-    | Json.Float f -> Ok f
-    | Json.Int i -> Ok (float_of_int i)
-    | _ -> Error (Printf.sprintf "trace record: field %S is not a number" name)
-  in
-  let bool name =
-    let* v = field name in
-    match v with
-    | Json.Bool b -> Ok b
-    | _ -> Error (Printf.sprintf "trace record: field %S is not a boolean" name)
-  in
-  let str name =
-    let* v = field name in
-    match v with
-    | Json.String s -> Ok s
-    | _ -> Error (Printf.sprintf "trace record: field %S is not a string" name)
-  in
+  let prefix = "trace record" in
+  let int name = Json.int prefix name j in
+  let num name = Json.number prefix name j in
+  let bool name = Json.bool prefix name j in
+  let str name = Json.string prefix name j in
   let* t_ns = int "t_ns" in
   let* ev = str "event" in
   let* component = str "component" in

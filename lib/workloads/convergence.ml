@@ -42,6 +42,8 @@ let run ?faults ?(buffer = Net.Buffer_mgr.Static) (proto : Dctcp.Protocol.t)
     config =
   Workload.require_positive ~scenario:"Convergence" ~what:"flows"
     config.n_flows;
+  Workload.require_positive ~scenario:"Convergence" ~what:"sample_window (ns)"
+    (Int64.to_int config.sample_window);
   let sim = Sim.create ~seed:config.seed () in
   let injector =
     Option.map

@@ -13,7 +13,9 @@ type config = {
   hold : Engine.Time.span;
       (** Time with all flows active before departures begin (default
           500 ms). *)
-  sample_window : Engine.Time.span;  (** Goodput bins (default 10 ms). *)
+  sample_window : Engine.Time.span;
+      (** Goodput bins (default 10 ms); [run] rejects a non-positive
+          width. *)
   bottleneck_rate_bps : float;  (** Default 1 Gbps. *)
   rtt : Engine.Time.span;
   buffer_bytes : int;

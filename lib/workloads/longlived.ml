@@ -51,6 +51,8 @@ let run ?(tracer = Obs.Trace.null) ?metrics ?faults
     ?(buffer = Net.Buffer_mgr.Static) ?on_sim (proto : Dctcp.Protocol.t)
     config =
   Workload.require_positive ~scenario:"Longlived" ~what:"flows" config.n_flows;
+  Workload.require_positive ~scenario:"Longlived" ~what:"measure (ns)"
+    (Int64.to_int config.measure);
   let sim = Sim.create ~seed:config.seed () in
   (match on_sim with None -> () | Some f -> f sim);
   (* With no plan the injector is never constructed: the run is

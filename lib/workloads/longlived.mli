@@ -13,7 +13,9 @@ type config = {
   buffer_bytes : int;  (** Bottleneck buffer, default 1000 packets. *)
   segment_bytes : int;  (** Default 1500. *)
   warmup : Engine.Time.span;  (** Discarded, default 100 ms. *)
-  measure : Engine.Time.span;  (** Measured window, default 200 ms. *)
+  measure : Engine.Time.span;
+      (** Measured window, default 200 ms; [run] rejects a non-positive
+          one. *)
   trace_sampling : Engine.Time.span option;
       (** Also record a sampled queue series (for Figure 1). *)
   alpha_sample_period : Engine.Time.span;

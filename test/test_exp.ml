@@ -482,6 +482,68 @@ let test_override_type_mismatch () =
       Alcotest.(check string)
         "of_json's error" {|Spec.of_json: field "n_flows" is not a int|} e
 
+(* A value of the same JSON type that differs from [v]; [None] for the
+   "kind" tags, whose change would swap the whole variant. *)
+let bumped = function
+  | Json.Int i -> Some (Json.Int (i + 1))
+  | Json.Float f -> Some (Json.Float (f +. 1.))
+  | Json.Bool b -> Some (Json.Bool (not b))
+  | Json.Null -> Some (Json.Int 1_000)
+  | Json.String s -> (
+      match Int64.of_string_opt s with
+      | Some seed -> Some (Json.String (Int64.to_string (Int64.succ seed)))
+      | None -> None)
+  | Json.List _ | Json.Obj _ -> None
+
+(* One spec per workload kind: the defaults family plus the fat-tree
+   smoke point. *)
+let one_spec_per_kind () =
+  Option.value (Registry.select "defaults") ~default:[]
+  @ [ List.hd (Option.value (Registry.select "fig_fattree_smoke") ~default:[]) ]
+
+(* Every table entry's setter must write the field its getter reads:
+   overriding one workload leaf with a new value reads that value back
+   at the same path, and every other leaf is untouched. *)
+let test_override_each_leaf () =
+  let kinds =
+    List.map
+      (fun s -> Spec.workload_name s.Spec.workload)
+      (one_spec_per_kind ())
+  in
+  Alcotest.(check (list string))
+    "one spec per workload kind"
+    [
+      "longlived";
+      "incast";
+      "completion";
+      "deadline";
+      "dynamic";
+      "convergence";
+      "fattree";
+    ]
+    kinds;
+  List.iter
+    (fun s ->
+      let leaves = leaf_paths "" (Spec.to_json s) in
+      List.iter
+        (fun (path, v) ->
+          match bumped v with
+          | Some v' when String.starts_with ~prefix:"workload." path ->
+              let s' = override_ok s [ (path, v') ] in
+              List.iter2
+                (fun (p, old) (p', got) ->
+                  Alcotest.(check string) "same leaf order" p p';
+                  let want = if String.equal p path then v' else old in
+                  if not (Json.equal want got) then
+                    Alcotest.failf "%s: override of %s left %s = %s, want %s"
+                      s.Spec.name path p (Json.to_string got)
+                      (Json.to_string want))
+                leaves
+                (leaf_paths "" (Spec.to_json s'))
+          | _ -> ())
+        leaves)
+    (one_spec_per_kind ())
+
 (* --- registry catalogue ---------------------------------------------- *)
 
 let test_registry_catalogue () =
@@ -546,7 +608,9 @@ let test_registry_catalogue () =
 (* The defaults family is the CLI's former per-workload flag defaults as
    data: each spec must serialize exactly as the retired subcommand's
    spec did, so `dtsim sweep --name dtsim.<workload>` keeps reproducing
-   the same manifests. *)
+   the same manifests. Fat-tree, which has no default spec, is pinned
+   by its smoke point, so a key dropped from or reordered in any
+   workload's field table fails here. *)
 let test_defaults_pinned () =
   let expected =
     [
@@ -556,12 +620,12 @@ let test_defaults_pinned () =
       {|{"name":"dtsim.deadline","protocol":{"kind":"dctcp","g":0.0625,"k_bytes":32768},"workload":{"kind":"deadline","d2tcp":false,"n_flows":16,"bytes_per_flow":65536,"deadline":20000000,"deadline_spread":20000000,"repeats":20,"rate_bps":1000000000.0,"buffer_bytes":131072,"leaf_buffer_bytes":524288,"segment_bytes":1500,"min_rto":200000000,"start_jitter":300000,"time_cap":10000000000,"seed":"1"}}|};
       {|{"name":"dtsim.dynamic","protocol":{"kind":"dctcp","g":0.0625,"k_bytes":60000},"workload":{"kind":"dynamic","background_flows":2,"short_senders":32,"arrival_rate":5000.0,"short_flow_segments":14,"duration":200000000,"warmup":50000000,"drain":100000000,"bottleneck_rate_bps":10000000000.0,"rtt":100000,"buffer_bytes":1500000,"segment_bytes":1500,"min_rto":10000000,"seed":"1"}}|};
       {|{"name":"dtsim.convergence","protocol":{"kind":"dctcp","g":0.0625,"k_bytes":60000},"workload":{"kind":"convergence","n_flows":5,"join_interval":500000000,"hold":500000000,"sample_window":10000000,"bottleneck_rate_bps":1000000000.0,"rtt":100000,"buffer_bytes":750000,"segment_bytes":1500,"min_rto":10000000,"convergence_band":0.25,"seed":"1"}}|};
+      {|{"name":"fig_fattree_smoke/dctcp/k=4","protocol":{"kind":"dctcp","g":0.0625,"k_bytes":32768},"workload":{"kind":"fattree","k":4,"incast_fanin":16,"incast_bytes":16384,"long_flows":8,"long_bytes":65536,"rate_bps":1000000000.0,"link_delay":5000,"queue_bytes":131072,"segment_bytes":1500,"min_rto":10000000,"time_cap":500000000,"start_spread":1000000,"initial_cwnd":2.0,"seed":"1"}}|};
     ]
   in
   Alcotest.(check (list string))
-    "defaults = the former subcommands' default specs" expected
-    (List.map Spec.to_string
-       (Option.value (Registry.select "defaults") ~default:[]))
+    "one pinned spec per workload" expected
+    (List.map Spec.to_string (one_spec_per_kind ()))
 
 (* The buffer-manager refactor must not move any pre-existing baseline:
    every registry family except the new fig_buffer sweep stays on the
@@ -650,6 +714,36 @@ let test_failure_isolation () =
     (outcome_bitwise_eq outcomes.(0) (Runner.run_one good_a));
   Alcotest.(check bool) "good-b unperturbed" true
     (outcome_bitwise_eq outcomes.(2) (Runner.run_one good_b))
+
+(* A non-positive measurement window has no utilization or fairness to
+   report: the run must fail, naming the field, rather than print nan or
+   0 as a number. *)
+let check_run_fails name path ~scenario ~what values =
+  let base =
+    match Registry.select name with
+    | Some [ s ] -> s
+    | _ -> Alcotest.fail ("no registry spec " ^ name)
+  in
+  List.iter
+    (fun v ->
+      let spec = override_ok base [ (path, Json.Int v) ] in
+      match (Runner.run_one spec).Runner.result with
+      | Outcome.Failed { error; _ } ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s=%d" path v)
+            (Printf.sprintf "Invalid_argument(\"%s.run: need %s (got %d)\")"
+               scenario what v)
+            error
+      | Outcome.Done _ -> Alcotest.failf "%s=%d ran to Done" path v)
+    values
+
+let test_longlived_measure_positive () =
+  check_run_fails "dtsim.longlived" "workload.measure" ~scenario:"Longlived"
+    ~what:"measure (ns)" [ 0; -1_000_000 ]
+
+let test_convergence_window_positive () =
+  check_run_fails "dtsim.convergence" "workload.sample_window"
+    ~scenario:"Convergence" ~what:"sample_window (ns)" [ 0; -1 ]
 
 let test_static_run_matches_prebuffer_spec () =
   (* A spec deserialized from its pre-buffer-manager JSON form (no
@@ -772,6 +866,8 @@ let suites =
           test_override_missing_path;
         Alcotest.test_case "type mismatch is of_json's error" `Quick
           test_override_type_mismatch;
+        Alcotest.test_case "each workload leaf lands on its own field" `Quick
+          test_override_each_leaf;
         qtest prop_override_identity;
       ] );
     ( "exp.registry",
@@ -787,6 +883,10 @@ let suites =
       [
         qtest prop_parallel_identity;
         Alcotest.test_case "failure isolation" `Quick test_failure_isolation;
+        Alcotest.test_case "longlived rejects a non-positive measure" `Quick
+          test_longlived_measure_positive;
+        Alcotest.test_case "convergence rejects a non-positive sample_window"
+          `Quick test_convergence_window_positive;
         Alcotest.test_case "Static run = pre-buffer spec run" `Quick
           test_static_run_matches_prebuffer_spec;
         Alcotest.test_case "manifest reconstructs the spec" `Quick
