@@ -38,9 +38,9 @@ let tracing_overhead () =
   let untraced = tracing_scenario Obs.Trace.null in
   let ring_buf = Obs.Trace.ring ~capacity:65536 in
   let ring = tracing_scenario (Obs.Trace.create (Obs.Trace.Ring ring_buf)) in
-  let tmp = Filename.temp_file "dtsim_trace" ".csv" in
+  let tmp = Filename.temp_file "dtsim_trace" ".jsonl" in
   let oc = open_out tmp in
-  let csv = tracing_scenario (Obs.Trace.create (Obs.Trace.Csv oc)) in
+  let jsonl = tracing_scenario (Obs.Trace.create (Obs.Trace.Jsonl oc)) in
   close_out oc;
   Sys.remove tmp;
   let t =
@@ -70,7 +70,7 @@ let tracing_overhead () =
   let profiled = tracing_scenario ~profiler:prof Obs.Trace.null in
   row "null (disabled)" untraced;
   row "ring (64k records)" ring;
-  row "csv (tempfile)" csv;
+  row "jsonl (tempfile)" jsonl;
   row "self-profiler (1/32 timed)" profiled;
   Stats.Table.print t;
   Printf.printf "  profiler observed %d events, timed %d\n"
@@ -79,7 +79,7 @@ let tracing_overhead () =
   Bench_common.write_manifest ~section:"obs"
     ~wall_s:
       (untraced.Obs.Profile.wall_s +. ring.Obs.Profile.wall_s
-     +. csv.Obs.Profile.wall_s +. profiled.Obs.Profile.wall_s)
+     +. jsonl.Obs.Profile.wall_s +. profiled.Obs.Profile.wall_s)
     ~seed:7L ~events:untraced.Obs.Profile.events
     ~params:
       [
@@ -91,7 +91,7 @@ let tracing_overhead () =
       [
         ("events_per_s.null", untraced.Obs.Profile.events_per_s);
         ("events_per_s.ring", ring.Obs.Profile.events_per_s);
-        ("events_per_s.csv", csv.Obs.Profile.events_per_s);
+        ("events_per_s.jsonl", jsonl.Obs.Profile.events_per_s);
         ("events_per_s.selfprof", profiled.Obs.Profile.events_per_s);
         ( "selfprof.events_observed",
           float_of_int (Obs.Selfprof.total prof) );

@@ -5,19 +5,14 @@ let re x = { re = x; im = 0. }
 let im y = { re = 0.; im = y }
 let zero = Complex.zero
 let one = Complex.one
-let j = Complex.i
 let ( +: ) = Complex.add
-let ( -: ) = Complex.sub
 let ( *: ) = Complex.mul
 let ( /: ) = Complex.div
 let scale k z = { re = k *. z.re; im = k *. z.im }
 let neg = Complex.neg
 let inv = Complex.inv
-let conj = Complex.conj
 let exp = Complex.exp
 let modulus = Complex.norm
-let arg = Complex.arg
-let of_polar ~r ~theta = Complex.polar r theta
 
 let dist a b =
   let dr = a.re -. b.re and di = a.im -. b.im in

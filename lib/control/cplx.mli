@@ -7,25 +7,19 @@ val re : float -> t
 val im : float -> t
 val zero : t
 val one : t
-val j : t
 
 val ( +: ) : t -> t -> t
-val ( -: ) : t -> t -> t
 val ( *: ) : t -> t -> t
 val ( /: ) : t -> t -> t
 
 val scale : float -> t -> t
 val neg : t -> t
 val inv : t -> t
-val conj : t -> t
 val exp : t -> t
 val modulus : t -> float
-val arg : t -> float
-val of_polar : r:float -> theta:float -> t
 
 val dist : t -> t -> float
 (** Euclidean distance. *)
 
 val is_finite : t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

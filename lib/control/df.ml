@@ -28,7 +28,6 @@ let hysteresis ~k1 ~k2 ~x =
 let relay_relative ~k ~x = scale k (relay ~k ~x)
 let hysteresis_relative ~k1 ~k2 ~x = scale k2 (hysteresis ~k1 ~k2 ~x)
 let neg_recip n = neg (inv n)
-let relay_max_relative = 1. /. Float.pi
 
 let relay_indicator ~k ~x ~theta =
   check_k k;

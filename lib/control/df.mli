@@ -27,8 +27,9 @@ val relay : k:float -> x:float -> Cplx.t
 val hysteresis : k1:float -> k2:float -> x:float -> Cplx.t
 (** [N_dt(X)] with the piecewise extension above. Requires [0 < k1 <= k2]. *)
 
-val relay_relative : k:float -> x:float -> Cplx.t
-(** Eq. 23: [N0_dc = K * N_dc]. *)
+val relay_relative : k:float -> x:float -> Cplx.t (* dtlint: test-only: Eq. 23 *)
+(** Eq. 23: [N0_dc = K * N_dc]; its [1/pi] peak at [X = K sqrt 2] is
+    Theorem 1's [max(-1/N0_dc) = -pi] bound. *)
 
 val hysteresis_relative : k1:float -> k2:float -> x:float -> Cplx.t
 (** Eq. 28: [N0_dt = K2 * N_dt]. *)
@@ -37,9 +38,6 @@ val neg_recip : Cplx.t -> Cplx.t
 (** [-1/N]; [infinity + 0j]-free: returns a non-finite complex if [N] is
     zero (callers filter with {!Cplx.is_finite}). *)
 
-val relay_max_relative : float
-(** [max_X N0_dc(X) = 1/pi], attained at [X = K sqrt 2]; so
-    [max(-1/N0_dc) = -pi] (used by Theorem 1). *)
 
 (** {2 Numerical cross-checks} *)
 

@@ -7,11 +7,6 @@ let log_space ~lo ~hi ~n =
   Array.init n (fun i ->
       Stdlib.exp (llo +. ((lhi -. llo) *. float_of_int i /. float_of_int (n - 1))))
 
-let lin_space ~lo ~hi ~n =
-  if n < 2 then invalid_arg "Nyquist.lin_space: need n >= 2";
-  Array.init n (fun i ->
-      lo +. ((hi -. lo) *. float_of_int i /. float_of_int (n - 1)))
-
 let plant_locus params ~k0 ~w =
   Array.map (fun w -> { param = w; z = Cplx.scale k0 (Plant.g_jw params w) }) w
 
@@ -24,9 +19,6 @@ let df_locus ~df ~x =
            if Cplx.is_finite z then Some { param = x; z } else None)
   in
   Array.of_list points
-
-let relay_neg_recip_locus ~k ~x =
-  df_locus ~df:(fun x -> Df.relay_relative ~k ~x) ~x
 
 let hysteresis_neg_recip_locus ~k1 ~k2 ~x =
   df_locus ~df:(fun x -> Df.hysteresis_relative ~k1 ~k2 ~x) ~x

@@ -13,17 +13,12 @@ type point = { param : float; z : Cplx.t }
 val log_space : lo:float -> hi:float -> n:int -> float array
 (** [n] logarithmically spaced values over [lo, hi] (both > 0). *)
 
-val lin_space : lo:float -> hi:float -> n:int -> float array
-
 val plant_locus : Plant.params -> k0:float -> w:float array -> point array
 (** Samples [K0 G(jw)]. *)
 
-val relay_neg_recip_locus : k:float -> x:float array -> point array
-(** Samples [-1/N0_dc(X)]; amplitudes with zero DF are skipped. *)
-
 val hysteresis_neg_recip_locus :
   k1:float -> k2:float -> x:float array -> point array
-(** Samples [-1/N0_dt(X)]. *)
+(** Samples [-1/N0_dt(X)]; amplitudes with zero DF are skipped. *)
 
 type crossing = {
   z : Cplx.t;  (** Intersection point. *)
@@ -31,7 +26,7 @@ type crossing = {
   param_b : float;  (** Interpolated parameter on the second curve. *)
 }
 
-val segment_intersection :
+val segment_intersection : (* dtlint: test-only: parallel/touching cases *)
   Cplx.t -> Cplx.t -> Cplx.t -> Cplx.t -> (Cplx.t * float * float) option
 (** [segment_intersection p0 p1 q0 q1] is the proper intersection of the
     two closed segments with the fractional positions along each, if any

@@ -39,17 +39,16 @@ val alpha0 : params -> float
 
 (** {2 Blocks of Figure 5} *)
 
-val p_alpha : params -> Cplx.t -> Cplx.t
+val p_alpha : params -> Cplx.t -> Cplx.t (* dtlint: test-only: Eq. 13 *)
 (** Eq. 13, evaluated at [s]. *)
 
-val p_dctcp : params -> Cplx.t -> Cplx.t
-(** Eq. 15. *)
-
-val p_queue : params -> Cplx.t -> Cplx.t
+val p_queue : params -> Cplx.t -> Cplx.t (* dtlint: test-only: Eq. 14 *)
 (** Eq. 14. *)
 
-val p : params -> Cplx.t -> Cplx.t
-(** Eq. 16/17: [- p_alpha * p_dctcp * p_queue]. *)
+val p : params -> Cplx.t -> Cplx.t (* dtlint: test-only: Eq. 16/17 *)
+(** Eq. 16/17: [- p_alpha * p_dctcp * p_queue], with [p_dctcp] Eq. 15.
+    The blocks are exported so the tests can pin their DC gains and the
+    product against the closed form of Eq. 17. *)
 
 val g_jw : params -> float -> Cplx.t
 (** Eq. 18: [p] at [s = jw] with the [e^{-jw R0}] delay factor. *)

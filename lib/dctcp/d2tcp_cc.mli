@@ -24,7 +24,7 @@ type deadline_params = {
           300 us). *)
 }
 
-val default_deadline_params : deadline_params
+val default_deadline_params : deadline_params (* dtlint: test-only: base of the clamp tests *)
 
 val cc :
   ?params:deadline_params ->
@@ -37,7 +37,7 @@ val cc :
     @raise Invalid_argument if [total_segments <= 0] or the clamp bounds
     are not [0 < d_min <= d_max]. *)
 
-val imminence :
+val imminence : (* dtlint: test-only: D2TCP's d formula pinned directly *)
   params:deadline_params ->
   remaining_segments:int ->
   cwnd:float ->

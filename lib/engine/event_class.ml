@@ -13,11 +13,6 @@ let index = function
 
 let all = [| Other; Timer; Link_tx; Link_rx; Sample; Protocol; Fault |]
 
-let of_index i =
-  if i < 0 || i >= count then
-    invalid_arg (Printf.sprintf "Event_class.of_index: %d" i)
-  else all.(i)
-
 let name = function
   | Other -> "other"
   | Timer -> "timer"

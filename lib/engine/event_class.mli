@@ -24,9 +24,6 @@ val count : int
 val index : t -> int
 (** Stable dense index; {!Other} is 0 (the default tag). *)
 
-val of_index : int -> t
-(** @raise Invalid_argument when outside [0 .. count - 1]. *)
-
 val name : t -> string
 (** Stable lowercase identifier, e.g. ["link_tx"]; used in profiler
     JSON output. *)

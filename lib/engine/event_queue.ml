@@ -236,7 +236,9 @@ let release t ev =
    bearing — the classic constant relies on 32-bit truncation. *)
 let debruijn = 0x077CB531
 
-let ctz_table =
+(* Filled once at module initialisation, before any domain can exist, and
+   only read afterwards: sharing it across Exp.Runner's domains is safe. *)
+let ctz_table = (* dtlint: allow R12 *)
   let tbl = Array.make 32 0 in
   for i = 0 to 31 do
     tbl.((((1 lsl i) * debruijn) land 0xFFFFFFFF) lsr 27) <- i

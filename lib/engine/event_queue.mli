@@ -62,13 +62,13 @@ val pool_size : t -> int
     steady schedule→pop cycle keeps this constant — the observable
     effect of pooling, asserted by the allocation regression tests. *)
 
-val overdue_len : t -> int
+val overdue_len : t -> int (* dtlint: test-only: oracle tests *)
 (** Entries (live + unswept dead) in the overdue backstop heap — events
     scheduled at or before an instant the wheel has already passed.
     Always 0 under {!Sim}, which forbids scheduling in the past.
     Exposed so tests can assert which structure a trace exercised. *)
 
-val overflow_len : t -> int
+val overflow_len : t -> int (* dtlint: test-only: oracle tests *)
 (** Entries (live + unswept dead) in the far-future overflow heap —
     events beyond the wheel's 2^30 ns horizon, waiting to drain. *)
 

@@ -17,7 +17,6 @@ let create ?(capacity = 16) () =
   let capacity = pow2 (Stdlib.max capacity 1) 1 in
   { data = Array.make capacity min_int; head = 0; len = 0 }
 
-let length t = t.len
 let is_empty t = t.len = 0
 
 let grow t =
@@ -35,8 +34,6 @@ let push t x =
   t.data.((t.head + t.len) land (Array.length t.data - 1)) <- x;
   t.len <- t.len + 1
 
-let peek t = if t.len = 0 then raise Not_found else t.data.(t.head)
-
 let pop t =
   if t.len = 0 then raise Not_found;
   let x = t.data.(t.head) in
@@ -47,9 +44,3 @@ let pop t =
 let clear t =
   t.head <- 0;
   t.len <- 0
-
-let iter f t =
-  let mask = Array.length t.data - 1 in
-  for i = 0 to t.len - 1 do
-    f t.data.((t.head + i) land mask)
-  done

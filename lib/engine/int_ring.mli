@@ -13,22 +13,14 @@ val create : ?capacity:int -> unit -> t
 (** Empty ring; [capacity] (default 16, rounded up to a power of two)
     pre-sizes the backing array. *)
 
-val length : t -> int
 val is_empty : t -> bool
 
 val push : t -> int -> unit
 (** Appends at the back. Amortised O(1), allocation-free unless the
     buffer must grow. *)
 
-val peek : t -> int
-(** Front element, without removing it.
-    @raise Not_found when empty. *)
-
 val pop : t -> int
 (** Removes and returns the front element.
     @raise Not_found when empty. *)
 
-val clear : t -> unit
-
-val iter : (int -> unit) -> t -> unit
-(** Front-to-back iteration. *)
+val clear : t -> unit (* dtlint: test-only: reuse after reset *)

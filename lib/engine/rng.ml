@@ -27,7 +27,6 @@ let int t ~bound =
   let v = Int64.rem (Int64.shift_right_logical (int64 t) 1) (Int64.of_int bound) in
   Int64.to_int v
 
-let bool t = Int64.logand (int64 t) 1L = 1L
 let uniform t ~lo ~hi = lo +. ((hi -. lo) *. float t)
 
 let exponential t ~mean =
@@ -38,11 +37,3 @@ let exponential t ~mean =
 let jitter_span t ~max =
   if Int64.compare max 0L <= 0 then 0L
   else Int64.rem (Int64.shift_right_logical (int64 t) 1) (Int64.add max 1L)
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t ~bound:(i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

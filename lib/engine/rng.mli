@@ -21,9 +21,7 @@ val float : t -> float
 val int : t -> bound:int -> int
 (** Uniform in [0, bound). @raise Invalid_argument if [bound <= 0]. *)
 
-val bool : t -> bool
-
-val uniform : t -> lo:float -> hi:float -> float
+val uniform : t -> lo:float -> hi:float -> float (* dtlint: test-only: fixture draws *)
 (** Uniform in [lo, hi). *)
 
 val exponential : t -> mean:float -> float
@@ -31,6 +29,3 @@ val exponential : t -> mean:float -> float
 
 val jitter_span : t -> max:Time.span -> Time.span
 (** Uniform duration in [0, max]. Used to de-synchronise flow starts. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

@@ -131,5 +131,3 @@ let clear_profiler t =
   t.profiling <- false;
   t.prof_before <- noop_cls;
   t.prof_after <- noop_cls
-
-let profiling t = t.profiling

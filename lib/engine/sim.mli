@@ -76,7 +76,7 @@ val cancel : t -> event_id -> unit
     the live ones the heap is compacted in O(n), so cancel-heavy runs
     (rearmed retransmission timers) do not accumulate dead weight. *)
 
-val step : t -> bool
+val step : t -> bool (* dtlint: test-only: single-stepping tests *)
 (** Runs the next event, advancing the clock. Returns [false] if the queue
     was empty. *)
 
@@ -88,10 +88,10 @@ val run : ?until:Time.t -> t -> unit
 val events_processed : t -> int
 (** Number of events executed so far (cancelled events are not counted). *)
 
-val pending : t -> int
+val pending : t -> int (* dtlint: test-only: reclaim tests *)
 (** Number of scheduled, not-yet-fired, not-cancelled events. *)
 
-val heap_size : t -> int
+val heap_size : t -> int (* dtlint: test-only: reclaim tests *)
 (** Current queue occupancy: [pending] plus cancelled backstop-heap
     events not yet swept (wheel-resident cancels recycle immediately).
     Exposed for the reclaim tests and as a memory gauge. *)
@@ -103,7 +103,7 @@ val heap_high_water : t -> int
     cancelled entries are an implementation detail of the backstop
     heaps and no longer inflate this metric. *)
 
-val event_pool_size : t -> int
+val event_pool_size : t -> int (* dtlint: test-only: allocation tests *)
 (** Number of event records the engine has ever allocated (the event
     pool's footprint). Stays constant across steady schedule→fire
     cycles; exposed for the allocation regression tests. *)
@@ -121,8 +121,5 @@ val set_profiler :
     measured in [bench perf]). At most one profiler is installed;
     setting replaces the previous one. *)
 
-val clear_profiler : t -> unit
+val clear_profiler : t -> unit (* dtlint: test-only: fast-path tests *)
 (** Remove the profiler hooks, restoring the single-branch fast path. *)
-
-val profiling : t -> bool
-(** Whether a profiler hook pair is currently installed. *)

@@ -38,20 +38,13 @@ let of_us us = of_sec (us *. 1e-6)
 let of_ms ms = of_sec (ms *. 1e-3)
 let add t d = t + Int64.to_int d
 let diff a b = Int64.of_int (a - b)
-let compare = Int.compare
-let equal = Int.equal
 let ( <= ) (a : t) b = a <= b
 let ( < ) (a : t) b = a < b
-let ( >= ) (a : t) b = a >= b
-let ( > ) (a : t) b = a > b
 let min (a : t) b = if a <= b then a else b
-let max (a : t) b = if a >= b then a else b
 
-let pp ppf t =
+let to_string t =
   let ns = float_of_int t in
-  if Stdlib.( < ) ns 1e3 then Format.fprintf ppf "%.0fns" ns
-  else if Stdlib.( < ) ns 1e6 then Format.fprintf ppf "%.3fus" (ns /. 1e3)
-  else if Stdlib.( < ) ns 1e9 then Format.fprintf ppf "%.3fms" (ns /. 1e6)
-  else Format.fprintf ppf "%.6fs" (ns /. 1e9)
-
-let to_string t = Format.asprintf "%a" pp t
+  if Stdlib.( < ) ns 1e3 then Printf.sprintf "%.0fns" ns
+  else if Stdlib.( < ) ns 1e6 then Printf.sprintf "%.3fus" (ns /. 1e3)
+  else if Stdlib.( < ) ns 1e9 then Printf.sprintf "%.3fms" (ns /. 1e6)
+  else Printf.sprintf "%.6fs" (ns /. 1e9)

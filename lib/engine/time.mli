@@ -58,17 +58,9 @@ val span_of_us : float -> span
 val span_of_ms : float -> span
 val span_to_sec : span -> float
 
-val compare : t -> t -> int
-val equal : t -> t -> bool
 val ( <= ) : t -> t -> bool
 val ( < ) : t -> t -> bool
-val ( >= ) : t -> t -> bool
-val ( > ) : t -> t -> bool
-
 val min : t -> t -> t
-val max : t -> t -> t
-
-val pp : Format.formatter -> t -> unit
-(** Prints with an adaptive unit (ns/us/ms/s). *)
 
 val to_string : t -> string
+(** Prints with an adaptive unit (ns/us/ms/s). *)

@@ -37,12 +37,11 @@ let cancel t =
 
 let cls_timer = Event_class.index Event_class.Timer
 
-let set_at t ~at =
+let set t ~after =
+  let at = Time.add (Sim.now t.sim) after in
   cancel t;
   t.ev <- Sim.schedule_at_cls t.sim at ~cls:cls_timer t.fire;
   t.armed <- true;
   t.at <- at
-
-let set t ~after = set_at t ~at:(Time.add (Sim.now t.sim) after)
 let is_pending t = t.armed
 let deadline t = if t.armed then Some t.at else None

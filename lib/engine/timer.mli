@@ -12,13 +12,10 @@ val create : Sim.t -> action:(unit -> unit) -> t
 val set : t -> after:Time.span -> unit
 (** Arms (or re-arms) the timer to fire [after] from now. *)
 
-val set_at : t -> at:Time.t -> unit
-(** Arms (or re-arms) the timer to fire at an absolute instant. *)
-
 val cancel : t -> unit
 (** Disarms the timer; no-op if idle. *)
 
 val is_pending : t -> bool
 
-val deadline : t -> Time.t option
+val deadline : t -> Time.t option (* dtlint: test-only: re-arm tests *)
 (** Instant at which the timer will fire, if armed. *)

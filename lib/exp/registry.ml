@@ -14,6 +14,10 @@ let sim_dctcp = Spec.Dctcp { g; k_bytes = 40 * 1500 }
 let sim_dt = Spec.Dt_dctcp { g; k1_bytes = 30 * 1500; k2_bytes = 50 * 1500 }
 let sim_ecn_reno = Spec.Ecn_reno { k_bytes = 40 * 1500 }
 let sim_reno = Spec.Reno
+
+(* Testbed sections (Section VI-B): K = 32 KB at 1 Gbps, and the
+   (start, stop) splits (28, 34), (30, 34) and the literal "thermostat"
+   reading (34, 28) KB of ablation E. *)
 let testbed_dctcp = Spec.Dctcp { g; k_bytes = 32 * 1024 }
 
 let testbed_dt_a =
@@ -304,6 +308,9 @@ let convergence_specs ?(join_interval = Time.span_of_ms 400.)
 
 let bdp_bytes = 125_000
 let buffer_pool_sizes = [ 10_000; 62_500; 125_000; 250_000; 1_000_000 ]
+
+(* Dynamic-Threshold alphas; DCTCP marks at K = 0.25 x the effective
+   limit, DT-DCTCP's band sits at (0.20, 0.30) x the limit. *)
 let buffer_alphas = [ 0.5; 1.0; 2.0 ]
 let scaled_dctcp = Spec.Dctcp_scaled { g; k_frac = 0.25 }
 let scaled_dt = Spec.Dt_dctcp_scaled { g; k1_frac = 0.2; k2_frac = 0.3 }

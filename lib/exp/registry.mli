@@ -12,23 +12,9 @@ val sim_dctcp : Spec.protocol
 (** Simulation sections: K = 40 pkt, g = 1/16 (Section VI-A). *)
 
 val sim_dt : Spec.protocol
-(** DT-DCTCP split (K1, K2) = (30, 50) pkt. *)
-
-val sim_ecn_reno : Spec.protocol
-
-val sim_reno : Spec.protocol
-
-val testbed_dctcp : Spec.protocol
-(** Testbed sections: K = 32 KB at 1 Gbps (Section VI-B). *)
-
-val testbed_dt_a : Spec.protocol
-(** (start, stop) = (28, 34) KB. *)
-
-val testbed_dt_b : Spec.protocol
-(** (start, stop) = (30, 34) KB. *)
-
-val testbed_dt_swapped : Spec.protocol
-(** The literal "thermostat" reading (34, 28) KB — ablation E. *)
+(** DT-DCTCP split (K1, K2) = (30, 50) pkt. The testbed points of
+    Section VI-B (K = 32 KB; (start, stop) = (28, 34), (30, 34) and the
+    swapped (34, 28) KB of ablation E) stay inside the registry. *)
 
 (** {2 Sweep builders} *)
 
@@ -107,16 +93,6 @@ val bdp_bytes : int
 val buffer_pool_sizes : int list
 (** Default pool sweep, from under 0.1 BDP (10 KB) to deep (8 BDP). *)
 
-val buffer_alphas : float list
-(** Dynamic-Threshold alpha settings (0.5, 1, 2). *)
-
-val scaled_dctcp : Spec.protocol
-(** DCTCP marking at K = 0.25 x effective limit. *)
-
-val scaled_dt : Spec.protocol
-(** DT-DCTCP with the hysteresis band at (0.20, 0.30) x effective
-    limit. *)
-
 val buffer_protocols : (string * Spec.protocol) list
 (** Slugged protocol points of the buffer study: the two scaled ECN
     transports plus loss-based NewReno. *)
@@ -143,17 +119,6 @@ val fattree_ks : int list
 (** Default arity sweep: k = 4 (16 hosts) and k = 8 (128 hosts,
     1040 flows). *)
 
-val fattree_config :
-  ?incast_bytes:int ->
-  ?long_bytes:int ->
-  ?time_cap:Engine.Time.span ->
-  k:int ->
-  unit ->
-  Workloads.Fattree.config
-(** Fabric point at arity [k]: incast fan-in [4k] per rack victim and
-    [2k] cross-pod long flows (the knobs bench --quick shrinks are the
-    transfer sizes and the cap). *)
-
 val fig_fattree_specs :
   ?ks:int list ->
   ?incast_bytes:int ->
@@ -161,12 +126,6 @@ val fig_fattree_specs :
   ?time_cap:Engine.Time.span ->
   unit ->
   Spec.t list
-
-val fattree_smoke_specs : unit -> Spec.t list
-(** Sub-minute k=4 fabric slice for CI. *)
-
-val smoke_specs : unit -> Spec.t list
-(** Fast cross-workload slice covering every workload variant. *)
 
 (** {2 Robustness sweeps}
 
@@ -202,9 +161,6 @@ val robust_suppress_specs :
   unit ->
   Spec.t list
 (** Stability vs flow count when the switch drops half its ECN marks. *)
-
-val robust_smoke_specs : unit -> Spec.t list
-(** Sub-minute faulted slice for CI: loss, flap, suppression, jitter. *)
 
 (** {2 Lookup} *)
 

@@ -33,10 +33,6 @@ type t = {
   buffer : Net.Buffer_mgr.config;
 }
 
-let make ?faults ?(buffer = Net.Buffer_mgr.Static) ~name ~protocol ~workload
-    () =
-  { name; protocol; workload; faults; buffer }
-
 let protocol_name = function
   | Dctcp _ -> "dctcp"
   | Dt_dctcp _ -> "dt-dctcp"
@@ -517,8 +513,6 @@ let to_json t =
   | None -> Json.Obj base
   | Some bj -> Json.Obj (base @ [ ("buffer", bj) ])
 
-let to_string t = Json.to_string (to_json t)
-
 let of_json j =
   let* name = Json.string prefix "name" j in
   let* pj = Json.field prefix "protocol" j in
@@ -538,10 +532,6 @@ let of_json j =
     | Some bj -> buffer_of_json bj
   in
   Ok { name; protocol; workload; faults; buffer }
-
-let of_string s =
-  let* j = Json.parse s in
-  of_json j
 
 (* --- overrides ---
 

@@ -52,16 +52,6 @@ type t = {
           with one shared pool. *)
 }
 
-val make :
-  ?faults:Fault.Plan.t ->
-  ?buffer:Net.Buffer_mgr.config ->
-  name:string ->
-  protocol:protocol ->
-  workload:workload ->
-  unit ->
-  t
-(** [buffer] defaults to {!Net.Buffer_mgr.Static}. *)
-
 val protocol_name : protocol -> string
 (** Stable identifier, also the JSON [kind] tag: ["dctcp"],
     ["dt-dctcp"], ["reno"], ["ecn-reno"], ["newreno"], ["dctcp-scaled"],
@@ -90,11 +80,6 @@ val of_json : Obs.Json.t -> (t, string) result
     filling defaults. The exceptions are ["faults"] (absence means
     {!t.faults}[ = None]) and ["buffer"] (absence means [Static]) —
     older specs predate both fields. *)
-
-val to_string : t -> string
-
-val of_string : string -> (t, string) result
-(** [of_json] composed with {!Obs.Json.parse}. *)
 
 val override : t -> (string * Obs.Json.t) list -> (t, string) result
 (** [override t sets] replaces, in order, the value at each dotted path

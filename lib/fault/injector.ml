@@ -16,18 +16,16 @@ type t = {
   tracer : Trace.t;
   component : string;
   mutable link_downs : int;
-  mutable link_ups : int;
   mutable pkts_lost : int;
   mutable pkts_delayed : int;
   mutable marks_suppressed : int;
   mutable rate_changes : int;
 }
 
-let create sim ~plan ~seed ?(tracer = Trace.null) ?metrics
-    ?(component = "fault") () =
+let create sim ~plan ~seed ?(tracer = Trace.null) ?metrics ~component () =
   (match Plan.validate plan with
   | Ok () -> ()
-  | Error msg -> invalid_arg ("Fault.Injector.create: " ^ msg));
+  | Error msg -> invalid_arg ("Fault.Injector.install: " ^ msg));
   let t =
     {
       sim;
@@ -36,7 +34,6 @@ let create sim ~plan ~seed ?(tracer = Trace.null) ?metrics
       tracer;
       component;
       link_downs = 0;
-      link_ups = 0;
       pkts_lost = 0;
       pkts_delayed = 0;
       marks_suppressed = 0;
@@ -78,7 +75,6 @@ let attach t ~port =
       ignore
         (Sim.schedule_after_cls t.sim up_at ~cls:cls_fault (fun () ->
              Net.Port.set_up port true;
-             t.link_ups <- t.link_ups + 1;
              emit t (Trace.Link_up { occ_bytes = occ () }))))
     t.plan.Plan.flaps;
   let base_rate = Net.Port.rate_bps port in
@@ -142,9 +138,9 @@ let wrap_marking t marking =
       in
       Net.Marking.suppress ~active ~on_suppress marking
 
-let link_downs t = t.link_downs
-let link_ups t = t.link_ups
-let pkts_lost t = t.pkts_lost
-let pkts_delayed t = t.pkts_delayed
-let marks_suppressed t = t.marks_suppressed
-let rate_changes t = t.rate_changes
+let install sim faults ~seed ?tracer ?metrics ~component marking =
+  match faults with
+  | None -> (marking, fun _ -> ())
+  | Some plan ->
+      let t = create sim ~plan ~seed ?tracer ?metrics ~component () in
+      (wrap_marking t marking, fun port -> attach t ~port)

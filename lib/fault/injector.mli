@@ -11,39 +11,32 @@
 
     Typed [Obs.Trace] events ([Link_down] / [Link_up] / [Pkt_lost] /
     [Mark_suppressed] / [Rate_changed]) are emitted as faults fire, and
-    [fault.*] probes are registered when [metrics] is given. *)
+    [fault.*] counter probes are registered when [metrics] is given. *)
 
-type t
-
-val create :
+val install :
   Engine.Sim.t ->
-  plan:Plan.t ->
+  Plan.t option ->
   seed:int64 ->
   ?tracer:Obs.Trace.t ->
   ?metrics:Obs.Metrics.t ->
-  ?component:string ->
-  unit ->
-  t
-(** [seed] is the scenario's spec seed; the injector derives its own
-    stream from it. [component] (default ["fault"]) labels trace events.
+  component:string ->
+  Net.Marking.t ->
+  Net.Marking.t * (Net.Port.t -> unit)
+(** [install sim faults ~seed ~component marking] is the one way a
+    scenario takes faults: it returns the marking policy to build the
+    bottleneck with and the function that attaches the plan to the
+    bottleneck port once the topology exists.
+
+    With [None] no injector is constructed: [marking] comes back as is
+    and attaching does nothing, so the run is event-for-event the one
+    the scenario produced before fault injection existed.
+
+    With [Some plan]: [seed] is the scenario's spec seed (the injector
+    derives its own stream from it), [component] labels trace events,
+    and the [fault.*] counters become probes of [metrics]. The marking
+    gets the plan's ECN-mark suppression; attaching schedules the plan's
+    flaps and rate changes against the port (spans relative to the
+    current instant, normally simulation start) and installs the
+    loss/jitter delivery hook if either channel is enabled. Attach once,
+    on the scenario's bottleneck port.
     @raise Invalid_argument if {!Plan.validate} rejects the plan. *)
-
-val attach : t -> port:Net.Port.t -> unit
-(** Schedule the plan's flaps and rate changes against [port] (spans
-    relative to the current instant, normally simulation start) and
-    install the loss/jitter delivery hook if either channel is enabled.
-    Call once, on the scenario's bottleneck port. *)
-
-val wrap_marking : t -> Net.Marking.t -> Net.Marking.t
-(** Apply the plan's ECN-mark suppression around a marking policy; the
-    identity when the plan keeps marks. Window spans are relative to the
-    current instant. *)
-
-(** {2 Counters} (also exported as [fault.*] metric probes) *)
-
-val link_downs : t -> int
-val link_ups : t -> int
-val pkts_lost : t -> int
-val pkts_delayed : t -> int
-val marks_suppressed : t -> int
-val rate_changes : t -> int

@@ -181,5 +181,4 @@ let of_json j =
   let* () = validate t in
   Ok t
 
-let equal a b = Json.equal (to_json a) (to_json b)
 let to_string t = Json.to_string (to_json t)

@@ -50,7 +50,4 @@ val to_json : t -> Obs.Json.t
 val of_json : Obs.Json.t -> (t, string) result
 (** Strict: missing or mistyped fields and invalid plans are errors. *)
 
-val equal : t -> t -> bool
-(** Structural equality via the JSON image (floats by bit pattern). *)
-
 val to_string : t -> string

@@ -54,10 +54,10 @@ val make :
     @raise Invalid_argument on non-positive [n], [c], [r0], [g] outside
     (0,1], or negative thresholds. *)
 
-val w0 : params -> float
+val w0 : params -> float (* dtlint: test-only: equilibrium oracle *)
 (** Equilibrium window [R0 C / N]. *)
 
-val alpha0 : params -> float
+val alpha0 : params -> float (* dtlint: test-only: equilibrium oracle *)
 (** Equilibrium marking estimate [sqrt (2 / W0)] (capped at 1). *)
 
 type trajectory = {

@@ -15,7 +15,7 @@ type t = {
   mean : float;  (** Mean level the signal oscillates about. *)
 }
 
-val measure :
+val measure : (* dtlint: test-only: pinned on synthetic signals *)
   times:float array -> values:float array -> discard:float -> t option
 (** Measures the steady oscillation of [values] after dropping the first
     [discard] seconds. Cycles are delimited by upward crossings of the

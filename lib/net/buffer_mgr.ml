@@ -26,14 +26,6 @@ type port = {
   mutable occ : int;
 }
 
-let config_equal a b =
-  match (a, b) with
-  | Static, Static -> true
-  | ( Dynamic_threshold { pool_bytes = b1; alpha = a1 },
-      Dynamic_threshold { pool_bytes = b2; alpha = a2 } ) ->
-      b1 = b2 && Int64.bits_of_float a1 = Int64.bits_of_float a2
-  | Static, Dynamic_threshold _ | Dynamic_threshold _, Static -> false
-
 let solo ~capacity_bytes =
   if capacity_bytes <= 0 then
     invalid_arg "Buffer_mgr.solo: capacity must be positive";
@@ -93,7 +85,7 @@ let admit t size =
         false
       end
 
-(* Hot path (called from Queue_disc.dequeue): return [size] bytes. *)
+(* Hot path (called from Queue_disc.dequeue_exn): return [size] bytes. *)
 let release t size =
   t.occ <- t.occ - size;
   match t.pool with None -> () | Some p -> p.used <- p.used - size
@@ -112,11 +104,7 @@ let poll_high_water t =
       else -1
 
 let occupancy t = t.occ
-let capacity t = t.capacity
 let pool_used t = match t.pool with None -> t.occ | Some p -> p.used
-
-let pool_size t =
-  match t.pool with None -> t.capacity | Some p -> p.size
 
 let pool_rejects t = match t.pool with None -> 0 | Some p -> p.rejects
 

@@ -25,10 +25,6 @@ type pool
 type port
 (** A queue disc's admission handle (private buffer or pool slice). *)
 
-val config_equal : config -> config -> bool
-(** Structural equality; [alpha] compared by bit pattern (specs with NaN
-    alphas never validate, so this is only about -0. vs 0. pedantry). *)
-
 val solo : capacity_bytes:int -> port
 (** A private fixed-capacity buffer: admit while
     [occupancy + size <= capacity_bytes].
@@ -66,14 +62,9 @@ val poll_high_water : port -> int
 val occupancy : port -> int
 (** Bytes currently charged to this port. *)
 
-val capacity : port -> int
-(** Static capacity (solo) or pool size (shared): the largest value
-    {!effective_limit} can take. *)
-
 val pool_used : port -> int
 (** Total bytes in the pool across all ports (solo: own occupancy). *)
 
-val pool_size : port -> int
 val pool_rejects : port -> int
 val pool_high_water : port -> int
 

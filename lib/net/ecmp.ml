@@ -41,6 +41,3 @@ let hash g ~src ~dst ~flow =
 
 let select g ~src ~dst ~flow =
   g.ports.(hash g ~src ~dst ~flow mod Array.length g.ports)
-
-let width g = Array.length g.ports
-let ports g = Array.copy g.ports

@@ -24,12 +24,3 @@ val select : group -> src:int -> dst:int -> flow:int -> int
 (** The port (an element of the group's port set) this flow takes. Pure:
     depends only on the group and the three ids. *)
 
-val hash : group -> src:int -> dst:int -> flow:int -> int
-(** The underlying non-negative hash value ([select] is
-    [ports.(hash mod width)]); exposed for property tests. *)
-
-val width : group -> int
-(** Number of ports in the set. *)
-
-val ports : group -> int array
-(** A copy of the port set, in construction order. *)

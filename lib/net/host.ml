@@ -1,5 +1,4 @@
 type t = {
-  sim : Engine.Sim.t;
   st : Packet.store;
   id : int;
   mutable nic : Port.t option;
@@ -10,31 +9,26 @@ type t = {
      would box every bound handler lookup. *)
   mutable handlers : (Packet.t -> unit) array;
   unbound : Packet.t -> unit;
-  mutable unclaimed : int;
 }
 
 let create sim ~id =
   let st = Packet.store_of sim in
   let rec t =
     {
-      sim;
       st;
       id;
       nic = None;
       handlers = [||];
       unbound;
-      unclaimed = 0;
     }
   and unbound pkt =
     (* No transport claimed this flow: the host consumes the packet. *)
-    Packet.free t.st pkt;
-    t.unclaimed <- t.unclaimed + 1
+    Packet.free t.st pkt
   in
   t.handlers <- Array.make 16 unbound;
   t
 
 let id t = t.id
-let sim t = t.sim
 
 let attach_nic t port =
   match t.nic with
@@ -73,4 +67,3 @@ let unbind_flow t ~flow =
   if flow >= 0 && flow < Array.length t.handlers then
     t.handlers.(flow) <- t.unbound
 
-let unclaimed t = t.unclaimed

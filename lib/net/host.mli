@@ -8,12 +8,11 @@ type t
 val create : Engine.Sim.t -> id:int -> t
 
 val id : t -> int
-val sim : t -> Engine.Sim.t
 
 val attach_nic : t -> Port.t -> unit
 (** Wires the host's uplink. @raise Invalid_argument if already wired. *)
 
-val nic : t -> Port.t
+val nic : t -> Port.t (* dtlint: test-only: port probes *)
 (** @raise Invalid_argument if no NIC is attached yet. *)
 
 val send : t -> Packet.t -> unit
@@ -28,6 +27,3 @@ val bind_flow : t -> flow:int -> (Packet.t -> unit) -> unit
 (** @raise Invalid_argument if the flow is already bound. *)
 
 val unbind_flow : t -> flow:int -> unit
-
-val unclaimed : t -> int
-(** Packets that arrived with no handler. *)

@@ -13,7 +13,7 @@ let make ~name ?(on_limit = no_limit) ~on_enqueue ~on_dequeue () =
 let suppress ~active ~on_suppress inner =
   let on_enqueue ~bytes ~packets =
     (* Always consult the inner policy first: stateful markers (DT-DCTCP
-       hysteresis, RED's EWMA) must keep observing the queue even while
+       hysteresis) must keep observing the queue even while
        their verdicts are being discarded — a degraded switch loses the
        marks, not the marker's state. *)
     let mark = inner.on_enqueue ~bytes ~packets in
@@ -35,44 +35,3 @@ let none () =
     ~on_enqueue:(fun ~bytes:_ ~packets:_ -> false)
     ~on_dequeue:(fun ~bytes:_ ~packets:_ -> ())
     ()
-
-let red ?rng ~min_th_bytes ~max_th_bytes ~max_p ~weight ~avg_pkt_size () =
-  if max_th_bytes <= min_th_bytes then
-    invalid_arg "Marking.red: max_th <= min_th";
-  if max_p <= 0. || max_p > 1. then invalid_arg "Marking.red: bad max_p";
-  if weight <= 0. || weight > 1. then invalid_arg "Marking.red: bad weight";
-  ignore avg_pkt_size;
-  let avg = ref 0. in
-  let count_since_mark = ref (-1) in
-  let on_enqueue ~bytes ~packets:_ =
-    avg := ((1. -. weight) *. !avg) +. (weight *. float_of_int bytes);
-    if !avg < float_of_int min_th_bytes then begin
-      count_since_mark := -1;
-      false
-    end
-    else if !avg >= float_of_int max_th_bytes then begin
-      count_since_mark := 0;
-      true
-    end
-    else begin
-      incr count_since_mark;
-      let pb =
-        max_p
-        *. (!avg -. float_of_int min_th_bytes)
-        /. float_of_int (max_th_bytes - min_th_bytes)
-      in
-      let pa =
-        let denom = 1. -. (float_of_int !count_since_mark *. pb) in
-        if denom <= 0. then 1. else pb /. denom
-      in
-      let mark =
-        match rng with
-        | Some rng -> Engine.Rng.float rng < pa
-        | None -> pa > 0.5
-      in
-      if mark then count_since_mark := 0;
-      mark
-    end
-  in
-  let on_dequeue ~bytes:_ ~packets:_ = () in
-  make ~name:"red" ~on_enqueue ~on_dequeue ()

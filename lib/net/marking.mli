@@ -5,10 +5,9 @@
     policies with hysteresis can observe queue descents). Policies are
     stateful; create one instance per queue.
 
-    The network layer ships the trivial {!none} policy and the classic RED
-    marker used as an extra baseline; the paper's single-threshold (DCTCP)
-    and double-threshold (DT-DCTCP) policies live in [lib/dctcp] and are
-    built with {!make}. *)
+    The network layer ships only the trivial {!none} policy; the paper's
+    single-threshold (DCTCP) and double-threshold (DT-DCTCP) policies
+    live in [lib/dctcp] and are built with {!make}. *)
 
 type t = {
   name : string;
@@ -52,18 +51,3 @@ val suppress :
     asks for a mark while [active ()] holds, the mark is discarded and
     [on_suppress] is invoked with the occupancy instead. Models a
     non-ECN or mark-dropping switch without disturbing the marker. *)
-
-val red :
-  ?rng:Engine.Rng.t ->
-  min_th_bytes:int ->
-  max_th_bytes:int ->
-  max_p:float ->
-  weight:float ->
-  avg_pkt_size:int ->
-  unit ->
-  t
-(** Random Early Detection (gentle variant off) operating on an EWMA of the
-    byte occupancy; marks (rather than drops) ECT packets, as in ECN-enabled
-    RED. Provided as a classical AQM baseline for the ablation benches.
-    Without [rng] the policy marks deterministically when the computed
-    probability exceeds 1/2 (useful for reproducible unit tests). *)

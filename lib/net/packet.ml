@@ -149,10 +149,6 @@ let size st p = st.size.(p)
 let payload st p = st.payload.(p)
 let word st p = st.word.(p)
 
-let ecn st p =
-  let e = st.ecn.(p) in
-  if e = ecn_not_ect then Not_ect else if e = ecn_ect then Ect else Ce
-
 let mark_ce st p = if st.ecn.(p) <> ecn_not_ect then st.ecn.(p) <- ecn_ce
 let is_ce st p = st.ecn.(p) = ecn_ce
 let is_ect st p = st.ecn.(p) <> ecn_not_ect
@@ -160,13 +156,3 @@ let set_enq_ns st p ns = st.enq_ns.(p) <- ns
 let enq_ns st p = st.enq_ns.(p)
 let live_count st = st.live
 let pool_size st = st.next_slot
-
-let pp st ppf p =
-  let e =
-    match st.ecn.(p) with
-    | 0 -> "not-ect"
-    | 1 -> "ect"
-    | _ -> "CE"
-  in
-  Format.fprintf ppf "pkt#%d flow=%d %d->%d %dB %s" st.uid.(p) st.flow.(p)
-    st.src.(p) st.dst.(p) st.size.(p) e

@@ -85,7 +85,7 @@ val free : store -> t -> unit
 (** Returns the handle to the pool and drops the payload reference.
     @raise Invalid_argument if the handle was already freed. *)
 
-val id : store -> t -> int
+val id : store -> t -> int (* dtlint: test-only: determinism tests *)
 (** Unique, deterministic per-simulation id, for debugging; [-1] on a
     freed slot. *)
 
@@ -104,8 +104,6 @@ val word : store -> t -> int
 (** The header word given to {!make_with_word}; [0] for {!make}. Its
     encoding belongs to the transport that made the packet. *)
 
-val ecn : store -> t -> ecn
-
 val mark_ce : store -> t -> unit
 (** Sets CE; only legal on ECN-capable packets (no-op on [Not_ect], which
     mirrors real switches that cannot mark non-ECT traffic). *)
@@ -117,16 +115,14 @@ val set_enq_ns : store -> t -> int -> unit
 (** Records the instant (int nanoseconds) the packet was last admitted
     to a queue; written by {!Queue_disc.enqueue}. *)
 
-val enq_ns : store -> t -> int
+val enq_ns : store -> t -> int (* dtlint: test-only: sojourn stamp *)
 (** Last recorded admission instant, 0 if never enqueued. The head's
     sojourn time is [now - enq_ns] — the input a delay-based AQM needs. *)
 
-val live_count : store -> int
+val live_count : store -> int (* dtlint: test-only: leak checks *)
 (** Packets currently allocated (made, not yet freed). *)
 
-val pool_size : store -> int
+val pool_size : store -> int (* dtlint: test-only: pooling checks *)
 (** Slots ever allocated (live + free). Steady traffic through
     free-discipline components keeps this constant — the observable
     effect of pooling, asserted by the regression tests. *)
-
-val pp : store -> Format.formatter -> t -> unit

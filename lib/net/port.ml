@@ -150,4 +150,3 @@ let reset_counters t =
   t.bytes_sent <- 0;
   t.packets_sent <- 0
 
-let is_busy t = t.busy

@@ -39,7 +39,7 @@ val set_up : t -> bool -> unit
     packet currently serializing finish (it is already on the wire);
     bringing it up restarts transmission if the queue is non-empty. *)
 
-val is_up : t -> bool
+val is_up : t -> bool (* dtlint: test-only: flap tests probe it *)
 
 val set_rate : t -> float -> unit
 (** Change the line rate mid-run; affects packets whose serialization
@@ -54,14 +54,12 @@ val set_fault_hook : t -> (Packet.t -> disposition) -> unit
 val queue : t -> Queue_disc.t
 val rate_bps : t -> float
 
-val tx_time : t -> bytes:int -> Engine.Time.span
+val tx_time : t -> bytes:int -> Engine.Time.span (* dtlint: test-only: serialization tests *)
 (** Serialization time of [bytes] at the port's rate. *)
 
 val bytes_sent : t -> int
 (** Payload bytes fully serialized since creation or {!reset_counters}. *)
 
-val packets_sent : t -> int
+val packets_sent : t -> int (* dtlint: test-only: port counter tests *)
 
 val reset_counters : t -> unit
-
-val is_busy : t -> bool

@@ -71,7 +71,6 @@ let create sim ~buffer ?(marking = Marking.none ())
   marking.Marking.on_limit ~limit_bytes:(Buffer_mgr.effective_limit buffer);
   t
 
-let name t = t.name
 
 let emit t event =
   Trace_ev.emit t.tracer
@@ -174,16 +173,10 @@ let dequeue_exn t =
     emit_occ t Trace_ev.C_dequeue pkt;
   pkt
 
-let dequeue t =
-  if Engine.Int_ring.is_empty t.fifo then None else Some (dequeue_exn t)
-
 let is_empty t = Engine.Int_ring.is_empty t.fifo
 
 let occupancy_bytes t = t.occ_bytes
 let occupancy_packets t = t.occ_pkts
-let capacity_bytes t = Buffer_mgr.capacity t.buffer
-let effective_limit t = Buffer_mgr.effective_limit t.buffer
-let buffer t = t.buffer
 let drops t = t.drops
 let enqueued t = t.enqueued
 let marked t = t.marked

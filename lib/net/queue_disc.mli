@@ -29,35 +29,20 @@ val create :
     the current effective limit, and on every occupancy change while
     the queue sits on a shared pool. *)
 
-val name : t -> string
-
 val enqueue : t -> Packet.t -> [ `Enqueued | `Dropped ]
 (** Tail-drops if the packet does not fit. On acceptance the marking policy
     decides whether to set CE on the arriving packet (only effective for
     ECT packets). *)
 
-val dequeue : t -> Packet.t option
-
 val dequeue_exn : t -> Packet.t
-(** {!dequeue} without the option box, for the transmit hot path (pair it
-    with {!is_empty}).
+(** Removes and returns the head packet, without an option box, for the
+    transmit hot path (pair it with {!is_empty}).
     @raise Not_found when the queue is empty. *)
 
 val is_empty : t -> bool
 
 val occupancy_bytes : t -> int
 val occupancy_packets : t -> int
-
-val capacity_bytes : t -> int
-(** The largest occupancy the buffer can ever grant: the fixed capacity
-    for solo ports, the pool size for shared ports. *)
-
-val effective_limit : t -> int
-(** The admission limit right now ({!Buffer_mgr.effective_limit}); equals
-    {!capacity_bytes} for solo ports, moves with the pool otherwise. *)
-
-val buffer : t -> Buffer_mgr.port
-(** The admission handle this queue draws from. *)
 
 val drops : t -> int
 (** Packets tail-dropped since creation. *)

@@ -106,7 +106,6 @@ let add_group t ~salt ~ports =
   t.groups <- Array.append t.groups [| g |];
   Array.length t.groups - 1
 
-let group_count t = Array.length t.groups
 
 let set_group_route t ~dst ~group =
   if group < 0 || group >= Array.length t.groups then
@@ -139,13 +138,5 @@ let receive t pkt =
     Packet.free t.st pkt;
     t.no_route <- t.no_route + 1
   end
-
-let route_port t ~src ~dst ~flow =
-  let i =
-    if dst >= 0 && dst < Array.length t.routes then t.routes.(dst) else -1
-  in
-  if i >= 0 then i
-  else if i < -1 then Ecmp.select t.groups.(-2 - i) ~src ~dst ~flow
-  else -1
 
 let no_route_drops t = t.no_route

@@ -38,7 +38,7 @@ val add_port : t -> Port.t -> int
 val port : t -> int -> Port.t
 (** @raise Invalid_argument on a bad index. *)
 
-val port_count : t -> int
+val port_count : t -> int (* dtlint: test-only: fat-tree degrees *)
 
 val set_route : t -> dst:int -> port:int -> unit
 (** Routes packets destined to host [dst] out of port index [port].
@@ -50,8 +50,6 @@ val add_group : t -> salt:int64 -> ports:int array -> int
     {!Engine.Rng} stream so selection stays deterministic per seed.
     @raise Invalid_argument on an empty set or a bad port index. *)
 
-val group_count : t -> int
-
 val set_group_route : t -> dst:int -> group:int -> unit
 (** Routes packets destined to host [dst] across the group's port set,
     resolved per flow by {!Ecmp.select}.
@@ -60,10 +58,5 @@ val set_group_route : t -> dst:int -> group:int -> unit
 val receive : t -> Packet.t -> unit
 (** Forwards according to the routing table. Packets with no route are
     counted, traced (class [C_no_route_drop]) and dropped. *)
-
-val route_port : t -> src:int -> dst:int -> flow:int -> int
-(** The egress port index [receive] would pick for this flow identity,
-    or [-1] if the destination has no route. Pure; for tests and
-    topology introspection. *)
 
 val no_route_drops : t -> int

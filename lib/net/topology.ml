@@ -1,7 +1,14 @@
 module Sim = Engine.Sim
 module Time = Engine.Time
 
+(* Buffer for non-bottleneck queues: 512 KB, a realistic NIC/leaf queue,
+   large enough never to be the bottleneck in the paper's scenarios and
+   small enough to avoid unbounded self-inflicted bufferbloat. *)
 let default_access_buffer = 512 * 1024
+
+(* The full-duplex pair of ports (host NIC and a switch port); installs
+   the route to the host on the switch and returns the switch port
+   index. The tracer and metrics instrument the switch-side queue only. *)
 
 let connect_host_to_switch sim host switch ~rate_bps ~delay
     ?(host_buffer = default_access_buffer)
@@ -34,6 +41,10 @@ let connect_host_to_switch sim host switch ~rate_bps ~delay
   Switch.set_route switch ~dst:(Host.id host) ~port:idx;
   idx
 
+(* Full-duplex switch-to-switch cable; returns (port index on a toward b,
+   port index on b toward a). Routes are installed by the caller. The
+   [_ab] tracer and metrics instrument the a-toward-b queue, [_ba] the
+   reverse one. *)
 let connect_switches sim a b ~rate_bps ~delay
     ?(buffer_ab = default_access_buffer) ?(buffer_ba = default_access_buffer)
     ?(marking_ab = Marking.none ()) ?(marking_ba = Marking.none ())

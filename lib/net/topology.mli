@@ -8,54 +8,6 @@
     Host ids are assigned densely from 0 by each builder; the receiver /
     aggregator always gets the highest id. *)
 
-(** {2 Primitives} *)
-
-val default_access_buffer : int
-(** Buffer for non-bottleneck queues (512 KB, a realistic NIC/leaf queue;
-    large enough never to be the bottleneck in the paper's scenarios,
-    small enough to avoid unbounded self-inflicted bufferbloat). *)
-
-val connect_host_to_switch :
-  Engine.Sim.t ->
-  Host.t ->
-  Switch.t ->
-  rate_bps:float ->
-  delay:Engine.Time.span ->
-  ?host_buffer:int ->
-  ?switch_buffer:int ->
-  ?switch_marking:Marking.t ->
-  ?switch_tracer:Obs.Trace.t ->
-  ?switch_metrics:Obs.Metrics.t ->
-  unit ->
-  int
-(** Creates the full-duplex pair of ports (host NIC and a switch port),
-    installs the route to the host on the switch, and returns the switch
-    port index. [switch_tracer] / [switch_metrics] instrument the
-    switch-side queue only (the host NIC queue stays untraced). *)
-
-val connect_switches :
-  Engine.Sim.t ->
-  Switch.t ->
-  Switch.t ->
-  rate_bps:float ->
-  delay:Engine.Time.span ->
-  ?buffer_ab:int ->
-  ?buffer_ba:int ->
-  ?marking_ab:Marking.t ->
-  ?marking_ba:Marking.t ->
-  ?tracer_ab:Obs.Trace.t ->
-  ?tracer_ba:Obs.Trace.t ->
-  ?metrics_ab:Obs.Metrics.t ->
-  ?metrics_ba:Obs.Metrics.t ->
-  unit ->
-  int * int
-(** Full-duplex switch-to-switch cable; returns (port index on a toward b,
-    port index on b toward a). Routes are installed by the caller.
-    [tracer_ab] / [metrics_ab] instrument the a-toward-b queue (and
-    [_ba] the reverse one), mirroring [connect_host_to_switch]'s
-    [switch_tracer] / [switch_metrics] so inter-switch bottlenecks (the
-    testbed root trunks) need no bespoke wiring. *)
-
 (** {2 Dumbbell (paper Section VI-A)} *)
 
 type dumbbell = {

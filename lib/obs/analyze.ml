@@ -8,6 +8,8 @@ type config = {
   segment_bytes : int;
 }
 
+(* Autocorrelation depth in grid samples: the longest detectable
+   oscillation period is [max_lag * sample_period]. *)
 let max_lag = 512
 
 let required_classes =

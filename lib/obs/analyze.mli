@@ -14,7 +14,7 @@
       a [Cwnd_cut] within the same RTT window (the paper's
       synchronized-backoff signature);
     - a dominant-frequency estimate from bounded-lag online
-      autocorrelation ({!max_lag} grid samples of state, not the
+      autocorrelation (512 grid samples of state, not the
       series), with {!Stats.Spectrum}'s FFT available offline as a
       cross-check.
 
@@ -39,10 +39,6 @@ type config = {
 }
 
 type t
-
-val max_lag : int
-(** Autocorrelation depth in grid samples (512): the longest detectable
-    oscillation period is [max_lag * sample_period]. *)
 
 val required_classes : Trace.cls list
 (** The event classes the analyzer consumes. A trace file that filtered

@@ -23,8 +23,6 @@ type t =
 val to_string : t -> string
 (** One-line rendering (no pretty-printing), valid JSON. *)
 
-val to_buffer : Buffer.t -> t -> unit
-
 val write : out_channel -> t -> unit
 (** [to_string] into a caller-owned channel (dtlint R4: the library never
     writes to stdout). *)

@@ -38,7 +38,7 @@ val to_json : t -> Json.t
 (** The seed is serialized as a decimal {e string}: int64 values can
     exceed the exact-integer range of common JSON readers. *)
 
-val of_json : Json.t -> (t, string) result
+val of_json : Json.t -> (t, string) result (* dtlint: test-only: read-back tests *)
 (** Inverse of {!to_json}; tolerates numbers written as ints or floats. *)
 
 val write : out_channel -> t -> unit

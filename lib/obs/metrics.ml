@@ -1,47 +1,15 @@
-type counter = { mutable count : int }
-type gauge = { mutable value : float }
-
-type source =
-  | Counter of counter
-  | Gauge of gauge
-  | Probe of (unit -> float)
-
-type t = { tbl : (string, source) Hashtbl.t }
+type t = { tbl : (string, unit -> float) Hashtbl.t }
 
 let create () = { tbl = Hashtbl.create 32 }
 
-let register t name src =
+let probe t name f =
   if Hashtbl.mem t.tbl name then
     invalid_arg (Printf.sprintf "Obs.Metrics: duplicate metric %S" name);
-  Hashtbl.replace t.tbl name src
-
-let counter t name =
-  let c = { count = 0 } in
-  register t name (Counter c);
-  c
-
-let gauge t name =
-  let g = { value = 0. } in
-  register t name (Gauge g);
-  g
-
-let probe t name f = register t name (Probe f)
-let incr c = c.count <- c.count + 1
-let add c n = c.count <- c.count + n
-let count c = c.count
-let set g v = g.value <- v
-let value g = g.value
-
-let read = function
-  | Counter c -> float_of_int c.count
-  | Gauge g -> g.value
-  | Probe f -> f ()
+  Hashtbl.replace t.tbl name f
 
 let snapshot t =
-  Hashtbl.fold (fun name src acc -> (name, read src) :: acc) t.tbl []
+  Hashtbl.fold (fun name f acc -> (name, f ()) :: acc) t.tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let snapshot_to_json snap =
   Json.Obj (List.map (fun (name, v) -> (name, Json.Float v)) snap)
-
-let to_json t = snapshot_to_json (snapshot t)

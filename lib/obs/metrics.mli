@@ -1,45 +1,24 @@
-(** Registry of named counters, gauges, and probes.
+(** Registry of named probes.
 
     Components register metrics under dotted names
-    (["queue.bottleneck.drops"], ["engine.events_processed"]) and bump
-    them directly — a counter increment is one mutable-field write, cheap
-    enough for hot paths. {!snapshot} reads everything in name-sorted
+    (["queue.bottleneck.drops"], ["engine.events_processed"]) as closures
+    over the counters they already keep, so the hot path pays nothing
+    for being observed. {!snapshot} reads everything in name-sorted
     order so output is deterministic regardless of registration or
     hashing order. *)
 
 type t
 
-type counter
-(** Monotonic integer count. *)
-
-type gauge
-(** Arbitrary float, last-write-wins. *)
-
 val create : unit -> t
 
-val counter : t -> string -> counter
-(** Register a counter starting at 0.
-    @raise Invalid_argument if the name is already registered. *)
-
-val gauge : t -> string -> gauge
-(** Register a gauge starting at 0.
-    @raise Invalid_argument if the name is already registered. *)
-
 val probe : t -> string -> (unit -> float) -> unit
-(** Register a read-on-snapshot metric backed by a closure — use when the
-    value already lives in a component (e.g. the engine's event count)
-    and duplicating it would risk drift.
+(** Register a read-on-snapshot metric backed by a closure — the value
+    already lives in a component (e.g. the engine's event count), and
+    duplicating it would risk drift.
     @raise Invalid_argument if the name is already registered. *)
-
-val incr : counter -> unit
-val add : counter -> int -> unit
-val count : counter -> int
-val set : gauge -> float -> unit
-val value : gauge -> float
 
 val snapshot : t -> (string * float) list
-(** All metrics, sorted by name. Counters widen to float ([int] counts in
-    a simulation fit a float mantissa). *)
+(** All metrics, sorted by name. Integer counts widen to float ([int]
+    counts in a simulation fit a float mantissa). *)
 
 val snapshot_to_json : (string * float) list -> Json.t
-val to_json : t -> Json.t

@@ -64,11 +64,8 @@ let attach t sim =
     ~before:(fun cls -> before t cls)
     ~after:(fun cls -> after t cls)
 
-let detach sim = Engine.Sim.clear_profiler sim
-
 let total t = t.total
 let count t cls = t.counts.(Event_class.index cls)
-let sampled t cls = t.sampled.(Event_class.index cls)
 
 let mean_us t cls =
   let i = Event_class.index cls in

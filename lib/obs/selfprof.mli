@@ -30,16 +30,10 @@ val attach : t -> Engine.Sim.t -> unit
 (** Install this profiler's hooks on [sim]. One profiler can observe
     several sims sequentially; counts accumulate. *)
 
-val detach : Engine.Sim.t -> unit
-(** Remove whatever profiler is installed on [sim]. *)
-
 val total : t -> int
 (** Events observed across all classes. *)
 
 val count : t -> Engine.Event_class.t -> int
-
-val sampled : t -> Engine.Event_class.t -> int
-(** Events of this class that were wall-clock timed. *)
 
 val mean_us : t -> Engine.Event_class.t -> float
 (** Mean wall-clock microseconds over this class's timed sample; [0.]

@@ -98,8 +98,8 @@ val all_classes : cls list
 val cls_of_event : event -> cls
 
 val cls_name : cls -> string
-(** Stable lowercase identifier, e.g. ["mark_state_flip"]; used in JSON,
-    CSV, and the [--trace-events] CLI flag. *)
+(** Stable lowercase identifier, e.g. ["mark_state_flip"]; used in JSON
+    and the [--trace-events] CLI flag. *)
 
 val cls_of_name : string -> cls option
 (** Inverse of {!cls_name}; trims and lowercases first. *)
@@ -118,7 +118,7 @@ val ring_length : ring -> int
 val ring_total : ring -> int
 (** Records ever pushed, including overwritten ones. *)
 
-val ring_records : ring -> record list
+val ring_records : ring -> record list (* dtlint: test-only: ring read side *)
 (** Held records, oldest first. *)
 
 (** {1 Tracers} *)
@@ -126,7 +126,6 @@ val ring_records : ring -> record list
 type sink =
   | Null
   | Ring of ring
-  | Csv of out_channel  (** One header line, then one CSV row per record. *)
   | Jsonl of out_channel  (** One JSON object per line. *)
   | Fn of (record -> unit)
 
@@ -137,12 +136,9 @@ val null : t
     default argument everywhere. *)
 
 val create : ?classes:cls list -> sink -> t
-(** New tracer accepting [classes] (default: all). A [Csv] sink gets its
-    header line written immediately. *)
+(** New tracer accepting [classes] (default: all). *)
 
 val enabled : t -> cls -> bool
-val set_classes : t -> cls list -> unit
-(** @raise Invalid_argument on the shared {!null} tracer. *)
 
 val emit : t -> record -> unit
 (** Forward to the sink if the record's class is enabled. Callers on hot
@@ -179,7 +175,7 @@ val emit_occ :
 (** [emit_occ t cls ~time ~component ~flow ~occ_bytes ~occ_pkts] is
     [emit t r] for the occupancy record [r] of class [cls] ([occ_pkts]
     is ignored for [C_drop]), delivered without building [r] where no
-    sink needs it: handlers get the fields, [Ring]/[Csv]/[Jsonl]/[Fn]
+    sink needs it: handlers get the fields, [Ring]/[Jsonl]/[Fn]
     sinks get [r], built at most once per call however many tee
     branches consume it. Keep the {!enabled} guard at the call site: it
     saves evaluating the arguments on untraced runs.
@@ -202,13 +198,7 @@ val tee : t -> t -> t
 
 (** {1 Serialization} *)
 
-val csv_header : string
-
-val record_to_csv : record -> string
-(** One row matching {!csv_header}; event-specific extras go in the
-    [detail] column as [k=v;k=v]. *)
-
-val record_to_json : record -> Json.t
+val record_to_json : record -> Json.t (* dtlint: test-only: JSONL fixtures *)
 (** Object with [t_ns], [event], [component], plus per-event fields. *)
 
 val record_of_json : Json.t -> (record, string) result

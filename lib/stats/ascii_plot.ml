@@ -56,22 +56,3 @@ let render ?(width = 72) ?(height = 16) ?(y_label = "") ~series () =
                name))
         series;
       Buffer.contents buf
-
-let blocks = [| " "; "_"; "."; "-"; "="; "+"; "*"; "#" |]
-
-let sparkline values =
-  match Array.length values with
-  | 0 -> ""
-  | _ ->
-      let vmin = Array.fold_left Stdlib.min infinity values in
-      let vmax = Array.fold_left Stdlib.max neg_infinity values in
-      let range = if vmax > vmin then vmax -. vmin else 1. in
-      String.concat ""
-        (Array.to_list
-           (Array.map
-              (fun v ->
-                let level =
-                  int_of_float ((v -. vmin) /. range *. 7.)
-                in
-                blocks.(Stdlib.max 0 (Stdlib.min 7 level)))
-              values))

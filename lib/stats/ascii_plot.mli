@@ -15,6 +15,3 @@ val render :
     common x sampling). Distinct series use distinct glyphs; a legend and a
     y-axis scale are included. [width]/[height] are the plot area in
     characters (defaults 72x16). *)
-
-val sparkline : float array -> string
-(** One-line miniature plot using block characters. *)

@@ -4,25 +4,21 @@ type t = {
   mutable m2 : float;
   mutable min : float;
   mutable max : float;
-  mutable sum : float;
 }
 
 let create () =
-  { n = 0; mean = 0.; m2 = 0.; min = infinity; max = neg_infinity; sum = 0. }
+  { n = 0; mean = 0.; m2 = 0.; min = infinity; max = neg_infinity }
 
 let add t x =
   t.n <- t.n + 1;
-  t.sum <- t.sum +. x;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. float_of_int t.n);
   t.m2 <- t.m2 +. (delta *. (x -. t.mean));
   if x < t.min then t.min <- x;
   if x > t.max then t.max <- x
 
-let count t = t.n
 let mean t = if t.n = 0 then 0. else t.mean
 let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int t.n
-let sample_variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
 let stddev t = sqrt (variance t)
 
 let min t =
@@ -31,32 +27,7 @@ let min t =
 let max t =
   if t.n = 0 then invalid_arg "Descriptive.max: empty" else t.max
 
-let sum t = t.sum
-
-let merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
-  else begin
-    let n = a.n + b.n in
-    let fa = float_of_int a.n and fb = float_of_int b.n in
-    let fn = float_of_int n in
-    let delta = b.mean -. a.mean in
-    {
-      n;
-      mean = a.mean +. (delta *. fb /. fn);
-      m2 = a.m2 +. b.m2 +. (delta *. delta *. fa *. fb /. fn);
-      min = Stdlib.min a.min b.min;
-      max = Stdlib.max a.max b.max;
-      sum = a.sum +. b.sum;
-    }
-  end
-
 let of_array arr =
   let t = create () in
   Array.iter (add t) arr;
-  t
-
-let of_list l =
-  let t = create () in
-  List.iter (add t) l;
   t

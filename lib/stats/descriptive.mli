@@ -7,19 +7,13 @@ type t
 
 val create : unit -> t
 val add : t -> float -> unit
-val count : t -> int
 
 val mean : t -> float
 (** 0 if no observations. *)
 
-val variance : t -> float
-(** Population variance; 0 with fewer than two observations. *)
-
-val sample_variance : t -> float
-(** Unbiased (n-1) variance; 0 with fewer than two observations. *)
-
 val stddev : t -> float
-(** Square root of the population {!variance}. *)
+(** Population standard deviation; 0 with fewer than two
+    observations. *)
 
 val min : t -> float
 (** @raise Invalid_argument if empty. *)
@@ -27,10 +21,4 @@ val min : t -> float
 val max : t -> float
 (** @raise Invalid_argument if empty. *)
 
-val sum : t -> float
-
-val merge : t -> t -> t
-(** Combines two accumulators as if their streams were concatenated. *)
-
 val of_array : float array -> t
-val of_list : float list -> t

@@ -17,8 +17,6 @@ let of_array arr p =
   of_sorted copy p
 
 let of_list l p = of_array (Array.of_list l) p
-let median arr = of_array arr 50.
-
 let summary arr =
   let copy = Array.copy arr in
   Array.sort Float.compare copy;

@@ -10,7 +10,5 @@ val of_array : float array -> float -> float
 
 val of_list : float list -> float -> float
 
-val median : float array -> float
-
-val summary : float array -> (string * float) list
+val summary : float array -> (string * float) list (* dtlint: test-only: report-table helper *)
 (** min / p25 / median / p75 / p90 / p99 / max, for report tables. *)

@@ -51,6 +51,10 @@ let next_power_of_two n =
   let rec go m = if m >= n then m else go (m * 2) in
   go 1
 
+(* Magnitude-squared spectrum of a real series (mean removed, Hann window
+   applied, zero-padded to the next power of two). Index [k] is frequency
+   [k * fs / n_fft]; only the first half (positive frequencies) is
+   returned. *)
 let power_spectrum samples =
   let n = Array.length samples in
   if n = 0 then [||]

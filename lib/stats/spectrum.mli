@@ -4,15 +4,9 @@
     the packet simulator's limit cycle can be compared against the
     describing-function prediction (which yields an angular frequency). *)
 
-val fft : Complex.t array -> Complex.t array
+val fft : Complex.t array -> Complex.t array (* dtlint: test-only: DFT identities *)
 (** In-order radix-2 Cooley-Tukey FFT.
     @raise Invalid_argument if the length is not a power of two. *)
-
-val power_spectrum : float array -> float array
-(** Magnitude-squared spectrum of a real series (mean removed, Hann
-    window applied, zero-padded to the next power of two). Index [k] is
-    frequency [k * fs / n_fft]; only the first half (positive
-    frequencies) is returned. *)
 
 type peak = {
   frequency_hz : float;

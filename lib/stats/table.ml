@@ -18,10 +18,6 @@ let add_row t row =
   t.rows <- row :: t.rows
 
 let fmt_f digits v = Printf.sprintf "%.*f" digits v
-let fmt_g v = Printf.sprintf "%.4g" v
-
-let add_float_row t ?(fmt = fmt_g) row = add_row t (List.map fmt row)
-
 let print ?(oc = stdout) t =
   let rows = List.rev t.rows in
   let ncols = Array.length t.columns in

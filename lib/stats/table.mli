@@ -17,14 +17,8 @@ val create : title:string -> columns:column list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument if the row width differs from the column count. *)
 
-val add_float_row : t -> ?fmt:(float -> string) -> float list -> unit
-(** Convenience: formats every cell with [fmt] (default ["%.4g"]). *)
-
 val print : ?oc:out_channel -> t -> unit
 (** Renders with a title line, a header, and column-width padding. *)
 
 val fmt_f : int -> float -> string
 (** [fmt_f digits] is a fixed-point formatter, e.g. [fmt_f 2 3.14159 = "3.14"]. *)
-
-val fmt_g : float -> string
-(** Short general-purpose float formatter ("%.4g"). *)

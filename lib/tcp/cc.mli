@@ -49,7 +49,7 @@ val ecn_reno : factory
 (** {!reno} plus classic ECN (RFC 3168) reaction: on an ECE ACK, halve the
     window, at most once per window of data. *)
 
-val ai_md : increase:float -> decrease:float -> factory
+val ai_md : increase:float -> decrease:float -> factory (* dtlint: test-only: AIMD family base *)
 (** Generic AIMD with additive increase [increase] segments per RTT and
     multiplicative [decrease] on any congestion event; used by ablation
     benches. *)

@@ -3,10 +3,8 @@ module Time = Engine.Time
 
 type t = {
   sim : Sim.t;
-  id : int;
   sender : Sender.t;
   receiver : Receiver.t;
-  segment_bytes : int;
 }
 
 let create sim ~src ~dst ~flow ~cc ?tracer ?(config = Sender.default_config)
@@ -26,13 +24,7 @@ let create sim ~src ~dst ~flow ~cc ?tracer ?(config = Sender.default_config)
          Sender.create sim ~host:src ~peer:(Net.Host.id dst) ~flow ~cc
            ?tracer ~config ?limit_segments ~on_complete ()
        in
-       {
-         sim;
-         id = flow;
-         sender;
-         receiver;
-         segment_bytes = config.Sender.segment_bytes;
-       })
+       { sim; sender; receiver })
   in
   Lazy.force t
 
@@ -45,20 +37,11 @@ let start_at t at =
     (Sim.schedule_at_cls t.sim at ~cls:cls_protocol (fun () ->
          Sender.start t.sender))
 
-let flow_id t = t.id
 let sender t = t.sender
-let receiver t = t.receiver
-let cwnd t = Sender.cwnd t.sender
 let alpha t = Sender.alpha t.sender
 let completed t = Sender.completed t.sender
 let completion_time t = Sender.completion_time t.sender
 let segments_delivered t = Receiver.segments_delivered t.receiver
-
-let goodput_bps t ~since ~until =
-  let dt = Time.span_to_sec (Time.diff until since) in
-  if dt <= 0. then 0.
-  else
-    float_of_int (segments_delivered t * t.segment_bytes * 8) /. dt
 
 let close t =
   Sender.close t.sender;

@@ -27,11 +27,7 @@ val start : t -> unit
 val start_at : t -> Engine.Time.t -> unit
 (** Schedules {!start} at an absolute instant. *)
 
-val flow_id : t -> int
 val sender : t -> Sender.t
-val receiver : t -> Receiver.t
-
-val cwnd : t -> float
 val alpha : t -> float option
 val completed : t -> bool
 
@@ -41,8 +37,5 @@ val completion_time : t -> Engine.Time.t option
 val segments_delivered : t -> int
 (** In-order segments at the receiver. *)
 
-val goodput_bps : t -> since:Engine.Time.t -> until:Engine.Time.t -> float
-(** Application goodput over a window: in-order delivered bytes divided by
-    the window (segment wire size is used, as the paper's figures do). *)
 
 val close : t -> unit

@@ -13,9 +13,6 @@ type t = {
   ack_bytes : int;
   mutable rcv_nxt : int;
   ooo : (int, unit) Hashtbl.t;
-  mutable received : int;
-  mutable ce_segments : int;
-  mutable acks_sent : int;
   (* DCTCP delayed-ACK echo state *)
   mutable ce_state : bool;
   mutable pending : int;
@@ -46,7 +43,6 @@ let send_ack t ~ece =
     Segment.ack t.st ~src:(Net.Host.id t.host) ~dst:t.peer ~flow:t.flow
       ~size:t.ack_bytes ~ack:t.rcv_nxt ~ece ~sack:(sack_blocks t)
   in
-  t.acks_sent <- t.acks_sent + 1;
   Net.Host.send t.host pkt
 
 let flush_pending t =
@@ -56,8 +52,6 @@ let flush_pending t =
   end
 
 let handle_data t ~seq ~ce =
-  t.received <- t.received + 1;
-  if ce then t.ce_segments <- t.ce_segments + 1;
   let in_order = seq = t.rcv_nxt in
   let stale = seq < t.rcv_nxt || (seq > t.rcv_nxt && Hashtbl.mem t.ooo seq) in
   if in_order then begin
@@ -114,9 +108,6 @@ let create sim ~host ~flow ~peer ?(echo = Per_packet) ?(sack = false)
       ack_bytes;
       rcv_nxt = 0;
       ooo = Hashtbl.create 64;
-      received = 0;
-      ce_segments = 0;
-      acks_sent = 0;
       ce_state = false;
       pending = 0;
     }
@@ -130,7 +121,4 @@ let create sim ~host ~flow ~peer ?(echo = Per_packet) ?(sack = false)
   t
 
 let segments_delivered t = t.rcv_nxt
-let segments_received t = t.received
-let ce_segments t = t.ce_segments
-let acks_sent t = t.acks_sent
 let close t = Net.Host.unbind_flow t.host ~flow:t.flow

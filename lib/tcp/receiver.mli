@@ -42,13 +42,5 @@ val create :
 val segments_delivered : t -> int
 (** In-order segments delivered so far ([rcv_nxt]). *)
 
-val segments_received : t -> int
-(** Total data segments seen, including duplicates and out-of-order. *)
-
-val ce_segments : t -> int
-(** Data segments that arrived CE-marked. *)
-
-val acks_sent : t -> int
-
 val close : t -> unit
 (** Unbinds from the host. *)

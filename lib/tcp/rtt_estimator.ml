@@ -42,4 +42,3 @@ let backoff t =
 
 let srtt t =
   if t.samples = 0 then None else Some (Engine.Time.span_of_sec t.est.(0))
-let samples t = t.samples

@@ -28,4 +28,3 @@ val backoff : t -> unit
 val srtt : t -> Engine.Time.span option
 (** Smoothed RTT, if at least one sample was taken. *)
 
-val samples : t -> int

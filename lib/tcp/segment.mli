@@ -61,8 +61,8 @@ type view =
   | Ack of { ack : int; ece : bool; sack : (int * int) list }
   | Other  (** The packet carries no segment. *)
 
-val view : Net.Packet.store -> Net.Packet.t -> view
+val view : Net.Packet.store -> Net.Packet.t -> view (* dtlint: test-only: packet taps *)
 (** All of a packet's segment fields at once, for tests and logs. *)
 
-val describe : view -> string
+val describe : view -> string (* dtlint: test-only: debug rendering *)
 (** For logs and debugging; {!Other} renders as ["other"]. *)

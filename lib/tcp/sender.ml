@@ -62,7 +62,6 @@ type t = {
   mutable retransmissions : int;
   mutable timeouts : int;
   mutable fast_retransmits : int;
-  mutable acks_received : int;
   mutable ece_acks : int;
   mutable completed_at : Time.t option;
   on_complete : unit -> unit;
@@ -247,7 +246,6 @@ let handle_dup_ack t ~ece =
 
 let handle_ack t ~ack ~ece ~sack =
   if not (completed t) then begin
-    t.acks_received <- t.acks_received + 1;
     if ece then t.ece_acks <- t.ece_acks + 1;
     record_sack t sack;
     if ack > t.snd_una then handle_new_ack t ~ack ~ece
@@ -317,7 +315,6 @@ let create sim ~host ~peer ~flow ~cc ?(tracer = Obs.Trace.null)
       retransmissions = 0;
       timeouts = 0;
       fast_retransmits = 0;
-      acks_received = 0;
       ece_acks = 0;
       completed_at = None;
       on_complete;
@@ -355,16 +352,11 @@ let start t =
   end
 
 let cwnd t = t.w.(0)
-let ssthresh t = t.w.(1)
-let snd_una t = t.snd_una
-let snd_nxt t = t.snd_nxt
 let alpha t = t.cc.Cc.alpha ()
-let in_recovery t = t.in_recovery
 let completion_time t = t.completed_at
 let retransmissions t = t.retransmissions
 let timeouts t = t.timeouts
 let fast_retransmits t = t.fast_retransmits
-let acks_received t = t.acks_received
 let ece_acks t = t.ece_acks
 let srtt t = Rtt_estimator.srtt t.rtt
 

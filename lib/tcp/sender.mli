@@ -60,22 +60,17 @@ val start : t -> unit
 
 (** {2 Introspection} *)
 
-val cwnd : t -> float
-val ssthresh : t -> float
-val snd_una : t -> int
-val snd_nxt : t -> int
+val cwnd : t -> float (* dtlint: test-only: slow-start tests *)
 val alpha : t -> float option
 (** The congestion-control algorithm's congestion estimate, if any. *)
 
-val in_recovery : t -> bool
 val completed : t -> bool
 val completion_time : t -> Engine.Time.t option
 val retransmissions : t -> int
 val timeouts : t -> int
 val fast_retransmits : t -> int
-val acks_received : t -> int
 val ece_acks : t -> int
-val srtt : t -> Engine.Time.span option
+val srtt : t -> Engine.Time.span option (* dtlint: test-only: RTT tests *)
 
 val close : t -> unit
 (** Stops the timer and unbinds from the host. *)

@@ -42,6 +42,8 @@ let run ?faults ?buffer proto config =
     config.n_flows;
   Workload.require_positive ~scenario:"Completion" ~what:"repeats"
     config.repeats;
+  Workload.require_positive ~scenario:"Completion" ~what:"segment_bytes"
+    config.segment_bytes;
   (* Reuse the Incast machinery: the workload is Incast with a per-flow
      share of the fixed total. *)
   let per_flow =

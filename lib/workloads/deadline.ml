@@ -52,28 +52,17 @@ type flow_outcome = { met : bool; completion_s : float; finished : bool }
 let one_repeat ~marking ~echo ?faults ~buffer kind config ~seed =
   let sim = Sim.create ~seed () in
   (* One injector per repeat, seeded from the repeat seed (the Incast
-     discipline); no plan means no injector and a bit-identical run. *)
-  let injector =
-    Option.map
-      (fun plan ->
-        Fault.Injector.create sim ~plan ~seed ~component:"star_bottleneck" ())
-      faults
-  in
-  let marking =
-    let m = marking () in
-    match injector with
-    | None -> m
-    | Some inj -> Fault.Injector.wrap_marking inj m
+     discipline). *)
+  let marking, attach_faults =
+    Fault.Injector.install sim faults ~seed ~component:"star_bottleneck"
+      (marking ())
   in
   let star =
     Net.Topology.star_testbed sim ~rate_bps:config.rate_bps
       ~bottleneck_buffer:config.buffer_bytes
       ~leaf_buffer:config.leaf_buffer_bytes ~buffer ~marking ()
   in
-  (match injector with
-  | None -> ()
-  | Some inj ->
-      Fault.Injector.attach inj ~port:star.Net.Topology.star_bottleneck);
+  attach_faults star.Net.Topology.star_bottleneck;
   let workers = star.Net.Topology.workers in
   let segments =
     (config.bytes_per_flow + config.segment_bytes - 1) / config.segment_bytes
@@ -144,6 +133,8 @@ let run ~marking ?echo ?faults ?(buffer = Net.Buffer_mgr.Static) kind config =
   Workload.require_positive ~scenario:"Deadline" ~what:"flows" config.n_flows;
   Workload.require_positive ~scenario:"Deadline" ~what:"repeats"
     config.repeats;
+  Workload.require_positive ~scenario:"Deadline" ~what:"segment_bytes"
+    config.segment_bytes;
   let all = ref [] in
   let timeouts = ref 0 in
   for r = 0 to config.repeats - 1 do

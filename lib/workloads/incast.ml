@@ -53,27 +53,16 @@ let one_repeat ?(sack = false) ?faults ~buffer (proto : Dctcp.Protocol.t)
   let sim = Sim.create ~seed () in
   (* One injector per repeat, derived from the repeat seed, so each
      repeat sees an independent but reproducible fault realization. *)
-  let injector =
-    Option.map
-      (fun plan ->
-        Fault.Injector.create sim ~plan ~seed ~component:"star_bottleneck" ())
-      faults
-  in
-  let marking =
-    let m = proto.Dctcp.Protocol.marking () in
-    match injector with
-    | None -> m
-    | Some inj -> Fault.Injector.wrap_marking inj m
+  let marking, attach_faults =
+    Fault.Injector.install sim faults ~seed ~component:"star_bottleneck"
+      (proto.Dctcp.Protocol.marking ())
   in
   let star =
     Net.Topology.star_testbed sim ~rate_bps:config.rate_bps
       ~bottleneck_buffer:config.buffer_bytes
       ~leaf_buffer:config.leaf_buffer_bytes ~buffer ~marking ()
   in
-  (match injector with
-  | None -> ()
-  | Some inj ->
-      Fault.Injector.attach inj ~port:star.Net.Topology.star_bottleneck);
+  attach_faults star.Net.Topology.star_bottleneck;
   let workers = star.Net.Topology.workers in
   let segments =
     (config.bytes_per_flow + config.segment_bytes - 1) / config.segment_bytes
@@ -131,6 +120,8 @@ let run_with_sack ?faults ?(buffer = Net.Buffer_mgr.Static) ~sack proto
     config =
   Workload.require_positive ~scenario:"Incast" ~what:"flows" config.n_flows;
   Workload.require_positive ~scenario:"Incast" ~what:"repeats" config.repeats;
+  Workload.require_positive ~scenario:"Incast" ~what:"segment_bytes"
+    config.segment_bytes;
   let outcomes =
     Array.init config.repeats (fun r ->
         one_repeat ~sack ?faults ~buffer proto config

@@ -61,6 +61,6 @@ val run_with_sack :
 (** Like {!run} with selective-acknowledgment loss recovery toggled (the
     default {!run} uses go-back-N, matching the paper-era stacks). *)
 
-val goodput_of_completion : config -> float -> float
+val goodput_of_completion : config -> float -> float (* dtlint: test-only: pinned formula *)
 (** [goodput_of_completion cfg t] is the goodput implied by finishing all
     responses in [t] seconds. *)

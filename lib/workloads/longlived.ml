@@ -53,18 +53,18 @@ let run ?(tracer = Obs.Trace.null) ?metrics ?faults
   Workload.require_positive ~scenario:"Longlived" ~what:"flows" config.n_flows;
   Workload.require_positive ~scenario:"Longlived" ~what:"measure (ns)"
     (Int64.to_int config.measure);
+  (* Both sampling periods are checked here, not by Obs.Sampler.start at
+     the end of the warm-up. *)
+  Workload.require_positive ~scenario:"Longlived"
+    ~what:"alpha_sample_period (ns)"
+    (Int64.to_int config.alpha_sample_period);
+  Option.iter
+    (fun period ->
+      Workload.require_positive ~scenario:"Longlived"
+        ~what:"trace_sampling (ns)" (Int64.to_int period))
+    config.trace_sampling;
   let sim = Sim.create ~seed:config.seed () in
   (match on_sim with None -> () | Some f -> f sim);
-  (* With no plan the injector is never constructed: the run is
-     event-for-event the one this workload produced before fault
-     injection existed. *)
-  let injector =
-    Option.map
-      (fun plan ->
-        Fault.Injector.create sim ~plan ~seed:config.seed ~tracer ?metrics
-          ~component:"bottleneck" ())
-      faults
-  in
   (* The hysteresis flip observer: the policy lives inside the marking
      closure, so the run — which has both the sim and the tracer in
      scope — is the place to build it. *)
@@ -79,20 +79,17 @@ let run ?(tracer = Obs.Trace.null) ?metrics ?faults
           event = Obs.Trace.Mark_state_flip { marking; occ_bytes };
         }
   in
-  let marking =
-    let m = proto.Dctcp.Protocol.marking ~on_flip () in
-    match injector with
-    | None -> m
-    | Some inj -> Fault.Injector.wrap_marking inj m
+  let marking, attach_faults =
+    Fault.Injector.install sim faults ~seed:config.seed ~tracer ?metrics
+      ~component:"bottleneck"
+      (proto.Dctcp.Protocol.marking ~on_flip ())
   in
   let net =
     Net.Topology.dumbbell sim ~n_senders:config.n_flows
       ~bottleneck_rate_bps:config.bottleneck_rate_bps ~rtt:config.rtt
       ~buffer_bytes:config.buffer_bytes ~buffer ~marking ~tracer ?metrics ()
   in
-  (match injector with
-  | None -> ()
-  | Some inj -> Fault.Injector.attach inj ~port:net.Net.Topology.bottleneck);
+  attach_faults net.Net.Topology.bottleneck;
   let tcp_config =
     {
       Tcp.Sender.default_config with
@@ -147,11 +144,7 @@ let run ?(tracer = Obs.Trace.null) ?metrics ?faults
   let series =
     Option.map
       (fun period ->
-        let n =
-          if Int64.compare period 0L > 0 then
-            Int64.to_int (Int64.div config.measure period) + 1
-          else 0
-        in
+        let n = Int64.to_int (Int64.div config.measure period) + 1 in
         (period, Array.make n 0., Array.make n 0., ref 0))
       config.trace_sampling
   in

@@ -1,16 +1,6 @@
 module Sim = Engine.Sim
 module Time = Engine.Time
 
-module type S = sig
-  type config
-
-  type result
-
-  val default_config : config
-
-  val run : Dctcp.Protocol.t -> config -> result
-end
-
 let require_positive ~scenario ~what n =
   if n <= 0 then
     invalid_arg (Printf.sprintf "%s.run: need %s (got %d)" scenario what n)

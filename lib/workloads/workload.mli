@@ -1,22 +1,11 @@
-(** The common shape of a scenario runner, plus helpers shared by the
-    concrete workloads.
+(** Helpers shared by the concrete workloads.
 
     Every workload module pairs a plain-record [config] (with a complete
     [default_config], so call sites override only what they vary) with a
-    plain-record [result], and exposes [run] taking the protocol bundle
-    under test. [Exp.Spec] relies on this uniformity to describe any
-    scenario declaratively; the conformance of each concrete workload is
-    asserted in [test/test_workloads.ml]. *)
-
-module type S = sig
-  type config
-
-  type result
-
-  val default_config : config
-
-  val run : Dctcp.Protocol.t -> config -> result
-end
+    plain-record [result]. Their [run] functions differ in the optional
+    observation, fault and buffer arguments they take (and [Deadline]
+    takes the protocol bundle piecewise), so [Exp.Spec] names each
+    workload by a variant and [Exp.Runner] calls each [run] directly. *)
 
 val require_positive : scenario:string -> what:string -> int -> unit
 (** [require_positive ~scenario ~what n] rejects non-positive scenario

@@ -34,17 +34,54 @@ let normalize path =
 
 let line_of_loc (loc : Location.t) = loc.loc_start.Lexing.pos_lnum
 
+let alias_key (u : Cmt_loader.unit_info) i =
+  u.canonical ^ "\x00" ^ Ident.unique_name i
+
+(* [normalize] in the scope of one unit: a head that is a module alias
+   the unit binds expands to the aliased path, and an executable's
+   [Dune.exe.] sibling prefix becomes the unit's own directory-qualified
+   namespace. *)
+let normalize_in aliases (u : Cmt_loader.unit_info) path =
+  let name =
+    match path with
+    | Path.Pident _ -> normalize path
+    | _ -> (
+        let head = Path.head path in
+        match
+          Hashtbl.find_opt aliases (alias_key u head)
+        with
+        | Some target ->
+            let full = Path.name path in
+            let h = String.length (Ident.name head) in
+            target ^ String.sub full h (String.length full - h)
+        | None -> normalize path)
+  in
+  Cmt_loader.qualify u name
+
+let rec alias_target (me : Typedtree.module_expr) =
+  match me.mod_desc with
+  | Tmod_ident (p, _) -> Some p
+  | Tmod_constraint (me, _, _, _) -> alias_target me
+  | _ -> None
+
 let build units =
   let defs_tbl = Hashtbl.create 512 in
   let refs_tbl = Hashtbl.create 512 in
   let ident_ids = Hashtbl.create 512 in
+  (* "<unit>\x00<Ident.unique_name>" -> canonical module path, for each
+     module alias ([module Time = Engine.Time]) a unit binds. The compiler
+     keeps the alias in use-site paths ([Time.add]), so without this a
+     reference through an alias resolves to nothing. *)
+  let aliases = Hashtbl.create 64 in
   let bodies = ref [] in
   let globals = ref [] in
   let type_decls_ = Hashtbl.create 64 in
   (* Pass 1: collect module-level bindings (nested modules included) and
      remember which body belongs to which node. *)
+  let unit_of = Hashtbl.create 64 in
   List.iter
     (fun (u : Cmt_loader.unit_info) ->
+      Hashtbl.replace unit_of u.canonical u;
       let add_def id line expr =
         let d = { id; unit_canonical = u.canonical; source = u.source; line } in
         if not (Hashtbl.mem defs_tbl id) then begin
@@ -96,6 +133,11 @@ let build units =
                 let name =
                   match mb.mb_id with Some i -> Ident.name i | None -> "_"
                 in
+                (match (mb.mb_id, alias_target mb.mb_expr) with
+                | Some i, Some p ->
+                    Hashtbl.replace aliases (alias_key u i)
+                      (normalize_in aliases u p)
+                | _ -> ());
                 collect_mod (prefix ^ "." ^ name) mb.mb_expr
             | Tstr_recmodule mbs ->
                 List.iter
@@ -121,6 +163,7 @@ let build units =
      sound notion of "may call". *)
   List.iter
     (fun ((d : def), expr) ->
+      let u = Hashtbl.find unit_of d.unit_canonical in
       let seen = Hashtbl.create 16 in
       let out = ref [] in
       let record target line =
@@ -141,7 +184,15 @@ let build units =
                 with
                 | Some id -> record id line
                 | None -> (* local binding: not an edge *) ())
-            | _ -> record (normalize path) line)
+            | _ -> record (normalize_in aliases u path) line)
+        | Texp_letmodule (Some i, _, _, me, _) -> (
+            (* [let module C = Engine.Event_class in ...]: visited before
+               its body, so the alias is known by the time C.x is seen. *)
+            match alias_target me with
+            | Some p ->
+                Hashtbl.replace aliases (alias_key u i)
+                  (normalize_in aliases u p)
+            | None -> ())
         | _ -> ());
         Tast_iterator.default_iterator.expr sub e
       in

@@ -4,7 +4,7 @@
 
    Two stages:
    - the syntactic pass (R1-R10) parses sources directly — fast, always on;
-   - the typed pass (R11-R14) reads dune-produced .cmt Typedtrees; enable
+   - the typed pass (R11-R15) reads dune-produced .cmt Typedtrees; enable
      it with --typed (and point --cmt-root at the build dir, default
      _build/default when it exists, else "."). `dune build @lint` wires
      this up with the right deps. *)
@@ -22,15 +22,18 @@ let usage () =
      \  --only R2[,R4...]   run only the listed rules\n\
      \  --skip R5[,R6...]   run all rules except the listed ones\n\
      \  --typed             also run the typed whole-program rules\n\
-     \                      (R11-R14) over .cmt build artifacts\n\
+     \                      (R11-R15) over .cmt build artifacts\n\
      \  --cmt-root DIR      where to look for .cmt files (repeatable;\n\
      \                      implies --typed; default: _build/default if\n\
      \                      present, else .)\n\
      \  --format FMT        text (default) or json\n\
      \  --list-rules        print the rule table and exit\n\
      \  --help              this message\n\n\
-      Suppress a single line with a trailing comment:\n\
+      Suppress a single line with a trailing comment (any rule but R15):\n\
      \  let eq a b = a = b  (* dtlint: allow R2 *)\n\n\
+      Keep a lib/ export that only tests use (R15) with a reason on its\n\
+      val line:\n\
+     \  val live_count : store -> int (* dtlint: test-only: leak checks *)\n\n\
       Rules:\n"
     ^ String.concat ""
         (List.map

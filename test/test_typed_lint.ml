@@ -40,16 +40,23 @@ let write root rel content =
 (* Compile fixtures in dependency order, cwd = fixture root, so each
    .cmt's cmt_sourcefile is the relative path we passed — the same shape
    dune records. *)
-let compile root rels =
+let compile ?(outputs = []) root rels =
   let incs = List.sort_uniq String.compare (List.map Filename.dirname rels) in
   let inc_flags =
     String.concat " " (List.map (fun d -> "-I " ^ Filename.quote d) incs)
   in
   List.iter
     (fun rel ->
+      (* [-o dir/Prefix__Mod.cmo] names the unit the way dune does, while
+         the recorded source stays [rel]. *)
+      let out =
+        match List.assoc_opt rel outputs with
+        | Some o -> "-o " ^ Filename.quote o
+        | None -> ""
+      in
       let cmd =
-        Printf.sprintf "cd %s && ocamlc -bin-annot -w -a %s -c %s"
-          (Filename.quote root) inc_flags (Filename.quote rel)
+        Printf.sprintf "cd %s && ocamlc -bin-annot -w -a %s %s -c %s"
+          (Filename.quote root) inc_flags out (Filename.quote rel)
       in
       if Sys.command cmd <> 0 then
         Alcotest.failf "fixture failed to compile: %s" rel)
@@ -182,7 +189,9 @@ let s13 =
      root)
 
 let test_r13_instant_hygiene () =
-  let vs = lint_root (Lazy.force s13) in
+  (* R13 only: the stand-in Time.mli exports an of_ns no fixture unit
+     uses, which is R15's business, not this test's. *)
+  let vs = lint_root ~rules:[ R.R13 ] (Lazy.force s13) in
   check_renders
     "to_ns into Int64.add and a :> coercion flagged; span math and the \
      suppressed line stay legal"
@@ -248,6 +257,173 @@ let test_r14_hot_path_allocs () =
   Alcotest.(check bool) "capture message names the variable" true
     (contains ~sub:"captures n" capture.message)
 
+(* --- R15: lib/ exports need a user outside their unit and the tests ----- *)
+
+(* A lib/ module with one export per verdict, its users spread over a
+   test unit, a bin unit and its own body. Each user is compiled under
+   its real directory, so the test/bin split is the same path test the
+   rule applies to the real tree. *)
+let s15 =
+  lazy
+    (let root = mkdtemp () in
+     write root "lib/stats/agg.mli"
+       "val used_by_bin : int -> int
+        val test_only : int -> int
+        val helper : int -> int
+        val dead : int
+        val kept : int -> int (* dtlint: test-only: oracle for the tests *)
+        val bare : int -> int (* dtlint: test-only *)
+        val escaped : int -> int (* dtlint: allow R15 *)
+        module Sub : sig
+       \  val nested_used : int
+       \  val nested_dead : int
+        end
+";
+     write root "lib/stats/agg.ml"
+       "let helper x = x + 1
+        let used_by_bin x = helper x
+        let test_only x = 2 * x
+        let dead = 0
+        let kept x = x
+        let bare x = x
+        let escaped x = x
+        module Sub = struct
+       \  let nested_used = 1
+       \  let nested_dead = 2
+        end
+";
+     write root "bin/tool.ml"
+       "let main () = Agg.used_by_bin 1 + Agg.Sub.nested_used
+";
+     write root "test/test_agg.ml"
+       "let check () = Agg.test_only 1 + Agg.kept 1 + Agg.bare 1
+";
+     compile root
+       [ "lib/stats/agg.mli"; "lib/stats/agg.ml"; "bin/tool.ml";
+         "test/test_agg.ml" ];
+     root)
+
+let r15_findings () =
+  lint_root ~rules:[ R.R15 ] (Lazy.force s15)
+
+let test_r15_convicts () =
+  let vs = r15_findings () in
+  check_renders
+    "test-only, own-unit-only, unused, reasonless annotation and an allow \
+     comment are all findings"
+    [
+      "R15 lib/stats/agg.mli:2"; "R15 lib/stats/agg.mli:3";
+      "R15 lib/stats/agg.mli:4"; "R15 lib/stats/agg.mli:6";
+      "R15 lib/stats/agg.mli:7"; "R15 lib/stats/agg.mli:10";
+    ]
+    vs;
+  let msg line =
+    (List.find (fun (v : R.violation) -> v.line = line) vs).message
+  in
+  Alcotest.(check bool) "test-only message names the test unit" true
+    (contains ~sub:"used only by tests (test/test_agg.ml)" (msg 2));
+  Alcotest.(check bool) "own-unit message says to drop it from the .mli"
+    true
+    (contains ~sub:"used only inside its module" (msg 3));
+  Alcotest.(check bool) "unused export gets the same advice" true
+    (contains ~sub:"used only inside its module" (msg 4));
+  Alcotest.(check bool) "a reasonless annotation is its own finding" true
+    (contains ~sub:"no reason" (msg 6));
+  Alcotest.(check bool) "nested module exports are named in full" true
+    (contains ~sub:"Agg.Sub.nested_dead" (msg 10))
+
+let test_r15_acquits () =
+  let lines =
+    List.map (fun (v : R.violation) -> v.line) (r15_findings ())
+  in
+  Alcotest.(check bool) "used from bin/" false (List.mem 1 lines);
+  Alcotest.(check bool) "annotated with a reason" false (List.mem 5 lines);
+  Alcotest.(check bool) "nested export used from bin/" false
+    (List.mem 9 lines)
+
+let test_r15_counts_every_tool_dir () =
+  (* The same test-only export, then a user from each non-test tree. *)
+  List.iter
+    (fun dir ->
+      let root = mkdtemp () in
+      write root "lib/net/probe.mli" "val reading : int
+";
+      write root "lib/net/probe.ml" "let reading = 3
+";
+      write root "test/test_probe.ml" "let x = Probe.reading
+";
+      write root (dir ^ "/user.ml") "let y = Probe.reading
+";
+      compile root
+        [ "lib/net/probe.mli"; "lib/net/probe.ml"; "test/test_probe.ml";
+          dir ^ "/user.ml" ];
+      check_renders (dir ^ " counts as a user") []
+        (lint_root ~rules:[ R.R15 ] root))
+    [ "bin"; "bench"; "examples"; "perfbench" ];
+  (* perfbench's own test unit does not. *)
+  let root = mkdtemp () in
+  write root "lib/net/probe.mli" "val reading : int
+";
+  write root "lib/net/probe.ml" "let reading = 3
+";
+  write root "perfbench/test_perfbench.ml" "let x = Probe.reading
+";
+  compile root
+    [ "lib/net/probe.mli"; "lib/net/probe.ml"; "perfbench/test_perfbench.ml" ];
+  check_renders "perfbench/test_perfbench.ml is a test unit"
+    [ "R15 lib/net/probe.mli:1" ]
+    (lint_root ~rules:[ R.R15 ] root)
+
+let test_r15_follows_module_aliases () =
+  (* [module P = Probe] and [let module P = Probe in] both keep the
+     alias in use-site paths; the export is still used. *)
+  let root = mkdtemp () in
+  write root "lib/net/probe.mli" "val a : int
+val b : int
+";
+  write root "lib/net/probe.ml" "let a = 1
+let b = 2
+";
+  write root "bin/user.ml"
+    "module P = Probe
+let x = P.a
+let y = let module Q = Probe in Q.b
+";
+  compile root [ "lib/net/probe.mli"; "lib/net/probe.ml"; "bin/user.ml" ];
+  check_renders "aliases resolve to the export" []
+    (lint_root ~rules:[ R.R15 ] root)
+
+(* --- same-named executables in two directories -------------------------- *)
+
+(* Every executable module is mangled into dune's one [Dune__exe]
+   namespace, so bench/main.ml and perfbench/main.ml both compile to
+   [Dune__exe__Main]. Each carries its own R12 violation (a ref behind a
+   Domain.spawn); both must be reported, so neither unit may shadow the
+   other on load or in the call graph. *)
+let test_same_named_executables () =
+  let root = mkdtemp () in
+  let main = "let hits = ref 0
+let run () = Domain.spawn (fun () -> incr hits)
+" in
+  write root "bench/main.ml" main;
+  write root "perfbench/main.ml" ("
+" ^ main);
+  compile
+    ~outputs:
+      [
+        ("bench/main.ml", "bench/dune__exe__Main.cmo");
+        ("perfbench/main.ml", "perfbench/dune__exe__Main.cmo");
+      ]
+    root [ "bench/main.ml"; "perfbench/main.ml" ];
+  let units = CL.load_tree ~roots:[ root ] in
+  Alcotest.(check (list string))
+    "both units load, under directory-qualified names"
+    [ "bench.Main"; "perfbench.Main" ]
+    (List.map (fun (u : CL.unit_info) -> u.canonical) units);
+  check_renders "one R12 per executable"
+    [ "R12 bench/main.ml:1"; "R12 perfbench/main.ml:2" ]
+    (lint_root ~rules:[ R.R12 ] root)
+
 (* --- determinism: reports are stable under module reordering ----------- *)
 
 let render_full (v : R.violation) =
@@ -281,6 +457,14 @@ let suites =
         Alcotest.test_case "R13 instant hygiene" `Quick test_r13_instant_hygiene;
         Alcotest.test_case "R14 hot-path allocations" `Quick
           test_r14_hot_path_allocs;
+        Alcotest.test_case "R15 convicting fixtures" `Quick test_r15_convicts;
+        Alcotest.test_case "R15 acquitting fixtures" `Quick test_r15_acquits;
+        Alcotest.test_case "R15 users in every tool directory" `Quick
+          test_r15_counts_every_tool_dir;
+        Alcotest.test_case "R15 follows module aliases" `Quick
+          test_r15_follows_module_aliases;
+        Alcotest.test_case "same-named executables both linted" `Quick
+          test_same_named_executables;
         QCheck_alcotest.to_alcotest test_reorder_stability;
       ] );
   ]

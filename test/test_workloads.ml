@@ -7,58 +7,6 @@ module L = Workloads.Longlived
 module I = Workloads.Incast
 module Cm = Workloads.Completion
 
-(* Every concrete workload conforms to Workloads.Workload.S — the
-   uniformity Exp.Spec relies on to describe scenarios declaratively.
-   Every workload now carries optional faults/buffer arguments (Longlived
-   also tracer/metrics) and Deadline takes the protocol bundle piecewise,
-   so they conform through the same thin adapters Exp.Runner applies. *)
-module _ : Workloads.Workload.S = struct
-  include Workloads.Dynamic
-
-  let run proto config = run proto config
-end
-
-module _ : Workloads.Workload.S = struct
-  include Workloads.Convergence
-
-  let run proto config = run proto config
-end
-
-module _ : Workloads.Workload.S = struct
-  include Workloads.Longlived
-
-  let run proto config = run proto config
-end
-
-module _ : Workloads.Workload.S = struct
-  include Workloads.Incast
-
-  let run proto config = run proto config
-end
-
-module _ : Workloads.Workload.S = struct
-  include Workloads.Completion
-
-  let run proto config = run proto config
-end
-
-module _ : Workloads.Workload.S = struct
-  include Workloads.Fattree
-
-  let run proto config = run proto config
-end
-
-module _ : Workloads.Workload.S = struct
-  include Workloads.Deadline
-
-  let run (proto : Dctcp.Protocol.t) config =
-    run
-      ~marking:(fun () -> proto.Dctcp.Protocol.marking ())
-      ~echo:proto.Dctcp.Protocol.echo
-      (Workloads.Deadline.Plain proto.Dctcp.Protocol.cc)
-      config
-end
-
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checkf ?(eps = 1e-9) msg = Alcotest.check (Alcotest.float eps) msg
