@@ -13,7 +13,8 @@ module Time = Engine.Time
    the whole harness stays interactive during development. *)
 let quick = ref false
 
-let scale_span s = if !quick then Int64.div s 2L else s
+let scale_span s =
+  if !quick then Time.span_of_int_ns (Time.span_to_int_ns s / 2) else s
 let scale_int n = if !quick then Stdlib.max 1 (n / 2) else n
 
 (* Longlived sections all share the paper's 100/200 ms windows. *)

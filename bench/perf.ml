@@ -144,7 +144,7 @@ let macro_scenario ?profiler ~n () =
     Array.iteri
       (fun i f ->
         Tcp.Flow.start_at f
-          (Engine.Time.of_ns (Int64.of_int (i * 100_000 / n))))
+          (Engine.Time.of_int_ns (i * 100_000 / n)))
       flows
   else Array.iter Tcp.Flow.start flows;
   let until =

@@ -622,7 +622,9 @@ let analyze_cmd =
        would be indistinguishable from "no oscillation", so the two
        degenerate verdicts print their explicit diagnostics. *)
     let series = Array.of_list (List.rev !samples) in
-    let sample_rate_hz = 1e9 /. Int64.to_float cfg.An.sample_period in
+    let sample_rate_hz =
+      1e9 /. float_of_int (Engine.Time.span_to_int_ns cfg.An.sample_period)
+    in
     (match Stats.Spectrum.analyze ~samples:series ~sample_rate_hz with
     | Stats.Spectrum.Peak p ->
         Printf.printf "FFT cross-check     %.1f Hz\n"

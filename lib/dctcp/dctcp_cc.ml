@@ -13,8 +13,7 @@ type reduction_context = {
 (* Per-ACK state, kept free of boxes: alpha lives in a one-slot float
    array (a mutable float field of this mixed record would box on every
    window end) and the last window's duration is an immediate ns count,
-   -1 until a window completes. The public [reduction_context] is built
-   only when a cut is due. *)
+   -1 until a window completes. *)
 type state = {
   alpha : float array;
   mutable window_end : int;
@@ -25,7 +24,12 @@ type state = {
   mutable epoch_duration_ns : int;
 }
 
-let cc_with_penalty ?(params = default_params) ~penalty () =
+(* [penalty = None] is plain DCTCP: the cut reads alpha straight from
+   the state, so it builds no [reduction_context], no [Some span] and
+   no boxed penalty. A hook gets the context and has its result clamped
+   to [0, 1]; the identity hook [fun ctx -> ctx.alpha] cuts to the same
+   window, since alpha never leaves [0, 1]. *)
+let make ~params ~penalty =
   if params.g <= 0. || params.g > 1. then
     invalid_arg "Dctcp_cc.cc: g out of (0,1]";
   if params.init_alpha < 0. || params.init_alpha > 1. then
@@ -60,33 +64,31 @@ let cc_with_penalty ?(params = default_params) ~penalty () =
         if snd_una > st.cwr_end then begin
           (* Penalty-gated proportional backoff, once per window. *)
           let cwnd = api.Tcp.Cc.get_cwnd () in
-          let ctx =
-            {
-              alpha = st.alpha.(0);
-              cwnd;
-              now = api.Tcp.Cc.now ();
-              rtt_estimate =
-                (if st.epoch_duration_ns < 0 then None
-                 else Some (Int64.of_int st.epoch_duration_ns));
-              snd_una;
-            }
-          in
-          let p = Float.min 1. (Float.max 0. (penalty ctx)) in
-          let target = cwnd *. (1. -. (p /. 2.)) in
-          if Obs.Trace.enabled api.Tcp.Cc.tracer Obs.Trace.C_cwnd_cut then
-            Obs.Trace.emit api.Tcp.Cc.tracer
-              {
-                Obs.Trace.time = api.Tcp.Cc.now ();
-                component;
-                event =
-                  Obs.Trace.Cwnd_cut
+          let alpha = st.alpha.(0) in
+          let target =
+            match penalty with
+            | None -> cwnd *. (1. -. (alpha /. 2.))
+            | Some penalty ->
+                let p =
+                  penalty
                     {
-                      flow = api.Tcp.Cc.flow;
-                      cwnd_before = cwnd;
-                      cwnd_after = target;
-                      alpha = st.alpha.(0);
-                    };
-              };
+                      alpha;
+                      cwnd;
+                      now = api.Tcp.Cc.now ();
+                      rtt_estimate =
+                        (if st.epoch_duration_ns < 0 then None
+                         else
+                           Some
+                             (Engine.Time.span_of_int_ns st.epoch_duration_ns));
+                      snd_una;
+                    }
+                in
+                cwnd *. (1. -. (Float.min 1. (Float.max 0. p) /. 2.))
+          in
+          if Obs.Trace.enabled api.Tcp.Cc.tracer Obs.Trace.C_cwnd_cut then
+            Obs.Trace.emit_cut api.Tcp.Cc.tracer ~time:(api.Tcp.Cc.now ())
+              ~component ~flow:api.Tcp.Cc.flow ~cwnd_before:cwnd
+              ~cwnd_after:target ~alpha;
           api.Tcp.Cc.set_cwnd target;
           api.Tcp.Cc.set_ssthresh target;
           st.cwr_end <- snd_nxt
@@ -130,5 +132,7 @@ let cc_with_penalty ?(params = default_params) ~penalty () =
       alpha = (fun () -> Some st.alpha.(0));
     }
 
-let cc ?params () =
-  cc_with_penalty ?params ~penalty:(fun ctx -> ctx.alpha) ()
+let cc_with_penalty ?(params = default_params) ~penalty () =
+  make ~params ~penalty:(Some penalty)
+
+let cc ?(params = default_params) () = make ~params ~penalty:None

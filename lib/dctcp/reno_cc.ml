@@ -24,14 +24,14 @@ let grow (api : api) newly_acked =
   end
 
 let halve (api : api) =
-  let cwnd = api.Tcp.Cc.get_cwnd () in
-  let target = Stdlib.max (cwnd /. 2.) 1. in
+  let half = api.Tcp.Cc.get_cwnd () /. 2. in
+  let target = if half >= 1. then half else 1. in
   api.Tcp.Cc.set_ssthresh target;
   api.Tcp.Cc.set_cwnd target
 
 let collapse (api : api) =
-  let cwnd = api.Tcp.Cc.get_cwnd () in
-  api.Tcp.Cc.set_ssthresh (Stdlib.max (cwnd /. 2.) 1.);
+  let half = api.Tcp.Cc.get_cwnd () /. 2. in
+  api.Tcp.Cc.set_ssthresh (if half >= 1. then half else 1.);
   api.Tcp.Cc.set_cwnd 1.
 
 let newreno (api : api) =

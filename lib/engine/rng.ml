@@ -35,5 +35,11 @@ let exponential t ~mean =
   -.mean *. log u
 
 let jitter_span t ~max =
-  if Int64.compare max 0L <= 0 then 0L
-  else Int64.rem (Int64.shift_right_logical (int64 t) 1) (Int64.add max 1L)
+  let max = Time.span_to_int_ns max in
+  if max <= 0 then Time.span_of_int_ns 0
+  else
+    Time.span_of_int_ns
+      (Int64.to_int
+         (Int64.rem
+            (Int64.shift_right_logical (int64 t) 1)
+            (Int64.of_int (max + 1))))

@@ -73,7 +73,7 @@ let schedule_at_cls t time ~cls action =
 let schedule_at t time action = schedule_at_cls t time ~cls:0 action
 
 let schedule_after_cls t span ~cls action =
-  if Int64.compare span 0L < 0 then
+  if Time.span_to_int_ns span < 0 then
     invalid_arg "Sim.schedule_after: negative delay";
   schedule_at_cls t (Time.add t.now span) ~cls action
 

@@ -11,27 +11,33 @@ type t = private int
     touches an instant on every schedule and every pop, and a boxed
     representation would cost an allocation per event. *)
 
-type span = int64
-(** A duration in nanoseconds. Durations are plain [int64] so arithmetic
-    stays lightweight in the event loop. *)
+type span = private int
+(** A duration in nanoseconds; negative when it runs backwards (see
+    {!diff}). Immediate for the same reason as {!t}: the transport takes
+    a span per RTT sample and per RTO update, and a boxed [int64] would
+    cost an allocation at each. Build one with {!span_of_int_ns} or the
+    float conversions; read it back with {!span_to_int_ns}. *)
 
 val zero : t
 (** Simulation start. *)
 
-val of_ns : int64 -> t
-(** [of_ns n] is the instant [n] nanoseconds after start.
-    @raise Invalid_argument if [n] is negative. *)
-
-val to_ns : t -> int64
+val of_ns : span -> t
+(** [of_ns d] is the instant [d] after start.
+    @raise Invalid_argument if [d] is negative. *)
 
 val of_int_ns : int -> t
-(** {!of_ns} on an already-immediate nanosecond count — allocation-free,
-    for hot paths that carry instants as native ints (the event wheel's
-    keys, pooled packet timestamps).
+(** {!of_ns} on a native nanosecond count, for hot paths that carry
+    instants as ints (the event wheel's keys, pooled packet timestamps).
     @raise Invalid_argument if negative. *)
 
 val to_int_ns : t -> int
-(** {!to_ns} without the box; the identity, at this representation. *)
+(** The instant as a native nanosecond count; the identity. *)
+
+val span_of_int_ns : int -> span
+(** The span of [n] nanoseconds (any sign); the identity. *)
+
+val span_to_int_ns : span -> int
+(** The span as a native nanosecond count; the identity. *)
 
 val of_sec : float -> t
 (** [of_sec s] rounds [s] seconds to the nearest nanosecond.

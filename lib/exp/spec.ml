@@ -114,8 +114,9 @@ let bool = { enc = (fun b -> Json.Bool b); dec = Json.bool prefix }
 
 let span =
   {
-    enc = (fun s -> Json.Int (Int64.to_int s));
-    dec = (fun k j -> Result.map Int64.of_int (Json.int prefix k j));
+    enc = (fun s -> Json.Int (Engine.Time.span_to_int_ns s));
+    dec =
+      (fun k j -> Result.map Engine.Time.span_of_int_ns (Json.int prefix k j));
   }
 
 let span_opt =
@@ -126,7 +127,7 @@ let span_opt =
         let* v = Json.field prefix k j in
         match v with
         | Json.Null -> Ok None
-        | Json.Int i -> Ok (Some (Int64.of_int i))
+        | Json.Int i -> Ok (Some (Engine.Time.span_of_int_ns i))
         | _ -> Json.mistyped prefix k "int or null");
   }
 

@@ -91,9 +91,10 @@ let attach t ~port =
       ignore (Sim.schedule_after_cls t.sim until ~cls:cls_fault (set base_rate)))
     t.plan.Plan.rate_changes;
   let loss = t.plan.Plan.loss_rate and jitter = t.plan.Plan.jitter_max in
+  let jittered = Time.span_to_int_ns jitter > 0 in
   (* Resolved once here, not per delivery inside the hook. *)
   let st = Net.Packet.store_of t.sim in
-  if loss > 0. || Int64.compare jitter 0L > 0 then
+  if loss > 0. || jittered then
     Net.Port.set_fault_hook port (fun pkt ->
         if loss > 0. && Rng.float t.rng < loss then begin
           t.pkts_lost <- t.pkts_lost + 1;
@@ -105,9 +106,9 @@ let attach t ~port =
                });
           Net.Port.Lose
         end
-        else if Int64.compare jitter 0L > 0 then begin
+        else if jittered then begin
           let d = Rng.jitter_span t.rng ~max:jitter in
-          if Int64.compare d 0L = 0 then Net.Port.Deliver
+          if Time.span_to_int_ns d = 0 then Net.Port.Deliver
           else begin
             t.pkts_delayed <- t.pkts_delayed + 1;
             Net.Port.Delay d

@@ -22,7 +22,7 @@ let none =
   {
     flaps = [];
     loss_rate = 0.;
-    jitter_max = 0L;
+    jitter_max = Time.span_of_int_ns 0;
     rate_changes = [];
     suppression = Keep_marks;
   }
@@ -34,7 +34,8 @@ let ( let* ) = Result.bind
 let err fmt = Printf.ksprintf (fun s -> Error s) fmt
 
 let span_nonneg what s =
-  if Int64.compare s 0L < 0 then err "Fault.Plan: negative %s" what else Ok ()
+  if Time.span_to_int_ns s < 0 then err "Fault.Plan: negative %s" what
+  else Ok ()
 
 let check_windows what windows =
   (* Windows must be chronological and disjoint: overlapping flaps would
@@ -44,12 +45,12 @@ let check_windows what windows =
     | [] -> Ok ()
     | (lo, hi) :: rest ->
         let* () = span_nonneg what lo in
-        if Int64.compare hi lo <= 0 then err "Fault.Plan: empty %s window" what
-        else if Int64.compare lo prev_end < 0 then
+        if hi <= lo then err "Fault.Plan: empty %s window" what
+        else if lo < prev_end then
           err "Fault.Plan: %s windows overlap or are unsorted" what
         else go hi rest
   in
-  go 0L windows
+  go (Time.span_of_int_ns 0) windows
 
 let validate t =
   let* () =
@@ -74,7 +75,7 @@ let validate t =
   | Keep_marks | Suppress_all -> Ok ()
   | Suppress_window { at; until } ->
       let* () = span_nonneg "suppression window start" at in
-      if Int64.compare until at <= 0 then
+      if until <= at then
         err "Fault.Plan: empty suppression window"
       else Ok ()
   | Suppress_prob p ->
@@ -85,7 +86,7 @@ let validate t =
 (* --- JSON (same conventions as Exp.Spec: spans as integer ns, strict
    decoding that rejects missing or mistyped fields) --- *)
 
-let span_json s = Json.Int (Int64.to_int s)
+let span_json s = Json.Int (Time.span_to_int_ns s)
 
 let to_json t =
   let flap f =
@@ -129,7 +130,7 @@ let float_field = Json.number prefix
 
 let span_field name j =
   let* n = Json.int prefix name j in
-  if n >= 0 then Ok (Int64.of_int n)
+  if n >= 0 then Ok (Time.span_of_int_ns n)
   else err "%s: %S must be a non-negative integer (ns)" prefix name
 
 let list_field name j =

@@ -36,7 +36,7 @@ type t = {
   mutable deliver_head : unit -> unit;  (* delivers front of [in_flight] *)
   (* Memo of the last serialization time by packet size: traffic on a port
      is dominated by one or two packet sizes, so this skips the float
-     division (and the boxed span it allocates) almost every time. *)
+     division and rounding almost every time. *)
   mutable memo_size : int;
   mutable memo_tx : Time.span;
 }
@@ -67,7 +67,7 @@ let start_tx t =
 
 let create sim ~rate_bps ~delay ~queue ~deliver =
   if rate_bps <= 0. then invalid_arg "Port.create: rate must be positive";
-  if Int64.compare delay 0L < 0 then
+  if Time.span_to_int_ns delay < 0 then
     invalid_arg "Port.create: negative delay";
   let t =
     {
@@ -87,7 +87,7 @@ let create sim ~rate_bps ~delay ~queue ~deliver =
       tx_done = ignore;
       deliver_head = ignore;
       memo_size = -1;
-      memo_tx = 0L;
+      memo_tx = Time.span_of_int_ns 0;
     }
   in
   t.deliver_head <-

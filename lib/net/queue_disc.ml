@@ -205,7 +205,7 @@ let stddev_occupancy_bytes t =
   else begin
     let mean = t.acc.(int_bytes) /. dt in
     let var = (t.acc.(int_bytes2) /. dt) -. (mean *. mean) in
-    sqrt (Stdlib.max var 0.)
+    sqrt (if var >= 0. then var else 0.)
   end
 
 let mean_occupancy_packets t =
@@ -218,7 +218,7 @@ let stddev_occupancy_packets t =
   else begin
     let mean = t.acc.(int_pkts) /. dt in
     let var = (t.acc.(int_pkts2) /. dt) -. (mean *. mean) in
-    sqrt (Stdlib.max var 0.)
+    sqrt (if var >= 0. then var else 0.)
   end
 
 let max_occupancy_bytes t = t.max_bytes

@@ -90,7 +90,7 @@ let dumbbell sim ~n_senders ~bottleneck_rate_bps ?access_rate_bps ~rtt
   in
   (* Four propagation traversals per round trip: sender->switch,
      switch->receiver and back. *)
-  let leg = Int64.div rtt 4L in
+  let leg = Time.span_of_int_ns (Time.span_to_int_ns rtt / 4) in
   let switch = Switch.create sim ~id:0 ~buffer () in
   let senders =
     Array.init n_senders (fun i ->

@@ -90,11 +90,11 @@ let f_sync_sum = 4
 let f_sync_max = 5
 
 let create ?on_sample cfg =
-  if Int64.compare cfg.sample_period 0L <= 0 then
+  if Time.span_to_int_ns cfg.sample_period <= 0 then
     invalid_arg "Obs.Analyze.create: sample_period must be positive";
   if cfg.n_flows <= 0 then
     invalid_arg "Obs.Analyze.create: n_flows must be positive";
-  if Int64.compare cfg.rtt 0L <= 0 then
+  if Time.span_to_int_ns cfg.rtt <= 0 then
     invalid_arg "Obs.Analyze.create: rtt must be positive";
   if cfg.segment_bytes <= 0 then
     invalid_arg "Obs.Analyze.create: segment_bytes must be positive";
@@ -107,8 +107,8 @@ let create ?on_sample cfg =
   in
   {
     cfg;
-    period_ns = Int64.to_int cfg.sample_period;
-    rtt_ns = Int64.to_int cfg.rtt;
+    period_ns = Time.span_to_int_ns cfg.sample_period;
+    rtt_ns = Time.span_to_int_ns cfg.rtt;
     on_sample;
     fl = Array.make 6 0.;
     records = 0;
@@ -202,6 +202,11 @@ let occ_event t ~now_ns ~occ =
     else if occ <= t.band_low then t.zone <- zone_low
   end
 
+let flip_event t ~now_ns ~marking ~occ_bytes =
+  t.flips <- t.flips + 1;
+  if marking then t.flips_up <- t.flips_up + 1;
+  occ_event t ~now_ns ~occ:occ_bytes
+
 (* --- synchronization index ----------------------------------------- *)
 
 let close_window t =
@@ -256,19 +261,21 @@ let feed t (r : Trace.record) =
   | Trace.Drop { occ_bytes; _ } ->
       occ_event t ~now_ns ~occ:occ_bytes
   | Trace.Mark_state_flip { marking; occ_bytes } ->
-      t.flips <- t.flips + 1;
-      if marking then t.flips_up <- t.flips_up + 1;
-      occ_event t ~now_ns ~occ:occ_bytes
+      flip_event t ~now_ns ~marking ~occ_bytes
   | Trace.Cwnd_cut { flow; _ } -> cut_event t ~now_ns ~flow
   | _ -> ()
 
-(* Occupancy events sent with [Trace.emit_occ] arrive unboxed and take
-   the same steps as a fed record of the same class; records go to
-   [feed]. *)
+(* Events sent with [Trace.emit_occ], [emit_cut] and [emit_flip] arrive
+   as fields and take the same steps as a fed record of the same class;
+   records go to [feed]. *)
 let tracer t =
   Trace.create_handler ~classes:required_classes
     ~occ:(fun _cls ~time ~component:_ ~flow:_ ~occ_bytes ~occ_pkts:_ ->
       occ_event t ~now_ns:(advance t time) ~occ:occ_bytes)
+    ~cut:(fun ~time ~component:_ ~flow ~cwnd_before:_ ~cwnd_after:_ ~alpha:_ ->
+      cut_event t ~now_ns:(advance t time) ~flow)
+    ~flip:(fun ~time ~component:_ ~marking ~occ_bytes ->
+      flip_event t ~now_ns:(advance t time) ~marking ~occ_bytes)
     (feed t)
 
 let finalize t =
@@ -411,7 +418,7 @@ let hist_to_json h =
 
 let config_to_fields cfg =
   [
-    ("sample_period_ns", Json.Int (Int64.to_int cfg.sample_period));
+    ("sample_period_ns", Json.Int (Time.span_to_int_ns cfg.sample_period));
     ( "band_low_bytes",
       match cfg.band_bytes with
       | Some (lo, _) -> Json.Int lo
@@ -421,7 +428,7 @@ let config_to_fields cfg =
       | Some (_, hi) -> Json.Int hi
       | None -> Json.Null );
     ("n_flows", Json.Int cfg.n_flows);
-    ("rtt_ns", Json.Int (Int64.to_int cfg.rtt));
+    ("rtt_ns", Json.Int (Time.span_to_int_ns cfg.rtt));
     ("segment_bytes", Json.Int cfg.segment_bytes);
   ]
 
@@ -570,10 +577,10 @@ module Header = struct
       {
         config =
           {
-            sample_period = Int64.of_int sample_period_ns;
+            sample_period = Time.span_of_int_ns sample_period_ns;
             band_bytes;
             n_flows;
-            rtt = Int64.of_int rtt_ns;
+            rtt = Time.span_of_int_ns rtt_ns;
             segment_bytes;
           };
         classes;

@@ -60,11 +60,12 @@ val feed : t -> Trace.record -> unit
 
 val tracer : t -> Trace.t
 (** A tracer accepting exactly {!required_classes} that consumes what it
-    receives as {!feed} would. Occupancy events emitted with
-    {!Trace.emit_occ} reach the analyzer unboxed, with no record built;
-    everything else goes through {!feed}. Tee it with a run's primary
-    tracer to analyze online, or emit parsed file records through it to
-    analyze offline — both paths then filter identically. *)
+    receives as {!feed} would. Events emitted with {!Trace.emit_occ},
+    {!Trace.emit_cut} and {!Trace.emit_flip} reach the analyzer with no
+    record built; everything else goes through {!feed}. Tee it with a
+    run's primary tracer to analyze online, or emit parsed file records
+    through it to analyze offline — both paths then filter
+    identically. *)
 
 val finalize : t -> unit
 (** Flush trailing grid samples and close the open synchronization

@@ -4,7 +4,7 @@ module Time = Engine.Time
 let cls_sample = Engine.Event_class.(index Sample)
 
 let start sim ~period ~stop_at f =
-  if Int64.compare period 0L <= 0 then
+  if Time.span_to_int_ns period <= 0 then
     invalid_arg "Obs.Sampler.start: period must be positive";
   let rec tick () =
     f (Sim.now sim);

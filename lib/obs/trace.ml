@@ -215,7 +215,7 @@ let record_to_json r =
         [ ("flow", Json.Int flow); ("dst", Json.Int dst) ]
   in
   Json.Obj
-    (("t_ns", Json.Int (Int64.to_int (Time.to_ns r.time)))
+    (("t_ns", Json.Int (Time.to_int_ns r.time))
     :: ("event", Json.String (cls_name (cls_of_event r.event)))
     :: ("component", Json.String r.component)
     :: fields)
@@ -309,7 +309,7 @@ let record_of_json j =
         Ok (No_route_drop { flow; dst })
     | other -> Error (Printf.sprintf "trace record: unknown event %S" other)
   in
-  Ok { time = Time.of_ns (Int64.of_int t_ns); component; event }
+  Ok { time = Time.of_ns (Time.span_of_int_ns t_ns); component; event }
 
 (* --- ring buffer --- *)
 
@@ -367,9 +367,26 @@ type occ_handler =
   occ_pkts:int ->
   unit
 
+type cut_handler =
+  time:Time.t ->
+  component:string ->
+  flow:int ->
+  cwnd_before:float ->
+  cwnd_after:float ->
+  alpha:float ->
+  unit
+
+type flip_handler =
+  time:Time.t -> component:string -> marking:bool -> occ_bytes:int -> unit
+
 type target =
   | Sink of sink
-  | Handler of { occ : occ_handler; other : record -> unit }
+  | Handler of {
+      occ : occ_handler;
+      cut : cut_handler;
+      flip : flip_handler;
+      other : record -> unit;
+    }
   | Tee of t * t
 
 and t = { mask : int; target : target }
@@ -382,8 +399,8 @@ let class_mask classes =
 
 let create ?classes sink = { mask = class_mask classes; target = Sink sink }
 
-let create_handler ?classes ~occ other =
-  { mask = class_mask classes; target = Handler { occ; other } }
+let create_handler ?classes ~occ ~cut ~flip other =
+  { mask = class_mask classes; target = Handler { occ; cut; flip; other } }
 
 let enabled t c = t.mask land (1 lsl cls_index c) <> 0
 
@@ -450,6 +467,61 @@ let emit_occ t cls ~time ~component ~flow ~occ_bytes ~occ_pkts =
   ignore
     (occ_go t cls ~time ~component ~flow ~occ_bytes ~occ_pkts no_record
       : record)
+
+(* [emit_cut] and [emit_flip] walk the tracer as [occ_go] does. *)
+let rec cut_go t ~time ~component ~flow ~cwnd_before ~cwnd_after ~alpha built =
+  if not (enabled t C_cwnd_cut) then built
+  else
+    match t.target with
+    | Handler { cut; _ } ->
+        cut ~time ~component ~flow ~cwnd_before ~cwnd_after ~alpha;
+        built
+    | Tee (a, b) ->
+        let built =
+          cut_go a ~time ~component ~flow ~cwnd_before ~cwnd_after ~alpha built
+        in
+        cut_go b ~time ~component ~flow ~cwnd_before ~cwnd_after ~alpha built
+    | Sink Null -> built
+    | Sink sink ->
+        let r =
+          if built == no_record then
+            {
+              time;
+              component;
+              event = Cwnd_cut { flow; cwnd_before; cwnd_after; alpha };
+            }
+          else built
+        in
+        dispatch sink r;
+        r
+
+let emit_cut t ~time ~component ~flow ~cwnd_before ~cwnd_after ~alpha =
+  ignore
+    (cut_go t ~time ~component ~flow ~cwnd_before ~cwnd_after ~alpha no_record
+      : record)
+
+let rec flip_go t ~time ~component ~marking ~occ_bytes built =
+  if not (enabled t C_mark_state_flip) then built
+  else
+    match t.target with
+    | Handler { flip; _ } ->
+        flip ~time ~component ~marking ~occ_bytes;
+        built
+    | Tee (a, b) ->
+        let built = flip_go a ~time ~component ~marking ~occ_bytes built in
+        flip_go b ~time ~component ~marking ~occ_bytes built
+    | Sink Null -> built
+    | Sink sink ->
+        let r =
+          if built == no_record then
+            { time; component; event = Mark_state_flip { marking; occ_bytes } }
+          else built
+        in
+        dispatch sink r;
+        r
+
+let emit_flip t ~time ~component ~marking ~occ_bytes =
+  ignore (flip_go t ~time ~component ~marking ~occ_bytes no_record : record)
 
 let enabled_classes t = List.filter (enabled t) all_classes
 

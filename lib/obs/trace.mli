@@ -14,9 +14,11 @@
 
     The four occupancy classes (enqueue, dequeue, mark, drop) fire on
     every packet, so they have a second entry point, {!emit_occ}, that
-    takes the fields as immediate arguments. A tracer built with
-    {!create_handler} (the analyzer's) receives them unboxed; record
-    sinks receive the record {!emit} would have delivered.
+    takes the fields as arguments; window cuts and marking-state flips
+    have their own, {!emit_cut} and {!emit_flip}. A tracer built with
+    {!create_handler} (the analyzer's) receives the fields with no
+    record built; record sinks receive the record {!emit} would have
+    delivered.
 
     File sinks take a caller-owned [out_channel]; this module never opens
     files or writes to stdout (dtlint R4). *)
@@ -156,12 +158,36 @@ type occ_handler =
     [C_enqueue], [C_dequeue], [C_mark] or [C_drop]. For a drop,
     [occ_pkts] carries nothing (the [Drop] record has no such field). *)
 
+type cut_handler =
+  time:Engine.Time.t ->
+  component:string ->
+  flow:int ->
+  cwnd_before:float ->
+  cwnd_after:float ->
+  alpha:float ->
+  unit
+(** Consumer of one [Cwnd_cut] event. *)
+
+type flip_handler =
+  time:Engine.Time.t ->
+  component:string ->
+  marking:bool ->
+  occ_bytes:int ->
+  unit
+(** Consumer of one [Mark_state_flip] event. *)
+
 val create_handler :
-  ?classes:cls list -> occ:occ_handler -> (record -> unit) -> t
-(** A tracer with no record sink: events sent with {!emit_occ} go to
-    [occ], records sent with {!emit} to the function. The two must treat
-    an occupancy event the same whichever way it arrives. Accepts
-    [classes] (default: all). *)
+  ?classes:cls list ->
+  occ:occ_handler ->
+  cut:cut_handler ->
+  flip:flip_handler ->
+  (record -> unit) ->
+  t
+(** A tracer with no record sink: events sent with {!emit_occ},
+    {!emit_cut} and {!emit_flip} go to [occ], [cut] and [flip], records
+    sent with {!emit} to the function. Each handler must treat its event
+    the same as the function treats the equal record. Accepts [classes]
+    (default: all). *)
 
 val emit_occ :
   t ->
@@ -181,6 +207,28 @@ val emit_occ :
     saves evaluating the arguments on untraced runs.
     @raise Invalid_argument if [cls] is not an occupancy class. *)
 
+val emit_cut :
+  t ->
+  time:Engine.Time.t ->
+  component:string ->
+  flow:int ->
+  cwnd_before:float ->
+  cwnd_after:float ->
+  alpha:float ->
+  unit
+(** [emit t] of the [Cwnd_cut] record with these fields, delivered as
+    {!emit_occ} delivers: handlers get the fields, record sinks get the
+    record, built at most once per call. Guard with {!enabled}. *)
+
+val emit_flip :
+  t ->
+  time:Engine.Time.t ->
+  component:string ->
+  marking:bool ->
+  occ_bytes:int ->
+  unit
+(** {!emit_cut} for the [Mark_state_flip] record. *)
+
 val enabled_classes : t -> cls list
 (** The classes the tracer currently accepts, in {!all_classes} order.
     Used by the trace-file header so an offline consumer knows which
@@ -188,7 +236,8 @@ val enabled_classes : t -> cls list
 
 val tee : t -> t -> t
 (** [tee a b] forwards each record to both [a] and [b], each through its
-    own path ({!emit_occ} stays unboxed into a handler branch). Its own
+    own path ({!emit_occ}, {!emit_cut} and {!emit_flip} reach a handler
+    branch with no record built). Its own
     mask is the union of the two masks {e at tee time}, and each branch
     re-filters with its own mask on delivery — so emit-site [enabled]
     guards fire when either branch wants the class, and each branch

@@ -9,11 +9,11 @@ type summary = {
 }
 
 let slowdown ~ideal_ns ~actual_ns =
-  if Int64.compare ideal_ns 0L <= 0 then
-    invalid_arg "Fct.slowdown: ideal_ns must be positive";
-  if Int64.compare actual_ns 0L < 0 then
-    invalid_arg "Fct.slowdown: actual_ns must be non-negative";
-  let s = Int64.to_float actual_ns /. Int64.to_float ideal_ns in
+  let ideal = Engine.Time.span_to_int_ns ideal_ns
+  and actual = Engine.Time.span_to_int_ns actual_ns in
+  if ideal <= 0 then invalid_arg "Fct.slowdown: ideal_ns must be positive";
+  if actual < 0 then invalid_arg "Fct.slowdown: actual_ns must be non-negative";
+  let s = float_of_int actual /. float_of_int ideal in
   if s < 1. then 1. else s
 
 let summarize arr =

@@ -6,7 +6,8 @@
     one scale and tail percentiles are meaningful across a mixed
     workload. *)
 
-val slowdown : ideal_ns:int64 -> actual_ns:int64 -> float
+val slowdown :
+  ideal_ns:Engine.Time.span -> actual_ns:Engine.Time.span -> float
 (** [actual / ideal], clamped below at 1.0 — an actual faster than the
     ideal model can only be model error and must not reward a protocol.
     @raise Invalid_argument if [ideal_ns <= 0] or [actual_ns < 0]. *)

@@ -28,14 +28,14 @@ let grow api newly_acked =
   end
 
 let halve_on_loss api =
-  let cwnd = api.get_cwnd () in
-  let target = Stdlib.max (cwnd /. 2.) 1. in
+  let half = api.get_cwnd () /. 2. in
+  let target = if half >= 1. then half else 1. in
   api.set_ssthresh target;
   api.set_cwnd target
 
 let collapse_on_timeout api =
-  let cwnd = api.get_cwnd () in
-  api.set_ssthresh (Stdlib.max (cwnd /. 2.) 1.);
+  let half = api.get_cwnd () /. 2. in
+  api.set_ssthresh (if half >= 1. then half else 1.);
   api.set_cwnd 1.
 
 let reno api =
@@ -77,7 +77,8 @@ let ai_md ~increase ~decrease api =
   let cwr_end = ref 0 in
   let reduce () =
     let cwnd = api.get_cwnd () in
-    let target = Stdlib.max (cwnd *. (1. -. decrease)) 1. in
+    let cut = cwnd *. (1. -. decrease) in
+    let target = if cut >= 1. then cut else 1. in
     api.set_ssthresh target;
     api.set_cwnd target
   in

@@ -9,14 +9,8 @@ type t = {
   mutable samples : int;
 }
 
-let clamp t rto_s =
-  let ns = Engine.Time.span_of_sec rto_s in
-  if Int64.compare ns t.min_rto < 0 then t.min_rto
-  else if Int64.compare ns t.max_rto > 0 then t.max_rto
-  else ns
-
 let create ~min_rto ~max_rto ~initial_rto () =
-  if Int64.compare min_rto max_rto > 0 then
+  if min_rto > max_rto then
     invalid_arg "Rtt_estimator.create: min_rto > max_rto";
   { min_rto; max_rto; est = [| 0.; 0. |]; rto = initial_rto; samples = 0 }
 
@@ -31,14 +25,24 @@ let sample t span =
     t.est.(0) <- (0.875 *. t.est.(0)) +. (0.125 *. r)
   end;
   t.samples <- t.samples + 1;
-  t.rto <- clamp t (t.est.(0) +. Stdlib.max (4. *. t.est.(1)) 1e-6)
+  (* RTO = srtt + max (4 rttvar, 1 us), clamped to [min_rto, max_rto].
+     Written out here so no float crosses a call: a float argument or
+     result of a call that is not inlined is boxed. *)
+  let var4 = 4. *. t.est.(1) in
+  let ns =
+    Engine.Time.span_of_sec
+      (t.est.(0) +. if var4 >= 1e-6 then var4 else 1e-6)
+  in
+  t.rto <-
+    (if ns < t.min_rto then t.min_rto
+     else if ns > t.max_rto then t.max_rto
+     else ns)
 
 let rto t = t.rto
 
 let backoff t =
-  let doubled = Int64.mul t.rto 2L in
-  t.rto <-
-    (if Int64.compare doubled t.max_rto > 0 then t.max_rto else doubled)
+  let doubled = Engine.Time.(span_of_int_ns (span_to_int_ns t.rto * 2)) in
+  t.rto <- (if doubled > t.max_rto then t.max_rto else doubled)
 
 let srtt t =
   if t.samples = 0 then None else Some (Engine.Time.span_of_sec t.est.(0))

@@ -43,7 +43,7 @@ let run ?faults ?(buffer = Net.Buffer_mgr.Static) (proto : Dctcp.Protocol.t)
   Workload.require_positive ~scenario:"Convergence" ~what:"flows"
     config.n_flows;
   Workload.require_positive ~scenario:"Convergence" ~what:"sample_window (ns)"
-    (Int64.to_int config.sample_window);
+    (Time.span_to_int_ns config.sample_window);
   let sim = Sim.create ~seed:config.seed () in
   let marking, attach_faults =
     Fault.Injector.install sim faults ~seed:config.seed ~component:"bottleneck"
@@ -70,17 +70,15 @@ let run ?faults ?(buffer = Net.Buffer_mgr.Static) (proto : Dctcp.Protocol.t)
           ~echo:proto.Dctcp.Protocol.echo ())
       net.Net.Topology.senders
   in
-  let join_time i =
-    Time.of_ns (Int64.mul config.join_interval (Int64.of_int i))
-  in
+  let join_ns = Time.span_to_int_ns config.join_interval in
+  let join_time i = Time.of_int_ns (join_ns * i) in
   let all_joined = join_time (config.n_flows - 1) in
   let departures_start = Time.add all_joined config.hold in
   (* Departure = the sender simply stops growing its demand: we close the
      flow (stop transmitting) at its departure instant, mirroring the join
      staircase. *)
   let leave_time i =
-    Time.add departures_start
-      (Int64.mul config.join_interval (Int64.of_int i))
+    Time.add departures_start (Time.span_of_int_ns (join_ns * i))
   in
   Array.iteri
     (fun i f ->

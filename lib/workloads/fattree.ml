@@ -65,12 +65,11 @@ let ideal_fct_ns config ~hops ~bytes =
   let seg = config.segment_bytes in
   let segments = (bytes + seg - 1) / seg in
   let ser_ns b =
-    Int64.of_float (float_of_int (b * 8) /. config.rate_bps *. 1e9)
+    int_of_float (float_of_int (b * 8) /. config.rate_bps *. 1e9)
   in
-  let prop = Int64.mul (Int64.of_int (2 * hops)) config.link_delay in
-  Int64.add
-    (Int64.add prop (ser_ns (segments * seg)))
-    (Int64.mul (Int64.of_int (hops - 1)) (ser_ns seg))
+  let prop = 2 * hops * Time.span_to_int_ns config.link_delay in
+  Time.span_of_int_ns
+    (prop + ser_ns (segments * seg) + ((hops - 1) * ser_ns seg))
 
 let total_no_route (ft : Net.Topology.fat_tree) =
   let sum = Array.fold_left (fun a sw -> a + Net.Switch.no_route_drops sw) in
@@ -180,11 +179,12 @@ let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static)
         let h = hops ~half ~hosts_per_pod ~src:src_a.(i) ~dst:dst_a.(i) in
         let ideal_ns = ideal_fct_ns config ~hops:h ~bytes:bytes_a.(i) in
         let finish = if finished.(i) then done_at.(i) else cap in
-        let actual =
-          Int64.sub (Time.to_ns finish) (Time.to_ns starts.(i))
-        in
+        let actual = Time.diff finish starts.(i) in
         (* A censored flow that never even started scores the minimum. *)
-        let actual_ns = if Int64.compare actual 0L < 0 then 0L else actual in
+        let actual_ns =
+          if Time.span_to_int_ns actual < 0 then Time.span_of_int_ns 0
+          else actual
+        in
         Stats.Fct.slowdown ~ideal_ns ~actual_ns)
   in
   let s = Stats.Fct.summarize slowdowns in

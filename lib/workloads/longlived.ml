@@ -52,16 +52,16 @@ let run ?(tracer = Obs.Trace.null) ?metrics ?faults
     config =
   Workload.require_positive ~scenario:"Longlived" ~what:"flows" config.n_flows;
   Workload.require_positive ~scenario:"Longlived" ~what:"measure (ns)"
-    (Int64.to_int config.measure);
+    (Time.span_to_int_ns config.measure);
   (* Both sampling periods are checked here, not by Obs.Sampler.start at
      the end of the warm-up. *)
   Workload.require_positive ~scenario:"Longlived"
     ~what:"alpha_sample_period (ns)"
-    (Int64.to_int config.alpha_sample_period);
+    (Time.span_to_int_ns config.alpha_sample_period);
   Option.iter
     (fun period ->
       Workload.require_positive ~scenario:"Longlived"
-        ~what:"trace_sampling (ns)" (Int64.to_int period))
+        ~what:"trace_sampling (ns)" (Time.span_to_int_ns period))
     config.trace_sampling;
   let sim = Sim.create ~seed:config.seed () in
   (match on_sim with None -> () | Some f -> f sim);
@@ -72,12 +72,8 @@ let run ?(tracer = Obs.Trace.null) ?metrics ?faults
   let on_flip ~marking ~occ_bytes =
     if marking then incr flips_up else incr flips_down;
     if Obs.Trace.enabled tracer Obs.Trace.C_mark_state_flip then
-      Obs.Trace.emit tracer
-        {
-          Obs.Trace.time = Sim.now sim;
-          component = "bottleneck";
-          event = Obs.Trace.Mark_state_flip { marking; occ_bytes };
-        }
+      Obs.Trace.emit_flip tracer ~time:(Sim.now sim) ~component:"bottleneck"
+        ~marking ~occ_bytes
   in
   let marking, attach_faults =
     Fault.Injector.install sim faults ~seed:config.seed ~tracer ?metrics
@@ -144,7 +140,9 @@ let run ?(tracer = Obs.Trace.null) ?metrics ?faults
   let series =
     Option.map
       (fun period ->
-        let n = Int64.to_int (Int64.div config.measure period) + 1 in
+        let n =
+          (Time.span_to_int_ns config.measure / Time.span_to_int_ns period) + 1
+        in
         (period, Array.make n 0., Array.make n 0., ref 0))
       config.trace_sampling
   in

@@ -99,9 +99,9 @@ let rule_doc = function
        unless it is Atomic or carries a justified per-domain-ownership \
        annotation — the guard rail for Exp.Runner's parallel sweeps"
   | R13 ->
-      "typed: no raw int64 arithmetic on Engine.Time.t instants (a \
-       coercion of Time.t, or Int64 ops fed by Time.to_ns) outside \
-       lib/engine/time.ml; instants carry a unit, spans are plain int64"
+      "typed: no :> int coercion of an Engine.Time.t instant or \
+       Engine.Time.span outside lib/engine; it strips the unit, so \
+       convert with Time.to_int_ns / Time.span_to_int_ns instead"
   | R14 ->
       "typed: no per-call allocation in event hot-path functions of \
        lib/engine and lib/net — partial applications, environment-\

@@ -58,8 +58,11 @@
       [array], [Hashtbl.t], [Buffer.t], records with [mutable] fields)
       reachable from a [Domain.spawn]-ing function must be [Atomic.t] or
       carry a justified ownership annotation.
-    - {b R13} time-unit hygiene: no raw [int64] arithmetic on
-      {!Engine.Time.t} instants outside [lib/engine/time.ml].
+    - {b R13} time-unit hygiene: no [:> int] coercion of an
+      {!Engine.Time.t} instant or an [Engine.Time.span] outside
+      [lib/engine]. Both are private ints, so the coercion compiles, but
+      it strips the unit; [Time.to_int_ns] and [Time.span_to_int_ns] are
+      the greppable escapes.
     - {b R14} hot-path allocation: no partial applications, capturing
       closures or boxed-float returns in functions reachable from the
       event-loop entry points of [lib/engine] / [lib/net].

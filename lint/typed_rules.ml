@@ -26,6 +26,11 @@ let is_time_ml src =
   | Some [ "engine"; "time.ml" ] -> true
   | _ -> false
 
+let is_engine src =
+  match after_lib (segments src) with
+  | Some ("engine" :: _) -> true
+  | _ -> false
+
 let under_paths paths file =
   match paths with
   | [] -> true
@@ -304,64 +309,57 @@ let lint_units ?(rules = rules) ?(report_paths = [])
       mutable_globals
   end;
 
-  (* ---- R13: raw int64 arithmetic on Engine.Time.t instants ---- *)
+  (* ---- R13: unit-stripping coercions of Engine.Time values ---- *)
   if List.mem Rules.R13 rules then begin
-    let int64_ops =
-      [
-        "Int64.add"; "Int64.sub"; "Int64.mul"; "Int64.div"; "Int64.rem";
-        "Int64.neg"; "Int64.abs"; "Int64.succ"; "Int64.pred"; "Int64.logand";
-        "Int64.logor"; "Int64.logxor"; "Int64.shift_left"; "Int64.shift_right";
-        "Int64.shift_right_logical"; "Int64.min"; "Int64.max";
-      ]
+    (* A use site may reach the types through an alias of the module
+       ([module Time = Engine.Time] gives [Time.span]); no other module in
+       the tree is called Time. *)
+    let is_time_type ty =
+      match type_head ty with
+      | Some name ->
+          List.exists
+            (fun suffix ->
+              name = suffix || String.ends_with ~suffix:("." ^ suffix) name)
+            [ "Time.t"; "Time.span" ]
+      | None -> false
     in
-    let time_t = "Engine.Time.t" in
-    let is_coerced_time (e : Typedtree.expression) =
+    (* The type an expression had before [:>]: the coercion replaces
+       [exp_type] with its target, so read the source back from the
+       annotation, or from what the expression is. *)
+    let source_type (e : Typedtree.expression) from =
+      match from with
+      | Some (cty : Typedtree.core_type) -> Some cty.ctyp_type
+      | None -> (
+          match e.exp_desc with
+          | Texp_ident (_, _, vd) -> Some vd.val_type
+          | Texp_apply (f, _) -> Some (arrow_result f.exp_type)
+          | Texp_field (_, _, lbl) -> Some lbl.lbl_arg
+          | _ -> None)
+    in
+    let strips_unit (e : Typedtree.expression) =
       List.exists
         (fun (extra, _, _) ->
-          match extra with Typedtree.Texp_coerce _ -> true | _ -> false)
+          match extra with
+          | Typedtree.Texp_coerce (from, (target : Typedtree.core_type)) -> (
+              type_head target.ctyp_type = Some "int"
+              &&
+              match source_type e from with
+              | Some ty -> is_time_type ty
+              | None -> false)
+          | _ -> false)
         e.exp_extra
-      &&
-      match e.exp_desc with
-      | Texp_ident (_, _, vd) -> type_head vd.val_type = Some time_t
-      | _ -> false
-    in
-    let is_instant_expr (e : Typedtree.expression) =
-      type_head e.exp_type = Some time_t
-      || is_coerced_time e
-      ||
-      match e.exp_desc with
-      | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) ->
-          Callgraph.normalize p = "Engine.Time.to_ns"
-      | _ -> false
     in
     List.iter
       (fun (u : Cmt_loader.unit_info) ->
-        if not (is_time_ml u.source) then begin
+        if not (is_engine u.source) then begin
           let expr sub (e : Typedtree.expression) =
-            (match e.exp_desc with
-            | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args)
-              when List.mem (Callgraph.normalize p) int64_ops ->
-                if
-                  List.exists
-                    (fun (_, a) ->
-                      match a with Some a -> is_instant_expr a | None -> false)
-                    args
-                then
-                  emit Rules.R13 ~file:u.source ~line:(line_of_loc e.exp_loc)
-                    ~message:
-                      ("raw " ^ Callgraph.normalize p
-                     ^ " on an Engine.Time.t instant; instants carry a unit \
-                        — use Time.add/diff/compare (spans are plain int64 \
-                        and stay fair game), only lib/engine/time.ml does \
-                        raw instant arithmetic")
-                    ~notes:[]
-            | _ -> ());
-            if is_coerced_time e then
+            if strips_unit e then
               emit Rules.R13 ~file:u.source ~line:(line_of_loc e.exp_loc)
                 ~message:
-                  "coercing an Engine.Time.t instant to raw int64 strips \
-                   its unit; go through Time.to_ns at the API boundary so \
-                   the escape is greppable"
+                  "coercing an Engine.Time instant or span to int strips \
+                   its unit; convert with Time.to_int_ns / \
+                   Time.span_to_int_ns so the escape is greppable (only \
+                   lib/engine sees the representation)"
                 ~notes:[];
             Tast_iterator.default_iterator.expr sub e
           in

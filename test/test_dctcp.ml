@@ -459,6 +459,67 @@ let test_penalty_context_fields () =
       checkf "now passed" 3e-3 (Engine.Time.to_sec ctx.Dctcp.Dctcp_cc.now)
   | None -> Alcotest.fail "penalty not consulted"
 
+(* Plain [cc] cuts without the penalty hook; the identity hook must
+   drive the same window, alpha and cut records over any ACK stream.
+   Each step is (newly_acked, ECE, snd_nxt - snd_una, loss event),
+   with the clock moving 1.2 us per ACK. *)
+let prop_identity_penalty_matches_cc =
+  let step =
+    QCheck.Gen.(
+      quad (int_range 0 3) bool (int_range 0 24)
+        (frequencyl [ (30, `None); (1, `Fast_retransmit); (1, `Timeout) ]))
+  in
+  QCheck.Test.make ~count:300
+    ~name:"cc () = cc_with_penalty (fun c -> c.alpha) on random ACK streams"
+    QCheck.(
+      make
+        Gen.(
+          triple
+            (oneofl [ 1. /. 16.; 0.25; 1. ])
+            (float_range 0. 1.)
+            (list_size (int_range 1 400) step)))
+    (fun (g, init_alpha, steps) ->
+      let params = { Dctcp.Dctcp_cc.g; init_alpha } in
+      let run factory =
+        let f, api, clock = fake_api_with_clock () in
+        let cuts = ref [] in
+        let tracer =
+          Obs.Trace.create ~classes:[ Obs.Trace.C_cwnd_cut ]
+            (Obs.Trace.Fn (fun r -> cuts := Obs.Trace.record_to_json r :: !cuts))
+        in
+        let cc = factory { api with Tcp.Cc.tracer } in
+        let una = ref 0 and trail = ref [] in
+        List.iter
+          (fun (acked, ece, ahead, loss) ->
+            una := !una + acked;
+            clock := Engine.Time.add !clock (Engine.Time.span_of_int_ns 1_200);
+            cc.Tcp.Cc.on_ack ~newly_acked:acked ~ece ~snd_una:!una
+              ~snd_nxt:(!una + ahead);
+            (match loss with
+            | `None -> ()
+            | `Fast_retransmit -> cc.Tcp.Cc.on_fast_retransmit ()
+            | `Timeout -> cc.Tcp.Cc.on_timeout ());
+            trail := (f.cwnd, f.ssthresh, alpha_of cc) :: !trail)
+          steps;
+        (!trail, !cuts)
+      in
+      let plain_trail, plain_cuts = run (Dctcp.Dctcp_cc.cc ~params ()) in
+      let hooked_trail, hooked_cuts =
+        run
+          (Dctcp.Dctcp_cc.cc_with_penalty ~params
+             ~penalty:(fun c -> c.Dctcp.Dctcp_cc.alpha)
+             ())
+      in
+      let bits x = Int64.bits_of_float x in
+      List.length plain_cuts = List.length hooked_cuts
+      && List.for_all2 Obs.Json.equal plain_cuts hooked_cuts
+      && List.for_all2
+           (fun (c, s, a) (c', s', a') ->
+             Int64.equal (bits c) (bits c')
+             && Int64.equal (bits s) (bits s')
+             && Int64.equal (bits a) (bits a'))
+           plain_trail hooked_trail)
+
 let test_imminence_formula () =
   let params = Dctcp.D2tcp_cc.default_deadline_params in
   (* Tc = 100 segments * 100us / 10 = 1 ms; D = 2 ms -> d = 0.5 *)
@@ -478,7 +539,7 @@ let test_imminence_formula () =
   (* expired deadline -> maximum urgency *)
   let d3 =
     Dctcp.D2tcp_cc.imminence ~params ~remaining_segments:1 ~cwnd:10.
-      ~rtt:(Engine.Time.span_of_us 100.) ~time_left:0L
+      ~rtt:(Engine.Time.span_of_us 100.) ~time_left:(Engine.Time.span_of_int_ns 0)
   in
   checkf "expired" 2.0 d3
 
@@ -729,6 +790,7 @@ let suites =
         Alcotest.test_case "penalty clamped" `Quick test_penalty_clamped;
         Alcotest.test_case "penalty context fields" `Quick
           test_penalty_context_fields;
+        qtest prop_identity_penalty_matches_cc;
         Alcotest.test_case "imminence formula" `Quick test_imminence_formula;
         Alcotest.test_case "imminence clamping" `Quick test_imminence_clamping;
         Alcotest.test_case "near deadline backs off less" `Quick

@@ -61,7 +61,7 @@ let seed_gen =
     (fun hi lo -> Int64.(logxor (shift_left (of_int hi) 32) (of_int lo)))
     Gen.int Gen.int
 
-let span_gen = Gen.map Int64.of_int (Gen.int_range 0 2_000_000_000)
+let span_gen = Gen.map Time.span_of_int_ns (Gen.int_range 0 2_000_000_000)
 
 let longlived_gen =
   Gen.map
@@ -213,7 +213,7 @@ let faults_gen =
           | lo :: hi :: rest -> (lo, hi) :: pair rest
           | _ -> []
         in
-        pair (List.map Int64.of_int sorted))
+        pair (List.map Time.span_of_int_ns sorted))
       (Gen.list_size (Gen.int_range 0 6) (Gen.int_range 0 2_000_000_000))
   in
   let suppression_gen =
@@ -224,7 +224,10 @@ let faults_gen =
         Gen.map
           (fun (at, d) ->
             Fault.Plan.Suppress_window
-              { at; until = Int64.add at (Int64.of_int d) })
+              {
+                at;
+                until = Time.span_of_int_ns (Time.span_to_int_ns at + d);
+              })
           (Gen.pair span_gen (Gen.int_range 1 1_000_000_000));
         Gen.map (fun p -> Fault.Plan.Suppress_prob p) (Gen.float_range 0. 1.);
       ]

@@ -69,26 +69,27 @@ let test_plan_roundtrip () =
 
 let test_plan_validate_rejects () =
   let rejected p = match Plan.validate p with Error _ -> true | Ok () -> false in
-  let flap down_at up_at = { Plan.down_at; up_at } in
+  let ns = Time.span_of_int_ns in
+  let flap down_at up_at = { Plan.down_at = ns down_at; up_at = ns up_at } in
   checkb "empty window" true
-    (rejected { Plan.none with flaps = [ flap 5L 5L ] });
+    (rejected { Plan.none with flaps = [ flap 5 5 ] });
   checkb "reversed window" true
-    (rejected { Plan.none with flaps = [ flap 9L 3L ] });
+    (rejected { Plan.none with flaps = [ flap 9 3 ] });
   checkb "overlapping flaps" true
-    (rejected { Plan.none with flaps = [ flap 1L 10L; flap 5L 20L ] });
+    (rejected { Plan.none with flaps = [ flap 1 10; flap 5 20 ] });
   checkb "unsorted flaps" true
-    (rejected { Plan.none with flaps = [ flap 50L 60L; flap 1L 10L ] });
+    (rejected { Plan.none with flaps = [ flap 50 60; flap 1 10 ] });
   checkb "loss_rate = 1 (every packet lost forever)" true
     (rejected { Plan.none with loss_rate = 1.0 });
   checkb "negative loss_rate" true
     (rejected { Plan.none with loss_rate = -0.1 });
   checkb "negative jitter" true
-    (rejected { Plan.none with jitter_max = -1L });
+    (rejected { Plan.none with jitter_max = ns (-1) });
   checkb "zero rate factor" true
     (rejected
        {
          Plan.none with
-         rate_changes = [ { Plan.at = 1L; until = 2L; factor = 0. } ];
+         rate_changes = [ { Plan.at = ns 1; until = ns 2; factor = 0. } ];
        });
   checkb "suppression prob out of range" true
     (rejected { Plan.none with suppression = Plan.Suppress_prob 1.5 });
@@ -317,11 +318,10 @@ let test_rto_backoff_and_clamp () =
   (* RTO events during the outage: gaps must follow the doubling-then-
      clamp schedule exactly (the run is deterministic, no ACKs arrive to
      re-seed the estimator mid-outage). *)
+  let int_ns = Time.span_to_int_ns in
   let during =
-    List.rev !rto_times
-    |> List.filter (fun t ->
-           Int64.compare (Time.to_ns t) down_at >= 0
-           && Int64.compare (Time.to_ns t) up_at <= 0)
+    List.rev_map Time.to_int_ns !rto_times
+    |> List.filter (fun t -> t >= int_ns down_at && t <= int_ns up_at)
   in
   checkb
     (Printf.sprintf "several timeouts fired during the outage (%d)"
@@ -330,27 +330,26 @@ let test_rto_backoff_and_clamp () =
     (List.length during >= 4);
   let gaps =
     let rec go = function
-      | a :: (b :: _ as rest) ->
-          Int64.sub (Time.to_ns b) (Time.to_ns a) :: go rest
+      | a :: (b :: _ as rest) -> (b - a) :: go rest
       | _ -> []
     in
     go during
   in
   let rec check_schedule = function
     | g1 :: (g2 :: _ as rest) ->
-        let expected = Int64.min (Int64.mul 2L g1) max_rto in
+        let expected = Int.min (2 * g1) (int_ns max_rto) in
         checkb
-          (Printf.sprintf "gap %Ldns follows %Ldns (expect %Ldns)" g2 g1
+          (Printf.sprintf "gap %dns follows %dns (expect %dns)" g2 g1
              expected)
-          true (Int64.equal g2 expected);
+          true (g2 = expected);
         check_schedule rest
     | _ -> ()
   in
   check_schedule gaps;
   checkb "backoff reached the max_rto clamp" true
-    (List.exists (fun g -> Int64.equal g max_rto) gaps);
+    (List.exists (fun g -> g = int_ns max_rto) gaps);
   checkb "clamp held (no gap above max_rto)" true
-    (List.for_all (fun g -> Int64.compare g max_rto <= 0) gaps);
+    (List.for_all (fun g -> g <= int_ns max_rto) gaps);
   checkb "timeouts counted" true
     (Tcp.Sender.timeouts (Tcp.Flow.sender flow) >= List.length during)
 

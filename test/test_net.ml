@@ -114,7 +114,7 @@ let test_packet_enq_ns_stamp () =
   let p = mk_pkt ~sim () in
   checki "fresh packet unstamped" 0 (Packet.enq_ns st p);
   ignore
-    (Sim.schedule_at sim (Time.of_ns 5_000L) (fun () ->
+    (Sim.schedule_at sim (Time.of_int_ns 5_000) (fun () ->
          checkb "admitted" true (Q.enqueue q p = `Enqueued)));
   Sim.run sim;
   checki "stamped with admission time" 5_000 (Packet.enq_ns st p)
@@ -268,10 +268,10 @@ let test_queue_traced_zero_alloc () =
   let an =
     Obs.Analyze.create
       {
-        Obs.Analyze.sample_period = 500L;
+        Obs.Analyze.sample_period = Time.span_of_int_ns 500;
         band_bytes = Some (6_000, 12_000);
         n_flows = 4;
-        rtt = 10_000L;
+        rtt = Time.span_of_int_ns 10_000;
         segment_bytes = 1500;
       }
   in
@@ -345,7 +345,7 @@ let test_port_back_to_back () =
   let q = Q.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:1_000_000) () in
   let arrivals = ref [] in
   let port =
-    Net.Port.create sim ~rate_bps:1e9 ~delay:0L ~queue:q ~deliver:(fun _ ->
+    Net.Port.create sim ~rate_bps:1e9 ~delay:(Time.span_of_int_ns 0) ~queue:q ~deliver:(fun _ ->
         arrivals := Time.to_sec (Sim.now sim) :: !arrivals)
   in
   Net.Port.send port (mk_pkt ~sim ~size:1500 ());
@@ -361,15 +361,15 @@ let test_port_tx_time () =
   let sim = Sim.create () in
   let q = Q.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:1000) () in
   let port =
-    Net.Port.create sim ~rate_bps:10e9 ~delay:0L ~queue:q ~deliver:ignore
+    Net.Port.create sim ~rate_bps:10e9 ~delay:(Time.span_of_int_ns 0) ~queue:q ~deliver:ignore
   in
-  Alcotest.check Alcotest.int64 "1500B at 10G = 1.2us" 1200L
-    (Net.Port.tx_time port ~bytes:1500)
+  Alcotest.check Alcotest.int "1500B at 10G = 1.2us" 1200
+    (Time.span_to_int_ns (Net.Port.tx_time port ~bytes:1500))
 
 let test_port_reset_counters () =
   let sim = Sim.create () in
   let q = Q.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:10_000) () in
-  let port = Net.Port.create sim ~rate_bps:1e9 ~delay:0L ~queue:q ~deliver:ignore in
+  let port = Net.Port.create sim ~rate_bps:1e9 ~delay:(Time.span_of_int_ns 0) ~queue:q ~deliver:ignore in
   Net.Port.send port (mk_pkt ~sim ~size:1000 ());
   Sim.run sim;
   Net.Port.reset_counters port;
@@ -381,7 +381,7 @@ let test_port_drops_dont_transmit () =
   let q = Q.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:1000) () in
   let count = ref 0 in
   let port =
-    Net.Port.create sim ~rate_bps:1e6 ~delay:0L ~queue:q ~deliver:(fun _ ->
+    Net.Port.create sim ~rate_bps:1e6 ~delay:(Time.span_of_int_ns 0) ~queue:q ~deliver:(fun _ ->
         incr count)
   in
   (* The first is dequeued for transmission immediately, so the queue can
@@ -432,7 +432,7 @@ let test_host_nic_errors () =
 
 let mk_port sim deliver =
   let q = Q.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:1_000_000) () in
-  Net.Port.create sim ~rate_bps:1e9 ~delay:0L ~queue:q ~deliver
+  Net.Port.create sim ~rate_bps:1e9 ~delay:(Time.span_of_int_ns 0) ~queue:q ~deliver
 
 let test_switch_routing () =
   let sim = Sim.create () in

@@ -63,17 +63,17 @@ let test_ring_bounding () =
   let r = Trace.ring ~capacity:4 in
   let tr = Trace.create (Trace.Ring r) in
   for i = 1 to 10 do
-    Trace.emit tr (enq ~t:(Time.of_ns (Int64.of_int i)) i)
+    Trace.emit tr (enq ~t:(Time.of_int_ns i) i)
   done;
   Alcotest.(check int) "length capped" 4 (Trace.ring_length r);
   Alcotest.(check int) "total uncapped" 10 (Trace.ring_total r);
   let times =
     List.map
-      (fun (rec_ : Trace.record) -> Time.to_ns rec_.Trace.time)
+      (fun (rec_ : Trace.record) -> Time.to_int_ns rec_.Trace.time)
       (Trace.ring_records r)
   in
-  Alcotest.(check (list int64))
-    "keeps the most recent, oldest first" [ 7L; 8L; 9L; 10L ] times;
+  Alcotest.(check (list int))
+    "keeps the most recent, oldest first" [ 7; 8; 9; 10 ] times;
   Alcotest.(check bool)
     "capacity must be positive" true
     (match Trace.ring ~capacity:0 with
@@ -83,7 +83,7 @@ let test_ring_bounding () =
 (* --- serialization --- *)
 
 let test_record_serialization () =
-  let r = mk ~t:(Time.of_ns 42L) ~component:"bottleneck" (Trace.Drop { flow = 3; occ_bytes = 9000 }) in
+  let r = mk ~t:(Time.of_int_ns 42) ~component:"bottleneck" (Trace.Drop { flow = 3; occ_bytes = 9000 }) in
   let j = Trace.record_to_json r in
   Alcotest.(check bool)
     "t_ns" true
@@ -185,23 +185,24 @@ let test_sampler () =
   let ticks_of ~period ~stop_at =
     let sim = Sim.create () in
     let ticks = ref [] in
-    Obs.Sampler.start sim ~period ~stop_at:(Time.of_ns stop_at) (fun now ->
-        ticks := Time.to_ns now :: !ticks);
+    Obs.Sampler.start sim ~period:(Time.span_of_int_ns period)
+      ~stop_at:(Time.of_int_ns stop_at) (fun now ->
+        ticks := Time.to_int_ns now :: !ticks);
     Sim.run sim;
     List.rev !ticks
   in
-  Alcotest.(check (list int64))
-    "immediate: t=0 then every period up to stop_at" [ 0L; 10L; 20L; 30L ]
-    (ticks_of ~period:10L ~stop_at:35L);
-  Alcotest.(check (list int64))
-    "a tick landing exactly on stop_at fires" [ 0L; 10L; 20L; 30L ]
-    (ticks_of ~period:10L ~stop_at:30L);
-  Alcotest.(check (list int64))
-    "stop_at before the first period: only the immediate tick" [ 0L ]
-    (ticks_of ~period:50L ~stop_at:20L);
+  Alcotest.(check (list int))
+    "immediate: t=0 then every period up to stop_at" [ 0; 10; 20; 30 ]
+    (ticks_of ~period:10 ~stop_at:35);
+  Alcotest.(check (list int))
+    "a tick landing exactly on stop_at fires" [ 0; 10; 20; 30 ]
+    (ticks_of ~period:10 ~stop_at:30);
+  Alcotest.(check (list int))
+    "stop_at before the first period: only the immediate tick" [ 0 ]
+    (ticks_of ~period:50 ~stop_at:20);
   Alcotest.(check bool)
     "non-positive period rejected" true
-    (match ticks_of ~period:0L ~stop_at:10L with
+    (match ticks_of ~period:0 ~stop_at:10 with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -287,24 +288,24 @@ let test_tee () =
 
 module An = Obs.Analyze
 
-let an_config ?(sample_period = 10L) ?band ?(n_flows = 4) ?(rtt = 100L) () =
+let an_config ?(sample_period = 10) ?band ?(n_flows = 4) ?(rtt = 100) () =
   {
-    An.sample_period;
+    An.sample_period = Time.span_of_int_ns sample_period;
     band_bytes = band;
     n_flows;
-    rtt;
+    rtt = Time.span_of_int_ns rtt;
     segment_bytes = 1500;
   }
 
 let occ_at t occ =
-  mk ~t:(Time.of_ns t) (Trace.Enqueue { flow = 0; occ_bytes = occ; occ_pkts = occ / 1500 })
+  mk ~t:(Time.of_int_ns t) (Trace.Enqueue { flow = 0; occ_bytes = occ; occ_pkts = occ / 1500 })
 
 let cut_at t flow =
-  mk ~t:(Time.of_ns t)
+  mk ~t:(Time.of_int_ns t)
     (Trace.Cwnd_cut { flow; cwnd_before = 10.; cwnd_after = 5.; alpha = 1. })
 
 let flip_at t marking =
-  mk ~t:(Time.of_ns t) (Trace.Mark_state_flip { marking; occ_bytes = 0 })
+  mk ~t:(Time.of_int_ns t) (Trace.Mark_state_flip { marking; occ_bytes = 0 })
 
 let afield path j =
   let rec go j = function
@@ -321,7 +322,7 @@ let test_analyze_resampling () =
      occupancy 100 from t=0, 200 from t=25, 0 from t=40 must sample as
      100,100,100,200,0 at t = 0,10,20,30,40. *)
   let an = An.create (an_config ()) in
-  List.iter (An.feed an) [ occ_at 0L 100; occ_at 25L 200; occ_at 40L 0 ];
+  List.iter (An.feed an) [ occ_at 0 100; occ_at 25 200; occ_at 40 0 ];
   An.finalize an;
   let j = An.to_json an in
   Alcotest.(check bool)
@@ -342,7 +343,7 @@ let test_analyze_cycles () =
      60, up-cross at 300 completes one cycle with amplitude 300-60. *)
   let an = An.create (an_config ~band:(100, 200) ()) in
   List.iter (An.feed an)
-    [ occ_at 0L 50; occ_at 10L 250; occ_at 20L 60; occ_at 30L 300 ];
+    [ occ_at 0 50; occ_at 10 250; occ_at 20 60; occ_at 30 300 ];
   let s = An.summary an in
   Alcotest.(check int) "one complete cycle" 1 s.An.cycles;
   Alcotest.(check (float 1e-9))
@@ -352,7 +353,7 @@ let test_analyze_cycles () =
   (* No band: the detector stays off however the occupancy swings. *)
   let an = An.create (an_config ()) in
   List.iter (An.feed an)
-    [ occ_at 0L 50; occ_at 10L 250; occ_at 20L 60; occ_at 30L 300 ];
+    [ occ_at 0 50; occ_at 10 250; occ_at 20 60; occ_at 30 300 ];
   Alcotest.(check int) "no band, no cycles" 0 (An.summary an).An.cycles
 
 let test_analyze_flips_and_sync () =
@@ -362,14 +363,14 @@ let test_analyze_flips_and_sync () =
   let an = An.create (an_config ~band:(100, 200) ()) in
   List.iter (An.feed an)
     [
-      cut_at 0L 0;
-      flip_at 10L true;
-      cut_at 20L 1;
-      cut_at 30L 1;
-      flip_at 150L false;
-      cut_at 310L 2;
-      flip_at 350L true;
-      flip_at 400L false;
+      cut_at 0 0;
+      flip_at 10 true;
+      cut_at 20 1;
+      cut_at 30 1;
+      flip_at 150 false;
+      cut_at 310 2;
+      flip_at 350 true;
+      flip_at 400 false;
     ];
   let s = An.summary an in
   Alcotest.(check (float 1e-9)) "sync mean over active windows" 0.375 s.An.sync_mean;
@@ -389,7 +390,7 @@ let test_analyze_spectrum () =
   let an = An.create (an_config ()) in
   for i = 0 to 399 do
     let occ = if i mod 10 < 5 then 0 else 1000 in
-    An.feed an (occ_at (Int64.of_int (i * 10)) occ)
+    An.feed an (occ_at (i * 10) occ)
   done;
   let s = An.summary an in
   (match s.An.dominant_freq_hz with
@@ -398,8 +399,8 @@ let test_analyze_spectrum () =
   Alcotest.(check bool) "no note on success" true (An.spectrum_note an = None);
   (* Degenerate diagnostics must be explicit, not a silent None. *)
   let short = An.create (an_config ()) in
-  An.feed short (occ_at 0L 100);
-  An.feed short (occ_at 50L 100);
+  An.feed short (occ_at 0 100);
+  An.feed short (occ_at 50 100);
   An.finalize short;
   (match An.spectrum_note short with
   | Some note ->
@@ -410,7 +411,7 @@ let test_analyze_spectrum () =
   | None -> Alcotest.fail "short series produced no note");
   let flat = An.create (an_config ()) in
   for i = 0 to 63 do
-    An.feed flat (occ_at (Int64.of_int (i * 10)) 500)
+    An.feed flat (occ_at (i * 10) 500)
   done;
   An.finalize flat;
   (match An.spectrum_note flat with
@@ -425,7 +426,7 @@ let test_analyze_errors () =
   let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
   Alcotest.(check bool)
     "non-positive period rejected" true
-    (raises (fun () -> An.create (an_config ~sample_period:0L ())));
+    (raises (fun () -> An.create (an_config ~sample_period:0 ())));
   Alcotest.(check bool)
     "inverted band rejected" true
     (raises (fun () -> An.create (an_config ~band:(200, 100) ())));
@@ -433,14 +434,14 @@ let test_analyze_errors () =
     "zero flows rejected" true
     (raises (fun () -> An.create (an_config ~n_flows:0 ())));
   let an = An.create (an_config ()) in
-  An.feed an (occ_at 100L 10);
+  An.feed an (occ_at 100 10);
   Alcotest.(check bool)
     "time regression rejected" true
-    (raises (fun () -> An.feed an (occ_at 50L 10)));
+    (raises (fun () -> An.feed an (occ_at 50 10)));
   An.finalize an;
   Alcotest.(check bool)
     "feed after finalize rejected" true
-    (raises (fun () -> An.feed an (occ_at 200L 10)))
+    (raises (fun () -> An.feed an (occ_at 200 10)))
 
 let test_analyze_header_roundtrip () =
   let h =
@@ -497,7 +498,7 @@ let all_events =
 let test_record_of_json_every_constructor () =
   List.iteri
     (fun i ev ->
-      let r = mk ~t:(Time.of_ns (Int64.of_int (i * 7))) ~component:"c" ev in
+      let r = mk ~t:(Time.of_int_ns (i * 7)) ~component:"c" ev in
       let line = Json.to_string (Trace.record_to_json r) in
       match Json.parse line with
       | Error e -> Alcotest.fail (line ^ ": " ^ e)
@@ -562,11 +563,11 @@ let gen_records =
   QCheck.Gen.(
     list_size (int_range 0 60) (pair (int_range 0 50) gen_event)
     >|= fun deltas ->
-    let t = ref 0L in
+    let t = ref 0 in
     List.map
       (fun (dt, ev) ->
-        t := Int64.add !t (Int64.of_int dt);
-        mk ~t:(Time.of_ns !t) ev)
+        t := !t + dt;
+        mk ~t:(Time.of_int_ns !t) ev)
       deltas)
 
 let analyzer_bit_identity =
@@ -592,11 +593,12 @@ let analyzer_bit_identity =
         records;
       Json.equal (An.to_json direct) (An.to_json replayed))
 
-(* Property: the unboxed occupancy entry point is observationally the
-   record one. Each occupancy record goes through [emit_occ] with its
-   fields; the rest of the stream goes through [emit] on both sides. *)
+(* Property: the field entry points are observationally the record
+   one. Each occupancy, cut and flip record goes through [emit_occ],
+   [emit_cut] or [emit_flip] with its fields; the rest of the stream
+   goes through [emit] on both sides. *)
 
-let emit_via_occ tr (r : Trace.record) =
+let emit_via_fields tr (r : Trace.record) =
   let occ cls ~flow ~occ_bytes ~occ_pkts =
     Trace.emit_occ tr cls ~time:r.Trace.time ~component:r.Trace.component
       ~flow ~occ_bytes ~occ_pkts
@@ -611,6 +613,12 @@ let emit_via_occ tr (r : Trace.record) =
   | Trace.Drop { flow; occ_bytes } ->
       (* a drop's packet count is not part of its record *)
       occ Trace.C_drop ~flow ~occ_bytes ~occ_pkts:7
+  | Trace.Cwnd_cut { flow; cwnd_before; cwnd_after; alpha } ->
+      Trace.emit_cut tr ~time:r.Trace.time ~component:r.Trace.component ~flow
+        ~cwnd_before ~cwnd_after ~alpha
+  | Trace.Mark_state_flip { marking; occ_bytes } ->
+      Trace.emit_flip tr ~time:r.Trace.time ~component:r.Trace.component
+        ~marking ~occ_bytes
   | _ -> Trace.emit tr r
 
 (* What a Ring, a JSONL file and an analyzer make of [records] when
@@ -636,12 +644,14 @@ let observe ~tee ~send records =
 
 let emit_occ_matches_emit =
   QCheck.Test.make ~count:50
-    ~name:"emit_occ and emit give identical ring, JSONL and analysis"
+    ~name:
+      "emit_occ and emit give identical ring, JSONL and analysis; so do \
+       emit_cut and emit_flip"
     (QCheck.make gen_records)
     (fun records ->
       List.for_all
         (fun tee ->
-          observe ~tee ~send:emit_via_occ records
+          observe ~tee ~send:emit_via_fields records
           = observe ~tee ~send:Trace.emit records)
         [ false; true ])
 
@@ -652,17 +662,30 @@ let test_emit_occ_tee_builds_once () =
       (Trace.create (Trace.Ring a))
       (Trace.create (Trace.Ring b))
   in
-  Trace.emit_occ t Trace.C_mark ~time:(Time.of_ns 5L) ~component:"q" ~flow:2
+  Trace.emit_occ t Trace.C_mark ~time:(Time.of_int_ns 5) ~component:"q" ~flow:2
     ~occ_bytes:3000 ~occ_pkts:2;
+  Trace.emit_cut t ~time:(Time.of_int_ns 6) ~component:"flow2" ~flow:2
+    ~cwnd_before:8. ~cwnd_after:6. ~alpha:0.5;
+  Trace.emit_flip t ~time:(Time.of_int_ns 7) ~component:"q" ~marking:true
+    ~occ_bytes:3000;
   match (Trace.ring_records a, Trace.ring_records b) with
-  | [ ra ], [ rb ] ->
-      Alcotest.(check bool) "both branches share one record" true (ra == rb);
+  | [ ra; ca; fa ], [ rb; cb; fb ] ->
       Alcotest.(check bool)
-        "the record emit would have built" true
+        "both branches share one record per emission" true
+        (ra == rb && ca == cb && fa == fb);
+      Alcotest.(check bool)
+        "the records emit would have built" true
         (ra
-        = mk ~t:(Time.of_ns 5L)
-            (Trace.Mark { flow = 2; occ_bytes = 3000; occ_pkts = 2 }))
-  | _ -> Alcotest.fail "each branch should hold exactly one record"
+         = mk ~t:(Time.of_int_ns 5)
+             (Trace.Mark { flow = 2; occ_bytes = 3000; occ_pkts = 2 })
+        && ca
+           = mk ~t:(Time.of_int_ns 6) ~component:"flow2"
+               (Trace.Cwnd_cut
+                  { flow = 2; cwnd_before = 8.; cwnd_after = 6.; alpha = 0.5 })
+        && fa
+           = mk ~t:(Time.of_int_ns 7)
+               (Trace.Mark_state_flip { marking = true; occ_bytes = 3000 }))
+  | _ -> Alcotest.fail "each branch should hold exactly three records"
 
 let test_emit_occ_rejects_other_classes () =
   let tr = Trace.create (Trace.Ring (Trace.ring ~capacity:4)) in
@@ -684,18 +707,18 @@ let test_selfprof_counts () =
   for i = 1 to 5 do
     ignore
       (Sim.schedule_at_cls sim
-         (Time.of_ns (Int64.of_int i))
+         (Time.of_int_ns i)
          ~cls:(cls Engine.Event_class.Timer)
          (fun () -> ()))
   done;
   for i = 6 to 8 do
     ignore
       (Sim.schedule_at_cls sim
-         (Time.of_ns (Int64.of_int i))
+         (Time.of_int_ns i)
          ~cls:(cls Engine.Event_class.Link_tx)
          (fun () -> ()))
   done;
-  ignore (Sim.schedule_at sim (Time.of_ns 9L) (fun () -> ()));
+  ignore (Sim.schedule_at sim (Time.of_int_ns 9) (fun () -> ()));
   Sim.run sim;
   Alcotest.(check int) "timer events" 5
     (Obs.Selfprof.count prof Engine.Event_class.Timer);
@@ -709,7 +732,7 @@ let test_selfprof_counts () =
     (Obs.Selfprof.sampled_total prof);
   (* Detached: the hooks fall silent. *)
   Sim.clear_profiler sim;
-  ignore (Sim.schedule_at sim (Time.of_ns 20L) (fun () -> ()));
+  ignore (Sim.schedule_at sim (Time.of_int_ns 20) (fun () -> ()));
   Sim.run sim;
   Alcotest.(check int) "no counts after detach" 9 (Obs.Selfprof.total prof)
 

@@ -9,21 +9,25 @@ let checkf ?(eps = 1e-9) msg = Alcotest.check (Alcotest.float eps) msg
 
 (* --- FCT slowdown --- *)
 
+let slowdown ~ideal ~actual =
+  Stats.Fct.slowdown ~ideal_ns:(Engine.Time.span_of_int_ns ideal)
+    ~actual_ns:(Engine.Time.span_of_int_ns actual)
+
 let test_fct_slowdown () =
   checkf "plain ratio" 2.5
-    (Stats.Fct.slowdown ~ideal_ns:1_000L ~actual_ns:2_500L);
+    (slowdown ~ideal:1_000 ~actual:2_500);
   checkf "faster than ideal clamps to 1" 1.0
-    (Stats.Fct.slowdown ~ideal_ns:1_000L ~actual_ns:500L);
+    (slowdown ~ideal:1_000 ~actual:500);
   checkf "zero actual clamps to 1" 1.0
-    (Stats.Fct.slowdown ~ideal_ns:1_000L ~actual_ns:0L)
+    (slowdown ~ideal:1_000 ~actual:0)
 
 let test_fct_slowdown_validation () =
   checkb "zero ideal raises" true
-    (match Stats.Fct.slowdown ~ideal_ns:0L ~actual_ns:1L with
+    (match slowdown ~ideal:0 ~actual:1 with
     | exception Invalid_argument _ -> true
     | _ -> false);
   checkb "negative actual raises" true
-    (match Stats.Fct.slowdown ~ideal_ns:1L ~actual_ns:(-1L) with
+    (match slowdown ~ideal:1 ~actual:(-1) with
     | exception Invalid_argument _ -> true
     | _ -> false)
 

@@ -18,8 +18,8 @@ let mk_est () =
 let test_rtt_initial () =
   let e = mk_est () in
   checkb "no srtt" true (Tcp.Rtt_estimator.srtt e = None);
-  Alcotest.check Alcotest.int64 "initial rto" (Time.span_of_sec 1.)
-    (Tcp.Rtt_estimator.rto e)
+  Alcotest.check Alcotest.int "initial rto" 1_000_000_000
+    (Time.span_to_int_ns (Tcp.Rtt_estimator.rto e))
 
 let test_rtt_first_sample () =
   let e = mk_est () in
@@ -75,6 +75,26 @@ let test_rtt_validation () =
      with
     | exception Invalid_argument _ -> true
     | _ -> false)
+
+(* One RTT sample per timed segment: the estimator's update and the RTO
+   read allocate nothing. The samples cross both clamps (1 ms and 10 s)
+   and the 1 us rttvar floor. *)
+let test_rtt_zero_alloc () =
+  let e = mk_est () in
+  let samples =
+    Array.map Time.span_of_int_ns
+      [| 100_000; 2_000_000; 250_000; 30_000_000_000; 5_000_000; 5_000_000 |]
+  in
+  Tcp.Rtt_estimator.sample e samples.(0);
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Tcp.Rtt_estimator.sample e samples.(i mod Array.length samples);
+    sum := !sum + Time.span_to_int_ns (Tcp.Rtt_estimator.rto e)
+  done;
+  let words = Gc.minor_words () -. before in
+  checkb "RTOs were read" true (!sum > 0);
+  checkf "words for 10k samples" 0. words
 
 (* --- Cc baselines via a fake flow api --- *)
 
@@ -349,7 +369,7 @@ let test_receiver_ooo_buffering () =
   (* A NIC so the receiver can emit ACKs; deliver them nowhere. *)
   let q = Net.Queue_disc.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:1_000_000) () in
   Net.Host.attach_nic h
-    (Net.Port.create sim ~rate_bps:1e9 ~delay:0L ~queue:q ~deliver:ignore);
+    (Net.Port.create sim ~rate_bps:1e9 ~delay:(Time.span_of_int_ns 0) ~queue:q ~deliver:ignore);
   let r = Tcp.Receiver.create sim ~host:h ~flow:0 ~peer:0 () in
   let push seq =
     Net.Host.receive h
@@ -372,7 +392,7 @@ let test_receiver_echo_per_packet () =
   let acks = ref [] in
   let q = Net.Queue_disc.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:1_000_000) () in
   Net.Host.attach_nic h
-    (Net.Port.create sim ~rate_bps:1e9 ~delay:0L ~queue:q ~deliver:(fun p ->
+    (Net.Port.create sim ~rate_bps:1e9 ~delay:(Time.span_of_int_ns 0) ~queue:q ~deliver:(fun p ->
          let st = Net.Packet.store_of sim in
          (match Tcp.Segment.view st p with
          | Tcp.Segment.Ack { ack; ece; sack = _ } ->
@@ -401,7 +421,7 @@ let test_receiver_echo_dctcp_delayed () =
   let acks = ref [] in
   let q = Net.Queue_disc.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:1_000_000) () in
   Net.Host.attach_nic h
-    (Net.Port.create sim ~rate_bps:1e9 ~delay:0L ~queue:q ~deliver:(fun p ->
+    (Net.Port.create sim ~rate_bps:1e9 ~delay:(Time.span_of_int_ns 0) ~queue:q ~deliver:(fun p ->
          let st = Net.Packet.store_of sim in
          (match Tcp.Segment.view st p with
          | Tcp.Segment.Ack { ack; ece; sack = _ } ->
@@ -452,7 +472,7 @@ let test_receiver_sack_blocks () =
   let last_sack = ref [] in
   let q = Net.Queue_disc.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:1_000_000) () in
   Net.Host.attach_nic h
-    (Net.Port.create sim ~rate_bps:1e9 ~delay:0L ~queue:q ~deliver:(fun p ->
+    (Net.Port.create sim ~rate_bps:1e9 ~delay:(Time.span_of_int_ns 0) ~queue:q ~deliver:(fun p ->
          let st = Net.Packet.store_of sim in
          (match Tcp.Segment.view st p with
          | Tcp.Segment.Ack { sack; _ } -> last_sack := sack
@@ -490,7 +510,7 @@ let test_receiver_sack_block_limit () =
   let last_sack = ref [] in
   let q = Net.Queue_disc.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:1_000_000) () in
   Net.Host.attach_nic h
-    (Net.Port.create sim ~rate_bps:1e9 ~delay:0L ~queue:q ~deliver:(fun p ->
+    (Net.Port.create sim ~rate_bps:1e9 ~delay:(Time.span_of_int_ns 0) ~queue:q ~deliver:(fun p ->
          let st = Net.Packet.store_of sim in
          (match Tcp.Segment.view st p with
          | Tcp.Segment.Ack { sack; _ } -> last_sack := sack
@@ -574,7 +594,7 @@ let test_flow_determinism () =
     in
     Tcp.Flow.start flow;
     Sim.run ~until:(Time.of_sec 5.) sim;
-    ( Option.map Time.to_ns (Tcp.Flow.completion_time flow),
+    ( Option.map Time.to_int_ns (Tcp.Flow.completion_time flow),
       Tcp.Sender.retransmissions (Tcp.Flow.sender flow),
       Sim.events_processed sim )
   in
@@ -590,6 +610,8 @@ let suites =
         Alcotest.test_case "min clamp" `Quick test_rtt_min_clamp;
         Alcotest.test_case "backoff" `Quick test_rtt_backoff;
         Alcotest.test_case "validation" `Quick test_rtt_validation;
+        Alcotest.test_case "sample and rto allocate nothing" `Quick
+          test_rtt_zero_alloc;
       ] );
     ( "tcp.cc",
       [

@@ -165,7 +165,7 @@ let test_r12_planted_ref () =
   Alcotest.(check bool) "chain ends at the touched global" true
     (List.exists (contains ~sub:"touches Driver.hits") v.notes)
 
-(* --- R13: Time.t instants vs raw int64 arithmetic ---------------------- *)
+(* --- R13: unit-stripping coercions of Time values ------------------------ *)
 
 let s13 =
   lazy
@@ -173,30 +173,72 @@ let s13 =
      (* A stand-in Engine.Time: the double-underscore filename gives the
         module the same canonical name dune's mangling produces. *)
      write root "lib/engine/engine__Time.mli"
-       "type t = private int64\nval of_ns : int64 -> t\nval to_ns : t -> int64\n";
+       "type t = private int\n\
+        type span = private int\n\
+        val of_int_ns : int -> t\n\
+        val to_int_ns : t -> int\n\
+        val span_to_int_ns : span -> int\n\
+        val diff : t -> t -> span\n";
      write root "lib/engine/engine__Time.ml"
-       "type t = int64\nlet of_ns (n : int64) : t = n\nlet to_ns (t : t) : int64 = t\n";
+       "type t = int\n\
+        type span = int\n\
+        let of_int_ns n = n\n\
+        let to_int_ns t = t\n\
+        let span_to_int_ns d = d\n\
+        let diff a b = a - b\n";
+     (* Convicted: an instant, a span from a call, a span from a record
+        field, a span through a module alias, an annotated source. Line 6
+        is suppressed. *)
      write root "lib/net/meter.ml"
-       "let bad a = Int64.add (Engine__Time.to_ns a) 5L\n\
-        let coerced (a : Engine__Time.t) = (a :> int64)\n\
-        let sup (a : Engine__Time.t) = (a :> int64) (* dtlint: allow R13 *)\n\
-        let ok_span (s : int64) = Int64.add s 5L\n";
+       "let instant (a : Engine__Time.t) = (a :> int)\n\
+        let gap a b = (Engine__Time.diff a b :> int)\n\
+        type r = { d : Engine__Time.span }\n\
+        let field r = (r.d :> int)\n\
+        module Time = Engine__Time\n\
+        let sup (a : Time.t) = (a :> int) (* dtlint: allow R13 *)\n\
+        let aliased (d : Time.span) = (d :> int)\n\
+        let annotated d = (d : Engine__Time.span :> int)\n";
+     (* Acquitted: the engine owns the representation; the named
+        conversions; another module's private int. *)
+     write root "lib/engine/wheel.ml"
+       "let key (t : Engine__Time.t) = (t :> int)\n";
+     write root "lib/net/clean.ml"
+       "let instant a = Engine__Time.to_int_ns a\n\
+        let gap a b = Engine__Time.span_to_int_ns (Engine__Time.diff a b)\n\
+        module Id : sig type t = private int val make : int -> t end = struct\n\
+       \  type t = int\n\
+       \  let make n = n\n\
+        end\n\
+        let id (i : Id.t) = (i :> int)\n\
+        let seed (s : int64) = Int64.add s 5L\n";
      compile root
        [
          "lib/engine/engine__Time.mli"; "lib/engine/engine__Time.ml";
-         "lib/net/meter.ml";
+         "lib/net/meter.ml"; "lib/engine/wheel.ml"; "lib/net/clean.ml";
        ];
      root)
 
 let test_r13_instant_hygiene () =
-  (* R13 only: the stand-in Time.mli exports an of_ns no fixture unit
+  (* R13 only: the stand-in Time.mli exports values no fixture unit
      uses, which is R15's business, not this test's. *)
   let vs = lint_root ~rules:[ R.R13 ] (Lazy.force s13) in
   check_renders
-    "to_ns into Int64.add and a :> coercion flagged; span math and the \
-     suppressed line stay legal"
-    [ "R13 lib/net/meter.ml:1"; "R13 lib/net/meter.ml:2" ]
-    vs
+    "instant, call, field, alias and annotated coercions flagged; the \
+     suppressed line stays legal"
+    [
+      "R13 lib/net/meter.ml:1"; "R13 lib/net/meter.ml:2";
+      "R13 lib/net/meter.ml:4"; "R13 lib/net/meter.ml:7";
+      "R13 lib/net/meter.ml:8";
+    ]
+    (List.filter (fun (v : R.violation) -> v.file = "lib/net/meter.ml") vs)
+
+let test_r13_acquits () =
+  let vs = lint_root ~rules:[ R.R13 ] (Lazy.force s13) in
+  check_renders
+    "coercions inside lib/engine, the named conversions and other \
+     private ints stay legal"
+    []
+    (List.filter (fun (v : R.violation) -> v.file <> "lib/net/meter.ml") vs)
 
 (* --- R14: per-call allocation on the event hot path -------------------- *)
 
@@ -455,6 +497,7 @@ let suites =
         Alcotest.test_case "R12 planted ref behind Domain.spawn" `Quick
           test_r12_planted_ref;
         Alcotest.test_case "R13 instant hygiene" `Quick test_r13_instant_hygiene;
+        Alcotest.test_case "R13 acquitting fixtures" `Quick test_r13_acquits;
         Alcotest.test_case "R14 hot-path allocations" `Quick
           test_r14_hot_path_allocs;
         Alcotest.test_case "R15 convicting fixtures" `Quick test_r15_convicts;

@@ -61,7 +61,7 @@ let test_longlived_trace () =
   match r.L.queue_series with
   | Some series ->
       checki "measure / period + 1 samples"
-        (Int64.to_int (Int64.div cfg.L.measure period) + 1)
+        ((Time.span_to_int_ns cfg.L.measure / Time.span_to_int_ns period) + 1)
         (Array.length series);
       let t0, _ = series.(0) in
       checkb "first sample at the warm-up instant" true
@@ -245,7 +245,7 @@ let test_deadline_impossible_none_met () =
       {
         small_deadline with
         Workloads.Deadline.deadline = Time.span_of_us 1.;
-        deadline_spread = 0L;
+        deadline_spread = Time.span_of_int_ns 0;
       }
   in
   checkf "none met" 0. r.Workloads.Deadline.met_fraction
