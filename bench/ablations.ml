@@ -211,7 +211,7 @@ let ablation_testbed_labels () =
       let cell j =
         let r = Bench_common.incast_of outcomes.((3 * i) + j) in
         Stats.Table.fmt_f 1
-          (Bench_common.mbps r.Workloads.Incast.mean_goodput_bps)
+          (Bench_common.mbps r.Workloads.Fanin.mean_goodput_bps)
       in
       Stats.Table.add_row t [ string_of_int n; cell 0; cell 1; cell 2 ])
     flow_counts;

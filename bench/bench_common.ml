@@ -56,13 +56,20 @@ let payload_of pick (o : Exp.Runner.outcome) =
 let longlived_of =
   payload_of (function Exp.Outcome.Longlived r -> Some r | _ -> None)
 
-let incast_of = payload_of (function Exp.Outcome.Incast r -> Some r | _ -> None)
+let incast_of =
+  payload_of (function
+    | Exp.Outcome.Fanin (Workloads.Fanin.Goodput r) -> Some r
+    | _ -> None)
 
 let completion_of =
-  payload_of (function Exp.Outcome.Completion r -> Some r | _ -> None)
+  payload_of (function
+    | Exp.Outcome.Fanin (Workloads.Fanin.Completion_time r) -> Some r
+    | _ -> None)
 
 let deadline_of =
-  payload_of (function Exp.Outcome.Deadline r -> Some r | _ -> None)
+  payload_of (function
+    | Exp.Outcome.Fanin (Workloads.Fanin.Deadlines_met r) -> Some r
+    | _ -> None)
 
 let dynamic_of =
   payload_of (function Exp.Outcome.Dynamic r -> Some r | _ -> None)

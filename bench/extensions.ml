@@ -1,12 +1,13 @@
 (* Extension benches beyond the reproduced paper: D2TCP (the deadline-aware
-   DCTCP derivative the paper's introduction cites) and the queue-buildup
-   mixed-traffic experiment from the original DCTCP paper.
+   DCTCP derivative the paper's introduction cites) and SACK recovery, both
+   on the star fan-in; the queue-buildup mixed-traffic and convergence
+   experiments from the original DCTCP paper; and parking-lot fairness.
 
    All sections but parking_lot (custom multi-hop topology wiring) run
    their Exp.Registry spec lists through Bench_common.run_specs. *)
 
 module Time = Engine.Time
-module D = Workloads.Deadline
+module F = Workloads.Fanin
 module Dy = Workloads.Dynamic
 
 let d2tcp () =
@@ -39,10 +40,10 @@ let d2tcp () =
       Stats.Table.add_row t
         [
           string_of_int n;
-          Stats.Table.fmt_f 3 dctcp.D.met_fraction;
-          Stats.Table.fmt_f 3 d2tcp.D.met_fraction;
-          Stats.Table.fmt_f 2 (dctcp.D.p99_completion_s *. 1e3);
-          Stats.Table.fmt_f 2 (d2tcp.D.p99_completion_s *. 1e3);
+          Stats.Table.fmt_f 3 dctcp.F.met_fraction;
+          Stats.Table.fmt_f 3 d2tcp.F.met_fraction;
+          Stats.Table.fmt_f 2 (dctcp.F.p99_completion_s *. 1e3);
+          Stats.Table.fmt_f 2 (d2tcp.F.p99_completion_s *. 1e3);
         ])
     flow_counts;
   Stats.Table.print t;
@@ -79,8 +80,8 @@ let sack () =
       let cell j =
         let r = Bench_common.incast_of outcomes.((2 * i) + j) in
         ( Stats.Table.fmt_f 1
-            (Bench_common.mbps r.Workloads.Incast.mean_goodput_bps),
-          Stats.Table.fmt_f 1 r.Workloads.Incast.timeouts_per_run )
+            (Bench_common.mbps r.F.mean_goodput_bps),
+          Stats.Table.fmt_f 1 r.F.timeouts_per_run )
       in
       let g_gbn, t_gbn = cell 0 in
       let g_sack, t_sack = cell 1 in

@@ -4,8 +4,7 @@
    Both figures sweep flow count x testbed protocol; the spec lists come
    from Exp.Registry, which emits per-N triples in [proto_labels] order. *)
 
-module I = Workloads.Incast
-module Cm = Workloads.Completion
+module F = Workloads.Fanin
 
 let proto_labels = [ "DCTCP K=32KB"; "DT (28,34)KB"; "DT (30,34)KB" ]
 let flow_counts = Exp.Registry.incast_flow_counts
@@ -42,10 +41,10 @@ let fig14 () =
         List.concat_map
           (fun (name, o) ->
             let r = Bench_common.incast_of o in
-            let g = Bench_common.mbps r.I.mean_goodput_bps in
+            let g = Bench_common.mbps r.F.mean_goodput_bps in
             if g < 500. && not (Hashtbl.mem collapse name) then
               Hashtbl.replace collapse name n;
-            [ Stats.Table.fmt_f 1 g; Stats.Table.fmt_f 1 r.I.timeouts_per_run ])
+            [ Stats.Table.fmt_f 1 g; Stats.Table.fmt_f 1 r.F.timeouts_per_run ])
           (List.combine proto_labels (triple outcomes i))
       in
       Stats.Table.add_row t (string_of_int n :: row))
@@ -90,8 +89,8 @@ let fig15 () =
           (fun o ->
             let r = Bench_common.completion_of o in
             [
-              Stats.Table.fmt_f 2 (r.Cm.mean_completion_s *. 1e3);
-              Stats.Table.fmt_f 2 (r.Cm.max_completion_s *. 1e3);
+              Stats.Table.fmt_f 2 (r.F.mean_completion_s *. 1e3);
+              Stats.Table.fmt_f 2 (r.F.max_completion_s *. 1e3);
             ])
           (triple outcomes i)
       in

@@ -5,22 +5,27 @@
    Run with: dune exec examples/deadline_scenario.exe *)
 
 module Time = Engine.Time
-module D = Workloads.Deadline
+module F = Workloads.Fanin
 
-let config n =
+let config n ~aware =
   {
-    D.default_config with
-    D.n_flows = n;
+    (F.default_config F.Deadline) with
+    F.n_flows = n;
     repeats = 10;
     rate_bps = 10e9;
     buffer_bytes = 512 * 1024;
-    bytes_per_flow = 300 * 1024;
+    bytes = F.Per_flow (300 * 1024);
     min_rto = Time.span_of_ms 10.;
-    deadline = Time.span_of_ms 2.;
-    deadline_spread = Time.span_of_ms 4.;
+    deadline =
+      Some { base = Time.span_of_ms 2.; spread = Time.span_of_ms 4.; aware };
   }
 
-let marking () = Dctcp.Marking_policies.single_threshold ~k_bytes:(40 * 1500)
+let proto = Dctcp.Protocol.dctcp ~k_bytes:(40 * 1500) ()
+
+let met n ~aware =
+  match F.run proto (config n ~aware) with
+  | F.Deadlines_met r -> 100. *. r.F.met_fraction
+  | F.Goodput _ | F.Completion_time _ -> assert false
 
 let () =
   print_endline
@@ -29,17 +34,8 @@ let () =
   Printf.printf "\n  %5s  %12s  %12s\n" "flows" "DCTCP met" "D2TCP met";
   List.iter
     (fun n ->
-      let dctcp = D.run ~marking (D.Plain (Dctcp.Dctcp_cc.cc ())) (config n) in
-      let d2tcp =
-        D.run ~marking
-          (D.Deadline_aware
-             (fun ~total_segments ~deadline ->
-               Dctcp.D2tcp_cc.cc ~total_segments ~deadline ()))
-          (config n)
-      in
-      Printf.printf "  %5d  %11.0f%%  %11.0f%%\n%!" n
-        (100. *. dctcp.D.met_fraction)
-        (100. *. d2tcp.D.met_fraction))
+      Printf.printf "  %5d  %11.0f%%  %11.0f%%\n%!" n (met n ~aware:false)
+        (met n ~aware:true))
     [ 8; 10; 12; 16 ];
   print_endline
     "\nD2TCP gates DCTCP's backoff by deadline imminence (p = alpha^d):\n\

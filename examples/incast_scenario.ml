@@ -4,7 +4,7 @@
 
    Run with: dune exec examples/incast_scenario.exe *)
 
-module I = Workloads.Incast
+module F = Workloads.Fanin
 
 let sweep name proto =
   Printf.printf "\n%s\n" name;
@@ -12,11 +12,15 @@ let sweep name proto =
   let collapse = ref None in
   List.iter
     (fun n ->
-      let cfg = { I.default_config with I.n_flows = n; repeats = 10 } in
-      let r = I.run proto cfg in
-      let mbps = r.I.mean_goodput_bps /. 1e6 in
-      if mbps < 500. && !collapse = None then collapse := Some n;
-      Printf.printf "  %5d  %13.1f  %12.1f\n%!" n mbps r.I.timeouts_per_run)
+      let cfg =
+        { (F.default_config F.Incast) with F.n_flows = n; repeats = 10 }
+      in
+      match F.run proto cfg with
+      | F.Goodput r ->
+          let mbps = r.F.mean_goodput_bps /. 1e6 in
+          if mbps < 500. && !collapse = None then collapse := Some n;
+          Printf.printf "  %5d  %13.1f  %12.1f\n%!" n mbps r.F.timeouts_per_run
+      | F.Completion_time _ | F.Deadlines_met _ -> assert false)
     [ 8; 16; 24; 30; 32; 34; 36; 38; 40 ];
   match !collapse with
   | Some n -> Printf.printf "  -> goodput collapses at %d flows\n" n

@@ -40,7 +40,3 @@ let pop t =
   t.head <- (t.head + 1) land (Array.length t.data - 1);
   t.len <- t.len - 1;
   x
-
-let clear t =
-  t.head <- 0;
-  t.len <- 0

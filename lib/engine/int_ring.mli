@@ -22,5 +22,3 @@ val push : t -> int -> unit
 val pop : t -> int
 (** Removes and returns the front element.
     @raise Not_found when empty. *)
-
-val clear : t -> unit (* dtlint: test-only: reuse after reset *)

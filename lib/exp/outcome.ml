@@ -1,19 +1,15 @@
 module Json = Obs.Json
 module L = Workloads.Longlived
-module I = Workloads.Incast
-module Cp = Workloads.Completion
+module F = Workloads.Fanin
 module Dy = Workloads.Dynamic
 module Cv = Workloads.Convergence
-module De = Workloads.Deadline
 module Ft = Workloads.Fattree
 
 type payload =
   | Longlived of L.result
-  | Incast of I.result
-  | Completion of Cp.result
+  | Fanin of F.result
   | Dynamic of Dy.result
   | Convergence of Cv.result
-  | Deadline of De.result
   | Fattree of Ft.result
 
 type t = Done of payload | Failed of { spec : string; error : string }
@@ -50,7 +46,7 @@ let longlived_json (r : L.result) =
   in
   Json.Obj (base @ series)
 
-let incast_json (r : I.result) =
+let goodput_json (r : F.goodput) =
   Json.Obj
     [
       ("mean_goodput_bps", Json.Float r.mean_goodput_bps);
@@ -62,7 +58,7 @@ let incast_json (r : I.result) =
       ("incomplete", Json.Int r.incomplete);
     ]
 
-let completion_json (r : Cp.result) =
+let completion_json (r : F.completion_time) =
   Json.Obj
     [
       ("mean_completion_s", Json.Float r.mean_completion_s);
@@ -100,7 +96,7 @@ let convergence_json (r : Cv.result) =
       ("utilization_steady", Json.Float r.utilization_steady);
     ]
 
-let deadline_json (r : De.result) =
+let deadlines_json (r : F.deadlines_met) =
   Json.Obj
     [
       ("met_fraction", Json.Float r.met_fraction);
@@ -127,20 +123,20 @@ let fattree_json (r : Ft.result) =
 
 let payload_kind = function
   | Longlived _ -> "longlived"
-  | Incast _ -> "incast"
-  | Completion _ -> "completion"
+  | Fanin (F.Goodput _) -> "incast"
+  | Fanin (F.Completion_time _) -> "completion"
+  | Fanin (F.Deadlines_met _) -> "deadline"
   | Dynamic _ -> "dynamic"
   | Convergence _ -> "convergence"
-  | Deadline _ -> "deadline"
   | Fattree _ -> "fattree"
 
 let payload_json = function
   | Longlived r -> longlived_json r
-  | Incast r -> incast_json r
-  | Completion r -> completion_json r
+  | Fanin (F.Goodput r) -> goodput_json r
+  | Fanin (F.Completion_time r) -> completion_json r
+  | Fanin (F.Deadlines_met r) -> deadlines_json r
   | Dynamic r -> dynamic_json r
   | Convergence r -> convergence_json r
-  | Deadline r -> deadline_json r
   | Fattree r -> fattree_json r
 
 let to_json = function
@@ -166,11 +162,11 @@ let summary = function
         "queue %.1f±%.1f pkts, util %.3f, fairness %.3f, %d drops"
         r.mean_queue_pkts r.std_queue_pkts r.utilization r.jain_fairness
         r.drops
-  | Done (Incast r) ->
+  | Done (Fanin (F.Goodput r)) ->
       Printf.sprintf "goodput %.1f Mbps, %.2f timeouts/run, %d incomplete"
         (r.mean_goodput_bps /. 1e6)
         r.timeouts_per_run r.incomplete
-  | Done (Completion r) ->
+  | Done (Fanin (F.Completion_time r)) ->
       Printf.sprintf "completion %.2f ms mean / %.2f ms p99, %d incomplete"
         (r.mean_completion_s *. 1e3)
         (r.p99_completion_s *. 1e3)
@@ -180,7 +176,7 @@ let summary = function
         (r.fct_p50_s *. 1e3) (r.fct_p99_s *. 1e3) r.mean_queue_pkts
   | Done (Convergence r) ->
       Printf.sprintf "jain %.3f, util %.3f" r.jain_steady r.utilization_steady
-  | Done (Deadline r) ->
+  | Done (Fanin (F.Deadlines_met r)) ->
       Printf.sprintf "%.1f%% deadlines met, %.2f timeouts/run"
         (100. *. r.met_fraction) r.timeouts_per_run
   | Done (Fattree r) ->

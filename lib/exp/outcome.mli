@@ -7,11 +7,9 @@
 
 type payload =
   | Longlived of Workloads.Longlived.result
-  | Incast of Workloads.Incast.result
-  | Completion of Workloads.Completion.result
+  | Fanin of Workloads.Fanin.result
   | Dynamic of Workloads.Dynamic.result
   | Convergence of Workloads.Convergence.result
-  | Deadline of Workloads.Deadline.result
   | Fattree of Workloads.Fattree.result
 
 type t =

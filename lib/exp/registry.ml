@@ -1,11 +1,12 @@
 module Time = Engine.Time
 module L = Workloads.Longlived
-module I = Workloads.Incast
-module Cp = Workloads.Completion
+module F = Workloads.Fanin
 module Dy = Workloads.Dynamic
 module Cv = Workloads.Convergence
-module De = Workloads.Deadline
 module Ft = Workloads.Fattree
+
+let incast = F.default_config F.Incast
+let completion = F.default_config F.Completion
 
 (* --- the paper's protocol operating points --- *)
 
@@ -101,11 +102,7 @@ let fig_incast_specs ?(flow_counts = incast_flow_counts) ?(repeats = 20) () =
             Spec.name = Printf.sprintf "fig_incast/%s/n=%d" slug n;
             protocol = proto;
             workload =
-              Spec.Incast
-                {
-                  config = { I.default_config with I.n_flows = n; repeats };
-                  sack = false;
-                };
+              Spec.Fanin { incast with F.n_flows = n; repeats };
             faults = None;
             buffer = Net.Buffer_mgr.Static;
           })
@@ -122,8 +119,7 @@ let fig_completion_specs ?(flow_counts = incast_flow_counts) ?(repeats = 20)
             Spec.name = Printf.sprintf "fig_completion/%s/n=%d" slug n;
             protocol = proto;
             workload =
-              Spec.Completion
-                { Cp.default_config with Cp.n_flows = n; repeats };
+              Spec.Fanin { completion with F.n_flows = n; repeats };
             faults = None;
             buffer = Net.Buffer_mgr.Static;
           })
@@ -205,11 +201,7 @@ let testbed_label_specs ?(flow_counts = [ 28; 30; 32; 34; 36; 38; 40 ])
               Printf.sprintf "ablation_testbed_labels/%s/n=%d" reading n;
             protocol = proto;
             workload =
-              Spec.Incast
-                {
-                  config = { I.default_config with I.n_flows = n; repeats };
-                  sack = false;
-                };
+              Spec.Fanin { incast with F.n_flows = n; repeats };
             faults = None;
             buffer = Net.Buffer_mgr.Static;
           })
@@ -220,29 +212,29 @@ let testbed_label_specs ?(flow_counts = [ 28; 30; 32; 34; 36; 38; 40 ])
         ])
     flow_counts
 
-let d2tcp_config ~n ~repeats =
+let d2tcp_config ~n ~repeats ~aware =
   {
-    De.default_config with
-    De.n_flows = n;
+    (F.default_config F.Deadline) with
+    F.n_flows = n;
     repeats;
     rate_bps = 10e9;
     buffer_bytes = 512 * 1024;
-    bytes_per_flow = 300 * 1024;
+    bytes = F.Per_flow (300 * 1024);
     min_rto = Time.span_of_ms 10.;
-    deadline = Time.span_of_ms 2.;
-    deadline_spread = Time.span_of_ms 4.;
+    deadline =
+      Some
+        { base = Time.span_of_ms 2.; spread = Time.span_of_ms 4.; aware };
   }
 
 let d2tcp_specs ?(flow_counts = [ 6; 8; 10; 12; 16; 20 ]) ?(repeats = 10) () =
   List.concat_map
     (fun n ->
-      let config = d2tcp_config ~n ~repeats in
       List.map
-        (fun (tag, d2tcp) ->
+        (fun (tag, aware) ->
           {
             Spec.name = Printf.sprintf "d2tcp/%s/n=%d" tag n;
             protocol = sim_dctcp;
-            workload = Spec.Deadline { config; d2tcp };
+            workload = Spec.Fanin (d2tcp_config ~n ~repeats ~aware);
             faults = None;
             buffer = Net.Buffer_mgr.Static;
           })
@@ -253,13 +245,12 @@ let sack_specs ?(flow_counts = [ 28; 32; 34; 36; 40; 44 ]) ?(repeats = 10) ()
     =
   List.concat_map
     (fun n ->
-      let config = { I.default_config with I.n_flows = n; repeats } in
       List.map
         (fun (tag, sack) ->
           {
             Spec.name = Printf.sprintf "sack/%s/n=%d" tag n;
             protocol = testbed_dctcp;
-            workload = Spec.Incast { config; sack };
+            workload = Spec.Fanin { incast with F.n_flows = n; repeats; sack };
             faults = None;
             buffer = Net.Buffer_mgr.Static;
           })
@@ -449,11 +440,7 @@ let smoke_specs () =
       Spec.name = "ci_smoke/incast/dt-dctcp";
       protocol = testbed_dt_a;
       workload =
-        Spec.Incast
-          {
-            config = { I.default_config with I.n_flows = 8; repeats = 2 };
-            sack = false;
-          };
+        Spec.Fanin { incast with F.n_flows = 8; repeats = 2 };
       faults = None;
       buffer = Net.Buffer_mgr.Static;
     };
@@ -461,8 +448,7 @@ let smoke_specs () =
       Spec.name = "ci_smoke/completion/dctcp";
       protocol = testbed_dctcp;
       workload =
-        Spec.Completion
-          { Cp.default_config with Cp.n_flows = 8; repeats = 2 };
+        Spec.Fanin { completion with F.n_flows = 8; repeats = 2 };
       faults = None;
       buffer = Net.Buffer_mgr.Static;
     };
@@ -501,8 +487,7 @@ let smoke_specs () =
       Spec.name = "ci_smoke/deadline/d2tcp";
       protocol = sim_dctcp;
       workload =
-        Spec.Deadline
-          { config = d2tcp_config ~n:6 ~repeats:2; d2tcp = true };
+        Spec.Fanin (d2tcp_config ~n:6 ~repeats:2 ~aware:true);
       faults = None;
       buffer = Net.Buffer_mgr.Static;
     };
@@ -651,11 +636,7 @@ let robust_smoke_specs () =
       Spec.name = "robust_smoke/incast/jitter";
       protocol = testbed_dctcp;
       workload =
-        Spec.Incast
-          {
-            config = { I.default_config with I.n_flows = 8; repeats = 2 };
-            sack = false;
-          };
+        Spec.Fanin { incast with F.n_flows = 8; repeats = 2 };
       faults =
         Some
           { Fault.Plan.none with jitter_max = Time.span_of_us 20. };
@@ -683,12 +664,11 @@ let defaults_specs () =
   [
     spec "dtsim.longlived" sim_dctcp (Spec.Longlived L.default_config);
     spec "dtsim.incast" testbed_dctcp
-      (Spec.Incast
-         { config = { I.default_config with I.n_flows = 32 }; sack = false });
+      (Spec.Fanin { incast with F.n_flows = 32 });
     spec "dtsim.completion" testbed_dctcp
-      (Spec.Completion { Cp.default_config with Cp.n_flows = 32 });
+      (Spec.Fanin { completion with F.n_flows = 32 });
     spec "dtsim.deadline" testbed_dctcp
-      (Spec.Deadline { config = De.default_config; d2tcp = false });
+      (Spec.Fanin (F.default_config F.Deadline));
     spec "dtsim.dynamic" sim_dctcp (Spec.Dynamic Dy.default_config);
     spec "dtsim.convergence" sim_dctcp (Spec.Convergence Cv.default_config);
   ]

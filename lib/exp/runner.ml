@@ -59,8 +59,7 @@ let analysis_config (spec : Spec.t) =
           rtt = cfg.Workloads.Longlived.rtt;
           segment_bytes;
         }
-  | Spec.Incast _ | Spec.Completion _ | Spec.Dynamic _ | Spec.Convergence _
-  | Spec.Deadline _ | Spec.Fattree _ ->
+  | Spec.Fanin _ | Spec.Dynamic _ | Spec.Convergence _ | Spec.Fattree _ ->
       None
 
 let payload_of ?tracer ?on_sim ~metrics ?faults ~buffer proto
@@ -70,27 +69,12 @@ let payload_of ?tracer ?on_sim ~metrics ?faults ~buffer proto
       Outcome.Longlived
         (Workloads.Longlived.run ?tracer ~metrics ?faults ~buffer ?on_sim
            proto cfg)
-  | Spec.Incast { config; sack } ->
-      Outcome.Incast
-        (Workloads.Incast.run_with_sack ?faults ~buffer ~sack proto config)
-  | Spec.Completion cfg ->
-      Outcome.Completion (Workloads.Completion.run ?faults ~buffer proto cfg)
+  | Spec.Fanin cfg ->
+      Outcome.Fanin (Workloads.Fanin.run ?faults ~buffer proto cfg)
   | Spec.Dynamic cfg ->
       Outcome.Dynamic (Workloads.Dynamic.run ?faults ~buffer proto cfg)
   | Spec.Convergence cfg ->
       Outcome.Convergence (Workloads.Convergence.run ?faults ~buffer proto cfg)
-  | Spec.Deadline { config; d2tcp } ->
-      let kind =
-        if d2tcp then
-          Workloads.Deadline.Deadline_aware
-            (fun ~total_segments ~deadline ->
-              Dctcp.D2tcp_cc.cc ~total_segments ~deadline ())
-        else Workloads.Deadline.Plain proto.Dctcp.Protocol.cc
-      in
-      Outcome.Deadline
-        (Workloads.Deadline.run
-           ~marking:(fun () -> proto.Dctcp.Protocol.marking ())
-           ~echo:proto.Dctcp.Protocol.echo ?faults ~buffer kind config)
   | Spec.Fattree cfg ->
       Outcome.Fattree
         (Workloads.Fattree.run ~metrics ?faults ~buffer proto cfg)

@@ -1,10 +1,8 @@
 module Json = Obs.Json
 module L = Workloads.Longlived
-module I = Workloads.Incast
-module Cp = Workloads.Completion
+module F = Workloads.Fanin
 module Dy = Workloads.Dynamic
 module Cv = Workloads.Convergence
-module De = Workloads.Deadline
 module Ft = Workloads.Fattree
 
 type protocol =
@@ -18,11 +16,9 @@ type protocol =
 
 type workload =
   | Longlived of L.config
-  | Incast of { config : I.config; sack : bool }
-  | Completion of Cp.config
+  | Fanin of F.config
   | Dynamic of Dy.config
   | Convergence of Cv.config
-  | Deadline of { config : De.config; d2tcp : bool }
   | Fattree of Ft.config
 
 type t = {
@@ -44,11 +40,13 @@ let protocol_name = function
 
 let workload_name = function
   | Longlived _ -> "longlived"
-  | Incast _ -> "incast"
-  | Completion _ -> "completion"
+  | Fanin c -> (
+      match F.kind c with
+      | F.Incast -> "incast"
+      | F.Completion -> "completion"
+      | F.Deadline -> "deadline")
   | Dynamic _ -> "dynamic"
   | Convergence _ -> "convergence"
-  | Deadline _ -> "deadline"
   | Fattree _ -> "fattree"
 
 let protocol_of = function
@@ -65,23 +63,18 @@ let protocol_of = function
 let seed t =
   match t.workload with
   | Longlived c -> c.L.seed
-  | Incast { config; _ } -> config.I.seed
-  | Completion c -> c.Cp.seed
+  | Fanin c -> c.F.seed
   | Dynamic c -> c.Dy.seed
   | Convergence c -> c.Cv.seed
-  | Deadline { config; _ } -> config.De.seed
   | Fattree c -> c.Ft.seed
 
 let with_seed seed t =
   let workload =
     match t.workload with
     | Longlived c -> Longlived { c with L.seed }
-    | Incast { config; sack } -> Incast { config = { config with I.seed }; sack }
-    | Completion c -> Completion { c with Cp.seed }
+    | Fanin c -> Fanin { c with F.seed }
     | Dynamic c -> Dynamic { c with Dy.seed }
     | Convergence c -> Convergence { c with Cv.seed }
-    | Deadline { config; d2tcp } ->
-        Deadline { config = { config with De.seed }; d2tcp }
     | Fattree c -> Fattree { c with Ft.seed }
   in
   { t with workload }
@@ -91,13 +84,11 @@ let with_seed seed t =
    Each workload config is described once, as a table of fields: the
    JSON key, a codec for its type, a getter and a functional setter.
    [workload_to_json] maps a table in order; [workload_of_json] folds it
-   over the workload's [default_config], and every key is required.
+   over the workload's default config, and every key is required.
 
-   Spans are serialized as integer nanoseconds ([Engine.Time.span] is an
-   [int64], always in-range for OCaml's 63-bit [int] at simulated
-   timescales); seeds follow the Manifest convention of a decimal string
-   so full-width int64 values survive readers without exact 64-bit
-   integers. *)
+   Spans are serialized as integer nanoseconds; seeds follow the
+   Manifest convention of a decimal string so full-width int64 values
+   survive readers without exact 64-bit integers. *)
 
 let ( let* ) = Result.bind
 let prefix = "Spec.of_json"
@@ -162,22 +153,6 @@ let field key codec get set =
         Ok (set c v));
   }
 
-(* A config's table seen through the [(flag, config)] pair of the
-   variants that carry a flag next to their config. *)
-let flagged flag_key fields =
-  field flag_key bool fst (fun (_, c) b -> (b, c))
-  :: List.map
-       (fun f ->
-         {
-           f with
-           encode = (fun (_, c) -> f.encode c);
-           decode =
-             (fun j (b, c) ->
-               let* c = f.decode j c in
-               Ok (b, c));
-         })
-       fields
-
 let to_fields fields c = List.map (fun f -> (f.key, f.encode c)) fields
 
 let of_fields fields default j =
@@ -213,58 +188,93 @@ let longlived_fields =
     field "seed" decimal (fun c -> c.seed) (fun c v -> { c with seed = v });
   ]
 
-let incast_fields =
-  let open I in
-  flagged "sack"
+(* The fan-in scenarios share one config record. Each table lists the
+   keys its scenario's JSON has always had, in their historical order,
+   and a read starts from that scenario's defaults, so fields a table
+   leaves out keep those defaults. *)
+let fanin_fields =
+  let open F in
+  let deadline_of c =
+    match c.deadline with
+    | Some d -> d
+    | None -> Option.get (default_config Deadline).deadline
+  in
+  let deadline_field key codec get set =
+    field key codec
+      (fun c -> get (deadline_of c))
+      (fun c v -> { c with deadline = Some (set (deadline_of c) v) })
+  in
+  let n_flows =
+    field "n_flows" int (fun c -> c.n_flows) (fun c v -> { c with n_flows = v })
+  and bytes_per_flow =
+    field "bytes_per_flow" int per_flow_bytes (fun c v ->
+        { c with bytes = Per_flow v })
+  and repeats =
+    field "repeats" int (fun c -> c.repeats) (fun c v -> { c with repeats = v })
+  and time_cap =
+    field "time_cap" span (fun c -> c.time_cap) (fun c v ->
+        { c with time_cap = v })
+  and start_jitter =
+    field "start_jitter" span (fun c -> c.start_jitter) (fun c v ->
+        { c with start_jitter = v })
+  and seed =
+    field "seed" decimal (fun c -> c.seed) (fun c v -> { c with seed = v })
+  in
+  let star =
     [
-      field "n_flows" int (fun c -> c.n_flows)
-        (fun c v -> { c with n_flows = v });
-      field "bytes_per_flow" int (fun c -> c.bytes_per_flow)
-        (fun c v -> { c with bytes_per_flow = v });
-      field "repeats" int (fun c -> c.repeats)
-        (fun c v -> { c with repeats = v });
-      field "rate_bps" number (fun c -> c.rate_bps)
-        (fun c v -> { c with rate_bps = v });
-      field "buffer_bytes" int (fun c -> c.buffer_bytes)
-        (fun c v -> { c with buffer_bytes = v });
-      field "leaf_buffer_bytes" int (fun c -> c.leaf_buffer_bytes)
-        (fun c v -> { c with leaf_buffer_bytes = v });
-      field "segment_bytes" int (fun c -> c.segment_bytes)
-        (fun c v -> { c with segment_bytes = v });
-      field "min_rto" span (fun c -> c.min_rto)
-        (fun c v -> { c with min_rto = v });
-      field "time_cap" span (fun c -> c.time_cap)
-        (fun c v -> { c with time_cap = v });
-      field "start_jitter" span (fun c -> c.start_jitter)
-        (fun c v -> { c with start_jitter = v });
-      field "initial_cwnd" number (fun c -> c.initial_cwnd)
-        (fun c v -> { c with initial_cwnd = v });
-      field "seed" decimal (fun c -> c.seed) (fun c v -> { c with seed = v });
+      field "rate_bps" number (fun c -> c.rate_bps) (fun c v ->
+          { c with rate_bps = v });
+      field "buffer_bytes" int (fun c -> c.buffer_bytes) (fun c v ->
+          { c with buffer_bytes = v });
+      field "leaf_buffer_bytes" int (fun c -> c.leaf_buffer_bytes) (fun c v ->
+          { c with leaf_buffer_bytes = v });
+      field "segment_bytes" int (fun c -> c.segment_bytes) (fun c v ->
+          { c with segment_bytes = v });
+      field "min_rto" span (fun c -> c.min_rto) (fun c v ->
+          { c with min_rto = v });
     ]
-
-let completion_fields =
-  let open Cp in
-  [
-    field "n_flows" int (fun c -> c.n_flows)
-      (fun c v -> { c with n_flows = v });
-    field "total_bytes" int (fun c -> c.total_bytes)
-      (fun c v -> { c with total_bytes = v });
-    field "repeats" int (fun c -> c.repeats)
-      (fun c v -> { c with repeats = v });
-    field "rate_bps" number (fun c -> c.rate_bps)
-      (fun c v -> { c with rate_bps = v });
-    field "buffer_bytes" int (fun c -> c.buffer_bytes)
-      (fun c v -> { c with buffer_bytes = v });
-    field "leaf_buffer_bytes" int (fun c -> c.leaf_buffer_bytes)
-      (fun c v -> { c with leaf_buffer_bytes = v });
-    field "segment_bytes" int (fun c -> c.segment_bytes)
-      (fun c v -> { c with segment_bytes = v });
-    field "min_rto" span (fun c -> c.min_rto)
-      (fun c v -> { c with min_rto = v });
-    field "time_cap" span (fun c -> c.time_cap)
-      (fun c v -> { c with time_cap = v });
-    field "seed" decimal (fun c -> c.seed) (fun c v -> { c with seed = v });
-  ]
+  in
+  let incast =
+    [
+      field "sack" bool (fun c -> c.sack) (fun c v -> { c with sack = v });
+      n_flows;
+      bytes_per_flow;
+      repeats;
+    ]
+    @ star
+    @ [
+        time_cap;
+        start_jitter;
+        field "initial_cwnd" number (fun c -> c.initial_cwnd) (fun c v ->
+            { c with initial_cwnd = v });
+        seed;
+      ]
+  and completion =
+    [
+      n_flows;
+      field "total_bytes" int
+        (fun c ->
+          match c.bytes with Total t -> t | Per_flow b -> b * c.n_flows)
+        (fun c v -> { c with bytes = Total v });
+      repeats;
+    ]
+    @ star @ [ time_cap; seed ]
+  and deadline =
+    [
+      deadline_field "d2tcp" bool (fun d -> d.aware) (fun d v ->
+          { d with aware = v });
+      n_flows;
+      bytes_per_flow;
+      deadline_field "deadline" span (fun d -> d.base) (fun d v ->
+          { d with base = v });
+      deadline_field "deadline_spread" span (fun d -> d.spread) (fun d v ->
+          { d with spread = v });
+      repeats;
+    ]
+    @ star @ [ start_jitter; time_cap; seed ]
+  in
+  function
+  | Incast -> incast | Completion -> completion | Deadline -> deadline
 
 let dynamic_fields =
   let open Dy in
@@ -317,37 +327,6 @@ let convergence_fields =
     field "seed" decimal (fun c -> c.seed) (fun c v -> { c with seed = v });
   ]
 
-let deadline_fields =
-  let open De in
-  flagged "d2tcp"
-    [
-      field "n_flows" int (fun c -> c.n_flows)
-        (fun c v -> { c with n_flows = v });
-      field "bytes_per_flow" int (fun c -> c.bytes_per_flow)
-        (fun c v -> { c with bytes_per_flow = v });
-      field "deadline" span (fun c -> c.deadline)
-        (fun c v -> { c with deadline = v });
-      field "deadline_spread" span (fun c -> c.deadline_spread)
-        (fun c v -> { c with deadline_spread = v });
-      field "repeats" int (fun c -> c.repeats)
-        (fun c v -> { c with repeats = v });
-      field "rate_bps" number (fun c -> c.rate_bps)
-        (fun c v -> { c with rate_bps = v });
-      field "buffer_bytes" int (fun c -> c.buffer_bytes)
-        (fun c v -> { c with buffer_bytes = v });
-      field "leaf_buffer_bytes" int (fun c -> c.leaf_buffer_bytes)
-        (fun c v -> { c with leaf_buffer_bytes = v });
-      field "segment_bytes" int (fun c -> c.segment_bytes)
-        (fun c v -> { c with segment_bytes = v });
-      field "min_rto" span (fun c -> c.min_rto)
-        (fun c v -> { c with min_rto = v });
-      field "start_jitter" span (fun c -> c.start_jitter)
-        (fun c v -> { c with start_jitter = v });
-      field "time_cap" span (fun c -> c.time_cap)
-        (fun c v -> { c with time_cap = v });
-      field "seed" decimal (fun c -> c.seed) (fun c v -> { c with seed = v });
-    ]
-
 let fattree_fields =
   let open Ft in
   [
@@ -383,39 +362,33 @@ let workload_to_json w =
   let fields =
     match w with
     | Longlived c -> to_fields longlived_fields c
-    | Incast { config; sack } -> to_fields incast_fields (sack, config)
-    | Completion c -> to_fields completion_fields c
+    | Fanin c -> to_fields (fanin_fields (F.kind c)) c
     | Dynamic c -> to_fields dynamic_fields c
     | Convergence c -> to_fields convergence_fields c
-    | Deadline { config; d2tcp } -> to_fields deadline_fields (d2tcp, config)
     | Fattree c -> to_fields fattree_fields c
   in
   Json.Obj (("kind", Json.String (workload_name w)) :: fields)
 
 let workload_of_json j =
   let ( let+ ) r f = Result.map f r in
+  let fanin kind =
+    let+ c = of_fields (fanin_fields kind) (F.default_config kind) j in
+    Fanin c
+  in
   let* kind = Json.string prefix "kind" j in
   match kind with
   | "longlived" ->
       let+ c = of_fields longlived_fields L.default_config j in
       Longlived c
-  | "incast" ->
-      let+ sack, config = of_fields incast_fields (false, I.default_config) j in
-      Incast { config; sack }
-  | "completion" ->
-      let+ c = of_fields completion_fields Cp.default_config j in
-      Completion c
+  | "incast" -> fanin F.Incast
+  | "completion" -> fanin F.Completion
+  | "deadline" -> fanin F.Deadline
   | "dynamic" ->
       let+ c = of_fields dynamic_fields Dy.default_config j in
       Dynamic c
   | "convergence" ->
       let+ c = of_fields convergence_fields Cv.default_config j in
       Convergence c
-  | "deadline" ->
-      let+ d2tcp, config =
-        of_fields deadline_fields (false, De.default_config) j
-      in
-      Deadline { config; d2tcp }
   | "fattree" ->
       let+ c = of_fields fattree_fields Ft.default_config j in
       Fattree c

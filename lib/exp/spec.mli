@@ -25,11 +25,13 @@ type protocol =
 
 type workload =
   | Longlived of Workloads.Longlived.config
-  | Incast of { config : Workloads.Incast.config; sack : bool }
-  | Completion of Workloads.Completion.config
+  | Fanin of Workloads.Fanin.config
+      (** Star fan-in; its JSON [kind] is the config's scenario
+          (["incast"], ["completion"] or ["deadline"]), and the JSON holds
+          that scenario's keys only: on reading back, fields the
+          scenario does not name take its defaults. *)
   | Dynamic of Workloads.Dynamic.config
   | Convergence of Workloads.Convergence.config
-  | Deadline of { config : Workloads.Deadline.config; d2tcp : bool }
   | Fattree of Workloads.Fattree.config
       (** Fat-tree fabric FCT-slowdown study (runs on
           {!Net.Topology.fat_tree}, not the dumbbell/star). *)

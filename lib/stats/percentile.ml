@@ -17,15 +17,3 @@ let of_array arr p =
   of_sorted copy p
 
 let of_list l p = of_array (Array.of_list l) p
-let summary arr =
-  let copy = Array.copy arr in
-  Array.sort Float.compare copy;
-  [
-    ("min", of_sorted copy 0.);
-    ("p25", of_sorted copy 25.);
-    ("p50", of_sorted copy 50.);
-    ("p75", of_sorted copy 75.);
-    ("p90", of_sorted copy 90.);
-    ("p99", of_sorted copy 99.);
-    ("max", of_sorted copy 100.);
-  ]

@@ -9,6 +9,3 @@ val of_array : float array -> float -> float
 (** Copies and sorts, then {!of_sorted}. *)
 
 val of_list : float list -> float -> float
-
-val summary : float array -> (string * float) list (* dtlint: test-only: report-table helper *)
-(** min / p25 / median / p75 / p90 / p99 / max, for report tables. *)

@@ -69,36 +69,3 @@ let ecn_reno api =
     on_timeout = (fun () -> collapse_on_timeout api);
     alpha = (fun () -> None);
   }
-
-let ai_md ~increase ~decrease api =
-  if increase <= 0. then invalid_arg "Cc.ai_md: increase must be positive";
-  if decrease <= 0. || decrease >= 1. then
-    invalid_arg "Cc.ai_md: decrease must be in (0,1)";
-  let cwr_end = ref 0 in
-  let reduce () =
-    let cwnd = api.get_cwnd () in
-    let cut = cwnd *. (1. -. decrease) in
-    let target = if cut >= 1. then cut else 1. in
-    api.set_ssthresh target;
-    api.set_cwnd target
-  in
-  {
-    name = Printf.sprintf "aimd(%.2f,%.2f)" increase decrease;
-    on_ack =
-      (fun ~newly_acked ~ece ~snd_una ~snd_nxt ->
-        if ece && snd_una > !cwr_end then begin
-          reduce ();
-          cwr_end := snd_nxt
-        end
-        else if newly_acked > 0 then begin
-          let cwnd = api.get_cwnd () in
-          if cwnd < api.get_ssthresh () then
-            api.set_cwnd (cwnd +. float_of_int newly_acked)
-          else
-            api.set_cwnd
-              (cwnd +. (increase *. float_of_int newly_acked /. cwnd))
-        end);
-    on_fast_retransmit = reduce;
-    on_timeout = (fun () -> collapse_on_timeout api);
-    alpha = (fun () -> None);
-  }

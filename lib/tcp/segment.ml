@@ -41,12 +41,3 @@ let view st p =
   if seq >= 0 then Data { seq }
   else if ack >= 0 then Ack { ack; ece = ece st p; sack = sack st p }
   else Other
-
-let describe = function
-  | Data { seq } -> Printf.sprintf "data seq=%d" seq
-  | Ack { ack; ece; sack = [] } -> Printf.sprintf "ack=%d ece=%b" ack ece
-  | Ack { ack; ece; sack } ->
-      Printf.sprintf "ack=%d ece=%b sack=[%s]" ack ece
-        (String.concat ";"
-           (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) sack))
-  | Other -> "other"

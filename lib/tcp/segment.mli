@@ -63,6 +63,3 @@ type view =
 
 val view : Net.Packet.store -> Net.Packet.t -> view (* dtlint: test-only: packet taps *)
 (** All of a packet's segment fields at once, for tests and logs. *)
-
-val describe : view -> string (* dtlint: test-only: debug rendering *)
-(** For logs and debugging; {!Other} renders as ["other"]. *)

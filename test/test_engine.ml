@@ -1118,16 +1118,6 @@ let test_ring_wraparound_growth () =
     "drain order across the wrap" [ 2; 3; 4; 5; 6; 7; 8; 9 ]
     (drain r)
 
-let test_ring_clear () =
-  let r = Ring.create ~capacity:2 () in
-  for i = 0 to 9 do
-    Ring.push r i
-  done;
-  Ring.clear r;
-  checkb "cleared" true (Ring.is_empty r);
-  Ring.push r 42;
-  checki "usable after clear" 42 (Ring.pop r)
-
 let prop_ring_matches_queue =
   QCheck.Test.make ~count:300 ~name:"Ring behaves like Stdlib.Queue"
     QCheck.(
@@ -1249,7 +1239,6 @@ let suites =
         Alcotest.test_case "pop on empty" `Quick test_ring_pop_empty_raises;
         Alcotest.test_case "wraparound and growth" `Quick
           test_ring_wraparound_growth;
-        Alcotest.test_case "clear" `Quick test_ring_clear;
         qtest prop_ring_matches_queue;
       ] );
     ( "engine.timer",

@@ -85,18 +85,15 @@ let longlived_gen =
 let incast_gen =
   Gen.map
     (fun ((n, bytes, repeats), (sack, start_jitter, seed)) ->
-      Spec.Incast
+      Spec.Fanin
         {
-          config =
-            {
-              Workloads.Incast.default_config with
-              n_flows = n;
-              bytes_per_flow = bytes;
-              repeats;
-              start_jitter;
-              seed;
-            };
+          (Workloads.Fanin.default_config Workloads.Fanin.Incast) with
+          n_flows = n;
+          bytes = Workloads.Fanin.Per_flow bytes;
+          repeats;
+          start_jitter;
           sack;
+          seed;
         })
     (Gen.pair
        (Gen.triple (Gen.int_range 1 64)
@@ -107,11 +104,11 @@ let incast_gen =
 let completion_gen =
   Gen.map
     (fun ((n, total, repeats), seed) ->
-      Spec.Completion
+      Spec.Fanin
         {
-          Workloads.Completion.default_config with
+          (Workloads.Fanin.default_config Workloads.Fanin.Completion) with
           n_flows = n;
-          total_bytes = total;
+          bytes = Workloads.Fanin.Total total;
           repeats;
           seed;
         })
@@ -155,18 +152,13 @@ let convergence_gen =
 
 let deadline_gen =
   Gen.map
-    (fun ((n, deadline, deadline_spread), (d2tcp, seed)) ->
-      Spec.Deadline
+    (fun ((n, base, spread), (aware, seed)) ->
+      Spec.Fanin
         {
-          config =
-            {
-              Workloads.Deadline.default_config with
-              n_flows = n;
-              deadline;
-              deadline_spread;
-              seed;
-            };
-          d2tcp;
+          (Workloads.Fanin.default_config Workloads.Fanin.Deadline) with
+          n_flows = n;
+          deadline = Some { base; spread; aware };
+          seed;
         })
     (Gen.pair
        (Gen.triple (Gen.int_range 1 32) span_gen span_gen)
@@ -330,17 +322,13 @@ let smoke_incast ~name ~seed =
     Spec.name;
     protocol = Spec.Dctcp { g = 1. /. 16.; k_bytes = 32 * 1024 };
     workload =
-      Spec.Incast
+      Spec.Fanin
         {
-          config =
-            {
-              Workloads.Incast.default_config with
-              n_flows = 4;
-              repeats = 1;
-              time_cap = Time.span_of_sec 2.;
-              seed;
-            };
-          sack = false;
+          (Workloads.Fanin.default_config Workloads.Fanin.Incast) with
+          n_flows = 4;
+          repeats = 1;
+          time_cap = Time.span_of_sec 2.;
+          seed;
         };
     faults = None;
     buffer = Net.Buffer_mgr.Static;
@@ -768,11 +756,74 @@ let test_completion_segment_bytes_positive () =
   check_run_fails "dtsim.completion" "workload.segment_bytes"
     ~scenario:"Completion" ~what:"segment_bytes" [ 0; -1500 ]
 
+(* A fan-in run that could only report a non-measurement (no time to
+   run, no bytes to send, deadlines or starts before the query) is
+   rejected at the scenario's one validation site, naming the field. *)
+let test_fanin_inputs_rejected () =
+  List.iter
+    (fun (name, scenario) ->
+      check_run_fails name "workload.time_cap" ~scenario ~what:"time_cap (ns)"
+        [ 0; -1 ])
+    [
+      ("dtsim.incast", "Incast");
+      ("dtsim.completion", "Completion");
+      ("dtsim.deadline", "Deadline");
+    ];
+  check_run_fails "dtsim.incast" "workload.bytes_per_flow" ~scenario:"Incast"
+    ~what:"bytes_per_flow" [ 0; -1 ];
+  check_run_fails "dtsim.deadline" "workload.bytes_per_flow"
+    ~scenario:"Deadline" ~what:"bytes_per_flow" [ 0; -1 ];
+  check_run_fails "dtsim.completion" "workload.total_bytes"
+    ~scenario:"Completion" ~what:"total_bytes" [ 0; -1 ];
+  check_run_fails "dtsim.incast" "workload.start_jitter" ~scenario:"Incast"
+    ~what:"non-negative start_jitter (ns)" [ -1 ];
+  check_run_fails "dtsim.deadline" "workload.start_jitter"
+    ~scenario:"Deadline" ~what:"non-negative start_jitter (ns)" [ -1 ];
+  check_run_fails "dtsim.deadline" "workload.deadline" ~scenario:"Deadline"
+    ~what:"non-negative deadline (ns)" [ -5_000_000; -1 ];
+  check_run_fails "dtsim.deadline" "workload.deadline_spread"
+    ~scenario:"Deadline" ~what:"non-negative deadline_spread (ns)" [ -1 ]
+
 let test_longlived_sample_periods_positive () =
   check_run_fails "dtsim.longlived" "workload.alpha_sample_period"
     ~scenario:"Longlived" ~what:"alpha_sample_period (ns)" [ 0; -1 ];
   check_run_fails "dtsim.longlived" "workload.trace_sampling"
     ~scenario:"Longlived" ~what:"trace_sampling (ns)" [ 0; -1 ]
+
+(* The exact result JSON of the fan-in scenarios (Incast, Completion,
+   Deadline) on their CI points, one faulted point, and one Completion
+   point whose six timeouts per run exercise the RTO path. Any change in
+   seed strides, per-flow RNG order or summation order moves a digit. *)
+let test_fanin_results_pinned () =
+  let run name sets =
+    let base =
+      match Registry.select name with
+      | Some [ s ] -> s
+      | _ -> Alcotest.fail ("no registry spec " ^ name)
+    in
+    let spec = override_ok base sets in
+    Json.to_string (Outcome.to_json (Runner.run_one spec).Runner.result)
+  in
+  List.iter
+    (fun (name, sets, expected) ->
+      Alcotest.(check string) name expected (run name sets))
+    [
+      ( "ci_smoke/incast/dt-dctcp",
+        [],
+        {|{"status":"done","kind":"incast","result":{"mean_goodput_bps":914979503.43695831,"min_goodput_bps":909269738.49225211,"max_goodput_bps":920689268.38166451,"mean_completion":0.00458422,"p99_completion":0.00461225486,"timeouts_per_run":0.0,"incomplete":0}}|} );
+      ( "ci_smoke/completion/dctcp",
+        [],
+        {|{"status":"done","kind":"completion","result":{"mean_completion_s":0.0088666735,"min_completion_s":0.008831814,"max_completion_s":0.008901533,"p99_completion_s":0.00890083581,"stddev_completion_s":3.4859499999999669e-05,"timeouts_per_run":0.0,"incomplete":0}}|} );
+      ( "ci_smoke/deadline/d2tcp",
+        [],
+        {|{"status":"done","kind":"deadline","result":{"met_fraction":0.91666666666666663,"mean_completion_s":0.0020350830833333329,"p99_completion_s":0.00273106435,"timeouts_per_run":0.0,"incomplete":0}}|} );
+      ( "robust_smoke/incast/jitter",
+        [],
+        {|{"status":"done","kind":"incast","result":{"mean_goodput_bps":913759704.01450944,"min_goodput_bps":898663629.3437618,"max_goodput_bps":928855778.6852572,"mean_completion":0.004591414,"p99_completion":0.0046657509199999996,"timeouts_per_run":0.0,"incomplete":0}}|} );
+      ( "ci_smoke/completion/dctcp",
+        [ ("workload.n_flows", Json.Int 44); ("workload.repeats", Json.Int 2) ],
+        {|{"status":"done","kind":"completion","result":{"mean_completion_s":0.20284140950000001,"min_completion_s":0.202779171,"max_completion_s":0.202903648,"p99_completion_s":0.20290240323,"stddev_completion_s":6.2238499999985042e-05,"timeouts_per_run":6.0,"incomplete":0}}|} );
+    ]
 
 let test_static_run_matches_prebuffer_spec () =
   (* A spec deserialized from its pre-buffer-manager JSON form (no
@@ -918,8 +969,12 @@ let suites =
           `Quick test_deadline_segment_bytes_positive;
         Alcotest.test_case "completion rejects a non-positive segment_bytes"
           `Quick test_completion_segment_bytes_positive;
+        Alcotest.test_case "fan-in rejects non-measurement inputs" `Quick
+          test_fanin_inputs_rejected;
         Alcotest.test_case "longlived rejects non-positive sample periods"
           `Quick test_longlived_sample_periods_positive;
+        Alcotest.test_case "fan-in results pinned" `Quick
+          test_fanin_results_pinned;
         Alcotest.test_case "Static run = pre-buffer spec run" `Quick
           test_static_run_matches_prebuffer_spec;
         Alcotest.test_case "manifest reconstructs the spec" `Quick

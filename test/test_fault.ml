@@ -414,16 +414,12 @@ let test_faults_supported_on_all_workloads () =
             drain = Time.span_of_ms 5.;
           } );
       ( "deadline",
-        Spec.Deadline
+        Spec.Fanin
           {
-            config =
-              {
-                Workloads.Deadline.default_config with
-                n_flows = 4;
-                repeats = 2;
-                time_cap = Time.span_of_sec 2.;
-              };
-            d2tcp = false;
+            (Workloads.Fanin.default_config Workloads.Fanin.Deadline) with
+            n_flows = 4;
+            repeats = 2;
+            time_cap = Time.span_of_sec 2.;
           } );
     ]
   in

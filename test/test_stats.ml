@@ -117,12 +117,6 @@ let test_percentile_errors () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-let test_percentile_summary () =
-  let s = P.summary [| 1.; 2.; 3.; 4. |] in
-  checki "seven entries" 7 (List.length s);
-  checkf "min entry" 1. (List.assoc "min" s);
-  checkf "max entry" 4. (List.assoc "max" s)
-
 let prop_percentile_monotone =
   QCheck.Test.make ~count:200 ~name:"percentiles are monotone in p"
     QCheck.(list_of_size Gen.(int_range 1 30) (float_range 0. 100.))
@@ -374,7 +368,6 @@ let suites =
         Alcotest.test_case "unsorted input" `Quick test_percentile_unsorted_input;
         Alcotest.test_case "single element" `Quick test_percentile_single;
         Alcotest.test_case "errors" `Quick test_percentile_errors;
-        Alcotest.test_case "summary" `Quick test_percentile_summary;
         qtest prop_percentile_monotone;
         qtest prop_percentile_extremes;
       ] );

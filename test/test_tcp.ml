@@ -165,44 +165,47 @@ let test_ecn_reno_halves_once_per_window () =
   cc.Tcp.Cc.on_ack ~newly_acked:1 ~ece:true ~snd_una:21 ~snd_nxt:30;
   checkf "halved in next window" 4. f.cwnd
 
-let test_aimd_parameters () =
-  let f, api = fake_api () in
-  let cc = Tcp.Cc.ai_md ~increase:2. ~decrease:0.25 api in
-  f.cwnd <- 10.;
-  f.ssthresh <- 1.;
-  cc.Tcp.Cc.on_ack ~newly_acked:1 ~ece:false ~snd_una:1 ~snd_nxt:10;
-  checkf ~eps:1e-9 "additive increase scaled" 10.2 f.cwnd;
-  cc.Tcp.Cc.on_ack ~newly_acked:1 ~ece:true ~snd_una:2 ~snd_nxt:11;
-  checkf ~eps:1e-6 "multiplicative decrease" (10.2 *. 0.75) f.cwnd
-
-let test_aimd_validation () =
-  let _, api = fake_api () in
-  checkb "bad increase" true
-    (match Tcp.Cc.ai_md ~increase:0. ~decrease:0.5 api with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  checkb "bad decrease" true
-    (match Tcp.Cc.ai_md ~increase:1. ~decrease:1. api with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
 (* --- Segment --- *)
 
+(* The decoded header of each segment kind: a data segment's sequence
+   number, an ACK's number, ECN-Echo flag and SACK blocks, and no segment
+   at all on a bare packet. *)
 let test_segment_describe () =
   let st = Net.Packet.store_of (Sim.create ()) in
-  let describe p = Tcp.Segment.describe (Tcp.Segment.view st p) in
-  Alcotest.check Alcotest.string "data" "data seq=5"
-    (describe
-       (Tcp.Segment.data st ~src:0 ~dst:1 ~flow:0 ~size:1500
-          ~ecn:Net.Packet.Ect ~seq:5));
-  Alcotest.check Alcotest.string "ack" "ack=3 ece=true"
-    (describe
-       (Tcp.Segment.ack st ~src:1 ~dst:0 ~flow:0 ~size:40 ~ack:3 ~ece:true
-          ~sack:[]));
-  Alcotest.check Alcotest.string "other" "other"
-    (describe
-       (Net.Packet.make st ~src:0 ~dst:1 ~flow:0 ~size:1500
-          ~ecn:Net.Packet.Ect Net.Packet.No_payload))
+  let view = Tcp.Segment.view st in
+  checkb "data seq" true
+    (match
+       view
+         (Tcp.Segment.data st ~src:0 ~dst:1 ~flow:0 ~size:1500
+            ~ecn:Net.Packet.Ect ~seq:5)
+     with
+    | Tcp.Segment.Data { seq = 5 } -> true
+    | _ -> false);
+  checkb "ack with ece" true
+    (match
+       view
+         (Tcp.Segment.ack st ~src:1 ~dst:0 ~flow:0 ~size:40 ~ack:3 ~ece:true
+            ~sack:[])
+     with
+    | Tcp.Segment.Ack { ack = 3; ece = true; sack = [] } -> true
+    | _ -> false);
+  checkb "ack with sack blocks" true
+    (match
+       view
+         (Tcp.Segment.ack st ~src:1 ~dst:0 ~flow:0 ~size:40 ~ack:7 ~ece:false
+            ~sack:[ (9, 12); (15, 16) ])
+     with
+    | Tcp.Segment.Ack { ack = 7; ece = false; sack = [ (9, 12); (15, 16) ] } ->
+        true
+    | _ -> false);
+  checkb "other" true
+    (match
+       view
+         (Net.Packet.make st ~src:0 ~dst:1 ~flow:0 ~size:1500
+            ~ecn:Net.Packet.Ect Net.Packet.No_payload)
+     with
+    | Tcp.Segment.Other -> true
+    | _ -> false)
 
 (* --- End-to-end transfers --- *)
 
@@ -624,8 +627,6 @@ let suites =
         Alcotest.test_case "reno timeout" `Quick test_reno_timeout;
         Alcotest.test_case "ecn-reno once per window" `Quick
           test_ecn_reno_halves_once_per_window;
-        Alcotest.test_case "aimd parameters" `Quick test_aimd_parameters;
-        Alcotest.test_case "aimd validation" `Quick test_aimd_validation;
       ] );
     ( "tcp.segment",
       [ Alcotest.test_case "describe" `Quick test_segment_describe ] );

@@ -4,8 +4,7 @@
 
 module Time = Engine.Time
 module L = Workloads.Longlived
-module I = Workloads.Incast
-module Cm = Workloads.Completion
+module F = Workloads.Fanin
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -120,155 +119,136 @@ let test_longlived_validation () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-(* --- Incast --- *)
+(* --- Fan-in: Incast, Completion, Deadline --- *)
 
 let incast_proto = Dctcp.Protocol.dctcp ~k_bytes:(32 * 1024) ()
 
+let incast cfg =
+  match F.run incast_proto cfg with
+  | F.Goodput r -> r
+  | F.Completion_time _ | F.Deadlines_met _ -> Alcotest.fail "not an Incast run"
+
+let completion cfg =
+  match F.run incast_proto cfg with
+  | F.Completion_time r -> r
+  | F.Goodput _ | F.Deadlines_met _ -> Alcotest.fail "not a Completion run"
+
+let deadlines cfg =
+  match F.run incast_proto cfg with
+  | F.Deadlines_met r -> r
+  | F.Goodput _ | F.Completion_time _ -> Alcotest.fail "not a Deadline run"
+
+let raises_invalid f =
+  match f () with exception Invalid_argument _ -> true | _ -> false
+
 let small_incast =
-  { I.default_config with I.n_flows = 4; repeats = 3 }
+  { (F.default_config F.Incast) with F.n_flows = 4; repeats = 3 }
 
 let test_incast_small_completes () =
-  let r = I.run incast_proto small_incast in
-  checki "all repeats finish" 0 r.I.incomplete;
+  let r = incast small_incast in
+  checki "all repeats finish" 0 r.F.incomplete;
   (* exactly zero timeouts is the property under test *)
-  checkb "no timeouts at small n" true (r.I.timeouts_per_run = 0.);  (* dtlint: allow R2 *)
+  checkb "no timeouts at small n" true (r.F.timeouts_per_run = 0.);  (* dtlint: allow R2 *)
   checkb
-    (Printf.sprintf "goodput %.0f Mbps reasonable" (r.I.mean_goodput_bps /. 1e6))
+    (Printf.sprintf "goodput %.0f Mbps reasonable" (r.F.mean_goodput_bps /. 1e6))
     true
-    (r.I.mean_goodput_bps > 0.3e9 && r.I.mean_goodput_bps < 1e9)
+    (r.F.mean_goodput_bps > 0.3e9 && r.F.mean_goodput_bps < 1e9)
 
 let test_incast_collapse_at_large_n () =
-  let r = I.run incast_proto { small_incast with I.n_flows = 44 } in
-  checkb "timeouts happen" true (r.I.timeouts_per_run > 0.);
+  let r = incast { small_incast with F.n_flows = 44 } in
+  checkb "timeouts happen" true (r.F.timeouts_per_run > 0.);
   checkb
-    (Printf.sprintf "goodput collapsed to %.0f Mbps" (r.I.mean_goodput_bps /. 1e6))
+    (Printf.sprintf "goodput collapsed to %.0f Mbps" (r.F.mean_goodput_bps /. 1e6))
     true
-    (r.I.mean_goodput_bps < 0.4e9)
+    (r.F.mean_goodput_bps < 0.4e9)
 
 let test_incast_completion_floor () =
   (* n * 64KB at 1 Gbps sets a serialization floor on completion. *)
-  let r = I.run incast_proto small_incast in
+  let r = incast small_incast in
   let floor_s =
     float_of_int (4 * 64 * 1024 * 8) /. 1e9
   in
-  checkb "above line-rate floor" true (r.I.mean_completion >= floor_s *. 0.9);
+  checkb "above line-rate floor" true (r.F.mean_completion >= floor_s *. 0.9);
   checkb "min <= mean <= max" true
-    (r.I.min_goodput_bps <= r.I.mean_goodput_bps
-    && r.I.mean_goodput_bps <= r.I.max_goodput_bps)
+    (r.F.min_goodput_bps <= r.F.mean_goodput_bps
+    && r.F.mean_goodput_bps <= r.F.max_goodput_bps)
 
 let test_incast_goodput_of_completion () =
-  let g = I.goodput_of_completion small_incast 1. in
+  let g = F.goodput_of_completion small_incast 1. in
   checkf "bytes over time" (float_of_int (4 * 64 * 1024 * 8)) g;
-  checkf "zero time" 0. (I.goodput_of_completion small_incast 0.)
+  checkf "zero time" 0. (F.goodput_of_completion small_incast 0.)
 
 let test_incast_determinism () =
-  let a = I.run incast_proto small_incast in
-  let b = I.run incast_proto small_incast in
-  checkf "same goodput" a.I.mean_goodput_bps b.I.mean_goodput_bps
+  let a = incast small_incast in
+  let b = incast small_incast in
+  checkf "same goodput" a.F.mean_goodput_bps b.F.mean_goodput_bps
 
 let test_incast_validation () =
   checkb "zero flows raises" true
-    (match I.run incast_proto { small_incast with I.n_flows = 0 } with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
+    (raises_invalid (fun () -> incast { small_incast with F.n_flows = 0 }));
   checkb "zero repeats raises" true
-    (match I.run incast_proto { small_incast with I.repeats = 0 } with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-(* --- Completion --- *)
+    (raises_invalid (fun () -> incast { small_incast with F.repeats = 0 }))
 
 let small_completion =
-  { Cm.default_config with Cm.n_flows = 4; repeats = 3 }
+  { (F.default_config F.Completion) with F.n_flows = 4; repeats = 3 }
 
 let test_completion_floor () =
-  let r = Cm.run incast_proto small_completion in
+  let r = completion small_completion in
   (* 1 MB at 1 Gbps is ~8.4 ms serialization. *)
   checkb
-    (Printf.sprintf "mean %.2f ms above floor" (r.Cm.mean_completion_s *. 1e3))
+    (Printf.sprintf "mean %.2f ms above floor" (r.F.mean_completion_s *. 1e3))
     true
-    (r.Cm.mean_completion_s > 8e-3 && r.Cm.mean_completion_s < 50e-3);
-  checki "complete" 0 r.Cm.incomplete;
+    (r.F.mean_completion_s > 8e-3 && r.F.mean_completion_s < 50e-3);
+  checki "complete" 0 r.F.incomplete;
   checkb "min <= mean <= max" true
-    (r.Cm.min_completion_s <= r.Cm.mean_completion_s
-    && r.Cm.mean_completion_s <= r.Cm.max_completion_s)
+    (r.F.min_completion_s <= r.F.mean_completion_s
+    && r.F.mean_completion_s <= r.F.max_completion_s)
 
 let test_completion_incast_spike () =
-  let r = Cm.run incast_proto { small_completion with Cm.n_flows = 44 } in
+  let r = completion { small_completion with F.n_flows = 44 } in
   checkb
-    (Printf.sprintf "timeout spike: %.1f ms" (r.Cm.mean_completion_s *. 1e3))
+    (Printf.sprintf "timeout spike: %.1f ms" (r.F.mean_completion_s *. 1e3))
     true
-    (r.Cm.mean_completion_s > 0.1)
+    (r.F.mean_completion_s > 0.1)
 
 let test_completion_percentiles () =
-  let r = Cm.run incast_proto small_completion in
+  let r = completion small_completion in
   checkb "p99 at least mean-ish" true
-    (r.Cm.p99_completion_s >= r.Cm.mean_completion_s -. 1e-6);
-  checkb "stddev finite" true (Float.is_finite r.Cm.stddev_completion_s)
+    (r.F.p99_completion_s >= r.F.mean_completion_s -. 1e-6);
+  checkb "stddev finite" true (Float.is_finite r.F.stddev_completion_s)
 
 let test_completion_validation () =
   checkb "zero flows raises" true
-    (match Cm.run incast_proto { small_completion with Cm.n_flows = 0 } with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-(* --- Deadline --- *)
-
-let deadline_marking () =
-  Dctcp.Marking_policies.single_threshold ~k_bytes:(32 * 1024)
+    (raises_invalid (fun () ->
+         completion { small_completion with F.n_flows = 0 }))
 
 let small_deadline =
-  {
-    Workloads.Deadline.default_config with
-    Workloads.Deadline.n_flows = 4;
-    repeats = 2;
-  }
+  { (F.default_config F.Deadline) with F.n_flows = 4; repeats = 2 }
+
+let with_deadline ?(aware = false) ?(spread = Time.span_of_ms 20.) base =
+  { small_deadline with F.deadline = Some { F.base; spread; aware } }
 
 let test_deadline_generous_all_met () =
-  let r =
-    Workloads.Deadline.run ~marking:deadline_marking
-      (Workloads.Deadline.Plain (Dctcp.Dctcp_cc.cc ()))
-      {
-        small_deadline with
-        Workloads.Deadline.deadline = Time.span_of_sec 5.;
-      }
-  in
-  checkf "all met" 1. r.Workloads.Deadline.met_fraction;
-  checki "none incomplete" 0 r.Workloads.Deadline.incomplete;
-  checkb "completion positive" true
-    (r.Workloads.Deadline.mean_completion_s > 0.)
+  let r = deadlines (with_deadline (Time.span_of_sec 5.)) in
+  checkf "all met" 1. r.F.met_fraction;
+  checki "none incomplete" 0 r.F.incomplete;
+  checkb "completion positive" true (r.F.mean_completion_s > 0.)
 
 let test_deadline_impossible_none_met () =
   let r =
-    Workloads.Deadline.run ~marking:deadline_marking
-      (Workloads.Deadline.Plain (Dctcp.Dctcp_cc.cc ()))
-      {
-        small_deadline with
-        Workloads.Deadline.deadline = Time.span_of_us 1.;
-        deadline_spread = Time.span_of_int_ns 0;
-      }
+    deadlines
+      (with_deadline ~spread:(Time.span_of_int_ns 0) (Time.span_of_us 1.))
   in
-  checkf "none met" 0. r.Workloads.Deadline.met_fraction
+  checkf "none met" 0. r.F.met_fraction
 
 let test_deadline_aware_kind_runs () =
-  let r =
-    Workloads.Deadline.run ~marking:deadline_marking
-      (Workloads.Deadline.Deadline_aware
-         (fun ~total_segments ~deadline ->
-           Dctcp.D2tcp_cc.cc ~total_segments ~deadline ()))
-      { small_deadline with Workloads.Deadline.deadline = Time.span_of_sec 1. }
-  in
-  checkf "d2tcp meets generous deadlines" 1. r.Workloads.Deadline.met_fraction
+  let r = deadlines (with_deadline ~aware:true (Time.span_of_sec 1.)) in
+  checkf "d2tcp meets generous deadlines" 1. r.F.met_fraction
 
 let test_deadline_validation () =
   checkb "zero flows raises" true
-    (match
-       Workloads.Deadline.run ~marking:deadline_marking
-         (Workloads.Deadline.Plain Tcp.Cc.reno)
-         { small_deadline with Workloads.Deadline.n_flows = 0 }
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+    (raises_invalid (fun () ->
+         F.run (Dctcp.Protocol.reno ()) { small_deadline with F.n_flows = 0 }))
 
 (* --- Dynamic --- *)
 
