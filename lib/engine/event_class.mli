@@ -2,9 +2,10 @@
 
     Every event in the {!Event_queue} carries a class tag (stored as the
     class {e index}, an immediate int, so tagging costs nothing on the
-    hot path). Scheduling sites that know what kind of work they enqueue
-    pass the tag through {!Sim.schedule_at_cls} / {!Sim.schedule_after_cls};
-    everything else defaults to {!Other}. The profiler aggregates
+    hot path). A registered action ({!Sim.action}) carries its class
+    from the registration; one-shot scheduling sites that know what kind
+    of work they enqueue pass the tag through {!Sim.schedule_at_cls} /
+    {!Sim.schedule_after_cls}; everything else defaults to {!Other}. The profiler aggregates
     per-class execution counts and sampled wall-clock time, which is how
     "where does event time actually go" questions (ROADMAP item 3) get
     answered without a system profiler. *)

@@ -11,15 +11,26 @@
    - cancel unlinks the slot from its bucket's intrusive doubly-linked
      list and recycles it immediately: no dead weight carried to the next
      compaction sweep, no sweep at all for wheel-resident events;
-   - pop finds the next occupied 32 ns tick through per-level occupancy
-     bitmasks (find-first-set, not a scan) and cascades higher-level
-     buckets down only when the virtual clock actually crosses into
-     them — each event is filed at most [levels] times over its life;
+   - pop finds the next occupied 32 ns tick through occupancy bitmaps
+     (find-first-set, not a scan) and cascades higher-level buckets down
+     only when the virtual clock actually crosses into them — each event
+     is filed at most once per level over its life;
    - event records come from a free-list pool, so steady schedule/fire
      and schedule/cancel churn allocates nothing;
    - ids handed to callers are immediate ints carrying a generation
      stamp, so a stale [cancel] (after the record was recycled) is
      detected and ignored instead of corrupting an unrelated event.
+
+   {b No pointer per event.} A record holds only immediate fields: its
+   action is an int. Components that re-schedule the same closure
+   register it once ({!register}) and schedule its index, so a schedule,
+   a pop and a release store no pointer and pay no [caml_modify] write
+   barrier. A closure handed to {!add} takes a one-shot slot in an array
+   parallel to the pool, indexed by the event's pool slot; the slot is
+   cleared when the event is cancelled, or at the pop after the one that
+   fired it (the caller runs it in between), so the pool pins no dead
+   closure, a one-shot costs two barriers (store, clear), and one-shot
+   churn still allocates nothing.
 
    {b Pop order is strict (key_ns, seq)} — earlier instants first,
    schedule order within an instant — exactly the order of a (key, seq)
@@ -38,7 +49,7 @@
      already passed (never produced by {!Sim}, which forbids scheduling
      in the past, but the queue keeps the total order honest under
      arbitrary call sequences);
-   - {e overflow}: events beyond the wheel horizon (2^30 ns ≈ 1.07 s
+   - {e overflow}: events beyond the wheel horizon (2^35 ns ≈ 34.4 s
      past the current position). When the wheel drains below them the
      clock jumps to the earliest overflow block and that block's events
      cascade into the wheel — in heap order, so same-instant residents
@@ -48,32 +59,47 @@
    swept when the dead outnumber half the heap); wheel-resident events —
    the hot case — cancel in O(1). *)
 
-(* Wheel geometry: [levels] levels of [slots] buckets over [tick_bits]-
-   wide ticks. Level 0 buckets are one tick (32 ns) wide; level l buckets
-   span 2^(5 + 5l) ns. The wheel as a whole covers keys sharing the
+(* Wheel geometry: a wide bottom level of [l0_slots] one-tick (32 ns)
+   buckets, then [upper] levels of [slots] buckets; level l >= 1 buckets
+   span 2^(15 + 5(l-1)) ns. The wheel as a whole covers keys sharing the
    current position's bits at or above [horizon_bits]; everything further
    out is overflow.
 
-   Why a 32 ns tick and not 1 ns: with 1.2 us serialization and 25 us
-   propagation delays, a 1 ns bottom level sees almost no event filed
-   into it directly, so each fired event was filed 2-3 levels up and
-   cascaded down through every level in between — 3.2 bucket inserts and
-   2.0 [wheel_min] iterations per fired event on fig_queue DCTCP N=100.
-   With 32 ns ticks that falls to 2.25 inserts and 1.15 iterations. The
-   price is that a bottom bucket may hold distinct keys, kept in
-   (key, seq) order by a walk back from the tail; counted over whole
-   runs, the walk takes 0 steps per fired event on fig_queue N=100 and
-   0.09 on fig_fattree DCTCP k=8. Wider ticks lose that: at 256 and
-   1024 ns the same fat-tree run walks 1.9 and 9.3 steps per event. *)
+   Why a 32 ns tick: with 1.2 us serialization and 25 us propagation
+   delays, a 1 ns bottom level sees almost no event filed into it
+   directly, and wider ticks make a bottom bucket hold many distinct keys
+   (kept in (key, seq) order by a walk back from the tail): at 256 and
+   1024 ns a fat-tree DCTCP k=8 run walks 1.9 and 9.3 steps per event,
+   at 32 ns 0.09.
+
+   Why 1024 bottom buckets: with 32 of them the bottom level spanned
+   1024 ns, shorter than one serialization time, so nearly every event
+   was filed a level up and cascaded down — 2.25 bucket inserts per
+   fired event on fig_queue and 2.02 on fig_fattree. A 32.8 us bottom
+   level holds every serialization completion and most propagation
+   deliveries directly: 1.52 and 1.21 inserts per fired event. A
+   two-tier bitmap keeps the next-bucket search at two find-first-set
+   operations: 32 occupancy words of 32 bits, plus a summary word whose
+   bit w says word w is non-zero. *)
 let tick_bits = 5
+let l0_bits = 10
+let l0_slots = 1 lsl l0_bits (* 1024 *)
+let l0_mask = l0_slots - 1
 let slot_bits = 5
 let slots = 1 lsl slot_bits (* 32 *)
 let slot_mask = slots - 1
-let levels = 5
-let horizon_bits = tick_bits + (slot_bits * levels) (* 30 *)
+let upper = 4
+let l1_shift = tick_bits + l0_bits (* 15 *)
+let horizon_bits = l1_shift + (slot_bits * upper) (* 35 *)
 
-(* Location codes for [where]: a bucket index [level * slots + slot], or
-   one of these. *)
+(* Buckets [0, l0_slots) are level 0; level l >= 1 slot s is bucket
+   [l0_slots + (l-1)*slots + s]. Occupancy word [b lsr 5] holds bucket
+   [b]'s bit [b land 31], so words [0, 32) are level 0 and word [31 + l]
+   is level l's whole 32-slot mask. *)
+let n_buckets = l0_slots + (upper * slots)
+let l0_words = l0_slots lsr 5
+
+(* Location codes for [where]: a bucket index, or one of these. *)
 let loc_none = -1
 let loc_overdue = -2
 let loc_overflow = -3
@@ -84,10 +110,9 @@ type event = {
          An [int] (not [int64]) so compares are single unboxed compares —
          fine for any simulated instant below 2^62 ns. *)
   mutable seq : int;  (* FIFO tie-break: schedule order within an instant. *)
-  mutable action : unit -> unit;
-  mutable cls : int;
-      (* {!Event_class} index tag, carried for the self-profiler. An
-         immediate int: tagging costs one mutable-field store. *)
+  mutable act : int;
+      (* [>= 0]: a registered action's index. [< 0]: a one-shot whose
+         closure sits in [t.oneshot.(idx)], with class [-1 - act]. *)
   mutable live : bool;  (* Scheduled and not cancelled, not yet fired. *)
   mutable gen : int;  (* Bumped on every release; validates ids. *)
   mutable next_free : int;  (* Free-list link (pool index), -1 = end. *)
@@ -98,6 +123,9 @@ type event = {
 }
 
 type id = int
+type action = int
+
+let no_action = -1
 
 let noop () = ()
 
@@ -129,8 +157,13 @@ type mini = {
 
 type t = {
   mutable pool : event array;  (* pool slot -> record, in [0, pool_len) *)
+  mutable oneshot : (unit -> unit) array;
+      (* pool slot -> the pending one-shot closure, [noop] otherwise *)
   mutable pool_len : int;
   mutable free_head : int;  (* head of the free list, -1 = empty *)
+  mutable actions : (unit -> unit) array;  (* registered action table *)
+  mutable action_cls : int array;  (* registered action -> class tag *)
+  mutable n_actions : int;
   mutable next_seq : int;
   mutable live_count : int;
   mutable pos : int;
@@ -139,31 +172,40 @@ type t = {
          relative to [pos]. *)
   head : int array;  (* bucket -> first pool index, -1 = empty *)
   tail : int array;  (* bucket -> last pool index, -1 = empty *)
-  masks : int array;  (* level -> occupancy bitmask over its 32 slots *)
+  occ : int array;  (* occupancy words, see [n_buckets] *)
+  mutable summary : int;  (* bit w set iff level-0 word [occ.(w)] <> 0 *)
   overdue : mini;
   overflow : mini;
   mutable popped_time : Time.t;
-  mutable popped_action : unit -> unit;
-  mutable popped_cls : int;
+  mutable popped_act : int;  (* the fired event's [act] *)
+  mutable fired : int;
+      (* Pool slot of the last popped one-shot, or -1. Its closure stays
+         in [oneshot] for the caller to run, and the record stays off the
+         free list so no add can take the slot, until the next pop. *)
 }
 
 let create ?(capacity = 1024) () =
   let capacity = Stdlib.max capacity 1 in
   {
     pool = [||];
+    oneshot = [||];
     pool_len = 0;
     free_head = -1;
+    actions = [||];
+    action_cls = [||];
+    n_actions = 0;
     next_seq = 0;
     live_count = 0;
     pos = 0;
-    head = Array.make (levels * slots) (-1);
-    tail = Array.make (levels * slots) (-1);
-    masks = Array.make levels 0;
+    head = Array.make n_buckets (-1);
+    tail = Array.make n_buckets (-1);
+    occ = Array.make (n_buckets lsr 5) 0;
+    summary = 0;
     overdue = { arr = Array.make 8 (-1); n = 0; dead = 0 };
     overflow = { arr = Array.make capacity (-1); n = 0; dead = 0 };
     popped_time = Time.zero;
-    popped_action = noop;
-    popped_cls = 0;
+    popped_act = -1;
+    fired = -1;
   }
 
 let live t = t.live_count
@@ -176,14 +218,31 @@ let length t = t.live_count + t.overdue.dead + t.overflow.dead
 let overdue_len t = t.overdue.n
 let overflow_len t = t.overflow.n
 
+(* --- actions -------------------------------------------------------- *)
+
+let register t ~cls f =
+  if cls < 0 then invalid_arg "Event_queue.register: negative class";
+  if t.n_actions = Array.length t.actions then begin
+    let cap = Stdlib.max 8 (2 * t.n_actions) in
+    let actions = Array.make cap noop and classes = Array.make cap 0 in
+    Array.blit t.actions 0 actions 0 t.n_actions;
+    Array.blit t.action_cls 0 classes 0 t.n_actions;
+    t.actions <- actions;
+    t.action_cls <- classes
+  end;
+  let a = t.n_actions in
+  t.actions.(a) <- f;
+  t.action_cls.(a) <- cls;
+  t.n_actions <- a + 1;
+  a
+
 (* --- pool ---------------------------------------------------------- *)
 
 let new_event idx =
   {
     key_ns = 0;
     seq = 0;
-    action = noop;
-    cls = 0;
+    act = 0;
     live = false;
     gen = 0;
     next_free = -1;
@@ -197,7 +256,10 @@ let grow_pool t =
   let cap = Stdlib.max 8 (2 * Array.length t.pool) in
   let data = Array.make cap (new_event (-1)) in
   Array.blit t.pool 0 data 0 t.pool_len;
-  t.pool <- data
+  t.pool <- data;
+  let fns = Array.make cap noop in
+  Array.blit t.oneshot 0 fns 0 t.pool_len;
+  t.oneshot <- fns
 
 let alloc t =
   if t.free_head >= 0 then begin
@@ -216,18 +278,19 @@ let alloc t =
 
 (* A record is released exactly once, when it leaves the structure
    (fired, cancelled out of the wheel, or swept out of a backstop heap).
-   The generation bump invalidates outstanding ids; dropping the action
-   reference keeps the pool from pinning closures the caller is done
-   with. *)
+   The generation bump invalidates outstanding ids. Every field is an
+   immediate, so this stores no pointer; a one-shot's closure was already
+   dropped by [drop_oneshot]. *)
 let release t ev =
   ev.gen <- ev.gen + 1;
   ev.live <- false;
-  ev.action <- noop;
   ev.where <- loc_none;
   ev.next_ev <- -1;
   ev.prev_ev <- -1;
   ev.next_free <- t.free_head;
   t.free_head <- ev.idx
+
+let drop_oneshot t ev = if ev.act < 0 then t.oneshot.(ev.idx) <- noop
 
 (* --- find-first-set ------------------------------------------------- *)
 
@@ -247,26 +310,27 @@ let ctz_table = (* dtlint: allow R12 *)
 
 let ctz m = ctz_table.((((m land (-m)) * debruijn) land 0xFFFFFFFF) lsr 27)
 
-(* Smallest level whose bucket span covers [x] = (key lxor pos) lsr
-   tick_bits. Written as a compare chain: branch-predictable, no loop, no
-   table. [x < 2^25] always holds, since [file] sends keys outside the
-   position's horizon block to the overflow heap. *)
-let level_of_xor x =
-  if x < 0x20 then 0
-  else if x < 0x400 then 1
-  else if x < 0x8000 then 2
-  else if x < 0x100000 then 3
-  else 4
-
 (* --- wheel buckets -------------------------------------------------- *)
+
+let mark t b =
+  let w = b lsr 5 in
+  let m = t.occ.(w) in
+  if m = 0 && w < l0_words then t.summary <- t.summary lor (1 lsl w);
+  t.occ.(w) <- m lor (1 lsl (b land 31))
+
+let unmark t b =
+  let w = b lsr 5 in
+  let m = t.occ.(w) land lnot (1 lsl (b land 31)) in
+  t.occ.(w) <- m;
+  if m = 0 && w < l0_words then t.summary <- t.summary land lnot (1 lsl w)
 
 (* [a] sorts strictly before [b] in (key, seq) order: the queue's one
    ordering, shared by the level-0 buckets and the backstop heaps. *)
 let[@inline] before a b =
   a.key_ns < b.key_ns || (a.key_ns = b.key_ns && a.seq < b.seq)
 
-(* Link [ev] into bucket [b]. A level-0 bucket ([b < slots]) is kept in
-   ascending (key, seq) order, so its head is the bucket's minimum: an
+(* Link [ev] into bucket [b]. A level-0 bucket ([b < l0_slots]) is kept
+   in ascending (key, seq) order, so its head is the bucket's minimum: an
    event that sorts after the tail appends, anything else walks back from
    the tail to its spot. Direct adds carry the highest seq ever issued,
    so they only walk past residents of the same tick with later keys.
@@ -281,10 +345,9 @@ let bucket_insert t ev b =
     ev.next_ev <- -1;
     t.head.(b) <- ev.idx;
     t.tail.(b) <- ev.idx;
-    t.masks.(b lsr slot_bits) <-
-      t.masks.(b lsr slot_bits) lor (1 lsl (b land slot_mask))
+    mark t b
   end
-  else if b >= slots || before pool.(tl) ev then begin
+  else if b >= l0_slots || before pool.(tl) ev then begin
     ev.prev_ev <- tl;
     ev.next_ev <- -1;
     pool.(tl).next_ev <- ev.idx;
@@ -310,18 +373,30 @@ let bucket_unlink t ev =
   else t.head.(b) <- ev.next_ev;
   if ev.next_ev >= 0 then pool.(ev.next_ev).prev_ev <- ev.prev_ev
   else t.tail.(b) <- ev.prev_ev;
-  if t.head.(b) < 0 then
-    t.masks.(b lsr slot_bits) <-
-      t.masks.(b lsr slot_bits) land lnot (1 lsl (b land slot_mask))
+  if t.head.(b) < 0 then unmark t b
 
-(* File a live event whose key shares the current position's top block.
-   The level is the highest 5-bit block above the tick where key and pos
-   differ; the slot is the key's bits at that level. Keys within [pos]'s
-   own 1024 ns level-0 span land in level 0, slot [(key lsr 5) land 31]. *)
+(* File a live event whose key shares the current position's horizon
+   block. With x = (key lxor pos) lsr tick_bits, keys within [pos]'s own
+   32.8 us level-0 span (x < 2^10) land in level 0, bucket
+   [(key lsr 5) land 1023]; otherwise the level is the highest 5-bit
+   block above bit 15 where key and pos differ, and the slot is the key's
+   bits at that level. Written as a compare chain: branch-predictable, no
+   loop, no table. [x < 2^30] always holds, since [file] sends keys
+   outside the position's horizon block to the overflow heap. *)
 let wheel_insert t ev =
-  let l = level_of_xor ((ev.key_ns lxor t.pos) lsr tick_bits) in
-  let s = (ev.key_ns lsr (tick_bits + (l * slot_bits))) land slot_mask in
-  bucket_insert t ev ((l lsl slot_bits) lor s)
+  let key = ev.key_ns in
+  let x = (key lxor t.pos) lsr tick_bits in
+  if x < 0x400 then bucket_insert t ev ((key lsr tick_bits) land l0_mask)
+  else begin
+    let l =
+      if x < 0x8000 then 0
+      else if x < 0x100000 then 1
+      else if x < 0x2000000 then 2
+      else 3
+    in
+    let s = (key lsr (l1_shift + (l * slot_bits))) land slot_mask in
+    bucket_insert t ev (l0_slots + (l lsl slot_bits) + s)
+  end
 
 (* --- backstop heaps ------------------------------------------------- *)
 
@@ -444,20 +519,32 @@ let file t ev =
     mini_push t t.overflow ev
   end
 
-let add_cls t ~time ~cls action =
+(* Allocate, stamp and file a record carrying [act]; returns it so the
+   one-shot entry points can fill the closure slot. *)
+let add_act t ~time act =
   let ev = alloc t in
   ev.key_ns <- Time.to_int_ns time;
   ev.seq <- t.next_seq;
   t.next_seq <- t.next_seq + 1;
-  ev.action <- action;
-  ev.cls <- cls;
+  ev.act <- act;
   ev.live <- true;
   t.live_count <- t.live_count + 1;
   file t ev;
-  id_of ev
+  ev
+
+let add_action t ~time a =
+  if a < 0 || a >= t.n_actions then
+    invalid_arg "Event_queue.add_action: not a registered action";
+  id_of (add_act t ~time a)
 
 (* [~cls] is a required label (not optional): an optional int argument
-   would box [Some cls] on every call, and this is the hot path. *)
+   would box [Some cls] on every call. *)
+let add_cls t ~time ~cls action =
+  if cls < 0 then invalid_arg "Event_queue.add_cls: negative class";
+  let ev = add_act t ~time (-1 - cls) in
+  t.oneshot.(ev.idx) <- action;
+  id_of ev
+
 let add t ~time action = add_cls t ~time ~cls:0 action
 
 let cancel t id =
@@ -467,6 +554,7 @@ let cancel t id =
     let ev = t.pool.(idx) in
     if ev.live && ev.gen land gen_mask = id land gen_mask then begin
       t.live_count <- t.live_count - 1;
+      drop_oneshot t ev;
       if ev.where >= 0 then begin
         (* Wheel resident: unlink and recycle immediately — the O(1)
            cancel is the point of the wheel for rearm-heavy timers. *)
@@ -496,13 +584,30 @@ let cascade t b =
   let cur = ref t.head.(b) in
   t.head.(b) <- -1;
   t.tail.(b) <- -1;
-  t.masks.(b lsr slot_bits) <-
-    t.masks.(b lsr slot_bits) land lnot (1 lsl (b land slot_mask));
+  unmark t b;
   while !cur >= 0 do
     let ev = pool.(!cur) in
     cur := ev.next_ev;
     wheel_insert t ev
   done
+
+(* First occupied level-0 bucket at or after [pos]'s tick, or -1: the
+   word holding that tick masked below it, else the summary word's next
+   non-zero word. Level-0 residents share [pos]'s bits from 15 up and are
+   never earlier than [pos], so no bucket below [pos]'s tick is occupied
+   and no wraparound case exists. *)
+let next_l0 t =
+  let s = (t.pos lsr tick_bits) land l0_mask in
+  let w = s lsr 5 in
+  let m = t.occ.(w) land (-1 lsl (s land 31)) in
+  if m <> 0 then (w lsl 5) lor ctz m
+  else begin
+    let sm = t.summary land (-1 lsl (w + 1)) in
+    if sm = 0 then -1
+    else
+      let w = ctz sm in
+      (w lsl 5) lor ctz t.occ.(w)
+  end
 
 (* Pool index of the wheel's earliest event — the head of the first
    occupied level-0 bucket at or after [pos]'s tick — or -1 when the
@@ -512,41 +617,38 @@ let cascade t b =
    the key itself, not to its tick's start, keeps every wheel resident
    at or after [pos], so [file]'s "key < pos means overdue" stays exact.
    Each iteration either returns or strictly descends a level, bounding
-   the loop at [levels] steps. *)
+   the loop at [upper + 1] steps. *)
 let wheel_min t =
   let result = ref (-2) in
   while !result = -2 do
-    let m0 =
-      t.masks.(0) land (-1 lsl ((t.pos lsr tick_bits) land slot_mask))
-    in
-    if m0 <> 0 then begin
-      let h = t.head.(ctz m0) in
+    let b = next_l0 t in
+    if b >= 0 then begin
+      let h = t.head.(b) in
       t.pos <- t.pool.(h).key_ns;
       result := h
     end
     else begin
-      (* Level 0 exhausted: find the lowest level with a bucket strictly
-         ahead of the position's slot there. Within one parent block,
-         higher slot = later span, so masking below (slot + 1) is exact —
-         no wraparound case exists. *)
-      let l = ref 1 in
+      (* Level 0 exhausted: find the lowest upper level with a bucket
+         strictly ahead of the position's slot there. Within one parent
+         block, higher slot = later span, so masking below (slot + 1) is
+         exact — no wraparound case exists. *)
+      let l = ref 0 in
       let found = ref (-1) in
-      while !found < 0 && !l < levels do
+      while !found < 0 && !l < upper do
         let sl =
-          (t.pos lsr (tick_bits + (!l * slot_bits))) land slot_mask
+          (t.pos lsr (l1_shift + (!l * slot_bits))) land slot_mask
         in
-        let m = t.masks.(!l) land (-1 lsl (sl + 1)) in
-        if m <> 0 then found := (!l lsl slot_bits) lor ctz m else incr l
+        let m = t.occ.(l0_words + !l) land (-1 lsl (sl + 1)) in
+        if m <> 0 then found := ctz m else incr l
       done;
       if !found < 0 then result := -1
       else begin
-        let l = !found lsr slot_bits and s = !found land slot_mask in
         (* Enter the bucket's span: keep the bits above it, set its slot,
            zero everything below. *)
-        let shift = tick_bits + (slot_bits * l) in
+        let shift = l1_shift + (slot_bits * !l) in
         let above = shift + slot_bits in
-        t.pos <- ((t.pos lsr above) lsl above) lor (s lsl shift);
-        cascade t !found
+        t.pos <- ((t.pos lsr above) lsl above) lor (!found lsl shift);
+        cascade t (l0_slots + (!l lsl slot_bits) + !found)
       end
     end
   done;
@@ -579,9 +681,20 @@ let drain_overflow t root =
    [wheel_min] and both heap roots once per event. An overflow block is
    drained only when its root is due: the wheel position never jumps
    past [stop_ns], so an event scheduled between the deadline and that
-   root still files into the wheel. *)
+   root still files into the wheel.
+
+   The previous pop's one-shot, which the caller has run by now, is let
+   go first: its closure dropped and its record released. A registered
+   action's pop stores no pointer at all. *)
 
 let pop_until t stop_ns =
+  let f = t.fired in
+  if f >= 0 then begin
+    t.fired <- -1;
+    let ev = t.pool.(f) in
+    drop_oneshot t ev;
+    release t ev
+  end;
   let w = wheel_min t in
   let w =
     if w >= 0 then w
@@ -609,14 +722,24 @@ let pop_until t stop_ns =
     else mini_drop_root t.pool t.overdue;
     t.live_count <- t.live_count - 1;
     t.popped_time <- Time.of_int_ns ev.key_ns;
-    t.popped_action <- ev.action;
-    t.popped_cls <- ev.cls;
-    release t ev;
+    t.popped_act <- ev.act;
+    if ev.act >= 0 then release t ev
+    else begin
+      (* Fired: no longer live, so its id already fails [cancel]. *)
+      ev.live <- false;
+      t.fired <- ev.idx
+    end;
     true
   end
 
 let pop t = pop_until t max_int
 
 let popped_time t = t.popped_time
-let popped_action t = t.popped_action
-let popped_cls t = t.popped_cls
+
+let popped_action t =
+  if t.popped_act >= 0 then t.actions.(t.popped_act)
+  else if t.fired >= 0 then t.oneshot.(t.fired)
+  else noop
+
+let popped_cls t =
+  if t.popped_act >= 0 then t.action_cls.(t.popped_act) else -1 - t.popped_act

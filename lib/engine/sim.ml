@@ -55,29 +55,54 @@ let fresh_id t =
   t.ids <- t.ids + 1;
   t.ids
 
-let schedule_at_cls t time ~cls action =
+type action = Event_queue.action
+
+let no_action = Event_queue.no_action
+
+let action t ~cls f = Event_queue.register t.q ~cls f
+
+let check_at t time =
   if Time.(time < t.now) then
     invalid_arg
       (Printf.sprintf "Sim.schedule_at: %s is before now (%s)"
-         (Time.to_string time) (Time.to_string t.now));
-  let id = Event_queue.add_cls t.q ~time ~cls action in
-  (* High water tracks live events only. Counting unswept cancelled
-     entries (as before PR 9) made the manifest metric depend on the
-     queue's internal sweep schedule rather than on scheduling load;
-     with the wheel's immediate-reclaim cancel the two coincide anyway
-     on every run the engine can produce. *)
+         (Time.to_string time) (Time.to_string t.now))
+
+let check_after span =
+  if Time.span_to_int_ns span < 0 then
+    invalid_arg "Sim.schedule_after: negative delay"
+
+(* High water tracks live events only. Counting unswept cancelled
+   entries (as before PR 9) made the manifest metric depend on the
+   queue's internal sweep schedule rather than on scheduling load; with
+   the wheel's immediate-reclaim cancel the two coincide anyway on every
+   run the engine can produce. *)
+let note_live t =
   let occ = Event_queue.live t.q in
-  if occ > t.hwm then t.hwm <- occ;
+  if occ > t.hwm then t.hwm <- occ
+
+let schedule_action_at t time a =
+  check_at t time;
+  let id = Event_queue.add_action t.q ~time a in
+  note_live t;
   id
 
-let schedule_at t time action = schedule_at_cls t time ~cls:0 action
+let schedule_action_after t span a =
+  check_after span;
+  schedule_action_at t (Time.add t.now span) a
 
-let schedule_after_cls t span ~cls action =
-  if Time.span_to_int_ns span < 0 then
-    invalid_arg "Sim.schedule_after: negative delay";
-  schedule_at_cls t (Time.add t.now span) ~cls action
+let schedule_at_cls t time ~cls f =
+  check_at t time;
+  let id = Event_queue.add_cls t.q ~time ~cls f in
+  note_live t;
+  id
 
-let schedule_after t span action = schedule_after_cls t span ~cls:0 action
+let schedule_at t time f = schedule_at_cls t time ~cls:0 f
+
+let schedule_after_cls t span ~cls f =
+  check_after span;
+  schedule_at_cls t (Time.add t.now span) ~cls f
+
+let schedule_after t span f = schedule_after_cls t span ~cls:0 f
 
 let cancel t id = ignore (Event_queue.cancel t.q id)
 

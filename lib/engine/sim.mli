@@ -49,8 +49,41 @@ val fresh_id : t -> int
     other per-run identifier, so ids are deterministic for a given run
     and independent of whatever other simulations the process hosts. *)
 
+type action = Event_queue.action
+(** A closure registered with the simulation, scheduled by index.
+    Immediate. *)
+
+val no_action : action
+(** Matches no registration; scheduling it raises. Initial value for
+    fields that later hold a registered action (see {!Timer}). *)
+
+val action : t -> cls:int -> (unit -> unit) -> action
+(** [action sim ~cls f] registers [f] with {!Event_class} index [cls]
+    for the simulation's lifetime. A component that schedules the same
+    closure again and again (a port's transmit completion and delivery,
+    a timer's firing, a sampler's tick) registers it once at creation
+    and schedules it with {!schedule_action_at}/{!schedule_action_after}:
+    those store no pointer in the event queue, so neither they nor the
+    firing pay a write barrier. Register per component, never per
+    event — the table only grows. *)
+
+val schedule_action_at : t -> Time.t -> action -> event_id
+(** [schedule_action_at sim t a] runs the registered [a] when the clock
+    reaches [t]. Events at one instant fire in scheduling order, whatever
+    entry point scheduled them.
+    @raise Invalid_argument if [t] is in the past or [a] is not
+    registered with [sim]. *)
+
+val schedule_action_after : t -> Time.span -> action -> event_id
+(** [schedule_action_after sim d a] is
+    [schedule_action_at sim (add (now sim) d) a].
+    @raise Invalid_argument if [d] is negative. *)
+
 val schedule_at : t -> Time.t -> (unit -> unit) -> event_id
-(** [schedule_at sim t f] runs [f] when the clock reaches [t].
+(** [schedule_at sim t f] runs the one-shot [f] when the clock reaches
+    [t]. For one-off events (flow starts, fault plans, measurement
+    arming); a closure scheduled per packet or per ACK belongs in an
+    {!action} (dtlint R14 flags one-shot scheduling on the hot path).
     @raise Invalid_argument if [t] is in the past. *)
 
 val schedule_after : t -> Time.span -> (unit -> unit) -> event_id
@@ -62,8 +95,7 @@ val schedule_at_cls : t -> Time.t -> cls:int -> (unit -> unit) -> event_id
     self-profiler. Plain {!schedule_at} tags with 0
     ({!Event_class.Other}); the tag never changes firing order. [cls] is
     a required label — an optional int argument would box [Some cls] on
-    every call, and the rearm-heavy callers (timers, port transmit
-    loops) sit on the allocation-free hot path. *)
+    every call. *)
 
 val schedule_after_cls : t -> Time.span -> cls:int -> (unit -> unit) -> event_id
 (** {!schedule_after} with an {!Event_class} index tag. *)

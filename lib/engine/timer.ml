@@ -1,7 +1,9 @@
 (* A timer is a rearm-heavy client of the event queue (RTO timers rearm
    on nearly every ACK), so [set]/[cancel] must not allocate: the firing
-   closure is built once in [create], and the pending state lives in
-   mutable immediate fields instead of an option of a tuple. *)
+   closure is registered once in [create] as a simulation action, and the
+   pending state lives in mutable immediate fields instead of an option
+   of a tuple. Arming schedules the action's index, so a re-arm stores
+   no pointer either. *)
 
 type t = {
   sim : Sim.t;
@@ -9,8 +11,10 @@ type t = {
   mutable ev : Sim.event_id;
   mutable armed : bool;
   mutable at : Time.t;
-  mutable fire : unit -> unit;
+  mutable fire : Sim.action;
 }
+
+let cls_timer = Event_class.index Event_class.Timer
 
 let create sim ~action =
   let t =
@@ -20,13 +24,13 @@ let create sim ~action =
       ev = Sim.no_event;
       armed = false;
       at = Time.zero;
-      fire = action;
+      fire = Sim.no_action;
     }
   in
   t.fire <-
-    (fun () ->
-      t.armed <- false;
-      t.action ());
+    Sim.action sim ~cls:cls_timer (fun () ->
+        t.armed <- false;
+        t.action ());
   t
 
 let cancel t =
@@ -35,13 +39,12 @@ let cancel t =
     t.armed <- false
   end
 
-let cls_timer = Event_class.index Event_class.Timer
-
 let set t ~after =
   let at = Time.add (Sim.now t.sim) after in
   cancel t;
-  t.ev <- Sim.schedule_at_cls t.sim at ~cls:cls_timer t.fire;
+  t.ev <- Sim.schedule_action_at t.sim at t.fire;
   t.armed <- true;
   t.at <- at
+
 let is_pending t = t.armed
 let deadline t = if t.armed then Some t.at else None

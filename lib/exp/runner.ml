@@ -70,11 +70,12 @@ let payload_of ?tracer ?on_sim ~metrics ?faults ~buffer proto
         (Workloads.Longlived.run ?tracer ~metrics ?faults ~buffer ?on_sim
            proto cfg)
   | Spec.Fanin cfg ->
-      Outcome.Fanin (Workloads.Fanin.run ?faults ~buffer proto cfg)
+      Outcome.Fanin (Workloads.Fanin.run ~metrics ?faults ~buffer proto cfg)
   | Spec.Dynamic cfg ->
-      Outcome.Dynamic (Workloads.Dynamic.run ?faults ~buffer proto cfg)
+      Outcome.Dynamic (Workloads.Dynamic.run ~metrics ?faults ~buffer proto cfg)
   | Spec.Convergence cfg ->
-      Outcome.Convergence (Workloads.Convergence.run ?faults ~buffer proto cfg)
+      Outcome.Convergence
+        (Workloads.Convergence.run ~metrics ?faults ~buffer proto cfg)
   | Spec.Fattree cfg ->
       Outcome.Fattree
         (Workloads.Fattree.run ~metrics ?faults ~buffer proto cfg)

@@ -2,14 +2,23 @@ type t = {
   st : Packet.store;
   id : int;
   mutable nic : Port.t option;
-  (* Dense flow-id -> handler table; flow ids are small and dense in
-     every topology the builders produce, so demultiplexing a delivered
-     packet is one array load instead of a [Hashtbl.find]. Unbound slots
-     hold [unbound] (compared by [==]) rather than an option, which
-     would box every bound handler lookup. *)
+  (* Flow-id -> handler table, open addressing with linear probing:
+     [keys.(i)] is the flow bound in slot [i] (-1 when free) and
+     [handlers.(i)] its handler. A host binds a few flows out of the
+     run's whole id range, so the table is sized by what it holds (at
+     most half full), not by the largest flow id: a dense array per host
+     took O(hosts x flows) words, 2048 slots on each of a k=8 fat tree's
+     128 hosts. A flow's home slot is its id masked, so the dense ids of
+     a dumbbell's receiver still sit one per slot and demultiplexing is
+     one probe. Free slots hold [unbound] (compared by [==]) rather than
+     an option, which would box every bound handler lookup. *)
+  mutable keys : int array;
   mutable handlers : (Packet.t -> unit) array;
+  mutable bound : int;
   unbound : Packet.t -> unit;
 }
+
+let min_slots = 16
 
 let create sim ~id =
   let st = Packet.store_of sim in
@@ -18,14 +27,16 @@ let create sim ~id =
       st;
       id;
       nic = None;
+      keys = Array.make min_slots (-1);
       handlers = [||];
+      bound = 0;
       unbound;
     }
   and unbound pkt =
     (* No transport claimed this flow: the host consumes the packet. *)
     Packet.free t.st pkt
   in
-  t.handlers <- Array.make 16 unbound;
+  t.handlers <- Array.make min_slots unbound;
   t
 
 let id t = t.id
@@ -42,28 +53,65 @@ let nic t =
 
 let send t pkt = Port.send (nic t) pkt
 
+(* Slot holding [flow], or -1: probe from its home slot until the flow
+   or a free slot. The table is never full, so the walk ends. *)
+let find t flow =
+  let keys = t.keys in
+  let mask = Array.length keys - 1 in
+  let i = ref (flow land mask) in
+  while keys.(!i) <> flow && keys.(!i) >= 0 do
+    i := (!i + 1) land mask
+  done;
+  if keys.(!i) = flow then !i else -1
+
 let receive t pkt =
   let flow = Packet.flow t.st pkt in
-  if flow >= 0 && flow < Array.length t.handlers then t.handlers.(flow) pkt
-  else t.unbound pkt
+  let i = if flow >= 0 then find t flow else -1 in
+  if i >= 0 then t.handlers.(i) pkt else t.unbound pkt
+
+let insert keys handlers ~flow handler =
+  let mask = Array.length keys - 1 in
+  let i = ref (flow land mask) in
+  while keys.(!i) >= 0 do
+    i := (!i + 1) land mask
+  done;
+  keys.(!i) <- flow;
+  handlers.(!i) <- handler
 
 let bind_flow t ~flow handler =
   if flow < 0 then invalid_arg "Host.bind_flow: negative flow id";
-  let cap = Array.length t.handlers in
-  if flow >= cap then begin
-    let ncap =
-      let rec fit c = if flow < c then c else fit (2 * c) in
-      fit (2 * cap)
-    in
-    let handlers = Array.make ncap t.unbound in
-    Array.blit t.handlers 0 handlers 0 cap;
+  if find t flow >= 0 then invalid_arg "Host.bind_flow: flow already bound";
+  if 2 * (t.bound + 1) > Array.length t.keys then begin
+    let cap = 2 * Array.length t.keys in
+    let keys = Array.make cap (-1) and handlers = Array.make cap t.unbound in
+    Array.iteri
+      (fun i k -> if k >= 0 then insert keys handlers ~flow:k t.handlers.(i))
+      t.keys;
+    t.keys <- keys;
     t.handlers <- handlers
   end;
-  if t.handlers.(flow) != t.unbound then
-    invalid_arg "Host.bind_flow: flow already bound";
-  t.handlers.(flow) <- handler
+  insert t.keys t.handlers ~flow handler;
+  t.bound <- t.bound + 1
 
+(* Backward-shift deletion: after emptying the flow's slot, walk the rest
+   of its probe run and move back every entry whose home slot does not
+   lie between the hole and itself, so no run is broken by the hole. *)
 let unbind_flow t ~flow =
-  if flow >= 0 && flow < Array.length t.handlers then
-    t.handlers.(flow) <- t.unbound
-
+  let i = if flow >= 0 then find t flow else -1 in
+  if i >= 0 then begin
+    let keys = t.keys and handlers = t.handlers in
+    let mask = Array.length keys - 1 in
+    let hole = ref i and j = ref ((i + 1) land mask) in
+    while keys.(!j) >= 0 do
+      let home = keys.(!j) land mask in
+      if (!j - home) land mask >= (!j - !hole) land mask then begin
+        keys.(!hole) <- keys.(!j);
+        handlers.(!hole) <- handlers.(!j);
+        hole := !j
+      end;
+      j := (!j + 1) land mask
+    done;
+    keys.(!hole) <- -1;
+    handlers.(!hole) <- t.unbound;
+    t.bound <- t.bound - 1
+  end

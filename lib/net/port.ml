@@ -3,11 +3,12 @@ module Time = Engine.Time
 
 (* The transmit loop is allocation-conscious: the two per-packet closures
    the obvious implementation would build (tx-complete, delivery) are
-   replaced by two closures allocated once per port. The packet being
-   serialized sits in [tx_pkt]; packets in flight on the propagation-delay
-   link sit in a ring. Both hand-offs are safe because each is FIFO: a
-   port serializes one packet at a time, and with a constant link delay
-   deliveries complete in transmit order. *)
+   replaced by two simulation actions registered once per port, so each
+   packet schedules two action indices and stores no pointer in the event
+   queue. The packet being serialized sits in [tx_pkt]; packets in flight
+   on the propagation-delay link sit in a ring. Both hand-offs are safe
+   because each is FIFO: a port serializes one packet at a time, and with
+   a constant link delay deliveries complete in transmit order. *)
 type disposition = Deliver | Lose | Delay of Time.span
 
 (* Profiler class tags: serialization completions vs propagation-delay
@@ -32,8 +33,8 @@ type t = {
   mutable packets_sent : int;
   in_flight : Engine.Int_ring.t;
   mutable tx_pkt : Packet.t;  (* currently serializing; [Packet.none] if idle *)
-  mutable tx_done : unit -> unit;  (* fires when [tx_pkt] finishes *)
-  mutable deliver_head : unit -> unit;  (* delivers front of [in_flight] *)
+  mutable tx_action : Sim.action;  (* runs [finish_tx]: [tx_pkt] is sent *)
+  mutable rx_action : Sim.action;  (* runs [deliver_head] *)
   (* Memo of the last serialization time by packet size: traffic on a port
      is dominated by one or two packet sizes, so this skips the float
      division and rounding almost every time. *)
@@ -60,10 +61,38 @@ let start_tx t =
     t.busy <- true;
     t.tx_pkt <- pkt;
     ignore
-      (Sim.schedule_after_cls t.sim
+      (Sim.schedule_action_after t.sim
          (tx_span t ~bytes:(Packet.size t.st pkt))
-         ~cls:cls_link_tx t.tx_done)
+         t.tx_action)
   end
+
+let deliver_head t =
+  let pkt = Engine.Int_ring.pop t.in_flight in
+  match t.fault_hook with
+  | None -> t.deliver pkt
+  | Some hook -> (
+      match hook pkt with
+      | Deliver -> t.deliver pkt
+      | Lose ->
+          (* The wire consumed the packet: recycle its handle. *)
+          Packet.free t.st pkt
+      | Delay span ->
+          (* Jittered deliveries leave the FIFO ring discipline: the
+             packet is already popped, and reordering past later packets
+             is the point, so each one needs its own event. The one-shot
+             closure (fault mode only) is the whole cost; the fault-free
+             path never reaches this arm. *)
+          let late () = t.deliver pkt in
+          ignore (Sim.schedule_after_cls t.sim span ~cls:cls_link_rx late)) (* dtlint: allow R14 *)
+
+let finish_tx t =
+  let pkt = t.tx_pkt in
+  t.tx_pkt <- Packet.none;
+  t.bytes_sent <- t.bytes_sent + Packet.size t.st pkt;
+  t.packets_sent <- t.packets_sent + 1;
+  Engine.Int_ring.push t.in_flight pkt;
+  ignore (Sim.schedule_action_after t.sim t.delay t.rx_action);
+  if t.up then start_tx t else t.busy <- false
 
 let create sim ~rate_bps ~delay ~queue ~deliver =
   if rate_bps <= 0. then invalid_arg "Port.create: rate must be positive";
@@ -84,40 +113,14 @@ let create sim ~rate_bps ~delay ~queue ~deliver =
       packets_sent = 0;
       in_flight = Engine.Int_ring.create ~capacity:16 ();
       tx_pkt = Packet.none;
-      tx_done = ignore;
-      deliver_head = ignore;
+      tx_action = Sim.no_action;
+      rx_action = Sim.no_action;
       memo_size = -1;
       memo_tx = Time.span_of_int_ns 0;
     }
   in
-  t.deliver_head <-
-    (fun () ->
-      let pkt = Engine.Int_ring.pop t.in_flight in
-      match t.fault_hook with
-      | None -> t.deliver pkt
-      | Some hook -> (
-          match hook pkt with
-          | Deliver -> t.deliver pkt
-          | Lose ->
-              (* The wire consumed the packet: recycle its handle. *)
-              Packet.free t.st pkt
-          | Delay span ->
-              (* Jittered deliveries leave the FIFO ring discipline: the
-                 packet is already popped, so the extra closure (fault
-                 mode only) is the whole cost, and reordering past later
-                 packets is the point. *)
-              ignore
-                (Sim.schedule_after_cls t.sim span ~cls:cls_link_rx
-                   (fun () -> t.deliver pkt))));
-  t.tx_done <-
-    (fun () ->
-      let pkt = t.tx_pkt in
-      t.tx_pkt <- Packet.none;
-      t.bytes_sent <- t.bytes_sent + Packet.size t.st pkt;
-      t.packets_sent <- t.packets_sent + 1;
-      Engine.Int_ring.push t.in_flight pkt;
-      ignore (Sim.schedule_after_cls t.sim t.delay ~cls:cls_link_rx t.deliver_head);
-      if t.up then start_tx t else t.busy <- false);
+  t.rx_action <- Sim.action sim ~cls:cls_link_rx (fun () -> deliver_head t);
+  t.tx_action <- Sim.action sim ~cls:cls_link_tx (fun () -> finish_tx t);
   t
 
 let send t pkt =

@@ -56,10 +56,13 @@ let handle_data t ~seq ~ce =
   let stale = seq < t.rcv_nxt || (seq > t.rcv_nxt && Hashtbl.mem t.ooo seq) in
   if in_order then begin
     t.rcv_nxt <- t.rcv_nxt + 1;
-    while Hashtbl.mem t.ooo t.rcv_nxt do
-      Hashtbl.remove t.ooo t.rcv_nxt;
-      t.rcv_nxt <- t.rcv_nxt + 1
-    done
+    (* Almost every in-order segment finds nothing buffered: test the
+       count before hashing the next sequence number. *)
+    if Hashtbl.length t.ooo > 0 then
+      while Hashtbl.mem t.ooo t.rcv_nxt do
+        Hashtbl.remove t.ooo t.rcv_nxt;
+        t.rcv_nxt <- t.rcv_nxt + 1
+      done
   end
   else if seq > t.rcv_nxt then Hashtbl.replace t.ooo seq ();
   if stale then

@@ -38,13 +38,14 @@ type result = {
   utilization_steady : float;
 }
 
-let run ?faults ?(buffer = Net.Buffer_mgr.Static) (proto : Dctcp.Protocol.t)
-    config =
+let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static)
+    (proto : Dctcp.Protocol.t) config =
   Workload.require_positive ~scenario:"Convergence" ~what:"flows"
     config.n_flows;
   Workload.require_positive ~scenario:"Convergence" ~what:"sample_window (ns)"
     (Time.span_to_int_ns config.sample_window);
   let sim = Sim.create ~seed:config.seed () in
+  Workload.engine_probes metrics sim;
   let marking, attach_faults =
     Fault.Injector.install sim faults ~seed:config.seed ~component:"bottleneck"
       (proto.Dctcp.Protocol.marking ())

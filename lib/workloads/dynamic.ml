@@ -46,14 +46,15 @@ type result = {
   std_queue_pkts : float;
 }
 
-let run ?faults ?(buffer = Net.Buffer_mgr.Static) (proto : Dctcp.Protocol.t)
-    config =
+let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static)
+    (proto : Dctcp.Protocol.t) config =
   Workload.require_positive ~scenario:"Dynamic" ~what:"background flows"
     config.background_flows;
   Workload.require_positive ~scenario:"Dynamic" ~what:"senders"
     config.short_senders;
   if config.arrival_rate <= 0. then invalid_arg "Dynamic.run: need arrivals";
   let sim = Sim.create ~seed:config.seed () in
+  Workload.engine_probes metrics sim;
   let n_hosts = config.background_flows + config.short_senders in
   let marking, attach_faults =
     Fault.Injector.install sim faults ~seed:config.seed ~component:"bottleneck"

@@ -43,13 +43,16 @@ type result = {
 }
 
 val run :
+  ?metrics:Obs.Metrics.t ->
   ?faults:Fault.Plan.t ->
   ?buffer:Net.Buffer_mgr.config ->
   Dctcp.Protocol.t ->
   config ->
   result
-(** When [faults] is given, a {!Fault.Injector} (seeded from
-    [config.seed]) is attached to the bottleneck port and wrapped around
-    the marking policy — the same discipline as {!Longlived.run}; when
+(** [metrics] receives the engine counters
+    ({!Workload.engine_probes}). When [faults] is given, a
+    {!Fault.Injector} (seeded from [config.seed]) is attached to the
+    bottleneck port and wrapped around the marking policy — the same
+    discipline as {!Longlived.run}; when
     absent no injector is constructed. [buffer] (default
     {!Net.Buffer_mgr.Static}) is the bottleneck switch's memory model. *)

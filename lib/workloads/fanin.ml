@@ -127,8 +127,9 @@ let validate kind c =
    it has no deadline. *)
 type response = { start : Time.t; due : Time.t; finish : Time.t option }
 
-let one_repeat ?faults ~buffer (proto : Dctcp.Protocol.t) c ~seed =
+let one_repeat ?faults ~buffer ~track (proto : Dctcp.Protocol.t) c ~seed =
   let sim = Sim.create ~seed () in
+  track sim;
   (* One injector per repeat, derived from the repeat seed, so each
      repeat sees an independent but reproducible fault realization. *)
   let marking, attach_faults =
@@ -277,12 +278,13 @@ let deadlines_met c repeats : deadlines_met =
     incomplete = count (fun r -> not (finished r)) responses;
   }
 
-let run ?faults ?(buffer = Net.Buffer_mgr.Static) proto c =
+let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static) proto c =
   let kind = kind c in
   validate kind c;
+  let track = Workload.engine_probes metrics in
   let repeats =
     Array.init c.repeats (fun r ->
-        one_repeat ?faults ~buffer proto c
+        one_repeat ?faults ~buffer ~track proto c
           ~seed:(Workload.repeat_seed ~base:c.seed ~stride:(stride kind) r))
   in
   match kind with

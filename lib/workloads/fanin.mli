@@ -110,12 +110,16 @@ type result =
   | Deadlines_met of deadlines_met  (** A Deadline run. *)
 
 val run :
+  ?metrics:Obs.Metrics.t ->
   ?faults:Fault.Plan.t ->
   ?buffer:Net.Buffer_mgr.config ->
   Dctcp.Protocol.t ->
   config ->
   result
-(** When [faults] is given, each repeat attaches a {!Fault.Injector}
+(** [metrics] receives the engine counters
+    ({!Workload.engine_probes}), summed over the repeats (the high water
+    is the largest repeat's). When [faults] is given, each repeat
+    attaches a {!Fault.Injector}
     (seeded from that repeat's seed) to the star's root-to-aggregator
     bottleneck; when absent no injector is constructed. [buffer] (default
     {!Net.Buffer_mgr.Static}) is the root switch's memory model.

@@ -82,10 +82,16 @@ let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static)
   | None -> ()
   | Some _ ->
       invalid_arg "Fattree.run: fault injection is not supported on the fabric");
-  Workload.require_positive ~scenario:"Fattree" ~what:"incast_fanin"
-    config.incast_fanin;
-  if config.long_flows < 0 then
-    invalid_arg "Fattree.run: negative long_flows";
+  let positive what n = Workload.require_positive ~scenario:"Fattree" ~what n in
+  let non_negative what n =
+    Workload.require_non_negative ~scenario:"Fattree" ~what n
+  in
+  positive "incast_fanin" config.incast_fanin;
+  non_negative "long_flows" config.long_flows;
+  positive "incast_bytes" config.incast_bytes;
+  positive "long_bytes" config.long_bytes;
+  positive "time_cap (ns)" (Time.span_to_int_ns config.time_cap);
+  non_negative "start_spread (ns)" (Time.span_to_int_ns config.start_spread);
   let sim = Sim.create ~seed:config.seed () in
   let ft =
     Net.Topology.fat_tree sim ~k:config.k ~rate_bps:config.rate_bps
@@ -156,6 +162,9 @@ let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static)
   (match metrics with
   | None -> ()
   | Some m ->
+      (* Not [Workload.engine_probes]: the fabric's manifests record no
+         [engine.heap_high_water], and the benchmark's reference digests
+         pin them as they are. *)
       Obs.Metrics.probe m "engine.events_processed" (fun () ->
           float_of_int (Sim.events_processed sim));
       Obs.Metrics.probe m "switch.no_route_drops" (fun () ->

@@ -66,4 +66,7 @@ val run :
     applies to all three switch tiers (each switch gets its own pool
     under [Dynamic_threshold]).
     @raise Invalid_argument if [faults] is given — fault injection is
-    not yet supported on the fabric. *)
+    not yet supported on the fabric — and, naming the field, before
+    anything is simulated, for a non-positive [incast_fanin],
+    [incast_bytes], [long_bytes] or [time_cap], or a negative
+    [long_flows] or [start_spread]. *)

@@ -64,6 +64,7 @@ let run ?(tracer = Obs.Trace.null) ?metrics ?faults
         ~what:"trace_sampling (ns)" (Time.span_to_int_ns period))
     config.trace_sampling;
   let sim = Sim.create ~seed:config.seed () in
+  Workload.engine_probes metrics sim;
   (match on_sim with None -> () | Some f -> f sim);
   (* The hysteresis flip observer: the policy lives inside the marking
      closure, so the run — which has both the sim and the tracer in
@@ -109,10 +110,6 @@ let run ?(tracer = Obs.Trace.null) ?metrics ?faults
           float_of_int !flips_up);
       Obs.Metrics.probe m "marking.flips_down" (fun () ->
           float_of_int !flips_down);
-      Obs.Metrics.probe m "engine.events_processed" (fun () ->
-          float_of_int (Sim.events_processed sim));
-      Obs.Metrics.probe m "engine.heap_high_water" (fun () ->
-          float_of_int (Sim.heap_high_water sim));
       Obs.Metrics.probe m "sender.retransmissions" (fun () ->
           sum (fun f -> Tcp.Sender.retransmissions (Tcp.Flow.sender f)));
       Obs.Metrics.probe m "sender.timeouts" (fun () ->

@@ -63,8 +63,8 @@ val run :
     queue and every sender, and receives [Mark_state_flip] events
     (component ["bottleneck"]) whenever the protocol's marking policy has
     hysteresis state. When [metrics] is given, the scenario registers
-    probes [marking.flips_up]/[.flips_down], [engine.events_processed],
-    [engine.heap_high_water], and the summed [sender.*] counters on top
+    probes [marking.flips_up]/[.flips_down], the engine counters
+    ({!Workload.engine_probes}), and the summed [sender.*] counters on top
     of the per-queue probes from {!Net.Queue_disc.create}.
     When [faults] is given, a {!Fault.Injector} (seeded from
     [config.seed]) is attached to the bottleneck port and wrapped around

@@ -10,6 +10,24 @@ let require_non_negative ~scenario ~what n =
     invalid_arg
       (Printf.sprintf "%s.run: need non-negative %s (got %d)" scenario what n)
 
+let engine_probes metrics =
+  match metrics with
+  | None -> ignore
+  | Some m ->
+      (* Simulations already replaced by a later one are folded into the
+         totals; the current one is read live, so a snapshot taken
+         mid-run or after a failure still counts its events. *)
+      let events = ref 0 and high = ref 0 and current = ref None in
+      let live f = match !current with Some sim -> f sim | None -> 0 in
+      Obs.Metrics.probe m "engine.events_processed" (fun () ->
+          float_of_int (!events + live Sim.events_processed));
+      Obs.Metrics.probe m "engine.heap_high_water" (fun () ->
+          float_of_int (Int.max !high (live Sim.heap_high_water)));
+      fun sim ->
+        events := !events + live Sim.events_processed;
+        high := Int.max !high (live Sim.heap_high_water);
+        current := Some sim
+
 let repeat_seed ~base ~stride r = Int64.add base (Int64.of_int (r * stride))
 
 let slice = Time.span_of_ms 5.

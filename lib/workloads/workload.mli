@@ -15,6 +15,15 @@ val require_non_negative : scenario:string -> what:string -> int -> unit
 (** Like {!require_positive} for values that may be zero.
     @raise Invalid_argument if [n < 0]. *)
 
+val engine_probes : Obs.Metrics.t option -> Engine.Sim.t -> unit
+(** [engine_probes metrics] registers [engine.events_processed] and
+    [engine.heap_high_water] with [metrics] and returns the function
+    each simulation of the run is handed to once, when it is created:
+    the events are summed over every simulation handed over, the high
+    water is the largest. Every workload's [run] but the fat tree's
+    (which registers the event count alone) uses it, so every manifest
+    counts its events. With [None] it registers nothing. *)
+
 val repeat_seed : base:int64 -> stride:int -> int -> int64
 (** Seed for repeat [r] of a multi-repeat workload: [base + r * stride].
     Strides are distinct per workload so repeats never share an RNG

@@ -105,8 +105,10 @@ let rule_doc = function
   | R14 ->
       "typed: no per-call allocation in event hot-path functions of \
        lib/engine and lib/net — partial applications, environment-\
-       capturing closures and boxed-float returns burn the ~13 minor \
-       words/event budget"
+       capturing closures and boxed-float returns — and no one-shot \
+       scheduling there (Sim.schedule_at/after[_cls], \
+       Event_queue.add[_cls]): register the closure once with \
+       Sim.action and schedule its index"
   | R15 ->
       "typed: every val in a lib/*/*.mli needs a user outside its own \
        unit and the tests (bin, bench, examples, perfbench and other \

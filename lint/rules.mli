@@ -64,8 +64,10 @@
       it strips the unit; [Time.to_int_ns] and [Time.span_to_int_ns] are
       the greppable escapes.
     - {b R14} hot-path allocation: no partial applications, capturing
-      closures or boxed-float returns in functions reachable from the
-      event-loop entry points of [lib/engine] / [lib/net].
+      closures, boxed-float returns or one-shot scheduling
+      ([Sim.schedule_at/after[_cls]], [Event_queue.add[_cls]]) in
+      functions reachable from the event-loop entry points of
+      [lib/engine] / [lib/net].
     - {b R15} no dead exports: every [val] in a [lib/*/*.mli] needs a
       reference from some unit other than its own and the tests ([test/],
       [perfbench/test_perfbench.ml]); [bin], [bench], [examples],

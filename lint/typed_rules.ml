@@ -382,8 +382,12 @@ let lint_units ?(rules = rules) ?(report_paths = [])
     let named_roots =
       [
         "Engine.Sim.step"; "Engine.Sim.run"; "Engine.Sim.schedule_at";
-        "Engine.Sim.schedule_after"; "Engine.Sim.cancel"; "Engine.Sim.now";
-        "Net.Port.send"; "Net.Queue_disc.enqueue";
+        "Engine.Sim.schedule_after"; "Engine.Sim.schedule_action_at";
+        "Engine.Sim.schedule_action_after"; "Engine.Sim.cancel";
+        "Engine.Sim.now"; "Engine.Timer.set";
+        (* a port's registered actions: each runs once per packet *)
+        "Net.Port.send"; "Net.Port.finish_tx"; "Net.Port.deliver_head";
+        "Net.Queue_disc.enqueue";
         "Net.Queue_disc.dequeue_exn"; "Net.Queue_disc.is_empty";
         "Net.Switch.receive"; "Net.Host.receive";
       ]
@@ -421,6 +425,37 @@ let lint_units ?(rules = rules) ?(report_paths = [])
     List.iter
       (fun ((d : Callgraph.def), ty) -> Hashtbl.replace global_types d.id ty)
       (Callgraph.globals graph);
+    (* The closure-taking scheduling entry points: each call files a
+       one-shot closure, which costs a write barrier to store and to
+       drop. A component that schedules per packet or per ACK registers
+       its closure once ([Sim.action]) and schedules the index. The entry
+       points delegating to one another are not findings. *)
+    let oneshot_entries =
+      [
+        "Engine.Sim.schedule_at"; "Engine.Sim.schedule_after";
+        "Engine.Sim.schedule_at_cls"; "Engine.Sim.schedule_after_cls";
+        "Engine.Event_queue.add"; "Engine.Event_queue.add_cls";
+      ]
+    in
+    List.iter
+      (fun (d : Callgraph.def) ->
+        if Hashtbl.mem hot d.id && not (List.mem d.id oneshot_entries) then
+          List.iter
+            (fun (target, line) ->
+              match Callgraph.resolve graph ~from_def:d.id target with
+              | Some entry when List.mem entry oneshot_entries ->
+                  emit Rules.R14 ~file:d.source ~line
+                    ~message:
+                      ("hot-path " ^ d.id ^ " schedules a one-shot closure \
+                        through " ^ entry
+                     ^ " — a write barrier to store it and another to drop \
+                        it, per call; register the closure once \
+                        (Sim.action) and schedule its index \
+                        (Sim.schedule_action_at/after)")
+                    ~notes:[]
+              | _ -> ())
+            (Callgraph.refs graph d.id))
+      defs;
     (* Syntactic arity of every def, so a total call that merely returns a
        stored closure (Event_queue.popped_action q) is not mistaken for a
        partial application — the types alone cannot tell [t -> unit -> unit]
@@ -536,7 +571,7 @@ let lint_units ?(rules = rules) ?(report_paths = [])
                         (Printf.sprintf
                            "closure inside hot-path %s captures %s — one \
                             allocation per call; hoist it to creation time \
-                            (cf. Net.Port's per-port closures) or pass the \
+                            (cf. Net.Port's per-port actions) or pass the \
                             state as arguments"
                            d.id
                            (String.concat ", " vars))

@@ -33,13 +33,19 @@
     - {b R14 — hot-path allocation.} In functions reachable from the
       event-loop entry points ([Engine.Event_queue]/[Int_ring] and
       [Net.Packet]/[Ecmp] whole modules;
-      [Sim.step/run/schedule_at/schedule_after/cancel];
-      [Port.send], [Queue_disc.enqueue/dequeue_exn],
-      [Switch.receive]), a partial application, an
-      environment-capturing closure, or a float-returning function is a
-      per-event allocation and a violation (PR 4's budget is ~13 minor
-      words/event). Closures without captures are statically allocated
-      and stay legal.
+      [Sim.step/run/schedule_at/schedule_after/schedule_action_at/
+      schedule_action_after/cancel], [Timer.set]; [Port.send] and the
+      port's registered actions [Port.finish_tx]/[deliver_head],
+      [Queue_disc.enqueue/dequeue_exn], [Switch.receive]), a partial
+      application, an environment-capturing closure, or a
+      float-returning function is a per-event allocation and a
+      violation. Closures without captures are statically allocated and
+      stay legal. So is a reference to a closure-taking scheduling
+      entry point ([Sim.schedule_at/after[_cls]],
+      [Event_queue.add[_cls]]) from any hot function other than those
+      entry points: a one-shot closure costs a write barrier to store
+      and one to drop, so per-packet work registers its closure once
+      ([Sim.action]) and schedules the index.
     - {b R15 — dead exports.} Every [val] in a [lib/*/*.mli] (nested
       module signatures included) needs a reference from a unit other
       than its own and the test units ([test/],

@@ -322,10 +322,11 @@ let test_sim_hwm_no_cancel_regression () =
 (* The satellite fix itself: unswept corpses (held only by the backstop
    heaps, which sweep lazily) must no longer inflate the high water.
    Before the fix this run would report 15 — 9 far-future corpses plus
-   6 live — instead of the true live peak of 10. *)
+   6 live — instead of the true live peak of 10. The far events sit past
+   the wheel's 2^35 ns (≈34.4 s) horizon, in the overflow heap. *)
 let test_sim_hwm_counts_live_only () =
   let sim = Sim.create () in
-  let far i = Time.of_sec (2.0 +. (0.001 *. float_of_int i)) in
+  let far i = Time.of_sec (40.0 +. (0.001 *. float_of_int i)) in
   let ids =
     Array.init 10 (fun i -> Sim.schedule_at sim (far i) (fun () -> ()))
   in
@@ -404,7 +405,7 @@ let test_sim_events_processed () =
   checki "events" 7 (Sim.events_processed sim)
 
 (* A self-expanding schedule (children at delays across every wheel
-   level and past the 2^30 ns horizon, random cancels) driven by the
+   level and past the 2^35 ns horizon, random cancels) driven by the
    simulation's own RNG: any difference in firing order would also
    change every later draw. Returns the fired (time, tag) sequence. *)
 let branching_run ~seed ~slices =
@@ -639,7 +640,7 @@ let prop_event_queue_cancel_heavy =
       run_event_queue_trace ops)
 
 (* Mixed-magnitude keys: [v lsl (5 s)] places events across every wheel
-   level and (for s = 6) beyond the 2^30 ns horizon, so the same model
+   level and (for s = 6, v >= 32) beyond the 2^35 ns horizon, so the same model
    equivalence also covers cascade boundaries, the overdue heap after
    large pops, and overflow drains — the paths small-key traces miss.
    The in-tick offset [o] (0-31 ns) and the frequent small [v] put
@@ -749,20 +750,46 @@ let prop_event_queue_pop_until_matches_heap =
            (pair (int_bound 2) (pair (int_bound 6) (int_bound 2_000)))))
     (heap_oracle_trace ~stop:Fun.id)
 
+(* Keys aimed at the wide bottom level's bitmap and the horizon: [Word]
+   keys sit within a few ticks of a 1024 ns occupancy-word edge, [Spread]
+   keys land anywhere in the 32.8 us bottom span (all 32 words, so pops
+   empty the summary word and later adds refill it), and [Horizon] keys
+   straddle a multiple of 2^35 ns (the overflow edge). Each family is
+   offset from a [base] block so it also meets the position after large
+   pops, in every (kind, deadline) interleaving the oracle checks. *)
+let bitmap_key =
+  QCheck.Gen.(
+    let word = map2 (fun w o -> max 0 ((w * 1024) + o)) (int_bound 40) (int_range (-40) 40) in
+    let spread = int_bound 32_767 in
+    let horizon =
+      map2 (fun k o -> max 0 ((k lsl 35) + o)) (int_range 1 2) (int_range (-2_000) 2_000)
+    in
+    map2 ( + )
+      (frequency [ (3, return 0); (1, map (fun b -> b lsl 15) (int_bound 3)) ])
+      (frequency [ (3, word); (3, spread); (2, horizon) ]))
+
+let prop_event_queue_bitmap_edges =
+  QCheck.Test.make ~count:300
+    ~name:"Event_queue matches the heap across bitmap words and the 2^35 edge"
+    QCheck.(
+      make
+        Gen.(list_size (int_range 0 200) (pair (int_bound 2) bitmap_key)))
+    (heap_oracle_trace ~stop:Fun.id)
+
 (* A lone overflow event past the deadline must stay parked: draining
    its block would jump the wheel position to its key, and an event
    scheduled afterwards between the deadline and that key would then
    land in the overdue heap instead of the wheel. *)
 let test_event_queue_pop_until_keeps_overflow () =
   let q = Eq.create () in
-  ignore (Eq.add q ~time:(Time.of_int_ns (3 lsl 30)) ignore);
+  ignore (Eq.add q ~time:(Time.of_int_ns (3 lsl 35)) ignore);
   checki "parked in overflow" 1 (Eq.overflow_len q);
-  checkb "nothing due by 2^30 ns" false (Eq.pop_until q (1 lsl 30));
+  checkb "nothing due by 2^35 ns" false (Eq.pop_until q (1 lsl 35));
   checki "overflow block not drained" 1 (Eq.overflow_len q);
   ignore (Eq.add q ~time:(Time.of_int_ns 100) ignore);
   checki "later add files into the wheel" 0 (Eq.overdue_len q);
   checkb "the wheel event fires by its deadline" true (Eq.pop_until q 100);
-  checkb "overflow event fires once due" true (Eq.pop_until q (3 lsl 30));
+  checkb "overflow event fires once due" true (Eq.pop_until q (3 lsl 35));
   checkb "queue empty" false (Eq.pop q)
 
 let test_event_queue_compaction_sweep () =
@@ -818,13 +845,13 @@ let test_event_queue_wheel_cancel_reclaims () =
   ignore (Eq.add q ~time:(Time.of_int_ns 5000) ignore);
   checkb "still pops after draining to empty" true (Eq.pop q)
 
-(* Far-future events (beyond the 2^30 ns wheel horizon) park in the
+(* Far-future events (beyond the 2^35 ns wheel horizon) park in the
    overflow backstop heap, where cancels are lazy: corpses linger until
    they exceed half the heap (at >= 64 entries), then one O(n) sweep
    reclaims them all. *)
 let test_event_queue_overflow_lazy_sweep () =
   let q = Eq.create ~capacity:4 () in
-  let far i = Time.of_int_ns ((2 lsl 30) + (i * 7)) in
+  let far i = Time.of_int_ns ((2 lsl 35) + (i * 7)) in
   let fired = ref [] in
   let ids =
     Array.init 100 (fun i ->
@@ -877,13 +904,14 @@ let test_event_queue_overdue_backstop () =
   checki "overdue drained" 0 (Eq.overdue_len q)
 
 (* Keys on every bucket edge of the wheel — the 32 ns tick (31/32/33,
-   63/64), each level boundary (2^10, 2^15, 2^20, 2^25, +-1) and the
-   overflow horizon (2^30) — plus a same-instant group parked four levels
-   up and two groups of distinct keys inside one 32 ns tick, added in
-   reverse key order: one straight into a bottom bucket, one cascading
-   down from level 3. Everything must fire in (key, seq) order, which
-   means the cascade path re-files events correctly at each level
-   crossing and bottom buckets sort by key first, seq second. *)
+   63/64), the bottom level's occupancy-word edge (1023/1024/1025), each
+   level boundary (2^15, 2^20, 2^25, 2^30, +-1) and the overflow horizon
+   (2^35) — plus a same-instant group parked four levels up and two
+   groups of distinct keys inside one 32 ns tick, added in reverse key
+   order: one straight into a bottom bucket, one cascading down from
+   level 3. Everything must fire in (key, seq) order, which means the
+   cascade path re-files events correctly at each level crossing and
+   bottom buckets sort by key first, seq second. *)
 let test_event_queue_cascade_boundaries () =
   let q = Eq.create () in
   let fired = ref [] in
@@ -901,11 +929,11 @@ let test_event_queue_cascade_boundaries () =
       31; 32; 33; 63; 64; 1023; 1024; 1025; 32767; 32768; 32769;
       (1 lsl 20) - 1; 1 lsl 20; (1 lsl 20) + 1; (1 lsl 25) - 1;
       (1 lsl 25) + 1; (1 lsl 25) + 7; (1 lsl 30) - 1; 1 lsl 30;
-      (1 lsl 30) + 1;
+      (1 lsl 30) + 1; (1 lsl 35) - 1; 1 lsl 35; (1 lsl 35) + 1;
     ];
-  List.iter add [ 1 lsl 25; 1 lsl 25; 1 lsl 25 ];
+  List.iter add [ 1 lsl 30; 1 lsl 30; 1 lsl 30 ];
   List.iter add [ 62; 57; 50; 48; 57 ];
-  let tick = (3 lsl 15) + (5 lsl 10) + (7 lsl 5) in
+  let tick = (3 lsl 25) + (5 lsl 20) + (7 lsl 5) in
   List.iter (fun o -> add (tick + o)) [ 31; 20; 20; 9; 0 ];
   checki "beyond-horizon keys overflowed" 2 (Eq.overflow_len q);
   while Eq.pop q do
@@ -931,15 +959,17 @@ let test_event_queue_zero_alloc_fast_path () =
   let times =
     Array.init n (fun i -> Time.of_int_ns ((i + 1) * 150))
   in
-  (* Warm the pool past the working set. *)
-  for i = 0 to 63 do
+  (* Warm the pool past the working set: 64 pending events, plus the
+     record of the last popped one-shot, which goes back to the free list
+     only at the next pop. *)
+  for i = 0 to 64 do
     ignore (Eq.add q ~time:times.(i) ignore)
   done;
   while Eq.pop q do
     ()
   done;
   let before = Gc.minor_words () in
-  let i = ref 64 in
+  let i = ref 65 in
   while !i + 64 <= n do
     for k = !i to !i + 63 do
       ignore (Eq.add q ~time:times.(k) ignore)
@@ -997,6 +1027,120 @@ let test_event_queue_cls () =
   checki "plain add defaults to class 0" 0 (Eq.popped_cls q);
   checkb "pop 3" true (Eq.pop q);
   checki "pooled slot re-tagged, not recycled" 5 (Eq.popped_cls q)
+
+(* Registered actions: the class comes from the registration, the same
+   index fires each time it is scheduled, and only registered indices
+   are accepted. *)
+let test_event_queue_actions () =
+  let q = Eq.create () in
+  let log = ref [] in
+  let a = Eq.register q ~cls:2 (fun () -> log := "a" :: !log) in
+  let b = Eq.register q ~cls:4 (fun () -> log := "b" :: !log) in
+  ignore (Eq.add_action q ~time:(Time.of_int_ns 10) b);
+  ignore (Eq.add q ~time:(Time.of_int_ns 10) (fun () -> log := "once" :: !log));
+  ignore (Eq.add_action q ~time:(Time.of_int_ns 10) a);
+  ignore (Eq.add_action q ~time:(Time.of_int_ns 5) a);
+  let classes = ref [] in
+  while Eq.pop q do
+    classes := Eq.popped_cls q :: !classes;
+    (Eq.popped_action q) ()
+  done;
+  Alcotest.(check (list string))
+    "(time, schedule order) across actions and one-shots"
+    [ "a"; "b"; "once"; "a" ] (List.rev !log);
+  Alcotest.(check (list int)) "classes from the registration" [ 2; 4; 0; 2 ]
+    (List.rev !classes);
+  Alcotest.check_raises "no_action is rejected"
+    (Invalid_argument "Event_queue.add_action: not a registered action")
+    (fun () -> ignore (Eq.add_action q ~time:(Time.of_int_ns 20) Eq.no_action));
+  let other = Eq.create () in
+  ignore (Eq.register other ~cls:0 ignore);
+  ignore (Eq.register other ~cls:0 ignore);
+  let foreign = Eq.register other ~cls:0 ignore in
+  Alcotest.check_raises "another queue's index is rejected"
+    (Invalid_argument "Event_queue.add_action: not a registered action")
+    (fun () -> ignore (Eq.add_action q ~time:(Time.of_int_ns 20) foreign))
+
+(* Re-arming a registered action is the hot path of every port and
+   timer: cancel, add_action and pop store immediates only, so a warm
+   queue runs 64k re-arms and fires in zero minor words (the budget
+   tolerates only the measurement's own boxed-float readings). *)
+let test_event_queue_action_rearm_allocates_nothing () =
+  let q = Eq.create () in
+  let fired = ref 0 in
+  let a = Eq.register q ~cls:1 (fun () -> incr fired) in
+  let n = 1 lsl 16 in
+  let id = ref (Eq.add_action q ~time:(Time.of_int_ns 100) a) in
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    (* a timer re-arm: cancel the pending event, schedule a later one *)
+    ignore (Eq.cancel q !id);
+    id := Eq.add_action q ~time:(Time.of_int_ns ((i * 150) + 1_000)) a;
+    if i land 1 = 0 && Eq.pop q then (Eq.popped_action q) ()
+  done;
+  let delta = Gc.minor_words () -. before in
+  checki "every other re-arm fired" (n / 2) !fired;
+  checkb
+    (Printf.sprintf "re-arm path allocated %.0f words for %d re-arms" delta n)
+    true (delta < 64.);
+  checkb "pool stays tiny" true (Eq.pool_size q <= 8)
+
+(* A one-shot closure must not outlive its event: once it fired (and the
+   next pop let go of the popped register) or was cancelled — wheel- or
+   heap-resident — the 4 KB string it captured is garbage, which a
+   finaliser on each string counts after a full major collection. *)
+let test_event_queue_oneshot_reclaim () =
+  let q = Eq.create () in
+  let sink = ref 0 and freed = ref 0 in
+  let add_payload ns i =
+    let p = String.make 4096 (Char.chr (i land 0xff)) in
+    Gc.finalise (fun _ -> incr freed) p;
+    Eq.add q ~time:(Time.of_int_ns ns) (fun () -> sink := !sink + String.length p)
+  in
+  let wheel = Array.init 64 (fun i -> add_payload (100 + i) i) in
+  let far = Array.init 64 (fun i -> add_payload ((1 lsl 36) + i) i) in
+  checkb "pending one-shots are held" true
+    (Obj.reachable_words (Obj.repr q) > 128 * 512);
+  let cancel_evens = Array.iteri (fun i id -> if i mod 2 = 0 then ignore (Eq.cancel q id)) in
+  cancel_evens wheel;
+  (* 32 of 64 dead is not past half the heap: no sweep yet *)
+  cancel_evens far;
+  checki "heap corpses not yet swept" 64 (Eq.overflow_len q);
+  Gc.full_major ();
+  checki "cancels dropped their closures" 64 !freed;
+  while Eq.pop q do
+    (Eq.popped_action q) ()
+  done;
+  checki "the survivors ran" (64 * 4096) !sink;
+  Gc.full_major ();
+  checki "fired one-shots dropped" 128 !freed;
+  (* [q] stays reachable through both collections: it is used here. *)
+  checki "the queue is empty, not gone" 0 (Eq.live q)
+
+(* Ids carry a generation: once an event fired or was cancelled its id
+   is inert, even after the record is reused by a registered action or a
+   one-shot, and cancelling a stale id never touches the new occupant. *)
+let test_event_queue_stale_generation () =
+  let q = Eq.create () in
+  let fired = ref 0 in
+  let a = Eq.register q ~cls:0 (fun () -> incr fired) in
+  let id1 = Eq.add_action q ~time:(Time.of_int_ns 10) a in
+  checkb "fires" true (Eq.pop q);
+  (Eq.popped_action q) ();
+  let id2 = Eq.add_action q ~time:(Time.of_int_ns 20) a in
+  checkb "the reused slot holds the new event" true
+    (Eq.pool_size q = 1);
+  checkb "fired id is stale" false (Eq.cancel q id1);
+  checki "the new occupant stays live" 1 (Eq.live q);
+  checkb "cancel the live one" true (Eq.cancel q id2);
+  checkb "cancelled id is stale" false (Eq.cancel q id2);
+  let id3 = Eq.add q ~time:(Time.of_int_ns 30) (fun () -> incr fired) in
+  checkb "a one-shot in the same slot" true (Eq.pool_size q = 1);
+  checkb "both old ids stay inert" false (Eq.cancel q id1 || Eq.cancel q id2);
+  checkb "the one-shot still fires" true (Eq.pop q);
+  (Eq.popped_action q) ();
+  checkb "and its id goes stale too" false (Eq.cancel q id3);
+  checki "two firings" 2 !fired
 
 let test_event_class_table () =
   let module C = Engine.Event_class in
@@ -1224,6 +1368,13 @@ let suites =
         Alcotest.test_case "allocation regression" `Quick
           test_event_queue_alloc_regression;
         Alcotest.test_case "event class tags" `Quick test_event_queue_cls;
+        Alcotest.test_case "registered actions" `Quick test_event_queue_actions;
+        Alcotest.test_case "action re-arm allocates nothing" `Quick
+          test_event_queue_action_rearm_allocates_nothing;
+        Alcotest.test_case "one-shot reclaim on fire and cancel" `Quick
+          test_event_queue_oneshot_reclaim;
+        Alcotest.test_case "stale generations after reuse" `Quick
+          test_event_queue_stale_generation;
         Alcotest.test_case "event class table" `Quick test_event_class_table;
         Alcotest.test_case "heap drain releases elements" `Quick
           test_heap_drain_releases_elements;
@@ -1231,6 +1382,7 @@ let suites =
         qtest prop_event_queue_large_keys;
         qtest prop_event_queue_matches_heap;
         qtest prop_event_queue_pop_until_matches_heap;
+        qtest prop_event_queue_bitmap_edges;
         qtest prop_event_queue_cancel_heavy;
       ] );
     ( "engine.ring",

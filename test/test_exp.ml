@@ -784,11 +784,87 @@ let test_fanin_inputs_rejected () =
   check_run_fails "dtsim.deadline" "workload.deadline_spread"
     ~scenario:"Deadline" ~what:"non-negative deadline_spread (ns)" [ -1 ]
 
+(* The same for the fat-tree fabric: a run with no time or no bytes, or
+   with starts before the query, measures nothing and is rejected up
+   front, naming the field. *)
+let test_fattree_inputs_rejected () =
+  let fails = check_run_fails "fig_fattree_smoke/dctcp/k=4" ~scenario:"Fattree" in
+  fails "workload.time_cap" ~what:"time_cap (ns)" [ 0; -1 ];
+  fails "workload.start_spread" ~what:"non-negative start_spread (ns)" [ -1 ];
+  fails "workload.incast_bytes" ~what:"incast_bytes" [ 0; -1 ];
+  fails "workload.long_bytes" ~what:"long_bytes" [ 0; -1 ];
+  fails "workload.long_flows" ~what:"non-negative long_flows" [ -1 ]
+
 let test_longlived_sample_periods_positive () =
   check_run_fails "dtsim.longlived" "workload.alpha_sample_period"
     ~scenario:"Longlived" ~what:"alpha_sample_period (ns)" [ 0; -1 ];
   check_run_fails "dtsim.longlived" "workload.trace_sampling"
     ~scenario:"Longlived" ~what:"trace_sampling (ns)" [ 0; -1 ]
+
+(* Every workload kind records its engine counters: the manifest's
+   event count is the [engine.events_processed] probe, and (all but the
+   fat tree, whose manifests the benchmark's digests pin) a live set
+   was seen. A fan-in run sums its repeats' events (each repeat is its
+   own simulation) and keeps the largest repeat's high water. *)
+let test_every_kind_counts_engine_events () =
+  let select name =
+    match Registry.select name with
+    | Some [ s ] -> s
+    | _ -> Alcotest.fail ("no registry spec " ^ name)
+  in
+  let manifest spec = (Runner.run_one spec).Runner.manifest in
+  let metric (m : Obs.Manifest.t) k =
+    match List.assoc_opt k m.Obs.Manifest.metrics with
+    | Some v -> int_of_float v
+    | None -> Alcotest.failf "%s: no %s" m.Obs.Manifest.name k
+  in
+  let counts_events name =
+    let m = manifest (select name) in
+    Alcotest.(check bool) (name ^ " counts events") true (m.Obs.Manifest.events > 0);
+    Alcotest.(check int) (name ^ " events = probe") m.Obs.Manifest.events
+      (metric m "engine.events_processed");
+    m
+  in
+  List.iter
+    (fun name ->
+      let m = counts_events name in
+      Alcotest.(check bool) (name ^ " high water seen") true
+        (metric m "engine.heap_high_water" > 0))
+    [
+      "ci_smoke/longlived/dctcp"; "ci_smoke/incast/dt-dctcp";
+      "ci_smoke/completion/dctcp"; "ci_smoke/deadline/d2tcp";
+      "ci_smoke/dynamic/dctcp"; "ci_smoke/convergence/dt-dctcp";
+    ];
+  (* The fabric's manifests keep their metric set: no high water. *)
+  let ft = counts_events "fig_fattree_smoke/dctcp/k=4" in
+  Alcotest.(check bool) "fat tree records no high water" false
+    (List.mem_assoc "engine.heap_high_water" ft.Obs.Manifest.metrics);
+  let base = select "ci_smoke/incast/dt-dctcp" in
+  let seed = Spec.seed base in
+  let one s =
+    manifest
+      (override_ok base
+         [
+           ("workload.repeats", Json.Int 1);
+           ("workload.seed", Json.String (Int64.to_string s));
+         ])
+  in
+  (* Incast repeat r runs with seed [base + r * 7919]. *)
+  let r0 = one seed and r1 = one (Int64.add seed 7919L) in
+  let both =
+    manifest
+      (override_ok base
+         [
+           ("workload.repeats", Json.Int 2);
+           ("workload.seed", Json.String (Int64.to_string seed));
+         ])
+  in
+  Alcotest.(check int) "repeats' events add up"
+    (r0.Obs.Manifest.events + r1.Obs.Manifest.events)
+    both.Obs.Manifest.events;
+  Alcotest.(check int) "high water is the larger repeat's"
+    (Int.max (metric r0 "engine.heap_high_water") (metric r1 "engine.heap_high_water"))
+    (metric both "engine.heap_high_water")
 
 (* The exact result JSON of the fan-in scenarios (Incast, Completion,
    Deadline) on their CI points, one faulted point, and one Completion
@@ -971,10 +1047,14 @@ let suites =
           `Quick test_completion_segment_bytes_positive;
         Alcotest.test_case "fan-in rejects non-measurement inputs" `Quick
           test_fanin_inputs_rejected;
+        Alcotest.test_case "fat-tree rejects non-measurement inputs" `Quick
+          test_fattree_inputs_rejected;
         Alcotest.test_case "longlived rejects non-positive sample periods"
           `Quick test_longlived_sample_periods_positive;
         Alcotest.test_case "fan-in results pinned" `Quick
           test_fanin_results_pinned;
+        Alcotest.test_case "every kind counts engine events" `Quick
+          test_every_kind_counts_engine_events;
         Alcotest.test_case "Static run = pre-buffer spec run" `Quick
           test_static_run_matches_prebuffer_spec;
         Alcotest.test_case "manifest reconstructs the spec" `Quick

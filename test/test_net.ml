@@ -420,6 +420,60 @@ let test_host_double_bind () =
   Net.Host.unbind_flow h ~flow:1;
   Net.Host.bind_flow h ~flow:1 ignore
 
+(* The host's flow table against a model: random binds, unbinds and
+   deliveries over flow ids that collide in the probe table (ids sharing
+   low bits, growth past several sizes, backward-shift deletion in the
+   middle of probe runs). Every delivery must reach exactly the handler
+   the model names, or the unbound sink; binding a bound flow raises. *)
+let prop_host_flow_table =
+  QCheck.Test.make ~count:300 ~name:"Host flow table matches a model"
+    QCheck.(
+      list_of_size Gen.(int_range 0 300)
+        (pair (int_bound 2)
+           (map (fun (hi, lo) -> (hi * 64) + lo) (pair (int_bound 40) (int_bound 7)))))
+    (fun ops ->
+      let sim = Sim.create () in
+      let h = Net.Host.create sim ~id:0 in
+      let st = Packet.store_of sim in
+      let model = Hashtbl.create 16 in
+      let got = ref (-1) in
+      let serial = ref 0 in
+      List.for_all
+        (fun (op, flow) ->
+          match op with
+          | 0 ->
+              let tag = !serial in
+              incr serial;
+              let raised =
+                match
+                  Net.Host.bind_flow h ~flow (fun p ->
+                      got := tag;
+                      Packet.free st p)
+                with
+                | () -> false
+                | exception Invalid_argument _ -> true
+              in
+              if raised then Hashtbl.mem model flow
+              else begin
+                let fresh = not (Hashtbl.mem model flow) in
+                Hashtbl.replace model flow tag;
+                fresh
+              end
+          | 1 ->
+              Net.Host.unbind_flow h ~flow;
+              Hashtbl.remove model flow;
+              true
+          | _ ->
+              got := -1;
+              let live = Packet.live_count st in
+              Net.Host.receive h (mk_pkt ~sim ~flow ());
+              Packet.live_count st = live
+              &&
+              match Hashtbl.find_opt model flow with
+              | Some tag -> !got = tag
+              | None -> !got = -1)
+        ops)
+
 let test_host_nic_errors () =
   let sim = Sim.create () in
   let h = Net.Host.create sim ~id:0 in
@@ -1169,6 +1223,7 @@ let suites =
         Alcotest.test_case "flow dispatch" `Quick test_host_dispatch;
         Alcotest.test_case "double bind" `Quick test_host_double_bind;
         Alcotest.test_case "nic errors" `Quick test_host_nic_errors;
+        qtest prop_host_flow_table;
       ] );
     ( "net.switch",
       [

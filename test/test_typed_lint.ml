@@ -299,6 +299,51 @@ let test_r14_hot_path_allocs () =
   Alcotest.(check bool) "capture message names the variable" true
     (contains ~sub:"captures n" capture.message)
 
+(* R14's scheduling check: on the hot path (here a port's per-packet
+   actions and [Port.send]; the units are named the way dune names a
+   wrapped library's modules, so the roots match by name) a call to a closure-taking scheduling entry
+   point is a finding, whether written through a module alias or the
+   full path. Scheduling a registered action, the entry points
+   delegating to one another, a suppressed line and a cold module (a
+   flow start under lib/tcp) stay legal. *)
+let s14_oneshot =
+  lazy
+    (let root = mkdtemp () in
+     write root "lib/engine/engine__Sim.ml"
+       "let schedule_at_cls q f = ignore f; q\n\
+        let schedule_at q f = schedule_at_cls q f\n\
+        let schedule_after q f = schedule_at q f\n\
+        let schedule_action_at q a = q + a\n";
+     write root "lib/net/net__Port.ml"
+       "module Sim = Engine__Sim\n\
+        let finish_tx q = Sim.schedule_after q (fun () -> ())\n\
+        let deliver_head q a = Sim.schedule_action_at q a\n\
+        let late q = Sim.schedule_at q ignore (* dtlint: allow R14 *)\n\
+        let send q a = ignore (Engine__Sim.schedule_at_cls q ignore); ignore (late q); deliver_head q a\n";
+     write root "lib/tcp/flow.ml" "let start_at q = Engine__Sim.schedule_at q ignore\n";
+     compile root
+       [ "lib/engine/engine__Sim.ml"; "lib/net/net__Port.ml"; "lib/tcp/flow.ml" ];
+     root)
+
+let test_r14_oneshot_scheduling () =
+  let vs = lint_root ~rules:[ R.R14 ] (Lazy.force s14_oneshot) in
+  check_renders
+    "one-shot scheduling from a port action and from Port.send flagged"
+    [ "R14 lib/net/net__Port.ml:2"; "R14 lib/net/net__Port.ml:5" ]
+    vs;
+  Alcotest.(check (list string))
+    "the message names the entry point"
+    [ "Engine.Sim.schedule_after"; "Engine.Sim.schedule_at_cls" ]
+    (List.map
+       (fun (v : R.violation) ->
+         List.find
+           (fun e -> contains ~sub:("through " ^ e ^ " ") v.message)
+           [
+             "Engine.Sim.schedule_after"; "Engine.Sim.schedule_at_cls";
+             "Engine.Sim.schedule_at";
+           ])
+       vs)
+
 (* --- R15: lib/ exports need a user outside their unit and the tests ----- *)
 
 (* A lib/ module with one export per verdict, its users spread over a
@@ -500,6 +545,8 @@ let suites =
         Alcotest.test_case "R13 acquitting fixtures" `Quick test_r13_acquits;
         Alcotest.test_case "R14 hot-path allocations" `Quick
           test_r14_hot_path_allocs;
+        Alcotest.test_case "R14 one-shot scheduling on the hot path" `Quick
+          test_r14_oneshot_scheduling;
         Alcotest.test_case "R15 convicting fixtures" `Quick test_r15_convicts;
         Alcotest.test_case "R15 acquitting fixtures" `Quick test_r15_acquits;
         Alcotest.test_case "R15 users in every tool directory" `Quick
