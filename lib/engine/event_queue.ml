@@ -261,27 +261,31 @@ let grow_pool t =
   Array.blit t.oneshot 0 fns 0 t.pool_len;
   t.oneshot <- fns
 
-let alloc t =
+(* The pool's cold path: a record that has never been used. Out of line
+   so [alloc], inlined into every schedule, carries only the free-list
+   pop. *)
+let[@inline never] fresh_event t =
+  if t.pool_len = Array.length t.pool then grow_pool t;
+  let ev = new_event t.pool_len in
+  t.pool.(t.pool_len) <- ev;
+  t.pool_len <- t.pool_len + 1;
+  ev
+
+let[@inline] alloc t =
   if t.free_head >= 0 then begin
     let ev = t.pool.(t.free_head) in
     t.free_head <- ev.next_free;
     ev.next_free <- -1;
     ev
   end
-  else begin
-    if t.pool_len = Array.length t.pool then grow_pool t;
-    let ev = new_event t.pool_len in
-    t.pool.(t.pool_len) <- ev;
-    t.pool_len <- t.pool_len + 1;
-    ev
-  end
+  else fresh_event t
 
 (* A record is released exactly once, when it leaves the structure
    (fired, cancelled out of the wheel, or swept out of a backstop heap).
    The generation bump invalidates outstanding ids. Every field is an
    immediate, so this stores no pointer; a one-shot's closure was already
    dropped by [drop_oneshot]. *)
-let release t ev =
+let[@inline] release t ev =
   ev.gen <- ev.gen + 1;
   ev.live <- false;
   ev.where <- loc_none;
@@ -290,7 +294,7 @@ let release t ev =
   ev.next_free <- t.free_head;
   t.free_head <- ev.idx
 
-let drop_oneshot t ev = if ev.act < 0 then t.oneshot.(ev.idx) <- noop
+let[@inline] drop_oneshot t ev = if ev.act < 0 then t.oneshot.(ev.idx) <- noop
 
 (* --- find-first-set ------------------------------------------------- *)
 
@@ -308,17 +312,18 @@ let ctz_table = (* dtlint: allow R12 *)
   done;
   tbl
 
-let ctz m = ctz_table.((((m land (-m)) * debruijn) land 0xFFFFFFFF) lsr 27)
+let[@inline] ctz m =
+  ctz_table.((((m land (-m)) * debruijn) land 0xFFFFFFFF) lsr 27)
 
 (* --- wheel buckets -------------------------------------------------- *)
 
-let mark t b =
+let[@inline] mark t b =
   let w = b lsr 5 in
   let m = t.occ.(w) in
   if m = 0 && w < l0_words then t.summary <- t.summary lor (1 lsl w);
   t.occ.(w) <- m lor (1 lsl (b land 31))
 
-let unmark t b =
+let[@inline] unmark t b =
   let w = b lsr 5 in
   let m = t.occ.(w) land lnot (1 lsl (b land 31)) in
   t.occ.(w) <- m;
@@ -336,7 +341,7 @@ let[@inline] before a b =
    so they only walk past residents of the same tick with later keys.
    Higher-level buckets are plain appends: a cascade re-files every
    resident anyway, so their order is never observed. *)
-let bucket_insert t ev b =
+let[@inline] bucket_insert t ev b =
   let pool = t.pool in
   ev.where <- b;
   let tl = t.tail.(b) in
@@ -345,9 +350,9 @@ let bucket_insert t ev b =
     ev.next_ev <- -1;
     t.head.(b) <- ev.idx;
     t.tail.(b) <- ev.idx;
-    mark t b
+    (mark [@inlined]) t b
   end
-  else if b >= l0_slots || before pool.(tl) ev then begin
+  else if b >= l0_slots || (before [@inlined]) pool.(tl) ev then begin
     ev.prev_ev <- tl;
     ev.next_ev <- -1;
     pool.(tl).next_ev <- ev.idx;
@@ -355,7 +360,7 @@ let bucket_insert t ev b =
   end
   else begin
     let p = ref pool.(tl).prev_ev in
-    while !p >= 0 && not (before pool.(!p) ev) do
+    while !p >= 0 && not ((before [@inlined]) pool.(!p) ev) do
       p := pool.(!p).prev_ev
     done;
     let prev = !p in
@@ -366,14 +371,14 @@ let bucket_insert t ev b =
     if prev < 0 then t.head.(b) <- ev.idx else pool.(prev).next_ev <- ev.idx
   end
 
-let bucket_unlink t ev =
+let[@inline] bucket_unlink t ev =
   let b = ev.where in
   let pool = t.pool in
   if ev.prev_ev >= 0 then pool.(ev.prev_ev).next_ev <- ev.next_ev
   else t.head.(b) <- ev.next_ev;
   if ev.next_ev >= 0 then pool.(ev.next_ev).prev_ev <- ev.prev_ev
   else t.tail.(b) <- ev.prev_ev;
-  if t.head.(b) < 0 then unmark t b
+  if t.head.(b) < 0 then (unmark [@inlined]) t b
 
 (* File a live event whose key shares the current position's horizon
    block. With x = (key lxor pos) lsr tick_bits, keys within [pos]'s own
@@ -383,20 +388,23 @@ let bucket_unlink t ev =
    bits at that level. Written as a compare chain: branch-predictable, no
    loop, no table. [x < 2^30] always holds, since [file] sends keys
    outside the position's horizon block to the overflow heap. *)
-let wheel_insert t ev =
+let[@inline] wheel_insert t ev =
   let key = ev.key_ns in
   let x = (key lxor t.pos) lsr tick_bits in
-  if x < 0x400 then bucket_insert t ev ((key lsr tick_bits) land l0_mask)
-  else begin
-    let l =
-      if x < 0x8000 then 0
-      else if x < 0x100000 then 1
-      else if x < 0x2000000 then 2
-      else 3
-    in
-    let s = (key lsr (l1_shift + (l * slot_bits))) land slot_mask in
-    bucket_insert t ev (l0_slots + (l lsl slot_bits) + s)
-  end
+  let b =
+    if x < 0x400 then (key lsr tick_bits) land l0_mask
+    else begin
+      let l =
+        if x < 0x8000 then 0
+        else if x < 0x100000 then 1
+        else if x < 0x2000000 then 2
+        else 3
+      in
+      let s = (key lsr (l1_shift + (l * slot_bits))) land slot_mask in
+      l0_slots + (l lsl slot_bits) + s
+    end
+  in
+  (bucket_insert [@inlined]) t ev b
 
 (* --- backstop heaps ------------------------------------------------- *)
 
@@ -507,13 +515,14 @@ let mini_compact t (m : mini) =
 
 (* --- scheduling ----------------------------------------------------- *)
 
-let file t ev =
+let[@inline] file t ev =
   let key = ev.key_ns in
   if key < t.pos then begin
     ev.where <- loc_overdue;
     mini_push t t.overdue ev
   end
-  else if key lsr horizon_bits = t.pos lsr horizon_bits then wheel_insert t ev
+  else if key lsr horizon_bits = t.pos lsr horizon_bits then
+    (wheel_insert [@inlined]) t ev
   else begin
     ev.where <- loc_overflow;
     mini_push t t.overflow ev
@@ -521,21 +530,25 @@ let file t ev =
 
 (* Allocate, stamp and file a record carrying [act]; returns it so the
    one-shot entry points can fill the closure slot. *)
-let add_act t ~time act =
-  let ev = alloc t in
+let[@inline] add_act t ~time act =
+  let ev = (alloc [@inlined]) t in
   ev.key_ns <- Time.to_int_ns time;
   ev.seq <- t.next_seq;
   t.next_seq <- t.next_seq + 1;
   ev.act <- act;
   ev.live <- true;
   t.live_count <- t.live_count + 1;
-  file t ev;
+  (file [@inlined]) t ev;
   ev
 
-let add_action t ~time a =
-  if a < 0 || a >= t.n_actions then
-    invalid_arg "Event_queue.add_action: not a registered action";
-  id_of (add_act t ~time a)
+(* Raisers that build a message stay out of line: the inlined callers
+   keep a compare and a call, not the exception's construction. *)
+let[@inline never] unregistered () =
+  invalid_arg "Event_queue.add_action: not a registered action"
+
+let[@inline] add_action t ~time a =
+  if a < 0 || a >= t.n_actions then unregistered ();
+  id_of ((add_act [@inlined]) t ~time a)
 
 (* [~cls] is a required label (not optional): an optional int argument
    would box [Some cls] on every call. *)
@@ -547,19 +560,19 @@ let add_cls t ~time ~cls action =
 
 let add t ~time action = add_cls t ~time ~cls:0 action
 
-let cancel t id =
+let[@inline] cancel t id =
   let idx = id lsr gen_bits in
   if idx < 0 || idx >= t.pool_len then false
   else begin
     let ev = t.pool.(idx) in
     if ev.live && ev.gen land gen_mask = id land gen_mask then begin
       t.live_count <- t.live_count - 1;
-      drop_oneshot t ev;
+      (drop_oneshot [@inlined]) t ev;
       if ev.where >= 0 then begin
         (* Wheel resident: unlink and recycle immediately — the O(1)
            cancel is the point of the wheel for rearm-heavy timers. *)
-        bucket_unlink t ev;
-        release t ev
+        (bucket_unlink [@inlined]) t ev;
+        (release [@inlined]) t ev
       end
       else begin
         (* Heap resident: mark dead, sweep lazily once corpses dominate. *)
@@ -579,16 +592,16 @@ let cancel t id =
    [pos] just advanced into the bucket's span, every resident re-files at
    a strictly lower level, and those reaching level 0 take their
    (key, seq) place via [bucket_insert]'s tail walk. *)
-let cascade t b =
+let[@inline] cascade t b =
   let pool = t.pool in
   let cur = ref t.head.(b) in
   t.head.(b) <- -1;
   t.tail.(b) <- -1;
-  unmark t b;
+  (unmark [@inlined]) t b;
   while !cur >= 0 do
     let ev = pool.(!cur) in
     cur := ev.next_ev;
-    wheel_insert t ev
+    (wheel_insert [@inlined]) t ev
   done
 
 (* First occupied level-0 bucket at or after [pos]'s tick, or -1: the
@@ -596,17 +609,17 @@ let cascade t b =
    non-zero word. Level-0 residents share [pos]'s bits from 15 up and are
    never earlier than [pos], so no bucket below [pos]'s tick is occupied
    and no wraparound case exists. *)
-let next_l0 t =
+let[@inline] next_l0 t =
   let s = (t.pos lsr tick_bits) land l0_mask in
   let w = s lsr 5 in
   let m = t.occ.(w) land (-1 lsl (s land 31)) in
-  if m <> 0 then (w lsl 5) lor ctz m
+  if m <> 0 then (w lsl 5) lor (ctz [@inlined]) m
   else begin
     let sm = t.summary land (-1 lsl (w + 1)) in
     if sm = 0 then -1
     else
-      let w = ctz sm in
-      (w lsl 5) lor ctz t.occ.(w)
+      let w = (ctz [@inlined]) sm in
+      (w lsl 5) lor (ctz [@inlined]) t.occ.(w)
   end
 
 (* Pool index of the wheel's earliest event — the head of the first
@@ -618,10 +631,10 @@ let next_l0 t =
    at or after [pos], so [file]'s "key < pos means overdue" stays exact.
    Each iteration either returns or strictly descends a level, bounding
    the loop at [upper + 1] steps. *)
-let wheel_min t =
+let[@inline] wheel_min t =
   let result = ref (-2) in
   while !result = -2 do
-    let b = next_l0 t in
+    let b = (next_l0 [@inlined]) t in
     if b >= 0 then begin
       let h = t.head.(b) in
       t.pos <- t.pool.(h).key_ns;
@@ -639,7 +652,7 @@ let wheel_min t =
           (t.pos lsr (l1_shift + (!l * slot_bits))) land slot_mask
         in
         let m = t.occ.(l0_words + !l) land (-1 lsl (sl + 1)) in
-        if m <> 0 then found := ctz m else incr l
+        if m <> 0 then found := (ctz [@inlined]) m else incr l
       done;
       if !found < 0 then result := -1
       else begin
@@ -648,7 +661,7 @@ let wheel_min t =
         let shift = l1_shift + (slot_bits * !l) in
         let above = shift + slot_bits in
         t.pos <- ((t.pos lsr above) lsl above) lor (!found lsl shift);
-        cascade t (l0_slots + (!l lsl slot_bits) + !found)
+        (cascade [@inlined]) t (l0_slots + (!l lsl slot_bits) + !found)
       end
     end
   done;
@@ -667,12 +680,27 @@ let drain_overflow t root =
     let r = mini_min t t.overflow in
     if r >= 0 && pool.(r).key_ns lsr horizon_bits = block then begin
       mini_drop_root pool t.overflow;
-      wheel_insert t pool.(r)
+      (wheel_insert [@inlined]) t pool.(r)
     end
     else continue := false
   done
 
 (* --- pop ------------------------------------------------------------ *)
+
+(* The wheel is empty: drain the overflow block if its root is due and
+   no overdue event undercuts it. Out of line, so [pop_until] holds one
+   inlined copy of [wheel_min], on its hot path. *)
+let[@inline never] overflow_min t stop_ns =
+  let o = mini_min t t.overflow in
+  if o < 0 || t.pool.(o).key_ns > stop_ns then -1
+  else begin
+    let od = mini_min t t.overdue in
+    if od >= 0 && mini_less t.pool od o then -1
+    else begin
+      drain_overflow t o;
+      (wheel_min [@inlined]) t
+    end
+  end
 
 (* The three sources, cheapest first. The wheel beats the overflow heap
    by construction (overflow keys live beyond the wheel's whole span);
@@ -692,38 +720,28 @@ let pop_until t stop_ns =
   if f >= 0 then begin
     t.fired <- -1;
     let ev = t.pool.(f) in
-    drop_oneshot t ev;
-    release t ev
+    (drop_oneshot [@inlined]) t ev;
+    (release [@inlined]) t ev
   end;
-  let w = wheel_min t in
-  let w =
-    if w >= 0 then w
-    else begin
-      let o = mini_min t t.overflow in
-      if o < 0 || t.pool.(o).key_ns > stop_ns then -1
-      else begin
-        let od = mini_min t t.overdue in
-        if od >= 0 && mini_less t.pool od o then -1
-        else begin
-          drain_overflow t o;
-          wheel_min t
-        end
-      end
-    end
-  in
+  let w = (wheel_min [@inlined]) t in
+  let w = if w >= 0 then w else overflow_min t stop_ns in
   let best =
-    let od = mini_min t t.overdue in
-    if od >= 0 && (w < 0 || mini_less t.pool od w) then od else w
+    (* [mini_min] is recursive, so never inlined: skip the call when the
+       overdue heap is empty, as it is on every run [Sim] drives. *)
+    if t.overdue.n = 0 then w
+    else
+      let od = mini_min t t.overdue in
+      if od >= 0 && (w < 0 || mini_less t.pool od w) then od else w
   in
   if best < 0 || t.pool.(best).key_ns > stop_ns then false
   else begin
     let ev = t.pool.(best) in
-    if ev.where >= 0 then bucket_unlink t ev
+    if ev.where >= 0 then (bucket_unlink [@inlined]) t ev
     else mini_drop_root t.pool t.overdue;
     t.live_count <- t.live_count - 1;
     t.popped_time <- Time.of_int_ns ev.key_ns;
     t.popped_act <- ev.act;
-    if ev.act >= 0 then release t ev
+    if ev.act >= 0 then (release [@inlined]) t ev
     else begin
       (* Fired: no longer live, so its id already fails [cancel]. *)
       ev.live <- false;
@@ -734,9 +752,9 @@ let pop_until t stop_ns =
 
 let pop t = pop_until t max_int
 
-let popped_time t = t.popped_time
+let[@inline] popped_time t = t.popped_time
 
-let popped_action t =
+let[@inline] popped_action t =
   if t.popped_act >= 0 then t.actions.(t.popped_act)
   else if t.fired >= 0 then t.oneshot.(t.fired)
   else noop

@@ -19,7 +19,9 @@ let create ?(capacity = 16) () =
 
 let is_empty t = t.len = 0
 
-let grow t =
+(* Out of line: [push] is inlined into every enqueue and link hand-off,
+   and the copy is its cold path. *)
+let[@inline never] grow t =
   let n = Array.length t.data in
   let data = Array.make (2 * n) min_int in
   (* Unwrap: front segment [head, n), then the wrapped prefix. *)
@@ -29,12 +31,12 @@ let grow t =
   t.data <- data;
   t.head <- 0
 
-let push t x =
+let[@inline] push t x =
   if t.len = Array.length t.data then grow t;
   t.data.((t.head + t.len) land (Array.length t.data - 1)) <- x;
   t.len <- t.len + 1
 
-let pop t =
+let[@inline] pop t =
   if t.len = 0 then raise Not_found;
   let x = t.data.(t.head) in
   t.head <- (t.head + 1) land (Array.length t.data - 1);

@@ -61,34 +61,39 @@ let no_action = Event_queue.no_action
 
 let action t ~cls f = Event_queue.register t.q ~cls f
 
-let check_at t time =
-  if Time.(time < t.now) then
-    invalid_arg
-      (Printf.sprintf "Sim.schedule_at: %s is before now (%s)"
-         (Time.to_string time) (Time.to_string t.now))
+(* The raisers that build a message sit out of line, so the inlined
+   checks below cost a compare and a never-taken call. *)
+let[@inline never] before_now t time =
+  invalid_arg
+    (Printf.sprintf "Sim.schedule_at: %s is before now (%s)"
+       (Time.to_string time) (Time.to_string t.now))
 
-let check_after span =
-  if Time.span_to_int_ns span < 0 then
-    invalid_arg "Sim.schedule_after: negative delay"
+let[@inline never] negative_delay () =
+  invalid_arg "Sim.schedule_after: negative delay"
+
+let[@inline] check_at t time = if Time.(time < t.now) then before_now t time
+
+let[@inline] check_after span =
+  if Time.span_to_int_ns span < 0 then negative_delay ()
 
 (* High water tracks live events only. Counting unswept cancelled
    entries (as before PR 9) made the manifest metric depend on the
    queue's internal sweep schedule rather than on scheduling load; with
    the wheel's immediate-reclaim cancel the two coincide anyway on every
    run the engine can produce. *)
-let note_live t =
+let[@inline] note_live t =
   let occ = Event_queue.live t.q in
   if occ > t.hwm then t.hwm <- occ
 
-let schedule_action_at t time a =
-  check_at t time;
-  let id = Event_queue.add_action t.q ~time a in
-  note_live t;
+let[@inline] schedule_action_at t time a =
+  (check_at [@inlined]) t time;
+  let id = (Event_queue.add_action [@inlined]) t.q ~time a in
+  (note_live [@inlined]) t;
   id
 
-let schedule_action_after t span a =
-  check_after span;
-  schedule_action_at t (Time.add t.now span) a
+let[@inline] schedule_action_after t span a =
+  (check_after [@inlined]) span;
+  (schedule_action_at [@inlined]) t (Time.add t.now span) a
 
 let schedule_at_cls t time ~cls f =
   check_at t time;
@@ -104,14 +109,14 @@ let schedule_after_cls t span ~cls f =
 
 let schedule_after t span f = schedule_after_cls t span ~cls:0 f
 
-let cancel t id = ignore (Event_queue.cancel t.q id)
+let[@inline] cancel t id = ignore ((Event_queue.cancel [@inlined]) t.q id)
 
 (* Fire the minimum live event if it is due by [stop_ns]. *)
-let step_until t stop_ns =
+let[@inline] step_until t stop_ns =
   if Event_queue.pop_until t.q stop_ns then begin
-    t.now <- Event_queue.popped_time t.q;
+    t.now <- (Event_queue.popped_time [@inlined]) t.q;
     t.processed <- t.processed + 1;
-    let action = Event_queue.popped_action t.q in
+    let action = (Event_queue.popped_action [@inlined]) t.q in
     if t.profiling then begin
       (* Read the class before running the action: the action may pop
          nothing itself, but keeping the read first costs nothing and
@@ -126,7 +131,7 @@ let step_until t stop_ns =
   end
   else false
 
-let step t = step_until t max_int
+let step t = (step_until [@inlined]) t max_int
 
 let run ?until t =
   match until with
@@ -138,7 +143,7 @@ let run ?until t =
          the deadline never fires just because a dead root sat in front
          of it. *)
       let stop_ns = Time.to_int_ns stop in
-      while step_until t stop_ns do () done;
+      while (step_until [@inlined]) t stop_ns do () done;
       if Time.(t.now < stop) then t.now <- stop
 
 let events_processed t = t.processed

@@ -33,16 +33,16 @@ let create sim ~action =
         t.action ());
   t
 
-let cancel t =
+let[@inline] cancel t =
   if t.armed then begin
-    Sim.cancel t.sim t.ev;
+    (Sim.cancel [@inlined]) t.sim t.ev;
     t.armed <- false
   end
 
-let set t ~after =
+let[@inline] set t ~after =
   let at = Time.add (Sim.now t.sim) after in
-  cancel t;
-  t.ev <- Sim.schedule_action_at t.sim at t.fire;
+  (cancel [@inlined]) t;
+  t.ev <- (Sim.schedule_action_at [@inlined]) t.sim at t.fire;
   t.armed <- true;
   t.at <- at
 

@@ -48,13 +48,13 @@ let create_pool ~pool_bytes ~alpha =
   }
 
 let attach pool = { pool = Some pool; capacity = pool.size; occ = 0 }
-let shared t = match t.pool with None -> false | Some _ -> true
+let[@inline] shared t = match t.pool with None -> false | Some _ -> true
 
 (* Current per-port length limit. Static ports: the fixed capacity.
    Shared ports: T = alpha x (B - used), clamped to the pool size (alpha
    > 1 over a near-empty pool would otherwise announce a limit larger
    than the memory that exists). *)
-let effective_limit t =
+let[@inline] effective_limit t =
   match t.pool with
   | None -> t.capacity
   | Some p ->
@@ -65,7 +65,7 @@ let effective_limit t =
    bytes, or reject. The second conjunct guards pool overflow when
    alpha > 1: the threshold may exceed the free memory, but the pool
    itself never overfills. *)
-let admit t size =
+let[@inline] admit t size =
   match t.pool with
   | None ->
       if t.occ + size <= t.capacity then begin
@@ -74,7 +74,10 @@ let admit t size =
       end
       else false
   | Some p ->
-      if t.occ + size <= effective_limit t && p.used + size <= p.size then begin
+      if
+        t.occ + size <= (effective_limit [@inlined]) t
+        && p.used + size <= p.size
+      then begin
         t.occ <- t.occ + size;
         p.used <- p.used + size;
         if p.used > p.high_water then p.high_water <- p.used;
@@ -86,7 +89,7 @@ let admit t size =
       end
 
 (* Hot path (called from Queue_disc.dequeue_exn): return [size] bytes. *)
-let release t size =
+let[@inline] release t size =
   t.occ <- t.occ - size;
   match t.pool with None -> () | Some p -> p.used <- p.used - size
 

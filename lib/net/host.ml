@@ -46,16 +46,19 @@ let attach_nic t port =
   | Some _ -> invalid_arg "Host.attach_nic: NIC already attached"
   | None -> t.nic <- Some port
 
-let nic t =
-  match t.nic with
-  | Some p -> p
-  | None -> invalid_arg "Host.nic: no NIC attached"
+let[@inline never] no_nic () = invalid_arg "Host.nic: no NIC attached"
 
-let send t pkt = Port.send (nic t) pkt
+let[@inline] nic t = match t.nic with Some p -> p | None -> no_nic ()
+
+(* Every transport sends through [send], and every [Topology] link into
+   a host delivers through [receive]: each keeps its inlined chain in
+   one out-of-line copy instead of growing every caller. *)
+let[@inline never] send t pkt =
+  (Port.send [@inlined]) ((nic [@inlined]) t) pkt
 
 (* Slot holding [flow], or -1: probe from its home slot until the flow
    or a free slot. The table is never full, so the walk ends. *)
-let find t flow =
+let[@inline] find t flow =
   let keys = t.keys in
   let mask = Array.length keys - 1 in
   let i = ref (flow land mask) in
@@ -64,9 +67,9 @@ let find t flow =
   done;
   if keys.(!i) = flow then !i else -1
 
-let receive t pkt =
+let[@inline never] receive t pkt =
   let flow = Packet.flow t.st pkt in
-  let i = if flow >= 0 then find t flow else -1 in
+  let i = if flow >= 0 then (find [@inlined]) t flow else -1 in
   if i >= 0 then t.handlers.(i) pkt else t.unbound pkt
 
 let insert keys handlers ~flow handler =

@@ -73,14 +73,14 @@ let store_of sim =
       Engine.Sim.add_ext sim (Store s);
       s
 
+(* [a] copied into an array twice its length, the new half [fill]. *)
+let extend a fill =
+  let cap = Array.length a in
+  let b = Array.make (2 * cap) fill in
+  Array.blit a 0 b 0 cap;
+  b
+
 let grow st =
-  let cap = Array.length st.size in
-  let ncap = 2 * cap in
-  let extend a fill =
-    let b = Array.make ncap fill in
-    Array.blit a 0 b 0 cap;
-    b
-  in
   st.size <- extend st.size 0;
   st.flow <- extend st.flow 0;
   st.src <- extend st.src 0;
@@ -92,8 +92,11 @@ let grow st =
   st.payload <- extend st.payload No_payload;
   st.free_stack <- extend st.free_stack 0
 
-let make_with_word st ~src ~dst ~flow ~size ~ecn ~word payload =
-  if size <= 0 then invalid_arg "Packet.make: size must be positive";
+let[@inline never] bad_size () =
+  invalid_arg "Packet.make: size must be positive"
+
+let[@inline] make_with_word st ~src ~dst ~flow ~size ~ecn ~word payload =
+  if size <= 0 then bad_size ();
   let p =
     if st.free_top > 0 then begin
       st.free_top <- st.free_top - 1;
@@ -132,8 +135,11 @@ let make st ~src ~dst ~flow ~size ~ecn payload =
    flow handler, a dropping queue, a routeless switch, a lossy link)
    frees it, exactly once. The uid check catches double frees — a
    recycled handle would otherwise silently alias a newer packet. *)
-let free st p =
-  if st.uid.(p) < 0 then invalid_arg "Packet.free: handle already freed";
+let[@inline never] double_free () =
+  invalid_arg "Packet.free: handle already freed"
+
+let[@inline] free st p =
+  if st.uid.(p) < 0 then double_free ();
   st.uid.(p) <- -1;
   (* don't pin a dead transport payload *)
   if st.payload.(p) != No_payload then st.payload.(p) <- No_payload;

@@ -42,10 +42,17 @@ type t = {
   mutable memo_tx : Time.span;
 }
 
-let tx_time t ~bytes =
+(* The per-packet chain — [start_tx], [finish_tx], [deliver_head],
+   [send] and the queue, buffer and engine calls under them — is marked
+   [@inline] and pinned with [@inlined], so each registered action
+   compiles to one straight-line body. The cold paths (a memo miss, a
+   fault hook) stay out of line. *)
+
+(* The memo's miss path: a float division and a rounding. *)
+let[@inline never] tx_time t ~bytes =
   Time.span_of_sec (float_of_int (bytes * 8) /. t.rate_bps)
 
-let tx_span t ~bytes =
+let[@inline] tx_span t ~bytes =
   if bytes = t.memo_size then t.memo_tx
   else begin
     let span = tx_time t ~bytes in
@@ -54,45 +61,48 @@ let tx_span t ~bytes =
     span
   end
 
-let start_tx t =
-  if Queue_disc.is_empty t.queue then t.busy <- false
+let[@inline] start_tx t =
+  if (Queue_disc.is_empty [@inlined]) t.queue then t.busy <- false
   else begin
-    let pkt = Queue_disc.dequeue_exn t.queue in
+    let pkt = (Queue_disc.dequeue_exn [@inlined]) t.queue in
     t.busy <- true;
     t.tx_pkt <- pkt;
     ignore
-      (Sim.schedule_action_after t.sim
-         (tx_span t ~bytes:(Packet.size t.st pkt))
+      ((Sim.schedule_action_after [@inlined]) t.sim
+         ((tx_span [@inlined]) t ~bytes:(Packet.size t.st pkt))
          t.tx_action)
   end
 
-let deliver_head t =
-  let pkt = Engine.Int_ring.pop t.in_flight in
+(* A delivery under a fault hook (fault mode only). *)
+let[@inline never] deliver_hooked t hook pkt =
+  match hook pkt with
+  | Deliver -> t.deliver pkt
+  | Lose ->
+      (* The wire consumed the packet: recycle its handle. *)
+      Packet.free t.st pkt
+  | Delay span ->
+      (* Jittered deliveries leave the FIFO ring discipline: the packet
+         is already popped, and reordering past later packets is the
+         point, so each one needs its own event. The one-shot closure
+         (fault mode only) is the whole cost; the fault-free path never
+         reaches this arm. *)
+      ignore
+        (Sim.schedule_after_cls t.sim span ~cls:cls_link_rx (fun () -> t.deliver pkt)) (* dtlint: allow R14 *)
+
+let[@inline] deliver_head t =
+  let pkt = (Engine.Int_ring.pop [@inlined]) t.in_flight in
   match t.fault_hook with
   | None -> t.deliver pkt
-  | Some hook -> (
-      match hook pkt with
-      | Deliver -> t.deliver pkt
-      | Lose ->
-          (* The wire consumed the packet: recycle its handle. *)
-          Packet.free t.st pkt
-      | Delay span ->
-          (* Jittered deliveries leave the FIFO ring discipline: the
-             packet is already popped, and reordering past later packets
-             is the point, so each one needs its own event. The one-shot
-             closure (fault mode only) is the whole cost; the fault-free
-             path never reaches this arm. *)
-          let late () = t.deliver pkt in
-          ignore (Sim.schedule_after_cls t.sim span ~cls:cls_link_rx late)) (* dtlint: allow R14 *)
+  | Some hook -> deliver_hooked t hook pkt
 
-let finish_tx t =
+let[@inline] finish_tx t =
   let pkt = t.tx_pkt in
   t.tx_pkt <- Packet.none;
   t.bytes_sent <- t.bytes_sent + Packet.size t.st pkt;
   t.packets_sent <- t.packets_sent + 1;
-  Engine.Int_ring.push t.in_flight pkt;
-  ignore (Sim.schedule_action_after t.sim t.delay t.rx_action);
-  if t.up then start_tx t else t.busy <- false
+  (Engine.Int_ring.push [@inlined]) t.in_flight pkt;
+  ignore ((Sim.schedule_action_after [@inlined]) t.sim t.delay t.rx_action);
+  if t.up then (start_tx [@inlined]) t else t.busy <- false
 
 let create sim ~rate_bps ~delay ~queue ~deliver =
   if rate_bps <= 0. then invalid_arg "Port.create: rate must be positive";
@@ -119,14 +129,16 @@ let create sim ~rate_bps ~delay ~queue ~deliver =
       memo_tx = Time.span_of_int_ns 0;
     }
   in
-  t.rx_action <- Sim.action sim ~cls:cls_link_rx (fun () -> deliver_head t);
-  t.tx_action <- Sim.action sim ~cls:cls_link_tx (fun () -> finish_tx t);
+  t.rx_action <-
+    Sim.action sim ~cls:cls_link_rx (fun () -> (deliver_head [@inlined]) t);
+  t.tx_action <-
+    Sim.action sim ~cls:cls_link_tx (fun () -> (finish_tx [@inlined]) t);
   t
 
-let send t pkt =
-  match Queue_disc.enqueue t.queue pkt with
+let[@inline] send t pkt =
+  match (Queue_disc.enqueue [@inlined]) t.queue pkt with
   | `Dropped -> ()
-  | `Enqueued -> if not t.busy && t.up then start_tx t
+  | `Enqueued -> if not t.busy && t.up then (start_tx [@inlined]) t
 
 let set_up t up =
   if up && not t.up then begin

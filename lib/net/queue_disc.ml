@@ -82,7 +82,7 @@ let emit_occ t cls pkt =
   Trace_ev.emit_occ t.tracer cls ~time:(Sim.now t.sim) ~component:t.name
     ~flow:(Packet.flow t.st pkt) ~occ_bytes:t.occ_bytes ~occ_pkts:t.occ_pkts
 
-let accumulate t =
+let[@inline] accumulate t =
   let now = Sim.now t.sim in
   (* Instants are immediate ints: subtracting them directly skips the
      boxed span [Time.diff] would build, and the int -> float conversion
@@ -100,33 +100,38 @@ let accumulate t =
   end;
   t.last_change <- now
 
-let enqueue t pkt =
+(* A rejected admission: out of line, so the inlined [enqueue] keeps
+   only its admitted path. *)
+let[@inline never] drop t pkt =
+  t.drops <- t.drops + 1;
+  if
+    Buffer_mgr.shared t.buffer
+    && Trace_ev.enabled t.tracer Trace_ev.C_pool_reject
+  then
+    emit t
+      (Trace_ev.Pool_reject
+         {
+           flow = Packet.flow t.st pkt;
+           occ_bytes = t.occ_bytes;
+           pool_used = Buffer_mgr.pool_used t.buffer;
+           limit_bytes = Buffer_mgr.effective_limit t.buffer;
+         });
+  if Trace_ev.enabled t.tracer Trace_ev.C_drop then
+    emit_occ t Trace_ev.C_drop pkt;
+  (* The queue consumed the packet by dropping it: its handle is
+     recycled here, after the traces above read their fields. *)
+  Packet.free t.st pkt
+
+let[@inline] enqueue t pkt =
   let size = Packet.size t.st pkt in
-  if not (Buffer_mgr.admit t.buffer size) then begin
-    t.drops <- t.drops + 1;
-    if
-      Buffer_mgr.shared t.buffer
-      && Trace_ev.enabled t.tracer Trace_ev.C_pool_reject
-    then
-      emit t
-        (Trace_ev.Pool_reject
-           {
-             flow = Packet.flow t.st pkt;
-             occ_bytes = t.occ_bytes;
-             pool_used = Buffer_mgr.pool_used t.buffer;
-             limit_bytes = Buffer_mgr.effective_limit t.buffer;
-           });
-    if Trace_ev.enabled t.tracer Trace_ev.C_drop then
-      emit_occ t Trace_ev.C_drop pkt;
-    (* The queue consumed the packet by dropping it: its handle is
-       recycled here, after the traces above read their fields. *)
-    Packet.free t.st pkt;
+  if not ((Buffer_mgr.admit [@inlined]) t.buffer size) then begin
+    drop t pkt;
     `Dropped
   end
   else begin
-    accumulate t;
+    (accumulate [@inlined]) t;
     Packet.set_enq_ns t.st pkt (Time.to_int_ns (Sim.now t.sim));
-    Engine.Int_ring.push t.fifo pkt;
+    (Engine.Int_ring.push [@inlined]) t.fifo pkt;
     t.occ_bytes <- t.occ_bytes + size;
     t.occ_pkts <- t.occ_pkts + 1;
     t.enqueued <- t.enqueued + 1;
@@ -136,10 +141,11 @@ let enqueue t pkt =
        policy is consulted so hysteresis sees the K its zone machine
        should be judged against. Static buffers skip this: their limit
        was announced once at creation. *)
-    if Buffer_mgr.shared t.buffer then begin
+    if (Buffer_mgr.shared [@inlined]) t.buffer then begin
       t.marking.Marking.on_limit
-        ~limit_bytes:(Buffer_mgr.effective_limit t.buffer);
-      if Trace_ev.enabled t.tracer Trace_ev.C_pool_high_water then begin
+        ~limit_bytes:((Buffer_mgr.effective_limit [@inlined]) t.buffer);
+      if (Trace_ev.enabled [@inlined]) t.tracer Trace_ev.C_pool_high_water
+      then begin
         let hw = Buffer_mgr.poll_high_water t.buffer in
         if hw >= 0 then emit t (Trace_ev.Pool_high_water { pool_used = hw })
       end
@@ -149,31 +155,31 @@ let enqueue t pkt =
       if Packet.is_ect t.st pkt then begin
         Packet.mark_ce t.st pkt;
         t.marked <- t.marked + 1;
-        if Trace_ev.enabled t.tracer Trace_ev.C_mark then
+        if (Trace_ev.enabled [@inlined]) t.tracer Trace_ev.C_mark then
           emit_occ t Trace_ev.C_mark pkt
       end
     end;
-    if Trace_ev.enabled t.tracer Trace_ev.C_enqueue then
+    if (Trace_ev.enabled [@inlined]) t.tracer Trace_ev.C_enqueue then
       emit_occ t Trace_ev.C_enqueue pkt;
     `Enqueued
   end
 
-let dequeue_exn t =
-  let pkt = Engine.Int_ring.pop t.fifo in
+let[@inline] dequeue_exn t =
+  let pkt = (Engine.Int_ring.pop [@inlined]) t.fifo in
   let size = Packet.size t.st pkt in
-  accumulate t;
+  (accumulate [@inlined]) t;
   t.occ_bytes <- t.occ_bytes - size;
   t.occ_pkts <- t.occ_pkts - 1;
-  Buffer_mgr.release t.buffer size;
-  if Buffer_mgr.shared t.buffer then
+  (Buffer_mgr.release [@inlined]) t.buffer size;
+  if (Buffer_mgr.shared [@inlined]) t.buffer then
     t.marking.Marking.on_limit
-      ~limit_bytes:(Buffer_mgr.effective_limit t.buffer);
+      ~limit_bytes:((Buffer_mgr.effective_limit [@inlined]) t.buffer);
   t.marking.Marking.on_dequeue ~bytes:t.occ_bytes ~packets:t.occ_pkts;
-  if Trace_ev.enabled t.tracer Trace_ev.C_dequeue then
+  if (Trace_ev.enabled [@inlined]) t.tracer Trace_ev.C_dequeue then
     emit_occ t Trace_ev.C_dequeue pkt;
   pkt
 
-let is_empty t = Engine.Int_ring.is_empty t.fifo
+let[@inline] is_empty t = Engine.Int_ring.is_empty t.fifo
 
 let occupancy_bytes t = t.occ_bytes
 let occupancy_packets t = t.occ_pkts

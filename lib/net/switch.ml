@@ -114,29 +114,31 @@ let set_group_route t ~dst ~group =
   ensure_route_capacity t dst;
   t.routes.(dst) <- -2 - group
 
-let receive t pkt =
+let[@inline never] drop_no_route t pkt ~dst =
+  if Trace_ev.enabled t.tracer Trace_ev.C_no_route_drop then
+    Trace_ev.emit t.tracer
+      {
+        Trace_ev.time = Engine.Sim.now t.sim;
+        component = t.name;
+        event = Trace_ev.No_route_drop { flow = Packet.flow t.st pkt; dst };
+      };
+  (* The switch consumed the packet by dropping it. *)
+  Packet.free t.st pkt;
+  t.no_route <- t.no_route + 1
+
+(* Every [Topology] delivery closure calls this: it holds the one
+   inlined copy of the port's enqueue path, so it stays out of line. *)
+let[@inline never] receive t pkt =
   let dst = Packet.dst t.st pkt in
   let i = if dst < Array.length t.routes then t.routes.(dst) else -1 in
-  if i >= 0 then Port.send t.ports.(i) pkt
-  else if i < -1 then
-    (* ECMP: resolve the group per flow; same 5-tuple, same port. *)
-    let p =
+  let i =
+    if i < -1 then
+      (* ECMP: resolve the group per flow; same 5-tuple, same port. *)
       Ecmp.select t.groups.(-2 - i) ~src:(Packet.src t.st pkt) ~dst
         ~flow:(Packet.flow t.st pkt)
-    in
-    Port.send t.ports.(p) pkt
-  else begin
-    if Trace_ev.enabled t.tracer Trace_ev.C_no_route_drop then
-      Trace_ev.emit t.tracer
-        {
-          Trace_ev.time = Engine.Sim.now t.sim;
-          component = t.name;
-          event =
-            Trace_ev.No_route_drop { flow = Packet.flow t.st pkt; dst };
-        };
-    (* The switch consumed the packet by dropping it. *)
-    Packet.free t.st pkt;
-    t.no_route <- t.no_route + 1
-  end
+    else i
+  in
+  if i >= 0 then (Port.send [@inlined]) t.ports.(i) pkt
+  else drop_no_route t pkt ~dst
 
 let no_route_drops t = t.no_route

@@ -74,7 +74,7 @@ let all_classes =
     C_no_route_drop;
   ]
 
-let cls_index = function
+let[@inline] cls_index = function
   | C_enqueue -> 0
   | C_dequeue -> 1
   | C_drop -> 2
@@ -402,7 +402,7 @@ let create ?classes sink = { mask = class_mask classes; target = Sink sink }
 let create_handler ?classes ~occ ~cut ~flip other =
   { mask = class_mask classes; target = Handler { occ; cut; flip; other } }
 
-let enabled t c = t.mask land (1 lsl cls_index c) <> 0
+let[@inline] enabled t c = t.mask land (1 lsl (cls_index [@inlined]) c) <> 0
 
 let dispatch sink r =
   match sink with

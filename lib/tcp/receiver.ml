@@ -40,7 +40,7 @@ let sack_blocks t =
 
 let send_ack t ~ece =
   let pkt =
-    Segment.ack t.st ~src:(Net.Host.id t.host) ~dst:t.peer ~flow:t.flow
+    (Segment.ack [@inlined]) t.st ~src:(Net.Host.id t.host) ~dst:t.peer ~flow:t.flow
       ~size:t.ack_bytes ~ack:t.rcv_nxt ~ece ~sack:(sack_blocks t)
   in
   Net.Host.send t.host pkt
@@ -110,16 +110,16 @@ let create sim ~host ~flow ~peer ?(echo = Per_packet) ?(sack = false)
       sack;
       ack_bytes;
       rcv_nxt = 0;
-      ooo = Hashtbl.create 64;
+      ooo = Hashtbl.create 1 (* smallest; grows under reordering *);
       ce_state = false;
       pending = 0;
     }
   in
   Net.Host.bind_flow host ~flow (fun pkt ->
-      let seq = Segment.data_seq t.st pkt in
+      let seq = (Segment.data_seq [@inlined]) t.st pkt in
       let ce = Net.Packet.is_ce t.st pkt in
       (* Terminal consumer: extract fields, recycle, then process. *)
-      Net.Packet.free t.st pkt;
+      (Net.Packet.free [@inlined]) t.st pkt;
       if seq >= 0 then handle_data t ~seq ~ce);
   t
 

@@ -8,27 +8,27 @@ let tag_data = 1
 let tag_ack = 2
 let tag_ack_ece = 3
 
-let data st ~src ~dst ~flow ~size ~ecn ~seq =
-  Net.Packet.make_with_word st ~src ~dst ~flow ~size ~ecn
+let[@inline] data st ~src ~dst ~flow ~size ~ecn ~seq =
+  (Net.Packet.make_with_word [@inlined]) st ~src ~dst ~flow ~size ~ecn
     ~word:((seq lsl 2) lor tag_data)
     Net.Packet.No_payload
 
-let ack st ~src ~dst ~flow ~size ~ack ~ece ~sack =
-  Net.Packet.make_with_word st ~src ~dst ~flow ~size ~ecn:Net.Packet.Not_ect
+let[@inline] ack st ~src ~dst ~flow ~size ~ack ~ece ~sack =
+  (Net.Packet.make_with_word [@inlined]) st ~src ~dst ~flow ~size ~ecn:Net.Packet.Not_ect
     ~word:((ack lsl 2) lor (if ece then tag_ack_ece else tag_ack))
     (match sack with [] -> Net.Packet.No_payload | blocks -> Sack blocks)
 
-let data_seq st p =
+let[@inline] data_seq st p =
   let w = Net.Packet.word st p in
   if w land 3 = tag_data then w lsr 2 else -1
 
-let ack_no st p =
+let[@inline] ack_no st p =
   let w = Net.Packet.word st p in
   if w land 3 >= tag_ack then w lsr 2 else -1
 
-let ece st p = Net.Packet.word st p land 3 = tag_ack_ece
+let[@inline] ece st p = Net.Packet.word st p land 3 = tag_ack_ece
 
-let sack st p =
+let[@inline] sack st p =
   match Net.Packet.payload st p with Sack blocks -> blocks | _ -> []
 
 type view =

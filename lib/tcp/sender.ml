@@ -87,25 +87,27 @@ let emit t event =
       event;
     }
 
-let effective_window t = Stdlib.max 1 (int_of_float t.w.(0))
+let[@inline] effective_window t = Stdlib.max 1 (int_of_float t.w.(0))
 
-let outstanding t = t.snd_nxt - t.snd_una
+let[@inline] outstanding t = t.snd_nxt - t.snd_una
 
 let completed t = match t.completed_at with None -> false | Some _ -> true
 
-let rto_timer t =
-  match t.rto_timer with
-  | Some timer -> timer
-  | None -> invalid_arg "Sender: timer not initialised"
+let[@inline never] no_timer () = invalid_arg "Sender: timer not initialised"
 
-let arm_rto t = Timer.set (rto_timer t) ~after:(Rtt_estimator.rto t.rtt)
+let[@inline] rto_timer t =
+  match t.rto_timer with Some timer -> timer | None -> no_timer ()
+
+let[@inline] arm_rto t =
+  (Timer.set [@inlined]) ((rto_timer [@inlined]) t)
+    ~after:(Rtt_estimator.rto t.rtt)
 
 let send_segment t ~seq ~retransmission =
   let ecn =
     if t.config.ecn_capable then Net.Packet.Ect else Net.Packet.Not_ect
   in
   let pkt =
-    Segment.data t.st ~src:(Net.Host.id t.host) ~dst:t.peer ~flow:t.flow
+    (Segment.data [@inlined]) t.st ~src:(Net.Host.id t.host) ~dst:t.peer ~flow:t.flow
       ~size:t.config.segment_bytes ~ecn ~seq
   in
   if retransmission then begin
@@ -121,11 +123,12 @@ let send_segment t ~seq ~retransmission =
     t.sample_sent <- Sim.now t.sim
   end;
   Net.Host.send t.host pkt;
-  if not (Timer.is_pending (rto_timer t)) then arm_rto t
+  if not (Timer.is_pending ((rto_timer [@inlined]) t)) then
+    (arm_rto [@inlined]) t
 
 let pump t =
   if t.started && not (completed t) then begin
-    let window_limit = t.snd_una + effective_window t in
+    let window_limit = t.snd_una + (effective_window [@inlined]) t in
     let data_limit =
       match t.limit with Some n -> n | None -> max_int
     in
@@ -139,7 +142,7 @@ let check_complete t =
   match t.limit with
   | Some n when t.snd_una >= n && not (completed t) ->
       t.completed_at <- Some (Sim.now t.sim);
-      Timer.cancel (rto_timer t);
+      (Timer.cancel [@inlined]) ((rto_timer [@inlined]) t);
       if Obs.Trace.enabled t.tracer Obs.Trace.C_flow_done then
         emit t (Obs.Trace.Flow_done { flow = t.flow; segments = n });
       t.on_complete ();
@@ -207,10 +210,13 @@ let handle_new_ack t ~ack ~ece =
   t.cc.Cc.on_ack ~newly_acked:newly ~ece ~snd_una:t.snd_una
     ~snd_nxt:t.snd_nxt;
   if not (check_complete t) then begin
-    if outstanding t > 0 then arm_rto t else Timer.cancel (rto_timer t);
+    if (outstanding [@inlined]) t > 0 then (arm_rto [@inlined]) t
+    else (Timer.cancel [@inlined]) ((rto_timer [@inlined]) t);
     pump t;
-    if outstanding t > 0 && not (Timer.is_pending (rto_timer t)) then
-      arm_rto t
+    if
+      (outstanding [@inlined]) t > 0
+      && not (Timer.is_pending ((rto_timer [@inlined]) t))
+    then (arm_rto [@inlined]) t
   end
 
 let handle_dup_ack t ~ece =
@@ -237,7 +243,7 @@ let handle_dup_ack t ~ece =
       t.retransmissions <- t.retransmissions + 1;
       t.snd_nxt <- t.snd_una
     end;
-    arm_rto t
+    (arm_rto [@inlined]) t
   end
   else if t.in_recovery && t.config.sack then
     (* Each further dupack clocks out one more hole repair. *)
@@ -249,11 +255,11 @@ let handle_ack t ~ack ~ece ~sack =
     if ece then t.ece_acks <- t.ece_acks + 1;
     record_sack t sack;
     if ack > t.snd_una then handle_new_ack t ~ack ~ece
-    else if outstanding t > 0 then handle_dup_ack t ~ece
+    else if (outstanding [@inlined]) t > 0 then handle_dup_ack t ~ece
   end
 
 let handle_rto t =
-  if not (completed t) && outstanding t > 0 then begin
+  if not (completed t) && (outstanding [@inlined]) t > 0 then begin
     t.timeouts <- t.timeouts + 1;
     if Obs.Trace.enabled t.tracer Obs.Trace.C_rto then
       emit t
@@ -270,7 +276,7 @@ let handle_rto t =
     t.recover <- t.snd_nxt;
     t.snd_nxt <- t.snd_una;
     t.retransmissions <- t.retransmissions + 1;
-    arm_rto t;
+    (arm_rto [@inlined]) t;
     pump t
   end
 
@@ -310,8 +316,10 @@ let create sim ~host ~peer ~flow ~cc ?(tracer = Obs.Trace.null)
       rto_timer = None;
       sample_seq = -1;
       sample_sent = Time.zero;
-      scoreboard = Hashtbl.create 64;
-      rtx_done = Hashtbl.create 64;
+      (* Smallest tables (16 buckets): a non-SACK flow never writes
+         either, and a SACK flow's grow as its recoveries need. *)
+      scoreboard = Hashtbl.create 1;
+      rtx_done = Hashtbl.create 1;
       retransmissions = 0;
       timeouts = 0;
       fast_retransmits = 0;
@@ -335,11 +343,12 @@ let create sim ~host ~peer ~flow ~cc ?(tracer = Obs.Trace.null)
   in
   t.cc <- cc api;
   Net.Host.bind_flow host ~flow (fun pkt ->
-      let ack = Segment.ack_no t.st pkt in
-      let ece = Segment.ece t.st pkt and sack = Segment.sack t.st pkt in
+      let ack = (Segment.ack_no [@inlined]) t.st pkt in
+      let ece = (Segment.ece [@inlined]) t.st pkt
+      and sack = (Segment.sack [@inlined]) t.st pkt in
       (* The sender is this flow's terminal consumer of ACKs: extract
          the fields, recycle the handle, then run the ACK machinery. *)
-      Net.Packet.free t.st pkt;
+      (Net.Packet.free [@inlined]) t.st pkt;
       if ack >= 0 then handle_ack t ~ack ~ece ~sack);
   t
 
@@ -361,5 +370,5 @@ let ece_acks t = t.ece_acks
 let srtt t = Rtt_estimator.srtt t.rtt
 
 let close t =
-  Timer.cancel (rto_timer t);
+  (Timer.cancel [@inlined]) ((rto_timer [@inlined]) t);
   Net.Host.unbind_flow t.host ~flow:t.flow

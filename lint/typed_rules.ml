@@ -531,8 +531,36 @@ let lint_units ?(rules = rules) ?(report_paths = [])
                     float array slot or keep the computation int-typed")
                 ~notes:[]
           | _ -> ());
-          let chain = top_chain body [] in
-          let in_chain e = List.memq e chain in
+          (* The def's own parameter chain, then the chain of every
+             closure already judged: a curried closure's inner nodes
+             (ghost, or a trailing [function]) are judged with its head. *)
+          let judged = ref (top_chain body []) in
+          let in_chain e = List.memq e !judged in
+          (* A capturing closure allocates on every call and, unless the
+             compiler beta-reduces it away, keeps closure-mode ocamlopt
+             from inlining the def that holds it. [self] are the
+             binding's own names: a local [let rec] refers to itself
+             without capturing. *)
+          let closure ~line ~self fn =
+            judged := top_chain fn !judged;
+            let self = List.map Ident.name self in
+            match
+              List.filter
+                (fun v -> not (List.mem v self))
+                (free_vars ~unit:d.unit_canonical fn)
+            with
+            | [] -> () (* no captures: statically allocated *)
+            | vars ->
+                emit Rules.R14 ~file:d.source ~line
+                  ~message:
+                    (Printf.sprintf
+                       "closure inside hot-path %s captures %s — one \
+                        allocation per call; hoist it to creation time \
+                        (cf. Net.Port's per-port actions) or pass the \
+                        state as arguments"
+                       d.id (String.concat ", " vars))
+                  ~notes:[]
+          in
           let expr sub (e : Typedtree.expression) =
             (match e.exp_desc with
             | Texp_apply (fn, args)
@@ -562,20 +590,24 @@ let lint_units ?(rules = rules) ?(report_paths = [])
                       path)")
                   ~notes:[]
             | Texp_function _
-              when (not (in_chain e)) && not e.exp_loc.Location.loc_ghost -> (
-                match free_vars ~unit:d.unit_canonical e with
-                | [] -> () (* no captures: statically allocated *)
-                | vars ->
-                    emit Rules.R14 ~file:d.source ~line:(line_of_loc e.exp_loc)
-                      ~message:
-                        (Printf.sprintf
-                           "closure inside hot-path %s captures %s — one \
-                            allocation per call; hoist it to creation time \
-                            (cf. Net.Port's per-port actions) or pass the \
-                            state as arguments"
-                           d.id
-                           (String.concat ", " vars))
-                      ~notes:[])
+              when (not (in_chain e)) && not e.exp_loc.Location.loc_ghost ->
+                closure ~line:(line_of_loc e.exp_loc) ~self:[] e
+            | Texp_let (_, vbs, _) ->
+                (* [let g () = ... in] desugars to a function node with a
+                   ghost location, which the arm above skips (as it skips
+                   the ghost inner nodes of every curried chain). Report
+                   the chain's head at its binding's line instead. *)
+                List.iter
+                  (fun (vb : Typedtree.value_binding) ->
+                    match vb.vb_expr.exp_desc with
+                    | Texp_function _
+                      when vb.vb_expr.exp_loc.Location.loc_ghost
+                           && not (in_chain vb.vb_expr) ->
+                        closure ~line:(line_of_loc vb.vb_loc)
+                          ~self:(Typedtree.pat_bound_idents vb.vb_pat)
+                          vb.vb_expr
+                    | _ -> ())
+                  vbs
             | _ -> ());
             Tast_iterator.default_iterator.expr sub e
           in

@@ -68,20 +68,18 @@ let test_packet_mark_not_ect () =
   checkb "not ect" false (Packet.is_ect pkt_st p)
 
 let test_packet_bad_size () =
-  checkb "zero size raises" true
-    (match mk_pkt ~size:0 () with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+  Alcotest.check_raises "zero size raises"
+    (Invalid_argument "Packet.make: size must be positive") (fun () ->
+      ignore (mk_pkt ~size:0 ()))
 
 let test_packet_double_free () =
   let sim = Sim.create () in
   let st = Packet.store_of sim in
   let p = mk_pkt ~sim () in
   Packet.free st p;
-  checkb "second free raises" true
-    (match Packet.free st p with
-    | exception Invalid_argument _ -> true
-    | () -> false)
+  Alcotest.check_raises "second free raises"
+    (Invalid_argument "Packet.free: handle already freed") (fun () ->
+      Packet.free st p)
 
 let test_packet_pool_steady () =
   (* The store recycles handles: with at most [k] packets live at once,

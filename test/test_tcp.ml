@@ -603,6 +603,31 @@ let test_flow_determinism () =
   in
   checkb "identical runs" true (run () = run ())
 
+(* A flow's SACK scoreboard, retransmit set and out-of-order buffer are
+   sized by use: a non-SACK flow never writes the first two, and an
+   in-order one never writes the third, so a flow creates them at the
+   smallest size rather than paying for 64-bucket tables up front (three
+   of those were 210 words, half of a fat-tree flow's live words).
+   Averaged over 64 flows, so growth of the sim's action table and the
+   hosts' flow tables is amortized. *)
+let test_flow_creation_words () =
+  let sim = Sim.create () in
+  let src = Net.Host.create sim ~id:0 and dst = Net.Host.create sim ~id:1 in
+  let n = 64 in
+  let before = Gc.minor_words () in
+  for flow = 0 to n - 1 do
+    ignore
+      (Tcp.Flow.create sim ~src ~dst ~flow ~cc:Tcp.Cc.reno
+         ~config:{ Tcp.Sender.default_config with sack = false }
+         ())
+  done;
+  let per_flow = (Gc.minor_words () -. before) /. float_of_int n in
+  (* 299 words with the smallest tables, 443 with three 64-bucket ones;
+     any one table back at 64 buckets (+48 words) crosses the budget. *)
+  checkb
+    (Printf.sprintf "%.1f words per non-SACK flow <= 330" per_flow)
+    true (per_flow <= 330.)
+
 let suites =
   [
     ( "tcp.rtt_estimator",
@@ -665,6 +690,8 @@ let suites =
         Alcotest.test_case "sack beats go-back-N on retransmissions" `Slow
           test_sack_fewer_retransmissions;
         Alcotest.test_case "validation" `Quick test_sender_validation;
+        Alcotest.test_case "flow creation words" `Quick
+          test_flow_creation_words;
         Alcotest.test_case "determinism" `Quick test_flow_determinism;
       ] );
   ]

@@ -252,7 +252,18 @@ let s14 =
         let use_closure n l = List.map (fun x -> x + n) l\n\
         let ok_closure l = List.map (fun x -> x + 1) l\n\
         let to_float x = float_of_int x\n\
-        let sup n l = List.map (fun x -> x * n) l (* dtlint: allow R14 *)\n";
+        let sup n l = List.map (fun x -> x * n) l (* dtlint: allow R14 *)\n\
+        let local_capture n l =\n\
+       \  let add x = x + n in\n\
+       \  List.map add l\n\
+        let local_plain l =\n\
+       \  let inc x = x + 1 in\n\
+       \  let rec len acc = function [] -> acc | _ :: r -> len (acc + 1) r in\n\
+       \  len 0 (List.map inc l)\n";
+     (* Lines 7-13: a function written [let add x = ... in] is a closure
+        too, though its node has a ghost location. The capturing one is
+        reported at its binding's line; a capture-free one, and a local
+        [let rec] that only names itself, stay legal. *)
      (* same shape, but nothing hot reaches it *)
      write root "lib/net/coldpath.ml" "let mk n l = List.map (fun x -> x + n) l\n";
      (* wheel-shaped module: lib/engine/int_ring.ml and lib/net/packet.ml
@@ -282,11 +293,13 @@ let s14 =
 let test_r14_hot_path_allocs () =
   let vs = lint_root (Lazy.force s14) in
   check_renders
-    "partial application, capturing closure and float return flagged; \
-     capture-free closure, suppressed line and cold module stay legal"
+    "partial application, capturing closure (lambda or local function) \
+     and float return flagged; capture-free closure, suppressed line and \
+     cold module stay legal"
     [
       "R14 lib/engine/event_queue.ml:2"; "R14 lib/engine/event_queue.ml:3";
-      "R14 lib/engine/event_queue.ml:5"; "R14 lib/engine/int_ring.ml:1";
+      "R14 lib/engine/event_queue.ml:5"; "R14 lib/engine/event_queue.ml:8";
+      "R14 lib/engine/int_ring.ml:1";
       "R14 lib/net/ecmp.ml:1"; "R14 lib/net/packet.ml:2";
     ]
     vs;
@@ -297,7 +310,15 @@ let test_r14_hot_path_allocs () =
       vs
   in
   Alcotest.(check bool) "capture message names the variable" true
-    (contains ~sub:"captures n" capture.message)
+    (contains ~sub:"captures n" capture.message);
+  let local =
+    List.find
+      (fun (v : R.violation) ->
+        v.file = "lib/engine/event_queue.ml" && v.line = 8)
+      vs
+  in
+  Alcotest.(check bool) "local function's message names the variable" true
+    (contains ~sub:"local_capture captures n" local.message)
 
 (* R14's scheduling check: on the hot path (here a port's per-packet
    actions and [Port.send]; the units are named the way dune names a
