@@ -26,12 +26,8 @@ let jobs = ref 1
 
 let run_specs specs = Exp.Runner.run ~jobs:!jobs specs
 
-(* Same, with the streaming oscillation analyzer teed into every run
-   (its JSON block lands in each outcome's manifest). *)
-let run_specs_analyzed specs = Exp.Runner.run ~jobs:!jobs ~analyze:true specs
-
-(* The protocol operating points now live in Exp.Registry; the two the
-   analysis sections (spectrum, parking lot) instantiate directly: *)
+(* The protocol operating points live in Exp.Registry; the two the
+   spectrum section instantiates directly: *)
 let dctcp_sim () = Exp.Spec.protocol_of Exp.Registry.sim_dctcp
 let dt_sim () = Exp.Spec.protocol_of Exp.Registry.sim_dt
 
@@ -77,35 +73,6 @@ let dynamic_of =
 let convergence_of =
   payload_of (function Exp.Outcome.Convergence r -> Some r | _ -> None)
 
-let fattree_of =
-  payload_of (function Exp.Outcome.Fattree r -> Some r | _ -> None)
-
-(* The streaming analyzer's block in [o]'s manifest (only longlived
-   runs carry one). *)
-let analysis_of (o : Exp.Runner.outcome) =
-  ignore (longlived_of o);
-  match o.Exp.Runner.manifest.Obs.Manifest.analysis with
-  | Some a -> a
-  | None ->
-      bad_outcome o.Exp.Runner.spec.Exp.Spec.name
-        "manifest has no analysis block"
-
-(* Navigate an analysis block; a missing path is a harness bug, not a
-   data point. *)
-let afloat name analysis path =
-  let rec go j = function
-    | [] -> (
-        match j with
-        | Obs.Json.Float f -> f
-        | Obs.Json.Int i -> float_of_int i
-        | _ -> bad_outcome name "analysis field is not a number")
-    | k :: rest -> (
-        match Obs.Json.member k j with
-        | Some v -> go v rest
-        | None -> bad_outcome name ("analysis block lacks " ^ k))
-  in
-  go analysis path
-
 let section_header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
@@ -117,21 +84,22 @@ let manifest_written : (string, unit) Hashtbl.t = Hashtbl.create 8
 
 let wrote_manifest section = Hashtbl.mem manifest_written section
 
-let write_manifest ~section ~wall_s ?(seed = 0L) ?(events = 0) ?(params = [])
-    ?(metrics = []) () =
+let save_manifest ~section manifest =
   Hashtbl.replace manifest_written section ();
-  let manifest =
-    Obs.Manifest.make
-      ~name:("bench." ^ section)
-      ~seed
-      ~params:(("quick", Obs.Json.Bool !quick) :: params)
-      ~wall_clock_s:wall_s ~events ~metrics ()
-  in
   let file = Printf.sprintf "BENCH_%s.json" section in
   let oc = open_out file in
   Obs.Manifest.write oc manifest;
   close_out oc;
   Printf.printf "[manifest %s]\n%!" file
+
+let write_manifest ~section ~wall_s ?(seed = 0L) ?(events = 0) ?(params = [])
+    ?(metrics = []) () =
+  save_manifest ~section
+    (Obs.Manifest.make
+       ~name:("bench." ^ section)
+       ~seed
+       ~params:(("quick", Obs.Json.Bool !quick) :: params)
+       ~wall_clock_s:wall_s ~events ~metrics ())
 
 let mbps bps = bps /. 1e6
 let gbps bps = bps /. 1e9

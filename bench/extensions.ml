@@ -1,10 +1,8 @@
 (* Extension benches beyond the reproduced paper: D2TCP (the deadline-aware
    DCTCP derivative the paper's introduction cites) and SACK recovery, both
    on the star fan-in; the queue-buildup mixed-traffic and convergence
-   experiments from the original DCTCP paper; and parking-lot fairness.
-
-   All sections but parking_lot (custom multi-hop topology wiring) run
-   their Exp.Registry spec lists through Bench_common.run_specs. *)
+   experiments from the original DCTCP paper. Every section runs its
+   Exp.Registry spec list through Bench_common.run_specs. *)
 
 module Time = Engine.Time
 module F = Workloads.Fanin
@@ -133,81 +131,6 @@ let convergence () =
      converge each newcomer to its fair share within tens of ms (tens to\n\
      hundreds of RTTs) and keep near-1 Jain fairness while all five are\n\
      active.\n"
-
-let parking_lot () =
-  Bench_common.section_header
-    "Extension: multi-bottleneck fairness (parking lot, 3 hops)";
-  let t =
-    Stats.Table.create
-      ~title:
-        "goodput (Mbps): one long flow across 3 marked trunks vs one cross \
-         flow per hop (1 Gbps trunks)"
-      ~columns:
-        [
-          Stats.Table.column ~align:Stats.Table.Left "protocol";
-          Stats.Table.column "long flow";
-          Stats.Table.column "cross 0";
-          Stats.Table.column "cross 1";
-          Stats.Table.column "cross 2";
-          Stats.Table.column "long/fair";
-        ]
-  in
-  List.iter
-    (fun (name, proto) ->
-      let sim = Engine.Sim.create ~seed:11L () in
-      let pl =
-        Net.Topology.parking_lot sim ~hops:3 ~rate_bps:1e9
-          ~buffer_bytes:(300 * 1500)
-          ~marking:(fun () -> proto.Dctcp.Protocol.marking ()) ()
-      in
-      let tcp_config =
-        { Tcp.Sender.default_config with min_rto = Time.span_of_ms 10. }
-      in
-      let mk ~flow src dst =
-        Tcp.Flow.create sim ~src ~dst ~flow ~cc:proto.Dctcp.Protocol.cc
-          ~config:tcp_config ~echo:proto.Dctcp.Protocol.echo ()
-      in
-      let long = mk ~flow:0 pl.Net.Topology.long_src pl.Net.Topology.long_dst in
-      let crosses =
-        Array.init 3 (fun i ->
-            mk ~flow:(1 + i)
-              pl.Net.Topology.cross_srcs.(i)
-              pl.Net.Topology.cross_dsts.(i))
-      in
-      Tcp.Flow.start long;
-      Array.iter Tcp.Flow.start crosses;
-      let warm = Bench_common.scale_span (Time.span_of_ms 100.) in
-      let measure = Bench_common.scale_span (Time.span_of_ms 300.) in
-      Engine.Sim.run ~until:(Time.of_ns warm) sim;
-      let base_long = Tcp.Flow.segments_delivered long in
-      let base_cross = Array.map Tcp.Flow.segments_delivered crosses in
-      Engine.Sim.run ~until:(Time.add (Time.of_ns warm) measure) sim;
-      let window = Time.span_to_sec measure in
-      let rate base f =
-        float_of_int ((Tcp.Flow.segments_delivered f - base) * 1500 * 8)
-        /. window /. 1e6
-      in
-      let long_rate = rate base_long long in
-      let cross_rates = Array.mapi (fun i f -> rate base_cross.(i) f) crosses in
-      Stats.Table.add_row t
-        [
-          name;
-          Stats.Table.fmt_f 1 long_rate;
-          Stats.Table.fmt_f 1 cross_rates.(0);
-          Stats.Table.fmt_f 1 cross_rates.(1);
-          Stats.Table.fmt_f 1 cross_rates.(2);
-          Stats.Table.fmt_f 2 (long_rate /. 500.);
-        ])
-    [
-      ("DCTCP", Bench_common.dctcp_sim ());
-      ("DT-DCTCP", Bench_common.dt_sim ());
-      ("Reno", Dctcp.Protocol.reno ());
-    ];
-  Stats.Table.print t;
-  Printf.printf
-    "\nThe long flow crosses three marked queues, so it sees roughly the\n\
-     union of the marks and falls below the per-link fair share of 500 Mbps\n\
-     (the classic multi-bottleneck beat-down); cross flows absorb the rest.\n"
 
 let queue_buildup () =
   Bench_common.section_header

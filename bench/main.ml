@@ -1,11 +1,32 @@
 (* Figure-reproduction harness: one section per table/figure of the paper's
-   evaluation, plus ablations, extensions and the events/s performance tables.
+   evaluation, plus ablations, extensions, the claims of Exp.Claim and the
+   events/s performance tables.
 
    Usage: main.exe [--quick] [-j N] [section ...]
    Sections: fig1 fig2 fig_df fig9 sweep fig14 fig15 ablations fluid
-   robustness oscillation buffer fattree perf
-   (default: all). -j N fans each section's Exp.Runner sweep across N
-   domains; results are bit-identical to -j 1 by construction. *)
+   df_vs_fluid spectrum extensions robustness oscillation buffer fattree
+   perf (default: all). -j N fans each section's Exp.Runner sweep across
+   N domains; results are bit-identical to -j 1 by construction. Exits 1
+   when a point of a claim section does not hold. *)
+
+let claims_hold = ref true
+
+(* A claim section: its table, one verdict per point, and its manifest
+   as BENCH_<name>.json. *)
+let claim (c : Exp.Claim.t) () =
+  Bench_common.section_header c.Exp.Claim.title;
+  let r =
+    Exp.Claim.evaluate ~jobs:!Bench_common.jobs ~quick:!Bench_common.quick c
+  in
+  Stats.Table.print r.Exp.Claim.table;
+  List.iter
+    (fun (v : Exp.Claim.verdict) ->
+      Printf.printf "  %s\n" (Exp.Claim.verdict_to_string v);
+      match v.Exp.Claim.status with
+      | Exp.Claim.Holds -> ()
+      | Exp.Claim.Fails | Exp.Claim.Invalid -> claims_hold := false)
+    r.Exp.Claim.verdicts;
+  Bench_common.save_manifest ~section:c.Exp.Claim.name r.Exp.Claim.manifest
 
 let sections =
   [
@@ -30,14 +51,13 @@ let sections =
         Extensions.d2tcp ();
         Extensions.sack ();
         Extensions.queue_buildup ();
-        Extensions.convergence ();
-        Extensions.parking_lot () );
+        Extensions.convergence () );
     ("robustness", Robustness.run);
-    ("oscillation", Oscillation.run);
-    ("buffer", Buffer.run);
-    ("fattree", Fattree.run);
-    ("perf", Perf.run);
   ]
+  @ List.map
+      (fun (c : Exp.Claim.t) -> (c.Exp.Claim.name, claim c))
+      Exp.Claim.all
+  @ [ ("perf", Perf.run) ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -89,4 +109,8 @@ let () =
         Bench_common.write_manifest ~section:name ~wall_s ();
       Printf.printf "\n[%s done in %.1fs]\n%!" name wall_s)
     selected;
-  Printf.printf "\nTotal: %.1fs\n" (Obs.Profile.wall_clock () -. t0)
+  Printf.printf "\nTotal: %.1fs\n" (Obs.Profile.wall_clock () -. t0);
+  if not !claims_hold then begin
+    Printf.eprintf "bench: a claim does not hold at every point\n";
+    exit 1
+  end

@@ -81,6 +81,28 @@ let fig_sweep_specs ?(ns = sweep_ns) ?warmup ?measure () =
         [ sim_dctcp; sim_dt ])
     ns
 
+(* The oscillation N-sweep behind the headline claim: the simulation
+   operating points under seed 42, slugged "dctcp" and "dt". *)
+let oscillation_ns = [ 10; 30; 60 ]
+
+let oscillation_specs ?warmup ?measure () =
+  List.concat_map
+    (fun n ->
+      let config =
+        { (longlived_config ?warmup ?measure ~n ()) with L.seed = 42L }
+      in
+      List.map
+        (fun (slug, proto) ->
+          {
+            Spec.name = Printf.sprintf "oscillation/%s/n=%d" slug n;
+            protocol = proto;
+            workload = Spec.Longlived config;
+            faults = None;
+            buffer = Net.Buffer_mgr.Static;
+          })
+        [ ("dctcp", sim_dctcp); ("dt", sim_dt) ])
+    oscillation_ns
+
 let incast_flow_counts =
   [ 4; 8; 12; 16; 20; 24; 28; 30; 32; 34; 36; 38; 40; 42; 44; 48 ]
 
@@ -688,6 +710,11 @@ let entries =
       name = "fig_sweep";
       doc = "Figures 10-12: dumbbell flow-count sweep N=10..100";
       specs = (fun () -> fig_sweep_specs ());
+    };
+    {
+      name = "oscillation";
+      doc = "oscillation amplitude N-sweep, DCTCP vs DT-DCTCP at N=10,30,60";
+      specs = (fun () -> oscillation_specs ());
     };
     {
       name = "fig_incast";

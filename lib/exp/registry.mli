@@ -39,6 +39,14 @@ val fig_sweep_specs :
   unit ->
   Spec.t list
 
+val oscillation_ns : int list
+(** N = 10, 30, 60. *)
+
+val oscillation_specs :
+  ?warmup:Engine.Time.span -> ?measure:Engine.Time.span -> unit -> Spec.t list
+(** Long-lived dumbbell at each of {!oscillation_ns} under seed 42, for
+    {!sim_dctcp} and {!sim_dt}, named [oscillation/<dctcp|dt>/n=<N>]. *)
+
 val incast_flow_counts : int list
 
 val fig_incast_specs :
@@ -93,10 +101,6 @@ val bdp_bytes : int
 val buffer_pool_sizes : int list
 (** Default pool sweep, from under 0.1 BDP (10 KB) to deep (8 BDP). *)
 
-val buffer_protocols : (string * Spec.protocol) list
-(** Slugged protocol points of the buffer study: the two scaled ECN
-    transports plus loss-based NewReno. *)
-
 val fig_buffer_specs :
   ?pool_sizes:int list ->
   ?alphas:float list ->
@@ -107,13 +111,11 @@ val fig_buffer_specs :
   Spec.t list
 (** Long-lived dumbbell at [n] flows (default 10) where the bottleneck
     switch draws every port from one Dynamic-Threshold pool, swept over
-    [pool_sizes] x [alphas] x {!buffer_protocols}. *)
+    [pool_sizes] x [alphas] x the protocols [dctcp] and [dt-dctcp]
+    (marking at fractions of the effective limit) and loss-based
+    [newreno], named [fig_buffer/<protocol>/B=<bytes>/a=<alpha>]. *)
 
 (** {2 Fat-tree fabric study (extension)} *)
-
-val fattree_protocols : (string * Spec.protocol) list
-(** Slugged protocol points of the fabric study: the testbed 1 Gbps
-    DCTCP and DT-DCTCP operating points plus loss-based NewReno. *)
 
 val fattree_ks : int list
 (** Default arity sweep: k = 4 (16 hosts) and k = 8 (128 hosts,
@@ -126,6 +128,9 @@ val fig_fattree_specs :
   ?time_cap:Engine.Time.span ->
   unit ->
   Spec.t list
+(** The fabric at each of [ks] under the testbed 1 Gbps DCTCP and
+    DT-DCTCP operating points and loss-based NewReno, named
+    [fig_fattree/<dctcp|dt-dctcp|newreno>/k=<k>]. *)
 
 (** {2 Robustness sweeps}
 

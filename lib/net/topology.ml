@@ -108,80 +108,6 @@ let dumbbell sim ~n_senders ~bottleneck_rate_bps ?access_rate_bps ~rtt
   in
   { senders; receiver; switch; bottleneck = Switch.port switch idx }
 
-type parking_lot = {
-  chain : Switch.t array;
-  long_src : Host.t;
-  long_dst : Host.t;
-  cross_srcs : Host.t array;
-  cross_dsts : Host.t array;
-  trunks : Port.t array;
-}
-
-let parking_lot sim ~hops ~rate_bps ?access_rate_bps ?link_delay
-    ~buffer_bytes ?(buffer = Buffer_mgr.Static) ~marking () =
-  if hops <= 0 then invalid_arg "Topology.parking_lot: need hops";
-  let access_rate_bps =
-    match access_rate_bps with Some r -> r | None -> 4. *. rate_bps
-  in
-  let delay =
-    match link_delay with Some d -> d | None -> Time.span_of_us 12.5
-  in
-  (* One pool per switch: each chain element models its own ASIC. *)
-  let chain =
-    Array.init (hops + 1) (fun i -> Switch.create sim ~id:i ~buffer ())
-  in
-  (* Hosts: ids 0 = long_src, 1 = long_dst, then cross pairs. The location
-     of every host (which switch it hangs off) drives the chain routing. *)
-  let long_src = Host.create sim ~id:0 in
-  let long_dst = Host.create sim ~id:1 in
-  let cross_srcs = Array.init hops (fun i -> Host.create sim ~id:(2 + (2 * i))) in
-  let cross_dsts =
-    Array.init hops (fun i -> Host.create sim ~id:(3 + (2 * i)))
-  in
-  let location = Hashtbl.create 16 in
-  Hashtbl.replace location (Host.id long_src) 0;
-  Hashtbl.replace location (Host.id long_dst) hops;
-  Array.iteri
-    (fun i h -> Hashtbl.replace location (Host.id h) i)
-    cross_srcs;
-  Array.iteri
-    (fun i h -> Hashtbl.replace location (Host.id h) (i + 1))
-    cross_dsts;
-  let attach host sw =
-    ignore
-      (connect_host_to_switch sim host sw ~rate_bps:access_rate_bps ~delay ())
-  in
-  attach long_src chain.(0);
-  attach long_dst chain.(hops);
-  Array.iteri (fun i h -> attach h chain.(i)) cross_srcs;
-  Array.iteri (fun i h -> attach h chain.(i + 1)) cross_dsts;
-  (* Trunks with per-hop marking forward, plain drop-tail backward. *)
-  let right_port = Array.make (hops + 1) (-1) in
-  let left_port = Array.make (hops + 1) (-1) in
-  for i = 0 to hops - 1 do
-    let fwd, back =
-      connect_switches sim chain.(i) chain.(i + 1) ~rate_bps ~delay
-        ~buffer_ab:buffer_bytes ~marking_ab:(marking ()) ()
-    in
-    right_port.(i) <- fwd;
-    left_port.(i + 1) <- back
-  done;
-  let trunks =
-    Array.init hops (fun i -> Switch.port chain.(i) right_port.(i))
-  in
-  (* Chain routing: hosts at other switches go left or right. *)
-  Hashtbl.iter
-    (fun host_id loc ->
-      Array.iteri
-        (fun sw_idx sw ->
-          if loc > sw_idx then
-            Switch.set_route sw ~dst:host_id ~port:right_port.(sw_idx)
-          else if loc < sw_idx then
-            Switch.set_route sw ~dst:host_id ~port:left_port.(sw_idx))
-        chain)
-    location;
-  { chain; long_src; long_dst; cross_srcs; cross_dsts; trunks }
-
 type star = {
   aggregator : Host.t;
   workers : Host.t array;

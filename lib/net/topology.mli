@@ -41,38 +41,6 @@ val dumbbell :
     and the reverse ACK-path queues — draws from one shared pool and
     [buffer_bytes] is ignored. *)
 
-(** {2 Parking lot (multi-bottleneck chain)} *)
-
-type parking_lot = {
-  chain : Switch.t array;  (** [hops + 1] switches in a line. *)
-  long_src : Host.t;  (** Sends across every hop. *)
-  long_dst : Host.t;
-  cross_srcs : Host.t array;  (** One per hop, entering at switch [i]. *)
-  cross_dsts : Host.t array;  (** Leaving at switch [i+1]. *)
-  trunks : Port.t array;
-      (** Forward inter-switch ports — the [hops] bottlenecks, each with
-          its own fresh marking policy. *)
-}
-
-val parking_lot :
-  Engine.Sim.t ->
-  hops:int ->
-  rate_bps:float ->
-  ?access_rate_bps:float ->
-  ?link_delay:Engine.Time.span ->
-  buffer_bytes:int ->
-  ?buffer:Buffer_mgr.config ->
-  marking:(unit -> Marking.t) ->
-  unit ->
-  parking_lot
-(** The classic multi-bottleneck fairness topology: a long flow traverses
-    all [hops] trunk links while each hop also carries a one-hop cross
-    flow. Access links run at [access_rate_bps] (default 4x the trunk
-    rate) so the trunks are the only bottlenecks. [link_delay] (default
-    12.5 us) applies per link traversal. [buffer] (default [Static])
-    applies per chain switch — each element models its own shared-memory
-    ASIC. *)
-
 (** {2 Star testbed (paper Section VI-B, Figure 13)} *)
 
 type star = {

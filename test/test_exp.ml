@@ -996,6 +996,240 @@ let test_manifest_no_analysis () =
   Alcotest.(check bool) "no analysis member in JSON" true
     (Json.member "analysis" (Obs.Manifest.to_json o.Runner.manifest) = None)
 
+(* --- claims ------------------------------------------------------------- *)
+
+module Claim = Exp.Claim
+
+let claim name =
+  match
+    List.find_opt (fun (c : Claim.t) -> String.equal c.name name) Claim.all
+  with
+  | Some c -> c
+  | None -> Alcotest.fail ("no claim " ^ name)
+
+let fattree_spec proto k =
+  let name = Printf.sprintf "fig_fattree/%s/k=%d" proto k in
+  match Registry.select name with
+  | Some [ s ] -> s
+  | _ -> Alcotest.fail ("no spec " ^ name)
+
+type tails = { p50 : float; p95 : float; p99 : float; p999 : float }
+
+let tails p99 = { p50 = 2.; p95 = 3.; p99; p999 = 5. }
+
+(* A fat-tree run that never ran: its result and manifest are made up,
+   so each evaluator path is reached without simulating. *)
+let fake ?(no_route_drops = 0) ?(failed = false) proto k t =
+  let spec = fattree_spec proto k in
+  let result =
+    if failed then Outcome.Failed { spec = spec.Spec.name; error = "boom" }
+    else
+      Outcome.Done
+        (Outcome.Fattree
+           {
+             Workloads.Fattree.slowdown_p50 = t.p50;
+             slowdown_p95 = t.p95;
+             slowdown_p99 = t.p99;
+             slowdown_p999 = t.p999;
+             slowdown_mean = 2.;
+             slowdown_max = 6.;
+             flows_total = 10;
+             timeouts = 0;
+             incomplete = 0;
+             no_route_drops;
+           })
+  in
+  {
+    Runner.spec;
+    result;
+    manifest =
+      Obs.Manifest.make ~name:spec.Spec.name ~seed:1L ~params:[]
+        ~wall_clock_s:0. ~events:0 ~metrics:[] ();
+  }
+
+let status_to_string = function
+  | Claim.Holds -> "holds"
+  | Claim.Fails -> "fails"
+  | Claim.Invalid -> "invalid"
+
+(* [expect] is one (point, status) per verdict; every verdict must name
+   its claim and point, in its record and in its printed line. *)
+let check_verdicts msg (c : Claim.t) outcomes expect =
+  let vs = Claim.judge c (Array.of_list outcomes) in
+  Alcotest.(check (list (pair string string)))
+    msg expect
+    (List.map
+       (fun (v : Claim.verdict) ->
+         (v.Claim.point, status_to_string v.Claim.status))
+       vs);
+  List.iter
+    (fun (v : Claim.verdict) ->
+      Alcotest.(check string)
+        (msg ^ ": claim named") c.Claim.name v.Claim.claim;
+      let line = Claim.verdict_to_string v in
+      let prefix = c.Claim.name ^ " " ^ v.Claim.point ^ ": " in
+      Alcotest.(check bool)
+        (msg ^ ": line names claim and point: " ^ line)
+        true
+        (String.length line > String.length prefix
+        && String.equal prefix (String.sub line 0 (String.length prefix))))
+    vs;
+  vs
+
+let detail_has msg sub (v : Claim.verdict) =
+  let d = v.Claim.detail in
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length d
+    && (String.equal (String.sub d i n) sub || at (i + 1))
+  in
+  Alcotest.(check bool) (msg ^ ": " ^ d ^ " mentions " ^ sub) true (at 0)
+
+let test_claim_holds () =
+  let c = claim "fattree" in
+  (* Points are read off the specs, so run order does not matter. *)
+  ignore
+    (check_verdicts "holds" c
+       [
+         fake "dt-dctcp" 8 (tails 30.);
+         fake "dctcp" 4 (tails 20.);
+         fake "newreno" 4 (tails 900.);
+         fake "dctcp" 8 (tails 31.);
+         fake "dt-dctcp" 4 (tails 20.);
+       ]
+       [ ("k8", "holds"); ("k4", "holds") ])
+
+let test_claim_fails () =
+  let c = claim "fattree" in
+  ignore
+    (check_verdicts "Le excess" c
+       [ fake "dctcp" 4 (tails 20.); fake "dt-dctcp" 4 (tails 20.5) ]
+       [ ("k4", "fails") ]);
+  ignore
+    (check_verdicts "Lt tie" { c with Claim.rel = Claim.Lt }
+       [ fake "dctcp" 4 (tails 20.); fake "dt-dctcp" 4 (tails 20.) ]
+       [ ("k4", "fails") ]);
+  ignore
+    (check_verdicts "Le tie" c
+       [ fake "dctcp" 4 (tails 20.); fake "dt-dctcp" 4 (tails 20.) ]
+       [ ("k4", "holds") ])
+
+let test_claim_invalid () =
+  let c = claim "fattree" in
+  let bare = { c with Claim.validity = [] } in
+  let one msg claim outcomes reason =
+    match check_verdicts msg claim outcomes [ ("k4", "invalid") ] with
+    | [ v ] -> detail_has msg reason v
+    | _ -> Alcotest.fail (msg ^ ": one verdict expected")
+  in
+  one "missing metric" c [ fake "dt-dctcp" 4 (tails 20.) ]
+    "slowdown_p99.dctcp.k4 missing";
+  one "NaN" bare
+    [ fake "dctcp" 4 (tails 20.); fake "dt-dctcp" 4 (tails Float.nan) ]
+    "slowdown_p99.dt-dctcp.k4 is NaN";
+  one "no-route drops" c
+    [
+      fake "dctcp" 4 (tails 20.);
+      fake "dt-dctcp" 4 (tails 10.);
+      fake ~no_route_drops:3 "newreno" 4 (tails 900.);
+    ]
+    "fig_fattree/newreno/k=4: 3 no-route drops";
+  one "failed run" c
+    [ fake ~failed:true "dctcp" 4 (tails 20.); fake "dt-dctcp" 4 (tails 10.) ]
+    "fig_fattree/dctcp/k=4: boom";
+  ignore (check_verdicts "no runs" c [] [ ("-", "invalid") ])
+
+(* The fat-tree tail check the claim replaces: every protocol's four
+   slowdown percentiles must be finite and at least 1. *)
+let test_fattree_tails_validity () =
+  let c = claim "fattree" in
+  let good = tails 20. in
+  List.iter
+    (fun proto ->
+      List.iter
+        (fun (pct, bad) ->
+          List.iter
+            (fun v ->
+              let runs =
+                List.map
+                  (fun p ->
+                    fake p 8 (if String.equal p proto then bad v else good))
+                  [ "dctcp"; "dt-dctcp"; "newreno" ]
+              in
+              ignore
+                (check_verdicts
+                   (Printf.sprintf "%s %s = %g" proto pct v)
+                   c runs
+                   [ ("k8", "invalid") ]))
+            [ 0.5; Float.nan; Float.infinity ])
+        [
+          ("p50", fun v -> { good with p50 = v });
+          ("p95", fun v -> { good with p95 = v });
+          ("p99", fun v -> { good with p99 = v });
+          ("p999", fun v -> { good with p999 = v });
+        ])
+    [ "dctcp"; "dt-dctcp"; "newreno" ]
+
+let proto_of (s : Spec.t) =
+  match String.split_on_char '/' s.Spec.name with
+  | _ :: p :: _ -> p
+  | _ -> Alcotest.fail ("unslugged spec " ^ s.Spec.name)
+
+let uniq xs = List.sort_uniq Int.compare xs
+
+(* The sweeps the claims run must span what they claim to span. *)
+let test_claim_sweeps () =
+  List.iter
+    (fun quick ->
+      let mode = if quick then "quick" else "full" in
+      let buffer = (claim "buffer").Claim.specs ~quick in
+      let pools =
+        uniq
+          (List.map
+             (fun (s : Spec.t) ->
+               match s.Spec.buffer with
+               | Net.Buffer_mgr.Dynamic_threshold { pool_bytes; _ } ->
+                   pool_bytes
+               | Net.Buffer_mgr.Static -> Alcotest.fail "static buffer spec")
+             buffer)
+      in
+      Alcotest.(check bool) (mode ^ ": >= 4 pool sizes") true
+        (List.length pools >= 4);
+      Alcotest.(check bool) (mode ^ ": smallest pool under BDP/10") true
+        (List.hd pools < Registry.bdp_bytes / 10);
+      Alcotest.(check bool) (mode ^ ": largest pool over one BDP") true
+        (List.nth pools (List.length pools - 1) > Registry.bdp_bytes);
+      let fattree = (claim "fattree").Claim.specs ~quick in
+      Alcotest.(check (list int)) (mode ^ ": fat-tree ks") [ 4; 8 ]
+        (uniq
+           (List.map
+              (fun (s : Spec.t) ->
+                match s.Spec.workload with
+                | Spec.Fattree cfg -> cfg.Workloads.Fattree.k
+                | _ -> Alcotest.fail "fat-tree claim runs a non-fabric spec")
+              fattree));
+      Alcotest.(check (list string)) (mode ^ ": fat-tree protocols")
+        [ "dctcp"; "dt-dctcp"; "newreno" ]
+        (List.sort_uniq String.compare (List.map proto_of fattree));
+      let osc = (claim "oscillation").Claim.specs ~quick in
+      Alcotest.(check (list int)) (mode ^ ": oscillation N") [ 10; 30; 60 ]
+        (uniq
+           (List.map
+              (fun (s : Spec.t) ->
+                match s.Spec.workload with
+                | Spec.Longlived cfg -> cfg.Workloads.Longlived.n_flows
+                | _ -> Alcotest.fail "oscillation runs a non-dumbbell spec")
+              osc));
+      List.iter
+        (fun s ->
+          Alcotest.(check int64)
+            (mode ^ ": oscillation seed") 42L (Spec.seed s))
+        osc)
+    [ false; true ];
+  Alcotest.(check (list string)) "claim names"
+    [ "oscillation"; "buffer"; "fattree" ]
+    (List.map (fun (c : Claim.t) -> c.Claim.name) Claim.all)
+
 let suites =
   [
     ( "exp.spec",
@@ -1063,5 +1297,18 @@ let suites =
           test_online_offline_analysis;
         Alcotest.test_case "analysis absent when disabled" `Quick
           test_manifest_no_analysis;
+      ] );
+    ( "exp.claim",
+      [
+        Alcotest.test_case "holds, points read off the specs" `Quick
+          test_claim_holds;
+        Alcotest.test_case "fails on an Le excess and an Lt tie" `Quick
+          test_claim_fails;
+        Alcotest.test_case "invalid: missing, NaN, no-route, failed, empty"
+          `Quick test_claim_invalid;
+        Alcotest.test_case "fat-tree tails finite and >= 1" `Quick
+          test_fattree_tails_validity;
+        Alcotest.test_case "sweeps span the claimed range" `Quick
+          test_claim_sweeps;
       ] );
   ]

@@ -644,73 +644,6 @@ let test_star_reverse_and_cross () =
   checki "agg to worker" 1 !got_w0;
   checki "worker to worker" 1 !got_w8
 
-let test_parking_lot_connectivity () =
-  let sim = Sim.create () in
-  let pl =
-    Net.Topology.parking_lot sim ~hops:3 ~rate_bps:1e9
-      ~buffer_bytes:100_000 ~marking:(fun () -> Marking.none ()) ()
-  in
-  checki "four switches" 4 (Array.length pl.Net.Topology.chain);
-  checki "three trunks" 3 (Array.length pl.Net.Topology.trunks);
-  (* long path end to end *)
-  let got_long = ref 0 in
-  Net.Host.bind_flow pl.Net.Topology.long_dst ~flow:7 (fun _ -> incr got_long);
-  Net.Host.send pl.Net.Topology.long_src
-    (mk_pkt ~sim
-       ~src:(Net.Host.id pl.Net.Topology.long_src)
-       ~dst:(Net.Host.id pl.Net.Topology.long_dst)
-       ~flow:7 ());
-  (* every cross path *)
-  let got_cross = Array.map (fun _ -> ref 0) pl.Net.Topology.cross_dsts in
-  Array.iteri
-    (fun i dst ->
-      Net.Host.bind_flow dst ~flow:(20 + i) (fun _ -> incr got_cross.(i));
-      Net.Host.send pl.Net.Topology.cross_srcs.(i)
-        (mk_pkt ~sim
-           ~src:(Net.Host.id pl.Net.Topology.cross_srcs.(i))
-           ~dst:(Net.Host.id dst) ~flow:(20 + i) ()))
-    pl.Net.Topology.cross_dsts;
-  (* reverse path for the long flow (ACKs) *)
-  let got_rev = ref 0 in
-  Net.Host.bind_flow pl.Net.Topology.long_src ~flow:9 (fun _ -> incr got_rev);
-  Net.Host.send pl.Net.Topology.long_dst
-    (mk_pkt ~sim
-       ~src:(Net.Host.id pl.Net.Topology.long_dst)
-       ~dst:(Net.Host.id pl.Net.Topology.long_src)
-       ~flow:9 ());
-  Sim.run sim;
-  checki "long delivered" 1 !got_long;
-  Array.iteri
-    (fun i r -> checki (Printf.sprintf "cross %d delivered" i) 1 !r)
-    got_cross;
-  checki "reverse delivered" 1 !got_rev
-
-let test_parking_lot_per_trunk_marking () =
-  (* Fresh policy per trunk: marking one trunk's queue must not mark
-     another's. *)
-  let sim = Sim.create () in
-  let instances = ref 0 in
-  let pl =
-    Net.Topology.parking_lot sim ~hops:2 ~rate_bps:1e9 ~buffer_bytes:100_000
-      ~marking:(fun () ->
-        incr instances;
-        Marking.none ())
-      ()
-  in
-  ignore pl;
-  checki "one policy per trunk" 2 !instances
-
-let test_parking_lot_validation () =
-  let sim = Sim.create () in
-  checkb "needs hops" true
-    (match
-       Net.Topology.parking_lot sim ~hops:0 ~rate_bps:1e9 ~buffer_bytes:1000
-         ~marking:(fun () -> Marking.none ())
-         ()
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
 (* --- cross-validation invariants --- *)
 
 (* The queue's built-in time-weighted statistics must agree with the
@@ -1254,12 +1187,6 @@ let suites =
         Alcotest.test_case "star connectivity" `Quick test_star_connectivity;
         Alcotest.test_case "star reverse and cross-leaf" `Quick
           test_star_reverse_and_cross;
-        Alcotest.test_case "parking lot connectivity" `Quick
-          test_parking_lot_connectivity;
-        Alcotest.test_case "parking lot per-trunk marking" `Quick
-          test_parking_lot_per_trunk_marking;
-        Alcotest.test_case "parking lot validation" `Quick
-          test_parking_lot_validation;
         Alcotest.test_case "fat tree wiring" `Quick test_fat_tree_wiring;
         Alcotest.test_case "fat tree all-pairs connectivity" `Quick
           test_fat_tree_all_pairs;
