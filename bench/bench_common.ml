@@ -102,4 +102,3 @@ let write_manifest ~section ~wall_s ?(seed = 0L) ?(events = 0) ?(params = [])
        ~wall_clock_s:wall_s ~events ~metrics ())
 
 let mbps bps = bps /. 1e6
-let gbps bps = bps /. 1e9

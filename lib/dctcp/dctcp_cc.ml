@@ -86,7 +86,8 @@ let make ~params ~penalty =
                 cwnd *. (1. -. (Float.min 1. (Float.max 0. p) /. 2.))
           in
           if Obs.Trace.enabled api.Tcp.Cc.tracer Obs.Trace.C_cwnd_cut then
-            Obs.Trace.emit_cut api.Tcp.Cc.tracer ~time:(api.Tcp.Cc.now ())
+            (Obs.Trace.emit_cut [@inlined]) api.Tcp.Cc.tracer
+              ~time:(api.Tcp.Cc.now ())
               ~component ~flow:api.Tcp.Cc.flow ~cwnd_before:cwnd
               ~cwnd_after:target ~alpha;
           api.Tcp.Cc.set_cwnd target;

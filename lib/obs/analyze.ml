@@ -145,15 +145,20 @@ let create ?on_sample cfg =
 let push_sample t =
   let x = float_of_int t.occ in
   let n = t.n_samples in
-  (* running products against the previous [max_lag] samples *)
+  (* Running products against the previous [max_lag] samples, in two
+     wrap-free runs over the ring: lags [1..pos] read [lagbuf.(pos-1)]
+     down to [lagbuf.(0)], the remaining ones (only once the ring is
+     full) read down from [lagbuf.(max_lag-1)]. *)
   let maxl = if n < max_lag then n else max_lag in
   let pos = n mod max_lag in
-  for l = 1 to maxl do
-    let i = pos - l in
-    let i = if i < 0 then i + max_lag else i in
-    t.acc.(l - 1) <- t.acc.(l - 1) +. (x *. t.lagbuf.(i))
+  let acc = t.acc and lagbuf = t.lagbuf in
+  for l = 1 to pos do
+    acc.(l - 1) <- acc.(l - 1) +. (x *. lagbuf.(pos - l))
   done;
-  t.lagbuf.(pos) <- x;
+  for l = pos + 1 to maxl do
+    acc.(l - 1) <- acc.(l - 1) +. (x *. lagbuf.(pos - l + max_lag))
+  done;
+  lagbuf.(pos) <- x;
   t.n_samples <- n + 1;
   let fl = t.fl in
   let delta = x -. fl.(f_mean) in
@@ -272,7 +277,7 @@ let tracer t =
   Trace.create_handler ~classes:required_classes
     ~occ:(fun _cls ~time ~component:_ ~flow:_ ~occ_bytes ~occ_pkts:_ ->
       occ_event t ~now_ns:(advance t time) ~occ:occ_bytes)
-    ~cut:(fun ~time ~component:_ ~flow ~cwnd_before:_ ~cwnd_after:_ ~alpha:_ ->
+    ~cut:(fun ~time ~component:_ ~flow ->
       cut_event t ~now_ns:(advance t time) ~flow)
     ~flip:(fun ~time ~component:_ ~marking ~occ_bytes ->
       flip_event t ~now_ns:(advance t time) ~marking ~occ_bytes)

@@ -367,14 +367,7 @@ type occ_handler =
   occ_pkts:int ->
   unit
 
-type cut_handler =
-  time:Time.t ->
-  component:string ->
-  flow:int ->
-  cwnd_before:float ->
-  cwnd_after:float ->
-  alpha:float ->
-  unit
+type cut_handler = time:Time.t -> component:string -> flow:int -> unit
 
 type flip_handler =
   time:Time.t -> component:string -> marking:bool -> occ_bytes:int -> unit
@@ -389,18 +382,27 @@ type target =
     }
   | Tee of t * t
 
-and t = { mask : int; target : target }
+(* [record_mask]: the classes some [Ring], [Jsonl] or [Fn] sink below
+   accepts, i.e. those for which an emission builds a record. *)
+and t = { mask : int; record_mask : int; target : target }
 
 let full_mask = (1 lsl List.length all_classes) - 1
 let mask_of = List.fold_left (fun m c -> m lor (1 lsl cls_index c)) 0
-let null = { mask = 0; target = Sink Null }
+let null = { mask = 0; record_mask = 0; target = Sink Null }
 let class_mask classes =
   match classes with None -> full_mask | Some cs -> mask_of cs
 
-let create ?classes sink = { mask = class_mask classes; target = Sink sink }
+let create ?classes sink =
+  let mask = class_mask classes in
+  let record_mask = match sink with Null -> 0 | _ -> mask in
+  { mask; record_mask; target = Sink sink }
 
 let create_handler ?classes ~occ ~cut ~flip other =
-  { mask = class_mask classes; target = Handler { occ; cut; flip; other } }
+  {
+    mask = class_mask classes;
+    record_mask = 0;
+    target = Handler { occ; cut; flip; other };
+  }
 
 let[@inline] enabled t c = t.mask land (1 lsl (cls_index [@inlined]) c) <> 0
 
@@ -474,7 +476,7 @@ let rec cut_go t ~time ~component ~flow ~cwnd_before ~cwnd_after ~alpha built =
   else
     match t.target with
     | Handler { cut; _ } ->
-        cut ~time ~component ~flow ~cwnd_before ~cwnd_after ~alpha;
+        cut ~time ~component ~flow;
         built
     | Tee (a, b) ->
         let built =
@@ -495,10 +497,28 @@ let rec cut_go t ~time ~component ~flow ~cwnd_before ~cwnd_after ~alpha built =
         dispatch sink r;
         r
 
-let emit_cut t ~time ~component ~flow ~cwnd_before ~cwnd_after ~alpha =
-  ignore
-    (cut_go t ~time ~component ~flow ~cwnd_before ~cwnd_after ~alpha no_record
-      : record)
+(* The same walk when no sink takes the cut: only handlers are reached,
+   and the floats are never passed. *)
+let rec cut_handlers t ~time ~component ~flow =
+  if enabled t C_cwnd_cut then
+    match t.target with
+    | Handler { cut; _ } -> cut ~time ~component ~flow
+    | Tee (a, b) ->
+        cut_handlers a ~time ~component ~flow;
+        cut_handlers b ~time ~component ~flow
+    | Sink _ -> ()
+
+(* Inlined, so the caller's floats stay unboxed unless a sink builds a
+   [Cwnd_cut] record from them. *)
+let[@inline] emit_cut t ~time ~component ~flow ~cwnd_before ~cwnd_after ~alpha
+    =
+  if t.record_mask land (1 lsl (cls_index [@inlined]) C_cwnd_cut) = 0 then
+    cut_handlers t ~time ~component ~flow
+  else
+    ignore
+      (cut_go t ~time ~component ~flow ~cwnd_before ~cwnd_after ~alpha
+         no_record
+        : record)
 
 let rec flip_go t ~time ~component ~marking ~occ_bytes built =
   if not (enabled t C_mark_state_flip) then built
@@ -529,4 +549,9 @@ let enabled_classes t = List.filter (enabled t) all_classes
    re-filter on delivery, so a record flows to exactly the tracers
    whose class sets admit it. The union mask is computed at tee time;
    widening a branch's classes afterwards requires a new tee. *)
-let tee a b = { mask = a.mask lor b.mask; target = Tee (a, b) }
+let tee a b =
+  {
+    mask = a.mask lor b.mask;
+    record_mask = a.record_mask lor b.record_mask;
+    target = Tee (a, b);
+  }

@@ -158,15 +158,11 @@ type occ_handler =
     [C_enqueue], [C_dequeue], [C_mark] or [C_drop]. For a drop,
     [occ_pkts] carries nothing (the [Drop] record has no such field). *)
 
-type cut_handler =
-  time:Engine.Time.t ->
-  component:string ->
-  flow:int ->
-  cwnd_before:float ->
-  cwnd_after:float ->
-  alpha:float ->
-  unit
-(** Consumer of one [Cwnd_cut] event. *)
+type cut_handler = time:Engine.Time.t -> component:string -> flow:int -> unit
+(** Consumer of one [Cwnd_cut] event. It gets no [cwnd_before],
+    [cwnd_after] or [alpha]: passing them would box all three floats on
+    every cut, and the analyzer reads none of them. A consumer that
+    needs them takes records ({!emit} and the [Fn] sink). *)
 
 type flip_handler =
   time:Engine.Time.t ->
@@ -217,8 +213,11 @@ val emit_cut :
   alpha:float ->
   unit
 (** [emit t] of the [Cwnd_cut] record with these fields, delivered as
-    {!emit_occ} delivers: handlers get the fields, record sinks get the
-    record, built at most once per call. Guard with {!enabled}. *)
+    {!emit_occ} delivers: handlers get [time], [component] and [flow],
+    record sinks get the record, built at most once per call. Inlined
+    at the call site: when no [Ring], [Jsonl] or [Fn] sink of [t] takes
+    [C_cwnd_cut], the three floats are never boxed. Guard with
+    {!enabled}. *)
 
 val emit_flip :
   t ->

@@ -308,6 +308,54 @@ let test_queue_traced_zero_alloc () =
   checkf "words per enqueue+dequeue" 0.
     (words.(0) /. float_of_int (cycles * depth))
 
+(* Window cuts and marking flips reach the analyzer allocation-free as
+   well. [emit_cut] is inlined into its caller and passes its three
+   floats on only when some record sink takes [C_cwnd_cut], so floats
+   computed per cut (as [Dctcp_cc] computes them) are never boxed here,
+   also behind a tee whose record sink takes other classes only. *)
+let test_cut_flip_traced_zero_alloc () =
+  let config =
+    {
+      Obs.Analyze.sample_period = Time.span_of_int_ns 500;
+      band_bytes = Some (6_000, 12_000);
+      n_flows = 4;
+      rtt = Time.span_of_int_ns 10_000;
+      segment_bytes = 1500;
+    }
+  in
+  let events = 1_000 in
+  let drive tr =
+    let words = [| 0. |] in
+    for k = 1 to events do
+      let before = Gc.minor_words () in
+      let time = Time.of_int_ns (k * 700) in
+      let cwnd = float_of_int (10 + (k land 7)) in
+      Obs.Trace.emit_cut tr ~time ~component:"flow" ~flow:(k land 3)
+        ~cwnd_before:cwnd ~cwnd_after:(cwnd *. 0.75) ~alpha:(0.5 /. cwnd);
+      Obs.Trace.emit_flip tr ~time ~component:"q" ~marking:(k land 1 = 0)
+        ~occ_bytes:(k * 1500 land 0x3fff);
+      words.(0) <- words.(0) +. (Gc.minor_words () -. before)
+    done;
+    words.(0)
+  in
+  let an = Obs.Analyze.create config in
+  checkf "words per cut+flip into the analyzer" 0.
+    (drive (Obs.Analyze.tracer an) /. float_of_int events);
+  checki "analyzer counted every cut and flip" (2 * events)
+    (Obs.Analyze.summary an).Obs.Analyze.records;
+  let ring = Obs.Trace.ring ~capacity:16 in
+  let an = Obs.Analyze.create config in
+  let tr =
+    Obs.Trace.tee
+      (Obs.Trace.create ~classes:[ Obs.Trace.C_enqueue ] (Obs.Trace.Ring ring))
+      (Obs.Analyze.tracer an)
+  in
+  checkf "words per cut+flip behind a tee with an enqueue ring" 0.
+    (drive tr /. float_of_int events);
+  checki "the ring took no cut or flip" 0 (Obs.Trace.ring_total ring);
+  checki "the analyzer still counted them" (2 * events)
+    (Obs.Analyze.summary an).Obs.Analyze.records
+
 let test_queue_validation () =
   let sim = Sim.create () in
   checkb "bad capacity raises" true
@@ -1137,6 +1185,8 @@ let suites =
         Alcotest.test_case "validation" `Quick test_queue_validation;
         Alcotest.test_case "traced path allocation-free" `Quick
           test_queue_traced_zero_alloc;
+        Alcotest.test_case "cuts and flips reach the analyzer allocation-free"
+          `Quick test_cut_flip_traced_zero_alloc;
       ] );
     ( "net.port",
       [

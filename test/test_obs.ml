@@ -422,6 +422,83 @@ let test_analyze_spectrum () =
         (String.sub note 0 12 = "no variation")
   | None -> Alcotest.fail "flat series produced no note")
 
+(* The analyzer's autocorrelation against a naive reference over the
+   grid series it reports through [~on_sample]: every lag's product
+   sum read from a ring indexed by [mod], the mean and variance by Welford, then the
+   same first-negative-lag and strongest-recurrence search. Occupancies
+   near 1e8 bytes make every product inexact, so the sums reproduce
+   bit for bit only if each lag adds the same products in the same
+   order. The lengths cross one and two wraps of the 512-sample lag
+   ring. *)
+let reference_peak ~max_lag xs =
+  let n = Array.length xs in
+  let acc = Array.make max_lag 0. and ring = Array.make max_lag 0. in
+  let mean = ref 0. and m2 = ref 0. in
+  Array.iteri
+    (fun k x ->
+      for l = 1 to Stdlib.min k max_lag do
+        acc.(l - 1) <- acc.(l - 1) +. (x *. ring.((k - l) mod max_lag))
+      done;
+      ring.(k mod max_lag) <- x;
+      let delta = x -. !mean in
+      mean := !mean +. (delta /. float_of_int (k + 1));
+      m2 := !m2 +. (delta *. (x -. !mean)))
+    xs;
+  let var = !m2 /. float_of_int n and mean2 = !mean *. !mean in
+  let rho l = ((acc.(l - 1) /. float_of_int (n - l)) -. mean2) /. var in
+  let usable = Stdlib.min max_lag (n - 16) in
+  let rec first_negative l =
+    if l > usable then None
+    else if rho l < 0. then Some l
+    else first_negative (l + 1)
+  in
+  match first_negative 1 with
+  | None -> None
+  | Some l0 ->
+      let best = ref 0 and best_rho = ref neg_infinity in
+      for l = l0 + 1 to usable do
+        if rho l > !best_rho then begin
+          best_rho := rho l;
+          best := l
+        end
+      done;
+      if !best = 0 || !best_rho < 0.1 then None else Some (!best, !best_rho)
+
+let test_analyze_lags_match_reference () =
+  List.iter
+    (fun len ->
+      let samples = ref [] in
+      let an =
+        An.create ~on_sample:(fun x -> samples := x :: !samples) (an_config ())
+      in
+      let noise = ref 12345 in
+      for i = 0 to len - 1 do
+        noise := ((!noise * 1103515245) + 12345) land 0x3fffffff;
+        let saw = 100_000_000 + (i mod 37 * 1_700_003) in
+        An.feed an (occ_at (i * 10) (saw + (!noise land 0xfffff)))
+      done;
+      let j = An.to_json an in
+      let xs = Array.of_list (List.rev !samples) in
+      let name what = Printf.sprintf "%s, %d samples" what len in
+      Alcotest.(check int) (name "series length") len (Array.length xs);
+      let max_lag =
+        match afield [ "spectrum"; "max_lag" ] j with
+        | Json.Int m -> m
+        | _ -> Alcotest.fail "max_lag not an int"
+      in
+      match
+        ( reference_peak ~max_lag xs,
+          afield [ "spectrum"; "lag" ] j,
+          afield [ "spectrum"; "peak_rho" ] j )
+      with
+      | Some (lag, rho), Json.Int lag', Json.Float rho' ->
+          Alcotest.(check int) (name "lag") lag lag';
+          Alcotest.(check int64)
+            (name "peak_rho bits") (Int64.bits_of_float rho)
+            (Int64.bits_of_float rho')
+      | _ -> Alcotest.fail (name "no peak on both sides"))
+    [ 300; 700; 1300; 2100 ]
+
 let test_analyze_errors () =
   let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
   Alcotest.(check bool)
@@ -805,6 +882,8 @@ let suites =
           test_analyze_flips_and_sync;
         Alcotest.test_case "dominant frequency + diagnostics" `Quick
           test_analyze_spectrum;
+        Alcotest.test_case "autocorrelation matches a naive reference"
+          `Quick test_analyze_lags_match_reference;
         Alcotest.test_case "input validation" `Quick test_analyze_errors;
         Alcotest.test_case "trace header roundtrip" `Quick
           test_analyze_header_roundtrip;
