@@ -15,7 +15,7 @@ let quick = ref false
 
 let scale_span s =
   if !quick then Time.span_of_int_ns (Time.span_to_int_ns s / 2) else s
-let scale_int n = if !quick then Stdlib.max 1 (n / 2) else n
+let scale_int n = if !quick then Int.max 1 (n / 2) else n
 
 (* Longlived sections all share the paper's 100/200 ms windows. *)
 let warmup () = scale_span (Time.span_of_ms 100.)

@@ -54,7 +54,7 @@ let fig1 () =
     (fun (name, (_, series)) ->
       (* Plot a 4 ms excerpt so individual oscillation periods resolve. *)
       let n = Array.length series in
-      let excerpt = Array.sub series (n / 2) (Stdlib.min 200 (n / 2)) in
+      let excerpt = Array.sub series (n / 2) (Int.min 200 (n / 2)) in
       Printf.printf "\n%s (4 ms excerpt, queue in packets):\n%s" name
         (Stats.Ascii_plot.render ~height:10 ~series:[ (name, excerpt) ] ()))
     results;

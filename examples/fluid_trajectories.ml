@@ -26,7 +26,7 @@ let simulate name marking csv_file =
   (* Down-sample the tail of the queue trajectory for the terminal plot. *)
   let n = Array.length traj.Fm.q in
   let tail = Array.sub traj.Fm.q (n / 2) (n / 2) in
-  let step = Stdlib.max 1 (Array.length tail / 400) in
+  let step = Int.max 1 (Array.length tail / 400) in
   Array.init (Array.length tail / step) (fun i -> tail.(i * step))
 
 let () =

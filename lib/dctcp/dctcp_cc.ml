@@ -46,7 +46,7 @@ let make ~params ~penalty =
         epoch_duration_ns = -1;
       }
     in
-    let component = Printf.sprintf "flow%d" api.Tcp.Cc.flow in
+    let component = "flow" ^ Int.to_string api.Tcp.Cc.flow in
     let grow newly_acked =
       if newly_acked > 0 then begin
         let cwnd = api.Tcp.Cc.get_cwnd () in

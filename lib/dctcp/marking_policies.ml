@@ -38,7 +38,6 @@ let zone_machine ?on_flip ~directional ~lo ~hi ~marking () =
 let single_threshold ~k_bytes =
   if k_bytes < 0 then invalid_arg "Marking_policies.single_threshold";
   Net.Marking.make
-    ~name:(Printf.sprintf "dctcp(K=%dB)" k_bytes)
     ~on_enqueue:(fun ~bytes ~packets:_ -> bytes > k_bytes)
     ~on_dequeue:(fun ~bytes:_ ~packets:_ -> ())
     ()
@@ -46,8 +45,8 @@ let single_threshold ~k_bytes =
 let double_threshold ?on_flip ~k1_bytes ~k2_bytes () =
   if k1_bytes < 0 || k2_bytes < 0 then
     invalid_arg "Marking_policies.double_threshold";
-  let lo = ref (Stdlib.min k1_bytes k2_bytes) in
-  let hi = ref (Stdlib.max k1_bytes k2_bytes) in
+  let lo = ref (Int.min k1_bytes k2_bytes) in
+  let hi = ref (Int.max k1_bytes k2_bytes) in
   let marking = ref false in
   let update =
     zone_machine ?on_flip ~directional:(k1_bytes < k2_bytes) ~lo ~hi ~marking
@@ -58,9 +57,7 @@ let double_threshold ?on_flip ~k1_bytes ~k2_bytes () =
     !marking
   in
   let on_dequeue ~bytes ~packets:_ = update bytes in
-  Net.Marking.make
-    ~name:(Printf.sprintf "dt-dctcp(K1=%dB,K2=%dB)" k1_bytes k2_bytes)
-    ~on_enqueue ~on_dequeue ()
+  Net.Marking.make ~on_enqueue ~on_dequeue ()
 
 (* Limit-relative thresholds: fractions of the buffer manager's current
    effective limit, re-derived on every [on_limit] callback. The
@@ -78,7 +75,6 @@ let single_threshold_scaled ~k_frac =
   let kx = frac_x1024 ~what:"single_threshold_scaled" k_frac in
   let k = ref 0 in
   Net.Marking.make
-    ~name:(Printf.sprintf "dctcp(K=%.3g*limit)" k_frac)
     ~on_limit:(fun ~limit_bytes -> k := limit_bytes * kx / 1024)
     ~on_enqueue:(fun ~bytes ~packets:_ -> bytes > !k)
     ~on_dequeue:(fun ~bytes:_ ~packets:_ -> ())
@@ -90,8 +86,8 @@ let double_threshold_scaled ?on_flip ~k1_frac ~k2_frac () =
   let lo = ref 0 in
   let hi = ref 0 in
   let marking = ref false in
-  let lox = Stdlib.min k1x k2x in
-  let hix = Stdlib.max k1x k2x in
+  let lox = Int.min k1x k2x in
+  let hix = Int.max k1x k2x in
   let update =
     zone_machine ?on_flip ~directional:(k1x < k2x) ~lo ~hi ~marking ()
   in
@@ -104,6 +100,4 @@ let double_threshold_scaled ?on_flip ~k1_frac ~k2_frac () =
     !marking
   in
   let on_dequeue ~bytes ~packets:_ = update bytes in
-  Net.Marking.make
-    ~name:(Printf.sprintf "dt-dctcp(K1=%.3g*limit,K2=%.3g*limit)" k1_frac k2_frac)
-    ~on_limit ~on_enqueue ~on_dequeue ()
+  Net.Marking.make ~on_limit ~on_enqueue ~on_dequeue ()

@@ -185,7 +185,7 @@ type t = {
 }
 
 let create ?(capacity = 1024) () =
-  let capacity = Stdlib.max capacity 1 in
+  let capacity = Int.max capacity 1 in
   {
     pool = [||];
     oneshot = [||];
@@ -223,7 +223,7 @@ let overflow_len t = t.overflow.n
 let register t ~cls f =
   if cls < 0 then invalid_arg "Event_queue.register: negative class";
   if t.n_actions = Array.length t.actions then begin
-    let cap = Stdlib.max 8 (2 * t.n_actions) in
+    let cap = Int.max 8 (2 * t.n_actions) in
     let actions = Array.make cap noop and classes = Array.make cap 0 in
     Array.blit t.actions 0 actions 0 t.n_actions;
     Array.blit t.action_cls 0 classes 0 t.n_actions;
@@ -253,7 +253,7 @@ let new_event idx =
   }
 
 let grow_pool t =
-  let cap = Stdlib.max 8 (2 * Array.length t.pool) in
+  let cap = Int.max 8 (2 * Array.length t.pool) in
   let data = Array.make cap (new_event (-1)) in
   Array.blit t.pool 0 data 0 t.pool_len;
   t.pool <- data;

@@ -14,7 +14,7 @@ type t = {
 let rec pow2 n k = if k >= n then k else pow2 n (2 * k)
 
 let create ?(capacity = 16) () =
-  let capacity = pow2 (Stdlib.max capacity 1) 1 in
+  let capacity = pow2 (Int.max capacity 1) 1 in
   { data = Array.make capacity min_int; head = 0; len = 0 }
 
 let is_empty t = t.len = 0

@@ -135,7 +135,7 @@ let run_one ?tracer ?on_sim ?(analyze = false) (spec : Spec.t) =
 let run ?(jobs = 1) ?(analyze = false) specs =
   let specs = Array.of_list specs in
   let n = Array.length specs in
-  let workers = Stdlib.min jobs n in
+  let workers = Int.min jobs n in
   if workers <= 1 then Array.map (fun s -> run_one ~analyze s) specs
   else begin
     let slots = Array.make n None in

@@ -32,8 +32,8 @@ let integrate p ~dt ~t_end =
     else begin
       let fi = td /. dt in
       let i0 = int_of_float fi in
-      let i0 = Stdlib.min i0 filled in
-      let i1 = Stdlib.min (i0 + 1) filled in
+      let i0 = Int.min i0 filled in
+      let i1 = Int.min (i0 + 1) filled in
       let frac = fi -. float_of_int i0 in
       outputs.(i0) +. (frac *. (outputs.(i1) -. outputs.(i0)))
     end

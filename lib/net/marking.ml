@@ -1,5 +1,4 @@
 type t = {
-  name : string;
   on_enqueue : bytes:int -> packets:int -> bool;
   on_dequeue : bytes:int -> packets:int -> unit;
   on_limit : limit_bytes:int -> unit;
@@ -7,8 +6,8 @@ type t = {
 
 let no_limit ~limit_bytes:_ = ()
 
-let make ~name ?(on_limit = no_limit) ~on_enqueue ~on_dequeue () =
-  { name; on_enqueue; on_dequeue; on_limit }
+let make ?(on_limit = no_limit) ~on_enqueue ~on_dequeue () =
+  { on_enqueue; on_dequeue; on_limit }
 
 let suppress ~active ~on_suppress inner =
   let on_enqueue ~bytes ~packets =
@@ -23,15 +22,13 @@ let suppress ~active ~on_suppress inner =
     end
     else mark
   in
-  {
-    name = inner.name ^ "+suppress";
-    on_enqueue;
-    on_dequeue = inner.on_dequeue;
-    on_limit = inner.on_limit;
-  }
+  { inner with on_enqueue }
 
-let none () =
-  make ~name:"none"
+(* Stateless, so every queue without a policy shares this one. *)
+let never =
+  make
     ~on_enqueue:(fun ~bytes:_ ~packets:_ -> false)
     ~on_dequeue:(fun ~bytes:_ ~packets:_ -> ())
     ()
+
+let none () = never

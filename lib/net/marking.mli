@@ -10,7 +10,6 @@
     live in [lib/dctcp] and are built with {!make}. *)
 
 type t = {
-  name : string;
   on_enqueue : bytes:int -> packets:int -> bool;
       (** Called after the arriving packet is accepted, with the queue
           occupancy including it; [true] = mark CE. Occupancy is passed
@@ -29,7 +28,6 @@ type t = {
 }
 
 val make :
-  name:string ->
   ?on_limit:(limit_bytes:int -> unit) ->
   on_enqueue:(bytes:int -> packets:int -> bool) ->
   on_dequeue:(bytes:int -> packets:int -> unit) ->
@@ -39,7 +37,8 @@ val make :
     absolute byte thresholds ignore capacity movement. *)
 
 val none : unit -> t
-(** Never marks (plain drop-tail). *)
+(** Never marks (plain drop-tail). Stateless: every call returns the
+    same value. *)
 
 val suppress :
   active:(unit -> bool) ->

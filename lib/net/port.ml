@@ -35,11 +35,15 @@ type t = {
   mutable tx_pkt : Packet.t;  (* currently serializing; [Packet.none] if idle *)
   mutable tx_action : Sim.action;  (* runs [finish_tx]: [tx_pkt] is sent *)
   mutable rx_action : Sim.action;  (* runs [deliver_head] *)
-  (* Memo of the last serialization time by packet size: traffic on a port
-     is dominated by one or two packet sizes, so this skips the float
-     division and rounding almost every time. *)
+  (* Memo of the last two serialization times by packet size: a port
+     carries one or two packet sizes (a fabric port interleaves data
+     segments and ACKs), so this skips the float division and rounding
+     almost every time. Entry 1 is the most recent miss, entry 2 the one
+     before; [-1] marks an empty entry. *)
   mutable memo_size : int;
   mutable memo_tx : Time.span;
+  mutable memo_size2 : int;
+  mutable memo_tx2 : Time.span;
 }
 
 (* The per-packet chain — [start_tx], [finish_tx], [deliver_head],
@@ -48,18 +52,22 @@ type t = {
    compiles to one straight-line body. The cold paths (a memo miss, a
    fault hook) stay out of line. *)
 
-(* The memo's miss path: a float division and a rounding. *)
 let[@inline never] tx_time t ~bytes =
   Time.span_of_sec (float_of_int (bytes * 8) /. t.rate_bps)
 
+(* The memo's miss path: a float division and a rounding. *)
+let[@inline never] tx_miss t ~bytes =
+  let span = tx_time t ~bytes in
+  t.memo_size2 <- t.memo_size;
+  t.memo_tx2 <- t.memo_tx;
+  t.memo_size <- bytes;
+  t.memo_tx <- span;
+  span
+
 let[@inline] tx_span t ~bytes =
   if bytes = t.memo_size then t.memo_tx
-  else begin
-    let span = tx_time t ~bytes in
-    t.memo_size <- bytes;
-    t.memo_tx <- span;
-    span
-  end
+  else if bytes = t.memo_size2 then t.memo_tx2
+  else tx_miss t ~bytes
 
 let[@inline] start_tx t =
   if (Queue_disc.is_empty [@inlined]) t.queue then t.busy <- false
@@ -121,12 +129,15 @@ let create sim ~rate_bps ~delay ~queue ~deliver =
       fault_hook = None;
       bytes_sent = 0;
       packets_sent = 0;
-      in_flight = Engine.Int_ring.create ~capacity:16 ();
+      (* Grows to the link's bandwidth-delay product in packets. *)
+      in_flight = Engine.Int_ring.create ~capacity:8 ();
       tx_pkt = Packet.none;
       tx_action = Sim.no_action;
       rx_action = Sim.no_action;
       memo_size = -1;
       memo_tx = Time.span_of_int_ns 0;
+      memo_size2 = -1;
+      memo_tx2 = Time.span_of_int_ns 0;
     }
   in
   t.rx_action <-
@@ -152,7 +163,8 @@ let is_up t = t.up
 let set_rate t rate_bps =
   if rate_bps <= 0. then invalid_arg "Port.set_rate: rate must be positive";
   t.rate_bps <- rate_bps;
-  t.memo_size <- -1
+  t.memo_size <- -1;
+  t.memo_size2 <- -1
 
 let set_fault_hook t hook = t.fault_hook <- Some hook
 

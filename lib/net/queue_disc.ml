@@ -43,7 +43,9 @@ let create sim ~buffer ?(marking = Marking.none ())
       marking;
       tracer;
       st = Packet.store_of sim;
-      fifo = Engine.Int_ring.create ~capacity:64 ();
+      (* Starts small and doubles as the queue deepens: most of a
+         fabric's queues never hold more than a few packets. *)
+      fifo = Engine.Int_ring.create ~capacity:8 ();
       occ_bytes = 0;
       occ_pkts = 0;
       drops = 0;

@@ -35,7 +35,7 @@ let create sim ~id ?(buffer = Buffer_mgr.Static) ?(tracer = Trace_ev.null)
       sim;
       st = Packet.store_of sim;
       id;
-      name = Printf.sprintf "sw%d" id;
+      name = "sw" ^ Int.to_string id;
       ports = [||];
       nports = 0;
       routes = Array.make 16 (-1);
@@ -49,7 +49,7 @@ let create sim ~id ?(buffer = Buffer_mgr.Static) ?(tracer = Trace_ev.null)
   | None -> ()
   | Some m ->
       Obs.Metrics.probe m
-        (Printf.sprintf "switch.sw%d.no_route_drops" id)
+        ("switch." ^ t.name ^ ".no_route_drops")
         (fun () -> float_of_int t.no_route));
   t
 
@@ -62,7 +62,7 @@ let port_buffer t ~capacity_bytes =
 
 let add_port t port =
   if t.nports = Array.length t.ports then begin
-    let cap = Stdlib.max 4 (2 * Array.length t.ports) in
+    let cap = Int.max 4 (2 * Array.length t.ports) in
     let ports = Array.make cap port in
     Array.blit t.ports 0 ports 0 t.nports;
     t.ports <- ports
@@ -88,6 +88,8 @@ let ensure_route_capacity t dst =
     Array.blit t.routes 0 routes 0 cap;
     t.routes <- routes
   end
+
+let reserve_routes t ~hosts = if hosts > 0 then ensure_route_capacity t (hosts - 1)
 
 let set_route t ~dst ~port =
   if port < 0 || port >= t.nports then

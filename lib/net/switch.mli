@@ -40,6 +40,12 @@ val port : t -> int -> Port.t
 
 val port_count : t -> int (* dtlint: test-only: fat-tree degrees *)
 
+val reserve_routes : t -> hosts:int -> unit
+(** Sizes the routing table for destinations [0 .. hosts - 1] at once.
+    Routes are installed one destination at a time, so a builder that
+    knows its host count calls this first and the table is allocated
+    once instead of doubling its way up. *)
+
 val set_route : t -> dst:int -> port:int -> unit
 (** Routes packets destined to host [dst] out of port index [port].
     @raise Invalid_argument on a bad port index. *)

@@ -6,6 +6,11 @@ module Time = Engine.Time
    small enough to avoid unbounded self-inflicted bufferbloat. *)
 let default_access_buffer = 512 * 1024
 
+(* A queue's name, e.g. "sw3->host17": one per port, so it is built
+   without [Printf], whose format interpretation allocates several times
+   the string itself. *)
+let link_name p a q b = p ^ Int.to_string a ^ q ^ Int.to_string b
+
 (* The full-duplex pair of ports (host NIC and a switch port); installs
    the route to the host on the switch and returns the switch port
    index. The tracer and metrics instrument the switch-side queue only. *)
@@ -18,7 +23,7 @@ let connect_host_to_switch sim host switch ~rate_bps ~delay
      sit on a shared pool (the switch decides via [port_buffer]). *)
   let host_q =
     Queue_disc.create sim ~buffer:(Buffer_mgr.solo ~capacity_bytes:host_buffer)
-      ~name:(Printf.sprintf "host%d-nic" (Host.id host))
+      ~name:("host" ^ Int.to_string (Host.id host) ^ "-nic")
       ()
   in
   let nic =
@@ -30,7 +35,7 @@ let connect_host_to_switch sim host switch ~rate_bps ~delay
     Queue_disc.create sim
       ~buffer:(Switch.port_buffer switch ~capacity_bytes:switch_buffer)
       ~marking:switch_marking ?tracer:switch_tracer ?metrics:switch_metrics
-      ~name:(Printf.sprintf "sw%d->host%d" (Switch.id switch) (Host.id host))
+      ~name:(link_name "sw" (Switch.id switch) "->host" (Host.id host))
       ()
   in
   let sw_port =
@@ -53,7 +58,7 @@ let connect_switches sim a b ~rate_bps ~delay
     Queue_disc.create sim
       ~buffer:(Switch.port_buffer a ~capacity_bytes:buffer_ab)
       ~marking:marking_ab ?tracer:tracer_ab ?metrics:metrics_ab
-      ~name:(Printf.sprintf "sw%d->sw%d" (Switch.id a) (Switch.id b))
+      ~name:(link_name "sw" (Switch.id a) "->sw" (Switch.id b))
       ()
   in
   let port_ab =
@@ -65,7 +70,7 @@ let connect_switches sim a b ~rate_bps ~delay
     Queue_disc.create sim
       ~buffer:(Switch.port_buffer b ~capacity_bytes:buffer_ba)
       ~marking:marking_ba ?tracer:tracer_ba ?metrics:metrics_ba
-      ~name:(Printf.sprintf "sw%d->sw%d" (Switch.id b) (Switch.id a))
+      ~name:(link_name "sw" (Switch.id b) "->sw" (Switch.id a))
       ()
   in
   let port_ba =
@@ -92,6 +97,7 @@ let dumbbell sim ~n_senders ~bottleneck_rate_bps ?access_rate_bps ~rtt
      switch->receiver and back. *)
   let leg = Time.span_of_int_ns (Time.span_to_int_ns rtt / 4) in
   let switch = Switch.create sim ~id:0 ~buffer () in
+  Switch.reserve_routes switch ~hosts:(n_senders + 1);
   let senders =
     Array.init n_senders (fun i ->
         let host = Host.create sim ~id:i in
@@ -129,11 +135,14 @@ let star_testbed sim ?(n_leaves = 3) ?(workers_per_leaf = 3) ~rate_bps
   in
   (* The buffer config applies to the root (the shared-memory ASIC under
      study — it owns the bottleneck port); leaves stay Static. *)
-  let root = Switch.create sim ~id:0 ~buffer () in
-  let leaves =
-    Array.init n_leaves (fun i -> Switch.create sim ~id:(i + 1) ())
-  in
   let n_workers = n_leaves * workers_per_leaf in
+  let mk id buffer =
+    let sw = Switch.create sim ~id ~buffer () in
+    Switch.reserve_routes sw ~hosts:(n_workers + 1);
+    sw
+  in
+  let root = mk 0 buffer in
+  let leaves = Array.init n_leaves (fun i -> mk (i + 1) Buffer_mgr.Static) in
   let workers =
     Array.init n_workers (fun w ->
         let leaf = leaves.(w / workers_per_leaf) in
@@ -205,7 +214,11 @@ let fat_tree sim ~k ?(rate_bps = 1e9) ?link_delay
     match link_delay with Some d -> d | None -> Time.span_of_us 5.
   in
   let rng = Sim.rng sim in
-  let mk id buffer = Switch.create sim ~id ~buffer ?tracer ?metrics () in
+  let mk id buffer =
+    let sw = Switch.create sim ~id ~buffer ?tracer ?metrics () in
+    Switch.reserve_routes sw ~hosts:n_hosts;
+    sw
+  in
   let edges = Array.init n_edges (fun e -> mk e edge_buffer) in
   let aggs = Array.init n_aggs (fun a -> mk (n_edges + a) agg_buffer) in
   let cores =

@@ -314,7 +314,7 @@ let spectral t =
     if var <= 0. then No_peak "no variation: occupancy series is flat"
     else begin
       let mean2 = t.fl.(f_mean) *. t.fl.(f_mean) in
-      let usable = Stdlib.min max_lag (n - min_pairs) in
+      let usable = Int.min max_lag (n - min_pairs) in
       let rho l =
         ((t.acc.(l - 1) /. float_of_int (n - l)) -. mean2) /. var
       in

@@ -1,12 +1,18 @@
 let glyphs = [| '*'; '+'; 'o'; 'x'; '~'; '#' |]
 
+(* Stdlib's polymorphic [min]/[max] at type float, written out: a NaN
+   sample never replaces the accumulator, where [Float.min]/[Float.max]
+   would return it. *)
+let lower (a : float) b = if a <= b then a else b
+let higher (a : float) b = if a >= b then a else b
+
 let render ?(width = 72) ?(height = 16) ?(y_label = "") ~series () =
   let all_values = List.concat_map (fun (_, vs) -> Array.to_list vs) series in
   match all_values with
   | [] -> "(empty plot)\n"
   | _ :: _ ->
-      let y_min = List.fold_left Stdlib.min infinity all_values in
-      let y_max = List.fold_left Stdlib.max neg_infinity all_values in
+      let y_min = List.fold_left lower infinity all_values in
+      let y_max = List.fold_left higher neg_infinity all_values in
       let y_min, y_max =
         if y_max > y_min then (y_min, y_max) else (y_min -. 1., y_max +. 1.)
       in
@@ -28,7 +34,7 @@ let render ?(width = 72) ?(height = 16) ?(y_label = "") ~series () =
             let v = values.(i) in
             let row_f = (v -. y_min) /. (y_max -. y_min) *. float_of_int (height - 1) in
             let row = height - 1 - int_of_float (Float.round row_f) in
-            let row = Stdlib.max 0 (Stdlib.min (height - 1) row) in
+            let row = Int.max 0 (Int.min (height - 1) row) in
             grid.(row).(col) <- glyph
           done
         end

@@ -25,7 +25,7 @@ let print ?(oc = stdout) t =
   List.iter
     (fun row ->
       List.iteri
-        (fun i cell -> widths.(i) <- Stdlib.max widths.(i) (String.length cell))
+        (fun i cell -> widths.(i) <- Int.max widths.(i) (String.length cell))
         row)
     rows;
   let pad align width s =
@@ -45,7 +45,7 @@ let print ?(oc = stdout) t =
     output_string oc (pad t.columns.(i).align widths.(i) t.columns.(i).header)
   done;
   output_char oc '\n';
-  output_string oc (String.make (Stdlib.max total_width 1) '-');
+  output_string oc (String.make (Int.max total_width 1) '-');
   output_char oc '\n';
   List.iter
     (fun row ->

@@ -12,7 +12,9 @@ type t = {
   sack : bool;
   ack_bytes : int;
   mutable rcv_nxt : int;
-  ooo : (int, unit) Hashtbl.t;
+  (* Buffered out-of-order segments, created at the first one: an
+     in-order flow never needs the table. *)
+  mutable ooo : (int, unit) Hashtbl.t option;
   (* DCTCP delayed-ACK echo state *)
   mutable ce_state : bool;
   mutable pending : int;
@@ -20,23 +22,23 @@ type t = {
 
 (* Up to three maximal runs of buffered out-of-order segments, ascending. *)
 let sack_blocks t =
-  if (not t.sack) || Hashtbl.length t.ooo = 0 then []
-  else begin
-    let seqs =
-      Hashtbl.fold (fun seq () acc -> seq :: acc) t.ooo []
-      |> List.sort Int.compare
-    in
-    let rec runs acc cur = function
-      | [] -> List.rev (Option.to_list cur @ acc)
-      | seq :: rest -> (
-          match cur with
-          | Some (first, next) when seq = next -> runs acc (Some (first, seq + 1)) rest
-          | Some block -> runs (block :: acc) (Some (seq, seq + 1)) rest
-          | None -> runs acc (Some (seq, seq + 1)) rest)
-    in
-    let blocks = runs [] None seqs in
-    List.filteri (fun i _ -> i < 3) blocks
-  end
+  match t.ooo with
+  | Some ooo when t.sack && Hashtbl.length ooo > 0 ->
+      let seqs =
+        Hashtbl.fold (fun seq () acc -> seq :: acc) ooo []
+        |> List.sort Int.compare
+      in
+      let rec runs acc cur = function
+        | [] -> List.rev (Option.to_list cur @ acc)
+        | seq :: rest -> (
+            match cur with
+            | Some (first, next) when seq = next -> runs acc (Some (first, seq + 1)) rest
+            | Some block -> runs (block :: acc) (Some (seq, seq + 1)) rest
+            | None -> runs acc (Some (seq, seq + 1)) rest)
+      in
+      let blocks = runs [] None seqs in
+      List.filteri (fun i _ -> i < 3) blocks
+  | Some _ | None -> []
 
 let send_ack t ~ece =
   let pkt =
@@ -51,20 +53,33 @@ let flush_pending t =
     t.pending <- 0
   end
 
+let buffered t seq =
+  match t.ooo with Some ooo -> Hashtbl.mem ooo seq | None -> false
+
+let ooo_table t =
+  match t.ooo with
+  | Some ooo -> ooo
+  | None ->
+      let ooo = Hashtbl.create 1 (* smallest; grows under reordering *) in
+      t.ooo <- Some ooo;
+      ooo
+
 let handle_data t ~seq ~ce =
   let in_order = seq = t.rcv_nxt in
-  let stale = seq < t.rcv_nxt || (seq > t.rcv_nxt && Hashtbl.mem t.ooo seq) in
+  let stale = seq < t.rcv_nxt || (seq > t.rcv_nxt && buffered t seq) in
   if in_order then begin
     t.rcv_nxt <- t.rcv_nxt + 1;
     (* Almost every in-order segment finds nothing buffered: test the
        count before hashing the next sequence number. *)
-    if Hashtbl.length t.ooo > 0 then
-      while Hashtbl.mem t.ooo t.rcv_nxt do
-        Hashtbl.remove t.ooo t.rcv_nxt;
-        t.rcv_nxt <- t.rcv_nxt + 1
-      done
+    match t.ooo with
+    | Some ooo when Hashtbl.length ooo > 0 ->
+        while Hashtbl.mem ooo t.rcv_nxt do
+          Hashtbl.remove ooo t.rcv_nxt;
+          t.rcv_nxt <- t.rcv_nxt + 1
+        done
+    | Some _ | None -> ()
   end
-  else if seq > t.rcv_nxt then Hashtbl.replace t.ooo seq ();
+  else if seq > t.rcv_nxt then Hashtbl.replace (ooo_table t) seq ();
   if stale then
     (* Already-delivered data (a go-back-N resend): acknowledging it again
        would read as a duplicate ACK at the sender and trigger spurious
@@ -110,7 +125,7 @@ let create sim ~host ~flow ~peer ?(echo = Per_packet) ?(sack = false)
       sack;
       ack_bytes;
       rcv_nxt = 0;
-      ooo = Hashtbl.create 1 (* smallest; grows under reordering *);
+      ooo = None;
       ce_state = false;
       pending = 0;
     }

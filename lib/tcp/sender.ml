@@ -31,6 +31,14 @@ let default_config =
     sack = false;
   }
 
+(* SACK recovery state: the SACKed sequences above [snd_una], and the
+   holes already retransmitted in this recovery episode. Only a SACK
+   sender has one; a non-SACK sender would never write either table. *)
+type sack_board = {
+  scoreboard : (int, unit) Hashtbl.t;
+  rtx_done : (int, unit) Hashtbl.t;
+}
+
 type t = {
   sim : Sim.t;
   st : Net.Packet.store;
@@ -57,8 +65,7 @@ type t = {
      (re)starting a sample does not allocate; [sample_seq < 0] = none. *)
   mutable sample_seq : int;
   mutable sample_sent : Time.t;
-  scoreboard : (int, unit) Hashtbl.t;
-  rtx_done : (int, unit) Hashtbl.t;
+  sack_board : sack_board option;  (* [Some] iff [config.sack] *)
   mutable retransmissions : int;
   mutable timeouts : int;
   mutable fast_retransmits : int;
@@ -77,7 +84,22 @@ let dummy_cc =
     alpha = (fun () -> None);
   }
 
-let clamp_cwnd t c = Float.min (Float.max c 1.) t.config.max_cwnd
+(* The window clamps, written as comparisons: [Float.min] and
+   [Float.max] call the C [signbit] on every use. Each gives the float
+   its [Float] form gives, for every input, NaNs and signed zeros
+   included. [Float.max x 1.] is [1.] exactly when [x < 1.], since 1 is
+   neither zero nor NaN. *)
+let at_least_one x = if x < 1. then 1. else x
+
+(* [Float.min (Float.max c 1.) config.max_cwnd]. Past the first clamp
+   [c] is at least 1 or NaN, so for a non-NaN [c] no signed zero can
+   tie and the smaller (or a NaN [max_cwnd]) wins. Which of two NaNs
+   [Float.min] returns depends on their signs, so a NaN [c] takes the
+   library call. *)
+let clamp_cwnd config c =
+  let c = at_least_one c in
+  let m = config.max_cwnd in
+  if m > c then c else if Float.is_nan c then Float.min c m else m
 
 let emit t event =
   Obs.Trace.emit t.tracer
@@ -87,7 +109,7 @@ let emit t event =
       event;
     }
 
-let[@inline] effective_window t = Stdlib.max 1 (int_of_float t.w.(0))
+let[@inline] effective_window t = Int.max 1 (int_of_float t.w.(0))
 
 let[@inline] outstanding t = t.snd_nxt - t.snd_una
 
@@ -150,44 +172,54 @@ let check_complete t =
   | Some _ | None -> false
 
 let record_sack t blocks =
-  if t.config.sack then
-    List.iter
-      (fun (first, last) ->
-        for seq = first to last - 1 do
-          if seq >= t.snd_una then Hashtbl.replace t.scoreboard seq ()
-        done)
-      blocks
+  match t.sack_board with
+  | None -> ()
+  | Some b ->
+      List.iter
+        (fun (first, last) ->
+          for seq = first to last - 1 do
+            if seq >= t.snd_una then Hashtbl.replace b.scoreboard seq ()
+          done)
+        blocks
 
 let prune_scoreboard t =
-  (* Runs on every new ACK; without SACK the scoreboard is always empty,
-     so check before doing any work (a [Hashtbl.copy] here measurably
-     dominated non-SACK ACK processing). *)
-  if Hashtbl.length t.scoreboard > 0 then begin
-    let stale =
-      Hashtbl.fold
-        (fun seq () acc -> if seq < t.snd_una then seq :: acc else acc)
-        t.scoreboard []
-    in
-    List.iter (Hashtbl.remove t.scoreboard) stale
-  end
+  (* Runs on every new ACK; an empty scoreboard is the common case, so
+     check before doing any work (a [Hashtbl.copy] here measurably
+     dominated ACK processing). *)
+  match t.sack_board with
+  | Some b when Hashtbl.length b.scoreboard > 0 ->
+      let stale =
+        Hashtbl.fold
+          (fun seq () acc -> if seq < t.snd_una then seq :: acc else acc)
+          b.scoreboard []
+      in
+      List.iter (Hashtbl.remove b.scoreboard) stale
+  | Some _ | None -> ()
+
+let reset_rtx_done t =
+  match t.sack_board with Some b -> Hashtbl.reset b.rtx_done | None -> ()
 
 (* Lowest hole in [snd_una, recover) that is neither SACKed nor already
    retransmitted in this recovery episode. *)
-let next_hole t =
+let next_hole t b =
   let rec scan seq =
     if seq >= t.recover then None
-    else if Hashtbl.mem t.scoreboard seq || Hashtbl.mem t.rtx_done seq then
+    else if Hashtbl.mem b.scoreboard seq || Hashtbl.mem b.rtx_done seq then
       scan (seq + 1)
     else Some seq
   in
   scan t.snd_una
 
+(* Callers repair holes only when SACK is on, so the board is there. *)
 let retransmit_hole t =
-  match next_hole t with
-  | Some seq ->
-      Hashtbl.replace t.rtx_done seq ();
-      send_segment t ~seq ~retransmission:true
+  match t.sack_board with
   | None -> ()
+  | Some b -> (
+      match next_hole t b with
+      | Some seq ->
+          Hashtbl.replace b.rtx_done seq ();
+          send_segment t ~seq ~retransmission:true
+      | None -> ())
 
 let handle_new_ack t ~ack ~ece =
   let newly = ack - t.snd_una in
@@ -201,7 +233,7 @@ let handle_new_ack t ~ack ~ece =
   if t.in_recovery then begin
     if t.snd_una >= t.recover then begin
       t.in_recovery <- false;
-      Hashtbl.reset t.rtx_done
+      reset_rtx_done t
     end
     else if t.config.sack then
       (* Partial ACK: the next hole is lost too; repair it now. *)
@@ -232,7 +264,7 @@ let handle_dup_ack t ~ece =
     t.sample_seq <- -1;
     if t.config.sack then begin
       (* Selective repair: retransmit only the holes the scoreboard shows. *)
-      Hashtbl.reset t.rtx_done;
+      reset_rtx_done t;
       retransmit_hole t
     end
     else begin
@@ -270,8 +302,11 @@ let handle_rto t =
     t.in_recovery <- false;
     t.dupacks <- 0;
     t.sample_seq <- -1;
-    Hashtbl.reset t.scoreboard;
-    Hashtbl.reset t.rtx_done;
+    (match t.sack_board with
+    | Some b ->
+        Hashtbl.reset b.scoreboard;
+        Hashtbl.reset b.rtx_done
+    | None -> ());
     (* Go-back-N: rewind and let the window pump resend from snd_una. *)
     t.recover <- t.snd_nxt;
     t.snd_nxt <- t.snd_una;
@@ -279,8 +314,6 @@ let handle_rto t =
     (arm_rto [@inlined]) t;
     pump t
   end
-
-let clamp_cwnd_raw config c = Float.min (Float.max c 1.) config.max_cwnd
 
 let create sim ~host ~peer ~flow ~cc ?(tracer = Obs.Trace.null)
     ?(config = default_config) ?limit_segments ?(on_complete = fun () -> ())
@@ -298,11 +331,11 @@ let create sim ~host ~peer ~flow ~cc ?(tracer = Obs.Trace.null)
       peer;
       flow;
       tracer;
-      component = Printf.sprintf "flow%d" flow;
+      component = "flow" ^ Int.to_string flow;
       config;
       cc = dummy_cc;
       w =
-        [| clamp_cwnd_raw config config.initial_cwnd;
+        [| clamp_cwnd config config.initial_cwnd;
            config.initial_ssthresh |];
       snd_una = 0;
       snd_nxt = 0;
@@ -316,10 +349,11 @@ let create sim ~host ~peer ~flow ~cc ?(tracer = Obs.Trace.null)
       rto_timer = None;
       sample_seq = -1;
       sample_sent = Time.zero;
-      (* Smallest tables (16 buckets): a non-SACK flow never writes
-         either, and a SACK flow's grow as its recoveries need. *)
-      scoreboard = Hashtbl.create 1;
-      rtx_done = Hashtbl.create 1;
+      (* Smallest tables (16 buckets), grown as recoveries need. *)
+      sack_board =
+        (if config.sack then
+           Some { scoreboard = Hashtbl.create 1; rtx_done = Hashtbl.create 1 }
+         else None);
       retransmissions = 0;
       timeouts = 0;
       fast_retransmits = 0;
@@ -336,9 +370,9 @@ let create sim ~host ~peer ~flow ~cc ?(tracer = Obs.Trace.null)
       flow;
       tracer;
       get_cwnd = (fun () -> t.w.(0));
-      set_cwnd = (fun c -> t.w.(0) <- clamp_cwnd t c);
+      set_cwnd = (fun c -> t.w.(0) <- clamp_cwnd config c);
       get_ssthresh = (fun () -> t.w.(1));
-      set_ssthresh = (fun s -> t.w.(1) <- Float.max s 1.);
+      set_ssthresh = (fun s -> t.w.(1) <- at_least_one s);
     }
   in
   t.cc <- cc api;

@@ -124,7 +124,7 @@ let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static)
       |> List.mapi (fun i _ -> if t >= Time.to_sec (leave_time i) then 1 else 0)
       |> List.fold_left ( + ) 0
     in
-    Stdlib.max 1 (joined - left)
+    Int.max 1 (joined - left)
   in
   let convergence_times_s =
     Array.mapi
@@ -133,7 +133,7 @@ let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static)
           int_of_float (Time.to_sec (join_time i) /. window_s) + 1
         in
         let leave_w =
-          Stdlib.min n_windows
+          Int.min n_windows
             (int_of_float (Time.to_sec (leave_time i) /. window_s))
         in
         let ok w =
@@ -164,7 +164,7 @@ let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static)
     end
   done;
   let steady_mean =
-    Array.map (fun v -> v /. float_of_int (Stdlib.max 1 !count)) steady_totals
+    Array.map (fun v -> v /. float_of_int (Int.max 1 !count)) steady_totals
   in
   {
     shares;

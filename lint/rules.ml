@@ -62,8 +62,8 @@ let rule_doc = function
       "no float = / <> / == / !=; compare times with Time's ( < ) / ( <= ) \
        and floats with an epsilon"
   | R3 ->
-      "no polymorphic compare / Stdlib.compare / Hashtbl.hash; use an \
-       explicit monomorphic comparator"
+      "no polymorphic compare / Stdlib.compare / max / min / Hashtbl.hash; \
+       use an explicit monomorphic comparator (Int.max, Float.min, ...)"
   | R4 ->
       "no print_* / Printf.printf / Format.printf under lib/; log through \
        Logs or Obs.Trace"
@@ -314,20 +314,24 @@ let parse_structure ~filename source =
     in
     raise (Parse_error (filename, line, msg))
 
-(* Does the file itself bind a value called [compare]? If so, bare
-   [compare] refers to that monomorphic binding, not Stdlib's polymorphic
-   one, and R3 must not fire (cf. Engine.Time). *)
-let binds_compare str =
+(* Does the file itself bind a value called [name]? If so, bare [name]
+   refers to that binding, not Stdlib's polymorphic [compare], [max] or
+   [min], and R3 must not fire on it (cf. Engine.Time). *)
+let binds name str =
   let found = ref false in
   let pat sub p =
     (match p.ppat_desc with
-    | Ppat_var { txt = "compare"; _ } -> found := true
+    | Ppat_var { txt; _ } when String.equal txt name -> found := true
     | _ -> ());
     Ast_iterator.default_iterator.pat sub p
   in
   let it = { Ast_iterator.default_iterator with pat } in
   it.structure it str;
   !found
+
+let poly_max_min =
+  "polymorphic max/min (a compare_val call on every use); use Int.max, \
+   Int.min, Float.max, Float.min or an explicit comparison"
 
 let lint_source ?(rules = all_rules) ~filename source =
   let sc = scope_of_file filename in
@@ -340,7 +344,8 @@ let lint_source ?(rules = all_rules) ~filename source =
       out := { rule; file = filename; line; message; notes = [] } :: !out
   in
   let str = parse_structure ~filename source in
-  let compare_is_local = binds_compare str in
+  let compare_is_local = binds "compare" str in
+  let max_is_local = binds "max" str and min_is_local = binds "min" str in
   let check_ident loc lid =
     let parts = norm lid in
     if active R1 && (not sc.is_rng) && List.mem "Random" parts then
@@ -357,7 +362,12 @@ let lint_source ?(rules = all_rules) ~filename source =
            emit R3 loc
              "polymorphic Hashtbl.hash; hash a canonical key (e.g. the \
               packet id) explicitly"
-       | _ -> ());
+       | _ -> (
+           match flatten lid with
+           | [ "Stdlib"; ("max" | "min") ] -> emit R3 loc poly_max_min
+           | [ "max" ] when not max_is_local -> emit R3 loc poly_max_min
+           | [ "min" ] when not min_is_local -> emit R3 loc poly_max_min
+           | _ -> ()));
     if active R4 && sc.in_lib && is_print_fn parts then
       emit R4 loc
         "direct console output inside lib/; route through Logs or Obs.Trace \

@@ -5,7 +5,7 @@ type 'a t = {
 }
 
 let create ?(capacity = 64) ~cmp () =
-  let capacity = Stdlib.max capacity 1 in
+  let capacity = Int.max capacity 1 in
   { cmp; data = Array.make capacity None; size = 0 }
 
 let length h = h.size

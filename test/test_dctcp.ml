@@ -180,7 +180,7 @@ let prop_dt_zone_bounds =
         (int_range 1 10) (int_range 1 10))
     (fun (occupancies_pkts, a, b) ->
       let k1 = a * 1500 and k2 = b * 1500 in
-      let lo = min k1 k2 and hi = max k1 k2 in
+      let lo = Int.min k1 k2 and hi = Int.max k1 k2 in
       let walk = steps_of_walk (List.map (fun p -> p * 1500) occupancies_pkts) in
       let p = M.double_threshold ~k1_bytes:k1 ~k2_bytes:k2 () in
       List.for_all2

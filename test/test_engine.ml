@@ -771,10 +771,10 @@ let prop_event_queue_pop_until_matches_heap =
    pops, in every (kind, deadline) interleaving the oracle checks. *)
 let bitmap_key =
   QCheck.Gen.(
-    let word = map2 (fun w o -> max 0 ((w * 1024) + o)) (int_bound 40) (int_range (-40) 40) in
+    let word = map2 (fun w o -> Int.max 0 ((w * 1024) + o)) (int_bound 40) (int_range (-40) 40) in
     let spread = int_bound 32_767 in
     let horizon =
-      map2 (fun k o -> max 0 ((k lsl 35) + o)) (int_range 1 2) (int_range (-2_000) 2_000)
+      map2 (fun k o -> Int.max 0 ((k lsl 35) + o)) (int_range 1 2) (int_range (-2_000) 2_000)
     in
     map2 ( + )
       (frequency [ (3, return 0); (1, map (fun b -> b lsl 15) (int_bound 3)) ])

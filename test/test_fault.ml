@@ -222,7 +222,7 @@ let test_jitter_delays_packets () =
     (Tcp.Flow.completed flow)
 
 let always_mark () =
-  Net.Marking.make ~name:"always"
+  Net.Marking.make
     ~on_enqueue:(fun ~bytes:_ ~packets:_ -> true)
     ~on_dequeue:(fun ~bytes:_ ~packets:_ -> ())
     ()

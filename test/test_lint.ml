@@ -59,6 +59,25 @@ let test_r3_local_compare_ok () =
        "let compare a b = Int64.compare a b\n\
         let lt a b = compare a b < 0\n")
 
+let test_r3_polymorphic_max_min () =
+  check_findings "bare and Stdlib-qualified max/min"
+    [ ("R3", 1); ("R3", 2); ("R3", 3); ("R3", 3) ]
+    (findings ~file:"lib/tcp/sender.ml"
+       "let w c = max 1 c\n\
+        let lo a b = Stdlib.min a b\n\
+        let fold l = List.fold_left min (Stdlib.max 0 0) l\n")
+
+let test_r3_max_min_ok () =
+  (* Monomorphic [Int]/[Float] versions, and a file's own [max]/[min]
+     bindings (a labelled argument, a local helper), are not Stdlib's. *)
+  check_findings "Int.max, Float.min, locally bound max/min" []
+    (findings ~file:"lib/engine/rng.ml"
+       "let w c = Int.max 1 c + Int.min c 2\n\
+        let f x = Float.min x (Float.max x 0.)\n\
+        let span ~max = max + 1\n\
+        let min (a : int) b = if a <= b then a else b\n\
+        let g a = min a 3\n")
+
 (* --- R4: console output inside lib/ --- *)
 
 let test_r4_print_in_lib () =
@@ -248,6 +267,10 @@ let suites =
         Alcotest.test_case "R3 polymorphic compare" `Quick
           test_r3_polymorphic_compare;
         Alcotest.test_case "R3 local compare ok" `Quick test_r3_local_compare_ok;
+        Alcotest.test_case "R3 polymorphic max/min" `Quick
+          test_r3_polymorphic_max_min;
+        Alcotest.test_case "R3 monomorphic or local max/min ok" `Quick
+          test_r3_max_min_ok;
         Alcotest.test_case "R4 print in lib" `Quick test_r4_print_in_lib;
         Alcotest.test_case "R4 print outside lib" `Quick
           test_r4_print_outside_lib_ok;

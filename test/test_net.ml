@@ -159,7 +159,7 @@ let test_queue_tail_drop () =
 let test_queue_marks_via_policy () =
   let sim = Sim.create () in
   let policy =
-    Marking.make ~name:"always"
+    Marking.make
       ~on_enqueue:(fun ~bytes:_ ~packets:_ -> true)
       ~on_dequeue:(fun ~bytes:_ ~packets:_ -> ())
       ()
@@ -178,7 +178,7 @@ let test_queue_policy_sees_occupancy () =
   let sim = Sim.create () in
   let seen = ref [] in
   let policy =
-    Marking.make ~name:"spy"
+    Marking.make
       ~on_enqueue:(fun ~bytes ~packets ->
         seen := `Enq (bytes, packets) :: !seen;
         false)
@@ -412,6 +412,46 @@ let test_port_tx_time () =
   Alcotest.check Alcotest.int "1500B at 10G = 1.2us" 1200
     (Time.span_to_int_ns (Net.Port.tx_time port ~bytes:1500))
 
+(* Data segments and ACKs interleave on a fabric port, so the
+   serialization memo holds two sizes. Back-to-back packets of
+   alternating sizes, at one rate and then at another, must each take
+   exactly [tx_time] at the rate of the moment: a memo entry that
+   survived [set_rate] or answered for the wrong size would shift the
+   gaps. *)
+let test_port_alternating_sizes () =
+  let sim = Sim.create () in
+  let q = Q.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:1_000_000) () in
+  let arrivals = ref [] in
+  let port =
+    Net.Port.create sim ~rate_bps:1e9 ~delay:(Time.span_of_int_ns 0) ~queue:q
+      ~deliver:(fun pkt ->
+        arrivals :=
+          (Time.to_int_ns (Sim.now sim), Packet.size (Packet.store_of sim) pkt)
+          :: !arrivals)
+  in
+  let sizes = [ 1500; 40; 1500; 40; 40; 1500; 1500; 40; 977 ] in
+  let burst () =
+    arrivals := [];
+    let start = Time.to_int_ns (Sim.now sim) in
+    List.iter (fun size -> Net.Port.send port (mk_pkt ~sim ~size ())) sizes;
+    Sim.run sim;
+    ignore
+      (List.fold_left
+         (fun prev (at, size) ->
+           checki
+             (Printf.sprintf "%d B gap" size)
+             (Time.span_to_int_ns (Net.Port.tx_time port ~bytes:size))
+             (at - prev);
+           at)
+         start (List.rev !arrivals));
+    checki "all delivered" (List.length sizes) (List.length !arrivals)
+  in
+  burst ();
+  Net.Port.set_rate port 3e9;
+  burst ();
+  Net.Port.set_rate port 7e8;
+  burst ()
+
 let test_port_reset_counters () =
   let sim = Sim.create () in
   let q = Q.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:10_000) () in
@@ -634,7 +674,7 @@ let test_dumbbell_bottleneck_marks () =
     Net.Topology.dumbbell sim ~n_senders:1 ~bottleneck_rate_bps:1e9
       ~rtt:(Time.span_of_us 100.) ~buffer_bytes:100_000
       ~marking:
-        (Marking.make ~name:"always"
+        (Marking.make
            ~on_enqueue:(fun ~bytes:_ ~packets:_ -> true)
            ~on_dequeue:(fun ~bytes:_ ~packets:_ -> ())
            ())
@@ -915,7 +955,7 @@ let prop_buffer_dt_matches_float_model =
       List.for_all
         (fun (is_admit, sz) ->
           let model_limit =
-            Stdlib.min size
+            Int.min size
               (int_of_float (alpha *. float_of_int (size - !occ)))
           in
           let limits_agree = model_limit = B.effective_limit p in
@@ -1113,6 +1153,25 @@ let test_fat_tree_wiring () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* Set-up builds only what a run reads: no marking-policy names, names
+   built without Printf, route tables sized once, 8-slot rings. The
+   k = 8 fabric (768 ports) took 231,827 words before; it now takes
+   about 111,000. *)
+let test_fat_tree_build_words () =
+  let sim = Sim.create () in
+  let before = Gc.minor_words () in
+  let ft =
+    Net.Topology.fat_tree sim ~k:8
+      ~marking:(fun () ->
+        Dctcp.Marking_policies.single_threshold ~k_bytes:32_000)
+      ()
+  in
+  let words = Gc.minor_words () -. before in
+  checki "hosts" 128 (Array.length ft.Net.Topology.hosts);
+  checkb
+    (Printf.sprintf "%.0f words for a k = 8 fat tree <= 120000" words)
+    true (words <= 120_000.)
+
 (* Every ordered host pair exchanges one packet: all 240 deliveries
    arrive and no switch anywhere records a no-route drop. *)
 let test_fat_tree_all_pairs () =
@@ -1195,6 +1254,8 @@ let suites =
         Alcotest.test_case "back-to-back serialization" `Quick
           test_port_back_to_back;
         Alcotest.test_case "tx_time" `Quick test_port_tx_time;
+        Alcotest.test_case "alternating sizes across set_rate" `Quick
+          test_port_alternating_sizes;
         Alcotest.test_case "reset counters" `Quick test_port_reset_counters;
         Alcotest.test_case "drops do not transmit" `Quick
           test_port_drops_dont_transmit;
@@ -1238,6 +1299,8 @@ let suites =
         Alcotest.test_case "star reverse and cross-leaf" `Quick
           test_star_reverse_and_cross;
         Alcotest.test_case "fat tree wiring" `Quick test_fat_tree_wiring;
+        Alcotest.test_case "fat tree build words" `Quick
+          test_fat_tree_build_words;
         Alcotest.test_case "fat tree all-pairs connectivity" `Quick
           test_fat_tree_all_pairs;
       ] );

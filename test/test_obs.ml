@@ -436,7 +436,7 @@ let reference_peak ~max_lag xs =
   let mean = ref 0. and m2 = ref 0. in
   Array.iteri
     (fun k x ->
-      for l = 1 to Stdlib.min k max_lag do
+      for l = 1 to Int.min k max_lag do
         acc.(l - 1) <- acc.(l - 1) +. (x *. ring.((k - l) mod max_lag))
       done;
       ring.(k mod max_lag) <- x;
@@ -446,7 +446,7 @@ let reference_peak ~max_lag xs =
     xs;
   let var = !m2 /. float_of_int n and mean2 = !mean *. !mean in
   let rho l = ((acc.(l - 1) /. float_of_int (n - l)) -. mean2) /. var in
-  let usable = Stdlib.min max_lag (n - 16) in
+  let usable = Int.min max_lag (n - 16) in
   let rec first_negative l =
     if l > usable then None
     else if rho l < 0. then Some l

@@ -193,8 +193,8 @@ let prop_percentile_extremes =
     QCheck.(list_of_size Gen.(int_range 1 40) (float_range (-50.) 50.))
     (fun l ->
       let arr = Array.of_list l in
-      let mn = List.fold_left min (List.hd l) l in
-      let mx = List.fold_left max (List.hd l) l in
+      let mn = List.fold_left Float.min (List.hd l) l in
+      let mx = List.fold_left Float.max (List.hd l) l in
       Float.abs (P.of_array arr 0. -. mn) < 1e-9
       && Float.abs (P.of_array arr 100. -. mx) < 1e-9)
 

@@ -603,30 +603,80 @@ let test_flow_determinism () =
   in
   checkb "identical runs" true (run () = run ())
 
-(* A flow's SACK scoreboard, retransmit set and out-of-order buffer are
-   sized by use: a non-SACK flow never writes the first two, and an
-   in-order one never writes the third, so a flow creates them at the
-   smallest size rather than paying for 64-bucket tables up front (three
-   of those were 210 words, half of a fat-tree flow's live words).
-   Averaged over 64 flows, so growth of the sim's action table and the
-   hosts' flow tables is amortized. *)
-let test_flow_creation_words () =
+(* The sender's window clamps are written as comparisons rather than
+   [Float.min]/[Float.max] calls; they must return the very float the
+   library forms return, bit for bit, for every [cwnd]/[ssthresh]
+   request and every [max_cwnd] in a set of specials (NaNs of both
+   signs, signed zeros, infinities, a subnormal, values either side of
+   1 and of the cap). *)
+let test_window_clamps_exact () =
+  let specials =
+    [ Float.nan; -.Float.nan; infinity; neg_infinity; 0.; -0.; 1.; -1.; 0.5;
+      1.5; 7.25; 1e9; 2e9; 5e-324; max_float; -.max_float ]
+  in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun max_cwnd ->
+      let sim = Sim.create () in
+      let host = Net.Host.create sim ~id:0 in
+      let api = ref None in
+      let cc a =
+        api := Some a;
+        Tcp.Cc.reno a
+      in
+      ignore
+        (Tcp.Sender.create sim ~host ~peer:1 ~flow:0 ~cc
+           ~config:{ Tcp.Sender.default_config with max_cwnd }
+           ());
+      let a = Option.get !api in
+      List.iter
+        (fun c ->
+          let what = Printf.sprintf "(%h, cap %h)" c max_cwnd in
+          a.Tcp.Cc.set_cwnd c;
+          Alcotest.(check int64) ("cwnd " ^ what)
+            (bits (Float.min (Float.max c 1.) max_cwnd))
+            (bits (a.Tcp.Cc.get_cwnd ()));
+          a.Tcp.Cc.set_ssthresh c;
+          Alcotest.(check int64) ("ssthresh " ^ what)
+            (bits (Float.max c 1.))
+            (bits (a.Tcp.Cc.get_ssthresh ())))
+        specials)
+    specials
+
+(* A flow builds only what it reads: a non-SACK sender has no SACK
+   scoreboard or retransmit set, the receiver creates its out-of-order
+   table at the first out-of-order segment, and trace component names
+   are built without Printf. Averaged over 64 flows, so growth of the
+   sim's action table and the hosts' flow tables is amortized. *)
+let flow_creation_words cc =
   let sim = Sim.create () in
   let src = Net.Host.create sim ~id:0 and dst = Net.Host.create sim ~id:1 in
   let n = 64 in
   let before = Gc.minor_words () in
   for flow = 0 to n - 1 do
     ignore
-      (Tcp.Flow.create sim ~src ~dst ~flow ~cc:Tcp.Cc.reno
+      (Tcp.Flow.create sim ~src ~dst ~flow ~cc
          ~config:{ Tcp.Sender.default_config with sack = false }
          ())
   done;
-  let per_flow = (Gc.minor_words () -. before) /. float_of_int n in
-  (* 299 words with the smallest tables, 443 with three 64-bucket ones;
-     any one table back at 64 buckets (+48 words) crosses the budget. *)
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* 197 words for Reno (299 with the tables built up front and a Printf
+   name); one smallest table back (22 words) or a Printf-formatted name
+   (about 40) crosses the budget. *)
+let test_flow_creation_words () =
+  let per_flow = flow_creation_words Tcp.Cc.reno in
   checkb
-    (Printf.sprintf "%.1f words per non-SACK flow <= 330" per_flow)
-    true (per_flow <= 330.)
+    (Printf.sprintf "%.1f words per non-SACK Reno flow <= 210" per_flow)
+    true (per_flow <= 210.)
+
+(* DCTCP adds its per-flow state and names its cut events' component:
+   224 words (362 before). *)
+let test_dctcp_flow_creation_words () =
+  let per_flow = flow_creation_words (Dctcp.Dctcp_cc.cc ()) in
+  checkb
+    (Printf.sprintf "%.1f words per non-SACK DCTCP flow <= 235" per_flow)
+    true (per_flow <= 235.)
 
 let suites =
   [
@@ -690,8 +740,12 @@ let suites =
         Alcotest.test_case "sack beats go-back-N on retransmissions" `Slow
           test_sack_fewer_retransmissions;
         Alcotest.test_case "validation" `Quick test_sender_validation;
+        Alcotest.test_case "window clamps match Float.min/max bit for bit"
+          `Quick test_window_clamps_exact;
         Alcotest.test_case "flow creation words" `Quick
           test_flow_creation_words;
+        Alcotest.test_case "DCTCP flow creation words" `Quick
+          test_dctcp_flow_creation_words;
         Alcotest.test_case "determinism" `Quick test_flow_determinism;
       ] );
   ]
