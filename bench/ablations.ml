@@ -1,123 +1,43 @@
 (* Ablation benches for the design choices DESIGN.md calls out: threshold
-   placement, the EWMA gain g, the marking-policy family, and the fluid
-   model as a cross-check of the packet simulator.
+   placement, the EWMA gain g, the marking-policy family, the testbed's
+   threshold labels, and the fluid model as a cross-check of the packet
+   simulator. The simulated ablations are Exp.Claim declarations; here
+   are their notes, and the closed-form describing-function-vs-fluid
+   validation, which stays outside the experiment layer. *)
 
-   Simulation-driven ablations run their Exp.Registry spec lists through
-   Bench_common.run_specs; the fluid/describing-function halves are
-   closed-form and stay outside the experiment layer. *)
-
-module L = Workloads.Longlived
 module Fm = Fluid.Dctcp_fluid
 
-let queue_row t (o : Exp.Runner.outcome) =
-  let r = Bench_common.longlived_of o in
-  Stats.Table.add_row t
-    [
-      o.Exp.Runner.spec.Exp.Spec.name;
-      Stats.Table.fmt_f 1 r.L.mean_queue_pkts;
-      Stats.Table.fmt_f 2 r.L.std_queue_pkts;
-      Stats.Table.fmt_f 3 r.L.mean_alpha;
-      Stats.Table.fmt_f 3 r.L.utilization;
-    ]
-
-let ablation_thresholds () =
-  Bench_common.section_header
-    "Ablation A: DT-DCTCP threshold placement at N=60 (K=40 equivalent)";
-  let outcomes =
-    Bench_common.run_specs
-      (Exp.Registry.threshold_ablation_specs ~warmup:(Bench_common.warmup ())
-         ~measure:(Bench_common.measure ()) ())
-  in
-  let t =
-    Stats.Table.create ~title:"queue statistics vs (K1, K2), packets"
-      ~columns:
-        [
-          Stats.Table.column ~align:Stats.Table.Left "policy";
-          Stats.Table.column "mean q";
-          Stats.Table.column "std q";
-          Stats.Table.column "alpha";
-          Stats.Table.column "util";
-        ]
-  in
-  Array.iter (queue_row t) outcomes;
-  Stats.Table.print t;
-  Printf.printf
-    "\nWider splits start marking earlier (lower mean queue) and stop\n\
+let thresholds =
+  Bench_common.note
+    "Points name (K1, K2) in packets with the '=' dropped: k135,k245 is\n\
+     K1 = 35, K2 = 45.\n\
+     Wider splits start marking earlier (lower mean queue) and stop\n\
      earlier on descents; too wide a split costs utilization headroom.\n"
 
-let ablation_g () =
-  Bench_common.section_header "Ablation B: EWMA gain g at N=60";
-  (* Registry order: per gain (1/4, 1/16, 1/64), a (dctcp, dt) pair. *)
-  let outcomes =
-    Bench_common.run_specs
-      (Exp.Registry.g_ablation_specs ~warmup:(Bench_common.warmup ())
-         ~measure:(Bench_common.measure ()) ())
-  in
-  let t =
-    Stats.Table.create ~title:"queue statistics vs g"
-      ~columns:
-        [
-          Stats.Table.column ~align:Stats.Table.Left "g";
-          Stats.Table.column "DCTCP mean q";
-          Stats.Table.column "DCTCP std q";
-          Stats.Table.column "DT mean q";
-          Stats.Table.column "DT std q";
-        ]
-  in
-  List.iteri
-    (fun i label ->
-      let rdc = Bench_common.longlived_of outcomes.(2 * i) in
-      let rdt = Bench_common.longlived_of outcomes.((2 * i) + 1) in
-      Stats.Table.add_row t
-        [
-          label;
-          Stats.Table.fmt_f 1 rdc.L.mean_queue_pkts;
-          Stats.Table.fmt_f 2 rdc.L.std_queue_pkts;
-          Stats.Table.fmt_f 1 rdt.L.mean_queue_pkts;
-          Stats.Table.fmt_f 2 rdt.L.std_queue_pkts;
-        ])
-    [ "1/4"; "1/16"; "1/64" ];
-  Stats.Table.print t;
-  Printf.printf
-    "\nThe paper fixes g=1/16; the DT advantage in stddev persists across\n\
+let g =
+  Bench_common.note
+    "The paper fixes g=1/16; the DT advantage in stddev persists across\n\
      gains (slower gains smooth alpha but react later).\n"
 
-let ablation_policies () =
-  Bench_common.section_header
-    "Ablation C: marking-policy family at N=60 (same sender where applicable)";
-  let outcomes =
-    Bench_common.run_specs
-      (Exp.Registry.policy_ablation_specs ~warmup:(Bench_common.warmup ())
-         ~measure:(Bench_common.measure ()) ())
-  in
-  let t =
-    Stats.Table.create ~title:"protocol family comparison"
-      ~columns:
-        [
-          Stats.Table.column ~align:Stats.Table.Left "protocol";
-          Stats.Table.column "mean q";
-          Stats.Table.column "std q";
-          Stats.Table.column "util";
-          Stats.Table.column "drops";
-        ]
-  in
-  Array.iter
-    (fun (o : Exp.Runner.outcome) ->
-      let r = Bench_common.longlived_of o in
-      Stats.Table.add_row t
-        [
-          o.Exp.Runner.spec.Exp.Spec.name;
-          Stats.Table.fmt_f 1 r.L.mean_queue_pkts;
-          Stats.Table.fmt_f 2 r.L.std_queue_pkts;
-          Stats.Table.fmt_f 3 r.L.utilization;
-          string_of_int r.L.drops;
-        ])
-    outcomes;
-  Stats.Table.print t;
-  Printf.printf
-    "\nThe paper's background claim: plain ECN (on/off halving) wastes the\n\
+let policies =
+  Bench_common.note
+    "The paper's background claim: plain ECN (on/off halving) wastes the\n\
      queue headroom and Reno fills the buffer; DCTCP holds the queue near K\n\
      and DT-DCTCP holds it with less variance.\n"
+
+let testbed_labels =
+  Bench_common.note
+    "Read literally (thermostat: start 34KB, stop 28KB) the DT thresholds\n\
+     collapse no later than DCTCP; read as (start=lower, stop=higher) they\n\
+     postpone the collapse as the paper's Figure 14 reports — the basis for\n\
+     the label-swap conclusion in DESIGN.md.\n"
+
+let fluid =
+  Bench_common.note
+    "The deterministic fluid model sits near the thresholds by\n\
+     construction; the packet simulator adds ACK-clocking burstiness and\n\
+     window quantization, which lift the mean at large N (the oscillation\n\
+     the paper studies).\n"
 
 let df_vs_fluid () =
   Bench_common.section_header
@@ -183,104 +103,3 @@ let df_vs_fluid () =
      factor-<2 agreement is the expected accuracy; the ordering it predicts\n\
      (DT-DCTCP oscillates with smaller amplitude and higher frequency than\n\
      DCTCP at every N) holds exactly in the integrated model.\n"
-
-let ablation_testbed_labels () =
-  Bench_common.section_header
-    "Ablation E: the two readings of the testbed's (K1=34KB, K2=28KB)";
-  let repeats = Bench_common.scale_int 10 in
-  let flow_counts = [ 28; 30; 32; 34; 36; 38; 40 ] in
-  (* Registry order: per flow count, (dctcp-32KB, start28-stop34,
-     thermostat34-28). *)
-  let outcomes =
-    Bench_common.run_specs
-      (Exp.Registry.testbed_label_specs ~flow_counts ~repeats ())
-  in
-  let t =
-    Stats.Table.create
-      ~title:"Incast goodput (Mbps) under both label readings"
-      ~columns:
-        [
-          Stats.Table.column "flows";
-          Stats.Table.column "DCTCP 32KB";
-          Stats.Table.column "start28/stop34";
-          Stats.Table.column "thermostat 34/28";
-        ]
-  in
-  List.iteri
-    (fun i n ->
-      let cell j =
-        let r = Bench_common.incast_of outcomes.((3 * i) + j) in
-        Stats.Table.fmt_f 1
-          (Bench_common.mbps r.Workloads.Fanin.mean_goodput_bps)
-      in
-      Stats.Table.add_row t [ string_of_int n; cell 0; cell 1; cell 2 ])
-    flow_counts;
-  Stats.Table.print t;
-  Printf.printf
-    "\nRead literally (thermostat: start 34KB, stop 28KB) the DT thresholds\n\
-     collapse no later than DCTCP; read as (start=lower, stop=higher) they\n\
-     postpone the collapse as the paper's Figure 14 reports — the basis for\n\
-     the label-swap conclusion in DESIGN.md.\n"
-
-let fluid_vs_sim () =
-  Bench_common.section_header
-    "Ablation D: fluid model (Eqs. 1-3) vs packet simulation";
-  let c = 10e9 /. 12000. in
-  let ns = [ 10; 30; 60; 100 ] in
-  let specs =
-    List.concat_map
-      (fun n ->
-        let config =
-          Exp.Registry.longlived_config ~warmup:(Bench_common.warmup ())
-            ~measure:(Bench_common.measure ()) ~n ()
-        in
-        List.map
-          (fun proto ->
-            {
-              Exp.Spec.name =
-                Printf.sprintf "fluid_vs_sim/%s/n=%d"
-                  (Exp.Spec.protocol_name proto) n;
-              protocol = proto;
-              workload = Exp.Spec.Longlived config;
-              faults = None;
-              buffer = Net.Buffer_mgr.Static;
-            })
-          [ Exp.Registry.sim_dctcp; Exp.Registry.sim_dt ])
-      ns
-  in
-  let outcomes = Bench_common.run_specs specs in
-  let t =
-    Stats.Table.create ~title:"mean queue (packets), fluid vs packet-level"
-      ~columns:
-        [
-          Stats.Table.column "N";
-          Stats.Table.column "fluid DCTCP";
-          Stats.Table.column "sim DCTCP";
-          Stats.Table.column "fluid DT";
-          Stats.Table.column "sim DT";
-        ]
-  in
-  List.iteri
-    (fun i n ->
-      let fluid marking =
-        let p = Fm.make ~n ~c ~r0:1e-4 ~g:(1. /. 16.) ~marking () in
-        let traj = Fm.simulate p ~t_end:0.15 () in
-        fst (Fm.queue_stats traj ~discard:0.05)
-      in
-      let sim_dc = Bench_common.longlived_of outcomes.(2 * i) in
-      let sim_dt = Bench_common.longlived_of outcomes.((2 * i) + 1) in
-      Stats.Table.add_row t
-        [
-          string_of_int n;
-          Stats.Table.fmt_f 1 (fluid (Fm.Single 40.));
-          Stats.Table.fmt_f 1 sim_dc.L.mean_queue_pkts;
-          Stats.Table.fmt_f 1 (fluid (Fm.Double (30., 50.)));
-          Stats.Table.fmt_f 1 sim_dt.L.mean_queue_pkts;
-        ])
-    ns;
-  Stats.Table.print t;
-  Printf.printf
-    "\nThe deterministic fluid model sits near the thresholds by\n\
-     construction; the packet simulator adds ACK-clocking burstiness and\n\
-     window quantization, which lift the mean at large N (the oscillation\n\
-     the paper studies).\n"

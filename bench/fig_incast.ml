@@ -1,104 +1,42 @@
 (* Figure 14 (Incast goodput collapse) and Figure 15 (scatter-gather
-   completion time) on the simulated 1 Gbps testbed star.
+   completion time) on the simulated 1 Gbps testbed star: the collapse
+   onset read off the fig14 claim's goodput by label, and the paper's
+   notes. *)
 
-   Both figures sweep flow count x testbed protocol; the spec lists come
-   from Exp.Registry, which emits per-N triples in [proto_labels] order. *)
+let protocols (r : Exp.Claim.report) =
+  List.fold_left
+    (fun acc (run : Exp.Claim.run) ->
+      if List.exists (String.equal run.protocol) acc then acc
+      else acc @ [ run.protocol ])
+    [] r.runs
 
-module F = Workloads.Fanin
-
-let proto_labels = [ "DCTCP K=32KB"; "DT (28,34)KB"; "DT (30,34)KB" ]
-let flow_counts = Exp.Registry.incast_flow_counts
-
-(* outcomes.(3i + j): flow count i, protocol j. *)
-let triple outcomes i = List.init 3 (fun j -> outcomes.((3 * i) + j))
-
-let fig14 () =
-  Bench_common.section_header
-    "Figure 14: Incast, 64KB per worker, 1 Gbps star, 128KB buffer";
-  let repeats = Bench_common.scale_int 20 in
-  let outcomes =
-    Bench_common.run_specs (Exp.Registry.fig_incast_specs ~flow_counts ~repeats ())
-  in
-  let t =
-    Stats.Table.create
-      ~title:
-        (Printf.sprintf "goodput (Mbps), mean of %d synchronized queries"
-           repeats)
-      ~columns:
-        (Stats.Table.column "flows"
-        :: List.concat_map
-             (fun name ->
-               [
-                 Stats.Table.column name;
-                 Stats.Table.column ("to/run " ^ String.sub name 0 2);
-               ])
-             proto_labels)
-  in
-  let collapse = Hashtbl.create 8 in
-  List.iteri
-    (fun i n ->
-      let row =
-        List.concat_map
-          (fun (name, o) ->
-            let r = Bench_common.incast_of o in
-            let g = Bench_common.mbps r.F.mean_goodput_bps in
-            if g < 500. && not (Hashtbl.mem collapse name) then
-              Hashtbl.replace collapse name n;
-            [ Stats.Table.fmt_f 1 g; Stats.Table.fmt_f 1 r.F.timeouts_per_run ])
-          (List.combine proto_labels (triple outcomes i))
-      in
-      Stats.Table.add_row t (string_of_int n :: row))
-    flow_counts;
-  Stats.Table.print t;
+let fig14 (r : Exp.Claim.report) =
+  let ns = Exp.Registry.incast_flow_counts in
+  let last = List.fold_left (fun _ n -> n) 0 ns in
   Printf.printf "\ncollapse onset (first n with goodput < 500 Mbps):\n";
   List.iter
-    (fun name ->
-      Printf.printf "  %-14s %s\n" name
-        (match Hashtbl.find_opt collapse name with
+    (fun protocol ->
+      let collapsed n =
+        match
+          Exp.Claim.value r "goodput_mbps" ~protocol
+            ~point:(Printf.sprintf "n%d" n)
+        with
+        | Some g -> g < 500.
+        | None -> false
+      in
+      Printf.printf "  %-14s %s\n" protocol
+        (match List.find_opt collapsed ns with
         | Some n -> string_of_int n
-        | None -> "none up to 48"))
-    proto_labels;
+        | None -> Printf.sprintf "none up to %d" last))
+    (protocols r);
   Printf.printf
     "\nPaper: DCTCP collapses at 32 synchronized flows, DT-DCTCP holds until\n\
      37 — a ~5-flow postponement. The reproduction shows the same ordering\n\
      and a similar gap (absolute onsets shift with min-RTO and jitter).\n"
 
-let fig15 () =
-  Bench_common.section_header
-    "Figure 15: completion time of 1MB scattered over n workers";
-  let repeats = Bench_common.scale_int 20 in
-  let outcomes =
-    Bench_common.run_specs
-      (Exp.Registry.fig_completion_specs ~flow_counts ~repeats ())
-  in
-  let t =
-    Stats.Table.create
-      ~title:
-        (Printf.sprintf "query completion time (ms), mean of %d queries"
-           repeats)
-      ~columns:
-        (Stats.Table.column "flows"
-        :: List.concat_map
-             (fun name -> [ Stats.Table.column name; Stats.Table.column "max" ])
-             proto_labels)
-  in
-  List.iteri
-    (fun i n ->
-      let row =
-        List.concat_map
-          (fun o ->
-            let r = Bench_common.completion_of o in
-            [
-              Stats.Table.fmt_f 2 (r.F.mean_completion_s *. 1e3);
-              Stats.Table.fmt_f 2 (r.F.max_completion_s *. 1e3);
-            ])
-          (triple outcomes i)
-      in
-      Stats.Table.add_row t (string_of_int n :: row))
-    flow_counts;
-  Stats.Table.print t;
-  Printf.printf
-    "\nPaper: floor ~10 ms (1MB at 1 Gbps); a ~20x jump once Incast begins.\n\
+let fig15 =
+  Bench_common.note
+    "Paper: floor ~10 ms (1MB at 1 Gbps); a ~20x jump once Incast begins.\n\
      DCTCP's completion oscillates from 34 flows and jumps at 40; DT-DCTCP\n\
      climbs smoothly and jumps later (42). Look for the later, cleaner\n\
-     transition in the DT (28,34) column.\n"
+     transition in the dt-28-34 rows.\n"

@@ -1,66 +1,23 @@
 (* Figure 1 (queue oscillation traces) and Figure 2 (marking strategies). *)
 
-module L = Workloads.Longlived
-
-let fig1 () =
-  Bench_common.section_header
-    "Figure 1: queue at the switch, DCTCP vs DT-DCTCP, N=10 and N=100";
-  let specs =
-    Exp.Registry.fig_queue_specs ~warmup:(Bench_common.warmup ())
-      ~measure:(Bench_common.measure ()) ()
-  in
-  let outcomes = Bench_common.run_specs specs in
-  let results =
-    Array.to_list
-      (Array.map
-         (fun (o : Exp.Runner.outcome) ->
-           let r = Bench_common.longlived_of o in
-           let series =
-             match r.L.queue_series with
-             | Some s -> Array.map snd s
-             | None -> [||]
-           in
-           (o.Exp.Runner.spec.Exp.Spec.name, (r, series)))
-         outcomes)
-  in
-  let t =
-    Stats.Table.create ~title:"queue statistics (packets)"
-      ~columns:
-        [
-          Stats.Table.column ~align:Stats.Table.Left "case";
-          Stats.Table.column "mean";
-          Stats.Table.column "stddev";
-          Stats.Table.column "max";
-          Stats.Table.column "peak-to-peak";
-          Stats.Table.column "util";
-        ]
-  in
+(* Plots a 4 ms excerpt of each run's queue so individual oscillation
+   periods resolve. *)
+let fig1 (r : Exp.Claim.report) =
   List.iter
-    (fun (name, (r, series)) ->
-      let lo = Array.fold_left Float.min infinity series in
-      let hi = Array.fold_left Float.max neg_infinity series in
-      Stats.Table.add_row t
-        [
-          name;
-          Stats.Table.fmt_f 1 r.L.mean_queue_pkts;
-          Stats.Table.fmt_f 2 r.L.std_queue_pkts;
-          Stats.Table.fmt_f 0 r.L.max_queue_pkts;
-          Stats.Table.fmt_f 0 (hi -. lo);
-          Stats.Table.fmt_f 3 r.L.utilization;
-        ])
-    results;
-  Stats.Table.print t;
-  List.iter
-    (fun (name, (_, series)) ->
-      (* Plot a 4 ms excerpt so individual oscillation periods resolve. *)
-      let n = Array.length series in
-      let excerpt = Array.sub series (n / 2) (Int.min 200 (n / 2)) in
-      Printf.printf "\n%s (4 ms excerpt, queue in packets):\n%s" name
-        (Stats.Ascii_plot.render ~height:10 ~series:[ (name, excerpt) ] ()))
-    results;
+    (fun (run : Exp.Claim.run) ->
+      Option.iter
+        (fun series ->
+          let name = run.outcome.Exp.Runner.spec.Exp.Spec.name in
+          let n = Array.length series in
+          let excerpt = Array.sub series (n / 2) (Int.min 200 (n / 2)) in
+          Printf.printf "\n%s (4 ms excerpt, queue in packets):\n%s" name
+            (Stats.Ascii_plot.render ~height:10 ~series:[ (name, excerpt) ] ()))
+        (Exp.Claim.series run.outcome))
+    r.runs;
   Printf.printf
     "\nPaper's claim: DCTCP's swing at N=100 is ~3-4x its N=10 swing, and\n\
-     DT-DCTCP swings less at equal N. Compare the stddev/peak-to-peak rows.\n"
+     DT-DCTCP swings less at equal N. Compare the std_queue and peak_to_peak \
+     columns.\n"
 
 (* Figure 2: drive both policies over one synthetic queue swing and show
    where each marks. *)

@@ -1,90 +1,14 @@
 (* Spectral validation: the packet simulator's measured oscillation
    frequency against the describing-function prediction, in the long-RTT
-   configuration where Theorems 1-2 predict finite limit cycles. *)
+   configuration where Theorems 1-2 predict finite limit cycles. Both
+   frequencies are metrics of the spectrum claim. *)
 
-module Time = Engine.Time
-module L = Workloads.Longlived
-module St = Control.Stability
-
-let measure proto ~n ~rtt_us =
-  let sample_period = Time.span_of_us 50. in
-  let cfg =
-    {
-      L.default_config with
-      L.n_flows = n;
-      rtt = Time.span_of_us rtt_us;
-      warmup = Bench_common.scale_span (Time.span_of_ms 200.);
-      measure = Bench_common.scale_span (Time.span_of_ms 400.);
-      trace_sampling = Some sample_period;
-      min_rto = Time.span_of_ms 50.;
-    }
-  in
-  let r = L.run proto cfg in
-  match r.L.queue_series with
-  | None -> (r, None)
-  | Some series ->
-      let samples = Array.map snd series in
-      ( r,
-        Stats.Spectrum.dominant_frequency ~samples
-          ~sample_rate_hz:(1. /. Time.span_to_sec sample_period) )
-
-let run () =
-  Bench_common.section_header
-    "Spectral validation: simulated oscillation frequency vs DF prediction \
-     (R0 = 1 ms)";
-  let c = 10e9 /. 12000. and r0 = 1e-3 and g = 1. /. 16. in
-  let grids =
-    { St.default_grids with St.w_points = 1200; x_points = 600 }
-  in
-  let t =
-    Stats.Table.create
-      ~title:"dominant queue frequency (Hz), packet simulator vs Theorems 1-2"
-      ~columns:
-        [
-          Stats.Table.column ~align:Stats.Table.Left "protocol";
-          Stats.Table.column "N";
-          Stats.Table.column "DF f (Hz)";
-          Stats.Table.column "sim f (Hz)";
-          Stats.Table.column "sim queue mean";
-          Stats.Table.column "sim queue std";
-        ]
-  in
-  List.iter
-    (fun n ->
-      let params = Control.Plant.params ~c ~n ~r0 ~g in
-      let add name verdict proto =
-        let df_f =
-          match verdict with
-          | St.Oscillatory o ->
-              Stats.Table.fmt_f 0 (o.St.omega /. (2. *. Float.pi))
-          | St.Stable -> "stable"
-        in
-        let r, peak = measure proto ~n ~rtt_us:1000. in
-        let sim_f =
-          match peak with
-          | Some p -> Stats.Table.fmt_f 0 p.Stats.Spectrum.frequency_hz
-          | None -> "none"
-        in
-        Stats.Table.add_row t
-          [
-            name;
-            string_of_int n;
-            df_f;
-            sim_f;
-            Stats.Table.fmt_f 1 r.L.mean_queue_pkts;
-            Stats.Table.fmt_f 1 r.L.std_queue_pkts;
-          ]
-      in
-      add "DCTCP"
-        (St.dctcp ~grids params ~k:40.)
-        (Bench_common.dctcp_sim ());
-      add "DT-DCTCP"
-        (St.dt_dctcp ~grids params ~k1:30. ~k2:50.)
-        (Bench_common.dt_sim ()))
-    [ 60; 100 ];
-  Stats.Table.print t;
-  Printf.printf
-    "\nThe DF predicts the first harmonic of the limit cycle in the smooth\n\
+let epilogue =
+  Bench_common.note
+    "A '-' under df_freq_hz: the describing function predicts a stable\n\
+     equilibrium there (no limit cycle); under sim_freq_hz: no dominant\n\
+     peak in the sampled queue.\n\n\
+     The DF predicts the first harmonic of the limit cycle in the smooth\n\
      fluid abstraction; the packet system adds window quantization and\n\
      ACK-clocking, which shorten the cycle. Frequencies agree within a\n\
      factor of two and the predicted ordering (DT-DCTCP oscillates faster\n\

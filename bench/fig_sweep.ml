@@ -1,138 +1,59 @@
-(* Figures 10, 11, 12: one flow-count sweep of the dumbbell collects the
-   normalized mean queue, the queue stddev, and the mean alpha for both
-   protocols. *)
+(* Figures 10, 12 and 11 compare the protocols point by point over the
+   flow count: the mean queue normalized to each protocol's N=10
+   baseline, the queue deviation of DT-DCTCP over DCTCP's, and the gap
+   between their mean alphas. The sweep claim records every per-run
+   value; this epilogue derives the cross-run ones by label. *)
 
-module L = Workloads.Longlived
-
-type point = {
-  n : int;
-  dc : L.result;
-  dt : L.result;
-}
-
-(* One spec per (N, protocol); the registry emits them as per-N
-   (dctcp, dt-dctcp) pairs, so outcome 2i / 2i+1 belong to ns.(i). *)
-let sweep () =
+let epilogue (r : Exp.Claim.report) =
   let ns = Exp.Registry.sweep_ns in
-  let specs =
-    Exp.Registry.fig_sweep_specs ~ns ~warmup:(Bench_common.warmup ())
-      ~measure:(Bench_common.measure ()) ()
+  let v key protocol n =
+    Exp.Claim.value r key ~protocol ~point:(Printf.sprintf "n%d" n)
   in
-  let outcomes = Bench_common.run_specs specs in
-  List.mapi
-    (fun i n ->
-      {
-        n;
-        dc = Bench_common.longlived_of outcomes.(2 * i);
-        dt = Bench_common.longlived_of outcomes.((2 * i) + 1);
-      })
-    ns
-
-let figs_10_11_12 () =
-  Bench_common.section_header
-    "Figures 10-12: dumbbell sweep N=10..100 (10 Gbps, RTT 100us, g=1/16)";
-  let points = sweep () in
-  Printf.printf "%40s\n" "";
-  let base = List.hd points in
-  let t10 =
-    Stats.Table.create
-      ~title:
-        "Figure 10: average queue length, normalized to each protocol's \
-         N=10 baseline"
+  let both f a b =
+    match (a, b) with Some a, Some b -> Some (f a b) | _ -> None
+  in
+  let normalized protocol n =
+    both ( /. ) (v "mean_queue" protocol n) (v "mean_queue" protocol 10)
+  in
+  let t =
+    Stats.Table.create ~title:"Figures 10-12: DT-DCTCP against DCTCP, by N"
       ~columns:
         [
           Stats.Table.column "N";
-          Stats.Table.column "DCTCP (pkts)";
-          Stats.Table.column "DCTCP (xN=10)";
-          Stats.Table.column "DT (pkts)";
-          Stats.Table.column "DT (xN=10)";
+          Stats.Table.column "DCTCP mean (xN=10)";
+          Stats.Table.column "DT mean (xN=10)";
+          Stats.Table.column "std DT/DCTCP";
+          Stats.Table.column "alpha DCTCP - DT";
         ]
   in
   List.iter
-    (fun p ->
-      Stats.Table.add_row t10
+    (fun n ->
+      Stats.Table.add_row t
         [
-          string_of_int p.n;
-          Stats.Table.fmt_f 1 p.dc.L.mean_queue_pkts;
-          Stats.Table.fmt_f 2 (p.dc.L.mean_queue_pkts /. base.dc.L.mean_queue_pkts);
-          Stats.Table.fmt_f 1 p.dt.L.mean_queue_pkts;
-          Stats.Table.fmt_f 2 (p.dt.L.mean_queue_pkts /. base.dt.L.mean_queue_pkts);
+          string_of_int n;
+          Bench_common.cell 2 (normalized "dctcp" n);
+          Bench_common.cell 2 (normalized "dt-dctcp" n);
+          Bench_common.cell 2
+            (both ( /. ) (v "std_queue" "dt-dctcp" n) (v "std_queue" "dctcp" n));
+          Bench_common.cell 3
+            (both ( -. ) (v "alpha" "dctcp" n) (v "alpha" "dt-dctcp" n));
         ])
-    points;
-  Stats.Table.print t10;
-  let ratio_series which =
-    Array.of_list
-      (List.map
-         (fun p ->
-           match which with
-           | `Dc -> p.dc.L.mean_queue_pkts /. base.dc.L.mean_queue_pkts
-           | `Dt -> p.dt.L.mean_queue_pkts /. base.dt.L.mean_queue_pkts)
-         points)
+    ns;
+  Printf.printf "\n";
+  Stats.Table.print t;
+  let plot title f =
+    let series protocol = Array.of_list (List.filter_map (f protocol) ns) in
+    Printf.printf "\n%s:\n%s" title
+      (Stats.Ascii_plot.render ~height:12
+         ~series:[ ("DCTCP", series "dctcp"); ("DT-DCTCP", series "dt-dctcp") ]
+         ())
   in
-  Printf.printf "\nnormalized mean queue vs N (both series):\n%s"
-    (Stats.Ascii_plot.render ~height:12
-       ~series:[ ("DCTCP", ratio_series `Dc); ("DT-DCTCP", ratio_series `Dt) ]
-       ());
+  plot "normalized mean queue vs N (both series)" normalized;
   Printf.printf
-    "Paper: DCTCP strays from ~N=35 (up to 1.8x baseline, local max near \
-     N=60);\nDT-DCTCP stays near 1.0x until ~N=70.\n";
-  let t11 =
-    Stats.Table.create ~title:"Figure 11: queue standard deviation (packets)"
-      ~columns:
-        [
-          Stats.Table.column "N";
-          Stats.Table.column "DCTCP";
-          Stats.Table.column "DT-DCTCP";
-          Stats.Table.column "DT/DCTCP";
-        ]
-  in
-  List.iter
-    (fun p ->
-      Stats.Table.add_row t11
-        [
-          string_of_int p.n;
-          Stats.Table.fmt_f 2 p.dc.L.std_queue_pkts;
-          Stats.Table.fmt_f 2 p.dt.L.std_queue_pkts;
-          Stats.Table.fmt_f 2 (p.dt.L.std_queue_pkts /. p.dc.L.std_queue_pkts);
-        ])
-    points;
-  Stats.Table.print t11;
-  let std_series f = Array.of_list (List.map f points) in
-  Printf.printf "\nqueue stddev vs N:\n%s"
-    (Stats.Ascii_plot.render ~height:12
-       ~series:
-         [
-           ("DCTCP", std_series (fun p -> p.dc.L.std_queue_pkts));
-           ("DT-DCTCP", std_series (fun p -> p.dt.L.std_queue_pkts));
-         ]
-       ());
+    "Paper (Fig. 10): DCTCP strays from ~N=35 (up to 1.8x baseline, local \
+     max near N=60);\nDT-DCTCP stays near 1.0x until ~N=70.\n";
+  plot "queue stddev vs N" (v "std_queue");
   Printf.printf
-    "Paper: both grow with N; DT-DCTCP below DCTCP at every N.\n";
-  let t12 =
-    Stats.Table.create ~title:"Figure 12: mean congestion estimate alpha"
-      ~columns:
-        [
-          Stats.Table.column "N";
-          Stats.Table.column "alpha DCTCP";
-          Stats.Table.column "alpha DT";
-          Stats.Table.column "DCTCP - DT";
-          Stats.Table.column "util DCTCP";
-          Stats.Table.column "util DT";
-        ]
-  in
-  List.iter
-    (fun p ->
-      Stats.Table.add_row t12
-        [
-          string_of_int p.n;
-          Stats.Table.fmt_f 3 p.dc.L.mean_alpha;
-          Stats.Table.fmt_f 3 p.dt.L.mean_alpha;
-          Stats.Table.fmt_f 3 (p.dc.L.mean_alpha -. p.dt.L.mean_alpha);
-          Stats.Table.fmt_f 3 p.dc.L.utilization;
-          Stats.Table.fmt_f 3 p.dt.L.utilization;
-        ])
-    points;
-  Stats.Table.print t12;
-  Printf.printf
-    "Paper: both alphas grow with N; DT-DCTCP's stays below DCTCP's \
-     (by ~0.1)\nwhile throughput stays at line rate.\n"
+    "Paper (Fig. 11): both grow with N; DT-DCTCP below DCTCP at every N.\n\
+     Paper (Fig. 12): both alphas grow with N; DT-DCTCP's stays below \
+     DCTCP's (by ~0.1)\nwhile throughput stays at line rate.\n"

@@ -1,63 +1,79 @@
 (* Figure-reproduction harness: one section per table/figure of the paper's
-   evaluation, plus ablations, extensions, the claims of Exp.Claim and the
-   events/s performance tables.
+   evaluation, plus ablations, extensions, the gated claims and the
+   events/s performance tables. Every simulating section is a list of
+   Exp.Claim declarations.
 
    Usage: main.exe [--quick] [-j N] [section ...]
    Sections: fig1 fig2 fig_df fig9 sweep fig14 fig15 ablations fluid
    df_vs_fluid spectrum extensions robustness oscillation buffer fattree
    perf (default: all). -j N fans each section's Exp.Runner sweep across
    N domains; results are bit-identical to -j 1 by construction. Exits 1
-   when a point of a claim section does not hold. *)
+   when a point of a gated claim does not hold or any claim has an
+   invalid run. *)
 
 let claims_hold = ref true
 
-(* A claim section: its table, one verdict per point, and its manifest
-   as BENCH_<name>.json. *)
-let claim (c : Exp.Claim.t) () =
-  Bench_common.section_header c.Exp.Claim.title;
+(* A simulating section is a list of claims, each printed as its table,
+   an epilogue that reads the report by label, any verdict, and its
+   manifest as BENCH_<name>.json. *)
+type section =
+  | Claims of (Exp.Claim.t * (Exp.Claim.report -> unit)) list
+  | Own of (unit -> unit)
+      (** Analysis-only and perf sections, which run no Exp.Claim. *)
+
+let claim ((c : Exp.Claim.t), epilogue) =
+  Bench_common.section_header c.title;
   let r =
     Exp.Claim.evaluate ~jobs:!Bench_common.jobs ~quick:!Bench_common.quick c
   in
-  Stats.Table.print r.Exp.Claim.table;
+  Stats.Table.print r.table;
+  epilogue r;
   List.iter
     (fun (v : Exp.Claim.verdict) ->
       Printf.printf "  %s\n" (Exp.Claim.verdict_to_string v);
-      match v.Exp.Claim.status with
+      match v.status with
       | Exp.Claim.Holds -> ()
       | Exp.Claim.Fails | Exp.Claim.Invalid -> claims_hold := false)
-    r.Exp.Claim.verdicts;
-  Bench_common.save_manifest ~section:c.Exp.Claim.name r.Exp.Claim.manifest
+    r.verdicts;
+  Bench_common.save_manifest ~section:c.name r.manifest
+
+let gated c = Claims [ (c, ignore) ]
 
 let sections =
+  let module C = Exp.Claim in
   [
-    ("fig1", Fig_queue.fig1);
-    ("fig2", Fig_queue.fig2);
-    ("fig_df", Fig_stability.fig_df);
-    ("fig9", Fig_stability.fig9);
-    ("sweep", Fig_sweep.figs_10_11_12);
-    ("fig14", Fig_incast.fig14);
-    ("fig15", Fig_incast.fig15);
+    ("fig1", Claims [ (C.fig1, Fig_queue.fig1) ]);
+    ("fig2", Own Fig_queue.fig2);
+    ("fig_df", Own Fig_stability.fig_df);
+    ("fig9", Own Fig_stability.fig9);
+    ("sweep", Claims [ (C.sweep, Fig_sweep.epilogue) ]);
+    ("fig14", Claims [ (C.fig14, Fig_incast.fig14) ]);
+    ("fig15", Claims [ (C.fig15, Fig_incast.fig15) ]);
     ( "ablations",
-      fun () ->
-        Ablations.ablation_thresholds ();
-        Ablations.ablation_g ();
-        Ablations.ablation_policies ();
-        Ablations.ablation_testbed_labels () );
-    ("fluid", Ablations.fluid_vs_sim);
-    ("df_vs_fluid", Ablations.df_vs_fluid);
-    ("spectrum", Fig_spectrum.run);
+      Claims
+        [
+          (C.ablation_thresholds, Ablations.thresholds);
+          (C.ablation_g, Ablations.g);
+          (C.ablation_policies, Ablations.policies);
+          (C.ablation_testbed_labels, Ablations.testbed_labels);
+        ] );
+    ("fluid", Claims [ (C.fluid, Ablations.fluid) ]);
+    ("df_vs_fluid", Own Ablations.df_vs_fluid);
+    ("spectrum", Claims [ (C.spectrum, Fig_spectrum.epilogue) ]);
     ( "extensions",
-      fun () ->
-        Extensions.d2tcp ();
-        Extensions.sack ();
-        Extensions.queue_buildup ();
-        Extensions.convergence () );
-    ("robustness", Robustness.run);
+      Claims
+        [
+          (C.d2tcp, Extensions.d2tcp);
+          (C.sack, Extensions.sack);
+          (C.queue_buildup, Extensions.queue_buildup);
+          (C.convergence, Extensions.convergence);
+        ] );
+    ("robustness", Claims [ (C.robustness, Robustness.epilogue) ]);
+    ("oscillation", gated C.oscillation);
+    ("buffer", gated C.buffer);
+    ("fattree", gated C.fattree);
+    ("perf", Own Perf.run);
   ]
-  @ List.map
-      (fun (c : Exp.Claim.t) -> (c.Exp.Claim.name, claim c))
-      Exp.Claim.all
-  @ [ ("perf", Perf.run) ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -101,16 +117,20 @@ let () =
     (if !Bench_common.quick then "quick" else "full");
   let t0 = Obs.Profile.wall_clock () in
   List.iter
-    (fun (name, f) ->
+    (fun (name, section) ->
       let s0 = Obs.Profile.wall_clock () in
-      f ();
+      (match section with
+      | Claims claims -> List.iter claim claims
+      | Own f -> f ());
       let wall_s = Obs.Profile.wall_clock () -. s0 in
-      if not (Bench_common.wrote_manifest name) then
-        Bench_common.write_manifest ~section:name ~wall_s ();
+      (match section with
+      | Own _ when not (Bench_common.wrote_manifest name) ->
+          Bench_common.write_manifest ~section:name ~wall_s ()
+      | Own _ | Claims _ -> ());
       Printf.printf "\n[%s done in %.1fs]\n%!" name wall_s)
     selected;
   Printf.printf "\nTotal: %.1fs\n" (Obs.Profile.wall_clock () -. t0);
   if not !claims_hold then begin
-    Printf.eprintf "bench: a claim does not hold at every point\n";
+    Printf.eprintf "bench: a claim has a failing or invalid point\n";
     exit 1
   end

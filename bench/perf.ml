@@ -29,7 +29,8 @@ let tracing_scenario ?profiler tracer =
   Array.iter Tcp.Flow.start flows;
   let until =
     Engine.Time.of_ns
-      (Bench_common.scale_span (Engine.Time.span_of_ms 200.))
+      (Exp.Claim.scaled ~quick:!Bench_common.quick
+         (Engine.Time.span_of_ms 200.))
   in
   Obs.Profile.run_sim ~until sim
 
@@ -148,7 +149,9 @@ let macro_scenario ?profiler ~n () =
       flows
   else Array.iter Tcp.Flow.start flows;
   let until =
-    Engine.Time.of_ns (Bench_common.scale_span (Engine.Time.span_of_ms 200.))
+    Engine.Time.of_ns
+      (Exp.Claim.scaled ~quick:!Bench_common.quick
+         (Engine.Time.span_of_ms 200.))
   in
   Obs.Profile.run_sim ~until sim
 

@@ -1,197 +1,30 @@
 (* Robustness under injected faults: the paper's claims are all made on a
-   clean fabric, so this section stresses them — random loss, a
+   clean fabric, so the robustness claim stresses them — random loss, a
    bottleneck flap, a half-rate brownout, and a switch that drops half
    its ECN marks — and tabulates how far DCTCP and DT-DCTCP drift from
    their fault-free operating points. All fault realizations are seeded,
-   so the tables are bit-stable across runs and -j levels. *)
+   so the table is bit-stable across runs and -j levels. *)
 
-module L = Workloads.Longlived
-module Spec = Exp.Spec
-module Registry = Exp.Registry
-
-let pair_rows specs =
-  (* Registry robustness builders emit (dctcp, dt-dctcp) pairs per sweep
-     point, in order. *)
-  let outcomes = Bench_common.run_specs specs in
-  List.init
-    (Array.length outcomes / 2)
-    (fun i ->
-      ( Bench_common.longlived_of outcomes.(2 * i),
-        Bench_common.longlived_of outcomes.((2 * i) + 1) ))
-
-let loss_sweep () =
-  let rates = Registry.robust_loss_rates in
-  let rows =
-    pair_rows
-      (Registry.robust_loss_specs ~loss_rates:rates
-         ~warmup:(Bench_common.warmup ()) ~measure:(Bench_common.measure ())
-         ())
+let epilogue (r : Exp.Claim.report) =
+  let flap protocol =
+    Option.bind (Exp.Claim.find r ~protocol ~point:"flap") (fun run ->
+        Exp.Claim.series run.outcome)
   in
-  let t =
-    Stats.Table.create
-      ~title:"Queue and goodput vs random loss rate (N=40 dumbbell)"
-      ~columns:
-        [
-          Stats.Table.column "loss p";
-          Stats.Table.column "DCTCP q (pkts)";
-          Stats.Table.column "DT q (pkts)";
-          Stats.Table.column "DCTCP util";
-          Stats.Table.column "DT util";
-          Stats.Table.column "DCTCP timeouts";
-          Stats.Table.column "DT timeouts";
-        ]
-  in
-  List.iter2
-    (fun p ((dc : L.result), (dt : L.result)) ->
-      Stats.Table.add_row t
-        [
-          Printf.sprintf "%g" p;
-          Printf.sprintf "%.1f±%.1f" dc.L.mean_queue_pkts dc.L.std_queue_pkts;
-          Printf.sprintf "%.1f±%.1f" dt.L.mean_queue_pkts dt.L.std_queue_pkts;
-          Stats.Table.fmt_f 3 dc.L.utilization;
-          Stats.Table.fmt_f 3 dt.L.utilization;
-          string_of_int dc.L.timeouts;
-          string_of_int dt.L.timeouts;
-        ])
-    rates rows;
-  Stats.Table.print t;
-  Printf.printf
-    "Expectation: both transports degrade gracefully to ~1%% loss; DT-DCTCP \
-     keeps\nthe lower queue stddev at every loss rate.\n";
-  List.concat
-    (List.map2
-       (fun p ((dc : L.result), (dt : L.result)) ->
-         [
-           (Printf.sprintf "loss.p%g.dctcp.std_queue" p, dc.L.std_queue_pkts);
-           (Printf.sprintf "loss.p%g.dt.std_queue" p, dt.L.std_queue_pkts);
-           (Printf.sprintf "loss.p%g.dctcp.util" p, dc.L.utilization);
-           (Printf.sprintf "loss.p%g.dt.util" p, dt.L.utilization);
-         ])
-       rates rows)
-
-(* The flap plan's event times are anchored inside the registry's default
-   100/200 ms windows, so this section keeps full-length runs even under
-   --quick (scaled windows would move the fault outside the run). *)
-let flap_recovery () =
-  let rows = pair_rows (Registry.robust_flap_specs ()) in
-  let variants = [ "flap (20ms down)"; "brownout (50ms at half rate)" ] in
-  let t =
-    Stats.Table.create
-      ~title:"Oscillation recovery after a bottleneck fault (N=40)"
-      ~columns:
-        [
-          Stats.Table.column "fault";
-          Stats.Table.column "DCTCP q (pkts)";
-          Stats.Table.column "DT q (pkts)";
-          Stats.Table.column "DCTCP max q";
-          Stats.Table.column "DT max q";
-          Stats.Table.column "DCTCP util";
-          Stats.Table.column "DT util";
-        ]
-  in
-  List.iter2
-    (fun label ((dc : L.result), (dt : L.result)) ->
-      Stats.Table.add_row t
-        [
-          label;
-          Printf.sprintf "%.1f±%.1f" dc.L.mean_queue_pkts dc.L.std_queue_pkts;
-          Printf.sprintf "%.1f±%.1f" dt.L.mean_queue_pkts dt.L.std_queue_pkts;
-          Stats.Table.fmt_f 0 dc.L.max_queue_pkts;
-          Stats.Table.fmt_f 0 dt.L.max_queue_pkts;
-          Stats.Table.fmt_f 3 dc.L.utilization;
-          Stats.Table.fmt_f 3 dt.L.utilization;
-        ])
-    variants rows;
-  Stats.Table.print t;
-  (match rows with
-  | ((dc : L.result), (dt : L.result)) :: _ -> (
-      match (dc.L.queue_series, dt.L.queue_series) with
-      | Some dc_series, Some dt_series ->
-          let pkts s = Array.map snd s in
-          Printf.printf
-            "\nqueue occupancy through the flap (down 150ms, up 170ms):\n%s"
-            (Stats.Ascii_plot.render ~height:12
-               ~series:
-                 [ ("DCTCP", pkts dc_series); ("DT-DCTCP", pkts dt_series) ]
-               ())
-      | _ -> ())
-  | [] -> ());
-  Printf.printf
-    "Expectation: the queue drains during the outage, spikes on recovery, \
-     and\nre-converges; DT-DCTCP's post-fault oscillation stays the narrower \
-     one.\n";
-  List.concat
-    (List.map2
-       (fun slug ((dc : L.result), (dt : L.result)) ->
-         [
-           (Printf.sprintf "%s.dctcp.max_queue" slug, dc.L.max_queue_pkts);
-           (Printf.sprintf "%s.dt.max_queue" slug, dt.L.max_queue_pkts);
-           (Printf.sprintf "%s.dctcp.util" slug, dc.L.utilization);
-           (Printf.sprintf "%s.dt.util" slug, dt.L.utilization);
-         ])
-       [ "flap"; "brownout" ]
-       rows)
-
-let suppression_sweep () =
-  let ns = [ 10; 40; 70; 100 ] in
-  let rows =
-    pair_rows
-      (Registry.robust_suppress_specs ~ns ~warmup:(Bench_common.warmup ())
-         ~measure:(Bench_common.measure ()) ())
-  in
-  let t =
-    Stats.Table.create
-      ~title:"Stability vs N when the switch drops 50% of ECN marks"
-      ~columns:
-        [
-          Stats.Table.column "N";
-          Stats.Table.column "DCTCP q (pkts)";
-          Stats.Table.column "DT q (pkts)";
-          Stats.Table.column "DCTCP drops";
-          Stats.Table.column "DT drops";
-          Stats.Table.column "DCTCP marked";
-          Stats.Table.column "DT marked";
-        ]
-  in
-  List.iter2
-    (fun n ((dc : L.result), (dt : L.result)) ->
-      Stats.Table.add_row t
-        [
-          string_of_int n;
-          Printf.sprintf "%.1f±%.1f" dc.L.mean_queue_pkts dc.L.std_queue_pkts;
-          Printf.sprintf "%.1f±%.1f" dt.L.mean_queue_pkts dt.L.std_queue_pkts;
-          string_of_int dc.L.drops;
-          string_of_int dt.L.drops;
-          Stats.Table.fmt_f 3 dc.L.marked_fraction;
-          Stats.Table.fmt_f 3 dt.L.marked_fraction;
-        ])
-    ns rows;
-  Stats.Table.print t;
-  Printf.printf
-    "Expectation: queues sit higher than the fault-free sweep at every N \
-     (half\nthe congestion signal is gone) but both transports remain \
-     drop-free longer\nthan plain ECN would suggest; DT-DCTCP's double \
-     threshold still damps swings.\n";
-  List.concat
-    (List.map2
-       (fun n ((dc : L.result), (dt : L.result)) ->
-         [
-           (Printf.sprintf "suppress.n%d.dctcp.std_queue" n, dc.L.std_queue_pkts);
-           (Printf.sprintf "suppress.n%d.dt.std_queue" n, dt.L.std_queue_pkts);
-         ])
-       ns rows)
-
-let run () =
-  Bench_common.section_header
-    "Robustness: fault injection (loss, flaps, ECN degradation)";
-  let metrics, wall_s =
-    Obs.Profile.time (fun () ->
-        let m_loss = loss_sweep () in
-        let m_flap = flap_recovery () in
-        let m_sup = suppression_sweep () in
-        m_loss @ m_flap @ m_sup)
-  in
-  Bench_common.write_manifest ~section:"robustness" ~wall_s ~seed:1L
-    ~params:
-      [ ("scenario", Obs.Json.String "faulted dumbbell, N=40 unless swept") ]
-    ~metrics ()
+  (match (flap "dctcp", flap "dt-dctcp") with
+  | Some dc, Some dt ->
+      Printf.printf
+        "\nqueue occupancy through the flap (down 150ms, up 170ms):\n%s"
+        (Stats.Ascii_plot.render ~height:12
+           ~series:[ ("DCTCP", dc); ("DT-DCTCP", dt) ]
+           ())
+  | _ -> ());
+  print_string
+    "\nExpectation (loss, points p*): both transports degrade gracefully to\n\
+     ~1% loss; DT-DCTCP keeps the lower queue stddev at every loss rate.\n\
+     Expectation (flap: 20 ms down; brownout: 50 ms at half rate): the\n\
+     queue drains during the outage, spikes on recovery, and re-converges;\n\
+     DT-DCTCP's post-fault oscillation stays the narrower one.\n\
+     Expectation (points n*, 50% of ECN marks dropped): queues sit higher\n\
+     than the fault-free sweep at every N (half the congestion signal is\n\
+     gone) but both transports remain drop-free longer than plain ECN\n\
+     would suggest; DT-DCTCP's double threshold still damps swings.\n"

@@ -18,9 +18,6 @@ type t =
       (** [spec] is the failing scenario's name; [error] the printed
           exception. *)
 
-val payload_kind : payload -> string
-(** Workload tag, matching {!Spec.workload_name}. *)
-
 val to_json : t -> Obs.Json.t
 (** Full result serialization (including optional queue series and
     per-window share matrices). Non-finite floats are preserved in the

@@ -44,6 +44,11 @@ let longlived_config ?(warmup = Time.span_of_ms 100.)
 let named base proto suffix =
   Printf.sprintf "%s/%s%s" base (Spec.protocol_name proto) suffix
 
+(* The one spec constructor: a Static bottleneck buffer and no fault plan
+   unless the family says otherwise. *)
+let spec ?faults ?(buffer = Net.Buffer_mgr.Static) name protocol workload =
+  { Spec.name; protocol; workload; faults; buffer }
+
 let fig_queue_specs ?warmup ?measure () =
   List.concat_map
     (fun n ->
@@ -53,13 +58,9 @@ let fig_queue_specs ?warmup ?measure () =
       in
       List.map
         (fun proto ->
-          {
-            Spec.name = named "fig_queue" proto (Printf.sprintf "/n=%d" n);
-            protocol = proto;
-            workload = Spec.Longlived config;
-            faults = None;
-            buffer = Net.Buffer_mgr.Static;
-          })
+          spec
+            (named "fig_queue" proto (Printf.sprintf "/n=%d" n))
+            proto (Spec.Longlived config))
         [ sim_dctcp; sim_dt ])
     [ 10; 100 ]
 
@@ -71,13 +72,9 @@ let fig_sweep_specs ?(ns = sweep_ns) ?warmup ?measure () =
       let config = longlived_config ?warmup ?measure ~n () in
       List.map
         (fun proto ->
-          {
-            Spec.name = named "fig_sweep" proto (Printf.sprintf "/n=%d" n);
-            protocol = proto;
-            workload = Spec.Longlived config;
-            faults = None;
-            buffer = Net.Buffer_mgr.Static;
-          })
+          spec
+            (named "fig_sweep" proto (Printf.sprintf "/n=%d" n))
+            proto (Spec.Longlived config))
         [ sim_dctcp; sim_dt ])
     ns
 
@@ -93,13 +90,9 @@ let oscillation_specs ?warmup ?measure () =
       in
       List.map
         (fun (slug, proto) ->
-          {
-            Spec.name = Printf.sprintf "oscillation/%s/n=%d" slug n;
-            protocol = proto;
-            workload = Spec.Longlived config;
-            faults = None;
-            buffer = Net.Buffer_mgr.Static;
-          })
+          spec
+            (Printf.sprintf "oscillation/%s/n=%d" slug n)
+            proto (Spec.Longlived config))
         [ ("dctcp", sim_dctcp); ("dt", sim_dt) ])
     oscillation_ns
 
@@ -115,124 +108,84 @@ let testbed_protocols =
     ("dt-30-34", testbed_dt_b);
   ]
 
-let fig_incast_specs ?(flow_counts = incast_flow_counts) ?(repeats = 20) () =
+let fig_incast_specs ?(repeats = 20) () =
   List.concat_map
     (fun n ->
       List.map
         (fun (slug, proto) ->
-          {
-            Spec.name = Printf.sprintf "fig_incast/%s/n=%d" slug n;
-            protocol = proto;
-            workload =
-              Spec.Fanin { incast with F.n_flows = n; repeats };
-            faults = None;
-            buffer = Net.Buffer_mgr.Static;
-          })
+          spec
+            (Printf.sprintf "fig_incast/%s/n=%d" slug n)
+            proto
+            (Spec.Fanin { incast with F.n_flows = n; repeats }))
         testbed_protocols)
-    flow_counts
+    incast_flow_counts
 
-let fig_completion_specs ?(flow_counts = incast_flow_counts) ?(repeats = 20)
-    () =
+let fig_completion_specs ?(repeats = 20) () =
   List.concat_map
     (fun n ->
       List.map
         (fun (slug, proto) ->
-          {
-            Spec.name = Printf.sprintf "fig_completion/%s/n=%d" slug n;
-            protocol = proto;
-            workload =
-              Spec.Fanin { completion with F.n_flows = n; repeats };
-            faults = None;
-            buffer = Net.Buffer_mgr.Static;
-          })
+          spec
+            (Printf.sprintf "fig_completion/%s/n=%d" slug n)
+            proto
+            (Spec.Fanin { completion with F.n_flows = n; repeats }))
         testbed_protocols)
-    flow_counts
+    incast_flow_counts
 
 let threshold_splits = [ (35, 45); (30, 50); (25, 55); (20, 60); (38, 42) ]
 
-let threshold_ablation_specs ?(n = 60) ?warmup ?measure () =
-  let config = longlived_config ?warmup ?measure ~n () in
-  let point proto =
-    {
-      Spec.name = named "ablation_thresholds" proto "";
-      protocol = proto;
-      workload = Spec.Longlived config;
-      faults = None;
-      buffer = Net.Buffer_mgr.Static;
-    }
+let threshold_ablation_specs ?warmup ?measure () =
+  let workload =
+    Spec.Longlived (longlived_config ?warmup ?measure ~n:60 ())
   in
-  point sim_dctcp
+  spec (named "ablation_thresholds" sim_dctcp "") sim_dctcp workload
   :: List.map
        (fun (k1, k2) ->
-         let proto =
-           Spec.Dt_dctcp
-             { g; k1_bytes = k1 * 1500; k2_bytes = k2 * 1500 }
-         in
-         {
-           Spec.name =
-             Printf.sprintf "ablation_thresholds/dt-dctcp/k1=%d,k2=%d" k1 k2;
-           protocol = proto;
-           workload = Spec.Longlived config;
-           faults = None;
-           buffer = Net.Buffer_mgr.Static;
-         })
+         spec
+           (Printf.sprintf "ablation_thresholds/dt-dctcp/k1=%d,k2=%d" k1 k2)
+           (Spec.Dt_dctcp { g; k1_bytes = k1 * 1500; k2_bytes = k2 * 1500 })
+           workload)
        threshold_splits
 
 let gains = [ ("1_4", 0.25); ("1_16", 1. /. 16.); ("1_64", 1. /. 64.) ]
 
-let g_ablation_specs ?(n = 60) ?warmup ?measure () =
-  let config = longlived_config ?warmup ?measure ~n () in
+let g_ablation_specs ?warmup ?measure () =
+  let config = longlived_config ?warmup ?measure ~n:60 () in
   List.concat_map
     (fun (label, g) ->
       List.map
         (fun proto ->
-          {
-            Spec.name = named "ablation_g" proto ("/g=" ^ label);
-            protocol = proto;
-            workload = Spec.Longlived config;
-            faults = None;
-            buffer = Net.Buffer_mgr.Static;
-          })
+          spec
+            (named "ablation_g" proto ("/g=" ^ label))
+            proto (Spec.Longlived config))
         [
           Spec.Dctcp { g; k_bytes = 40 * 1500 };
           Spec.Dt_dctcp { g; k1_bytes = 30 * 1500; k2_bytes = 50 * 1500 };
         ])
     gains
 
-let policy_ablation_specs ?(n = 60) ?warmup ?measure () =
-  let config = longlived_config ?warmup ?measure ~n () in
+let policy_ablation_specs ?warmup ?measure () =
+  let config = longlived_config ?warmup ?measure ~n:60 () in
   List.map
     (fun proto ->
-      {
-        Spec.name = named "ablation_policies" proto "";
-        protocol = proto;
-        workload = Spec.Longlived config;
-        faults = None;
-        buffer = Net.Buffer_mgr.Static;
-      })
+      spec (named "ablation_policies" proto "") proto (Spec.Longlived config))
     [ sim_dctcp; sim_dt; sim_ecn_reno; sim_reno ]
 
-let testbed_label_specs ?(flow_counts = [ 28; 30; 32; 34; 36; 38; 40 ])
-    ?(repeats = 10) () =
+let testbed_label_specs ?(repeats = 10) () =
   List.concat_map
     (fun n ->
       List.map
         (fun (reading, proto) ->
-          {
-            Spec.name =
-              Printf.sprintf "ablation_testbed_labels/%s/n=%d" reading n;
-            protocol = proto;
-            workload =
-              Spec.Fanin { incast with F.n_flows = n; repeats };
-            faults = None;
-            buffer = Net.Buffer_mgr.Static;
-          })
+          spec
+            (Printf.sprintf "ablation_testbed_labels/%s/n=%d" reading n)
+            proto
+            (Spec.Fanin { incast with F.n_flows = n; repeats }))
         [
           ("dctcp-32KB", testbed_dctcp);
           ("start28-stop34", testbed_dt_a);
           ("thermostat34-28", testbed_dt_swapped);
         ])
-    flow_counts
+    [ 28; 30; 32; 34; 36; 38; 40 ]
 
 let d2tcp_config ~n ~repeats ~aware =
   {
@@ -248,36 +201,29 @@ let d2tcp_config ~n ~repeats ~aware =
         { base = Time.span_of_ms 2.; spread = Time.span_of_ms 4.; aware };
   }
 
-let d2tcp_specs ?(flow_counts = [ 6; 8; 10; 12; 16; 20 ]) ?(repeats = 10) () =
+let d2tcp_specs ?(repeats = 10) () =
   List.concat_map
     (fun n ->
       List.map
         (fun (tag, aware) ->
-          {
-            Spec.name = Printf.sprintf "d2tcp/%s/n=%d" tag n;
-            protocol = sim_dctcp;
-            workload = Spec.Fanin (d2tcp_config ~n ~repeats ~aware);
-            faults = None;
-            buffer = Net.Buffer_mgr.Static;
-          })
+          spec
+            (Printf.sprintf "d2tcp/%s/n=%d" tag n)
+            sim_dctcp
+            (Spec.Fanin (d2tcp_config ~n ~repeats ~aware)))
         [ ("dctcp", false); ("d2tcp", true) ])
-    flow_counts
+    [ 6; 8; 10; 12; 16; 20 ]
 
-let sack_specs ?(flow_counts = [ 28; 32; 34; 36; 40; 44 ]) ?(repeats = 10) ()
-    =
+let sack_specs ?(repeats = 10) () =
   List.concat_map
     (fun n ->
       List.map
         (fun (tag, sack) ->
-          {
-            Spec.name = Printf.sprintf "sack/%s/n=%d" tag n;
-            protocol = testbed_dctcp;
-            workload = Spec.Fanin { incast with F.n_flows = n; repeats; sack };
-            faults = None;
-            buffer = Net.Buffer_mgr.Static;
-          })
+          spec
+            (Printf.sprintf "sack/%s/n=%d" tag n)
+            testbed_dctcp
+            (Spec.Fanin { incast with F.n_flows = n; repeats; sack }))
         [ ("go-back-n", false); ("sack", true) ])
-    flow_counts
+    [ 28; 32; 34; 36; 40; 44 ]
 
 let queue_buildup_specs ?duration () =
   let config =
@@ -287,13 +233,7 @@ let queue_buildup_specs ?duration () =
   in
   List.map
     (fun proto ->
-      {
-        Spec.name = named "queue_buildup" proto "";
-        protocol = proto;
-        workload = Spec.Dynamic config;
-        faults = None;
-        buffer = Net.Buffer_mgr.Static;
-      })
+      spec (named "queue_buildup" proto "") proto (Spec.Dynamic config))
     [ sim_dctcp; sim_dt; sim_ecn_reno; sim_reno ]
 
 let convergence_specs ?(join_interval = Time.span_of_ms 400.)
@@ -301,13 +241,7 @@ let convergence_specs ?(join_interval = Time.span_of_ms 400.)
   let config = { Cv.default_config with Cv.join_interval; hold } in
   List.map
     (fun proto ->
-      {
-        Spec.name = named "convergence" proto "";
-        protocol = proto;
-        workload = Spec.Convergence config;
-        faults = None;
-        buffer = Net.Buffer_mgr.Static;
-      })
+      spec (named "convergence" proto "") proto (Spec.Convergence config))
     [ sim_dctcp; sim_dt ]
 
 (* --- shared-buffer sizing study (extension) ---
@@ -335,8 +269,7 @@ let buffer_protocols =
     ("newreno", Spec.Newreno);
   ]
 
-let fig_buffer_specs ?(pool_sizes = buffer_pool_sizes)
-    ?(alphas = buffer_alphas) ?warmup ?measure ?(n = 10) () =
+let fig_buffer_specs ?(alphas = buffer_alphas) ?warmup ?measure () =
   List.concat_map
     (fun pool_bytes ->
       List.concat_map
@@ -346,25 +279,20 @@ let fig_buffer_specs ?(pool_sizes = buffer_pool_sizes)
              the pool replaces it. *)
           let config =
             {
-              (longlived_config ?warmup ?measure ~n ()) with
+              (longlived_config ?warmup ?measure ~n:10 ()) with
               L.buffer_bytes = pool_bytes;
             }
           in
           List.map
             (fun (slug, proto) ->
-              {
-                Spec.name =
-                  Printf.sprintf "fig_buffer/%s/B=%d/a=%g" slug pool_bytes
-                    alpha;
-                protocol = proto;
-                workload = Spec.Longlived config;
-                faults = None;
-                buffer =
-                  Net.Buffer_mgr.Dynamic_threshold { pool_bytes; alpha };
-              })
+              spec
+                ~buffer:(Net.Buffer_mgr.Dynamic_threshold { pool_bytes; alpha })
+                (Printf.sprintf "fig_buffer/%s/B=%d/a=%g" slug pool_bytes
+                   alpha)
+                proto (Spec.Longlived config))
             buffer_protocols)
         alphas)
-    pool_sizes
+    buffer_pool_sizes
 
 (* --- fat-tree fabric study (extension) ---
 
@@ -399,22 +327,17 @@ let fattree_config ?incast_bytes ?long_bytes ?time_cap ~k () =
     time_cap = Option.value time_cap ~default:d.Ft.time_cap;
   }
 
-let fig_fattree_specs ?(ks = fattree_ks) ?incast_bytes ?long_bytes ?time_cap
-    () =
+let fig_fattree_specs ?time_cap () =
   List.concat_map
     (fun k ->
-      let config = fattree_config ?incast_bytes ?long_bytes ?time_cap ~k () in
+      let config = fattree_config ?time_cap ~k () in
       List.map
         (fun (slug, proto) ->
-          {
-            Spec.name = Printf.sprintf "fig_fattree/%s/k=%d" slug k;
-            protocol = proto;
-            workload = Spec.Fattree config;
-            faults = None;
-            buffer = Net.Buffer_mgr.Static;
-          })
+          spec
+            (Printf.sprintf "fig_fattree/%s/k=%d" slug k)
+            proto (Spec.Fattree config))
         fattree_protocols)
-    ks
+    fattree_ks
 
 (* Sub-minute fabric slice for CI: the smallest legal fabric with light
    transfers, still exercising ECMP groups on every tier. *)
@@ -425,94 +348,47 @@ let fattree_smoke_specs () =
   in
   List.map
     (fun (slug, proto) ->
-      {
-        Spec.name = Printf.sprintf "fig_fattree_smoke/%s/k=4" slug;
-        protocol = proto;
-        workload = Spec.Fattree config;
-        faults = None;
-        buffer = Net.Buffer_mgr.Static;
-      })
+      spec
+        (Printf.sprintf "fig_fattree_smoke/%s/k=4" slug)
+        proto (Spec.Fattree config))
     fattree_protocols
 
 (* A fast cross-workload slice (sub-minute serial) for CI: exercises every
    workload variant and both marking families. *)
 let smoke_specs () =
+  let tiny =
+    Spec.Longlived
+      (longlived_config ~warmup:(Time.span_of_ms 2.)
+         ~measure:(Time.span_of_ms 5.) ~n:4 ())
+  in
   [
-    {
-      Spec.name = "ci_smoke/longlived/dctcp";
-      protocol = sim_dctcp;
-      workload =
-        Spec.Longlived
-          (longlived_config ~warmup:(Time.span_of_ms 2.)
-             ~measure:(Time.span_of_ms 5.) ~n:4 ());
-      faults = None;
-      buffer = Net.Buffer_mgr.Static;
-    };
-    {
-      Spec.name = "ci_smoke/longlived/dt-dctcp";
-      protocol = sim_dt;
-      workload =
-        Spec.Longlived
-          (longlived_config ~warmup:(Time.span_of_ms 2.)
-             ~measure:(Time.span_of_ms 5.) ~n:4 ());
-      faults = None;
-      buffer = Net.Buffer_mgr.Static;
-    };
-    {
-      Spec.name = "ci_smoke/incast/dt-dctcp";
-      protocol = testbed_dt_a;
-      workload =
-        Spec.Fanin { incast with F.n_flows = 8; repeats = 2 };
-      faults = None;
-      buffer = Net.Buffer_mgr.Static;
-    };
-    {
-      Spec.name = "ci_smoke/completion/dctcp";
-      protocol = testbed_dctcp;
-      workload =
-        Spec.Fanin { completion with F.n_flows = 8; repeats = 2 };
-      faults = None;
-      buffer = Net.Buffer_mgr.Static;
-    };
-    {
-      Spec.name = "ci_smoke/dynamic/dctcp";
-      protocol = sim_dctcp;
-      workload =
-        Spec.Dynamic
-          {
-            Dy.default_config with
-            Dy.short_senders = 8;
-            arrival_rate = 2000.;
-            duration = Time.span_of_ms 20.;
-            warmup = Time.span_of_ms 5.;
-            drain = Time.span_of_ms 20.;
-          };
-      faults = None;
-      buffer = Net.Buffer_mgr.Static;
-    };
-    {
-      Spec.name = "ci_smoke/convergence/dt-dctcp";
-      protocol = sim_dt;
-      workload =
-        Spec.Convergence
-          {
-            Cv.default_config with
-            Cv.n_flows = 3;
-            join_interval = Time.span_of_ms 40.;
-            hold = Time.span_of_ms 40.;
-            sample_window = Time.span_of_ms 5.;
-          };
-      faults = None;
-      buffer = Net.Buffer_mgr.Static;
-    };
-    {
-      Spec.name = "ci_smoke/deadline/d2tcp";
-      protocol = sim_dctcp;
-      workload =
-        Spec.Fanin (d2tcp_config ~n:6 ~repeats:2 ~aware:true);
-      faults = None;
-      buffer = Net.Buffer_mgr.Static;
-    };
+    spec "ci_smoke/longlived/dctcp" sim_dctcp tiny;
+    spec "ci_smoke/longlived/dt-dctcp" sim_dt tiny;
+    spec "ci_smoke/incast/dt-dctcp" testbed_dt_a
+      (Spec.Fanin { incast with F.n_flows = 8; repeats = 2 });
+    spec "ci_smoke/completion/dctcp" testbed_dctcp
+      (Spec.Fanin { completion with F.n_flows = 8; repeats = 2 });
+    spec "ci_smoke/dynamic/dctcp" sim_dctcp
+      (Spec.Dynamic
+         {
+           Dy.default_config with
+           Dy.short_senders = 8;
+           arrival_rate = 2000.;
+           duration = Time.span_of_ms 20.;
+           warmup = Time.span_of_ms 5.;
+           drain = Time.span_of_ms 20.;
+         });
+    spec "ci_smoke/convergence/dt-dctcp" sim_dt
+      (Spec.Convergence
+         {
+           Cv.default_config with
+           Cv.n_flows = 3;
+           join_interval = Time.span_of_ms 40.;
+           hold = Time.span_of_ms 40.;
+           sample_window = Time.span_of_ms 5.;
+         });
+    spec "ci_smoke/deadline/d2tcp" sim_dctcp
+      (Spec.Fanin (d2tcp_config ~n:6 ~repeats:2 ~aware:true));
   ]
 
 (* --- robustness sweeps (fault injection) --- *)
@@ -520,33 +396,26 @@ let smoke_specs () =
 (* Loss resilience: queue statistics and goodput as random loss grows.
    DT-DCTCP's claim is steadier queues; these sweeps check the claim
    does not depend on a loss-free fabric. *)
-let robust_loss_rates = [ 0.0001; 0.001; 0.01; 0.05 ]
-
-let robust_loss_specs ?(loss_rates = robust_loss_rates) ?warmup ?measure
-    ?(n = 40) () =
+let robust_loss_specs ?warmup ?measure () =
   List.concat_map
     (fun p ->
-      let config = longlived_config ?warmup ?measure ~n () in
+      let config = longlived_config ?warmup ?measure ~n:40 () in
       List.map
         (fun proto ->
-          {
-            Spec.name = named "robust_loss" proto (Printf.sprintf "/p=%g" p);
-            protocol = proto;
-            workload = Spec.Longlived config;
-            faults = Some { Fault.Plan.none with loss_rate = p };
-            buffer = Net.Buffer_mgr.Static;
-          })
+          spec
+            ~faults:{ Fault.Plan.none with loss_rate = p }
+            (named "robust_loss" proto (Printf.sprintf "/p=%g" p))
+            proto (Spec.Longlived config))
         [ sim_dctcp; sim_dt ])
-    loss_rates
+    [ 0.0001; 0.001; 0.01; 0.05 ]
 
 (* Oscillation recovery: take the bottleneck down mid-measurement (and,
    separately, halve its rate for a window) and watch the queue trace
    find its operating point again. Trace sampling is on so the recovery
    transient is visible in `dtsim sweep` output. *)
-let robust_flap_specs ?warmup ?measure ?(n = 40) () =
+let robust_flap_specs () =
   let config =
-    longlived_config ?warmup ?measure
-      ~trace_sampling:(Time.span_of_us 20.) ~n ()
+    longlived_config ~trace_sampling:(Time.span_of_us 20.) ~n:40 ()
   in
   let flap =
     {
@@ -577,94 +446,95 @@ let robust_flap_specs ?warmup ?measure ?(n = 40) () =
     (fun (slug, plan) ->
       List.map
         (fun proto ->
-          {
-            Spec.name = named "robust_flap" proto ("/" ^ slug);
-            protocol = proto;
-            workload = Spec.Longlived config;
-            faults = Some plan;
-            buffer = Net.Buffer_mgr.Static;
-          })
+          spec ~faults:plan
+            (named "robust_flap" proto ("/" ^ slug))
+            proto (Spec.Longlived config))
         [ sim_dctcp; sim_dt ])
     [ ("flap", flap); ("brownout", brownout) ]
 
 (* ECN degradation: a switch that randomly fails to mark (the "non-ECN
    switch" scenario). Swept across flow counts because the damage is
    congestion-dependent: the more senders, the more a lost mark costs. *)
-let robust_suppress_specs ?(ns = [ 10; 40; 70; 100 ]) ?warmup ?measure () =
+let robust_suppress_specs ?warmup ?measure () =
   List.concat_map
     (fun n ->
       let config = longlived_config ?warmup ?measure ~n () in
       List.map
         (fun proto ->
-          {
-            Spec.name =
-              named "robust_suppress" proto (Printf.sprintf "/n=%d" n);
-            protocol = proto;
-            workload = Spec.Longlived config;
-            faults =
-              Some
-                { Fault.Plan.none with suppression = Fault.Plan.Suppress_prob 0.5 };
-            buffer = Net.Buffer_mgr.Static;
-          })
+          spec
+            ~faults:
+              {
+                Fault.Plan.none with
+                suppression = Fault.Plan.Suppress_prob 0.5;
+              }
+            (named "robust_suppress" proto (Printf.sprintf "/n=%d" n))
+            proto (Spec.Longlived config))
         [ sim_dctcp; sim_dt ])
-    ns
+    [ 10; 40; 70; 100 ]
 
 (* Sub-minute faulted slice for CI: one plan of each kind, tiny windows,
    both workload families that support injection. *)
 let robust_smoke_specs () =
-  let tiny ?trace_sampling () =
-    longlived_config ~warmup:(Time.span_of_ms 2.)
-      ~measure:(Time.span_of_ms 5.) ?trace_sampling ~n:4 ()
+  let tiny =
+    Spec.Longlived
+      (longlived_config ~warmup:(Time.span_of_ms 2.)
+         ~measure:(Time.span_of_ms 5.) ~n:4 ())
   in
   [
-    {
-      Spec.name = "robust_smoke/longlived/loss";
-      protocol = sim_dctcp;
-      workload = Spec.Longlived (tiny ());
-      faults = Some { Fault.Plan.none with loss_rate = 0.01 };
-      buffer = Net.Buffer_mgr.Static;
-    };
-    {
-      Spec.name = "robust_smoke/longlived/flap";
-      protocol = sim_dt;
-      workload = Spec.Longlived (tiny ());
-      faults =
-        Some
-          {
-            Fault.Plan.none with
-            flaps =
-              [
-                {
-                  Fault.Plan.down_at = Time.span_of_ms 3.;
-                  up_at = Time.span_of_ms 4.;
-                };
-              ];
-          };
-      buffer = Net.Buffer_mgr.Static;
-    };
-    {
-      Spec.name = "robust_smoke/longlived/suppress";
-      protocol = sim_dt;
-      workload = Spec.Longlived (tiny ());
-      faults =
-        Some
-          {
-            Fault.Plan.none with
-            suppression = Fault.Plan.Suppress_prob 0.5;
-          };
-      buffer = Net.Buffer_mgr.Static;
-    };
-    {
-      Spec.name = "robust_smoke/incast/jitter";
-      protocol = testbed_dctcp;
-      workload =
-        Spec.Fanin { incast with F.n_flows = 8; repeats = 2 };
-      faults =
-        Some
-          { Fault.Plan.none with jitter_max = Time.span_of_us 20. };
-      buffer = Net.Buffer_mgr.Static;
-    };
+    spec
+      ~faults:{ Fault.Plan.none with loss_rate = 0.01 }
+      "robust_smoke/longlived/loss" sim_dctcp tiny;
+    spec
+      ~faults:
+        {
+          Fault.Plan.none with
+          flaps =
+            [
+              {
+                Fault.Plan.down_at = Time.span_of_ms 3.;
+                up_at = Time.span_of_ms 4.;
+              };
+            ];
+        }
+      "robust_smoke/longlived/flap" sim_dt tiny;
+    spec
+      ~faults:
+        { Fault.Plan.none with suppression = Fault.Plan.Suppress_prob 0.5 }
+      "robust_smoke/longlived/suppress" sim_dt tiny;
+    spec
+      ~faults:{ Fault.Plan.none with jitter_max = Time.span_of_us 20. }
+      "robust_smoke/incast/jitter" testbed_dctcp
+      (Spec.Fanin { incast with F.n_flows = 8; repeats = 2 });
   ]
+
+(* --- spectral validation ---
+
+   The long-RTT configuration (R0 = 1 ms) in which Theorems 1-2 predict
+   finite limit cycles, sampled every 50 us so the queue's dominant
+   frequency resolves, with a 50 ms min-RTO to match the longer RTT. *)
+
+let spectrum_ns = [ 60; 100 ]
+
+let spectrum_specs ?(warmup = Time.span_of_ms 200.)
+    ?(measure = Time.span_of_ms 400.) () =
+  List.concat_map
+    (fun n ->
+      let config =
+        {
+          (longlived_config ~warmup ~measure
+             ~trace_sampling:(Time.span_of_us 50.) ~n ())
+          with
+          L.rtt = Time.span_of_ms 1.;
+          min_rto = Time.span_of_ms 50.;
+        }
+      in
+      List.map
+        (fun proto ->
+          spec
+            (named "spectrum" proto (Printf.sprintf "/n=%d" n))
+            proto (Spec.Longlived config))
+        [ sim_dctcp; sim_dt ])
+    spectrum_ns
 
 (* --- one default run per workload ---
 
@@ -674,15 +544,6 @@ let robust_smoke_specs () =
    are reproduced byte for byte. *)
 
 let defaults_specs () =
-  let spec name protocol workload =
-    {
-      Spec.name;
-      protocol;
-      workload;
-      faults = None;
-      buffer = Net.Buffer_mgr.Static;
-    }
-  in
   [
     spec "dtsim.longlived" sim_dctcp (Spec.Longlived L.default_config);
     spec "dtsim.incast" testbed_dctcp
@@ -806,6 +667,11 @@ let entries =
       name = "robust_smoke";
       doc = "fast faulted smoke sweep (CI): loss, flap, suppression, jitter";
       specs = robust_smoke_specs;
+    };
+    {
+      name = "spectrum";
+      doc = "spectral validation: queue frequency at R0=1ms, N=60 and 100";
+      specs = (fun () -> spectrum_specs ());
     };
     {
       name = "defaults";

@@ -1106,7 +1106,14 @@ let test_claim_fails () =
        [ fake "dctcp" 4 (tails 20.); fake "dt-dctcp" 4 (tails 20.5) ]
        [ ("k4", "fails") ]);
   ignore
-    (check_verdicts "Lt tie" { c with Claim.rel = Claim.Lt }
+    (check_verdicts "Lt tie"
+       {
+         c with
+         Claim.gate =
+           Option.map
+             (fun (g : Claim.gate) -> { g with Claim.rel = Claim.Lt })
+             c.Claim.gate;
+       }
        [ fake "dctcp" 4 (tails 20.); fake "dt-dctcp" 4 (tails 20.) ]
        [ ("k4", "fails") ]);
   ignore
@@ -1227,8 +1234,254 @@ let test_claim_sweeps () =
         osc)
     [ false; true ];
   Alcotest.(check (list string)) "claim names"
-    [ "oscillation"; "buffer"; "fattree" ]
+    [
+      "fig1";
+      "sweep";
+      "fig14";
+      "fig15";
+      "ablation_thresholds";
+      "ablation_g";
+      "ablation_policies";
+      "ablation_testbed_labels";
+      "fluid";
+      "spectrum";
+      "d2tcp";
+      "sack";
+      "queue_buildup";
+      "convergence";
+      "robustness";
+      "oscillation";
+      "buffer";
+      "fattree";
+    ]
     (List.map (fun (c : Claim.t) -> c.Claim.name) Claim.all)
+
+(* A long-lived run that never ran, its values set from [x] (and its
+   queue deviation overridden by [std]), or a failed one. *)
+let fake_ll ?std ?(failed = false) (spec : Spec.t) x =
+  let result =
+    if failed then Outcome.Failed { spec = spec.Spec.name; error = "boom" }
+    else
+      Outcome.Done
+        (Outcome.Longlived
+           {
+             Workloads.Longlived.mean_queue_pkts = x;
+             std_queue_pkts = Option.value std ~default:(x /. 4.);
+             max_queue_pkts = 2. *. x;
+             mean_alpha = x /. 100.;
+             throughput_bps = 1e10;
+             utilization = 1. -. (x /. 1000.);
+             marked_fraction = x /. 200.;
+             drops = int_of_float x;
+             timeouts = 3 * int_of_float x;
+             fast_retransmits = 0;
+             jain_fairness = 1.;
+             queue_series = None;
+           })
+  in
+  {
+    Runner.spec;
+    result;
+    manifest =
+      Obs.Manifest.make ~name:spec.Spec.name ~seed:1L ~params:[]
+        ~wall_clock_s:0. ~events:7 ~metrics:[] ();
+  }
+
+let table_text (t : Stats.Table.t) =
+  let file = Filename.temp_file "claim" ".txt" in
+  let oc = open_out file in
+  Stats.Table.print ~oc t;
+  close_out oc;
+  let ic = open_in file in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove file;
+  text
+
+let report_view (r : Claim.report) =
+  ( List.map Claim.verdict_to_string r.Claim.verdicts,
+    table_text r.Claim.table,
+    r.Claim.manifest.Obs.Manifest.metrics )
+
+(* Runs are read by label, never by position: any order of the same
+   outcomes gives the same verdicts, table and recorded metrics. *)
+let test_claim_shuffle () =
+  let halves keep l =
+    List.filteri (fun i _ -> keep i) l
+    @ List.filteri (fun i _ -> not (keep i)) l
+  in
+  let check msg c outcomes =
+    let view l = report_view (Claim.report c ~quick:false (Array.of_list l)) in
+    let bv, bt, bm = view outcomes in
+    let n = List.length outcomes in
+    List.iter
+      (fun perm ->
+        let v, t, m = view (perm outcomes) in
+        Alcotest.(check (list string)) (msg ^ ": verdicts") bv v;
+        Alcotest.(check string) (msg ^ ": table") bt t;
+        Alcotest.(check (list (pair string (float 0.))))
+          (msg ^ ": metrics") bm m)
+      [
+        List.rev;
+        halves (fun i -> i mod 2 = 1);
+        halves (fun i -> i >= n / 3);
+      ]
+  in
+  check "fattree" (claim "fattree")
+    (List.concat_map
+       (fun k ->
+         List.mapi
+           (fun i p -> fake p k (tails (20. +. float_of_int (k + i))))
+           [ "dctcp"; "dt-dctcp"; "newreno" ])
+       [ 4; 8 ]);
+  let sweep = claim "sweep" in
+  let specs = sweep.Claim.specs ~quick:false in
+  let outcomes =
+    List.mapi (fun i s -> fake_ll s (30. +. float_of_int i)) specs
+  in
+  check "sweep" sweep outcomes;
+  (* An epilogue's read by label finds its own run in any order. *)
+  let r = Claim.report sweep ~quick:false (Array.of_list (List.rev outcomes)) in
+  List.iteri
+    (fun i s ->
+      let protocol, point = Claim.label s in
+      Alcotest.(check (option (float 0.)))
+        ("value of " ^ s.Spec.name)
+        (Some (30. +. float_of_int i))
+        (Claim.value r "mean_queue" ~protocol ~point))
+    specs;
+  Alcotest.check_raises "unknown metric"
+    (Invalid_argument "Exp.Claim.value: sweep has no metric nope") (fun () ->
+      ignore (Claim.value r "nope" ~protocol:"dctcp" ~point:"n10"))
+
+(* A gate-less claim has nothing to say about valid points; a failed run
+   still reads invalid, which makes the harness exit 1. *)
+let test_claim_gateless_failed () =
+  let c = claim "sweep" in
+  let verdicts failed_at =
+    (Claim.report c ~quick:true
+       (Array.of_list
+          (List.map
+             (fun (s : Spec.t) ->
+               fake_ll ~failed:(String.equal s.Spec.name failed_at) s 30.)
+             (c.Claim.specs ~quick:true))))
+      .Claim.verdicts
+    |> List.map Claim.verdict_to_string
+  in
+  Alcotest.(check (list string)) "all valid: no verdicts" [] (verdicts "");
+  Alcotest.(check (list string))
+    "failed run"
+    [ "sweep n15: invalid (fig_sweep/dt-dctcp/n=15: boom)" ]
+    (verdicts "fig_sweep/dt-dctcp/n=15");
+  ignore (check_verdicts "no runs" c [] [ ("-", "invalid") ])
+
+(* Every declaration's runs carry distinct labels in both modes, so no
+   two runs share a table row or a recorded metric. *)
+let test_claim_labels () =
+  List.iter
+    (fun quick ->
+      List.iter
+        (fun (c : Claim.t) ->
+          let msg what =
+            Printf.sprintf "%s (quick %b): %s" c.Claim.name quick what
+          in
+          let labels =
+            List.map
+              (fun (s : Spec.t) ->
+                match Claim.label s with
+                | proto, point -> proto ^ "/" ^ point
+                | exception Invalid_argument e -> Alcotest.fail e)
+              (c.Claim.specs ~quick)
+          in
+          Alcotest.(check bool) (msg "runs") true (List.length labels > 0);
+          Alcotest.(check int) (msg "labels unique") (List.length labels)
+            (List.length (List.sort_uniq String.compare labels)))
+        Claim.all)
+    [ false; true ];
+  let reno =
+    {
+      (List.hd (Claim.ablation_policies.Claim.specs ~quick:false)) with
+      Spec.name = "ablation_policies/reno";
+    }
+  in
+  Alcotest.(check (pair string string))
+    "a name with no point" ("reno", "") (Claim.label reno)
+
+(* The robustness claim covers every fault kind at both protocols, records
+   its metrics for every run, and scores a non-finite value invalid. *)
+let test_claim_robustness () =
+  let c = Claim.robustness in
+  let kinds =
+    [
+      ("loss", "p0.01", fun (p : Fault.Plan.t) -> p.Fault.Plan.loss_rate > 0.);
+      ("flap", "flap", fun p -> List.length p.Fault.Plan.flaps > 0);
+      ( "brownout",
+        "brownout",
+        fun p -> List.length p.Fault.Plan.rate_changes > 0 );
+      ( "suppress",
+        "n40",
+        fun p ->
+          match p.Fault.Plan.suppression with
+          | Fault.Plan.Suppress_prob _ -> true
+          | _ -> false );
+    ]
+  in
+  List.iter
+    (fun quick ->
+      let specs = c.Claim.specs ~quick in
+      let r =
+        Claim.report c ~quick
+          (Array.of_list
+             (List.mapi (fun i s -> fake_ll s (float_of_int (i + 1))) specs))
+      in
+      let recorded key =
+        List.exists
+          (fun (k, _) -> String.equal k key)
+          r.Claim.manifest.Obs.Manifest.metrics
+      in
+      List.iter
+        (fun (kind, point, faulted) ->
+          List.iter
+            (fun proto ->
+              match
+                List.find_opt
+                  (fun s ->
+                    let p, q = Claim.label s in
+                    String.equal p proto && String.equal q point)
+                  specs
+              with
+              | None -> Alcotest.fail (kind ^ ": no " ^ proto ^ " run")
+              | Some s ->
+                  Alcotest.(check bool) (kind ^ " fault planned") true
+                    (Option.fold ~none:false ~some:faulted s.Spec.faults);
+                  List.iter
+                    (fun m ->
+                      let key = String.concat "." [ m; proto; point ] in
+                      Alcotest.(check bool) (key ^ " recorded") true
+                        (recorded key))
+                    [ "mean_queue"; "std_queue"; "max_queue"; "util" ])
+            [ "dctcp"; "dt-dctcp" ])
+        kinds;
+      Alcotest.(check (list string)) "finite: no verdicts" []
+        (List.map Claim.verdict_to_string r.Claim.verdicts))
+    [ false; true ];
+  let nan_at = "robust_suppress/dctcp/n=70" in
+  Alcotest.(check (list string))
+    "NaN reads invalid"
+    [
+      "robustness n70: invalid (" ^ nan_at
+      ^ ": std_queue nan is not finite)";
+    ]
+    (List.map Claim.verdict_to_string
+       (Claim.judge c
+          (Array.of_list
+             (List.map
+                (fun (s : Spec.t) ->
+                  let std =
+                    if String.equal s.Spec.name nan_at then Float.nan else 1.
+                  in
+                  fake_ll ~std s 30.)
+                (c.Claim.specs ~quick:true)))))
 
 let suites =
   [
@@ -1310,5 +1563,13 @@ let suites =
           test_fattree_tails_validity;
         Alcotest.test_case "sweeps span the claimed range" `Quick
           test_claim_sweeps;
+        Alcotest.test_case "shuffled outcomes leave the report unchanged"
+          `Quick test_claim_shuffle;
+        Alcotest.test_case "gate-less: a failed run reads invalid" `Quick
+          test_claim_gateless_failed;
+        Alcotest.test_case "every declaration's labels parse and are unique"
+          `Quick test_claim_labels;
+        Alcotest.test_case "robustness: every fault kind, finite values"
+          `Quick test_claim_robustness;
       ] );
   ]
