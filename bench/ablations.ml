@@ -9,8 +9,7 @@ module Fm = Fluid.Dctcp_fluid
 
 let thresholds =
   Bench_common.note
-    "Points name (K1, K2) in packets with the '=' dropped: k135,k245 is\n\
-     K1 = 35, K2 = 45.\n\
+    "Points name (K1, K2) in packets.\n\
      Wider splits start marking earlier (lower mean queue) and stop\n\
      earlier on descents; too wide a split costs utilization headroom.\n"
 

@@ -1,15 +1,16 @@
 (* Figure-reproduction harness: one section per table/figure of the paper's
    evaluation, plus ablations, extensions, the gated claims and the
-   events/s performance tables. Every simulating section is a list of
-   Exp.Claim declarations.
+   events/s performance table. Every simulating section runs registry
+   specs through Exp.Runner: perf times its runs, every other one is a
+   list of Exp.Claim declarations.
 
    Usage: main.exe [--quick] [-j N] [section ...]
    Sections: fig1 fig2 fig_df fig9 sweep fig14 fig15 ablations fluid
    df_vs_fluid spectrum extensions robustness oscillation buffer fattree
-   perf (default: all). -j N fans each section's Exp.Runner sweep across
-   N domains; results are bit-identical to -j 1 by construction. Exits 1
-   when a point of a gated claim does not hold or any claim has an
-   invalid run. *)
+   perf (default: all). -j N fans each claim's Exp.Runner sweep across
+   N domains; results are bit-identical to -j 1 by construction. perf
+   always runs serially. Exits 1 when a point of a gated claim does not
+   hold, any claim has an invalid run or a perf run fails. *)
 
 let claims_hold = ref true
 
@@ -19,7 +20,8 @@ let claims_hold = ref true
 type section =
   | Claims of (Exp.Claim.t * (Exp.Claim.report -> unit)) list
   | Own of (unit -> unit)
-      (** Analysis-only and perf sections, which run no Exp.Claim. *)
+      (** Analysis-only sections, and perf, which times registry runs
+          rather than judging them. *)
 
 let claim ((c : Exp.Claim.t), epilogue) =
   Bench_common.section_header c.title;

@@ -292,16 +292,7 @@ let observed_run specs ~trace_out ~trace_events ~analysis_out ~profile_out =
   let tracer =
     match trace_oc with
     | None -> Obs.Trace.null
-    | Some (_, oc) ->
-        let tr = Obs.Trace.create ?classes (Obs.Trace.Jsonl oc) in
-        Obs.Json.write oc
-          (Obs.Analyze.Header.to_json
-             {
-               Obs.Analyze.Header.config = acfg;
-               classes = Obs.Trace.enabled_classes tr;
-             });
-        output_char oc '\n';
-        tr
+    | Some (_, oc) -> Obs.Analyze.jsonl_tracer ?classes acfg oc
   in
   let profiler = Option.map (fun _ -> Obs.Selfprof.create ()) profile_oc in
   let on_sim = Option.map (fun p sim -> Obs.Selfprof.attach p sim) profiler in
@@ -530,35 +521,15 @@ let analyze_cmd =
   let module An = Obs.Analyze in
   let run file out =
     let ic = try open_in file with Sys_error e -> fail "%s" e in
-    let next_line () = try Some (input_line ic) with End_of_file -> None in
-    (* First non-blank line must be the header record: it carries the
-       analyzer configuration the writing run used, which is what makes
-       the offline result bit-identical to the online one. *)
-    let line_no = ref 0 in
-    let rec first_json () =
-      match next_line () with
-      | None -> fail "%s: empty trace file" file
-      | Some l ->
-          incr line_no;
-          if String.trim l = "" then first_json ()
-          else begin
-            match Obs.Json.parse l with
-            | Error e -> fail "%s:%d: %s" file !line_no e
-            | Ok j -> j
-          end
-    in
-    let header_json = first_json () in
-    if not (An.Header.is_header header_json) then
-      fail
-        "%s: first record is not a trace header (traces written by `dtsim \
-         sweep --trace-out` carry one; a headerless file cannot be analyzed \
-         offline)"
-        file;
-    let header =
-      match An.Header.of_json header_json with
-      | Ok h -> h
+    (* The on_sample hook collects the resampled series for the offline
+       FFT cross-check; the analyzer itself never buffers it. *)
+    let samples = ref [] in
+    let header, an =
+      match An.replay ~on_sample:(fun x -> samples := x :: !samples) ic with
+      | Ok r -> r
       | Error e -> fail "%s: %s" file e
     in
+    close_in ic;
     let cfg = header.An.Header.config in
     let missing =
       List.filter
@@ -570,30 +541,6 @@ let analyze_cmd =
         "dtsim analyze: warning: trace was recorded without class(es) %s; \
          the analysis will under-report them\n"
         (String.concat ", " (List.map Obs.Trace.cls_name missing));
-    (* The on_sample hook collects the resampled series for the offline
-       FFT cross-check; the analyzer itself never buffers it. *)
-    let samples = ref [] in
-    let an =
-      An.create ~on_sample:(fun x -> samples := x :: !samples) cfg
-    in
-    let tracer = An.tracer an in
-    let rec replay () =
-      match next_line () with
-      | None -> ()
-      | Some l ->
-          incr line_no;
-          (if String.trim l <> "" then
-             match Obs.Json.parse l with
-             | Error e -> fail "%s:%d: %s" file !line_no e
-             | Ok j -> (
-                 match Obs.Trace.record_of_json j with
-                 | Ok r -> Obs.Trace.emit tracer r
-                 | Error e -> fail "%s:%d: %s" file !line_no e));
-          replay ()
-    in
-    replay ();
-    close_in ic;
-    An.finalize an;
     let s = An.summary an in
     Printf.printf "trace               %s (%d records, %.3f s)\n" file
       s.An.records s.An.duration_s;

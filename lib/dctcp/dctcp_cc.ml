@@ -47,14 +47,6 @@ let make ~params ~penalty =
       }
     in
     let component = "flow" ^ Int.to_string api.Tcp.Cc.flow in
-    let grow newly_acked =
-      if newly_acked > 0 then begin
-        let cwnd = api.Tcp.Cc.get_cwnd () in
-        if cwnd < api.Tcp.Cc.get_ssthresh () then
-          api.Tcp.Cc.set_cwnd (cwnd +. float_of_int newly_acked)
-        else api.Tcp.Cc.set_cwnd (cwnd +. (float_of_int newly_acked /. cwnd))
-      end
-    in
     let on_ack ~newly_acked ~ece ~snd_una ~snd_nxt =
       if newly_acked > 0 then begin
         st.acked_total <- st.acked_total + newly_acked;
@@ -95,7 +87,7 @@ let make ~params ~penalty =
           st.cwr_end <- snd_nxt
         end
       end
-      else grow newly_acked;
+      else Tcp.Cc.grow api newly_acked;
       if snd_una >= st.window_end then begin
         (* End of the observation window: fold the marked fraction into
            alpha and open the next window. *)
@@ -115,21 +107,11 @@ let make ~params ~penalty =
         st.epoch_started <- now
       end
     in
-    let halve () =
-      let cwnd = api.Tcp.Cc.get_cwnd () in
-      let target = Float.max (cwnd /. 2.) 1. in
-      api.Tcp.Cc.set_ssthresh target;
-      api.Tcp.Cc.set_cwnd target
-    in
     {
       Tcp.Cc.name = "dctcp";
       on_ack;
-      on_fast_retransmit = halve;
-      on_timeout =
-        (fun () ->
-          let cwnd = api.Tcp.Cc.get_cwnd () in
-          api.Tcp.Cc.set_ssthresh (Float.max (cwnd /. 2.) 1.);
-          api.Tcp.Cc.set_cwnd 1.);
+      on_fast_retransmit = (fun () -> Tcp.Cc.halve_on_loss api);
+      on_timeout = (fun () -> Tcp.Cc.collapse_on_timeout api);
       alpha = (fun () -> Some st.alpha.(0));
     }
 

@@ -11,30 +11,7 @@
    the competitor is to show what pure loss feedback does to a shared
    pool that the marking protocols keep half-empty. *)
 
-type api = Tcp.Cc.flow_api
-
-(* Reno window arithmetic, local copies: [Tcp.Cc] keeps its helpers
-   private and this module must not perturb that interface. *)
-let grow (api : api) newly_acked =
-  if newly_acked > 0 then begin
-    let cwnd = api.Tcp.Cc.get_cwnd () in
-    if cwnd < api.Tcp.Cc.get_ssthresh () then
-      api.Tcp.Cc.set_cwnd (cwnd +. float_of_int newly_acked)
-    else api.Tcp.Cc.set_cwnd (cwnd +. (float_of_int newly_acked /. cwnd))
-  end
-
-let halve (api : api) =
-  let half = api.Tcp.Cc.get_cwnd () /. 2. in
-  let target = if half >= 1. then half else 1. in
-  api.Tcp.Cc.set_ssthresh target;
-  api.Tcp.Cc.set_cwnd target
-
-let collapse (api : api) =
-  let half = api.Tcp.Cc.get_cwnd () /. 2. in
-  api.Tcp.Cc.set_ssthresh (if half >= 1. then half else 1.);
-  api.Tcp.Cc.set_cwnd 1.
-
-let newreno (api : api) =
+let newreno (api : Tcp.Cc.flow_api) =
   (* [recover] is the snd_nxt recorded when the last halving happened;
      fast retransmits for segments below it belong to the same loss
      episode and must not halve again. *)
@@ -47,16 +24,16 @@ let newreno (api : api) =
       (fun ~newly_acked ~ece:_ ~snd_una ~snd_nxt ->
         una := snd_una;
         nxt := snd_nxt;
-        grow api newly_acked);
+        Tcp.Cc.grow api newly_acked);
     on_fast_retransmit =
       (fun () ->
         if !una >= !recover then begin
-          halve api;
+          Tcp.Cc.halve_on_loss api;
           recover := !nxt
         end);
     on_timeout =
       (fun () ->
-        collapse api;
+        Tcp.Cc.collapse_on_timeout api;
         recover := !nxt);
     alpha = (fun () -> None);
   }

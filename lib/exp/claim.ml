@@ -111,12 +111,16 @@ let alpha = ll "alpha" 3 (fun r -> r.L.mean_alpha)
 let util = ll "util" 3 (fun r -> r.L.utilization)
 let drops = count "drops" (fun r -> r.L.drops)
 
-(* [<family>/<protocol>[/<point>[/...]]] -> (protocol, point without '='),
-   the point [""] when the name has none. *)
+(* [<family>/<protocol>[/<point>[/...]]] -> (protocol, point), the point
+   [""] when the name has none. A one-parameter point drops its '='
+   ([n=10] reads [n10]); a point of several keeps them all, so
+   [k1=35,k2=45] stays readable. *)
 let label (spec : Spec.t) =
   match String.split_on_char '/' spec.name with
-  | _ :: proto :: point :: _ ->
-      (proto, String.concat "" (String.split_on_char '=' point))
+  | _ :: proto :: point :: _ -> (
+      match String.split_on_char '=' point with
+      | [ name; value ] -> (proto, name ^ value)
+      | _ -> (proto, point))
   | [ _; proto ] -> (proto, "")
   | _ ->
       invalid_arg

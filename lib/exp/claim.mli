@@ -9,11 +9,10 @@
     manifest is the claim's [BENCH_<name>.json].
 
     Registry spec names read [<family>/<protocol>[/<point>[/...]]]. The
-    protocol slug and the point, with its [=] dropped ([n=10] reads
-    [n10]), label each run and key each recorded metric as
-    [<metric>.<protocol>.<point>] ([<metric>.<protocol>] for a name with
-    no point). Everything reads runs by that label, never by their
-    position in the sweep. *)
+    protocol slug and the point ({!label}) label each run and key each
+    recorded metric as [<metric>.<protocol>.<point>]
+    ([<metric>.<protocol>] for a name with no point). Everything reads
+    runs by that label, never by their position in the sweep. *)
 
 type rel =
   | Lt  (** DT-DCTCP strictly below DCTCP. *)
@@ -65,6 +64,8 @@ val series : Runner.outcome -> float array option
 
 val label : Spec.t -> string * string (* dtlint: test-only: declaration checks *)
 (** [(protocol, point)] of a spec, the point [""] when the name has none.
+    A point with one parameter drops its [=] ([n=10] reads [n10]); one
+    with several keeps them ([k1=35,k2=45]).
     @raise Invalid_argument on a name with no protocol. *)
 
 (** {2 Declarations} *)

@@ -536,6 +536,31 @@ let spectrum_specs ?(warmup = Time.span_of_ms 200.)
         [ sim_dctcp; sim_dt ])
     spectrum_ns
 
+(* --- the perf section's operating point ---
+
+   BENCH_perf.json's events/s baseline. Above N = 128 the buffer grows
+   to 4N packets: with 250, N = 512 takes over 200 RTOs in its measured
+   window, and the point would time loss recovery rather than the
+   steady packet path. *)
+
+let perf_dumbbell_ns = [ 4; 32; 128; 512 ]
+
+let perf_dumbbell_specs ?(warmup = Time.span_of_ms 100.)
+    ?(measure = Time.span_of_ms 100.) () =
+  List.map
+    (fun n ->
+      let buffer_pkts = if n > 128 then 4 * n else 250 in
+      spec
+        (named "perf_dumbbell" sim_dt (Printf.sprintf "/n=%d" n))
+        sim_dt
+        (Spec.Longlived
+           {
+             (longlived_config ~warmup ~measure ~n ()) with
+             L.buffer_bytes = buffer_pkts * 1500;
+             seed = 11L;
+           }))
+    perf_dumbbell_ns
+
 (* --- one default run per workload ---
 
    `dtsim sweep --name dtsim.<workload>` runs these, with `--set` for any
@@ -672,6 +697,11 @@ let entries =
       name = "spectrum";
       doc = "spectral validation: queue frequency at R0=1ms, N=60 and 100";
       specs = (fun () -> spectrum_specs ());
+    };
+    {
+      name = "perf_dumbbell";
+      doc = "events/s baseline: DT-DCTCP dumbbell at N=4,32,128,512";
+      specs = (fun () -> perf_dumbbell_specs ());
     };
     {
       name = "defaults";

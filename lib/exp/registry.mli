@@ -137,6 +137,15 @@ val spectrum_specs :
     50 us; default windows 200/400 ms) at N = 60 and 100, for
     {!sim_dctcp} and {!sim_dt}, named [spectrum/<protocol>/n=<N>]. *)
 
+(** {2 Simulator throughput} *)
+
+val perf_dumbbell_specs :
+  ?warmup:Engine.Time.span -> ?measure:Engine.Time.span -> unit -> Spec.t list
+(** The events/s baseline behind [BENCH_perf.json]: the long-lived
+    dumbbell under {!sim_dt} and seed 11 at N = 4, 32, 128 and 512, named
+    [perf_dumbbell/dt-dctcp/n=<N>]. The bottleneck buffer is 250 packets,
+    or 4N packets above N = 128. Default windows 100/100 ms. *)
+
 (** {2 Lookup} *)
 
 type entry = {

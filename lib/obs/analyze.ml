@@ -591,3 +591,61 @@ module Header = struct
         classes;
       }
 end
+
+(* --- trace files ---------------------------------------------------- *)
+
+let jsonl_tracer ?classes config oc =
+  let tr = Trace.create ?classes (Trace.Jsonl oc) in
+  Json.write oc
+    (Header.to_json { Header.config; classes = Trace.enabled_classes tr });
+  output_char oc '\n';
+  tr
+
+let replay ?on_sample ic =
+  let ( let* ) = Result.bind in
+  let line_no = ref 0 in
+  let at_line f =
+    match f () with
+    | v -> Ok v
+    | exception Invalid_argument e ->
+        Error (Printf.sprintf "line %d: %s" !line_no e)
+  in
+  (* The next non-blank line, parsed; [None] at the end of the file. *)
+  let rec next () =
+    match input_line ic with
+    | exception End_of_file -> Ok None
+    | l -> (
+        incr line_no;
+        if String.equal (String.trim l) "" then next ()
+        else
+          match Json.parse l with
+          | Ok j -> Ok (Some j)
+          | Error e -> Error (Printf.sprintf "line %d: %s" !line_no e))
+  in
+  let* first = next () in
+  let* header_json = Option.to_result ~none:"empty trace file" first in
+  let* () =
+    if Header.is_header header_json then Ok ()
+    else
+      Error
+        "first record is not a trace header (traces written by `dtsim \
+         sweep --trace-out` carry one; a headerless file cannot be \
+         analyzed offline)"
+  in
+  let* header = Header.of_json header_json in
+  let* an = at_line (fun () -> create ?on_sample header.Header.config) in
+  let tr = tracer an in
+  let rec emit_rest () =
+    let* j = next () in
+    match j with
+    | None ->
+        finalize an;
+        Ok (header, an)
+    | Some j -> (
+        match Trace.record_of_json j with
+        | Error e -> Error (Printf.sprintf "line %d: %s" !line_no e)
+        | Ok r ->
+            let* () = at_line (fun () -> Trace.emit tr r) in
+            emit_rest ())
+  in
+  emit_rest ()

@@ -103,10 +103,24 @@ val spectrum_note : t -> string option
     self-contained. *)
 module Header : sig
   type header = { config : config; classes : Trace.cls list }
-
-  val is_header : Json.t -> bool
-  (** Distinguishes a header object from an ordinary trace record. *)
-
-  val to_json : header -> Json.t
-  val of_json : Json.t -> (header, string) result
 end
+
+(** {2 Trace files} *)
+
+val jsonl_tracer : ?classes:Trace.cls list -> config -> out_channel -> Trace.t
+(** A JSONL tracer into [oc] (restricted to [classes], default all)
+    whose first line is the {!Header} carrying [config] and the classes
+    the tracer keeps: the file [dtsim sweep --trace-out] writes and
+    {!replay} reads. *)
+
+val replay :
+  ?on_sample:(float -> unit) ->
+  in_channel ->
+  (Header.header * t, string) result
+(** Analyze a trace file offline. Its first non-blank line must be a
+    {!Header}; every later non-blank line is one record, emitted through
+    the {!tracer} of an analyzer built from the header's config, so the
+    analysis is bit-identical to the online analysis of the run that
+    wrote the file. The analyzer comes back finalized; [on_sample] is
+    {!create}'s. An error about a record names its line
+    (["line 3: ..."]). *)

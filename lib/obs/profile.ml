@@ -1,22 +1,4 @@
-module Sim = Engine.Sim
-
 let wall_clock () = Unix.gettimeofday ()
-
-type run = { wall_s : float; events : int; events_per_s : float }
-
-let finish ~t0 ~e0 sim =
-  let wall_s = wall_clock () -. t0 in
-  let events = Sim.events_processed sim - e0 in
-  let events_per_s =
-    if wall_s > 0. then float_of_int events /. wall_s else 0.
-  in
-  { wall_s; events; events_per_s }
-
-let run_sim ?until sim =
-  let t0 = wall_clock () in
-  let e0 = Sim.events_processed sim in
-  Sim.run ?until sim;
-  finish ~t0 ~e0 sim
 
 let time f =
   let t0 = wall_clock () in

@@ -11,14 +11,5 @@ val wall_clock : unit -> float
 (** Seconds since the epoch ([Unix.gettimeofday]). Never feed this into
     simulation state. *)
 
-type run = {
-  wall_s : float;  (** Elapsed real time. *)
-  events : int;  (** Engine events executed during the run. *)
-  events_per_s : float;  (** [0.] when [wall_s] is not positive. *)
-}
-
-val run_sim : ?until:Engine.Time.t -> Engine.Sim.t -> run
-(** [Sim.run] bracketed with wall-clock and event-count accounting. *)
-
 val time : (unit -> 'a) -> 'a * float
 (** [time f] is [(f (), elapsed_seconds)]. *)

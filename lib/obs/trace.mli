@@ -114,10 +114,10 @@ val ring : capacity:int -> ring
 (** Bounded in-memory sink keeping the most recent [capacity] records.
     @raise Invalid_argument if [capacity <= 0]. *)
 
-val ring_length : ring -> int
+val ring_length : ring -> int (* dtlint: test-only: ring read side *)
 (** Records currently held ([<= capacity]). *)
 
-val ring_total : ring -> int
+val ring_total : ring -> int (* dtlint: test-only: ring read side *)
 (** Records ever pushed, including overwritten ones. *)
 
 val ring_records : ring -> record list (* dtlint: test-only: ring read side *)

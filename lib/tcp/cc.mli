@@ -40,6 +40,21 @@ type t = {
 
 type factory = flow_api -> t
 
+(** {2 Reno window arithmetic}
+
+    Shared by every algorithm here and in [lib/dctcp]. *)
+
+val grow : flow_api -> int -> unit
+(** [grow api newly_acked]: slow start below [ssthresh] (+1 per
+    segment acked), congestion avoidance above it (+1/cwnd per segment
+    acked); nothing on a duplicate ACK ([newly_acked = 0]). *)
+
+val halve_on_loss : flow_api -> unit
+(** [ssthresh] and [cwnd] both to half the window, at least 1. *)
+
+val collapse_on_timeout : flow_api -> unit
+(** [ssthresh] to half the window (at least 1), [cwnd] to 1. *)
+
 val reno : factory
 (** NewReno-style growth: slow start below [ssthresh], +1/cwnd per ACK
     above; halve on fast retransmit; collapse to 1 on timeout. Ignores

@@ -626,6 +626,31 @@ let test_defaults_pinned () =
     "one pinned spec per workload" expected
     (List.map spec_to_string (one_spec_per_kind ()))
 
+(* BENCH_perf.json's events/s baseline was recorded on exactly these
+   specs: DT-DCTCP at (K1, K2) = (45000, 75000) bytes, seed 11, 100 ms of
+   warm-up and 100 ms of measurement, at N = 4, 32, 128 and 512 with a
+   250-packet buffer, or 4N packets above N = 128. An edit to the family
+   must fail here rather than silently move the baseline. *)
+let test_perf_dumbbell_pinned () =
+  let pinned n buffer_bytes =
+    Printf.sprintf
+      {|{"name":"perf_dumbbell/dt-dctcp/n=%d","protocol":{"kind":"dt-dctcp","g":0.0625,"k1_bytes":45000,"k2_bytes":75000},"workload":{"kind":"longlived","n_flows":%d,"bottleneck_rate_bps":10000000000.0,"rtt":100000,"buffer_bytes":%d,"segment_bytes":1500,"warmup":100000000,"measure":100000000,"trace_sampling":null,"alpha_sample_period":1000000,"stagger":1000000,"min_rto":10000000,"seed":"11"}}|}
+      n n buffer_bytes
+  in
+  Alcotest.(check (list string))
+    "the recorded scenario"
+    [
+      pinned 4 375_000;
+      pinned 32 375_000;
+      pinned 128 375_000;
+      pinned 512 3_072_000;
+    ]
+    (List.map spec_to_string (Registry.perf_dumbbell_specs ()));
+  Alcotest.(check (option (list string)))
+    "the registry family is the same list"
+    (Some (List.map spec_to_string (Registry.perf_dumbbell_specs ())))
+    (Option.map (List.map spec_to_string) (Registry.select "perf_dumbbell"))
+
 (* The buffer-manager refactor must not move any pre-existing baseline:
    every registry family except the new fig_buffer sweep stays on the
    Static (private-capacity) path, and a spec read back from an old
@@ -1405,7 +1430,22 @@ let test_claim_labels () =
     }
   in
   Alcotest.(check (pair string string))
-    "a name with no point" ("reno", "") (Claim.label reno)
+    "a name with no point" ("reno", "") (Claim.label reno);
+  (* One parameter drops its '='; several keep theirs, so the threshold
+     ablation's points stay unambiguous. *)
+  let point name =
+    List.find_map
+      (fun (s : Spec.t) ->
+        if String.equal s.Spec.name name then Some (snd (Claim.label s))
+        else None)
+      (Claim.ablation_thresholds.Claim.specs ~quick:false)
+  in
+  Alcotest.(check (option string))
+    "several parameters keep their '='" (Some "k1=35,k2=45")
+    (point "ablation_thresholds/dt-dctcp/k1=35,k2=45");
+  Alcotest.(check (pair string string))
+    "one parameter drops its '='" ("dctcp", "n10")
+    (Claim.label (List.hd (Claim.oscillation.Claim.specs ~quick:false)))
 
 (* The robustness claim covers every fault kind at both protocols, records
    its metrics for every run, and scores a non-finite value invalid. *)
@@ -1517,6 +1557,8 @@ let suites =
           test_baseline_families_stay_static;
         Alcotest.test_case "defaults pin the former CLI flags" `Quick
           test_defaults_pinned;
+        Alcotest.test_case "perf_dumbbell pins the recorded scenario" `Quick
+          test_perf_dumbbell_pinned;
       ] );
     ( "exp.runner",
       [

@@ -520,34 +520,48 @@ let test_analyze_errors () =
     "feed after finalize rejected" true
     (raises (fun () -> An.feed an (occ_at 200 10)))
 
+(* A trace file as `dtsim sweep --trace-out` starts one (the header
+   [jsonl_tracer] writes for [config]), followed by [body]. *)
+let trace_file ?classes config body =
+  let file = Filename.temp_file "test_obs" ".jsonl" in
+  let oc = open_out file in
+  ignore (An.jsonl_tracer ?classes config oc);
+  output_string oc body;
+  close_out oc;
+  file
+
+let replay_file file =
+  let ic = open_in file in
+  let r = An.replay ic in
+  close_in ic;
+  Sys.remove file;
+  r
+
 let test_analyze_header_roundtrip () =
-  let h =
-    {
-      An.Header.config = an_config ~band:(45_000, 75_000) ();
-      classes = An.required_classes;
-    }
-  in
-  let j = An.Header.to_json h in
-  Alcotest.(check bool) "is_header" true (An.Header.is_header j);
-  Alcotest.(check bool)
-    "a record is not a header" false
-    (An.Header.is_header (Trace.record_to_json (enq 0)));
-  (match An.Header.of_json j with
+  let config = an_config ~band:(45_000, 75_000) () in
+  (match replay_file (trace_file ~classes:An.required_classes config "") with
   | Error e -> Alcotest.fail e
-  | Ok h' ->
+  | Ok (h, _) ->
       Alcotest.(check bool)
         "config survives" true
-        (h'.An.Header.config = h.An.Header.config);
+        (h.An.Header.config = config);
       Alcotest.(check bool)
         "classes survive" true
-        (h'.An.Header.classes = h.An.Header.classes));
+        (List.length h.An.Header.classes = List.length An.required_classes
+        && List.for_all
+             (fun c -> List.mem c h.An.Header.classes)
+             An.required_classes));
   (* None band round-trips through the Null fields. *)
-  let h = { An.Header.config = an_config (); classes = [ Trace.C_drop ] } in
-  match An.Header.of_json (An.Header.to_json h) with
-  | Ok h' ->
+  match
+    replay_file (trace_file ~classes:[ Trace.C_drop ] (an_config ()) "")
+  with
+  | Ok (h, _) ->
       Alcotest.(check bool)
         "bandless config survives" true
-        (h'.An.Header.config.An.band_bytes = None)
+        (h.An.Header.config.An.band_bytes = None);
+      Alcotest.(check bool)
+        "one class" true
+        (h.An.Header.classes = [ Trace.C_drop ])
   | Error e -> Alcotest.fail e
 
 (* --- record JSONL round-trip: every constructor --- *)
@@ -848,6 +862,197 @@ let test_selfprof_longlived () =
         (List.length l)
   | _ -> Alcotest.fail "profile JSON lacks classes"
 
+(* --- end to end: one observed run, as `dtsim sweep --trace-out
+   --analysis-out --profile-out` makes it, replayed as `dtsim analyze`
+   does --- *)
+
+(* dtsim.longlived narrowed with the CLI's --set overrides: DT-DCTCP at
+   (30, 50) packets, 4 flows, 5 ms warm-up, a 10 ms window sampled every
+   20 us. *)
+let observed_spec () =
+  let base =
+    match Exp.Registry.select "dtsim.longlived" with
+    | Some [ s ] -> s
+    | _ -> Alcotest.fail "no registry spec dtsim.longlived"
+  in
+  let set path value =
+    match Json.parse value with
+    | Ok j -> (path, j)
+    | Error e -> Alcotest.fail e
+  in
+  match
+    Exp.Spec.override base
+      [
+        set "protocol"
+          {|{"kind":"dt-dctcp","g":0.0625,"k1_bytes":45000,"k2_bytes":75000}|};
+        set "workload.n_flows" "4";
+        set "workload.warmup" "5000000";
+        set "workload.measure" "10000000";
+        set "workload.trace_sampling" "20000";
+      ]
+  with
+  | Ok s -> s
+  | Error e -> Alcotest.fail e
+
+let read_lines file =
+  let ic = open_in file in
+  let rec go acc =
+    match input_line ic with
+    | l -> go (if String.equal (String.trim l) "" then acc else l :: acc)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+  in
+  go []
+
+(* What a CLI output file reads back as. *)
+let reparse j =
+  match Json.parse (Json.to_string j) with
+  | Ok j -> j
+  | Error e -> Alcotest.fail e
+
+let member path j =
+  match
+    List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some j) path
+  with
+  | Some v -> v
+  | None -> Alcotest.fail ("missing " ^ String.concat "." path)
+
+let positive what = function
+  | Json.Int i -> Alcotest.(check bool) (what ^ " > 0") true (i > 0)
+  | Json.Float f -> Alcotest.(check bool) (what ^ " > 0") true (f > 0.)
+  | _ -> Alcotest.fail (what ^ " is not a number")
+
+let test_observed_run_end_to_end () =
+  let spec = observed_spec () in
+  let acfg =
+    match Exp.Runner.analysis_config spec with
+    | Some c -> c
+    | None -> Alcotest.fail "longlived spec has no analysis config"
+  in
+  let file = Filename.temp_file "test_obs" ".jsonl" in
+  let oc = open_out file in
+  let tracer = An.jsonl_tracer acfg oc in
+  let prof = Obs.Selfprof.create () in
+  let o =
+    Exp.Runner.run_one ~tracer ~on_sim:(Obs.Selfprof.attach prof)
+      ~analyze:true spec
+  in
+  close_out oc;
+  (* The trace: a header, then events with the hysteresis flips and the
+     cwnd cuts of each flow's sawtooth. *)
+  let lines =
+    List.map
+      (fun l ->
+        match Json.parse l with Ok j -> j | Error e -> Alcotest.fail e)
+      (read_lines file)
+  in
+  let events =
+    match lines with
+    | header :: events ->
+        Alcotest.(check bool)
+          "the first record is the header" true
+          (Json.equal (member [ "trace_header" ] header) (Json.Int 1));
+        events
+    | [] -> Alcotest.fail "empty trace"
+  in
+  Alcotest.(check bool) "events follow the header" true (events <> []);
+  let has name =
+    List.exists
+      (fun e -> Json.equal (member [ "event" ] e) (Json.String name))
+      events
+  in
+  Alcotest.(check bool) "flips traced" true (has "mark_state_flip");
+  Alcotest.(check bool) "cuts traced" true (has "cwnd_cut");
+  (* The result: a finished long-lived run with 10 ms / 20 us + 1
+     queue samples from the warm-up instant on, strictly increasing. *)
+  let r = reparse (Exp.Outcome.to_json o.Exp.Runner.result) in
+  Alcotest.(check string)
+    "status/kind" "done/longlived"
+    (match (member [ "status" ] r, member [ "kind" ] r) with
+    | Json.String s, Json.String k -> s ^ "/" ^ k
+    | _ -> "?");
+  let times =
+    match member [ "result"; "queue_series" ] r with
+    | Json.List pts ->
+        List.map
+          (function
+            | Json.List [ Json.Float t; _ ] -> t
+            | _ -> Alcotest.fail "malformed queue sample")
+          pts
+    | _ -> Alcotest.fail "queue_series is not a list"
+  in
+  Alcotest.(check int) "queue samples" 501 (List.length times);
+  Alcotest.(check (float 1e-9)) "first sample at the warm-up" 0.005
+    (List.hd times);
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> a < b && increasing rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "sample times increase" true (increasing times);
+  (* The manifest. *)
+  let m = reparse (Obs.Manifest.to_json o.Exp.Runner.manifest) in
+  List.iter
+    (fun k -> ignore (member [ k ] m))
+    [
+      "name"; "seed"; "params"; "wall_clock_s"; "events"; "events_per_s";
+      "metrics"; "analysis";
+    ];
+  positive "events" (member [ "events" ] m);
+  positive "marking.flips_up" (member [ "metrics"; "marking.flips_up" ] m);
+  (* Online (--analysis-out), offline (dtsim analyze's replay) and the
+     manifest's block are the same bytes. *)
+  let online =
+    match o.Exp.Runner.manifest.Obs.Manifest.analysis with
+    | Some j -> Json.to_string j
+    | None -> Alcotest.fail "no online analysis"
+  in
+  let ic = open_in file in
+  let offline =
+    match An.replay ic with
+    | Ok (_, an) -> Json.to_string (An.to_json an)
+    | Error e -> Alcotest.fail e
+  in
+  close_in ic;
+  Sys.remove file;
+  Alcotest.(check string) "online = offline" online offline;
+  Alcotest.(check string)
+    "online = manifest" online
+    (Json.to_string (member [ "analysis" ] m));
+  let analysis = member [ "analysis" ] m in
+  positive "occupancy samples" (member [ "occupancy"; "samples" ] analysis);
+  positive "analysed flips" (member [ "marking"; "flips" ] analysis);
+  (* The profile counts every engine event and times some. *)
+  let p = reparse (Obs.Selfprof.to_json prof) in
+  Alcotest.(check bool)
+    "profiler total = engine events" true
+    (Json.equal (member [ "events_total" ] p) (member [ "events" ] m));
+  positive "events_sampled" (member [ "events_sampled" ] p)
+
+(* Replay errors say what is wrong, and where. *)
+let test_replay_errors () =
+  let error_of file =
+    match replay_file file with Ok _ -> "ok" | Error e -> e
+  in
+  let raw text =
+    let file = Filename.temp_file "test_obs" ".jsonl" in
+    let oc = open_out file in
+    output_string oc text;
+    close_out oc;
+    file
+  in
+  Alcotest.(check string) "empty" "empty trace file" (error_of (raw "\n\n"));
+  Alcotest.(check bool)
+    "headerless" true
+    (String.starts_with ~prefix:"first record is not a trace header"
+       (error_of (raw (Json.to_string (Trace.record_to_json (enq 0))))));
+  Alcotest.(check string)
+    "a bad record names its line" "line 3: "
+    (String.sub (error_of (trace_file (an_config ()) "\n{\"nope\":1}\n")) 0 8);
+  Alcotest.(check string)
+    "header only" "ok"
+    (error_of (trace_file (an_config ()) ""))
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suites =
@@ -889,6 +1094,14 @@ let suites =
           test_analyze_header_roundtrip;
         qtest analyzer_bit_identity;
         qtest emit_occ_matches_emit;
+      ] );
+    ( "obs.end_to_end",
+      [
+        Alcotest.test_case
+          "observed run: trace, result, manifest, analyses, profile" `Quick
+          test_observed_run_end_to_end;
+        Alcotest.test_case "replay errors name their line" `Quick
+          test_replay_errors;
       ] );
     ( "obs.selfprof",
       [
