@@ -5,8 +5,8 @@
    is invoked with -j N. Analysis-only sections (fluid model, describing
    function, fig2's synthetic swing) bypass the experiment layer. *)
 
-(* --quick: Exp.Claim.scaled halves the simulated windows and repeats so
-   the whole harness stays interactive during development. *)
+(* --quick: every section runs Exp.Claim.quick of its specs (the rule is
+   stated in its doc comment). *)
 let quick = ref false
 
 (* -j N: domains for Exp.Runner sweeps (1 = serial). *)

@@ -9,15 +9,14 @@ module Outcome = Exp.Outcome
 
 let run () =
   Bench_common.section_header "Performance: events/s (DT-DCTCP dumbbell)";
-  let window ms =
-    Exp.Claim.scaled ~quick:!Bench_common.quick (Engine.Time.span_of_ms ms)
+  let specs = Option.get (Exp.Registry.select "perf_dumbbell") in
+  let specs =
+    if !Bench_common.quick then List.map Exp.Claim.quick specs else specs
   in
   (* Serial whatever -j says: runs sharing the host's cores would lower
      each other's events/s. *)
   let points =
-    Exp.Registry.perf_dumbbell_specs ~warmup:(window 100.)
-      ~measure:(window 100.) ()
-    |> Exp.Runner.run ~jobs:1 |> Array.to_list
+    Exp.Runner.run ~jobs:1 specs |> Array.to_list
     |> List.map (fun (o : Exp.Runner.outcome) ->
            match (o.spec.workload, o.result) with
            | Exp.Spec.Longlived c, Outcome.Done (Outcome.Longlived r) ->

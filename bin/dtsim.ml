@@ -349,44 +349,45 @@ let write_outcome_files dir (outcomes : Runner.outcome array) =
   Printf.printf "wrote %d manifest/result pairs under %s\n"
     (Array.length outcomes) dir
 
-(* --verify-serial: the sweep's parallel outcomes must be bit-identical to
-   a serial rerun, and every manifest must reconstruct its exact spec. *)
-let verify_against_serial specs (outcomes : Runner.outcome array) =
-  let serial = Runner.run ~jobs:1 specs in
+(* --verify-serial: re-run serially the spec each parallel outcome's
+   manifest records. Every decoded spec must equal the one that ran, and
+   its result must be bit-identical, so one re-run checks both -j
+   identity and replay from manifests. *)
+let verify_against_serial (outcomes : Runner.outcome array) =
   let failures = ref 0 in
-  Array.iteri
-    (fun i (o : Runner.outcome) ->
-      let s = serial.(i) in
-      if not (Outcome.equal o.Runner.result s.Runner.result) then begin
-        incr failures;
-        Printf.eprintf "MISMATCH %s: parallel and serial results differ\n"
-          o.Runner.spec.Spec.name
-      end;
-      let reconstructed =
-        match
-          List.find_opt
-            (fun (k, _) -> String.equal k "spec")
-            o.Runner.manifest.Obs.Manifest.params
-        with
-        | None -> Error "manifest has no spec param"
-        | Some (_, j) -> Spec.of_json j
-      in
-      match reconstructed with
-      | Error e ->
-          incr failures;
-          Printf.eprintf "MANIFEST %s: %s\n" o.Runner.spec.Spec.name e
-      | Ok s ->
-          if not (Spec.equal s o.Runner.spec) then begin
-            incr failures;
-            Printf.eprintf
-              "MANIFEST %s: reconstructed spec differs from original\n"
-              o.Runner.spec.Spec.name
-          end)
-    outcomes;
+  let failure tag (o : Runner.outcome) msg =
+    incr failures;
+    Printf.eprintf "%s %s: %s\n" tag o.Runner.spec.Spec.name msg
+  in
+  let decode (o : Runner.outcome) =
+    match List.assoc_opt "spec" o.Runner.manifest.Obs.Manifest.params with
+    | None -> Error "manifest has no spec param"
+    | Some j -> Spec.of_json j
+  in
+  let decoded =
+    Array.to_list outcomes
+    |> List.filter_map (fun (o : Runner.outcome) ->
+           match decode o with
+           | Error e ->
+               failure "MANIFEST" o e;
+               None
+           | Ok s ->
+               if not (Spec.equal s o.Runner.spec) then
+                 failure "MANIFEST" o
+                   "decoded spec differs from the one that ran";
+               Some (o, s))
+  in
+  let serial = Runner.run ~jobs:1 (List.map snd decoded) in
+  List.iteri
+    (fun i ((o : Runner.outcome), _) ->
+      if not (Outcome.equal o.Runner.result serial.(i).Runner.result) then
+        failure "MISMATCH" o
+          "the serial re-run of its manifest's spec gives a different result")
+    decoded;
   if !failures > 0 then fail "%d verification failure(s)" !failures;
   Printf.printf
-    "verified: %d runs bit-identical to serial, all specs reconstruct \
-     from manifests\n"
+    "verified: %d runs re-run serially from their manifests' specs, \
+     bit-identical\n"
     (Array.length outcomes)
 
 let sweep_cmd =
@@ -402,6 +403,7 @@ let sweep_cmd =
         (Exp.Registry.all ());
       exit 0
     end;
+    if jobs < 1 then fail "-j %d: need at least one job" jobs;
     let specs = apply_sets sets (select_specs entry spec_file) in
     if specs = [] then fail "empty spec list";
     let run_specs =
@@ -433,7 +435,7 @@ let sweep_cmd =
       (Array.length outcomes - failed)
       (Array.length outcomes) wall_s;
     if out_dir <> "" then write_outcome_files out_dir outcomes;
-    if verify then verify_against_serial specs outcomes;
+    if verify then verify_against_serial outcomes;
     if failed > 0 then exit 1
   in
   let string_opt names ~docv doc =
@@ -476,8 +478,9 @@ let sweep_cmd =
       value & flag
       & info [ "verify-serial" ]
           ~doc:
-            "After the sweep, rerun serially and fail unless results are \
-             bit-identical and every manifest reconstructs its spec.")
+            "After the sweep, re-run serially the spec each run's manifest \
+             records; fail unless it decodes to the spec that ran and its \
+             result is bit-identical.")
   in
   let list_entries =
     Arg.(value & flag & info [ "list" ] ~doc:"List registry sweeps and exit.")

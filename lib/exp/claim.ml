@@ -17,7 +17,7 @@ type t = {
   name : string;
   title : string;
   params : (string * Json.t) list;
-  specs : quick:bool -> Spec.t list;
+  specs : unit -> Spec.t list;
   metrics : metric list;
   gate : gate option;
   validity : (Runner.outcome -> string option) list;
@@ -55,17 +55,47 @@ let assoc key pairs =
 
 (* --- the --quick rule --- *)
 
-let scaled ~quick span =
-  if quick then Time.span_of_int_ns (Time.span_to_int_ns span / 2) else span
+let half span = Time.span_of_int_ns (Time.span_to_int_ns span / 2)
 
-let scaled_count ~quick n = if quick then Int.max 1 (n / 2) else n
+(* Flaps and rate changes happen at absolute times, which a halved run
+   could end before. *)
+let timed_faults (s : Spec.t) =
+  match s.faults with
+  | Some p -> p.Fault.Plan.flaps <> [] || p.Fault.Plan.rate_changes <> []
+  | None -> false
 
-(* Long-lived specs at the dumbbell's 100/200 ms warm-up and measurement
-   windows. *)
-let longlived_windows build ~quick =
-  build
-    ~warmup:(scaled ~quick (Time.span_of_ms 100.))
-    ~measure:(scaled ~quick (Time.span_of_ms 200.))
+let quick (s : Spec.t) =
+  let module Dy = Workloads.Dynamic in
+  let module Cv = Workloads.Convergence in
+  let workload =
+    match s.workload with
+    | Spec.Longlived _ when timed_faults s -> s.workload
+    | Spec.Longlived c ->
+        Spec.Longlived
+          { c with L.warmup = half c.L.warmup; measure = half c.L.measure }
+    | Spec.Fanin c ->
+        Spec.Fanin { c with F.repeats = Int.max 1 (c.F.repeats / 2) }
+    | Spec.Dynamic c -> Spec.Dynamic { c with Dy.duration = half c.Dy.duration }
+    | Spec.Convergence c ->
+        Spec.Convergence
+          {
+            c with
+            Cv.join_interval = half c.Cv.join_interval;
+            hold = half c.Cv.hold;
+          }
+    | Spec.Fattree c ->
+        Spec.Fattree
+          { c with Workloads.Fattree.time_cap = Time.span_of_sec 1. }
+  in
+  { s with workload }
+
+let at_scale ~quick:q specs = if q then List.map quick specs else specs
+
+(* A registry family's full-scale specs. *)
+let family name () =
+  match Registry.find name with
+  | Some e -> e.Registry.specs ()
+  | None -> invalid_arg ("Exp.Claim: no registry family " ^ name)
 
 (* --- reading a run --- *)
 
@@ -154,9 +184,7 @@ let oscillation =
     name = "oscillation";
     title = "Oscillation: streaming-analyzer N-sweep (DCTCP vs DT-DCTCP)";
     params = [ ("flow_counts", ints Registry.oscillation_ns) ];
-    specs =
-      longlived_windows (fun ~warmup ~measure ->
-          Registry.oscillation_specs ~warmup ~measure ());
+    specs = family "oscillation";
     metrics =
       [
         cycles;
@@ -210,8 +238,13 @@ let buffer =
         ("bdp_bytes", Json.Int Registry.bdp_bytes);
       ];
     specs =
-      longlived_windows (fun ~warmup ~measure ->
-          Registry.fig_buffer_specs ~alphas:[ alpha ] ~warmup ~measure ());
+      (fun () ->
+        List.filter
+          (fun (s : Spec.t) ->
+            match s.buffer with
+            | Net.Buffer_mgr.Dynamic_threshold d -> Float.equal d.alpha alpha
+            | Net.Buffer_mgr.Static -> false)
+          (family "fig_buffer" ()));
     metrics =
       [
         cycles;
@@ -251,20 +284,14 @@ let tails_scored o =
     [ p50; p95; p99; p999 ]
 
 (* The easing carried onto the k-ary fat tree: DT-DCTCP's p99 FCT
-   slowdown at or below DCTCP's at k = 4 and 8. --quick caps simulated
-   time at 1 s instead of 5 s, which censors RTO-bound stragglers (NewReno's
-   and one DCTCP flow at k = 8) but leaves every p99 as in full mode. *)
+   slowdown at or below DCTCP's at k = 4 and 8. *)
 let fattree =
   let count key f = metric key 0 (fabric (fun r -> float_of_int (f r))) in
   {
     name = "fattree";
     title = "Fat-tree fabric: FCT slowdown over ECMP";
     params = [ ("ks", ints Registry.fattree_ks) ];
-    specs =
-      (fun ~quick ->
-        if quick then
-          Registry.fig_fattree_specs ~time_cap:(Time.span_of_sec 1.) ()
-        else Registry.fig_fattree_specs ());
+    specs = family "fig_fattree";
     metrics =
       [
         p50;
@@ -320,16 +347,14 @@ let peak_to_peak =
 let fig1 =
   gateless "fig1"
     "Figure 1: queue at the switch, DCTCP vs DT-DCTCP, N=10 and N=100"
-    (longlived_windows (fun ~warmup ~measure ->
-         Registry.fig_queue_specs ~warmup ~measure ()))
+    (family "fig_queue")
     [ mean_queue; std_queue 2; max_queue; peak_to_peak; util ]
 
 let sweep =
   gateless "sweep"
     "Figures 10-12: dumbbell sweep N=10..100 (10 Gbps, RTT 100us, g=1/16)"
     ~params:[ ("flow_counts", ints Registry.sweep_ns) ]
-    (longlived_windows (fun ~warmup ~measure ->
-         Registry.fig_sweep_specs ~warmup ~measure ()))
+    (family "fig_sweep")
     queue_stats
 
 let fanin pick (o : Runner.outcome) =
@@ -356,15 +381,13 @@ let fig14 =
   gateless "fig14"
     "Figure 14: Incast, 64KB per worker, 1 Gbps star, 128KB buffer"
     ~params:[ ("flow_counts", ints Registry.incast_flow_counts) ]
-    (fun ~quick ->
-      Registry.fig_incast_specs ~repeats:(scaled_count ~quick 20) ())
+    (family "fig_incast")
     [ goodput_mbps; timeouts_per_run; queries ]
 
 let fig15 =
   gateless "fig15" "Figure 15: completion time of 1MB scattered over n workers"
     ~params:[ ("flow_counts", ints Registry.incast_flow_counts) ]
-    (fun ~quick ->
-      Registry.fig_completion_specs ~repeats:(scaled_count ~quick 20) ())
+    (family "fig_completion")
     [
       metric "completion_ms" 2
         (completion (fun r -> r.F.mean_completion_s *. 1e3));
@@ -375,28 +398,24 @@ let fig15 =
 let ablation_thresholds =
   gateless "ablation_thresholds"
     "Ablation A: DT-DCTCP threshold placement at N=60 (K=40 equivalent)"
-    (longlived_windows (fun ~warmup ~measure ->
-         Registry.threshold_ablation_specs ~warmup ~measure ()))
+    (family "ablation_thresholds")
     queue_stats
 
 let ablation_g =
   gateless "ablation_g" "Ablation B: EWMA gain g at N=60"
-    (longlived_windows (fun ~warmup ~measure ->
-         Registry.g_ablation_specs ~warmup ~measure ()))
+    (family "ablation_g")
     [ mean_queue; std_queue 2 ]
 
 let ablation_policies =
   gateless "ablation_policies"
     "Ablation C: marking-policy family at N=60 (same sender where applicable)"
-    (longlived_windows (fun ~warmup ~measure ->
-         Registry.policy_ablation_specs ~warmup ~measure ()))
+    (family "ablation_policies")
     [ mean_queue; std_queue 2; util; drops ]
 
 let ablation_testbed_labels =
   gateless "ablation_testbed_labels"
     "Ablation E: the two readings of the testbed's (K1=34KB, K2=28KB)"
-    (fun ~quick ->
-      Registry.testbed_label_specs ~repeats:(scaled_count ~quick 10) ())
+    (family "ablation_testbed_labels")
     [ goodput_mbps ]
 
 (* A long-lived run's model inputs: the flow count, the bottleneck in
@@ -439,8 +458,13 @@ let fluid_mean_queue =
 
 let fluid =
   gateless "fluid" "Ablation D: fluid model (Eqs. 1-3) vs packet simulation"
-    (longlived_windows (fun ~warmup ~measure ->
-         Registry.fig_sweep_specs ~ns:[ 10; 30; 60; 100 ] ~warmup ~measure ()))
+    (fun () ->
+      List.filter
+        (fun (s : Spec.t) ->
+          match s.workload with
+          | Spec.Longlived c -> List.mem c.L.n_flows [ 10; 30; 60; 100 ]
+          | _ -> false)
+        (family "fig_sweep" ()))
     [ fluid_mean_queue; mean_queue ]
 
 (* The describing-function prediction (Theorems 1-2) at the run's
@@ -482,16 +506,12 @@ let spectrum =
   gateless "spectrum"
     "Spectral validation: simulated oscillation frequency vs DF prediction \
      (R0 = 1 ms)"
-    (fun ~quick ->
-      Registry.spectrum_specs
-        ~warmup:(scaled ~quick (Time.span_of_ms 200.))
-        ~measure:(scaled ~quick (Time.span_of_ms 400.))
-        ())
+    (family "spectrum")
     [ df_freq_hz; sim_freq_hz; mean_queue; std_queue 1 ]
 
 let d2tcp =
   gateless "d2tcp" "Extension: D2TCP (deadline-aware backoff) vs DCTCP"
-    (fun ~quick -> Registry.d2tcp_specs ~repeats:(scaled_count ~quick 10) ())
+    (family "d2tcp")
     [
       metric "met_fraction" 3 (deadlines (fun r -> r.F.met_fraction));
       metric "p99_ms" 2 (deadlines (fun r -> r.F.p99_completion_s *. 1e3));
@@ -499,7 +519,7 @@ let d2tcp =
 
 let sack =
   gateless "sack" "Extension: SACK vs go-back-N recovery in the Incast regime"
-    (fun ~quick -> Registry.sack_specs ~repeats:(scaled_count ~quick 10) ())
+    (family "sack")
     [ goodput_mbps; timeouts_per_run ]
 
 let dynamic key digits f =
@@ -510,10 +530,7 @@ let queue_buildup =
   let us key f = dynamic key 0 (fun r -> f r *. 1e6) in
   gateless "queue_buildup"
     "Extension: queue buildup under mixed traffic (DCTCP paper sec. 3.3)"
-    (fun ~quick ->
-      Registry.queue_buildup_specs
-        ~duration:(scaled ~quick (Time.span_of_ms 200.))
-        ())
+    (family "queue_buildup")
     [
       us "fct_p50_us" (fun r -> r.Workloads.Dynamic.fct_p50_s);
       us "fct_p99_us" (fun r -> r.Workloads.Dynamic.fct_p99_s);
@@ -533,9 +550,7 @@ let convergence =
   in
   gateless "convergence"
     "Extension: convergence under flow churn (DCTCP paper's convergence test)"
-    (fun ~quick ->
-      let interval = scaled ~quick (Time.span_of_ms 400.) in
-      Registry.convergence_specs ~join_interval:interval ~hold:interval ())
+    (family "convergence")
     [
       steady "jain" (fun r -> r.Workloads.Convergence.jain_steady);
       steady "util" (fun r -> r.Workloads.Convergence.utilization_steady);
@@ -551,9 +566,7 @@ let finite metrics o =
     metrics
 
 (* Loss, a bottleneck flap and brownout, and a switch that drops half
-   its ECN marks, each against the fault-free operating points. The
-   flap plan's event times sit inside the default 100/200 ms windows, so
-   its runs keep full length under --quick. *)
+   its ECN marks, each against the fault-free operating points. *)
 let robustness =
   let metrics =
     [
@@ -571,10 +584,10 @@ let robustness =
     ~params:
       [ ("scenario", Json.String "faulted dumbbell, N=40 unless swept") ]
     ~validity:[ finite metrics ]
-    (longlived_windows (fun ~warmup ~measure ->
-         Registry.robust_loss_specs ~warmup ~measure ()
-         @ Registry.robust_flap_specs ()
-         @ Registry.robust_suppress_specs ~warmup ~measure ()))
+    (fun () ->
+      List.concat_map
+        (fun name -> family name ())
+        [ "robust_loss"; "robust_flap"; "robust_suppress" ])
     metrics
 
 let all =
@@ -753,10 +766,10 @@ let report_of t ~quick ~specs ~wall_s outcomes =
   }
 
 let report t ~quick outcomes =
-  report_of t ~quick ~specs:(t.specs ~quick) ~wall_s:0. outcomes
+  report_of t ~quick ~specs:(at_scale ~quick (t.specs ())) ~wall_s:0. outcomes
 
 let evaluate ?jobs ~quick t =
-  let specs = t.specs ~quick in
+  let specs = at_scale ~quick (t.specs ()) in
   let outcomes, wall_s =
     Obs.Profile.time (fun () -> Runner.run ?jobs ~analyze:t.analyze specs)
   in

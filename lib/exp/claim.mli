@@ -41,7 +41,9 @@ type t = {
   params : (string * Obs.Json.t) list;
       (** Recorded between ["quick"] and ["protocols"], the protocol
           slugs in spec order. *)
-  specs : quick:bool -> Spec.t list;
+  specs : unit -> Spec.t list;
+      (** Full scale, taken from registry families by name; {!quick}
+          maps it to the [--quick] run. *)
   metrics : metric list;  (** Table columns, in order. *)
   gate : gate option;  (** [None]: the claim compares nothing. *)
   validity : (Runner.outcome -> string option) list;
@@ -54,9 +56,21 @@ type t = {
           costs about a fifth of a long-lived run's CPU. *)
 }
 
-val scaled : quick:bool -> Engine.Time.span -> Engine.Time.span
-(** The one [--quick] rule: quick mode halves every simulated length and
-    every repeat count. *)
+val quick : Spec.t -> Spec.t
+(** The one [--quick] rule, by workload, so the harness stays
+    interactive:
+    - long-lived: [warmup] and [measure] are halved, unless the fault
+      plan has flaps or rate changes (absolute times a halved run could
+      end before), which keep their windows;
+    - fan-in: [repeats] becomes [max 1 (repeats / 2)];
+    - dynamic: [duration] is halved;
+    - convergence: [join_interval] and [hold] are halved;
+    - fat tree: [time_cap] becomes 1 s, which censors RTO-bound
+      stragglers (NewReno's, and one DCTCP flow at k = 8) but leaves
+      every p99 as at the full 5 s.
+
+    Halving is integer nanoseconds. Names, seeds and everything else are
+    unchanged. *)
 
 val series : Runner.outcome -> float array option
 (** A long-lived run's bottleneck queue samples in packets, when it
@@ -158,12 +172,13 @@ type report = {
 }
 
 val report : t -> quick:bool -> Runner.outcome array -> report (* dtlint: test-only: synthetic outcomes *)
-(** Labels, tabulates, records and judges outcomes of [t.specs ~quick],
-    in whatever order they come; [wall_clock_s] reads 0. *)
+(** Labels, tabulates, records and judges outcomes of [t.specs ()]
+    ({!quick} of each when [quick]), in whatever order they come;
+    [wall_clock_s] reads 0. *)
 
 val evaluate : ?jobs:int -> quick:bool -> t -> report
-(** Runs [t.specs ~quick] through {!Runner.run} [~analyze:t.analyze] and
-    reports on the outcomes. *)
+(** Runs [t.specs ()] ({!quick} of each when [quick]) through
+    {!Runner.run} [~analyze:t.analyze] and reports on the outcomes. *)
 
 val find : report -> protocol:string -> point:string -> run option
 

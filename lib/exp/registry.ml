@@ -30,12 +30,12 @@ let testbed_dt_b =
 let testbed_dt_swapped =
   Spec.Dt_dctcp { g; k1_bytes = 34 * 1024; k2_bytes = 28 * 1024 }
 
-(* --- parameterized spec builders ---
+(* --- spec builders ---
 
-   Each figure/section is a function of the knobs the bench harness
-   scales in --quick mode; the registry entries below apply the paper's
-   full-scale defaults. Spec names encode the point within the sweep
-   ("fig_sweep/n=40/dt-dctcp"), so per-run manifests are self-describing. *)
+   Each family is its full-scale spec list; --quick is one function of a
+   spec (Exp.Claim.quick), not a knob of the builders. Spec names encode
+   the point within the sweep ("fig_sweep/dt-dctcp/n=40"), so per-run
+   manifests are self-describing. *)
 
 let longlived_config ?(warmup = Time.span_of_ms 100.)
     ?(measure = Time.span_of_ms 200.) ?trace_sampling ~n () =
@@ -66,28 +66,26 @@ let fig_queue_specs ?warmup ?measure () =
 
 let sweep_ns = List.init 19 (fun i -> 10 + (5 * i))
 
-let fig_sweep_specs ?(ns = sweep_ns) ?warmup ?measure () =
+let fig_sweep_specs () =
   List.concat_map
     (fun n ->
-      let config = longlived_config ?warmup ?measure ~n () in
+      let config = longlived_config ~n () in
       List.map
         (fun proto ->
           spec
             (named "fig_sweep" proto (Printf.sprintf "/n=%d" n))
             proto (Spec.Longlived config))
         [ sim_dctcp; sim_dt ])
-    ns
+    sweep_ns
 
 (* The oscillation N-sweep behind the headline claim: the simulation
    operating points under seed 42, slugged "dctcp" and "dt". *)
 let oscillation_ns = [ 10; 30; 60 ]
 
-let oscillation_specs ?warmup ?measure () =
+let oscillation_specs () =
   List.concat_map
     (fun n ->
-      let config =
-        { (longlived_config ?warmup ?measure ~n ()) with L.seed = 42L }
-      in
+      let config = { (longlived_config ~n ()) with L.seed = 42L } in
       List.map
         (fun (slug, proto) ->
           spec
@@ -108,36 +106,24 @@ let testbed_protocols =
     ("dt-30-34", testbed_dt_b);
   ]
 
-let fig_incast_specs ?(repeats = 20) () =
+(* Figures 14 and 15: [config]'s fan-in at every flow count, 20
+   queries per point. *)
+let testbed_fanin_specs family config () =
   List.concat_map
     (fun n ->
       List.map
         (fun (slug, proto) ->
           spec
-            (Printf.sprintf "fig_incast/%s/n=%d" slug n)
+            (Printf.sprintf "%s/%s/n=%d" family slug n)
             proto
-            (Spec.Fanin { incast with F.n_flows = n; repeats }))
-        testbed_protocols)
-    incast_flow_counts
-
-let fig_completion_specs ?(repeats = 20) () =
-  List.concat_map
-    (fun n ->
-      List.map
-        (fun (slug, proto) ->
-          spec
-            (Printf.sprintf "fig_completion/%s/n=%d" slug n)
-            proto
-            (Spec.Fanin { completion with F.n_flows = n; repeats }))
+            (Spec.Fanin { config with F.n_flows = n; repeats = 20 }))
         testbed_protocols)
     incast_flow_counts
 
 let threshold_splits = [ (35, 45); (30, 50); (25, 55); (20, 60); (38, 42) ]
 
-let threshold_ablation_specs ?warmup ?measure () =
-  let workload =
-    Spec.Longlived (longlived_config ?warmup ?measure ~n:60 ())
-  in
+let threshold_ablation_specs () =
+  let workload = Spec.Longlived (longlived_config ~n:60 ()) in
   spec (named "ablation_thresholds" sim_dctcp "") sim_dctcp workload
   :: List.map
        (fun (k1, k2) ->
@@ -149,8 +135,8 @@ let threshold_ablation_specs ?warmup ?measure () =
 
 let gains = [ ("1_4", 0.25); ("1_16", 1. /. 16.); ("1_64", 1. /. 64.) ]
 
-let g_ablation_specs ?warmup ?measure () =
-  let config = longlived_config ?warmup ?measure ~n:60 () in
+let g_ablation_specs () =
+  let config = longlived_config ~n:60 () in
   List.concat_map
     (fun (label, g) ->
       List.map
@@ -164,14 +150,14 @@ let g_ablation_specs ?warmup ?measure () =
         ])
     gains
 
-let policy_ablation_specs ?warmup ?measure () =
-  let config = longlived_config ?warmup ?measure ~n:60 () in
+let policy_ablation_specs () =
+  let config = longlived_config ~n:60 () in
   List.map
     (fun proto ->
       spec (named "ablation_policies" proto "") proto (Spec.Longlived config))
     [ sim_dctcp; sim_dt; sim_ecn_reno; sim_reno ]
 
-let testbed_label_specs ?(repeats = 10) () =
+let testbed_label_specs () =
   List.concat_map
     (fun n ->
       List.map
@@ -179,7 +165,7 @@ let testbed_label_specs ?(repeats = 10) () =
           spec
             (Printf.sprintf "ablation_testbed_labels/%s/n=%d" reading n)
             proto
-            (Spec.Fanin { incast with F.n_flows = n; repeats }))
+            (Spec.Fanin { incast with F.n_flows = n; repeats = 10 }))
         [
           ("dctcp-32KB", testbed_dctcp);
           ("start28-stop34", testbed_dt_a);
@@ -201,7 +187,7 @@ let d2tcp_config ~n ~repeats ~aware =
         { base = Time.span_of_ms 2.; spread = Time.span_of_ms 4.; aware };
   }
 
-let d2tcp_specs ?(repeats = 10) () =
+let d2tcp_specs () =
   List.concat_map
     (fun n ->
       List.map
@@ -209,11 +195,11 @@ let d2tcp_specs ?(repeats = 10) () =
           spec
             (Printf.sprintf "d2tcp/%s/n=%d" tag n)
             sim_dctcp
-            (Spec.Fanin (d2tcp_config ~n ~repeats ~aware)))
+            (Spec.Fanin (d2tcp_config ~n ~repeats:10 ~aware)))
         [ ("dctcp", false); ("d2tcp", true) ])
     [ 6; 8; 10; 12; 16; 20 ]
 
-let sack_specs ?(repeats = 10) () =
+let sack_specs () =
   List.concat_map
     (fun n ->
       List.map
@@ -221,24 +207,26 @@ let sack_specs ?(repeats = 10) () =
           spec
             (Printf.sprintf "sack/%s/n=%d" tag n)
             testbed_dctcp
-            (Spec.Fanin { incast with F.n_flows = n; repeats; sack }))
+            (Spec.Fanin { incast with F.n_flows = n; repeats = 10; sack }))
         [ ("go-back-n", false); ("sack", true) ])
     [ 28; 32; 34; 36; 40; 44 ]
 
-let queue_buildup_specs ?duration () =
-  let config =
-    match duration with
-    | None -> Dy.default_config
-    | Some duration -> { Dy.default_config with Dy.duration }
-  in
+let queue_buildup_specs () =
   List.map
     (fun proto ->
-      spec (named "queue_buildup" proto "") proto (Spec.Dynamic config))
+      spec
+        (named "queue_buildup" proto "")
+        proto (Spec.Dynamic Dy.default_config))
     [ sim_dctcp; sim_dt; sim_ecn_reno; sim_reno ]
 
-let convergence_specs ?(join_interval = Time.span_of_ms 400.)
-    ?(hold = Time.span_of_ms 400.) () =
-  let config = { Cv.default_config with Cv.join_interval; hold } in
+let convergence_specs () =
+  let config =
+    {
+      Cv.default_config with
+      Cv.join_interval = Time.span_of_ms 400.;
+      hold = Time.span_of_ms 400.;
+    }
+  in
   List.map
     (fun proto ->
       spec (named "convergence" proto "") proto (Spec.Convergence config))
@@ -269,7 +257,7 @@ let buffer_protocols =
     ("newreno", Spec.Newreno);
   ]
 
-let fig_buffer_specs ?(alphas = buffer_alphas) ?warmup ?measure () =
+let fig_buffer_specs () =
   List.concat_map
     (fun pool_bytes ->
       List.concat_map
@@ -278,10 +266,7 @@ let fig_buffer_specs ?(alphas = buffer_alphas) ?warmup ?measure () =
              the analyzer's notion of capacity; at the bottleneck switch
              the pool replaces it. *)
           let config =
-            {
-              (longlived_config ?warmup ?measure ~n:10 ()) with
-              L.buffer_bytes = pool_bytes;
-            }
+            { (longlived_config ~n:10 ()) with L.buffer_bytes = pool_bytes }
           in
           List.map
             (fun (slug, proto) ->
@@ -291,7 +276,7 @@ let fig_buffer_specs ?(alphas = buffer_alphas) ?warmup ?measure () =
                    alpha)
                 proto (Spec.Longlived config))
             buffer_protocols)
-        alphas)
+        buffer_alphas)
     buffer_pool_sizes
 
 (* --- fat-tree fabric study (extension) ---
@@ -327,10 +312,10 @@ let fattree_config ?incast_bytes ?long_bytes ?time_cap ~k () =
     time_cap = Option.value time_cap ~default:d.Ft.time_cap;
   }
 
-let fig_fattree_specs ?time_cap () =
+let fig_fattree_specs () =
   List.concat_map
     (fun k ->
-      let config = fattree_config ?time_cap ~k () in
+      let config = fattree_config ~k () in
       List.map
         (fun (slug, proto) ->
           spec
@@ -396,10 +381,10 @@ let smoke_specs () =
 (* Loss resilience: queue statistics and goodput as random loss grows.
    DT-DCTCP's claim is steadier queues; these sweeps check the claim
    does not depend on a loss-free fabric. *)
-let robust_loss_specs ?warmup ?measure () =
+let robust_loss_specs () =
   List.concat_map
     (fun p ->
-      let config = longlived_config ?warmup ?measure ~n:40 () in
+      let config = longlived_config ~n:40 () in
       List.map
         (fun proto ->
           spec
@@ -455,10 +440,10 @@ let robust_flap_specs () =
 (* ECN degradation: a switch that randomly fails to mark (the "non-ECN
    switch" scenario). Swept across flow counts because the damage is
    congestion-dependent: the more senders, the more a lost mark costs. *)
-let robust_suppress_specs ?warmup ?measure () =
+let robust_suppress_specs () =
   List.concat_map
     (fun n ->
-      let config = longlived_config ?warmup ?measure ~n () in
+      let config = longlived_config ~n () in
       List.map
         (fun proto ->
           spec
@@ -515,13 +500,13 @@ let robust_smoke_specs () =
 
 let spectrum_ns = [ 60; 100 ]
 
-let spectrum_specs ?(warmup = Time.span_of_ms 200.)
-    ?(measure = Time.span_of_ms 400.) () =
+let spectrum_specs () =
   List.concat_map
     (fun n ->
       let config =
         {
-          (longlived_config ~warmup ~measure
+          (longlived_config ~warmup:(Time.span_of_ms 200.)
+             ~measure:(Time.span_of_ms 400.)
              ~trace_sampling:(Time.span_of_us 50.) ~n ())
           with
           L.rtt = Time.span_of_ms 1.;
@@ -545,8 +530,7 @@ let spectrum_specs ?(warmup = Time.span_of_ms 200.)
 
 let perf_dumbbell_ns = [ 4; 32; 128; 512 ]
 
-let perf_dumbbell_specs ?(warmup = Time.span_of_ms 100.)
-    ?(measure = Time.span_of_ms 100.) () =
+let perf_dumbbell_specs () =
   List.map
     (fun n ->
       let buffer_pkts = if n > 128 then 4 * n else 250 in
@@ -555,7 +539,7 @@ let perf_dumbbell_specs ?(warmup = Time.span_of_ms 100.)
         sim_dt
         (Spec.Longlived
            {
-             (longlived_config ~warmup ~measure ~n ()) with
+             (longlived_config ~measure:(Time.span_of_ms 100.) ~n ()) with
              L.buffer_bytes = buffer_pkts * 1500;
              seed = 11L;
            }))
@@ -595,73 +579,73 @@ let entries =
     {
       name = "fig_sweep";
       doc = "Figures 10-12: dumbbell flow-count sweep N=10..100";
-      specs = (fun () -> fig_sweep_specs ());
+      specs = fig_sweep_specs;
     };
     {
       name = "oscillation";
       doc = "oscillation amplitude N-sweep, DCTCP vs DT-DCTCP at N=10,30,60";
-      specs = (fun () -> oscillation_specs ());
+      specs = oscillation_specs;
     };
     {
       name = "fig_incast";
       doc = "Figure 14: Incast goodput collapse on the 1 Gbps star";
-      specs = (fun () -> fig_incast_specs ());
+      specs = testbed_fanin_specs "fig_incast" incast;
     };
     {
       name = "fig_completion";
       doc = "Figure 15: 1MB scatter-gather completion time";
-      specs = (fun () -> fig_completion_specs ());
+      specs = testbed_fanin_specs "fig_completion" completion;
     };
     {
       name = "ablation_thresholds";
       doc = "DT threshold placement (K1,K2) at N=60";
-      specs = (fun () -> threshold_ablation_specs ());
+      specs = threshold_ablation_specs;
     };
     {
       name = "ablation_g";
       doc = "EWMA gain g sweep at N=60";
-      specs = (fun () -> g_ablation_specs ());
+      specs = g_ablation_specs;
     };
     {
       name = "ablation_policies";
       doc = "marking-policy family comparison at N=60";
-      specs = (fun () -> policy_ablation_specs ());
+      specs = policy_ablation_specs;
     };
     {
       name = "ablation_testbed_labels";
       doc = "both readings of the testbed's (K1,K2) labels under Incast";
-      specs = (fun () -> testbed_label_specs ());
+      specs = testbed_label_specs;
     };
     {
       name = "d2tcp";
       doc = "extension: deadline-aware backoff vs plain DCTCP";
-      specs = (fun () -> d2tcp_specs ());
+      specs = d2tcp_specs;
     };
     {
       name = "sack";
       doc = "extension: SACK vs go-back-N recovery under Incast";
-      specs = (fun () -> sack_specs ());
+      specs = sack_specs;
     };
     {
       name = "queue_buildup";
       doc = "extension: mixed traffic queue buildup (DCTCP paper sec. 3.3)";
-      specs = (fun () -> queue_buildup_specs ());
+      specs = queue_buildup_specs;
     };
     {
       name = "convergence";
       doc = "extension: convergence and fairness under flow churn";
-      specs = (fun () -> convergence_specs ());
+      specs = convergence_specs;
     };
     {
       name = "fig_buffer";
       doc =
         "extension: buffer-sizing study on a shared Dynamic-Threshold pool";
-      specs = (fun () -> fig_buffer_specs ());
+      specs = fig_buffer_specs;
     };
     {
       name = "fig_fattree";
       doc = "extension: fat-tree fabric FCT slowdown over ECMP, k=4 and k=8";
-      specs = (fun () -> fig_fattree_specs ());
+      specs = fig_fattree_specs;
     };
     {
       name = "fig_fattree_smoke";
@@ -676,17 +660,17 @@ let entries =
     {
       name = "robust_loss";
       doc = "robustness: queue stats and goodput vs random loss rate";
-      specs = (fun () -> robust_loss_specs ());
+      specs = robust_loss_specs;
     };
     {
       name = "robust_flap";
       doc = "robustness: oscillation recovery after a bottleneck flap";
-      specs = (fun () -> robust_flap_specs ());
+      specs = robust_flap_specs;
     };
     {
       name = "robust_suppress";
       doc = "robustness: stability vs N when half the ECN marks are lost";
-      specs = (fun () -> robust_suppress_specs ());
+      specs = robust_suppress_specs;
     };
     {
       name = "robust_smoke";
@@ -696,12 +680,12 @@ let entries =
     {
       name = "spectrum";
       doc = "spectral validation: queue frequency at R0=1ms, N=60 and 100";
-      specs = (fun () -> spectrum_specs ());
+      specs = spectrum_specs;
     };
     {
       name = "perf_dumbbell";
       doc = "events/s baseline: DT-DCTCP dumbbell at N=4,32,128,512";
-      specs = (fun () -> perf_dumbbell_specs ());
+      specs = perf_dumbbell_specs;
     };
     {
       name = "defaults";

@@ -133,6 +133,8 @@ let run_one ?tracer ?on_sim ?(analyze = false) (spec : Spec.t) =
    Sim/Rng from the spec's seed). [Domain.join] gives the happens-before
    edge that makes the slot writes visible to the caller. *)
 let run ?(jobs = 1) ?(analyze = false) specs =
+  if jobs < 1 then
+    invalid_arg (Printf.sprintf "Exp.Runner.run: jobs = %d, need >= 1" jobs);
   let specs = Array.of_list specs in
   let n = Array.length specs in
   let workers = Int.min jobs n in

@@ -48,9 +48,10 @@ val run_one :
 
 val run : ?jobs:int -> ?analyze:bool -> Spec.t list -> outcome array
 (** [run ~jobs specs] executes every spec and returns outcomes in spec
-    order. [jobs <= 1] (default) runs serially in the calling domain;
+    order. [jobs = 1] (default) runs serially in the calling domain;
     otherwise [min jobs (length specs)] workers claim specs off a shared
     atomic counter. A failing run occupies its slot as [Failed] and
     never aborts the sweep. [analyze] is forwarded to {!run_one} for
     every spec (each worker builds its own analyzer, so sweeps stay
-    data-race free). *)
+    data-race free).
+    @raise Invalid_argument when [jobs < 1]. *)

@@ -545,6 +545,26 @@ let test_override_each_leaf () =
 
 (* --- registry catalogue ---------------------------------------------- *)
 
+(* The CI smoke families, which `dtsim sweep --verify-serial` replays
+   from their manifests, cover every workload kind the codec has. *)
+let test_smoke_kinds () =
+  Alcotest.(check (list string))
+    "seven workload kinds"
+    [
+      "completion";
+      "convergence";
+      "deadline";
+      "dynamic";
+      "fattree";
+      "incast";
+      "longlived";
+    ]
+    (List.concat_map
+       (fun family -> Option.value (Registry.select family) ~default:[])
+       [ "ci_smoke"; "fig_fattree_smoke" ]
+    |> List.map (fun (s : Spec.t) -> Spec.workload_name s.Spec.workload)
+    |> List.sort_uniq String.compare)
+
 let test_registry_catalogue () =
   let entries = Registry.all () in
   let names = Registry.names () in
@@ -645,11 +665,8 @@ let test_perf_dumbbell_pinned () =
       pinned 128 375_000;
       pinned 512 3_072_000;
     ]
-    (List.map spec_to_string (Registry.perf_dumbbell_specs ()));
-  Alcotest.(check (option (list string)))
-    "the registry family is the same list"
-    (Some (List.map spec_to_string (Registry.perf_dumbbell_specs ())))
-    (Option.map (List.map spec_to_string) (Registry.select "perf_dumbbell"))
+    (List.map spec_to_string
+       (Option.value (Registry.select "perf_dumbbell") ~default:[]))
 
 (* The buffer-manager refactor must not move any pre-existing baseline:
    every registry family except the new fig_buffer sweep stays on the
@@ -708,6 +725,14 @@ let prop_parallel_identity =
       let par = Runner.run ~jobs:4 specs in
       Array.length serial = Array.length par
       && Array.for_all2 outcome_bitwise_eq serial par)
+
+let test_run_rejects_no_jobs () =
+  List.iter
+    (fun jobs ->
+      match Runner.run ~jobs [ smoke_longlived ~name:"jobs" ~seed:1L ] with
+      | _ -> Alcotest.failf "jobs = %d accepted" jobs
+      | exception Invalid_argument _ -> ())
+    [ 0; -1 ]
 
 let test_failure_isolation () =
   let bad =
@@ -1025,6 +1050,16 @@ let test_manifest_no_analysis () =
 
 module Claim = Exp.Claim
 
+(* A declaration's spec list as the evaluator runs it, and the perf
+   section's, in full or quick mode. *)
+let claim_specs (c : Claim.t) ~quick =
+  let specs = c.Claim.specs () in
+  if quick then List.map Claim.quick specs else specs
+
+let perf_specs ~quick =
+  let specs = Option.value (Registry.select "perf_dumbbell") ~default:[] in
+  if quick then List.map Claim.quick specs else specs
+
 let claim name =
   match
     List.find_opt (fun (c : Claim.t) -> String.equal c.name name) Claim.all
@@ -1214,7 +1249,7 @@ let test_claim_sweeps () =
   List.iter
     (fun quick ->
       let mode = if quick then "quick" else "full" in
-      let buffer = (claim "buffer").Claim.specs ~quick in
+      let buffer = claim_specs (claim "buffer") ~quick in
       let pools =
         uniq
           (List.map
@@ -1231,7 +1266,7 @@ let test_claim_sweeps () =
         (List.hd pools < Registry.bdp_bytes / 10);
       Alcotest.(check bool) (mode ^ ": largest pool over one BDP") true
         (List.nth pools (List.length pools - 1) > Registry.bdp_bytes);
-      let fattree = (claim "fattree").Claim.specs ~quick in
+      let fattree = claim_specs (claim "fattree") ~quick in
       Alcotest.(check (list int)) (mode ^ ": fat-tree ks") [ 4; 8 ]
         (uniq
            (List.map
@@ -1243,7 +1278,7 @@ let test_claim_sweeps () =
       Alcotest.(check (list string)) (mode ^ ": fat-tree protocols")
         [ "dctcp"; "dt-dctcp"; "newreno" ]
         (List.sort_uniq String.compare (List.map proto_of fattree));
-      let osc = (claim "oscillation").Claim.specs ~quick in
+      let osc = claim_specs (claim "oscillation") ~quick in
       Alcotest.(check (list int)) (mode ^ ": oscillation N") [ 10; 30; 60 ]
         (uniq
            (List.map
@@ -1360,7 +1395,7 @@ let test_claim_shuffle () =
            [ "dctcp"; "dt-dctcp"; "newreno" ])
        [ 4; 8 ]);
   let sweep = claim "sweep" in
-  let specs = sweep.Claim.specs ~quick:false in
+  let specs = claim_specs sweep ~quick:false in
   let outcomes =
     List.mapi (fun i s -> fake_ll s (30. +. float_of_int i)) specs
   in
@@ -1389,7 +1424,7 @@ let test_claim_gateless_failed () =
           (List.map
              (fun (s : Spec.t) ->
                fake_ll ~failed:(String.equal s.Spec.name failed_at) s 30.)
-             (c.Claim.specs ~quick:true))))
+             (claim_specs c ~quick:true))))
       .Claim.verdicts
     |> List.map Claim.verdict_to_string
   in
@@ -1416,7 +1451,7 @@ let test_claim_labels () =
                 match Claim.label s with
                 | proto, point -> proto ^ "/" ^ point
                 | exception Invalid_argument e -> Alcotest.fail e)
-              (c.Claim.specs ~quick)
+              (claim_specs c ~quick)
           in
           Alcotest.(check bool) (msg "runs") true (List.length labels > 0);
           Alcotest.(check int) (msg "labels unique") (List.length labels)
@@ -1425,7 +1460,7 @@ let test_claim_labels () =
     [ false; true ];
   let reno =
     {
-      (List.hd (Claim.ablation_policies.Claim.specs ~quick:false)) with
+      (List.hd (claim_specs Claim.ablation_policies ~quick:false)) with
       Spec.name = "ablation_policies/reno";
     }
   in
@@ -1438,14 +1473,14 @@ let test_claim_labels () =
       (fun (s : Spec.t) ->
         if String.equal s.Spec.name name then Some (snd (Claim.label s))
         else None)
-      (Claim.ablation_thresholds.Claim.specs ~quick:false)
+      (claim_specs Claim.ablation_thresholds ~quick:false)
   in
   Alcotest.(check (option string))
     "several parameters keep their '='" (Some "k1=35,k2=45")
     (point "ablation_thresholds/dt-dctcp/k1=35,k2=45");
   Alcotest.(check (pair string string))
     "one parameter drops its '='" ("dctcp", "n10")
-    (Claim.label (List.hd (Claim.oscillation.Claim.specs ~quick:false)))
+    (Claim.label (List.hd (claim_specs Claim.oscillation ~quick:false)))
 
 (* The robustness claim covers every fault kind at both protocols, records
    its metrics for every run, and scores a non-finite value invalid. *)
@@ -1468,7 +1503,7 @@ let test_claim_robustness () =
   in
   List.iter
     (fun quick ->
-      let specs = c.Claim.specs ~quick in
+      let specs = claim_specs c ~quick in
       let r =
         Claim.report c ~quick
           (Array.of_list
@@ -1521,7 +1556,156 @@ let test_claim_robustness () =
                     if String.equal s.Spec.name nan_at then Float.nan else 1.
                   in
                   fake_ll ~std s 30.)
-                (c.Claim.specs ~quick:true)))))
+                (claim_specs c ~quick:true)))))
+
+let digest specs =
+  Digest.to_hex
+    (Digest.string (String.concat "\n" (List.map spec_to_string specs)))
+
+(* MD5s of the newline-joined spec JSON, recorded when each section
+   still scaled its own specs by hand. *)
+let pinned_spec_digests =
+  [
+    ( "fig1",
+      "23e1d638aa2aba6e09f7474619aeda86",
+      "dea3daf5421f46177f7579e5795206b3" );
+    ( "sweep",
+      "1bdaf9da48489a99eb0034115cce45d7",
+      "3bfb29701555685854afff16bfbb1cb5" );
+    ( "fig14",
+      "4a57d0d9c5facfd9bb98b4b4428ee46b",
+      "cb674ce50893cce197e4e499039ebd0f" );
+    ( "fig15",
+      "455e01328785678c35a5a8c5d066b948",
+      "1d51b4054b0ea3d373192b27a8d35324" );
+    ( "ablation_thresholds",
+      "8e5b23472a95fda282e9dc29f77cc066",
+      "eb15f91db53e16516effcf4a5e624d20" );
+    ( "ablation_g",
+      "e41cce379131828ef240b3ffc890cd8b",
+      "ce937e1e4d684bf4011a352a3394f2e9" );
+    ( "ablation_policies",
+      "ad709cc21e7567f6d6e8409c137f0f47",
+      "b1664f3f9737e57adf59de047d943770" );
+    ( "ablation_testbed_labels",
+      "3a1effaf1ec5cbfab2100687b040392a",
+      "1ee4796e21f25aac962ecdbb765fbd25" );
+    ( "fluid",
+      "ee24280e23ebbcf060f0fb2e480a920c",
+      "b011062d0750c0a27e1b710e607aaccd" );
+    ( "spectrum",
+      "ac62afade090404912536e5cb1c03680",
+      "a0f08f8d60823583dd34f2f8a5dd84b9" );
+    ( "d2tcp",
+      "b1b9e19865e3b112f4de2c6a1aed9a49",
+      "d6dd022e0413bc2d0db908085b79dd47" );
+    ( "sack",
+      "200bec31eaf94f8597022b361bf3b891",
+      "060549c290fc9034414506359e84267d" );
+    ( "queue_buildup",
+      "8806a2f64a5d6bd4d578b59be2625f0b",
+      "22822b243e2c711ab2df22ea80106cd1" );
+    ( "convergence",
+      "b83bb6bdd6db8b309e563aab56d849dd",
+      "4a46edf748221cfb0376519857d884c4" );
+    ( "robustness",
+      "6f2a387e44a57c09557ff676f213ffab",
+      "54e74bcc6e4998bbe56a2e157fa2623d" );
+    ( "oscillation",
+      "04963105e68f9d7a7c2725af243592d0",
+      "f2d425f1461853980933ac54cfcf2781" );
+    ( "buffer",
+      "c2fd678a52d9f7ab9c6b9bf2eeda17e4",
+      "fccc32fbeb4b6ae38c6e5e26bf476e9e" );
+    ( "fattree",
+      "cdd9eb4540a44fcefe341259b4bc1a2d",
+      "a411bae02b5a1037fe97fd3fa3457673" );
+    ( "perf",
+      "567da8532cdf0929496217d80f97894b",
+      "eb82e17bf5c394015b1d97f3cd617b06" );
+  ]
+
+let test_claim_spec_digests () =
+  let lists =
+    List.map
+      (fun (c : Claim.t) ->
+        (c.Claim.name, claim_specs c ~quick:false, claim_specs c ~quick:true))
+      Claim.all
+    @ [ ("perf", perf_specs ~quick:false, perf_specs ~quick:true) ]
+  in
+  Alcotest.(check (list (triple string string string)))
+    "full and quick digests" pinned_spec_digests
+    (List.map
+       (fun (name, full, quick) -> (name, digest full, digest quick))
+       lists);
+  (* The rule's edges. *)
+  let registry name =
+    match Registry.select name with
+    | Some [ s ] -> s
+    | _ -> Alcotest.fail ("no registry spec " ^ name)
+  in
+  let ms span = Time.span_to_int_ns span / 1_000_000 in
+  let windows (s : Spec.t) =
+    match s.Spec.workload with
+    | Spec.Longlived c ->
+        (ms c.Workloads.Longlived.warmup, ms c.Workloads.Longlived.measure)
+    | _ -> Alcotest.fail "not a long-lived spec"
+  in
+  let planned plan =
+    { (registry "dtsim.longlived") with Spec.faults = Some plan }
+  in
+  let span = Time.span_of_ms in
+  List.iter
+    (fun (what, plan, expected) ->
+      Alcotest.(check (pair int int))
+        (what ^ " windows") expected
+        (windows (Claim.quick (planned plan))))
+    [
+      ( "flap",
+        {
+          Fault.Plan.none with
+          flaps = [ { Fault.Plan.down_at = span 150.; up_at = span 170. } ];
+        },
+        (100, 200) );
+      ( "brownout",
+        {
+          Fault.Plan.none with
+          rate_changes =
+            [ { Fault.Plan.at = span 150.; until = span 200.; factor = 0.5 } ];
+        },
+        (100, 200) );
+      ("loss only", { Fault.Plan.none with loss_rate = 0.01 }, (50, 100));
+    ];
+  let repeats (s : Spec.t) =
+    match s.Spec.workload with
+    | Spec.Fanin c -> c.Workloads.Fanin.repeats
+    | _ -> Alcotest.fail "not a fan-in spec"
+  in
+  let incast = registry "dtsim.incast" in
+  List.iter
+    (fun (n, expected) ->
+      let s =
+        {
+          incast with
+          Spec.workload =
+            (match incast.Spec.workload with
+            | Spec.Fanin c -> Spec.Fanin { c with Workloads.Fanin.repeats = n }
+            | w -> w);
+        }
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "repeats %d" n)
+        expected
+        (repeats (Claim.quick s)))
+    [ (1, 1); (3, 1); (20, 10) ];
+  let cap (s : Spec.t) =
+    match s.Spec.workload with
+    | Spec.Fattree c -> ms c.Workloads.Fattree.time_cap
+    | _ -> Alcotest.fail "not a fat-tree spec"
+  in
+  let fabric = registry "fig_fattree/dctcp/k=4" in
+  Alcotest.(check int) "full fat-tree cap" 5000 (cap fabric);
+  Alcotest.(check int) "quick fat-tree cap" 1000 (cap (Claim.quick fabric))
 
 let suites =
   [
@@ -1559,10 +1743,14 @@ let suites =
           test_defaults_pinned;
         Alcotest.test_case "perf_dumbbell pins the recorded scenario" `Quick
           test_perf_dumbbell_pinned;
+        Alcotest.test_case "the smoke families cover every workload kind"
+          `Quick test_smoke_kinds;
       ] );
     ( "exp.runner",
       [
         qtest prop_parallel_identity;
+        Alcotest.test_case "jobs < 1 is rejected" `Quick
+          test_run_rejects_no_jobs;
         Alcotest.test_case "failure isolation" `Quick test_failure_isolation;
         Alcotest.test_case "longlived rejects a non-positive measure" `Quick
           test_longlived_measure_positive;
@@ -1613,5 +1801,7 @@ let suites =
           `Quick test_claim_labels;
         Alcotest.test_case "robustness: every fault kind, finite values"
           `Quick test_claim_robustness;
+        Alcotest.test_case "the quick rule: spec lists pinned, its edges"
+          `Quick test_claim_spec_digests;
       ] );
   ]
