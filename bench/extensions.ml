@@ -38,8 +38,9 @@ let convergence (r : Exp.Claim.report) =
   List.iter
     (fun (run : Exp.Claim.run) ->
       match run.outcome.Exp.Runner.result with
-      | Exp.Outcome.Done (Exp.Outcome.Convergence c) ->
-          let module C = Workloads.Convergence in
+      | Exp.Outcome.Done (Exp.Outcome.Dumbbell (Workloads.Dumbbell.Shares c))
+        ->
+          let module C = Workloads.Dumbbell in
           Printf.printf "\n%s: per-flow share over time (Mbps)\n"
             run.outcome.Exp.Runner.spec.Exp.Spec.name;
           let series =

@@ -19,8 +19,11 @@ let run () =
     Exp.Runner.run ~jobs:1 specs |> Array.to_list
     |> List.map (fun (o : Exp.Runner.outcome) ->
            match (o.spec.workload, o.result) with
-           | Exp.Spec.Longlived c, Outcome.Done (Outcome.Longlived r) ->
-               (c.Workloads.Longlived.n_flows, o.manifest, r)
+           | ( Exp.Spec.Dumbbell
+                 { schedule = Workloads.Dumbbell.Longlived l; _ },
+               Outcome.Done (Outcome.Dumbbell (Workloads.Dumbbell.Queue r)) )
+             ->
+               (l.n_flows, o.manifest, r)
            | _, result ->
                Printf.eprintf "bench: %s: %s\n" o.spec.name
                  (Outcome.summary result);
@@ -38,7 +41,7 @@ let run () =
         ]
   in
   List.iter
-    (fun (n, (m : Obs.Manifest.t), (r : Workloads.Longlived.result)) ->
+    (fun (n, (m : Obs.Manifest.t), (r : Workloads.Dumbbell.queue)) ->
       Stats.Table.add_row t
         [
           string_of_int n;

@@ -257,12 +257,12 @@ let parse_trace_events = function
                       (List.map Obs.Trace.cls_name Obs.Trace.all_classes)))
            (String.split_on_char ',' s))
 
-(* The observation flags watch one longlived-style run: the tracer
-   streams JSONL behind a header carrying the analyzer config this spec
-   implies plus the tracer's class filter, so `dtsim analyze` can replay
-   the file with the exact online parameters. The flags are checked and
-   every output file opened here, before the run, so a bad path costs no
-   simulation; the returned thunk runs the spec. *)
+(* The observation flags watch one run. The tracer streams JSONL behind
+   a header carrying the analyzer config this spec implies plus the
+   tracer's class filter, so `dtsim analyze` can replay the file with
+   the exact online parameters; the self-profile needs no config. The
+   flags are checked and every output file opened here, before the run,
+   so a bad path costs no simulation; the returned thunk runs the spec. *)
 let observed_run specs ~trace_out ~trace_events ~analysis_out ~profile_out =
   let spec =
     match specs with
@@ -272,14 +272,16 @@ let observed_run specs ~trace_out ~trace_events ~analysis_out ~profile_out =
               specs selected"
           (List.length specs)
   in
-  let acfg =
+  let acfg () =
     match Runner.analysis_config spec with
     | Some c -> c
     | None ->
-        fail "%s: the %s workload has no trace analysis (longlived only)"
+        fail "%s: the %s workload has no trace analysis (the dumbbell's \
+              longlived, dynamic and convergence kinds have)"
           spec.Spec.name
           (Spec.workload_name spec.Spec.workload)
   in
+  if trace_out <> "" || analysis_out <> "" then ignore (acfg ());
   if trace_events <> "" && trace_out = "" then
     fail "--trace-events needs --trace-out";
   let classes = parse_trace_events trace_events in
@@ -292,7 +294,7 @@ let observed_run specs ~trace_out ~trace_events ~analysis_out ~profile_out =
   let tracer =
     match trace_oc with
     | None -> Obs.Trace.null
-    | Some (_, oc) -> Obs.Analyze.jsonl_tracer ?classes acfg oc
+    | Some (_, oc) -> Obs.Analyze.jsonl_tracer ?classes (acfg ()) oc
   in
   let profiler = Option.map (fun _ -> Obs.Selfprof.create ()) profile_oc in
   let on_sim = Option.map (fun p sim -> Obs.Selfprof.attach p sim) profiler in
@@ -616,7 +618,13 @@ let () =
      of DCTCP' (ICDCS 2013)"
   in
   let info = Cmd.info "dtsim" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info [ sweep_cmd; stability_cmd; fluid_cmd; analyze_cmd ]
+  in
+  (* A command line cmdliner rejects is a usage error: exit 2, after
+     cmdliner's own `dtsim:` message. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ sweep_cmd; stability_cmd; fluid_cmd; analyze_cmd ]))
+    (match Cmd.eval_value cmd with
+    | Ok _ -> Cmd.Exit.ok
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

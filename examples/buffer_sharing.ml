@@ -14,7 +14,7 @@
 
 module Time = Engine.Time
 module B = Net.Buffer_mgr
-module L = Workloads.Longlived
+module D = Workloads.Dumbbell
 
 let part1 () =
   print_endline "-- Part 1: two ports, one 12 KB pool, alpha = 1 --";
@@ -53,16 +53,26 @@ let bdp = 125_000 (* 10 Gbps x 100 us / 8 *)
 
 let config =
   {
-    L.default_config with
-    L.n_flows = 10;
-    buffer_bytes = bdp;
-    warmup = Time.span_of_ms 50.;
-    measure = Time.span_of_ms 150.;
+    (D.default_config
+       (D.Longlived
+          {
+            D.longlived with
+            n_flows = 10;
+            warmup = Time.span_of_ms 50.;
+            measure = Time.span_of_ms 150.;
+          }))
+    with
+    D.buffer_bytes = bdp;
   }
 
 let run label proto ~buffer =
   let metrics = Obs.Metrics.create () in
-  let r = L.run ~metrics ~buffer proto config in
+  let ctx = { Workloads.Workload.bare with metrics = Some metrics; buffer } in
+  let r =
+    match D.run ctx proto config with
+    | D.Queue r -> r
+    | D.Fct _ | D.Shares _ -> invalid_arg "not a long-lived run"
+  in
   let metric key =
     match List.assoc_opt key (Obs.Metrics.snapshot metrics) with
     | Some v -> int_of_float v
@@ -71,8 +81,8 @@ let run label proto ~buffer =
   Printf.printf
     "%-34s queue %5.1f +- %4.1f pkts  util %.3f  drops %4d  pool peak %3d \
      pkts\n"
-    label r.L.mean_queue_pkts r.L.std_queue_pkts r.L.utilization r.L.drops
-    (metric "buffer.pool_high_water" / config.L.segment_bytes)
+    label r.D.mean_queue_pkts r.D.std_queue_pkts r.D.utilization r.D.drops
+    (metric "buffer.pool_high_water" / config.D.segment_bytes)
 
 let part2 () =
   print_endline

@@ -23,7 +23,7 @@ let config n ~aware =
 let proto = Dctcp.Protocol.dctcp ~k_bytes:(40 * 1500) ()
 
 let met n ~aware =
-  match F.run proto (config n ~aware) with
+  match F.run Workloads.Workload.bare proto (config n ~aware) with
   | F.Deadlines_met r -> 100. *. r.F.met_fraction
   | F.Goodput _ | F.Completion_time _ -> assert false
 

@@ -9,22 +9,27 @@
 module Sim = Engine.Sim
 module Time = Engine.Time
 module Plan = Fault.Plan
-module L = Workloads.Longlived
+module D = Workloads.Dumbbell
 
 let config =
-  {
-    L.default_config with
-    L.n_flows = 20;
-    warmup = Time.span_of_ms 50.;
-    measure = Time.span_of_ms 150.;
-  }
+  D.default_config
+    (D.Longlived
+       {
+         D.longlived with
+         n_flows = 20;
+         warmup = Time.span_of_ms 50.;
+         measure = Time.span_of_ms 150.;
+       })
 
 let run label ?faults () =
   let proto = Dctcp.Protocol.dt_dctcp_pkts ~k1:30 ~k2:50 () in
-  let r = L.run ?faults proto config in
-  Printf.printf
-    "%-28s mean queue %5.1f pkts  stddev %5.2f  util %.3f  timeouts %d\n"
-    label r.L.mean_queue_pkts r.L.std_queue_pkts r.L.utilization r.L.timeouts
+  match D.run { Workloads.Workload.bare with faults } proto config with
+  | D.Queue r ->
+      Printf.printf
+        "%-28s mean queue %5.1f pkts  stddev %5.2f  util %.3f  timeouts %d\n"
+        label r.D.mean_queue_pkts r.D.std_queue_pkts r.D.utilization
+        r.D.timeouts
+  | D.Fct _ | D.Shares _ -> invalid_arg "not a long-lived run"
 
 let () =
   print_endline

@@ -15,7 +15,7 @@ let sweep name proto =
       let cfg =
         { (F.default_config F.Incast) with F.n_flows = n; repeats = 10 }
       in
-      match F.run proto cfg with
+      match F.run Workloads.Workload.bare proto cfg with
       | F.Goodput r ->
           let mbps = r.F.mean_goodput_bps /. 1e6 in
           if mbps < 500. && !collapse = None then collapse := Some n;

@@ -1,6 +1,6 @@
 module Json = Obs.Json
 module Time = Engine.Time
-module L = Workloads.Longlived
+module D = Workloads.Dumbbell
 module F = Workloads.Fanin
 
 type rel = Lt | Le
@@ -65,24 +65,26 @@ let timed_faults (s : Spec.t) =
   | None -> false
 
 let quick (s : Spec.t) =
-  let module Dy = Workloads.Dynamic in
-  let module Cv = Workloads.Convergence in
-  let workload =
-    match s.workload with
-    | Spec.Longlived _ when timed_faults s -> s.workload
-    | Spec.Longlived c ->
-        Spec.Longlived
-          { c with L.warmup = half c.L.warmup; measure = half c.L.measure }
-    | Spec.Fanin c ->
-        Spec.Fanin { c with F.repeats = Int.max 1 (c.F.repeats / 2) }
-    | Spec.Dynamic c -> Spec.Dynamic { c with Dy.duration = half c.Dy.duration }
-    | Spec.Convergence c ->
-        Spec.Convergence
+  let schedule = function
+    | D.Longlived _ as l when timed_faults s -> l
+    | D.Longlived l ->
+        D.Longlived
+          { l with D.warmup = half l.D.warmup; measure = half l.D.measure }
+    | D.Dynamic d -> D.Dynamic { d with D.duration = half d.D.duration }
+    | D.Convergence c ->
+        D.Convergence
           {
             c with
-            Cv.join_interval = half c.Cv.join_interval;
-            hold = half c.Cv.hold;
+            D.join_interval = half c.D.join_interval;
+            hold = half c.D.hold;
           }
+  in
+  let workload =
+    match s.workload with
+    | Spec.Dumbbell c ->
+        Spec.Dumbbell { c with D.schedule = schedule c.D.schedule }
+    | Spec.Fanin c ->
+        Spec.Fanin { c with F.repeats = Int.max 1 (c.F.repeats / 2) }
     | Spec.Fattree c ->
         Spec.Fattree
           { c with Workloads.Fattree.time_cap = Time.span_of_sec 1. }
@@ -127,19 +129,21 @@ let payload (o : Runner.outcome) =
   match o.result with Outcome.Done p -> Some p | Outcome.Failed _ -> None
 
 let longlived f o =
-  match payload o with Some (Outcome.Longlived r) -> Some (f r) | _ -> None
+  match payload o with
+  | Some (Outcome.Dumbbell (D.Queue r)) -> Some (f r)
+  | _ -> None
 
 let fabric f o =
   match payload o with Some (Outcome.Fattree r) -> Some (f r) | _ -> None
 
 let ll key digits f = metric key digits (longlived f)
 let count key f = ll key 0 (fun r -> float_of_int (f r))
-let mean_queue = ll "mean_queue" 1 (fun r -> r.L.mean_queue_pkts)
-let std_queue digits = ll "std_queue" digits (fun r -> r.L.std_queue_pkts)
-let max_queue = ll "max_queue" 0 (fun r -> r.L.max_queue_pkts)
-let alpha = ll "alpha" 3 (fun r -> r.L.mean_alpha)
-let util = ll "util" 3 (fun r -> r.L.utilization)
-let drops = count "drops" (fun r -> r.L.drops)
+let mean_queue = ll "mean_queue" 1 (fun r -> r.D.mean_queue_pkts)
+let std_queue digits = ll "std_queue" digits (fun r -> r.D.std_queue_pkts)
+let max_queue = ll "max_queue" 0 (fun r -> r.D.max_queue_pkts)
+let alpha = ll "alpha" 3 (fun r -> r.D.mean_alpha)
+let util = ll "util" 3 (fun r -> r.D.utilization)
+let drops = count "drops" (fun r -> r.D.drops)
 
 (* [<family>/<protocol>[/<point>[/...]]] -> (protocol, point), the point
    [""] when the name has none. A one-parameter point drops its '='
@@ -332,7 +336,7 @@ let queue_stats = [ mean_queue; std_queue 2; alpha; util ]
 
 (* The bottleneck occupancy series in packets, when the run sampled it. *)
 let series o =
-  match longlived (fun r -> r.L.queue_series) o with
+  match longlived (fun r -> r.D.queue_series) o with
   | Some (Some s) -> Some (Array.map snd s)
   | _ -> None
 
@@ -423,8 +427,8 @@ let ablation_testbed_labels =
    marking in packets ([None] for a protocol without a fixed band). *)
 let model_inputs (o : Runner.outcome) =
   match o.spec.Spec.workload with
-  | Spec.Longlived c ->
-      let pkts b = float_of_int b /. float_of_int c.L.segment_bytes in
+  | Spec.Dumbbell ({ D.schedule = D.Longlived l; _ } as c) ->
+      let pkts b = float_of_int b /. float_of_int c.D.segment_bytes in
       let band =
         match o.spec.Spec.protocol with
         | Spec.Dctcp { g; k_bytes } ->
@@ -435,9 +439,9 @@ let model_inputs (o : Runner.outcome) =
       in
       Option.map
         (fun (g, marking) ->
-          ( c.L.n_flows,
-            c.L.bottleneck_rate_bps /. (8. *. float_of_int c.L.segment_bytes),
-            Time.span_to_sec c.L.rtt,
+          ( l.D.n_flows,
+            c.D.bottleneck_rate_bps /. (8. *. float_of_int c.D.segment_bytes),
+            Time.span_to_sec c.D.rtt,
             g,
             marking ))
         band
@@ -462,7 +466,8 @@ let fluid =
       List.filter
         (fun (s : Spec.t) ->
           match s.workload with
-          | Spec.Longlived c -> List.mem c.L.n_flows [ 10; 30; 60; 100 ]
+          | Spec.Dumbbell { D.schedule = D.Longlived l; _ } ->
+              List.mem l.D.n_flows [ 10; 30; 60; 100 ]
           | _ -> false)
         (family "fig_sweep" ()))
     [ fluid_mean_queue; mean_queue ]
@@ -495,7 +500,10 @@ let df_freq_hz =
 let sim_freq_hz =
   metric "sim_freq_hz" 0 (fun (o : Runner.outcome) ->
       match (series o, o.spec.Spec.workload) with
-      | Some samples, Spec.Longlived { L.trace_sampling = Some period; _ } ->
+      | ( Some samples,
+          Spec.Dumbbell
+            { D.schedule = D.Longlived { D.trace_sampling = Some period; _ }; _ }
+        ) ->
           Option.map
             (fun p -> p.Stats.Spectrum.frequency_hz)
             (Stats.Spectrum.dominant_frequency ~samples
@@ -524,7 +532,9 @@ let sack =
 
 let dynamic key digits f =
   metric key digits (fun o ->
-      match payload o with Some (Outcome.Dynamic r) -> Some (f r) | _ -> None)
+      match payload o with
+      | Some (Outcome.Dumbbell (D.Fct r)) -> Some (f r)
+      | _ -> None)
 
 let queue_buildup =
   let us key f = dynamic key 0 (fun r -> f r *. 1e6) in
@@ -532,28 +542,27 @@ let queue_buildup =
     "Extension: queue buildup under mixed traffic (DCTCP paper sec. 3.3)"
     (family "queue_buildup")
     [
-      us "fct_p50_us" (fun r -> r.Workloads.Dynamic.fct_p50_s);
-      us "fct_p99_us" (fun r -> r.Workloads.Dynamic.fct_p99_s);
-      us "fct_max_us" (fun r -> r.Workloads.Dynamic.fct_max_s);
-      dynamic "bg_gbps" 2 (fun r ->
-          r.Workloads.Dynamic.background_throughput_bps /. 1e9);
-      dynamic "mean_queue" 1 (fun r -> r.Workloads.Dynamic.mean_queue_pkts);
-      dynamic "std_queue" 1 (fun r -> r.Workloads.Dynamic.std_queue_pkts);
+      us "fct_p50_us" (fun r -> r.D.fct_p50_s);
+      us "fct_p99_us" (fun r -> r.D.fct_p99_s);
+      us "fct_max_us" (fun r -> r.D.fct_max_s);
+      dynamic "bg_gbps" 2 (fun r -> r.D.background_throughput_bps /. 1e9);
+      dynamic "mean_queue" 1 (fun r -> r.D.mean_queue_pkts);
+      dynamic "std_queue" 1 (fun r -> r.D.std_queue_pkts);
     ]
 
 let convergence =
   let steady key f =
     metric key 3 (fun o ->
         match payload o with
-        | Some (Outcome.Convergence r) -> Some (f r)
+        | Some (Outcome.Dumbbell (D.Shares r)) -> Some (f r)
         | _ -> None)
   in
   gateless "convergence"
     "Extension: convergence under flow churn (DCTCP paper's convergence test)"
     (family "convergence")
     [
-      steady "jain" (fun r -> r.Workloads.Convergence.jain_steady);
-      steady "util" (fun r -> r.Workloads.Convergence.utilization_steady);
+      steady "jain" (fun r -> r.D.jain_steady);
+      steady "util" (fun r -> r.D.utilization_steady);
     ]
 
 let finite metrics o =
@@ -574,9 +583,9 @@ let robustness =
       std_queue 1;
       max_queue;
       util;
-      count "timeouts" (fun r -> r.L.timeouts);
+      count "timeouts" (fun r -> r.D.timeouts);
       drops;
-      ll "marked" 3 (fun r -> r.L.marked_fraction);
+      ll "marked" 3 (fun r -> r.D.marked_fraction);
     ]
   in
   gateless "robustness"

@@ -1,22 +1,15 @@
 module Json = Obs.Json
-module L = Workloads.Longlived
+module D = Workloads.Dumbbell
 module F = Workloads.Fanin
-module Dy = Workloads.Dynamic
-module Cv = Workloads.Convergence
 module Ft = Workloads.Fattree
 
-type payload =
-  | Longlived of L.result
-  | Fanin of F.result
-  | Dynamic of Dy.result
-  | Convergence of Cv.result
-  | Fattree of Ft.result
+type payload = Dumbbell of D.result | Fanin of F.result | Fattree of Ft.result
 
 type t = Done of payload | Failed of { spec : string; error : string }
 
 let floats xs = Json.List (Array.to_list xs |> List.map (fun x -> Json.Float x))
 
-let longlived_json (r : L.result) =
+let queue_json (r : D.queue) =
   let base =
     [
       ("mean_queue_pkts", Json.Float r.mean_queue_pkts);
@@ -70,7 +63,7 @@ let completion_json (r : F.completion_time) =
       ("incomplete", Json.Int r.incomplete);
     ]
 
-let dynamic_json (r : Dy.result) =
+let fct_json (r : D.fct) =
   Json.Obj
     [
       ("short_flows_started", Json.Int r.short_flows_started);
@@ -84,7 +77,7 @@ let dynamic_json (r : Dy.result) =
       ("std_queue_pkts", Json.Float r.std_queue_pkts);
     ]
 
-let convergence_json (r : Cv.result) =
+let shares_json (r : D.shares) =
   Json.Obj
     [
       ( "shares",
@@ -122,21 +115,21 @@ let fattree_json (r : Ft.result) =
     ]
 
 let payload_kind = function
-  | Longlived _ -> "longlived"
+  | Dumbbell (D.Queue _) -> "longlived"
+  | Dumbbell (D.Fct _) -> "dynamic"
+  | Dumbbell (D.Shares _) -> "convergence"
   | Fanin (F.Goodput _) -> "incast"
   | Fanin (F.Completion_time _) -> "completion"
   | Fanin (F.Deadlines_met _) -> "deadline"
-  | Dynamic _ -> "dynamic"
-  | Convergence _ -> "convergence"
   | Fattree _ -> "fattree"
 
 let payload_json = function
-  | Longlived r -> longlived_json r
+  | Dumbbell (D.Queue r) -> queue_json r
+  | Dumbbell (D.Fct r) -> fct_json r
+  | Dumbbell (D.Shares r) -> shares_json r
   | Fanin (F.Goodput r) -> goodput_json r
   | Fanin (F.Completion_time r) -> completion_json r
   | Fanin (F.Deadlines_met r) -> deadlines_json r
-  | Dynamic r -> dynamic_json r
-  | Convergence r -> convergence_json r
   | Fattree r -> fattree_json r
 
 let to_json = function
@@ -157,7 +150,7 @@ let to_json = function
 
 let summary = function
   | Failed { spec; error } -> Printf.sprintf "%s: FAILED (%s)" spec error
-  | Done (Longlived r) ->
+  | Done (Dumbbell (D.Queue r)) ->
       Printf.sprintf
         "queue %.1f±%.1f pkts, util %.3f, fairness %.3f, %d drops"
         r.mean_queue_pkts r.std_queue_pkts r.utilization r.jain_fairness
@@ -171,10 +164,10 @@ let summary = function
         (r.mean_completion_s *. 1e3)
         (r.p99_completion_s *. 1e3)
         r.incomplete
-  | Done (Dynamic r) ->
+  | Done (Dumbbell (D.Fct r)) ->
       Printf.sprintf "fct p50 %.3f ms / p99 %.3f ms, queue %.1f pkts"
         (r.fct_p50_s *. 1e3) (r.fct_p99_s *. 1e3) r.mean_queue_pkts
-  | Done (Convergence r) ->
+  | Done (Dumbbell (D.Shares r)) ->
       Printf.sprintf "jain %.3f, util %.3f" r.jain_steady r.utilization_steady
   | Done (Fanin (F.Deadlines_met r)) ->
       Printf.sprintf "%.1f%% deadlines met, %.2f timeouts/run"

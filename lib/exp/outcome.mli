@@ -6,10 +6,8 @@
     that kills the sweep. *)
 
 type payload =
-  | Longlived of Workloads.Longlived.result
+  | Dumbbell of Workloads.Dumbbell.result
   | Fanin of Workloads.Fanin.result
-  | Dynamic of Workloads.Dynamic.result
-  | Convergence of Workloads.Convergence.result
   | Fattree of Workloads.Fattree.result
 
 type t =

@@ -1,8 +1,6 @@
 module Time = Engine.Time
-module L = Workloads.Longlived
+module D = Workloads.Dumbbell
 module F = Workloads.Fanin
-module Dy = Workloads.Dynamic
-module Cv = Workloads.Convergence
 module Ft = Workloads.Fattree
 
 let incast = F.default_config F.Incast
@@ -37,9 +35,14 @@ let testbed_dt_swapped =
    the point within the sweep ("fig_sweep/dt-dctcp/n=40"), so per-run
    manifests are self-describing. *)
 
+(* A dumbbell workload: [schedule] on the default link. *)
+let dumbbell schedule = Spec.Dumbbell (D.default_config schedule)
+
 let longlived_config ?(warmup = Time.span_of_ms 100.)
     ?(measure = Time.span_of_ms 200.) ?trace_sampling ~n () =
-  { L.default_config with L.n_flows = n; warmup; measure; trace_sampling }
+  D.default_config
+    (D.Longlived
+       { D.longlived with D.n_flows = n; warmup; measure; trace_sampling })
 
 let named base proto suffix =
   Printf.sprintf "%s/%s%s" base (Spec.protocol_name proto) suffix
@@ -60,7 +63,7 @@ let fig_queue_specs ?warmup ?measure () =
         (fun proto ->
           spec
             (named "fig_queue" proto (Printf.sprintf "/n=%d" n))
-            proto (Spec.Longlived config))
+            proto (Spec.Dumbbell config))
         [ sim_dctcp; sim_dt ])
     [ 10; 100 ]
 
@@ -74,7 +77,7 @@ let fig_sweep_specs () =
         (fun proto ->
           spec
             (named "fig_sweep" proto (Printf.sprintf "/n=%d" n))
-            proto (Spec.Longlived config))
+            proto (Spec.Dumbbell config))
         [ sim_dctcp; sim_dt ])
     sweep_ns
 
@@ -85,12 +88,12 @@ let oscillation_ns = [ 10; 30; 60 ]
 let oscillation_specs () =
   List.concat_map
     (fun n ->
-      let config = { (longlived_config ~n ()) with L.seed = 42L } in
+      let config = { (longlived_config ~n ()) with D.seed = 42L } in
       List.map
         (fun (slug, proto) ->
           spec
             (Printf.sprintf "oscillation/%s/n=%d" slug n)
-            proto (Spec.Longlived config))
+            proto (Spec.Dumbbell config))
         [ ("dctcp", sim_dctcp); ("dt", sim_dt) ])
     oscillation_ns
 
@@ -123,7 +126,7 @@ let testbed_fanin_specs family config () =
 let threshold_splits = [ (35, 45); (30, 50); (25, 55); (20, 60); (38, 42) ]
 
 let threshold_ablation_specs () =
-  let workload = Spec.Longlived (longlived_config ~n:60 ()) in
+  let workload = Spec.Dumbbell (longlived_config ~n:60 ()) in
   spec (named "ablation_thresholds" sim_dctcp "") sim_dctcp workload
   :: List.map
        (fun (k1, k2) ->
@@ -143,7 +146,7 @@ let g_ablation_specs () =
         (fun proto ->
           spec
             (named "ablation_g" proto ("/g=" ^ label))
-            proto (Spec.Longlived config))
+            proto (Spec.Dumbbell config))
         [
           Spec.Dctcp { g; k_bytes = 40 * 1500 };
           Spec.Dt_dctcp { g; k1_bytes = 30 * 1500; k2_bytes = 50 * 1500 };
@@ -154,7 +157,7 @@ let policy_ablation_specs () =
   let config = longlived_config ~n:60 () in
   List.map
     (fun proto ->
-      spec (named "ablation_policies" proto "") proto (Spec.Longlived config))
+      spec (named "ablation_policies" proto "") proto (Spec.Dumbbell config))
     [ sim_dctcp; sim_dt; sim_ecn_reno; sim_reno ]
 
 let testbed_label_specs () =
@@ -216,20 +219,22 @@ let queue_buildup_specs () =
     (fun proto ->
       spec
         (named "queue_buildup" proto "")
-        proto (Spec.Dynamic Dy.default_config))
+        proto
+        (dumbbell (D.Dynamic D.dynamic)))
     [ sim_dctcp; sim_dt; sim_ecn_reno; sim_reno ]
 
 let convergence_specs () =
-  let config =
-    {
-      Cv.default_config with
-      Cv.join_interval = Time.span_of_ms 400.;
-      hold = Time.span_of_ms 400.;
-    }
+  let workload =
+    dumbbell
+      (D.Convergence
+         {
+           D.convergence with
+           D.join_interval = Time.span_of_ms 400.;
+           hold = Time.span_of_ms 400.;
+         })
   in
   List.map
-    (fun proto ->
-      spec (named "convergence" proto "") proto (Spec.Convergence config))
+    (fun proto -> spec (named "convergence" proto "") proto workload)
     [ sim_dctcp; sim_dt ]
 
 (* --- shared-buffer sizing study (extension) ---
@@ -266,7 +271,7 @@ let fig_buffer_specs () =
              the analyzer's notion of capacity; at the bottleneck switch
              the pool replaces it. *)
           let config =
-            { (longlived_config ~n:10 ()) with L.buffer_bytes = pool_bytes }
+            { (longlived_config ~n:10 ()) with D.buffer_bytes = pool_bytes }
           in
           List.map
             (fun (slug, proto) ->
@@ -274,7 +279,7 @@ let fig_buffer_specs () =
                 ~buffer:(Net.Buffer_mgr.Dynamic_threshold { pool_bytes; alpha })
                 (Printf.sprintf "fig_buffer/%s/B=%d/a=%g" slug pool_bytes
                    alpha)
-                proto (Spec.Longlived config))
+                proto (Spec.Dumbbell config))
             buffer_protocols)
         buffer_alphas)
     buffer_pool_sizes
@@ -342,7 +347,7 @@ let fattree_smoke_specs () =
    workload variant and both marking families. *)
 let smoke_specs () =
   let tiny =
-    Spec.Longlived
+    Spec.Dumbbell
       (longlived_config ~warmup:(Time.span_of_ms 2.)
          ~measure:(Time.span_of_ms 5.) ~n:4 ())
   in
@@ -354,24 +359,26 @@ let smoke_specs () =
     spec "ci_smoke/completion/dctcp" testbed_dctcp
       (Spec.Fanin { completion with F.n_flows = 8; repeats = 2 });
     spec "ci_smoke/dynamic/dctcp" sim_dctcp
-      (Spec.Dynamic
-         {
-           Dy.default_config with
-           Dy.short_senders = 8;
-           arrival_rate = 2000.;
-           duration = Time.span_of_ms 20.;
-           warmup = Time.span_of_ms 5.;
-           drain = Time.span_of_ms 20.;
-         });
+      (dumbbell
+         (D.Dynamic
+            {
+              D.dynamic with
+              D.short_senders = 8;
+              arrival_rate = 2000.;
+              duration = Time.span_of_ms 20.;
+              warmup = Time.span_of_ms 5.;
+              drain = Time.span_of_ms 20.;
+            }));
     spec "ci_smoke/convergence/dt-dctcp" sim_dt
-      (Spec.Convergence
-         {
-           Cv.default_config with
-           Cv.n_flows = 3;
-           join_interval = Time.span_of_ms 40.;
-           hold = Time.span_of_ms 40.;
-           sample_window = Time.span_of_ms 5.;
-         });
+      (dumbbell
+         (D.Convergence
+            {
+              D.convergence with
+              D.n_flows = 3;
+              join_interval = Time.span_of_ms 40.;
+              hold = Time.span_of_ms 40.;
+              sample_window = Time.span_of_ms 5.;
+            }));
     spec "ci_smoke/deadline/d2tcp" sim_dctcp
       (Spec.Fanin (d2tcp_config ~n:6 ~repeats:2 ~aware:true));
   ]
@@ -390,7 +397,7 @@ let robust_loss_specs () =
           spec
             ~faults:{ Fault.Plan.none with loss_rate = p }
             (named "robust_loss" proto (Printf.sprintf "/p=%g" p))
-            proto (Spec.Longlived config))
+            proto (Spec.Dumbbell config))
         [ sim_dctcp; sim_dt ])
     [ 0.0001; 0.001; 0.01; 0.05 ]
 
@@ -433,7 +440,7 @@ let robust_flap_specs () =
         (fun proto ->
           spec ~faults:plan
             (named "robust_flap" proto ("/" ^ slug))
-            proto (Spec.Longlived config))
+            proto (Spec.Dumbbell config))
         [ sim_dctcp; sim_dt ])
     [ ("flap", flap); ("brownout", brownout) ]
 
@@ -453,7 +460,7 @@ let robust_suppress_specs () =
                 suppression = Fault.Plan.Suppress_prob 0.5;
               }
             (named "robust_suppress" proto (Printf.sprintf "/n=%d" n))
-            proto (Spec.Longlived config))
+            proto (Spec.Dumbbell config))
         [ sim_dctcp; sim_dt ])
     [ 10; 40; 70; 100 ]
 
@@ -461,7 +468,7 @@ let robust_suppress_specs () =
    both workload families that support injection. *)
 let robust_smoke_specs () =
   let tiny =
-    Spec.Longlived
+    Spec.Dumbbell
       (longlived_config ~warmup:(Time.span_of_ms 2.)
          ~measure:(Time.span_of_ms 5.) ~n:4 ())
   in
@@ -509,7 +516,7 @@ let spectrum_specs () =
              ~measure:(Time.span_of_ms 400.)
              ~trace_sampling:(Time.span_of_us 50.) ~n ())
           with
-          L.rtt = Time.span_of_ms 1.;
+          D.rtt = Time.span_of_ms 1.;
           min_rto = Time.span_of_ms 50.;
         }
       in
@@ -517,7 +524,7 @@ let spectrum_specs () =
         (fun proto ->
           spec
             (named "spectrum" proto (Printf.sprintf "/n=%d" n))
-            proto (Spec.Longlived config))
+            proto (Spec.Dumbbell config))
         [ sim_dctcp; sim_dt ])
     spectrum_ns
 
@@ -537,10 +544,10 @@ let perf_dumbbell_specs () =
       spec
         (named "perf_dumbbell" sim_dt (Printf.sprintf "/n=%d" n))
         sim_dt
-        (Spec.Longlived
+        (Spec.Dumbbell
            {
              (longlived_config ~measure:(Time.span_of_ms 100.) ~n ()) with
-             L.buffer_bytes = buffer_pkts * 1500;
+             D.buffer_bytes = buffer_pkts * 1500;
              seed = 11L;
            }))
     perf_dumbbell_ns
@@ -554,15 +561,16 @@ let perf_dumbbell_specs () =
 
 let defaults_specs () =
   [
-    spec "dtsim.longlived" sim_dctcp (Spec.Longlived L.default_config);
+    spec "dtsim.longlived" sim_dctcp (dumbbell (D.Longlived D.longlived));
     spec "dtsim.incast" testbed_dctcp
       (Spec.Fanin { incast with F.n_flows = 32 });
     spec "dtsim.completion" testbed_dctcp
       (Spec.Fanin { completion with F.n_flows = 32 });
     spec "dtsim.deadline" testbed_dctcp
       (Spec.Fanin (F.default_config F.Deadline));
-    spec "dtsim.dynamic" sim_dctcp (Spec.Dynamic Dy.default_config);
-    spec "dtsim.convergence" sim_dctcp (Spec.Convergence Cv.default_config);
+    spec "dtsim.dynamic" sim_dctcp (dumbbell (D.Dynamic D.dynamic));
+    spec "dtsim.convergence" sim_dctcp
+      (dumbbell (D.Convergence D.convergence));
   ]
 
 (* --- the registry proper --- *)

@@ -42,43 +42,38 @@ let band_of (p : Spec.protocol) ~buffer ~buffer_bytes ~segment_bytes =
 
 let default_sample_period = Engine.Time.span_of_us 20.
 
+(* Every dumbbell schedule shares the one bottleneck the analyzer
+   watches. The synchronization index counts the flows that live
+   through the run: the Dynamic schedule's background flows, whose ids
+   come first. *)
 let analysis_config (spec : Spec.t) =
   match spec.workload with
-  | Spec.Longlived cfg ->
-      let segment_bytes = cfg.Workloads.Longlived.segment_bytes in
+  | Spec.Dumbbell c ->
+      let module D = Workloads.Dumbbell in
+      let n_flows, sampling =
+        match c.D.schedule with
+        | D.Longlived s -> (s.D.n_flows, s.D.trace_sampling)
+        | D.Dynamic s -> (s.D.background_flows, None)
+        | D.Convergence s -> (s.D.n_flows, None)
+      in
       Some
         {
           Obs.Analyze.sample_period =
-            Option.value cfg.Workloads.Longlived.trace_sampling
-              ~default:default_sample_period;
+            Option.value sampling ~default:default_sample_period;
           band_bytes =
             band_of spec.protocol ~buffer:spec.buffer
-              ~buffer_bytes:cfg.Workloads.Longlived.buffer_bytes
-              ~segment_bytes;
-          n_flows = cfg.Workloads.Longlived.n_flows;
-          rtt = cfg.Workloads.Longlived.rtt;
-          segment_bytes;
+              ~buffer_bytes:c.D.buffer_bytes ~segment_bytes:c.D.segment_bytes;
+          n_flows;
+          rtt = c.D.rtt;
+          segment_bytes = c.D.segment_bytes;
         }
-  | Spec.Fanin _ | Spec.Dynamic _ | Spec.Convergence _ | Spec.Fattree _ ->
-      None
+  | Spec.Fanin _ | Spec.Fattree _ -> None
 
-let payload_of ?tracer ?on_sim ~metrics ?faults ~buffer proto
-    (w : Spec.workload) =
+let payload_of ctx proto (w : Spec.workload) =
   match w with
-  | Spec.Longlived cfg ->
-      Outcome.Longlived
-        (Workloads.Longlived.run ?tracer ~metrics ?faults ~buffer ?on_sim
-           proto cfg)
-  | Spec.Fanin cfg ->
-      Outcome.Fanin (Workloads.Fanin.run ~metrics ?faults ~buffer proto cfg)
-  | Spec.Dynamic cfg ->
-      Outcome.Dynamic (Workloads.Dynamic.run ~metrics ?faults ~buffer proto cfg)
-  | Spec.Convergence cfg ->
-      Outcome.Convergence
-        (Workloads.Convergence.run ~metrics ?faults ~buffer proto cfg)
-  | Spec.Fattree cfg ->
-      Outcome.Fattree
-        (Workloads.Fattree.run ~metrics ?faults ~buffer proto cfg)
+  | Spec.Dumbbell c -> Outcome.Dumbbell (Workloads.Dumbbell.run ctx proto c)
+  | Spec.Fanin c -> Outcome.Fanin (Workloads.Fanin.run ctx proto c)
+  | Spec.Fattree c -> Outcome.Fattree (Workloads.Fattree.run ctx proto c)
 
 let run_one ?tracer ?on_sim ?(analyze = false) (spec : Spec.t) =
   let metrics = Obs.Metrics.create () in
@@ -91,21 +86,25 @@ let run_one ?tracer ?on_sim ?(analyze = false) (spec : Spec.t) =
       Option.map (fun cfg -> Obs.Analyze.create cfg) (analysis_config spec)
   in
   let tracer =
-    match analyzer with
-    | None -> tracer
-    | Some an ->
-        let atr = Obs.Analyze.tracer an in
-        Some
-          (match tracer with
-          | None -> atr
-          | Some user -> Obs.Trace.tee user atr)
+    match (analyzer, tracer) with
+    | None, None -> Obs.Trace.null
+    | None, Some user -> user
+    | Some an, None -> Obs.Analyze.tracer an
+    | Some an, Some user -> Obs.Trace.tee user (Obs.Analyze.tracer an)
+  in
+  let ctx =
+    {
+      Workloads.Workload.tracer;
+      metrics = Some metrics;
+      faults = spec.faults;
+      buffer = spec.buffer;
+      on_sim = Option.value on_sim ~default:ignore;
+    }
   in
   let result, wall_s =
     Obs.Profile.time (fun () ->
         match
-          let proto = Spec.protocol_of spec.protocol in
-          payload_of ?tracer ?on_sim ~metrics ?faults:spec.faults
-            ~buffer:spec.buffer proto spec.workload
+          payload_of ctx (Spec.protocol_of spec.protocol) spec.workload
         with
         | payload -> Outcome.Done payload
         | exception exn ->

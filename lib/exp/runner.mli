@@ -18,18 +18,19 @@ type outcome = {
 }
 
 val analysis_config : Spec.t -> Obs.Analyze.config option
-(** The streaming-analysis configuration a spec implies: the workload's
-    sampling period (default 20 us when [trace_sampling] is unset), the
-    protocol's marking band — (K1, K2) for DT-DCTCP, K widened by one
-    segment either side for single-threshold protocols, none for the
-    loss-based transports. Scaled protocols resolve their fractions
-    against the steady-state effective limit: the configured capacity
-    under [Static], the Dynamic-Threshold fixed point
-    [alpha B / (1 + alpha f)] under a shared pool — and the flow count /
-    RTT for the synchronization index. [None] for
-    workloads the analyzer does not cover yet (currently everything but
-    longlived). [dtsim analyze] writes this same config into the trace
-    header, which is what keeps online and offline analysis identical. *)
+(** The streaming-analysis configuration a dumbbell spec implies, for
+    every schedule: the sampling period (the Longlived [trace_sampling],
+    else 20 us), the protocol's marking band — (K1, K2) for DT-DCTCP, K
+    widened by one segment either side for single-threshold protocols,
+    none for the loss-based transports. Scaled protocols resolve their
+    fractions against the steady-state effective limit: the configured
+    capacity under [Static], the Dynamic-Threshold fixed point
+    [alpha B / (1 + alpha f)] under a shared pool — and the flow count
+    (the Dynamic schedule's background flows) and RTT for the
+    synchronization index. [None] for the fan-in and fat-tree workloads,
+    which the analyzer does not cover. [dtsim analyze] writes this same
+    config into the trace header, which is what keeps online and offline
+    analysis identical. *)
 
 val run_one :
   ?tracer:Obs.Trace.t ->
@@ -37,14 +38,16 @@ val run_one :
   ?analyze:bool ->
   Spec.t ->
   outcome
-(** Executes one spec with a fresh metrics registry. A raising workload
-    yields [result = Failed _] rather than an exception; the manifest is
-    still produced. [tracer] is forwarded to workloads that accept one
-    (currently longlived); [on_sim] likewise (the self-profiler's
-    attachment point). [analyze] (default false) tees an {!Obs.Analyze}
-    analyzer into the run's tracer and embeds its JSON block into the
-    manifest; when false nothing is constructed and the manifest is
-    byte-identical to pre-analysis builds. *)
+(** Executes one spec with a fresh metrics registry, through the one
+    {!Workloads.Workload.ctx} built here. A raising workload yields
+    [result = Failed _] rather than an exception; the manifest is still
+    produced. [tracer] (default {!Obs.Trace.null}) and [on_sim] (the
+    self-profiler's attachment point, called with every simulator the
+    run creates) reach every workload. [analyze] (default false) tees an
+    {!Obs.Analyze} analyzer into the run's tracer, when the spec has an
+    {!analysis_config}, and embeds its JSON block into the manifest;
+    when false nothing is constructed and the manifest is byte-identical
+    to pre-analysis builds. *)
 
 val run : ?jobs:int -> ?analyze:bool -> Spec.t list -> outcome array
 (** [run ~jobs specs] executes every spec and returns outcomes in spec

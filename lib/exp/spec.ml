@@ -1,8 +1,6 @@
 module Json = Obs.Json
-module L = Workloads.Longlived
+module D = Workloads.Dumbbell
 module F = Workloads.Fanin
-module Dy = Workloads.Dynamic
-module Cv = Workloads.Convergence
 module Ft = Workloads.Fattree
 
 type protocol =
@@ -14,12 +12,7 @@ type protocol =
   | Dctcp_scaled of { g : float; k_frac : float }
   | Dt_dctcp_scaled of { g : float; k1_frac : float; k2_frac : float }
 
-type workload =
-  | Longlived of L.config
-  | Fanin of F.config
-  | Dynamic of Dy.config
-  | Convergence of Cv.config
-  | Fattree of Ft.config
+type workload = Dumbbell of D.config | Fanin of F.config | Fattree of Ft.config
 
 type t = {
   name : string;
@@ -39,14 +32,14 @@ let protocol_name = function
   | Dt_dctcp_scaled _ -> "dt-dctcp-scaled"
 
 let workload_name = function
-  | Longlived _ -> "longlived"
+  | Dumbbell { D.schedule = D.Longlived _; _ } -> "longlived"
+  | Dumbbell { D.schedule = D.Dynamic _; _ } -> "dynamic"
+  | Dumbbell { D.schedule = D.Convergence _; _ } -> "convergence"
   | Fanin c -> (
       match F.kind c with
       | F.Incast -> "incast"
       | F.Completion -> "completion"
       | F.Deadline -> "deadline")
-  | Dynamic _ -> "dynamic"
-  | Convergence _ -> "convergence"
   | Fattree _ -> "fattree"
 
 let protocol_of = function
@@ -62,19 +55,15 @@ let protocol_of = function
 
 let seed t =
   match t.workload with
-  | Longlived c -> c.L.seed
+  | Dumbbell c -> c.D.seed
   | Fanin c -> c.F.seed
-  | Dynamic c -> c.Dy.seed
-  | Convergence c -> c.Cv.seed
   | Fattree c -> c.Ft.seed
 
 let with_seed seed t =
   let workload =
     match t.workload with
-    | Longlived c -> Longlived { c with L.seed }
+    | Dumbbell c -> Dumbbell { c with D.seed }
     | Fanin c -> Fanin { c with F.seed }
-    | Dynamic c -> Dynamic { c with Dy.seed }
-    | Convergence c -> Convergence { c with Cv.seed }
     | Fattree c -> Fattree { c with Ft.seed }
   in
   { t with workload }
@@ -162,31 +151,108 @@ let of_fields fields default j =
       f.decode j c)
     (Ok default) fields
 
-let longlived_fields =
-  let open L in
-  [
-    field "n_flows" int (fun c -> c.n_flows)
-      (fun c v -> { c with n_flows = v });
+(* The dumbbell's schedules share one config: the link fields plus the
+   schedule's own record. Each table lists the keys its schedule's JSON
+   kind has always had, in their historical order, and a read starts
+   from that schedule's default config. *)
+let dumbbell_fields =
+  let open D in
+  let schedule_field proj inj key codec get set =
+    field key codec
+      (fun c -> get (proj c))
+      (fun c v -> { c with schedule = inj (set (proj c) v) })
+  in
+  let ll key =
+    schedule_field
+      (function { schedule = Longlived s; _ } -> s | _ -> longlived)
+      (fun s -> Longlived s) key
+  and dy key =
+    schedule_field
+      (function { schedule = Dynamic s; _ } -> s | _ -> dynamic)
+      (fun s -> Dynamic s) key
+  and cv key =
+    schedule_field
+      (function { schedule = Convergence s; _ } -> s | _ -> convergence)
+      (fun s -> Convergence s) key
+  in
+  let rate =
     field "bottleneck_rate_bps" number (fun c -> c.bottleneck_rate_bps)
-      (fun c v -> { c with bottleneck_rate_bps = v });
-    field "rtt" span (fun c -> c.rtt) (fun c v -> { c with rtt = v });
-    field "buffer_bytes" int (fun c -> c.buffer_bytes)
-      (fun c v -> { c with buffer_bytes = v });
-    field "segment_bytes" int (fun c -> c.segment_bytes)
-      (fun c v -> { c with segment_bytes = v });
-    field "warmup" span (fun c -> c.warmup) (fun c v -> { c with warmup = v });
-    field "measure" span (fun c -> c.measure)
-      (fun c v -> { c with measure = v });
-    field "trace_sampling" span_opt (fun c -> c.trace_sampling)
-      (fun c v -> { c with trace_sampling = v });
-    field "alpha_sample_period" span (fun c -> c.alpha_sample_period)
-      (fun c v -> { c with alpha_sample_period = v });
-    field "stagger" span (fun c -> c.stagger)
-      (fun c v -> { c with stagger = v });
-    field "min_rto" span (fun c -> c.min_rto)
-      (fun c v -> { c with min_rto = v });
-    field "seed" decimal (fun c -> c.seed) (fun c v -> { c with seed = v });
-  ]
+      (fun c v -> { c with bottleneck_rate_bps = v })
+  and rtt = field "rtt" span (fun c -> c.rtt) (fun c v -> { c with rtt = v })
+  and buffer_bytes =
+    field "buffer_bytes" int (fun c -> c.buffer_bytes) (fun c v ->
+        { c with buffer_bytes = v })
+  and segment_bytes =
+    field "segment_bytes" int (fun c -> c.segment_bytes) (fun c v ->
+        { c with segment_bytes = v })
+  and min_rto =
+    field "min_rto" span (fun c -> c.min_rto) (fun c v ->
+        { c with min_rto = v })
+  and seed =
+    field "seed" decimal (fun c -> c.seed) (fun c v -> { c with seed = v })
+  in
+  let longlived_keys =
+    [
+      ll "n_flows" int (fun s -> s.n_flows) (fun s v -> { s with n_flows = v });
+      rate;
+      rtt;
+      buffer_bytes;
+      segment_bytes;
+      ll "warmup" span (fun s -> s.warmup) (fun s v -> { s with warmup = v });
+      ll "measure" span (fun s -> s.measure) (fun s v ->
+          { s with measure = v });
+      ll "trace_sampling" span_opt (fun s -> s.trace_sampling) (fun s v ->
+          { s with trace_sampling = v });
+      ll "alpha_sample_period" span (fun s -> s.alpha_sample_period)
+        (fun s v -> { s with alpha_sample_period = v });
+      ll "stagger" span (fun s -> s.stagger) (fun s v ->
+          { s with stagger = v });
+      min_rto;
+      seed;
+    ]
+  and dynamic_keys =
+    [
+      dy "background_flows" int (fun s -> s.background_flows) (fun s v ->
+          { s with background_flows = v });
+      dy "short_senders" int (fun s -> s.short_senders) (fun s v ->
+          { s with short_senders = v });
+      dy "arrival_rate" number (fun s -> s.arrival_rate) (fun s v ->
+          { s with arrival_rate = v });
+      dy "short_flow_segments" int (fun s -> s.short_flow_segments)
+        (fun s v -> { s with short_flow_segments = v });
+      dy "duration" span (fun s -> s.duration) (fun s v ->
+          { s with duration = v });
+      dy "warmup" span (fun s -> s.warmup) (fun s v -> { s with warmup = v });
+      dy "drain" span (fun s -> s.drain) (fun s v -> { s with drain = v });
+      rate;
+      rtt;
+      buffer_bytes;
+      segment_bytes;
+      min_rto;
+      seed;
+    ]
+  and convergence_keys =
+    [
+      cv "n_flows" int (fun s -> s.n_flows) (fun s v -> { s with n_flows = v });
+      cv "join_interval" span (fun s -> s.join_interval) (fun s v ->
+          { s with join_interval = v });
+      cv "hold" span (fun s -> s.hold) (fun s v -> { s with hold = v });
+      cv "sample_window" span (fun s -> s.sample_window) (fun s v ->
+          { s with sample_window = v });
+      rate;
+      rtt;
+      buffer_bytes;
+      segment_bytes;
+      min_rto;
+      cv "convergence_band" number (fun s -> s.convergence_band) (fun s v ->
+          { s with convergence_band = v });
+      seed;
+    ]
+  in
+  function
+  | Longlived _ -> longlived_keys
+  | Dynamic _ -> dynamic_keys
+  | Convergence _ -> convergence_keys
 
 (* The fan-in scenarios share one config record. Each table lists the
    keys its scenario's JSON has always had, in their historical order,
@@ -276,57 +342,6 @@ let fanin_fields =
   function
   | Incast -> incast | Completion -> completion | Deadline -> deadline
 
-let dynamic_fields =
-  let open Dy in
-  [
-    field "background_flows" int (fun c -> c.background_flows)
-      (fun c v -> { c with background_flows = v });
-    field "short_senders" int (fun c -> c.short_senders)
-      (fun c v -> { c with short_senders = v });
-    field "arrival_rate" number (fun c -> c.arrival_rate)
-      (fun c v -> { c with arrival_rate = v });
-    field "short_flow_segments" int (fun c -> c.short_flow_segments)
-      (fun c v -> { c with short_flow_segments = v });
-    field "duration" span (fun c -> c.duration)
-      (fun c v -> { c with duration = v });
-    field "warmup" span (fun c -> c.warmup) (fun c v -> { c with warmup = v });
-    field "drain" span (fun c -> c.drain) (fun c v -> { c with drain = v });
-    field "bottleneck_rate_bps" number (fun c -> c.bottleneck_rate_bps)
-      (fun c v -> { c with bottleneck_rate_bps = v });
-    field "rtt" span (fun c -> c.rtt) (fun c v -> { c with rtt = v });
-    field "buffer_bytes" int (fun c -> c.buffer_bytes)
-      (fun c v -> { c with buffer_bytes = v });
-    field "segment_bytes" int (fun c -> c.segment_bytes)
-      (fun c v -> { c with segment_bytes = v });
-    field "min_rto" span (fun c -> c.min_rto)
-      (fun c v -> { c with min_rto = v });
-    field "seed" decimal (fun c -> c.seed) (fun c v -> { c with seed = v });
-  ]
-
-let convergence_fields =
-  let open Cv in
-  [
-    field "n_flows" int (fun c -> c.n_flows)
-      (fun c v -> { c with n_flows = v });
-    field "join_interval" span (fun c -> c.join_interval)
-      (fun c v -> { c with join_interval = v });
-    field "hold" span (fun c -> c.hold) (fun c v -> { c with hold = v });
-    field "sample_window" span (fun c -> c.sample_window)
-      (fun c v -> { c with sample_window = v });
-    field "bottleneck_rate_bps" number (fun c -> c.bottleneck_rate_bps)
-      (fun c v -> { c with bottleneck_rate_bps = v });
-    field "rtt" span (fun c -> c.rtt) (fun c v -> { c with rtt = v });
-    field "buffer_bytes" int (fun c -> c.buffer_bytes)
-      (fun c v -> { c with buffer_bytes = v });
-    field "segment_bytes" int (fun c -> c.segment_bytes)
-      (fun c v -> { c with segment_bytes = v });
-    field "min_rto" span (fun c -> c.min_rto)
-      (fun c v -> { c with min_rto = v });
-    field "convergence_band" number (fun c -> c.convergence_band)
-      (fun c v -> { c with convergence_band = v });
-    field "seed" decimal (fun c -> c.seed) (fun c v -> { c with seed = v });
-  ]
-
 let fattree_fields =
   let open Ft in
   [
@@ -361,34 +376,29 @@ let fattree_fields =
 let workload_to_json w =
   let fields =
     match w with
-    | Longlived c -> to_fields longlived_fields c
+    | Dumbbell c -> to_fields (dumbbell_fields c.D.schedule) c
     | Fanin c -> to_fields (fanin_fields (F.kind c)) c
-    | Dynamic c -> to_fields dynamic_fields c
-    | Convergence c -> to_fields convergence_fields c
     | Fattree c -> to_fields fattree_fields c
   in
   Json.Obj (("kind", Json.String (workload_name w)) :: fields)
 
 let workload_of_json j =
   let ( let+ ) r f = Result.map f r in
-  let fanin kind =
+  let dumbbell schedule =
+    let+ c = of_fields (dumbbell_fields schedule) (D.default_config schedule) j in
+    Dumbbell c
+  and fanin kind =
     let+ c = of_fields (fanin_fields kind) (F.default_config kind) j in
     Fanin c
   in
   let* kind = Json.string prefix "kind" j in
   match kind with
-  | "longlived" ->
-      let+ c = of_fields longlived_fields L.default_config j in
-      Longlived c
+  | "longlived" -> dumbbell (D.Longlived D.longlived)
+  | "dynamic" -> dumbbell (D.Dynamic D.dynamic)
+  | "convergence" -> dumbbell (D.Convergence D.convergence)
   | "incast" -> fanin F.Incast
   | "completion" -> fanin F.Completion
   | "deadline" -> fanin F.Deadline
-  | "dynamic" ->
-      let+ c = of_fields dynamic_fields Dy.default_config j in
-      Dynamic c
-  | "convergence" ->
-      let+ c = of_fields convergence_fields Cv.default_config j in
-      Convergence c
   | "fattree" ->
       let+ c = of_fields fattree_fields Ft.default_config j in
       Fattree c

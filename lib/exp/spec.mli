@@ -24,14 +24,16 @@ type protocol =
           effective limit. *)
 
 type workload =
-  | Longlived of Workloads.Longlived.config
+  | Dumbbell of Workloads.Dumbbell.config
+      (** The dumbbell; its JSON [kind] is the config's schedule
+          (["longlived"], ["dynamic"] or ["convergence"]), and the JSON
+          holds the link fields and that schedule's keys, in the order
+          each kind has always had them. *)
   | Fanin of Workloads.Fanin.config
       (** Star fan-in; its JSON [kind] is the config's scenario
           (["incast"], ["completion"] or ["deadline"]), and the JSON holds
           that scenario's keys only: on reading back, fields the
           scenario does not name take its defaults. *)
-  | Dynamic of Workloads.Dynamic.config
-  | Convergence of Workloads.Convergence.config
   | Fattree of Workloads.Fattree.config
       (** Fat-tree fabric FCT-slowdown study (runs on
           {!Net.Topology.fat_tree}, not the dumbbell/star). *)

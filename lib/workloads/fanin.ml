@@ -127,19 +127,20 @@ let validate kind c =
    it has no deadline. *)
 type response = { start : Time.t; due : Time.t; finish : Time.t option }
 
-let one_repeat ?faults ~buffer ~track (proto : Dctcp.Protocol.t) c ~seed =
+let one_repeat (ctx : Workload.ctx) ~track proto c ~seed =
   let sim = Sim.create ~seed () in
   track sim;
   (* One injector per repeat, derived from the repeat seed, so each
      repeat sees an independent but reproducible fault realization. *)
   let marking, attach_faults =
-    Fault.Injector.install sim faults ~seed ~component:"star_bottleneck"
+    Fault.Injector.install sim ctx.faults ~seed ~tracer:ctx.tracer
+      ~component:"star_bottleneck"
       (proto.Dctcp.Protocol.marking ())
   in
   let star =
     Net.Topology.star_testbed sim ~rate_bps:c.rate_bps
       ~bottleneck_buffer:c.buffer_bytes ~leaf_buffer:c.leaf_buffer_bytes
-      ~buffer ~marking ()
+      ~buffer:ctx.buffer ~marking ()
   in
   attach_faults star.Net.Topology.star_bottleneck;
   let workers = star.Net.Topology.workers in
@@ -157,7 +158,9 @@ let one_repeat ?faults ~buffer ~track (proto : Dctcp.Protocol.t) c ~seed =
   let remaining = ref c.n_flows in
   (* Per flow: the start jitter, then the deadline jitter (drawn only
      when there is a deadline). Creating a flow schedules nothing, so
-     creating and starting each in turn keeps the event order. *)
+     creating and starting each in turn keeps the event order. The
+     tracer is wrapped once, not once per flow. *)
+  let tracer = Some ctx.tracer in
   let flows =
     Array.init c.n_flows (fun i ->
         let start =
@@ -178,7 +181,8 @@ let one_repeat ?faults ~buffer ~track (proto : Dctcp.Protocol.t) c ~seed =
         in
         let flow =
           Tcp.Flow.create sim ~src:workers.(i mod Array.length workers)
-            ~dst:star.Net.Topology.aggregator ~flow:i ~cc ~config:tcp_config
+            ~dst:star.Net.Topology.aggregator ~flow:i ~cc ?tracer
+            ~config:tcp_config
             ~echo:proto.Dctcp.Protocol.echo ~limit_segments:segments
             ~on_complete:(fun _ -> decr remaining)
             ()
@@ -188,16 +192,12 @@ let one_repeat ?faults ~buffer ~track (proto : Dctcp.Protocol.t) c ~seed =
   in
   let cap = Time.of_ns c.time_cap in
   Workload.run_slices sim ~cap ~pending:(fun () -> !remaining > 0);
-  let timeouts =
-    Array.fold_left
-      (fun acc (f, _, _) -> acc + Tcp.Sender.timeouts (Tcp.Flow.sender f))
-      0 flows
-  in
   ( Array.map
       (fun (f, start, due) ->
         { start; due; finish = Tcp.Flow.completion_time f })
       flows,
-    timeouts )
+    Workload.sum_senders Tcp.Sender.timeouts
+      (Array.map (fun (f, _, _) -> f) flows) )
 
 let finished r = Option.is_some r.finish
 
@@ -278,13 +278,13 @@ let deadlines_met c repeats : deadlines_met =
     incomplete = count (fun r -> not (finished r)) responses;
   }
 
-let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static) proto c =
+let run ctx proto c =
   let kind = kind c in
   validate kind c;
-  let track = Workload.engine_probes metrics in
+  let track = Workload.watch ctx in
   let repeats =
     Array.init c.repeats (fun r ->
-        one_repeat ?faults ~buffer ~track proto c
+        one_repeat ctx ~track proto c
           ~seed:(Workload.repeat_seed ~base:c.seed ~stride:(stride kind) r))
   in
   match kind with

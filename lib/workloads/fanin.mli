@@ -109,20 +109,13 @@ type result =
   | Completion_time of completion_time  (** A Completion run. *)
   | Deadlines_met of deadlines_met  (** A Deadline run. *)
 
-val run :
-  ?metrics:Obs.Metrics.t ->
-  ?faults:Fault.Plan.t ->
-  ?buffer:Net.Buffer_mgr.config ->
-  Dctcp.Protocol.t ->
-  config ->
-  result
-(** [metrics] receives the engine counters
-    ({!Workload.engine_probes}), summed over the repeats (the high water
-    is the largest repeat's). When [faults] is given, each repeat
-    attaches a {!Fault.Injector}
+val run : Workload.ctx -> Dctcp.Protocol.t -> config -> result
+(** Every repeat's simulator goes through {!Workload.watch}, so the
+    engine counters are summed over the repeats (the high water is the
+    largest repeat's). [ctx.tracer] reaches every response flow. When
+    [ctx.faults] is given, each repeat attaches a {!Fault.Injector}
     (seeded from that repeat's seed) to the star's root-to-aggregator
-    bottleneck; when absent no injector is constructed. [buffer] (default
-    {!Net.Buffer_mgr.Static}) is the root switch's memory model.
+    bottleneck. [ctx.buffer] is the root switch's memory model.
     @raise Invalid_argument naming the field, before anything is
     simulated, for non-positive flows, repeats, segment size, byte
     volume or [time_cap], or a negative [start_jitter] or deadline. *)

@@ -76,9 +76,8 @@ let total_no_route (ft : Net.Topology.fat_tree) =
   sum (sum (sum 0 ft.Net.Topology.edges) ft.Net.Topology.aggs)
     ft.Net.Topology.cores
 
-let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static)
-    (proto : Dctcp.Protocol.t) config =
-  (match faults with
+let run (ctx : Workload.ctx) (proto : Dctcp.Protocol.t) config =
+  (match ctx.faults with
   | None -> ()
   | Some _ ->
       invalid_arg "Fattree.run: fault injection is not supported on the fabric");
@@ -93,11 +92,13 @@ let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static)
   positive "time_cap (ns)" (Time.span_to_int_ns config.time_cap);
   non_negative "start_spread (ns)" (Time.span_to_int_ns config.start_spread);
   let sim = Sim.create ~seed:config.seed () in
+  ctx.on_sim sim;
+  let buffer = ctx.buffer in
   let ft =
     Net.Topology.fat_tree sim ~k:config.k ~rate_bps:config.rate_bps
       ~link_delay:config.link_delay ~queue_bytes:config.queue_bytes
       ~edge_buffer:buffer ~agg_buffer:buffer ~core_buffer:buffer
-      ~marking:proto.Dctcp.Protocol.marking ()
+      ~marking:proto.Dctcp.Protocol.marking ~tracer:ctx.tracer ()
   in
   let half = config.k / 2 in
   let n_hosts = Array.length ft.Net.Topology.hosts in
@@ -144,6 +145,8 @@ let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static)
   let remaining = ref total in
   let finished = Array.make total false in
   let done_at = Array.make total Time.zero in
+  (* Wrapped once, not once per flow. *)
+  let tracer = Some ctx.tracer in
   let flows =
     Array.init total (fun i ->
         let segments =
@@ -151,7 +154,7 @@ let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static)
         in
         Tcp.Flow.create sim ~src:ft.Net.Topology.hosts.(src_a.(i))
           ~dst:ft.Net.Topology.hosts.(dst_a.(i))
-          ~flow:i ~cc:proto.Dctcp.Protocol.cc ~config:tcp_config
+          ~flow:i ~cc:proto.Dctcp.Protocol.cc ?tracer ~config:tcp_config
           ~echo:proto.Dctcp.Protocol.echo ~limit_segments:segments
           ~on_complete:(fun _ ->
             decr remaining;
@@ -159,10 +162,10 @@ let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static)
             done_at.(i) <- Sim.now sim)
           ())
   in
-  (match metrics with
+  (match ctx.metrics with
   | None -> ()
   | Some m ->
-      (* Not [Workload.engine_probes]: the fabric's manifests record no
+      (* Not [Workload.watch]: the fabric's manifests record no
          [engine.heap_high_water], and the benchmark's reference digests
          pin them as they are. *)
       Obs.Metrics.probe m "engine.events_processed" (fun () ->
@@ -170,10 +173,7 @@ let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static)
       Obs.Metrics.probe m "switch.no_route_drops" (fun () ->
           float_of_int (total_no_route ft));
       Obs.Metrics.probe m "sender.timeouts" (fun () ->
-          float_of_int
-            (Array.fold_left
-               (fun a f -> a + Tcp.Sender.timeouts (Tcp.Flow.sender f))
-               0 flows)));
+          float_of_int (Workload.sum_senders Tcp.Sender.timeouts flows)));
   let starts = Array.make total Time.zero in
   Array.iteri
     (fun i f ->
@@ -197,11 +197,6 @@ let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static)
         Stats.Fct.slowdown ~ideal_ns ~actual_ns)
   in
   let s = Stats.Fct.summarize slowdowns in
-  let timeouts =
-    Array.fold_left
-      (fun acc f -> acc + Tcp.Sender.timeouts (Tcp.Flow.sender f))
-      0 flows
-  in
   let incomplete =
     Array.fold_left (fun acc f -> if f then acc else acc + 1) 0 finished
   in
@@ -213,7 +208,7 @@ let run ?metrics ?faults ?(buffer = Net.Buffer_mgr.Static)
     slowdown_mean = s.Stats.Fct.mean;
     slowdown_max = s.Stats.Fct.max;
     flows_total = total;
-    timeouts;
+    timeouts = Workload.sum_senders Tcp.Sender.timeouts flows;
     incomplete;
     no_route_drops = total_no_route ft;
   }

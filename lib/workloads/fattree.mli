@@ -54,19 +54,15 @@ type result = {
       (** Fabric-wide; nonzero means the topology is miswired. *)
 }
 
-val run :
-  ?metrics:Obs.Metrics.t ->
-  ?faults:Fault.Plan.t ->
-  ?buffer:Net.Buffer_mgr.config ->
-  Dctcp.Protocol.t ->
-  config ->
-  result
-(** [metrics] registers [engine.events_processed], the fabric-wide
-    [switch.no_route_drops] probe and [sender.timeouts]. [buffer]
+val run : Workload.ctx -> Dctcp.Protocol.t -> config -> result
+(** [ctx.on_sim] sees the fabric's one simulator. [ctx.tracer] reaches
+    every switch (no-route drops) and every flow. [ctx.metrics]
+    registers [engine.events_processed], the fabric-wide
+    [switch.no_route_drops] probe and [sender.timeouts]. [ctx.buffer]
     applies to all three switch tiers (each switch gets its own pool
     under [Dynamic_threshold]).
-    @raise Invalid_argument if [faults] is given — fault injection is
-    not yet supported on the fabric — and, naming the field, before
+    @raise Invalid_argument if [ctx.faults] is given — fault injection
+    is not yet supported on the fabric — and, naming the field, before
     anything is simulated, for a non-positive [incast_fanin],
     [incast_bytes], [long_bytes] or [time_cap], or a negative
     [long_flows] or [start_spread]. *)

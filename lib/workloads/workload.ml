@@ -1,6 +1,9 @@
 module Sim = Engine.Sim
 module Time = Engine.Time
 
+let sum_senders counter =
+  Array.fold_left (fun acc f -> acc + counter (Tcp.Flow.sender f)) 0
+
 let require_positive ~scenario ~what n =
   if n <= 0 then
     invalid_arg (Printf.sprintf "%s.run: need %s (got %d)" scenario what n)
@@ -10,9 +13,26 @@ let require_non_negative ~scenario ~what n =
     invalid_arg
       (Printf.sprintf "%s.run: need non-negative %s (got %d)" scenario what n)
 
-let engine_probes metrics =
-  match metrics with
-  | None -> ignore
+type ctx = {
+  tracer : Obs.Trace.t;
+  metrics : Obs.Metrics.t option;
+  faults : Fault.Plan.t option;
+  buffer : Net.Buffer_mgr.config;
+  on_sim : Sim.t -> unit;
+}
+
+let bare =
+  {
+    tracer = Obs.Trace.null;
+    metrics = None;
+    faults = None;
+    buffer = Net.Buffer_mgr.Static;
+    on_sim = ignore;
+  }
+
+let watch ctx =
+  match ctx.metrics with
+  | None -> ctx.on_sim
   | Some m ->
       (* Simulations already replaced by a later one are folded into the
          totals; the current one is read live, so a snapshot taken
@@ -26,7 +46,8 @@ let engine_probes metrics =
       fun sim ->
         events := !events + live Sim.events_processed;
         high := Int.max !high (live Sim.heap_high_water);
-        current := Some sim
+        current := Some sim;
+        ctx.on_sim sim
 
 let repeat_seed ~base ~stride r = Int64.add base (Int64.of_int (r * stride))
 

@@ -1,10 +1,39 @@
-(** Helpers shared by the concrete workloads.
+(** What every workload's [run] shares: its run context, and helpers.
 
-    Every workload module pairs a plain-record [config] (with a complete
-    default) with a plain-record [result]. Their [run] functions differ
-    in the optional observation, fault and buffer arguments they take,
-    so [Exp.Spec] names each workload by a variant and [Exp.Runner]
-    calls each [run] directly. *)
+    Each workload module pairs a plain-record [config] (with complete
+    defaults) with a [result], and runs through
+    [run : ctx -> Dctcp.Protocol.t -> config -> result]. The context
+    carries everything a run is observed, faulted and buffered with, so
+    [Exp.Runner] builds it once and calls every workload the same way. *)
+
+type ctx = {
+  tracer : Obs.Trace.t;
+      (** Reaches what the workload instruments and every TCP flow. *)
+  metrics : Obs.Metrics.t option;  (** [None] registers nothing. *)
+  faults : Fault.Plan.t option;
+      (** For the bottleneck port ({!Fault.Injector.install}). *)
+  buffer : Net.Buffer_mgr.config;  (** The bottleneck switch's memory. *)
+  on_sim : Engine.Sim.t -> unit;
+      (** Called with every simulator the run creates, before any
+          component is built: the engine self-profiler's hook. It must
+          not schedule events. *)
+}
+
+val bare : ctx
+(** No tracing, no metrics, no faults, a [Static] buffer and no
+    [on_sim]: a run as plain as the workload allows. *)
+
+val watch : ctx -> Engine.Sim.t -> unit
+(** [watch ctx] registers [engine.events_processed] and
+    [engine.heap_high_water] with [ctx.metrics] and returns the function
+    each simulation of the run is handed to once, when it is created: it
+    sums the events over every simulation handed over, keeps the largest
+    high water and calls [ctx.on_sim]. Every workload's [run] but the
+    fat tree's (which registers the event count alone) uses it. *)
+
+val sum_senders : (Tcp.Sender.t -> int) -> Tcp.Flow.t array -> int
+(** [sum_senders counter flows] adds [counter] up over the flows'
+    senders. *)
 
 val require_positive : scenario:string -> what:string -> int -> unit
 (** [require_positive ~scenario ~what n] rejects non-positive scenario
@@ -14,15 +43,6 @@ val require_positive : scenario:string -> what:string -> int -> unit
 val require_non_negative : scenario:string -> what:string -> int -> unit
 (** Like {!require_positive} for values that may be zero.
     @raise Invalid_argument if [n < 0]. *)
-
-val engine_probes : Obs.Metrics.t option -> Engine.Sim.t -> unit
-(** [engine_probes metrics] registers [engine.events_processed] and
-    [engine.heap_high_water] with [metrics] and returns the function
-    each simulation of the run is handed to once, when it is created:
-    the events are summed over every simulation handed over, the high
-    water is the largest. Every workload's [run] but the fat tree's
-    (which registers the event count alone) uses it, so every manifest
-    counts its events. With [None] it registers nothing. *)
 
 val repeat_seed : base:int64 -> stride:int -> int -> int64
 (** Seed for repeat [r] of a multi-repeat workload: [base + r * stride].

@@ -11,6 +11,7 @@ module Outcome = Exp.Outcome
 module Time = Engine.Time
 module Json = Obs.Json
 module Gen = QCheck.Gen
+module D = Workloads.Dumbbell
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -69,13 +70,18 @@ let longlived_gen =
       let trace_sampling =
         if sampled then Some (Time.span_of_us 50.) else None
       in
-      Spec.Longlived
+      Spec.Dumbbell
         {
-          Workloads.Longlived.default_config with
-          n_flows = n;
-          warmup;
-          measure;
-          trace_sampling;
+          (D.default_config
+             (D.Longlived
+                {
+                  D.longlived with
+                  n_flows = n;
+                  warmup;
+                  measure;
+                  trace_sampling;
+                }))
+          with
           seed;
         })
     (Gen.pair
@@ -121,12 +127,17 @@ let completion_gen =
 let dynamic_gen =
   Gen.map
     (fun ((rate, segments, duration), seed) ->
-      Spec.Dynamic
+      Spec.Dumbbell
         {
-          Workloads.Dynamic.default_config with
-          arrival_rate = rate;
-          short_flow_segments = segments;
-          duration;
+          (D.default_config
+             (D.Dynamic
+                {
+                  D.dynamic with
+                  arrival_rate = rate;
+                  short_flow_segments = segments;
+                  duration;
+                }))
+          with
           seed;
         })
     (Gen.pair
@@ -137,13 +148,18 @@ let dynamic_gen =
 let convergence_gen =
   Gen.map
     (fun ((n, join_interval, hold), (band, seed)) ->
-      Spec.Convergence
+      Spec.Dumbbell
         {
-          Workloads.Convergence.default_config with
-          n_flows = n;
-          join_interval;
-          hold;
-          convergence_band = band;
+          (D.default_config
+             (D.Convergence
+                {
+                  D.convergence with
+                  n_flows = n;
+                  join_interval;
+                  hold;
+                  convergence_band = band;
+                }))
+          with
           seed;
         })
     (Gen.pair
@@ -305,12 +321,17 @@ let smoke_longlived ~name ~seed =
     Spec.name;
     protocol = Registry.sim_dt;
     workload =
-      Spec.Longlived
+      Spec.Dumbbell
         {
-          Workloads.Longlived.default_config with
-          n_flows = 2;
-          warmup = Time.span_of_ms 1.;
-          measure = Time.span_of_ms 2.;
+          (D.default_config
+             (D.Longlived
+                {
+                  D.longlived with
+                  n_flows = 2;
+                  warmup = Time.span_of_ms 1.;
+                  measure = Time.span_of_ms 2.;
+                }))
+          with
           seed;
         };
     faults = None;
@@ -425,13 +446,18 @@ let dt_json ~k1 ~k2 =
 
 let test_override_int () =
   let s = smoke_longlived ~name:"override/int" ~seed:5L in
-  let cfg =
+  let cfg, l =
     match s.Spec.workload with
-    | Spec.Longlived c -> c
+    | Spec.Dumbbell ({ D.schedule = D.Longlived l; _ } as c) -> (c, l)
     | _ -> Alcotest.fail "not longlived"
   in
   check_spec "n_flows replaced, nothing else"
-    { s with Spec.workload = Spec.Longlived { cfg with n_flows = 7 } }
+    {
+      s with
+      Spec.workload =
+        Spec.Dumbbell
+          { cfg with D.schedule = D.Longlived { l with n_flows = 7 } };
+    }
     (override_ok s [ ("workload.n_flows", Json.Int 7) ])
 
 let test_override_protocol () =
@@ -740,8 +766,8 @@ let test_failure_isolation () =
       Spec.name = "iso/bad";
       protocol = Registry.sim_dctcp;
       workload =
-        Spec.Longlived
-          { Workloads.Longlived.default_config with n_flows = 0 };
+        Spec.Dumbbell
+          (D.default_config (D.Longlived { D.longlived with n_flows = 0 }));
       faults = None;
       buffer = Net.Buffer_mgr.Static;
     }
@@ -949,6 +975,33 @@ let test_fanin_results_pinned () =
       ( "ci_smoke/completion/dctcp",
         [ ("workload.n_flows", Json.Int 44); ("workload.repeats", Json.Int 2) ],
         {|{"status":"done","kind":"completion","result":{"mean_completion_s":0.20284140950000001,"min_completion_s":0.202779171,"max_completion_s":0.202903648,"p99_completion_s":0.20290240323,"stddev_completion_s":6.2238499999985042e-05,"timeouts_per_run":6.0,"incomplete":0}}|} );
+    ]
+
+(* The dumbbell's three flow schedules: MD5s of the canonical result
+   JSON, recorded before the schedules shared one set-up. *)
+let test_dumbbell_results_pinned () =
+  let digest name sets =
+    let spec =
+      match Registry.select name with
+      | Some [ s ] -> override_ok s sets
+      | _ -> Alcotest.fail ("no registry spec " ^ name)
+    in
+    Digest.to_hex
+      (Digest.string
+         (Json.to_string (Outcome.to_json (Runner.run_one spec).Runner.result)))
+  in
+  List.iter
+    (fun (name, sets, expected) ->
+      Alcotest.(check string) name expected (digest name sets))
+    [
+      ("ci_smoke/dynamic/dctcp", [], "70a01d9c07b229c294aff88c0d7f1590");
+      ("ci_smoke/convergence/dt-dctcp", [], "3fe71af0b48e680f8159302fad5267eb");
+      ( "dtsim.longlived",
+        [
+          ("workload.warmup", Json.Int 5_000_000);
+          ("workload.measure", Json.Int 10_000_000);
+        ],
+        "947cb3aef8005d4da9568bae62cf54ed" );
     ]
 
 let test_static_run_matches_prebuffer_spec () =
@@ -1284,7 +1337,8 @@ let test_claim_sweeps () =
            (List.map
               (fun (s : Spec.t) ->
                 match s.Spec.workload with
-                | Spec.Longlived cfg -> cfg.Workloads.Longlived.n_flows
+                | Spec.Dumbbell { D.schedule = D.Longlived l; _ } ->
+                    l.D.n_flows
                 | _ -> Alcotest.fail "oscillation runs a non-dumbbell spec")
               osc));
       List.iter
@@ -1323,21 +1377,22 @@ let fake_ll ?std ?(failed = false) (spec : Spec.t) x =
     if failed then Outcome.Failed { spec = spec.Spec.name; error = "boom" }
     else
       Outcome.Done
-        (Outcome.Longlived
-           {
-             Workloads.Longlived.mean_queue_pkts = x;
-             std_queue_pkts = Option.value std ~default:(x /. 4.);
-             max_queue_pkts = 2. *. x;
-             mean_alpha = x /. 100.;
-             throughput_bps = 1e10;
-             utilization = 1. -. (x /. 1000.);
-             marked_fraction = x /. 200.;
-             drops = int_of_float x;
-             timeouts = 3 * int_of_float x;
-             fast_retransmits = 0;
-             jain_fairness = 1.;
-             queue_series = None;
-           })
+        (Outcome.Dumbbell
+           (D.Queue
+              {
+                D.mean_queue_pkts = x;
+                std_queue_pkts = Option.value std ~default:(x /. 4.);
+                max_queue_pkts = 2. *. x;
+                mean_alpha = x /. 100.;
+                throughput_bps = 1e10;
+                utilization = 1. -. (x /. 1000.);
+                marked_fraction = x /. 200.;
+                drops = int_of_float x;
+                timeouts = 3 * int_of_float x;
+                fast_retransmits = 0;
+                jain_fairness = 1.;
+                queue_series = None;
+              }))
   in
   {
     Runner.spec;
@@ -1647,8 +1702,8 @@ let test_claim_spec_digests () =
   let ms span = Time.span_to_int_ns span / 1_000_000 in
   let windows (s : Spec.t) =
     match s.Spec.workload with
-    | Spec.Longlived c ->
-        (ms c.Workloads.Longlived.warmup, ms c.Workloads.Longlived.measure)
+    | Spec.Dumbbell { D.schedule = D.Longlived l; _ } ->
+        (ms l.D.warmup, ms l.D.measure)
     | _ -> Alcotest.fail "not a long-lived spec"
   in
   let planned plan =
@@ -1770,6 +1825,8 @@ let suites =
           `Quick test_longlived_sample_periods_positive;
         Alcotest.test_case "fan-in results pinned" `Quick
           test_fanin_results_pinned;
+        Alcotest.test_case "dumbbell schedules' results pinned" `Quick
+          test_dumbbell_results_pinned;
         Alcotest.test_case "every kind counts engine events" `Quick
           test_every_kind_counts_engine_events;
         Alcotest.test_case "Static run = pre-buffer spec run" `Quick

@@ -392,27 +392,32 @@ let test_faulted_sweep_bit_identical () =
    faulted spec must run — and must actually differ from the fault-free
    run of the same seed (the injector is live, not silently dropped). *)
 let test_faults_supported_on_all_workloads () =
+  let module D = Workloads.Dumbbell in
   let cases =
     [
       ( "convergence",
-        Spec.Convergence
-          {
-            Workloads.Convergence.default_config with
-            n_flows = 2;
-            join_interval = Time.span_of_ms 5.;
-            hold = Time.span_of_ms 5.;
-          } );
+        Spec.Dumbbell
+          (D.default_config
+             (D.Convergence
+                {
+                  D.convergence with
+                  n_flows = 2;
+                  join_interval = Time.span_of_ms 5.;
+                  hold = Time.span_of_ms 5.;
+                })) );
       ( "dynamic",
-        Spec.Dynamic
-          {
-            Workloads.Dynamic.default_config with
-            background_flows = 2;
-            short_senders = 4;
-            arrival_rate = 2000.;
-            duration = Time.span_of_ms 5.;
-            warmup = Time.span_of_ms 2.;
-            drain = Time.span_of_ms 5.;
-          } );
+        Spec.Dumbbell
+          (D.default_config
+             (D.Dynamic
+                {
+                  D.dynamic with
+                  background_flows = 2;
+                  short_senders = 4;
+                  arrival_rate = 2000.;
+                  duration = Time.span_of_ms 5.;
+                  warmup = Time.span_of_ms 2.;
+                  drain = Time.span_of_ms 5.;
+                })) );
       ( "deadline",
         Spec.Fanin
           {

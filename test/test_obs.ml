@@ -208,14 +208,26 @@ let test_sampler () =
 
 (* --- observability must not perturb the simulation --- *)
 
+module D = Workloads.Dumbbell
+
 let small_config seed n_flows =
   {
-    Workloads.Longlived.default_config with
-    Workloads.Longlived.n_flows;
-    warmup = Time.span_of_ms 2.;
-    measure = Time.span_of_ms 5.;
-    seed;
+    (D.default_config
+       (D.Longlived
+          {
+            D.longlived with
+            n_flows;
+            warmup = Time.span_of_ms 2.;
+            measure = Time.span_of_ms 5.;
+          }))
+    with
+    D.seed;
   }
+
+let run_longlived ctx proto config =
+  match D.run ctx proto config with
+  | D.Queue r -> r
+  | D.Fct _ | D.Shares _ -> Alcotest.fail "not a Longlived result"
 
 let snapshot_with_observers ~observe proto config =
   let metrics = Obs.Metrics.create () in
@@ -234,12 +246,19 @@ let snapshot_with_observers ~observe proto config =
                Trace.emit jsonl r;
                Trace.emit ring r))
       in
-      let result = Workloads.Longlived.run ~tracer:tr ~metrics proto config in
+      let result =
+        run_longlived
+          { Workloads.Workload.bare with tracer = tr; metrics = Some metrics }
+          proto config
+      in
       close_out oc;
       Sys.remove tmp;
       result
     end
-    else Workloads.Longlived.run ~metrics proto config
+    else
+      run_longlived
+        { Workloads.Workload.bare with metrics = Some metrics }
+        proto config
   in
   (result, Obs.Metrics.snapshot metrics)
 
@@ -255,11 +274,9 @@ let determinism_invariance =
       (* Bit-exact equality: determinism means the observed run IS the
          bare run. *)
       snap_bare = snap_full
-      && bare.Workloads.Longlived.mean_queue_pkts
-         = full.Workloads.Longlived.mean_queue_pkts
-      && bare.Workloads.Longlived.throughput_bps
-         = full.Workloads.Longlived.throughput_bps
-      && bare.Workloads.Longlived.drops = full.Workloads.Longlived.drops)
+      && bare.D.mean_queue_pkts = full.D.mean_queue_pkts
+      && bare.D.throughput_bps = full.D.throughput_bps
+      && bare.D.drops = full.D.drops)
 
 (* --- tee --- *)
 
@@ -838,8 +855,12 @@ let test_selfprof_longlived () =
   let config = small_config 3L 2 in
   let metrics = Obs.Metrics.create () in
   let _r =
-    Workloads.Longlived.run ~metrics
-      ~on_sim:(fun sim -> Obs.Selfprof.attach prof sim)
+    run_longlived
+      {
+        Workloads.Workload.bare with
+        metrics = Some metrics;
+        on_sim = Obs.Selfprof.attach prof;
+      }
       proto config
   in
   let events =
@@ -1029,6 +1050,110 @@ let test_observed_run_end_to_end () =
     (Json.equal (member [ "events_total" ] p) (member [ "events" ] m));
   positive "events_sampled" (member [ "events_sampled" ] p)
 
+(* --- a run context on every workload kind --- *)
+
+let registry_family name =
+  match Exp.Registry.find name with
+  | Some e -> e.Exp.Registry.specs ()
+  | None -> Alcotest.fail ("no registry family " ^ name)
+
+(* The manifest as JSON, its wall-clock fields dropped. *)
+let untimed m =
+  let timing = [ "wall_clock_s"; "events_per_s" ] in
+  match Obs.Manifest.to_json m with
+  | Json.Obj fields ->
+      Json.to_string
+        (Json.Obj (List.filter (fun (k, _) -> not (List.mem k timing)) fields))
+  | j -> Json.to_string j
+
+(* Every workload kind runs under the self-profiler, which sees each of
+   its engine events and changes neither its result nor its manifest. *)
+let test_profile_every_kind () =
+  let specs =
+    registry_family "ci_smoke" @ registry_family "fig_fattree_smoke"
+  in
+  let kinds =
+    List.fold_left
+      (fun acc (s : Exp.Spec.t) ->
+        let kind = Exp.Spec.workload_name s.Exp.Spec.workload in
+        if List.mem_assoc kind acc then acc else acc @ [ (kind, s) ])
+      [] specs
+  in
+  Alcotest.(check (list string))
+    "every kind covered"
+    [
+      "longlived"; "incast"; "completion"; "dynamic"; "convergence";
+      "deadline"; "fattree";
+    ]
+    (List.map fst kinds);
+  List.iter
+    (fun (kind, spec) ->
+      let plain = Exp.Runner.run_one spec in
+      let prof = Obs.Selfprof.create () in
+      let profiled =
+        Exp.Runner.run_one ~on_sim:(Obs.Selfprof.attach prof) spec
+      in
+      let result (o : Exp.Runner.outcome) =
+        Json.to_string (Exp.Outcome.to_json o.Exp.Runner.result)
+      in
+      Alcotest.(check string) (kind ^ ": result") (result plain)
+        (result profiled);
+      Alcotest.(check string)
+        (kind ^ ": manifest")
+        (untimed plain.Exp.Runner.manifest)
+        (untimed profiled.Exp.Runner.manifest);
+      let events =
+        List.assoc "engine.events_processed"
+          profiled.Exp.Runner.manifest.Obs.Manifest.metrics
+      in
+      Alcotest.(check bool) (kind ^ ": events counted") true (events > 0.);
+      Alcotest.(check int)
+        (kind ^ ": profiler total = engine events")
+        (int_of_float events) (Obs.Selfprof.total prof))
+    kinds
+
+(* The dumbbell's Dynamic and Convergence schedules trace and analyze as
+   Longlived does: the online block equals the replay of the trace. *)
+let test_schedules_replay () =
+  List.iter
+    (fun name ->
+      let spec =
+        match Exp.Registry.select name with
+        | Some [ s ] -> s
+        | _ -> Alcotest.fail ("no registry spec " ^ name)
+      in
+      let acfg =
+        match Exp.Runner.analysis_config spec with
+        | Some c -> c
+        | None -> Alcotest.fail (name ^ " has no analysis config")
+      in
+      let file = Filename.temp_file "test_obs" ".jsonl" in
+      let oc = open_out file in
+      let o =
+        Exp.Runner.run_one ~tracer:(An.jsonl_tracer acfg oc) ~analyze:true
+          spec
+      in
+      close_out oc;
+      let online =
+        match o.Exp.Runner.manifest.Obs.Manifest.analysis with
+        | Some j -> j
+        | None -> Alcotest.fail (name ^ ": no online analysis")
+      in
+      let ic = open_in file in
+      let offline =
+        match An.replay ic with
+        | Ok (_, an) -> Json.to_string (An.to_json an)
+        | Error e -> Alcotest.fail e
+      in
+      close_in ic;
+      Sys.remove file;
+      positive (name ^ ": occupancy samples")
+        (member [ "occupancy"; "samples" ] online);
+      Alcotest.(check string)
+        (name ^ ": online = offline")
+        (Json.to_string online) offline)
+    [ "ci_smoke/dynamic/dctcp"; "ci_smoke/convergence/dt-dctcp" ]
+
 (* Replay errors say what is wrong, and where. *)
 let test_replay_errors () =
   let error_of file =
@@ -1102,6 +1227,10 @@ let suites =
           test_observed_run_end_to_end;
         Alcotest.test_case "replay errors name their line" `Quick
           test_replay_errors;
+        Alcotest.test_case "every workload kind profiles unchanged" `Quick
+          test_profile_every_kind;
+        Alcotest.test_case "dynamic and convergence replay" `Quick
+          test_schedules_replay;
       ] );
     ( "obs.selfprof",
       [

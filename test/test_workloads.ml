@@ -3,8 +3,10 @@
    full paper-scale sweeps live in bench/. *)
 
 module Time = Engine.Time
-module L = Workloads.Longlived
+module D = Workloads.Dumbbell
 module F = Workloads.Fanin
+
+let bare = Workloads.Workload.bare
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -12,59 +14,69 @@ let checkf ?(eps = 1e-9) msg = Alcotest.check (Alcotest.float eps) msg
 
 let small_longlived =
   {
-    L.default_config with
-    L.n_flows = 4;
-    bottleneck_rate_bps = 1e9;
+    D.longlived with
+    D.n_flows = 4;
     warmup = Time.span_of_ms 30.;
     measure = Time.span_of_ms 50.;
+  }
+
+let longlived_link =
+  {
+    (D.default_config (D.Longlived small_longlived)) with
+    D.bottleneck_rate_bps = 1e9;
     buffer_bytes = 300 * 1500;
   }
+
+let run_longlived ?(link = longlived_link) proto s =
+  match D.run bare proto { link with D.schedule = D.Longlived s } with
+  | D.Queue r -> r
+  | D.Fct _ | D.Shares _ -> Alcotest.fail "not a Longlived result"
 
 let dctcp_proto = Dctcp.Protocol.dctcp_pkts ~k:40 ()
 let dt_proto = Dctcp.Protocol.dt_dctcp_pkts ~k1:30 ~k2:50 ()
 
 let test_longlived_utilization () =
-  let r = L.run dctcp_proto small_longlived in
+  let r = run_longlived dctcp_proto small_longlived in
   checkb
-    (Printf.sprintf "utilization %.3f > 0.9" r.L.utilization)
-    true (r.L.utilization > 0.9);
-  checkb "no drops on big buffer" true (r.L.drops = 0)
+    (Printf.sprintf "utilization %.3f > 0.9" r.D.utilization)
+    true (r.D.utilization > 0.9);
+  checkb "no drops on big buffer" true (r.D.drops = 0)
 
 let test_longlived_queue_near_threshold () =
-  let r = L.run dctcp_proto small_longlived in
+  let r = run_longlived dctcp_proto small_longlived in
   checkb
-    (Printf.sprintf "mean queue %.1f pkts sane" r.L.mean_queue_pkts)
+    (Printf.sprintf "mean queue %.1f pkts sane" r.D.mean_queue_pkts)
     true
-    (r.L.mean_queue_pkts > 5. && r.L.mean_queue_pkts < 120.);
+    (r.D.mean_queue_pkts > 5. && r.D.mean_queue_pkts < 120.);
   checkb "std smaller than mean scale" true
-    (r.L.std_queue_pkts < 2. *. r.L.mean_queue_pkts);
-  checkb "max at least mean" true (r.L.max_queue_pkts >= r.L.mean_queue_pkts)
+    (r.D.std_queue_pkts < 2. *. r.D.mean_queue_pkts);
+  checkb "max at least mean" true (r.D.max_queue_pkts >= r.D.mean_queue_pkts)
 
 let test_longlived_alpha_and_marks () =
-  let r = L.run dctcp_proto small_longlived in
-  checkb "alpha in (0,1)" true (r.L.mean_alpha > 0. && r.L.mean_alpha < 1.);
-  checkb "marking active" true (r.L.marked_fraction > 0.)
+  let r = run_longlived dctcp_proto small_longlived in
+  checkb "alpha in (0,1)" true (r.D.mean_alpha > 0. && r.D.mean_alpha < 1.);
+  checkb "marking active" true (r.D.marked_fraction > 0.)
 
 let test_longlived_fairness () =
-  let r = L.run dctcp_proto small_longlived in
+  let r = run_longlived dctcp_proto small_longlived in
   checkb
-    (Printf.sprintf "jain %.3f high" r.L.jain_fairness)
-    true (r.L.jain_fairness > 0.8)
+    (Printf.sprintf "jain %.3f high" r.D.jain_fairness)
+    true (r.D.jain_fairness > 0.8)
 
 (* The sampling contract of the queue series: one sample at the warm-up
    instant, then one per period through the end of the window. *)
 let test_longlived_trace () =
   let period = Time.span_of_us 100. in
-  let cfg = { small_longlived with L.trace_sampling = Some period } in
-  let r = L.run dctcp_proto cfg in
-  match r.L.queue_series with
+  let cfg = { small_longlived with D.trace_sampling = Some period } in
+  let r = run_longlived dctcp_proto cfg in
+  match r.D.queue_series with
   | Some series ->
       checki "measure / period + 1 samples"
-        ((Time.span_to_int_ns cfg.L.measure / Time.span_to_int_ns period) + 1)
+        ((Time.span_to_int_ns cfg.D.measure / Time.span_to_int_ns period) + 1)
         (Array.length series);
       let t0, _ = series.(0) in
       checkb "first sample at the warm-up instant" true
-        (Float.equal t0 (Time.to_sec (Time.of_ns cfg.L.warmup)));
+        (Float.equal t0 (Time.to_sec (Time.of_ns cfg.D.warmup)));
       checkb "times strictly increase" true
         (Array.for_all Fun.id
            (Array.init
@@ -73,49 +85,52 @@ let test_longlived_trace () =
   | None -> Alcotest.fail "expected a queue series"
 
 let test_longlived_no_trace_by_default () =
-  let r = L.run dctcp_proto small_longlived in
-  checkb "no series" true (r.L.queue_series = None)
+  let r = run_longlived dctcp_proto small_longlived in
+  checkb "no series" true (r.D.queue_series = None)
 
 let test_longlived_determinism () =
-  let a = L.run dctcp_proto small_longlived in
-  let b = L.run dctcp_proto small_longlived in
-  checkf "same mean queue" a.L.mean_queue_pkts b.L.mean_queue_pkts;
-  checkf "same throughput" a.L.throughput_bps b.L.throughput_bps
+  let a = run_longlived dctcp_proto small_longlived in
+  let b = run_longlived dctcp_proto small_longlived in
+  checkf "same mean queue" a.D.mean_queue_pkts b.D.mean_queue_pkts;
+  checkf "same throughput" a.D.throughput_bps b.D.throughput_bps
 
 let test_longlived_seed_changes_details () =
-  let a = L.run dctcp_proto small_longlived in
-  let b = L.run dctcp_proto { small_longlived with L.seed = 2L } in
+  let a = run_longlived dctcp_proto small_longlived in
+  let b =
+    run_longlived ~link:{ longlived_link with D.seed = 2L } dctcp_proto
+      small_longlived
+  in
   (* different seeds stagger flows differently; exact equality would be
      suspicious *)
   checkb "different runs differ" true
-    (a.L.mean_queue_pkts <> b.L.mean_queue_pkts
-    || a.L.throughput_bps <> b.L.throughput_bps)
+    (a.D.mean_queue_pkts <> b.D.mean_queue_pkts
+    || a.D.throughput_bps <> b.D.throughput_bps)
 
 let test_longlived_dt_reduces_stddev () =
   (* The paper's Figure 11 claim at small scale: same config, DT-DCTCP
      shows no larger queue stddev than DCTCP. *)
-  let cfg = { small_longlived with L.n_flows = 10 } in
-  let rdc = L.run (Dctcp.Protocol.dctcp_pkts ~k:40 ()) cfg in
-  let rdt = L.run (Dctcp.Protocol.dt_dctcp_pkts ~k1:30 ~k2:50 ()) cfg in
+  let cfg = { small_longlived with D.n_flows = 10 } in
+  let rdc = run_longlived (Dctcp.Protocol.dctcp_pkts ~k:40 ()) cfg in
+  let rdt = run_longlived (Dctcp.Protocol.dt_dctcp_pkts ~k1:30 ~k2:50 ()) cfg in
   checkb
-    (Printf.sprintf "std dt %.2f <= std dctcp %.2f * 1.1" rdt.L.std_queue_pkts
-       rdc.L.std_queue_pkts)
+    (Printf.sprintf "std dt %.2f <= std dctcp %.2f * 1.1" rdt.D.std_queue_pkts
+       rdc.D.std_queue_pkts)
     true
-    (rdt.L.std_queue_pkts <= (rdc.L.std_queue_pkts *. 1.1) +. 0.5)
+    (rdt.D.std_queue_pkts <= (rdc.D.std_queue_pkts *. 1.1) +. 0.5)
 
 let test_longlived_reno_fills_buffer () =
   (* Drop-tail Reno should drive a much larger queue than DCTCP. *)
-  let rdc = L.run dctcp_proto small_longlived in
-  let rreno = L.run (Dctcp.Protocol.reno ()) small_longlived in
+  let rdc = run_longlived dctcp_proto small_longlived in
+  let rreno = run_longlived (Dctcp.Protocol.reno ()) small_longlived in
   checkb
-    (Printf.sprintf "reno queue %.0f > dctcp queue %.0f" rreno.L.mean_queue_pkts
-       rdc.L.mean_queue_pkts)
+    (Printf.sprintf "reno queue %.0f > dctcp queue %.0f" rreno.D.mean_queue_pkts
+       rdc.D.mean_queue_pkts)
     true
-    (rreno.L.mean_queue_pkts > rdc.L.mean_queue_pkts)
+    (rreno.D.mean_queue_pkts > rdc.D.mean_queue_pkts)
 
 let test_longlived_validation () =
   checkb "zero flows raises" true
-    (match L.run dctcp_proto { small_longlived with L.n_flows = 0 } with
+    (match run_longlived dctcp_proto { small_longlived with D.n_flows = 0 } with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -124,17 +139,17 @@ let test_longlived_validation () =
 let incast_proto = Dctcp.Protocol.dctcp ~k_bytes:(32 * 1024) ()
 
 let incast cfg =
-  match F.run incast_proto cfg with
+  match F.run bare incast_proto cfg with
   | F.Goodput r -> r
   | F.Completion_time _ | F.Deadlines_met _ -> Alcotest.fail "not an Incast run"
 
 let completion cfg =
-  match F.run incast_proto cfg with
+  match F.run bare incast_proto cfg with
   | F.Completion_time r -> r
   | F.Goodput _ | F.Deadlines_met _ -> Alcotest.fail "not a Completion run"
 
 let deadlines cfg =
-  match F.run incast_proto cfg with
+  match F.run bare incast_proto cfg with
   | F.Deadlines_met r -> r
   | F.Goodput _ | F.Completion_time _ -> Alcotest.fail "not a Deadline run"
 
@@ -248,118 +263,116 @@ let test_deadline_aware_kind_runs () =
 let test_deadline_validation () =
   checkb "zero flows raises" true
     (raises_invalid (fun () ->
-         F.run (Dctcp.Protocol.reno ()) { small_deadline with F.n_flows = 0 }))
+         F.run bare (Dctcp.Protocol.reno ())
+           { small_deadline with F.n_flows = 0 }))
 
 (* --- Dynamic --- *)
 
+let run_dynamic proto s =
+  match D.run bare proto (D.default_config (D.Dynamic s)) with
+  | D.Fct r -> r
+  | D.Queue _ | D.Shares _ -> Alcotest.fail "not a Dynamic result"
+
 let small_dynamic =
   {
-    Workloads.Dynamic.default_config with
-    Workloads.Dynamic.duration = Time.span_of_ms 30.;
+    D.dynamic with
+    D.duration = Time.span_of_ms 30.;
     warmup = Time.span_of_ms 20.;
     drain = Time.span_of_ms 50.;
     arrival_rate = 2000.;
   }
 
 let test_dynamic_completes_short_flows () =
-  let r = Workloads.Dynamic.run dctcp_proto small_dynamic in
-  checkb "short flows arrived" true (r.Workloads.Dynamic.short_flows_started > 20);
-  checki "all completed" r.Workloads.Dynamic.short_flows_started
-    r.Workloads.Dynamic.short_flows_completed;
-  checkb "fct positive" true (r.Workloads.Dynamic.fct_p50_s > 0.);
-  checkb "p99 >= p50" true
-    (r.Workloads.Dynamic.fct_p99_s >= r.Workloads.Dynamic.fct_p50_s);
+  let r = run_dynamic dctcp_proto small_dynamic in
+  checkb "short flows arrived" true (r.D.short_flows_started > 20);
+  checki "all completed" r.D.short_flows_started r.D.short_flows_completed;
+  checkb "fct positive" true (r.D.fct_p50_s > 0.);
+  checkb "p99 >= p50" true (r.D.fct_p99_s >= r.D.fct_p50_s);
   checkb "background kept running" true
-    (r.Workloads.Dynamic.background_throughput_bps > 1e9)
+    (r.D.background_throughput_bps > 1e9)
 
 let test_dynamic_reno_inflates_fct () =
   (* Reno needs ~50 ms of additive increase before its standing queue is
      in place; give the comparison a long warmup. *)
-  let cfg =
-    { small_dynamic with Workloads.Dynamic.warmup = Time.span_of_ms 120. }
-  in
-  let rdc = Workloads.Dynamic.run dctcp_proto cfg in
-  let rreno = Workloads.Dynamic.run (Dctcp.Protocol.reno ()) cfg in
+  let cfg = { small_dynamic with D.warmup = Time.span_of_ms 120. } in
+  let rdc = run_dynamic dctcp_proto cfg in
+  let rreno = run_dynamic (Dctcp.Protocol.reno ()) cfg in
   checkb
     (Printf.sprintf "reno p50 %.0fus > dctcp p50 %.0fus"
-       (rreno.Workloads.Dynamic.fct_p50_s *. 1e6)
-       (rdc.Workloads.Dynamic.fct_p50_s *. 1e6))
+       (rreno.D.fct_p50_s *. 1e6) (rdc.D.fct_p50_s *. 1e6))
     true
-    (rreno.Workloads.Dynamic.fct_p50_s > rdc.Workloads.Dynamic.fct_p50_s);
+    (rreno.D.fct_p50_s > rdc.D.fct_p50_s);
   checkb "reno queue bigger" true
-    (rreno.Workloads.Dynamic.mean_queue_pkts
-    > rdc.Workloads.Dynamic.mean_queue_pkts)
+    (rreno.D.mean_queue_pkts > rdc.D.mean_queue_pkts)
 
 let test_dynamic_determinism () =
-  let a = Workloads.Dynamic.run dctcp_proto small_dynamic in
-  let b = Workloads.Dynamic.run dctcp_proto small_dynamic in
-  checki "same arrivals" a.Workloads.Dynamic.short_flows_started
-    b.Workloads.Dynamic.short_flows_started;
-  checkf "same p99" a.Workloads.Dynamic.fct_p99_s b.Workloads.Dynamic.fct_p99_s
+  let a = run_dynamic dctcp_proto small_dynamic in
+  let b = run_dynamic dctcp_proto small_dynamic in
+  checki "same arrivals" a.D.short_flows_started b.D.short_flows_started;
+  checkf "same p99" a.D.fct_p99_s b.D.fct_p99_s
 
 let test_dynamic_validation () =
   checkb "bad arrival rate raises" true
     (match
-       Workloads.Dynamic.run dctcp_proto
-         { small_dynamic with Workloads.Dynamic.arrival_rate = 0. }
+       run_dynamic dctcp_proto { small_dynamic with D.arrival_rate = 0. }
      with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
 (* --- Convergence --- *)
 
+let run_convergence proto s =
+  match D.run bare proto (D.default_config (D.Convergence s)) with
+  | D.Shares r -> r
+  | D.Queue _ | D.Fct _ -> Alcotest.fail "not a Convergence result"
+
 let small_convergence =
   {
-    Workloads.Convergence.default_config with
-    Workloads.Convergence.n_flows = 3;
+    D.convergence with
+    D.n_flows = 3;
     join_interval = Time.span_of_ms 60.;
     hold = Time.span_of_ms 60.;
     sample_window = Time.span_of_ms 5.;
   }
 
 let test_convergence_shapes () =
-  let r = Workloads.Convergence.run dctcp_proto small_convergence in
-  let module C = Workloads.Convergence in
-  checkb "windows recorded" true (Array.length r.C.shares > 10);
-  checki "per-flow columns" 3 (Array.length r.C.shares.(0));
-  checkf ~eps:1e-9 "window width" 5e-3 r.C.window_s
+  let r = run_convergence dctcp_proto small_convergence in
+  checkb "windows recorded" true (Array.length r.D.shares > 10);
+  checki "per-flow columns" 3 (Array.length r.D.shares.(0));
+  checkf ~eps:1e-9 "window width" 5e-3 r.D.window_s
 
 let test_convergence_fair_and_utilized () =
-  let r = Workloads.Convergence.run dctcp_proto small_convergence in
-  let module C = Workloads.Convergence in
+  let r = run_convergence dctcp_proto small_convergence in
   checkb
-    (Printf.sprintf "jain %.3f" r.C.jain_steady)
-    true (r.C.jain_steady > 0.85);
+    (Printf.sprintf "jain %.3f" r.D.jain_steady)
+    true (r.D.jain_steady > 0.85);
   checkb
-    (Printf.sprintf "utilization %.3f" r.C.utilization_steady)
-    true (r.C.utilization_steady > 0.9)
+    (Printf.sprintf "utilization %.3f" r.D.utilization_steady)
+    true (r.D.utilization_steady > 0.9)
 
 let test_convergence_times_finite () =
-  let r = Workloads.Convergence.run dctcp_proto small_convergence in
-  let module C = Workloads.Convergence in
+  let r = run_convergence dctcp_proto small_convergence in
   Array.iteri
     (fun i t ->
       checkb (Printf.sprintf "flow %d converged" i) true (not (Float.is_nan t));
       checkb "non-negative" true (t >= 0.))
-    r.C.convergence_times_s
+    r.D.convergence_times_s
 
 let test_convergence_staircase () =
   (* While only flow 0 is active it should hold (nearly) the whole link. *)
-  let r = Workloads.Convergence.run dctcp_proto small_convergence in
-  let module C = Workloads.Convergence in
+  let r = run_convergence dctcp_proto small_convergence in
   (* windows 4-10 fall inside flow 0's solo period after slow start *)
-  let solo = r.C.shares.(8).(0) in
+  let solo = r.D.shares.(8).(0) in
   checkb
     (Printf.sprintf "solo share %.0f Mbps" (solo /. 1e6))
     true
     (solo > 0.8e9);
-  checkf "others idle" 0. r.C.shares.(8).(2)
+  checkf "others idle" 0. r.D.shares.(8).(2)
 
 let test_convergence_validation () =
   checkb "zero flows raises" true
     (match
-       Workloads.Convergence.run dctcp_proto
-         { small_convergence with Workloads.Convergence.n_flows = 0 }
+       run_convergence dctcp_proto { small_convergence with D.n_flows = 0 }
      with
     | exception Invalid_argument _ -> true
     | _ -> false)
@@ -380,7 +393,7 @@ let small_fattree =
   }
 
 let test_fattree_completes () =
-  let r = Ft.run dctcp_proto small_fattree in
+  let r = Ft.run bare dctcp_proto small_fattree in
   (* k=4: 8 racks x 4 incast senders + 2 long flows. *)
   checki "flow count" 34 r.Ft.flows_total;
   checki "all complete" 0 r.Ft.incomplete;
@@ -393,23 +406,29 @@ let test_fattree_completes () =
     && r.Ft.slowdown_p999 <= r.Ft.slowdown_max)
 
 let test_fattree_determinism () =
-  let a = Ft.run dt_proto small_fattree in
-  let b = Ft.run dt_proto small_fattree in
+  let a = Ft.run bare dt_proto small_fattree in
+  let b = Ft.run bare dt_proto small_fattree in
   checkb "bit-identical rerun" true (a = b);
-  let c = Ft.run dt_proto { small_fattree with Ft.seed = 2L } in
+  let c = Ft.run bare dt_proto { small_fattree with Ft.seed = 2L } in
   checkb "seed moves the details" true (a <> c)
 
 let test_fattree_validation () =
   checkb "odd k raises" true
-    (match Ft.run dctcp_proto { small_fattree with Ft.k = 5 } with
+    (match Ft.run bare dctcp_proto { small_fattree with Ft.k = 5 } with
     | exception Invalid_argument _ -> true
     | _ -> false);
   checkb "zero fanin raises" true
-    (match Ft.run dctcp_proto { small_fattree with Ft.incast_fanin = 0 } with
+    (match
+       Ft.run bare dctcp_proto { small_fattree with Ft.incast_fanin = 0 }
+     with
     | exception Invalid_argument _ -> true
     | _ -> false);
   checkb "faults rejected" true
-    (match Ft.run ~faults:Fault.Plan.none dctcp_proto small_fattree with
+    (match
+       Ft.run
+         { bare with faults = Some Fault.Plan.none }
+         dctcp_proto small_fattree
+     with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
