@@ -49,7 +49,7 @@ let run_protocol (proto : Dctcp.Protocol.t) =
     (Net.Queue_disc.mean_occupancy_packets bottleneck)
     (Net.Queue_disc.stddev_occupancy_packets bottleneck)
     (throughput /. 1e9)
-    (match Tcp.Flow.alpha flows.(0) with Some a -> a | None -> nan)
+    (match Tcp.Flow.alpha flows.(0) with [| a |] -> a | _ -> nan)
 
 let () =
   print_endline "DT-DCTCP quickstart: 10 flows, 10 Gbps dumbbell, 100 us RTT";

@@ -12,8 +12,9 @@ type reduction_context = {
 
 (* Per-ACK state, kept free of boxes: alpha lives in a one-slot float
    array (a mutable float field of this mixed record would box on every
-   window end) and the last window's duration is an immediate ns count,
-   -1 until a window completes. *)
+   window end), which is also [Tcp.Cc.t.alpha], so sampling it reads the
+   slot; the last window's duration is an immediate ns count, -1 until a
+   window completes. *)
 type state = {
   alpha : float array;
   mutable window_end : int;
@@ -82,8 +83,7 @@ let make ~params ~penalty =
               ~time:(api.Tcp.Cc.now ())
               ~component ~flow:api.Tcp.Cc.flow ~cwnd_before:cwnd
               ~cwnd_after:target ~alpha;
-          api.Tcp.Cc.set_cwnd target;
-          api.Tcp.Cc.set_ssthresh target;
+          Tcp.Cc.set_window api target;
           st.cwr_end <- snd_nxt
         end
       end
@@ -112,7 +112,7 @@ let make ~params ~penalty =
       on_ack;
       on_fast_retransmit = (fun () -> Tcp.Cc.halve_on_loss api);
       on_timeout = (fun () -> Tcp.Cc.collapse_on_timeout api);
-      alpha = (fun () -> Some st.alpha.(0));
+      alpha = st.alpha;
     }
 
 let cc_with_penalty ?(params = default_params) ~penalty () =

@@ -35,5 +35,5 @@ let newreno (api : Tcp.Cc.flow_api) =
       (fun () ->
         Tcp.Cc.collapse_on_timeout api;
         recover := !nxt);
-    alpha = (fun () -> None);
+    alpha = [||];
   }

@@ -13,7 +13,7 @@ type t = {
   on_ack : newly_acked:int -> ece:bool -> snd_una:int -> snd_nxt:int -> unit;
   on_fast_retransmit : unit -> unit;
   on_timeout : unit -> unit;
-  alpha : unit -> float option;
+  alpha : float array;
 }
 
 type factory = flow_api -> t
@@ -27,11 +27,16 @@ let grow api newly_acked =
     else api.set_cwnd (cwnd +. (float_of_int newly_acked /. cwnd))
   end
 
+(* Not inlined, so [w] arrives boxed and both setters take that one
+   box: inlined, a float computed at the call site would be boxed once
+   per setter. *)
+let[@inline never] set_window api w =
+  api.set_cwnd w;
+  api.set_ssthresh w
+
 let halve_on_loss api =
   let half = api.get_cwnd () /. 2. in
-  let target = if half >= 1. then half else 1. in
-  api.set_ssthresh target;
-  api.set_cwnd target
+  set_window api (if half >= 1. then half else 1.)
 
 let collapse_on_timeout api =
   let half = api.get_cwnd () /. 2. in
@@ -45,7 +50,7 @@ let reno api =
       (fun ~newly_acked ~ece:_ ~snd_una:_ ~snd_nxt:_ -> grow api newly_acked);
     on_fast_retransmit = (fun () -> halve_on_loss api);
     on_timeout = (fun () -> collapse_on_timeout api);
-    alpha = (fun () -> None);
+    alpha = [||];
   }
 
 let ecn_reno api =
@@ -67,5 +72,5 @@ let ecn_reno api =
         else grow api newly_acked);
     on_fast_retransmit = (fun () -> halve_on_loss api);
     on_timeout = (fun () -> collapse_on_timeout api);
-    alpha = (fun () -> None);
+    alpha = [||];
   }

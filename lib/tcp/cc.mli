@@ -33,9 +33,11 @@ type t = {
           algorithms delimit RTT epochs. *)
   on_fast_retransmit : unit -> unit;
   on_timeout : unit -> unit;
-  alpha : unit -> float option;
-      (** DCTCP-style congestion-extent estimate, if the algorithm keeps
-          one (for instrumentation; [None] for Reno). *)
+  alpha : float array;
+      (** DCTCP-style congestion-extent estimate, for instrumentation:
+          the algorithm's own one-slot array, so slot 0 always holds the
+          current value, or [[||]] if it keeps none (Reno). Read it;
+          never write it. Sampling it allocates nothing. *)
 }
 
 type factory = flow_api -> t
@@ -48,6 +50,11 @@ val grow : flow_api -> int -> unit
 (** [grow api newly_acked]: slow start below [ssthresh] (+1 per
     segment acked), congestion avoidance above it (+1/cwnd per segment
     acked); nothing on a duplicate ACK ([newly_acked = 0]). *)
+
+val set_window : flow_api -> float -> unit
+(** [set_window api w] sets [cwnd] and [ssthresh] both to [w]. A window
+    decision that feeds both setters goes through here, so its value is
+    boxed once, not once per setter. *)
 
 val halve_on_loss : flow_api -> unit
 (** [ssthresh] and [cwnd] both to half the window, at least 1. *)

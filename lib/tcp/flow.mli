@@ -28,7 +28,9 @@ val start_at : t -> Engine.Time.t -> unit
 (** Schedules {!start} at an absolute instant. *)
 
 val sender : t -> Sender.t
-val alpha : t -> float option
+val alpha : t -> float array
+(** {!Sender.alpha} of the flow's sender. *)
+
 val completed : t -> bool
 
 val completion_time : t -> Engine.Time.t option

@@ -49,10 +49,13 @@ type t = {
   component : string;  (* trace records' component, built once *)
   config : config;
   mutable cc : Cc.t;
-  (* cwnd (slot 0) and ssthresh (slot 1) live in a flat float array: as
-     mutable float fields of this mixed record every window update would
-     box, and the ACK path updates cwnd constantly. *)
-  w : float array;
+  (* In segments. Both arrive boxed through [Cc.flow_api]'s [set_*]
+     closures and leave boxed through its [get_*] closures, so they are
+     stored boxed: a field holds the box [set_*] received (the clamps
+     below return their argument), and a getter hands that box back
+     without allocating. A flat float slot would box on every read. *)
+  mutable cwnd : float;
+  mutable ssthresh : float;
   mutable snd_una : int;
   mutable snd_nxt : int;
   limit : int option;
@@ -81,7 +84,7 @@ let dummy_cc =
     on_ack = (fun ~newly_acked:_ ~ece:_ ~snd_una:_ ~snd_nxt:_ -> ());
     on_fast_retransmit = (fun () -> ());
     on_timeout = (fun () -> ());
-    alpha = (fun () -> None);
+    alpha = [||];
   }
 
 (* The window clamps, written as comparisons: [Float.min] and
@@ -109,7 +112,7 @@ let emit t event =
       event;
     }
 
-let[@inline] effective_window t = Int.max 1 (int_of_float t.w.(0))
+let[@inline] effective_window t = Int.max 1 (int_of_float t.cwnd)
 
 let[@inline] outstanding t = t.snd_nxt - t.snd_una
 
@@ -334,9 +337,8 @@ let create sim ~host ~peer ~flow ~cc ?(tracer = Obs.Trace.null)
       component = "flow" ^ Int.to_string flow;
       config;
       cc = dummy_cc;
-      w =
-        [| clamp_cwnd config config.initial_cwnd;
-           config.initial_ssthresh |];
+      cwnd = clamp_cwnd config config.initial_cwnd;
+      ssthresh = config.initial_ssthresh;
       snd_una = 0;
       snd_nxt = 0;
       limit = limit_segments;
@@ -369,10 +371,10 @@ let create sim ~host ~peer ~flow ~cc ?(tracer = Obs.Trace.null)
       Cc.now = (fun () -> Sim.now sim);
       flow;
       tracer;
-      get_cwnd = (fun () -> t.w.(0));
-      set_cwnd = (fun c -> t.w.(0) <- clamp_cwnd config c);
-      get_ssthresh = (fun () -> t.w.(1));
-      set_ssthresh = (fun s -> t.w.(1) <- at_least_one s);
+      get_cwnd = (fun () -> t.cwnd);
+      set_cwnd = (fun c -> t.cwnd <- clamp_cwnd config c);
+      get_ssthresh = (fun () -> t.ssthresh);
+      set_ssthresh = (fun s -> t.ssthresh <- at_least_one s);
     }
   in
   t.cc <- cc api;
@@ -394,8 +396,8 @@ let start t =
     pump t
   end
 
-let cwnd t = t.w.(0)
-let alpha t = t.cc.Cc.alpha ()
+let cwnd t = t.cwnd
+let alpha t = t.cc.Cc.alpha
 let completion_time t = t.completed_at
 let retransmissions t = t.retransmissions
 let timeouts t = t.timeouts

@@ -61,8 +61,9 @@ val start : t -> unit
 (** {2 Introspection} *)
 
 val cwnd : t -> float (* dtlint: test-only: slow-start tests *)
-val alpha : t -> float option
-(** The congestion-control algorithm's congestion estimate, if any. *)
+val alpha : t -> float array
+(** The congestion-control algorithm's congestion estimate: its
+    {!Cc.t.alpha} slot, live ([[||]] if it keeps none). *)
 
 val completed : t -> bool
 val completion_time : t -> Engine.Time.t option

@@ -273,12 +273,10 @@ let run_longlived { sim; net; flow } c (s : longlived) : queue =
            series;
          Obs.Sampler.start sim ~period:s.alpha_sample_period ~stop_at:t_stop
            (fun _now ->
-             Array.iter
-               (fun f ->
-                 match Tcp.Flow.alpha f with
-                 | Some a -> Stats.Descriptive.add alpha_stats a
-                 | None -> ())
-               flows)));
+             for i = 0 to Array.length flows - 1 do
+               let a = Tcp.Flow.alpha flows.(i) in
+               if Array.length a > 0 then Stats.Descriptive.add alpha_stats a.(0)
+             done)));
   Sim.run ~until:t_stop sim;
   let throughput_bps =
     float_of_int (Net.Port.bytes_sent bottleneck * 8)

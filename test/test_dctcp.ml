@@ -281,9 +281,9 @@ let mk_cc ?(g = 1. /. 16.) ?(init_alpha = 0.) api =
   (Dctcp.Dctcp_cc.cc ~params:{ Dctcp.Dctcp_cc.g; init_alpha } ()) api
 
 let alpha_of cc =
-  match cc.Tcp.Cc.alpha () with
-  | Some a -> a
-  | None -> Alcotest.fail "dctcp must expose alpha"
+  match cc.Tcp.Cc.alpha with
+  | [| a |] -> a
+  | _ -> Alcotest.fail "dctcp must expose alpha"
 
 (* Feed [windows] windows of [size] acks each, marking a fraction. *)
 let feed cc ~windows ~size ~marked_fraction =
@@ -667,7 +667,7 @@ let test_newreno_ignores_ece () =
   let f, api = fake_api () in
   let cc = mk_newreno api in
   Alcotest.(check string) "name" "newreno" cc.Tcp.Cc.name;
-  checkb "no alpha" true (cc.Tcp.Cc.alpha () = None);
+  checkb "no alpha" true (cc.Tcp.Cc.alpha = [||]);
   (* Slow start, every ACK carrying ECE: a loss-based sender must keep
      growing as if the marks were not there. *)
   cc.Tcp.Cc.on_ack ~newly_acked:2 ~ece:true ~snd_una:2 ~snd_nxt:12;
@@ -715,6 +715,59 @@ let test_newreno_growth () =
   f.ssthresh <- 10.;
   cc.Tcp.Cc.on_ack ~newly_acked:13 ~ece:false ~snd_una:16 ~snd_nxt:29;
   checkf "linear growth" 14. f.cwnd
+
+(* --- The steady-state ACK path's allocation --- *)
+
+(* Minor words per delivered segment between 50 ms and 250 ms of an
+   N-flow dumbbell (10 Gbps, 100 us RTT), by then past slow start. The
+   engine, net and traced packet paths allocate nothing, so this is the
+   sender's ACK path: one box per growing ACK (the argument of
+   [set_cwnd]) and one per window cut, about 1.4 words a segment. The
+   window getters allocated 2 words a call before the window was stored
+   boxed, and each cut boxed its target once per setter: 4.2 words. *)
+let ack_path_words (proto : Dctcp.Protocol.t) ~n =
+  let sim = Engine.Sim.create ~seed:7L () in
+  let net =
+    Net.Topology.dumbbell sim ~n_senders:n ~bottleneck_rate_bps:10e9
+      ~rtt:(Engine.Time.span_of_us 100.) ~buffer_bytes:(1000 * 1500)
+      ~marking:(proto.Dctcp.Protocol.marking ())
+      ()
+  in
+  let flows =
+    Array.mapi
+      (fun i src ->
+        Tcp.Flow.create sim ~src ~dst:net.Net.Topology.receiver ~flow:i
+          ~cc:proto.Dctcp.Protocol.cc ~echo:proto.Dctcp.Protocol.echo ())
+      net.Net.Topology.senders
+  in
+  Array.iteri
+    (fun i f ->
+      Tcp.Flow.start_at f (Engine.Time.of_us (float_of_int i *. 10.)))
+    flows;
+  let delivered () =
+    Array.fold_left (fun acc f -> acc + Tcp.Flow.segments_delivered f) 0 flows
+  in
+  Engine.Sim.run ~until:(Engine.Time.of_ms 50.) sim;
+  let segs = delivered () in
+  let before = Gc.minor_words () in
+  Engine.Sim.run ~until:(Engine.Time.of_ms 250.) sim;
+  let words = Gc.minor_words () -. before in
+  words /. float_of_int (delivered () - segs)
+
+let test_ack_path_budget () =
+  List.iter
+    (fun (proto, n) ->
+      let w = ack_path_words proto ~n in
+      checkb
+        (Printf.sprintf "%s N=%d: %.2f words per segment <= 1.6"
+           proto.Dctcp.Protocol.name n w)
+        true (w <= 1.6))
+    [
+      (Dctcp.Protocol.dctcp_pkts ~k:40 (), 10);
+      (Dctcp.Protocol.dctcp_pkts ~k:40 (), 100);
+      (Dctcp.Protocol.dt_dctcp_pkts ~k1:30 ~k2:50 (), 10);
+      (Dctcp.Protocol.dt_dctcp_pkts ~k1:30 ~k2:50 (), 100);
+    ]
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -782,6 +835,8 @@ let suites =
         Alcotest.test_case "loss behaviour" `Quick test_loss_behaviour;
         Alcotest.test_case "validation" `Quick test_cc_validation;
         Alcotest.test_case "paper defaults" `Quick test_default_params;
+        Alcotest.test_case "ACK path words per segment" `Quick
+          test_ack_path_budget;
       ] );
     ( "dctcp.d2tcp",
       [

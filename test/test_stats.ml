@@ -91,6 +91,54 @@ let prop_desc_matches_naive =
       Float.abs (D.mean d -. mean) < 1e-6 *. (1. +. Float.abs mean)
       && Float.abs ((D.stddev d ** 2.) -. var) < 1e-5 *. (1. +. var))
 
+(* Welford's update written out here, as the reference the accumulator
+   must match bit for bit: same operations, same order. *)
+let reference_welford l =
+  let n = ref 0 and mean = ref 0. and m2 = ref 0. in
+  let lo = ref infinity and hi = ref neg_infinity in
+  List.iter
+    (fun x ->
+      incr n;
+      let delta = x -. !mean in
+      mean := !mean +. (delta /. float_of_int !n);
+      m2 := !m2 +. (delta *. (x -. !mean));
+      if x < !lo then lo := x;
+      if x > !hi then hi := x)
+    l;
+  let var = if !n < 2 then 0. else !m2 /. float_of_int !n in
+  (!mean, sqrt var, !lo, !hi)
+
+let prop_desc_bit_equal_reference =
+  QCheck.Test.make ~count:300
+    ~name:"mean, stddev, min, max bit-equal to a reference Welford"
+    QCheck.(list_of_size Gen.(int_range 1 50) (float_range (-1e3) 1e3))
+    (fun l ->
+      let d = D.of_array (Array.of_list l) in
+      let mean, sd, lo, hi = reference_welford l in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      same (D.mean d) mean && same (D.stddev d) sd && same (D.min d) lo
+      && same (D.max d) hi)
+
+(* The accumulators sit in a flat float block, so adding a sample stores
+   no box: 0 words, whether or not [add] is inlined here (the samples
+   are boxed already, in a list). *)
+let test_desc_add_allocates_nothing () =
+  let xs = List.init 100 (fun i -> sin (float_of_int i)) in
+  let d = D.create () in
+  let rec feed = function
+    | [] -> ()
+    | x :: rest ->
+        D.add d x;
+        feed rest
+  in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    feed xs
+  done;
+  let words = Gc.minor_words () -. before in
+  checkf "words for 10k adds" 0. words;
+  checkb "all counted" true (D.max d > 0.99 && D.min d < -0.99)
+
 (* --- Percentile --- *)
 
 let test_percentile_known () =
@@ -361,6 +409,9 @@ let suites =
         Alcotest.test_case "known values" `Quick test_desc_known;
         Alcotest.test_case "single value" `Quick test_desc_single;
         qtest prop_desc_matches_naive;
+        qtest prop_desc_bit_equal_reference;
+        Alcotest.test_case "add allocates nothing" `Quick
+          test_desc_add_allocates_nothing;
       ] );
     ( "stats.percentile",
       [

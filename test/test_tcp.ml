@@ -150,7 +150,7 @@ let test_reno_timeout () =
   cc.Tcp.Cc.on_timeout ();
   checkf "collapsed" 1. f.cwnd;
   checkf "ssthresh half" 8. f.ssthresh;
-  checkb "no alpha" true (cc.Tcp.Cc.alpha () = None)
+  checkb "no alpha" true (cc.Tcp.Cc.alpha = [||])
 
 let test_ecn_reno_halves_once_per_window () =
   let f, api = fake_api () in
@@ -643,6 +643,46 @@ let test_window_clamps_exact () =
         specials)
     specials
 
+(* The window exchange across [Cc.flow_api], on the closures a sender
+   builds. The sender stores the window boxed, as the closures pass it,
+   so reading it allocates nothing (a flat float slot boxed 2 words per
+   read). Each window decision boxes its new value once, 2 words, even
+   when it feeds both setters. *)
+let test_window_exchange_words () =
+  let sim = Sim.create () in
+  let host = Net.Host.create sim ~id:0 in
+  let api = ref None in
+  let cc a =
+    api := Some a;
+    Tcp.Cc.reno a
+  in
+  ignore (Tcp.Sender.create sim ~host ~peer:1 ~flow:0 ~cc ());
+  let a = Option.get !api in
+  let n = 10_000 in
+  let acc = [| 0. |] in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    acc.(0) <- acc.(0) +. a.Tcp.Cc.get_cwnd () +. a.Tcp.Cc.get_ssthresh ()
+  done;
+  let words = Gc.minor_words () -. before in
+  checkb "window read" true (acc.(0) > 0.);
+  checkf "words for 10k get_cwnd + get_ssthresh" 0. words;
+  let per_call name f =
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      (* A constant is a static box: restoring the window is free. *)
+      a.Tcp.Cc.set_cwnd 1e6;
+      f a
+    done;
+    let w = (Gc.minor_words () -. before) /. float_of_int n in
+    checkb (Printf.sprintf "%s: %.2f words per call <= 2" name w) true (w <= 2.)
+  in
+  per_call "grow" (fun a -> Tcp.Cc.grow a 1);
+  per_call "halve_on_loss" Tcp.Cc.halve_on_loss;
+  per_call "collapse_on_timeout" Tcp.Cc.collapse_on_timeout;
+  checkf "collapsed" 1. (a.Tcp.Cc.get_cwnd ());
+  checkf "ssthresh half the window" 5e5 (a.Tcp.Cc.get_ssthresh ())
+
 (* A flow builds only what it reads: a non-SACK sender has no SACK
    scoreboard or retransmit set, the receiver creates its out-of-order
    table at the first out-of-order segment, and trace component names
@@ -661,22 +701,23 @@ let flow_creation_words cc =
   done;
   (Gc.minor_words () -. before) /. float_of_int n
 
-(* 197 words for Reno (299 with the tables built up front and a Printf
-   name); one smallest table back (22 words) or a Printf-formatted name
-   (about 40) crosses the budget. *)
+(* 195 words for Reno (197 with the window in a float array, 299 with
+   the tables built up front and a Printf name); one smallest table back
+   (22 words) or a Printf-formatted name (about 40) crosses the
+   budget. *)
 let test_flow_creation_words () =
   let per_flow = flow_creation_words Tcp.Cc.reno in
   checkb
-    (Printf.sprintf "%.1f words per non-SACK Reno flow <= 210" per_flow)
-    true (per_flow <= 210.)
+    (Printf.sprintf "%.1f words per non-SACK Reno flow <= 208" per_flow)
+    true (per_flow <= 208.)
 
 (* DCTCP adds its per-flow state and names its cut events' component:
-   224 words (362 before). *)
+   213 words (219 with an alpha closure, 362 before). *)
 let test_dctcp_flow_creation_words () =
   let per_flow = flow_creation_words (Dctcp.Dctcp_cc.cc ()) in
   checkb
-    (Printf.sprintf "%.1f words per non-SACK DCTCP flow <= 235" per_flow)
-    true (per_flow <= 235.)
+    (Printf.sprintf "%.1f words per non-SACK DCTCP flow <= 224" per_flow)
+    true (per_flow <= 224.)
 
 let suites =
   [
@@ -742,6 +783,8 @@ let suites =
         Alcotest.test_case "validation" `Quick test_sender_validation;
         Alcotest.test_case "window clamps match Float.min/max bit for bit"
           `Quick test_window_clamps_exact;
+        Alcotest.test_case "window exchange words" `Quick
+          test_window_exchange_words;
         Alcotest.test_case "flow creation words" `Quick
           test_flow_creation_words;
         Alcotest.test_case "DCTCP flow creation words" `Quick

@@ -63,6 +63,33 @@ let test_longlived_fairness () =
     (Printf.sprintf "jain %.3f high" r.D.jain_fairness)
     true (r.D.jain_fairness > 0.8)
 
+(* Sampling alpha reads each DCTCP flow's own alpha slot into a flat
+   accumulator: no option, no boxed float. The same run sampled every
+   1 ms and every 100 ms differs only in the number of samples
+   (51 against 1 per flow), so the extra words per extra sample are the
+   sampler's whole cost: about 9 words if alpha came back as a
+   [float option] and the accumulator stored into mutable float
+   fields. *)
+let test_longlived_alpha_sampling_words () =
+  let words period =
+    let cfg = { small_longlived with D.alpha_sample_period = period } in
+    let before = Gc.minor_words () in
+    let r = run_longlived dctcp_proto cfg in
+    let w = Gc.minor_words () -. before in
+    let ticks =
+      (Time.span_to_int_ns cfg.D.measure / Time.span_to_int_ns period) + 1
+    in
+    (w, ticks * cfg.D.n_flows, r)
+  in
+  let w_fine, n_fine, r_fine = words (Time.span_of_ms 1.) in
+  let w_coarse, n_coarse, r_coarse = words (Time.span_of_ms 100.) in
+  checkb "same queue either way" true
+    (Float.equal r_fine.D.mean_queue_pkts r_coarse.D.mean_queue_pkts);
+  let per_sample = (w_fine -. w_coarse) /. float_of_int (n_fine - n_coarse) in
+  checkb
+    (Printf.sprintf "%.2f words per alpha sample < 1" per_sample)
+    true (per_sample < 1.)
+
 (* The sampling contract of the queue series: one sample at the warm-up
    instant, then one per period through the end of the window. *)
 let test_longlived_trace () =
@@ -440,6 +467,8 @@ let suites =
         Alcotest.test_case "queue near threshold" `Quick
           test_longlived_queue_near_threshold;
         Alcotest.test_case "alpha and marks" `Quick test_longlived_alpha_and_marks;
+        Alcotest.test_case "alpha sampling words" `Quick
+          test_longlived_alpha_sampling_words;
         Alcotest.test_case "fairness" `Quick test_longlived_fairness;
         Alcotest.test_case "queue trace" `Quick test_longlived_trace;
         Alcotest.test_case "no trace by default" `Quick
