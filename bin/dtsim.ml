@@ -1,13 +1,14 @@
 (* dtsim: command-line driver for the DT-DCTCP reproduction.
 
-   Every simulation runs through `dtsim sweep`: it selects Exp.Spec
-   values (a registry family, one registry spec by name, or a spec
-   file), applies `--set PATH=JSON` overrides, and hands them to
-   Exp.Runner, so a CLI run is the same artifact as a bench point: one
-   spec, one manifest, reproducible from either. The defaults family
-   holds one spec per workload (`--name dtsim.longlived`, ...). The
-   stability/fluid subcommands are closed-form analysis and bypass the
-   experiment layer; `analyze` replays a trace offline. *)
+   `dtsim sweep` runs Exp.Spec values (a registry family, one registry
+   spec by name, or a spec file) with `--set PATH=JSON` overrides through
+   Exp.Runner: one spec, one manifest. The defaults family holds one spec
+   per workload (`--name dtsim.longlived`, ...). `dtsim claim` evaluates
+   the paper's evaluation, the Exp.Claim declarations over the same
+   registry specs, and writes each claim's BENCH_<name>.json; `dtsim
+   model` prints the closed-form sections (Model). The stability/fluid
+   subcommands are closed-form analysis at one operating point;
+   `analyze` replays a trace offline. *)
 
 open Cmdliner
 module Spec = Exp.Spec
@@ -57,6 +58,28 @@ let g_arg =
     & info [ "g" ] ~docv:"G" ~doc:"DCTCP EWMA gain.")
 
 let segment_bytes = 1500
+
+let jobs_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:"Fan runs across N domains (results stay in spec order).")
+
+let check_jobs jobs = if jobs < 1 then fail "-j %d: need at least one job" jobs
+
+(* Names picked from a known list, kept in the list's order; [] picks
+   all. *)
+let select ~what known name_of names =
+  let names_known = List.map name_of known in
+  List.iter
+    (fun n ->
+      if not (List.mem n names_known) then
+        fail "unknown %s %S; known: %s" what n (String.concat ", " names_known))
+    names;
+  List.filter (fun x -> names = [] || List.mem (name_of x) names) known
+
+let names_arg ~docv doc =
+  Arg.(value & pos_all string [] & info [] ~docv ~doc)
 
 (* --- stability --- *)
 
@@ -405,7 +428,7 @@ let sweep_cmd =
         (Exp.Registry.all ());
       exit 0
     end;
-    if jobs < 1 then fail "-j %d: need at least one job" jobs;
+    check_jobs jobs;
     let specs = apply_sets sets (select_specs entry spec_file) in
     if specs = [] then fail "empty spec list";
     let run_specs =
@@ -465,12 +488,6 @@ let sweep_cmd =
              protocol={\"kind\":\"dt-dctcp\",...} object. Repeatable; the \
              path must already exist in the spec.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Fan runs across N domains (results stay in spec order).")
-  in
   let out_dir =
     string_opt [ "out-dir" ] ~docv:"DIR"
       "Write per-run manifest and result JSON files under DIR."
@@ -514,10 +531,87 @@ let sweep_cmd =
     (Cmd.info "sweep"
        ~doc:
          "Run registry or file-defined specs through Exp.Runner, optionally \
-          across domains; the only simulation path")
+          across domains")
     Term.(
-      const run $ entry $ spec_file $ sets $ jobs $ out_dir $ verify
+      const run $ entry $ spec_file $ sets $ jobs_arg $ out_dir $ verify
       $ list_entries $ trace_out $ trace_events $ analysis_out $ profile_out)
+
+(* --- claim: the paper's evaluation, one Exp.Claim declaration at a time --- *)
+
+let claim_cmd =
+  let run names quick jobs =
+    check_jobs jobs;
+    let claims =
+      select ~what:"claim" Exp.Claim.all (fun (c : Exp.Claim.t) -> c.name) names
+    in
+    Printf.printf
+      "DT-DCTCP reproduction harness (%s mode)\n\
+       Paper: Ease the Queue Oscillation: Analysis and Enhancement of DCTCP \
+       (ICDCS 2013)\n"
+      (if quick then "quick" else "full");
+    let hold (c : Exp.Claim.t) =
+      Model.section_header c.title;
+      let r = Exp.Claim.evaluate ~jobs ~quick c in
+      Stats.Table.print r.table;
+      print_string (c.epilogue r);
+      List.iter
+        (fun v -> Printf.printf "  %s\n" (Exp.Claim.verdict_to_string v))
+        r.verdicts;
+      let file = Printf.sprintf "BENCH_%s.json" c.name in
+      let oc = open_out_or_fail file in
+      Obs.Manifest.write oc r.manifest;
+      close_out oc;
+      Printf.printf "[manifest %s]\n\n[%s done in %.1fs]\n%!" file c.name
+        r.manifest.wall_clock_s;
+      List.for_all
+        (fun (v : Exp.Claim.verdict) ->
+          match v.status with Holds -> true | Fails | Invalid -> false)
+        r.verdicts
+    in
+    let held, wall_s =
+      Obs.Profile.time (fun () ->
+          List.fold_left (fun ok c -> hold c && ok) true claims)
+    in
+    Printf.printf "\nTotal: %.1fs\n" wall_s;
+    if not held then begin
+      prerr_endline "dtsim: a claim has a failing or invalid point";
+      exit 1
+    end
+  in
+  let quick =
+    Arg.(
+      value & flag
+      & info [ "quick" ]
+          ~doc:"Run Exp.Claim.quick of every spec: shorter runs, same shape.")
+  in
+  Cmd.v
+    (Cmd.info "claim"
+       ~doc:
+         "Evaluate the paper's claims (all, or the named ones, in \
+          declaration order): each prints its table, epilogue and verdicts \
+          and writes BENCH_<name>.json; exits 1 on a failing or invalid \
+          point")
+    Term.(
+      const run
+      $ names_arg ~docv:"CLAIM" "Claims to evaluate (default: all)."
+      $ quick $ jobs_arg)
+
+(* --- model: the closed-form sections --- *)
+
+let model_cmd =
+  let run names =
+    List.iter
+      (fun (_, section) -> section ())
+      (select ~what:"model section" Model.sections fst names)
+  in
+  Cmd.v
+    (Cmd.info "model"
+       ~doc:
+         "Print the closed-form sections (fig2 fig_df fig9 df_vs_fluid): \
+          marking strategies, describing functions, Nyquist analysis")
+    Term.(
+      const run
+      $ names_arg ~docv:"SECTION" "Sections to print (default: all).")
 
 (* --- analyze: offline replay of a JSONL trace through the exact
    streaming analyzers a live run uses --- *)
@@ -619,7 +713,15 @@ let () =
   in
   let info = Cmd.info "dtsim" ~version:"1.0.0" ~doc in
   let cmd =
-    Cmd.group info [ sweep_cmd; stability_cmd; fluid_cmd; analyze_cmd ]
+    Cmd.group info
+      [
+        sweep_cmd;
+        claim_cmd;
+        model_cmd;
+        stability_cmd;
+        fluid_cmd;
+        analyze_cmd;
+      ]
   in
   (* A command line cmdliner rejects is a usage error: exit 2, after
      cmdliner's own `dtsim:` message. *)

@@ -4,9 +4,10 @@
     and validity rules a run must pass before its numbers count. A gated
     claim adds one relation DT-DCTCP's value of a gated metric must bear
     to DCTCP's at every point of the sweep; a gate-less one tabulates and
-    records. One evaluator serves every claim, and it is the only way the
-    figure harness runs a simulation outside its perf section; its
-    manifest is the claim's [BENCH_<name>.json].
+    records. One evaluator serves every claim, and [dtsim claim] runs
+    every simulation of the evaluation through it; its manifest is the
+    claim's [BENCH_<name>.json], and the claim's epilogue renders what its
+    table cannot show.
 
     Registry spec names read [<family>/<protocol>[/<point>[/...]]]. The
     protocol slug and the point ({!label}) label each run and key each
@@ -35,6 +36,23 @@ type gate = {
           [metric] of [dctcp]. *)
 }
 
+type status = Holds | Fails | Invalid
+
+type verdict = {
+  claim : string;
+  point : string;  (** [-] for a run with no point. *)
+  status : status;
+  detail : string;
+      (** The compared values, or why the point cannot be scored. *)
+}
+
+type run = {
+  protocol : string;
+  point : string;
+  outcome : Runner.outcome;
+  values : (string * float) list;  (** Each metric's value, where it exists. *)
+}
+
 type t = {
   name : string;  (** Also the [BENCH_<name>.json] section. *)
   title : string;
@@ -54,9 +72,27 @@ type t = {
       (** Runs carry the streaming analysis block ({!Runner.run}
           [~analyze]), which metrics that read it need. The analyzer
           costs about a fifth of a long-lived run's CPU. *)
+  serial : bool;
+      (** {!evaluate} runs the specs one at a time whatever [~jobs] asks,
+          for a claim that records wall-clock rates. *)
+  epilogue : report -> string;
+      (** Text printed under the claim's table: what is not a per-run
+          value (a normalization, a ratio between protocols, an onset, a
+          plot), read from the report by label, and fixed notes. [""]
+          for none. *)
 }
 
-val quick : Spec.t -> Spec.t
+and report = {
+  declared : t;
+  runs : run list;  (** In the declaration's spec order. *)
+  table : Stats.Table.t;  (** One row per run, one column per metric. *)
+  verdicts : verdict list;
+  manifest : Obs.Manifest.t;
+      (** Named [bench.<name>]; the seed is the first run's seed,
+          [events] the runs' sum, [metrics] every recorded value. *)
+}
+
+val quick : Spec.t -> Spec.t (* dtlint: test-only: the rule's edges *)
 (** The one [--quick] rule, by workload, so the harness stays
     interactive:
     - long-lived: [warmup] and [measure] are halved, unless the fault
@@ -72,10 +108,6 @@ val quick : Spec.t -> Spec.t
     Halving is integer nanoseconds. Names, seeds and everything else are
     unchanged. *)
 
-val series : Runner.outcome -> float array option
-(** A long-lived run's bottleneck queue samples in packets, when it
-    sampled them. *)
-
 val label : Spec.t -> string * string (* dtlint: test-only: declaration checks *)
 (** [(protocol, point)] of a spec, the point [""] when the name has none.
     A point with one parameter drops its [=] ([n=10] reads [n10]); one
@@ -84,66 +116,34 @@ val label : Spec.t -> string * string (* dtlint: test-only: declaration checks *
 
 (** {2 Declarations} *)
 
-val oscillation : t
-(** Gated: streaming-analyzer amplitude, DT-DCTCP [Lt] DCTCP at
-    N = 10, 30, 60. *)
-
-val buffer : t
-(** Gated: trimmed amplitude, [Le], on a shared Dynamic-Threshold pool. *)
-
-val fattree : t
-(** Gated: p99 FCT slowdown, [Le], on the k = 4 and 8 fat trees. *)
-
-val fig1 : t
-(** Figure 1's queue statistics at N = 10 and 100. *)
-
-val sweep : t
-(** Figures 10-12: mean queue, its deviation, alpha and utilization over
-    N = 10, 15, ..., 100. *)
-
-val fig14 : t
-(** Figure 14: Incast goodput and timeouts over the fan-in. *)
-
-val fig15 : t
-(** Figure 15: scatter-gather completion time over the fan-in. *)
-
-val ablation_thresholds : t
-val ablation_g : t
-val ablation_policies : t
-val ablation_testbed_labels : t
-
-val fluid : t
-(** The fluid model's mean queue, computed from each spec, beside the
-    packet simulation's at N = 10, 30, 60, 100. *)
-
-val spectrum : t
-(** The describing function's limit-cycle frequency, computed from each
-    spec ([-] where it predicts a stable equilibrium), beside the
-    simulated queue's dominant frequency. *)
-
-val d2tcp : t
-val sack : t
-val queue_buildup : t
-val convergence : t
-
-val robustness : t
-(** Loss, flap, brownout and mark suppression; every recorded value must
-    be finite. *)
-
-val all : t list (* dtlint: test-only: declaration checks *)
-(** Every declaration. *)
+val all : t list
+(** Every declaration, in the order [dtsim claim] runs them:
+    - [fig1]: Figure 1's queue statistics at N = 10 and 100;
+    - [sweep]: Figures 10-12, mean queue, its deviation, alpha and
+      utilization over N = 10, 15, ..., 100;
+    - [fig14], [fig15]: Incast goodput and timeouts, and scatter-gather
+      completion time, over the fan-in;
+    - [ablation_thresholds], [ablation_g], [ablation_policies],
+      [ablation_testbed_labels]: the design-choice ablations;
+    - [fluid]: the fluid model's mean queue, computed from each spec,
+      beside the packet simulation's at N = 10, 30, 60, 100;
+    - [spectrum]: the describing function's limit-cycle frequency ([-]
+      where it predicts a stable equilibrium) beside the simulated
+      queue's dominant frequency;
+    - [d2tcp], [sack], [queue_buildup], [convergence]: the extension
+      studies;
+    - [robustness]: loss, flap, brownout and mark suppression; every
+      recorded value must be finite;
+    - [oscillation] (gated): streaming-analyzer amplitude, DT-DCTCP [Lt]
+      DCTCP at N = 10, 30, 60;
+    - [buffer] (gated): trimmed amplitude, [Le], on a shared
+      Dynamic-Threshold pool;
+    - [fattree] (gated): p99 FCT slowdown, [Le], on the k = 4 and 8 fat
+      trees;
+    - [perf] (serial): events/s of the [perf_dumbbell] family, the
+      baseline behind [BENCH_perf.json]. *)
 
 (** {2 Evaluation} *)
-
-type status = Holds | Fails | Invalid
-
-type verdict = {
-  claim : string;
-  point : string;  (** [-] for a run with no point. *)
-  status : status;
-  detail : string;
-      (** The compared values, or why the point cannot be scored. *)
-}
 
 val verdict_to_string : verdict -> string
 (** ["<claim> <point>: holds|fails|invalid (...)"]. *)
@@ -154,23 +154,6 @@ val judge : t -> Runner.outcome array -> verdict list (* dtlint: test-only: synt
     invalid run of a gate-less claim; a single [Invalid] verdict when
     there are no runs. *)
 
-type run = {
-  protocol : string;
-  point : string;
-  outcome : Runner.outcome;
-  values : (string * float) list;  (** Each metric's value, where it exists. *)
-}
-
-type report = {
-  declared : t;
-  runs : run list;  (** In the declaration's spec order. *)
-  table : Stats.Table.t;  (** One row per run, one column per metric. *)
-  verdicts : verdict list;
-  manifest : Obs.Manifest.t;
-      (** Named [bench.<name>]; the seed is the first run's seed,
-          [events] the runs' sum, [metrics] every recorded value. *)
-}
-
 val report : t -> quick:bool -> Runner.outcome array -> report (* dtlint: test-only: synthetic outcomes *)
 (** Labels, tabulates, records and judges outcomes of [t.specs ()]
     ({!quick} of each when [quick]), in whatever order they come;
@@ -178,11 +161,11 @@ val report : t -> quick:bool -> Runner.outcome array -> report (* dtlint: test-o
 
 val evaluate : ?jobs:int -> quick:bool -> t -> report
 (** Runs [t.specs ()] ({!quick} of each when [quick]) through
-    {!Runner.run} [~analyze:t.analyze] and reports on the outcomes. *)
+    {!Runner.run} [~analyze:t.analyze] ([~jobs:1] when [t.serial]) and
+    reports on the outcomes. *)
 
-val find : report -> protocol:string -> point:string -> run option
-
-val value : report -> string -> protocol:string -> point:string -> float option
-(** [value r key ~protocol ~point]: the run's value of metric [key];
-    [None] when there is no such run or it has no such value.
+val value : report -> string -> protocol:string -> point:string -> float option (* dtlint: test-only: epilogues read runs by label *)
+(** [value r key ~protocol ~point]: the run's value of metric [key], as
+    the epilogues read it; [None] when there is no such run or it has no
+    such value.
     @raise Invalid_argument when [key] names no metric of the claim. *)

@@ -48,6 +48,9 @@ val fattree_ks : int list
 (** The [fig_fattree] family's arities: k = 4 (16 hosts) and k = 8
     (128 hosts, 1040 flows). *)
 
+val perf_dumbbell_ns : int list
+(** N = 4, 32, 128, 512: the [perf_dumbbell] family. *)
+
 (** {2 Lookup} *)
 
 type entry = {

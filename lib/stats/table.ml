@@ -18,9 +18,8 @@ let add_row t row =
   t.rows <- row :: t.rows
 
 let fmt_f digits v = Printf.sprintf "%.*f" digits v
-let print ?(oc = stdout) t =
+let to_string t =
   let rows = List.rev t.rows in
-  let ncols = Array.length t.columns in
   let widths = Array.map (fun c -> String.length c.header) t.columns in
   List.iter
     (fun row ->
@@ -39,21 +38,17 @@ let print ?(oc = stdout) t =
   let total_width =
     Array.fold_left (fun acc w -> acc + w + 2) 0 widths - 2
   in
-  Printf.fprintf oc "\n== %s ==\n" t.title;
-  for i = 0 to ncols - 1 do
-    if i > 0 then output_string oc "  ";
-    output_string oc (pad t.columns.(i).align widths.(i) t.columns.(i).header)
-  done;
-  output_char oc '\n';
-  output_string oc (String.make (Int.max total_width 1) '-');
-  output_char oc '\n';
-  List.iter
-    (fun row ->
-      List.iteri
-        (fun i cell ->
-          if i > 0 then output_string oc "  ";
-          output_string oc (pad t.columns.(i).align widths.(i) cell))
-        row;
-      output_char oc '\n')
-    rows;
+  let line cells =
+    String.concat "  "
+      (List.mapi (fun i cell -> pad t.columns.(i).align widths.(i) cell) cells)
+    ^ "\n"
+  in
+  String.concat ""
+    (Printf.sprintf "\n== %s ==\n" t.title
+    :: line (Array.to_list (Array.map (fun c -> c.header) t.columns))
+    :: (String.make (Int.max total_width 1) '-' ^ "\n")
+    :: List.map line rows)
+
+let print ?(oc = stdout) t =
+  output_string oc (to_string t);
   flush oc

@@ -105,8 +105,8 @@ let rec walk path acc =
       if Filename.check_suffix path ".cmt" then path :: acc else acc
 
 (* Keyed by source path, not module name: every executable's modules are
-   [Dune__exe__*], so bench/main.ml, lint/main.ml and perfbench/main.ml
-   all compile to [Dune__exe__Main]. *)
+   [Dune__exe__*], so lint/main.ml and perfbench/main.ml both compile to
+   [Dune__exe__Main]. *)
 let load_tree ~roots =
   let files =
     List.fold_left (fun acc r -> walk r acc) [] roots

@@ -12,8 +12,8 @@
     call-graph identifiers line up with {!Callgraph.normalize}d use-site
     paths no matter which spelling the source used. Executable modules
     are all mangled into one [Dune__exe] namespace, so theirs is
-    qualified by the source directory instead: [bench/main.ml] is
-    [bench.Main], [perfbench/main.ml] is [perfbench.Main]. *)
+    qualified by the source directory instead: [lint/main.ml] is
+    [lint.Main], [perfbench/main.ml] is [perfbench.Main]. *)
 
 type interface = {
   mli : string;  (** source path, e.g. ["lib/engine/time.mli"] *)
@@ -36,8 +36,8 @@ val canonical_of_modname : string -> string
 
 val qualify : unit_info -> string -> string
 (** A canonical use-site name in the scope of one unit: inside an
-    executable's module, a sibling reference [Dune.exe.Bench_common.x]
-    becomes [bench.Bench_common.x], matching the sibling's canonical
+    executable's module, a sibling reference [Dune.exe.Model.x] in
+    [bin/dtsim.ml] becomes [bin.Model.x], matching the sibling's canonical
     name; anything else is returned unchanged. *)
 
 val load_file : string -> unit_info option

@@ -9,13 +9,13 @@
      _build/default when it exists, else "."). `dune build @lint` wires
      this up with the right deps. *)
 
-let default_paths = [ "lib"; "bin"; "bench"; "examples"; "lint"; "test" ]
+let default_paths = [ "lib"; "bin"; "examples"; "lint"; "test" ]
 
 let usage () =
   print_string
     ("usage: dtlint [OPTIONS] [PATH...]\n\n\
       Simulator-aware static analysis for the DT-DCTCP codebase. Lints\n\
-      every .ml under the given files/directories (default: lib bin bench\n\
+      every .ml under the given files/directories (default: lib bin\n\
       examples lint test) and exits 1 if any rule is violated, 2 on usage\n\
       or parse errors.\n\n\
       Options:\n\

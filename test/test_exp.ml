@@ -1103,14 +1103,10 @@ let test_manifest_no_analysis () =
 
 module Claim = Exp.Claim
 
-(* A declaration's spec list as the evaluator runs it, and the perf
-   section's, in full or quick mode. *)
+(* A declaration's spec list as the evaluator runs it, in full or quick
+   mode. *)
 let claim_specs (c : Claim.t) ~quick =
   let specs = c.Claim.specs () in
-  if quick then List.map Claim.quick specs else specs
-
-let perf_specs ~quick =
-  let specs = Option.value (Registry.select "perf_dumbbell") ~default:[] in
   if quick then List.map Claim.quick specs else specs
 
 let claim name =
@@ -1367,12 +1363,14 @@ let test_claim_sweeps () =
       "oscillation";
       "buffer";
       "fattree";
+      "perf";
     ]
     (List.map (fun (c : Claim.t) -> c.Claim.name) Claim.all)
 
 (* A long-lived run that never ran, its values set from [x] (and its
-   queue deviation overridden by [std]), or a failed one. *)
-let fake_ll ?std ?(failed = false) (spec : Spec.t) x =
+   queue deviation overridden by [std], its queue series set to
+   [series]), or a failed one. *)
+let fake_ll ?std ?series ?(failed = false) (spec : Spec.t) x =
   let result =
     if failed then Outcome.Failed { spec = spec.Spec.name; error = "boom" }
     else
@@ -1391,7 +1389,7 @@ let fake_ll ?std ?(failed = false) (spec : Spec.t) x =
                 timeouts = 3 * int_of_float x;
                 fast_retransmits = 0;
                 jain_fairness = 1.;
-                queue_series = None;
+                queue_series = series;
               }))
   in
   {
@@ -1402,24 +1400,16 @@ let fake_ll ?std ?(failed = false) (spec : Spec.t) x =
         ~wall_clock_s:0. ~events:7 ~metrics:[] ();
   }
 
-let table_text (t : Stats.Table.t) =
-  let file = Filename.temp_file "claim" ".txt" in
-  let oc = open_out file in
-  Stats.Table.print ~oc t;
-  close_out oc;
-  let ic = open_in file in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove file;
-  text
-
+(* The verdicts, the printed table and epilogue, and the recorded
+   metrics. *)
 let report_view (r : Claim.report) =
   ( List.map Claim.verdict_to_string r.Claim.verdicts,
-    table_text r.Claim.table,
+    Stats.Table.to_string r.Claim.table ^ r.Claim.declared.Claim.epilogue r,
     r.Claim.manifest.Obs.Manifest.metrics )
 
 (* Runs are read by label, never by position: any order of the same
-   outcomes gives the same verdicts, table and recorded metrics. *)
+   outcomes gives the same verdicts, table, epilogue and recorded
+   metrics. *)
 let test_claim_shuffle () =
   let halves keep l =
     List.filteri (fun i _ -> keep i) l
@@ -1433,7 +1423,7 @@ let test_claim_shuffle () =
       (fun perm ->
         let v, t, m = view (perm outcomes) in
         Alcotest.(check (list string)) (msg ^ ": verdicts") bv v;
-        Alcotest.(check string) (msg ^ ": table") bt t;
+        Alcotest.(check string) (msg ^ ": table and epilogue") bt t;
         Alcotest.(check (list (pair string (float 0.))))
           (msg ^ ": metrics") bm m)
       [
@@ -1465,6 +1455,22 @@ let test_claim_shuffle () =
         (Some (30. +. float_of_int i))
         (Claim.value r "mean_queue" ~protocol ~point))
     specs;
+  (* ... and prints what it read: each protocol's N=10 mean normalizes to
+     itself, and the ratio and alpha gap at N=10 exist. *)
+  let n10_row =
+    String.split_on_char '\n' (sweep.Claim.epilogue r)
+    |> List.map (fun l ->
+           List.filter (( <> ) "") (String.split_on_char ' ' l))
+    |> List.find_opt (function "10" :: _ -> true | _ -> false)
+  in
+  (match n10_row with
+  | Some [ _; dctcp; dt; std_ratio; alpha_gap ] ->
+      Alcotest.(check (pair string string))
+        "sweep epilogue: N=10 normalized" ("1.00", "1.00") (dctcp, dt);
+      Alcotest.(check bool)
+        "sweep epilogue: N=10 ratio and gap printed" false
+        (String.equal std_ratio "-" || String.equal alpha_gap "-")
+  | _ -> Alcotest.fail "sweep epilogue: no N=10 row");
   Alcotest.check_raises "unknown metric"
     (Invalid_argument "Exp.Claim.value: sweep has no metric nope") (fun () ->
       ignore (Claim.value r "nope" ~protocol:"dctcp" ~point:"n10"))
@@ -1515,7 +1521,7 @@ let test_claim_labels () =
     [ false; true ];
   let reno =
     {
-      (List.hd (claim_specs Claim.ablation_policies ~quick:false)) with
+      (List.hd (claim_specs (claim "ablation_policies") ~quick:false)) with
       Spec.name = "ablation_policies/reno";
     }
   in
@@ -1528,19 +1534,58 @@ let test_claim_labels () =
       (fun (s : Spec.t) ->
         if String.equal s.Spec.name name then Some (snd (Claim.label s))
         else None)
-      (claim_specs Claim.ablation_thresholds ~quick:false)
+      (claim_specs (claim "ablation_thresholds") ~quick:false)
   in
   Alcotest.(check (option string))
     "several parameters keep their '='" (Some "k1=35,k2=45")
     (point "ablation_thresholds/dt-dctcp/k1=35,k2=45");
   Alcotest.(check (pair string string))
     "one parameter drops its '='" ("dctcp", "n10")
-    (Claim.label (List.hd (claim_specs Claim.oscillation ~quick:false)))
+    (Claim.label (List.hd (claim_specs (claim "oscillation") ~quick:false)))
+
+(* Each declaration's epilogue renders a report with no runs, and one
+   with a synthetic run per point: a long-lived queue with a sampled
+   series, or a convergence run's shares. A metric an epilogue reads but
+   its claim does not declare raises here. *)
+let test_claim_epilogues () =
+  let names = List.map (fun (c : Claim.t) -> c.Claim.name) Claim.all in
+  Alcotest.(check int) "names unique" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  let series =
+    Array.init 400 (fun i -> (float_of_int i *. 1e-5, float_of_int (i mod 40)))
+  in
+  let synthetic i (s : Spec.t) =
+    match s.Spec.workload with
+    | Spec.Dumbbell { D.schedule = D.Convergence _; _ } ->
+        {
+          (fake_ll s 0.) with
+          Runner.result =
+            Outcome.Done
+              (Outcome.Dumbbell
+                 (D.Shares
+                    {
+                      D.shares = Array.make 4 [| 5e8; 3e8; 2e8 |];
+                      window_s = 0.1;
+                      convergence_times_s = [| 0.01; Float.nan; 0.03 |];
+                      jain_steady = 0.99;
+                      utilization_steady = 0.98;
+                    }));
+        }
+    | _ -> fake_ll ~series s (float_of_int (i + 1))
+  in
+  List.iter
+    (fun (c : Claim.t) ->
+      let render outcomes =
+        c.Claim.epilogue (Claim.report c ~quick:true (Array.of_list outcomes))
+      in
+      ignore (render []);
+      ignore (render (List.mapi synthetic (claim_specs c ~quick:true))))
+    Claim.all
 
 (* The robustness claim covers every fault kind at both protocols, records
    its metrics for every run, and scores a non-finite value invalid. *)
 let test_claim_robustness () =
-  let c = Claim.robustness in
+  let c = claim "robustness" in
   let kinds =
     [
       ("loss", "p0.01", fun (p : Fault.Plan.t) -> p.Fault.Plan.loss_rate > 0.);
@@ -1686,7 +1731,6 @@ let test_claim_spec_digests () =
       (fun (c : Claim.t) ->
         (c.Claim.name, claim_specs c ~quick:false, claim_specs c ~quick:true))
       Claim.all
-    @ [ ("perf", perf_specs ~quick:false, perf_specs ~quick:true) ]
   in
   Alcotest.(check (list (triple string string string)))
     "full and quick digests" pinned_spec_digests
@@ -1858,6 +1902,8 @@ let suites =
           `Quick test_claim_labels;
         Alcotest.test_case "robustness: every fault kind, finite values"
           `Quick test_claim_robustness;
+        Alcotest.test_case "every declaration's epilogue renders" `Quick
+          test_claim_epilogues;
         Alcotest.test_case "the quick rule: spec lists pinned, its edges"
           `Quick test_claim_spec_digests;
       ] );

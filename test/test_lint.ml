@@ -86,8 +86,8 @@ let test_r4_print_in_lib () =
        "let f () = print_endline \"hi\"\nlet g x = Printf.printf \"%d\" x\n")
 
 let test_r4_print_outside_lib_ok () =
-  check_findings "bench may print" []
-    (findings ~file:"bench/main.ml" "let f () = print_endline \"hi\"\n")
+  check_findings "bin may print" []
+    (findings ~file:"bin/model.ml" "let f () = print_endline \"hi\"\n")
 
 (* --- R5: missing .mli --- *)
 

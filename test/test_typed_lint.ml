@@ -504,8 +504,9 @@ let y = let module Q = Probe in Q.b
 (* --- same-named executables in two directories -------------------------- *)
 
 (* Every executable module is mangled into dune's one [Dune__exe]
-   namespace, so bench/main.ml and perfbench/main.ml both compile to
-   [Dune__exe__Main]. Each carries its own R12 violation (a ref behind a
+   namespace, so lint/main.ml and perfbench/main.ml both compile to
+   [Dune__exe__Main]; the fixture's bench/main.ml stands for any second
+   directory. Each carries its own R12 violation (a ref behind a
    Domain.spawn); both must be reported, so neither unit may shadow the
    other on load or in the call graph. *)
 let test_same_named_executables () =
