@@ -22,6 +22,10 @@ let fail fmt =
       exit 2)
     fmt
 
+(* The closed-form libraries (Control, Fluid) reject bad parameters with
+   [Invalid_argument]; from the command line that is a usage error. *)
+let params_checked f = try f () with Invalid_argument msg -> fail "%s" msg
+
 let open_out_or_fail file = try open_out file with Sys_error e -> fail "%s" e
 
 let write_json_and_close oc j =
@@ -85,6 +89,7 @@ let names_arg ~docv doc =
 
 let stability_cmd =
   let run n rate_gbps rtt_us g k k1 k2 critical locus_csv =
+    params_checked @@ fun () ->
     let c = rate_gbps *. 1e9 /. (float_of_int segment_bytes *. 8.) in
     let r0 = rtt_us *. 1e-6 in
     let kf = float_of_int k in
@@ -108,11 +113,11 @@ let stability_cmd =
     end
     else begin
       let params = Control.Plant.params ~c ~n ~r0 ~g in
+      let vdc = Control.Stability.dctcp params ~k:kf in
+      let vdt = Control.Stability.dt_dctcp params ~k1:k1f ~k2:k2f in
       Printf.printf "operating point: W0 = %.2f pkts, alpha0 = %.3f\n"
         (Control.Plant.w0 params)
         (Control.Plant.alpha0 params);
-      let vdc = Control.Stability.dctcp params ~k:kf in
-      let vdt = Control.Stability.dt_dctcp params ~k1:k1f ~k2:k2f in
       Format.printf "DCTCP    (K=%d):        %a, gain margin %.3f@." k
         Control.Stability.pp_verdict vdc
         (Control.Stability.dctcp_margin params ~k:kf);
@@ -162,6 +167,7 @@ let stability_cmd =
 
 let fluid_cmd =
   let run n rate_gbps rtt_us g k k1 k2 dt_proto t_end_ms csv =
+    params_checked @@ fun () ->
     let c = rate_gbps *. 1e9 /. (float_of_int segment_bytes *. 8.) in
     let marking =
       if dt_proto then
@@ -172,7 +178,7 @@ let fluid_cmd =
       Fluid.Dctcp_fluid.make ~n ~c ~r0:(rtt_us *. 1e-6) ~g ~marking ()
     in
     let traj =
-      Fluid.Dctcp_fluid.simulate params ~t_end:(t_end_ms *. 1e-3) ()
+      Fluid.Dctcp_fluid.simulate params ~t_end:(t_end_ms *. 1e-3)
     in
     let discard = t_end_ms *. 1e-3 /. 3. in
     let mean, std = Fluid.Dctcp_fluid.queue_stats traj ~discard in
@@ -552,7 +558,7 @@ let claim_cmd =
     let hold (c : Exp.Claim.t) =
       Model.section_header c.title;
       let r = Exp.Claim.evaluate ~jobs ~quick c in
-      Stats.Table.print r.table;
+      Model.print_table r.table;
       print_string (c.epilogue r);
       List.iter
         (fun v -> Printf.printf "  %s\n" (Exp.Claim.verdict_to_string v))

@@ -13,6 +13,10 @@ module Fm = Fluid.Dctcp_fluid
 let section_header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
+let print_table t =
+  print_string (Stats.Table.to_string t);
+  flush stdout
+
 (* Figure 2: drive both policies over one synthetic queue swing and show
    where each marks. *)
 let fig2 () =
@@ -105,7 +109,7 @@ let fig_df () =
       in
       row "hysteresis (DT, Eq.27)" closed numeric x)
     [ 55.; 70.; 100.; 200. ];
-  Stats.Table.print t;
+  print_table t;
   Printf.printf
     "\nThe hysteresis DF has a positive imaginary part (phase lead), which\n\
      is what pushes -1/N0_dt away from the plant locus in Figure 9.\n"
@@ -144,7 +148,7 @@ let fig9 () =
           Format.asprintf "%a / %a" St.pp_verdict vdc St.pp_verdict vdt;
         ])
     [ 10; 20; 30; 40; 50; 60; 70; 80; 100; 150; 200 ];
-  Stats.Table.print t;
+  print_table t;
   Printf.printf
     "\nWith the paper's stated parameters the printed G(jw) never reaches\n\
      the DF loci (see EXPERIMENTS.md): both systems are margin-stable, but\n\
@@ -184,7 +188,7 @@ let fig9 () =
       Format.asprintf "%a" St.pp_verdict
         (St.dt_dctcp ~grids p100 ~k1:30. ~k2:50.);
     ];
-  Stats.Table.print t2;
+  print_table t2;
   Printf.printf
     "\nPaper: loci intersect at N=60 (DCTCP) vs N=70 (DT-DCTCP). Here the\n\
      same ordering appears (DCTCP first), with the gap direction and the\n\
@@ -220,7 +224,7 @@ let df_vs_fluid () =
         ~init_w:(r0 *. c /. float_of_int n)
         ~init_alpha:0.3 ~init_q:20. ()
     in
-    let traj = Fm.simulate p ~t_end:1.0 () in
+    let traj = Fm.simulate p ~t_end:1.0 in
     Fluid.Limit_cycle.of_queue traj ~discard:0.5
   in
   List.iter
@@ -250,7 +254,7 @@ let df_vs_fluid () =
         (Control.Stability.dt_dctcp ~grids params ~k1:30. ~k2:50.)
         (fluid_cycle (Fm.Double (30., 50.)) n))
     [ 60; 100; 150 ];
-  Stats.Table.print t;
+  print_table t;
   Printf.printf
     "\nThe DF is a first-harmonic approximation of a saw-like waveform, so\n\
      factor-<2 agreement is the expected accuracy; the ordering it predicts\n\

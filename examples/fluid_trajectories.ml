@@ -2,7 +2,8 @@
    (Eqs. 1-3) for both marking mechanisms and render the queue paths.
 
    Run with: dune exec examples/fluid_trajectories.exe
-   Also writes fluid_dctcp.csv / fluid_dt.csv in the current directory. *)
+   Also writes fluid_dctcp.csv / fluid_dt.csv in the current directory
+   (the build directory, _build/default/examples, under dune runtest). *)
 
 module Fm = Fluid.Dctcp_fluid
 
@@ -10,7 +11,7 @@ let simulate name marking csv_file =
   let params =
     Fm.make ~n:20 ~c:(10e9 /. 12000.) ~r0:1e-4 ~g:(1. /. 16.) ~marking ()
   in
-  let traj = Fm.simulate params ~t_end:0.05 () in
+  let traj = Fm.simulate params ~t_end:0.05 in
   let mean, std = Fm.queue_stats traj ~discard:0.02 in
   Printf.printf "%-22s queue mean %.1f pkts, stddev %.2f, swing %.1f\n" name
     mean std

@@ -22,12 +22,12 @@ let run_protocol (proto : Dctcp.Protocol.t) =
   in
 
   (* One long-lived flow per sender, all using the protocol's congestion
-     control and receiver echo policy. *)
+     control. *)
   let flows =
     Array.mapi
       (fun i src ->
         Tcp.Flow.create sim ~src ~dst:net.Net.Topology.receiver ~flow:i
-          ~cc:proto.Dctcp.Protocol.cc ~echo:proto.Dctcp.Protocol.echo ())
+          ~cc:proto.Dctcp.Protocol.cc ())
       net.Net.Topology.senders
   in
   Array.iteri

@@ -108,8 +108,7 @@ let make ~params ~penalty =
       end
     in
     {
-      Tcp.Cc.name = "dctcp";
-      on_ack;
+      Tcp.Cc.on_ack;
       on_fast_retransmit = (fun () -> Tcp.Cc.halve_on_loss api);
       on_timeout = (fun () -> Tcp.Cc.collapse_on_timeout api);
       alpha = st.alpha;

@@ -1,7 +1,6 @@
-let bytes_of_packets ?(packet_bytes = 1500) k =
-  if k < 0 || packet_bytes <= 0 then
-    invalid_arg "Marking_policies.bytes_of_packets";
-  k * packet_bytes
+let bytes_of_packets k =
+  if k < 0 then invalid_arg "Marking_policies.bytes_of_packets";
+  k * 1500
 
 type flip_callback = marking:bool -> occ_bytes:int -> unit
 

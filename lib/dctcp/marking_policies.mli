@@ -26,8 +26,8 @@
     All thresholds are in bytes; use {!bytes_of_packets} for the paper's
     packet-denominated parameters. *)
 
-val bytes_of_packets : ?packet_bytes:int -> int -> int
-(** [bytes_of_packets k] is [k * packet_bytes] (default 1500 B). *)
+val bytes_of_packets : int -> int
+(** [bytes_of_packets k] is [k] full-size 1500 B packets. *)
 
 val single_threshold : k_bytes:int -> Net.Marking.t
 (** Marks an arriving packet iff the occupancy including it is strictly

@@ -2,42 +2,38 @@ type t = {
   name : string;
   cc : Tcp.Cc.factory;
   marking : ?on_flip:Marking_policies.flip_callback -> unit -> Net.Marking.t;
-  echo : Tcp.Receiver.echo_policy;
 }
 
-let dctcp_params ?g ?init_alpha () =
+let dctcp_cc ?g () =
   let d = Dctcp_cc.default_params in
-  {
-    Dctcp_cc.g = Option.value g ~default:d.Dctcp_cc.g;
-    init_alpha = Option.value init_alpha ~default:d.Dctcp_cc.init_alpha;
-  }
+  Dctcp_cc.cc
+    ~params:{ d with Dctcp_cc.g = Option.value g ~default:d.Dctcp_cc.g }
+    ()
 
-let dctcp ?g ?init_alpha ~k_bytes () =
+let dctcp ?g ~k_bytes () =
   {
     name = "DCTCP";
-    cc = Dctcp_cc.cc ~params:(dctcp_params ?g ?init_alpha ()) ();
+    cc = dctcp_cc ?g ();
     marking =
       (fun ?on_flip:_ () -> Marking_policies.single_threshold ~k_bytes);
-    echo = Tcp.Receiver.Per_packet;
   }
 
-let dt_dctcp ?g ?init_alpha ~k1_bytes ~k2_bytes () =
+let dt_dctcp ?g ~k1_bytes ~k2_bytes () =
   {
     name = "DT-DCTCP";
-    cc = Dctcp_cc.cc ~params:(dctcp_params ?g ?init_alpha ()) ();
+    cc = dctcp_cc ?g ();
     marking =
       (fun ?on_flip () ->
         Marking_policies.double_threshold ?on_flip ~k1_bytes ~k2_bytes ());
-    echo = Tcp.Receiver.Per_packet;
   }
 
-let dctcp_pkts ?g ?packet_bytes ~k () =
-  dctcp ?g ~k_bytes:(Marking_policies.bytes_of_packets ?packet_bytes k) ()
+let dctcp_pkts ?g ~k () =
+  dctcp ?g ~k_bytes:(Marking_policies.bytes_of_packets k) ()
 
-let dt_dctcp_pkts ?g ?packet_bytes ~k1 ~k2 () =
+let dt_dctcp_pkts ?g ~k1 ~k2 () =
   dt_dctcp ?g
-    ~k1_bytes:(Marking_policies.bytes_of_packets ?packet_bytes k1)
-    ~k2_bytes:(Marking_policies.bytes_of_packets ?packet_bytes k2)
+    ~k1_bytes:(Marking_policies.bytes_of_packets k1)
+    ~k2_bytes:(Marking_policies.bytes_of_packets k2)
     ()
 
 let reno () =
@@ -45,7 +41,6 @@ let reno () =
     name = "Reno";
     cc = Tcp.Cc.reno;
     marking = (fun ?on_flip:_ () -> Net.Marking.none ());
-    echo = Tcp.Receiver.Per_packet;
   }
 
 let ecn_reno ~k_bytes =
@@ -54,7 +49,6 @@ let ecn_reno ~k_bytes =
     cc = Tcp.Cc.ecn_reno;
     marking =
       (fun ?on_flip:_ () -> Marking_policies.single_threshold ~k_bytes);
-    echo = Tcp.Receiver.Per_packet;
   }
 
 let newreno () =
@@ -62,24 +56,21 @@ let newreno () =
     name = "NewReno";
     cc = Reno_cc.newreno;
     marking = (fun ?on_flip:_ () -> Net.Marking.none ());
-    echo = Tcp.Receiver.Per_packet;
   }
 
-let dctcp_scaled ?g ?init_alpha ~k_frac () =
+let dctcp_scaled ?g ~k_frac () =
   {
     name = "DCTCP";
-    cc = Dctcp_cc.cc ~params:(dctcp_params ?g ?init_alpha ()) ();
+    cc = dctcp_cc ?g ();
     marking =
       (fun ?on_flip:_ () -> Marking_policies.single_threshold_scaled ~k_frac);
-    echo = Tcp.Receiver.Per_packet;
   }
 
-let dt_dctcp_scaled ?g ?init_alpha ~k1_frac ~k2_frac () =
+let dt_dctcp_scaled ?g ~k1_frac ~k2_frac () =
   {
     name = "DT-DCTCP";
-    cc = Dctcp_cc.cc ~params:(dctcp_params ?g ?init_alpha ()) ();
+    cc = dctcp_cc ?g ();
     marking =
       (fun ?on_flip () ->
         Marking_policies.double_threshold_scaled ?on_flip ~k1_frac ~k2_frac ());
-    echo = Tcp.Receiver.Per_packet;
   }

@@ -1,7 +1,7 @@
 (** Protocol bundles: everything a scenario needs to deploy one of the
-    compared transports — a congestion-control factory for the senders, a
-    fresh marking policy for the bottleneck switch, and the receiver echo
-    policy. *)
+    compared transports — a congestion-control factory for the senders
+    and a fresh marking policy for the bottleneck switch. Receivers echo
+    every packet's CE bit ({!Tcp.Receiver}), whatever the bundle. *)
 
 type t = {
   name : string;
@@ -11,21 +11,19 @@ type t = {
           [on_flip] observes hysteresis state changes where the policy has
           any (DT-DCTCP); stateless policies ignore it, so existing
           [proto.marking ()] call sites are unchanged. *)
-  echo : Tcp.Receiver.echo_policy;
 }
 
-val dctcp : ?g:float -> ?init_alpha:float -> k_bytes:int -> unit -> t
+val dctcp : ?g:float -> k_bytes:int -> unit -> t
 (** DCTCP with single-threshold marking at [k_bytes]. *)
 
-val dt_dctcp :
-  ?g:float -> ?init_alpha:float -> k1_bytes:int -> k2_bytes:int -> unit -> t
+val dt_dctcp : ?g:float -> k1_bytes:int -> k2_bytes:int -> unit -> t
 (** DT-DCTCP: the same DCTCP sender with double-threshold marking. *)
 
-val dctcp_pkts : ?g:float -> ?packet_bytes:int -> k:int -> unit -> t
-(** Packet-denominated convenience (the paper's K=40 packets etc.). *)
+val dctcp_pkts : ?g:float -> k:int -> unit -> t
+(** Packet-denominated convenience (the paper's K=40 packets of 1500 B
+    etc.). *)
 
-val dt_dctcp_pkts :
-  ?g:float -> ?packet_bytes:int -> k1:int -> k2:int -> unit -> t
+val dt_dctcp_pkts : ?g:float -> k1:int -> k2:int -> unit -> t
 
 val reno : unit -> t
 (** Plain drop-tail TCP Reno (no marking), as a baseline. *)
@@ -38,17 +36,11 @@ val newreno : unit -> t
 (** NewReno-style loss-based TCP ({!Reno_cc.newreno}, no marking): the
     non-ECN competitor for the shared-buffer sweeps. *)
 
-val dctcp_scaled : ?g:float -> ?init_alpha:float -> k_frac:float -> unit -> t
+val dctcp_scaled : ?g:float -> k_frac:float -> unit -> t
 (** DCTCP marking at [K = k_frac x effective limit]
     ({!Marking_policies.single_threshold_scaled}) — the threshold rides
     the buffer manager's moving capacity on shared-pool switches. *)
 
-val dt_dctcp_scaled :
-  ?g:float ->
-  ?init_alpha:float ->
-  k1_frac:float ->
-  k2_frac:float ->
-  unit ->
-  t
+val dt_dctcp_scaled : ?g:float -> k1_frac:float -> k2_frac:float -> unit -> t
 (** DT-DCTCP with the hysteresis band at fractions of the effective
     limit ({!Marking_policies.double_threshold_scaled}). *)

@@ -19,8 +19,7 @@ let newreno (api : Tcp.Cc.flow_api) =
   let una = ref 0 in
   let nxt = ref 0 in
   {
-    Tcp.Cc.name = "newreno";
-    on_ack =
+    Tcp.Cc.on_ack =
       (fun ~newly_acked ~ece:_ ~snd_una ~snd_nxt ->
         una := snd_una;
         nxt := snd_nxt;

@@ -622,7 +622,7 @@ let fluid_mean_queue =
           let p = Fluid.Dctcp_fluid.make ~n ~c ~r0 ~g ~marking () in
           fst
             (Fluid.Dctcp_fluid.queue_stats
-               (Fluid.Dctcp_fluid.simulate p ~t_end:0.15 ())
+               (Fluid.Dctcp_fluid.simulate p ~t_end:0.15)
                ~discard:0.05))
         (model_inputs o))
 

@@ -55,8 +55,8 @@ let make_indicator = function
         prev := q;
         !marking
 
-let simulate params ?dt ~t_end () =
-  let dt = match dt with Some d -> d | None -> params.r0 /. 50. in
+let simulate params ~t_end =
+  let dt = params.r0 /. 50. in
   let indicator = make_indicator params.marking in
   let nf = float_of_int params.n in
   let deriv ~t:_ ~state ~delayed =

@@ -68,8 +68,8 @@ type trajectory = {
   p : float array;  (** Marking indicator over time. *)
 }
 
-val simulate : params -> ?dt:float -> t_end:float -> unit -> trajectory
-(** Integrates with RK4 at step [dt] (default [r0 / 50]). *)
+val simulate : params -> t_end:float -> trajectory
+(** Integrates with RK4 at step [r0 / 50]. *)
 
 val queue_stats : trajectory -> discard:float -> float * float
 (** [(mean, stddev)] of the queue after discarding the first [discard]

@@ -16,13 +16,13 @@ let link_name p a q b = p ^ Int.to_string a ^ q ^ Int.to_string b
    index. The tracer and metrics instrument the switch-side queue only. *)
 
 let connect_host_to_switch sim host switch ~rate_bps ~delay
-    ?(host_buffer = default_access_buffer)
     ?(switch_buffer = default_access_buffer)
     ?(switch_marking = Marking.none ()) ?switch_tracer ?switch_metrics () =
   (* Host NICs always own a private buffer; only switch-side queues can
      sit on a shared pool (the switch decides via [port_buffer]). *)
   let host_q =
-    Queue_disc.create sim ~buffer:(Buffer_mgr.solo ~capacity_bytes:host_buffer)
+    Queue_disc.create sim
+      ~buffer:(Buffer_mgr.solo ~capacity_bytes:default_access_buffer)
       ~name:("host" ^ Int.to_string (Host.id host) ^ "-nic")
       ()
   in
@@ -47,17 +47,14 @@ let connect_host_to_switch sim host switch ~rate_bps ~delay
   idx
 
 (* Full-duplex switch-to-switch cable; returns (port index on a toward b,
-   port index on b toward a). Routes are installed by the caller. The
-   [_ab] tracer and metrics instrument the a-toward-b queue, [_ba] the
-   reverse one. *)
-let connect_switches sim a b ~rate_bps ~delay
-    ?(buffer_ab = default_access_buffer) ?(buffer_ba = default_access_buffer)
-    ?(marking_ab = Marking.none ()) ?(marking_ba = Marking.none ())
-    ?tracer_ab ?tracer_ba ?metrics_ab ?metrics_ba () =
+   port index on b toward a). Routes are installed by the caller. Both
+   directions get [buffer] bytes and their own [marking ()] policy. *)
+let connect_switches sim a b ~rate_bps ~delay ~buffer ?(marking = Marking.none)
+    () =
   let q_ab =
     Queue_disc.create sim
-      ~buffer:(Switch.port_buffer a ~capacity_bytes:buffer_ab)
-      ~marking:marking_ab ?tracer:tracer_ab ?metrics:metrics_ab
+      ~buffer:(Switch.port_buffer a ~capacity_bytes:buffer)
+      ~marking:(marking ())
       ~name:(link_name "sw" (Switch.id a) "->sw" (Switch.id b))
       ()
   in
@@ -68,8 +65,8 @@ let connect_switches sim a b ~rate_bps ~delay
   let ia = Switch.add_port a port_ab in
   let q_ba =
     Queue_disc.create sim
-      ~buffer:(Switch.port_buffer b ~capacity_bytes:buffer_ba)
-      ~marking:marking_ba ?tracer:tracer_ba ?metrics:metrics_ba
+      ~buffer:(Switch.port_buffer b ~capacity_bytes:buffer)
+      ~marking:(marking ())
       ~name:(link_name "sw" (Switch.id b) "->sw" (Switch.id a))
       ()
   in
@@ -122,17 +119,11 @@ type star = {
   star_bottleneck : Port.t;
 }
 
-let star_testbed sim ?(n_leaves = 3) ?(workers_per_leaf = 3) ~rate_bps
-    ?host_delay ?trunk_delay ~bottleneck_buffer
-    ?(leaf_buffer = 512 * 1024) ?(buffer = Buffer_mgr.Static) ~marking () =
-  if n_leaves <= 0 || workers_per_leaf <= 0 then
-    invalid_arg "Topology.star_testbed: need leaves and workers";
-  let host_delay =
-    match host_delay with Some d -> d | None -> Time.span_of_us 25.
-  in
-  let trunk_delay =
-    match trunk_delay with Some d -> d | None -> Time.span_of_us 25.
-  in
+let star_testbed sim ~rate_bps ~bottleneck_buffer ?(leaf_buffer = 512 * 1024)
+    ?(buffer = Buffer_mgr.Static) ~marking () =
+  let n_leaves = 3 and workers_per_leaf = 3 in
+  (* 25 us per link traversal, host links and trunks alike. *)
+  let delay = Time.span_of_us 25. in
   (* The buffer config applies to the root (the shared-memory ASIC under
      study — it owns the bottleneck port); leaves stay Static. *)
   let n_workers = n_leaves * workers_per_leaf in
@@ -148,13 +139,13 @@ let star_testbed sim ?(n_leaves = 3) ?(workers_per_leaf = 3) ~rate_bps
         let leaf = leaves.(w / workers_per_leaf) in
         let host = Host.create sim ~id:w in
         ignore
-          (connect_host_to_switch sim host leaf ~rate_bps ~delay:host_delay
+          (connect_host_to_switch sim host leaf ~rate_bps ~delay
              ~switch_buffer:leaf_buffer ());
         host)
   in
   let aggregator = Host.create sim ~id:n_workers in
   let agg_port_idx =
-    connect_host_to_switch sim aggregator root ~rate_bps ~delay:host_delay
+    connect_host_to_switch sim aggregator root ~rate_bps ~delay
       ~switch_buffer:bottleneck_buffer ~switch_marking:marking ()
   in
   (* Trunks and routing: root knows each worker lives behind its leaf;
@@ -162,8 +153,7 @@ let star_testbed sim ?(n_leaves = 3) ?(workers_per_leaf = 3) ~rate_bps
   Array.iteri
     (fun li leaf ->
       let root_port, leaf_uplink =
-        connect_switches sim root leaf ~rate_bps ~delay:trunk_delay
-          ~buffer_ab:leaf_buffer ~buffer_ba:leaf_buffer ()
+        connect_switches sim root leaf ~rate_bps ~delay ~buffer:leaf_buffer ()
       in
       for w = li * workers_per_leaf to ((li + 1) * workers_per_leaf) - 1 do
         Switch.set_route root ~dst:w ~port:root_port
@@ -199,8 +189,7 @@ type fat_tree = {
    dst's pod, then its rack); upward routing is an ECMP group over the
    switch's uplinks, salted per switch from the sim's Rng stream. *)
 let fat_tree sim ~k ?(rate_bps = 1e9) ?link_delay
-    ?(queue_bytes = default_access_buffer) ?(edge_buffer = Buffer_mgr.Static)
-    ?(agg_buffer = Buffer_mgr.Static) ?(core_buffer = Buffer_mgr.Static)
+    ?(queue_bytes = default_access_buffer) ?(buffer = Buffer_mgr.Static)
     ~marking ?tracer ?metrics () =
   if k < 2 || k mod 2 <> 0 then
     invalid_arg "Topology.fat_tree: k must be even and >= 2";
@@ -214,16 +203,14 @@ let fat_tree sim ~k ?(rate_bps = 1e9) ?link_delay
     match link_delay with Some d -> d | None -> Time.span_of_us 5.
   in
   let rng = Sim.rng sim in
-  let mk id buffer =
+  let mk id =
     let sw = Switch.create sim ~id ~buffer ?tracer ?metrics () in
     Switch.reserve_routes sw ~hosts:n_hosts;
     sw
   in
-  let edges = Array.init n_edges (fun e -> mk e edge_buffer) in
-  let aggs = Array.init n_aggs (fun a -> mk (n_edges + a) agg_buffer) in
-  let cores =
-    Array.init n_cores (fun c -> mk (n_edges + n_aggs + c) core_buffer)
-  in
+  let edges = Array.init n_edges mk in
+  let aggs = Array.init n_aggs (fun a -> mk (n_edges + a)) in
+  let cores = Array.init n_cores (fun c -> mk (n_edges + n_aggs + c)) in
   (* Hosts, each attached to its rack's edge switch; the primitive
      installs the edge's direct route to the host. *)
   let hosts =
@@ -243,8 +230,7 @@ let fat_tree sim ~k ?(rate_bps = 1e9) ?link_delay
         let eg = (p * half) + e and ag = (p * half) + a in
         let ie, ia =
           connect_switches sim edges.(eg) aggs.(ag) ~rate_bps ~delay
-            ~buffer_ab:queue_bytes ~buffer_ba:queue_bytes
-            ~marking_ab:(marking ()) ~marking_ba:(marking ()) ()
+            ~buffer:queue_bytes ~marking ()
         in
         edge_up.(eg).(a) <- ie;
         agg_down.(ag).(e) <- ia
@@ -261,8 +247,7 @@ let fat_tree sim ~k ?(rate_bps = 1e9) ?link_delay
         let c = (a * half) + j in
         let ia, ic =
           connect_switches sim aggs.(ag) cores.(c) ~rate_bps ~delay
-            ~buffer_ab:queue_bytes ~buffer_ba:queue_bytes
-            ~marking_ab:(marking ()) ~marking_ba:(marking ()) ()
+            ~buffer:queue_bytes ~marking ()
         in
         agg_up.(ag).(j) <- ia;
         core_down.(c).(p) <- ic

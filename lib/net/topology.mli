@@ -53,21 +53,17 @@ type star = {
 
 val star_testbed :
   Engine.Sim.t ->
-  ?n_leaves:int ->
-  ?workers_per_leaf:int ->
   rate_bps:float ->
-  ?host_delay:Engine.Time.span ->
-  ?trunk_delay:Engine.Time.span ->
   bottleneck_buffer:int ->
   ?leaf_buffer:int ->
   ?buffer:Buffer_mgr.config ->
   marking:Marking.t ->
   unit ->
   star
-(** The testbed: [n_leaves] (default 3) leaf switches with
-    [workers_per_leaf] (default 3) workers each, all joined at a root
-    switch that also hosts the aggregator. All links run at [rate_bps]
-    (1 Gbps in the paper). Only the root-to-aggregator port carries the
+(** The testbed: 3 leaf switches with 3 workers each, all joined at a
+    root switch that also hosts the aggregator. All links run at
+    [rate_bps] (1 Gbps in the paper) with 25 us propagation per
+    traversal. Only the root-to-aggregator port carries the
     marking policy and the small [bottleneck_buffer] (128 KB in the
     paper); leaf buffers default to 512 KB drop-tail. [buffer] (default
     [Static]) is the root switch's memory model; leaves stay Static. *)
@@ -91,9 +87,7 @@ val fat_tree :
   ?rate_bps:float ->
   ?link_delay:Engine.Time.span ->
   ?queue_bytes:int ->
-  ?edge_buffer:Buffer_mgr.config ->
-  ?agg_buffer:Buffer_mgr.config ->
-  ?core_buffer:Buffer_mgr.config ->
+  ?buffer:Buffer_mgr.config ->
   marking:(unit -> Marking.t) ->
   ?tracer:Obs.Trace.t ->
   ?metrics:Obs.Metrics.t ->
@@ -109,8 +103,7 @@ val fat_tree :
     deterministic single ports; upward routes are per-switch ECMP
     groups over the k/2 uplinks, salted from the sim's Rng stream in a
     fixed order, so all path decisions are a pure function of the sim
-    seed (see DESIGN §15). [edge_buffer] / [agg_buffer] / [core_buffer]
-    select each tier's memory model — a [Dynamic_threshold] tier gives
-    {e each} switch of that tier its own shared pool. [tracer] /
-    [metrics] reach every switch (no-route drop instrumentation), not
-    the queues. *)
+    seed (see DESIGN §15). [buffer] (default [Static]) is every switch's
+    memory model — [Dynamic_threshold] gives {e each} switch its own
+    shared pool. [tracer] / [metrics] reach every switch (no-route drop
+    instrumentation), not the queues. *)

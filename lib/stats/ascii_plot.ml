@@ -6,7 +6,9 @@ let glyphs = [| '*'; '+'; 'o'; 'x'; '~'; '#' |]
 let lower (a : float) b = if a <= b then a else b
 let higher (a : float) b = if a >= b then a else b
 
-let render ?(width = 72) ?(height = 16) ?(y_label = "") ~series () =
+let width = 72
+
+let render ?(height = 16) ?(y_label = "") ~series () =
   let all_values = List.concat_map (fun (_, vs) -> Array.to_list vs) series in
   match all_values with
   | [] -> "(empty plot)\n"

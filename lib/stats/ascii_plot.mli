@@ -5,7 +5,6 @@
     plotting stack. *)
 
 val render :
-  ?width:int ->
   ?height:int ->
   ?y_label:string ->
   series:(string * float array) list ->
@@ -13,5 +12,5 @@ val render :
   string
 (** Plots each named series over its index (series are expected to share a
     common x sampling). Distinct series use distinct glyphs; a legend and a
-    y-axis scale are included. [width]/[height] are the plot area in
-    characters (defaults 72x16). *)
+    y-axis scale are included. The plot area is 72 characters wide and
+    [height] (default 16) tall. *)

@@ -48,7 +48,3 @@ let to_string t =
     :: line (Array.to_list (Array.map (fun c -> c.header) t.columns))
     :: (String.make (Int.max total_width 1) '-' ^ "\n")
     :: List.map line rows)
-
-let print ?(oc = stdout) t =
-  output_string oc (to_string t);
-  flush oc

@@ -20,8 +20,5 @@ val add_row : t -> string list -> unit
 val to_string : t -> string
 (** Renders with a title line, a header, and column-width padding. *)
 
-val print : ?oc:out_channel -> t -> unit
-(** Writes {!to_string} to [oc] (stdout) and flushes it. *)
-
 val fmt_f : int -> float -> string
 (** [fmt_f digits] is a fixed-point formatter, e.g. [fmt_f 2 3.14159 = "3.14"]. *)

@@ -9,7 +9,6 @@ type flow_api = {
 }
 
 type t = {
-  name : string;
   on_ack : newly_acked:int -> ece:bool -> snd_una:int -> snd_nxt:int -> unit;
   on_fast_retransmit : unit -> unit;
   on_timeout : unit -> unit;
@@ -45,7 +44,6 @@ let collapse_on_timeout api =
 
 let reno api =
   {
-    name = "reno";
     on_ack =
       (fun ~newly_acked ~ece:_ ~snd_una:_ ~snd_nxt:_ -> grow api newly_acked);
     on_fast_retransmit = (fun () -> halve_on_loss api);
@@ -59,7 +57,6 @@ let ecn_reno api =
      reaction time. *)
   let cwr_end = ref 0 in
   {
-    name = "ecn-reno";
     on_ack =
       (fun ~newly_acked ~ece ~snd_una ~snd_nxt ->
         if ece then begin

@@ -26,7 +26,6 @@ type flow_api = {
 }
 
 type t = {
-  name : string;
   on_ack : newly_acked:int -> ece:bool -> snd_una:int -> snd_nxt:int -> unit;
       (** [newly_acked] is 0 for duplicate ACKs. [snd_una] is the value
           after the ACK was applied; sequence numbers let window-grained

@@ -8,10 +8,10 @@ type t = {
 }
 
 let create sim ~src ~dst ~flow ~cc ?tracer ?(config = Sender.default_config)
-    ?echo ?limit_segments ?on_complete () =
+    ?limit_segments ?on_complete () =
   let receiver =
-    Receiver.create sim ~host:dst ~flow ~peer:(Net.Host.id src) ?echo
-      ~sack:config.Sender.sack ~ack_bytes:config.Sender.ack_bytes ()
+    Receiver.create sim ~host:dst ~flow ~peer:(Net.Host.id src)
+      ~sack:config.Sender.sack ()
   in
   let rec t =
     lazy

@@ -14,7 +14,6 @@ val create :
   cc:Cc.factory ->
   ?tracer:Obs.Trace.t ->
   ?config:Sender.config ->
-  ?echo:Receiver.echo_policy ->
   ?limit_segments:int ->
   ?on_complete:(t -> unit) ->
   unit ->

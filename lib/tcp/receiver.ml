@@ -1,23 +1,13 @@
-module Sim = Engine.Sim
-
-type echo_policy = Per_packet | Dctcp_delayed of int
-
 type t = {
-  sim : Sim.t;
   st : Net.Packet.store;
   host : Net.Host.t;
   flow : int;
   peer : int;
-  echo : echo_policy;
   sack : bool;
-  ack_bytes : int;
   mutable rcv_nxt : int;
   (* Buffered out-of-order segments, created at the first one: an
      in-order flow never needs the table. *)
   mutable ooo : (int, unit) Hashtbl.t option;
-  (* DCTCP delayed-ACK echo state *)
-  mutable ce_state : bool;
-  mutable pending : int;
 }
 
 (* Up to three maximal runs of buffered out-of-order segments, ascending. *)
@@ -40,18 +30,14 @@ let sack_blocks t =
       List.filteri (fun i _ -> i < 3) blocks
   | Some _ | None -> []
 
+let ack_bytes = 40
+
 let send_ack t ~ece =
   let pkt =
     (Segment.ack [@inlined]) t.st ~src:(Net.Host.id t.host) ~dst:t.peer ~flow:t.flow
-      ~size:t.ack_bytes ~ack:t.rcv_nxt ~ece ~sack:(sack_blocks t)
+      ~size:ack_bytes ~ack:t.rcv_nxt ~ece ~sack:(sack_blocks t)
   in
   Net.Host.send t.host pkt
-
-let flush_pending t =
-  if t.pending > 0 then begin
-    send_ack t ~ece:t.ce_state;
-    t.pending <- 0
-  end
 
 let buffered t seq =
   match t.ooo with Some ooo -> Hashtbl.mem ooo seq | None -> false
@@ -80,54 +66,23 @@ let handle_data t ~seq ~ce =
     | Some _ | None -> ()
   end
   else if seq > t.rcv_nxt then Hashtbl.replace (ooo_table t) seq ();
-  if stale then
-    (* Already-delivered data (a go-back-N resend): acknowledging it again
-       would read as a duplicate ACK at the sender and trigger spurious
-       fast retransmits; without SACK the sender cannot tell the
-       difference, so stay silent and let the RTO cover the (simulated)
-       impossibility of a lost ACK. *)
-    ()
-  else
-  match t.echo with
-  | Per_packet -> send_ack t ~ece:ce
-  | Dctcp_delayed m ->
-      if not in_order then begin
-        (* Duplicate ACK needed immediately for fast retransmit; flush any
-           coalesced state first so ACK ordering stays monotone. *)
-        flush_pending t;
-        send_ack t ~ece:ce
-      end
-      else if ce <> t.ce_state then begin
-        flush_pending t;
-        t.ce_state <- ce;
-        t.pending <- 1;
-        if t.pending >= m then flush_pending t
-      end
-      else begin
-        t.pending <- t.pending + 1;
-        if t.pending >= m then flush_pending t
-      end
+  (* Already-delivered data (a go-back-N resend): acknowledging it again
+     would read as a duplicate ACK at the sender and trigger spurious
+     fast retransmits; without SACK the sender cannot tell the
+     difference, so stay silent and let the RTO cover the (simulated)
+     impossibility of a lost ACK. *)
+  if not stale then send_ack t ~ece:ce
 
-let create sim ~host ~flow ~peer ?(echo = Per_packet) ?(sack = false)
-    ?(ack_bytes = 40) () =
-  (match echo with
-  | Dctcp_delayed m when m <= 0 ->
-      invalid_arg "Receiver.create: delayed-ACK factor must be positive"
-  | Dctcp_delayed _ | Per_packet -> ());
+let create sim ~host ~flow ~peer ?(sack = false) () =
   let t =
     {
-      sim;
       st = Net.Packet.store_of sim;
       host;
       flow;
       peer;
-      echo;
       sack;
-      ack_bytes;
       rcv_nxt = 0;
       ooo = None;
-      ce_state = false;
-      pending = 0;
     }
   in
   Net.Host.bind_flow host ~flow (fun pkt ->

@@ -1,15 +1,10 @@
-(** TCP receiver: cumulative ACK generation with a pluggable ECN echo.
+(** TCP receiver: cumulative ACK generation with a per-packet ECN echo.
 
     The receiver tracks in-order delivery ([rcv_nxt]), buffers out-of-order
-    segments, and answers every data segment according to its echo policy:
-
-    - [Per_packet]: one ACK per data segment, ECE mirroring that segment's
-      CE bit. This gives the DCTCP sender an exact per-packet mark stream
-      (the configuration the paper's simulations use).
-    - [Dctcp_delayed m]: the DCTCP receiver state machine from Alizadeh et
-      al.: ACKs are coalesced up to [m] segments, but a change in the CE
-      run forces an immediate ACK so the sender can still reconstruct the
-      marked fraction.
+    segments, and answers every new data segment with one 40-byte ACK
+    whose ECE mirrors that segment's CE bit. This gives the DCTCP sender
+    an exact per-packet mark stream (the configuration the paper's
+    simulations use).
 
     Genuinely out-of-order segments (beyond [rcv_nxt] and not yet
     buffered) trigger an immediate ACK — the sender's fast retransmit
@@ -20,8 +15,6 @@
     spurious retransmission storms. Since ACK loss is the only case that
     silence could hurt, the sender's RTO covers it. *)
 
-type echo_policy = Per_packet | Dctcp_delayed of int
-
 type t
 
 val create :
@@ -29,15 +22,13 @@ val create :
   host:Net.Host.t ->
   flow:int ->
   peer:int ->
-  ?echo:echo_policy ->
   ?sack:bool ->
-  ?ack_bytes:int ->
   unit ->
   t
 (** Binds the flow on [host] and starts ACKing. [peer] is the sender's host
     id. With [sack] (default off) every ACK carries up to three ranges of
     buffered out-of-order segments, enabling selective retransmission at
-    the sender. [ack_bytes] defaults to 40. *)
+    the sender. *)
 
 val segments_delivered : t -> int
 (** In-order segments delivered so far ([rcv_nxt]). *)

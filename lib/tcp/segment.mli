@@ -33,7 +33,7 @@ val ack :
   sack:(int * int) list ->
   Net.Packet.t
 (** Cumulative ACK, not ECN-capable: all segments below [ack] received.
-    [ece] echoes congestion per the receiver's echo policy. [sack] lists
+    [ece] echoes the CE bit of the segment it answers. [sack] lists
     up to three [(first, last_exclusive)] ranges of out-of-order
     segments held above [ack] (empty when SACK is off or nothing is
     held). *)

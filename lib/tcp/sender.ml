@@ -4,30 +4,24 @@ module Timer = Engine.Timer
 
 type config = {
   segment_bytes : int;
-  ack_bytes : int;
   initial_cwnd : float;
-  initial_ssthresh : float;
   dupack_threshold : int;
   min_rto : Time.span;
   max_rto : Time.span;
   initial_rto : Time.span;
   max_cwnd : float;
-  ecn_capable : bool;
   sack : bool;
 }
 
 let default_config =
   {
     segment_bytes = 1500;
-    ack_bytes = 40;
     initial_cwnd = 2.;
-    initial_ssthresh = 1e9;
     dupack_threshold = 3;
     min_rto = Time.span_of_ms 200.;
     max_rto = Time.span_of_sec 60.;
     initial_rto = Time.span_of_sec 1.;
     max_cwnd = 1e9;
-    ecn_capable = true;
     sack = false;
   }
 
@@ -80,8 +74,7 @@ type t = {
 
 let dummy_cc =
   {
-    Cc.name = "uninitialised";
-    on_ack = (fun ~newly_acked:_ ~ece:_ ~snd_una:_ ~snd_nxt:_ -> ());
+    Cc.on_ack = (fun ~newly_acked:_ ~ece:_ ~snd_una:_ ~snd_nxt:_ -> ());
     on_fast_retransmit = (fun () -> ());
     on_timeout = (fun () -> ());
     alpha = [||];
@@ -128,12 +121,9 @@ let[@inline] arm_rto t =
     ~after:(Rtt_estimator.rto t.rtt)
 
 let send_segment t ~seq ~retransmission =
-  let ecn =
-    if t.config.ecn_capable then Net.Packet.Ect else Net.Packet.Not_ect
-  in
   let pkt =
     (Segment.data [@inlined]) t.st ~src:(Net.Host.id t.host) ~dst:t.peer ~flow:t.flow
-      ~size:t.config.segment_bytes ~ecn ~seq
+      ~size:t.config.segment_bytes ~ecn:Net.Packet.Ect ~seq
   in
   if retransmission then begin
     t.retransmissions <- t.retransmissions + 1;
@@ -321,8 +311,8 @@ let handle_rto t =
 let create sim ~host ~peer ~flow ~cc ?(tracer = Obs.Trace.null)
     ?(config = default_config) ?limit_segments ?(on_complete = fun () -> ())
     () =
-  if config.segment_bytes <= 0 || config.ack_bytes <= 0 then
-    invalid_arg "Sender.create: bad segment sizes";
+  if config.segment_bytes <= 0 then
+    invalid_arg "Sender.create: bad segment size";
   (match limit_segments with
   | Some n when n <= 0 -> invalid_arg "Sender.create: empty flow"
   | Some _ | None -> ());
@@ -338,7 +328,8 @@ let create sim ~host ~peer ~flow ~cc ?(tracer = Obs.Trace.null)
       config;
       cc = dummy_cc;
       cwnd = clamp_cwnd config config.initial_cwnd;
-      ssthresh = config.initial_ssthresh;
+      (* Effectively unbounded: slow start until a loss or a mark. *)
+      ssthresh = 1e9;
       snd_una = 0;
       snd_nxt = 0;
       limit = limit_segments;

@@ -10,19 +10,17 @@
     repository measure — identical. Enabling [config.sack] (with a
     SACK-enabled receiver) switches fast-retransmit recovery to selective
     hole repair. Window adjustment is delegated to a pluggable
-    {!Cc.factory}. *)
+    {!Cc.factory}. Every data segment is sent ECN-capable (ECT), and a
+    flow starts in slow start with an effectively unbounded [ssthresh]. *)
 
 type config = {
   segment_bytes : int;  (** Wire size of a data segment (default 1500). *)
-  ack_bytes : int;  (** Wire size of an ACK (default 40). *)
   initial_cwnd : float;  (** Segments (default 2). *)
-  initial_ssthresh : float;  (** Default: effectively unbounded. *)
   dupack_threshold : int;  (** Default 3. *)
   min_rto : Engine.Time.span;  (** Default 200 ms, as in the paper-era Linux. *)
   max_rto : Engine.Time.span;  (** Default 60 s. *)
   initial_rto : Engine.Time.span;  (** Default 1 s before any RTT sample. *)
   max_cwnd : float;  (** Cap in segments (default 1e9). *)
-  ecn_capable : bool;  (** Send data as ECT (default true). *)
   sack : bool;
       (** Selective-acknowledgment recovery (default off): instead of
           go-back-N on fast retransmit, keep a scoreboard from the

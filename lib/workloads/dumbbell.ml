@@ -207,8 +207,8 @@ let set_up (ctx : Workload.ctx) (proto : Dctcp.Protocol.t) c =
   let flow ?limit_segments ?on_complete i src =
     let f =
       Tcp.Flow.create sim ~src ~dst:net.Net.Topology.receiver ~flow:i
-        ~cc:proto.Dctcp.Protocol.cc ?tracer:flow_tracer ~config
-        ~echo:proto.Dctcp.Protocol.echo ?limit_segments ?on_complete ()
+        ~cc:proto.Dctcp.Protocol.cc ?tracer:flow_tracer ~config ?limit_segments
+        ?on_complete ()
     in
     flows := f :: !flows;
     f

@@ -182,8 +182,7 @@ let one_repeat (ctx : Workload.ctx) ~track proto c ~seed =
         let flow =
           Tcp.Flow.create sim ~src:workers.(i mod Array.length workers)
             ~dst:star.Net.Topology.aggregator ~flow:i ~cc ?tracer
-            ~config:tcp_config
-            ~echo:proto.Dctcp.Protocol.echo ~limit_segments:segments
+            ~config:tcp_config ~limit_segments:segments
             ~on_complete:(fun _ -> decr remaining)
             ()
         in

@@ -93,12 +93,11 @@ let run (ctx : Workload.ctx) (proto : Dctcp.Protocol.t) config =
   non_negative "start_spread (ns)" (Time.span_to_int_ns config.start_spread);
   let sim = Sim.create ~seed:config.seed () in
   ctx.on_sim sim;
-  let buffer = ctx.buffer in
   let ft =
     Net.Topology.fat_tree sim ~k:config.k ~rate_bps:config.rate_bps
       ~link_delay:config.link_delay ~queue_bytes:config.queue_bytes
-      ~edge_buffer:buffer ~agg_buffer:buffer ~core_buffer:buffer
-      ~marking:proto.Dctcp.Protocol.marking ~tracer:ctx.tracer ()
+      ~buffer:ctx.buffer ~marking:proto.Dctcp.Protocol.marking
+      ~tracer:ctx.tracer ()
   in
   let half = config.k / 2 in
   let n_hosts = Array.length ft.Net.Topology.hosts in
@@ -155,7 +154,7 @@ let run (ctx : Workload.ctx) (proto : Dctcp.Protocol.t) config =
         Tcp.Flow.create sim ~src:ft.Net.Topology.hosts.(src_a.(i))
           ~dst:ft.Net.Topology.hosts.(dst_a.(i))
           ~flow:i ~cc:proto.Dctcp.Protocol.cc ?tracer ~config:tcp_config
-          ~echo:proto.Dctcp.Protocol.echo ~limit_segments:segments
+          ~limit_segments:segments
           ~on_complete:(fun _ ->
             decr remaining;
             finished.(i) <- true;

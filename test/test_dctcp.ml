@@ -151,7 +151,6 @@ let test_dt_validation () =
 
 let test_bytes_of_packets () =
   checki "default packet size" 60000 (M.bytes_of_packets 40);
-  checki "custom packet size" 40000 (M.bytes_of_packets ~packet_bytes:1000 40);
   checkb "negative raises" true
     (match M.bytes_of_packets (-1) with
     | exception Invalid_argument _ -> true
@@ -666,7 +665,6 @@ let mk_newreno api = Dctcp.Reno_cc.newreno api
 let test_newreno_ignores_ece () =
   let f, api = fake_api () in
   let cc = mk_newreno api in
-  Alcotest.(check string) "name" "newreno" cc.Tcp.Cc.name;
   checkb "no alpha" true (cc.Tcp.Cc.alpha = [||]);
   (* Slow start, every ACK carrying ECE: a loss-based sender must keep
      growing as if the marks were not there. *)
@@ -737,7 +735,7 @@ let ack_path_words (proto : Dctcp.Protocol.t) ~n =
     Array.mapi
       (fun i src ->
         Tcp.Flow.create sim ~src ~dst:net.Net.Topology.receiver ~flow:i
-          ~cc:proto.Dctcp.Protocol.cc ~echo:proto.Dctcp.Protocol.echo ())
+          ~cc:proto.Dctcp.Protocol.cc ())
       net.Net.Topology.senders
   in
   Array.iteri

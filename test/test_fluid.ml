@@ -104,7 +104,7 @@ let test_fluid_equilibrium_values () =
 
 let test_fluid_reaches_capacity () =
   let p = paper_fluid () in
-  let traj = Fm.simulate p ~t_end:0.2 () in
+  let traj = Fm.simulate p ~t_end:0.2 in
   (* In steady state N W / R0 ~ C: per-flow window near W0. *)
   let n = Array.length traj.Fm.w in
   let w_tail = traj.Fm.w.(n - 1) in
@@ -113,7 +113,7 @@ let test_fluid_reaches_capacity () =
 
 let test_fluid_queue_near_k () =
   let p = paper_fluid () in
-  let traj = Fm.simulate p ~t_end:0.3 () in
+  let traj = Fm.simulate p ~t_end:0.3 in
   let mean, _ = Fm.queue_stats traj ~discard:0.1 in
   checkb
     (Printf.sprintf "queue mean %.1f around K=40" mean)
@@ -122,19 +122,19 @@ let test_fluid_queue_near_k () =
 
 let test_fluid_queue_nonnegative () =
   let p = paper_fluid () in
-  let traj = Fm.simulate p ~t_end:0.2 () in
+  let traj = Fm.simulate p ~t_end:0.2 in
   Array.iter (fun q -> checkb "q >= 0" true (q >= -1e-9)) traj.Fm.q
 
 let test_fluid_alpha_in_range () =
   let p = paper_fluid () in
-  let traj = Fm.simulate p ~t_end:0.2 () in
+  let traj = Fm.simulate p ~t_end:0.2 in
   Array.iter
     (fun a -> checkb "alpha in [0,1]" true (a >= -1e-9 && a <= 1.0 +. 1e-9))
     traj.Fm.alpha
 
 let test_fluid_marking_indicator_consistent () =
   let p = paper_fluid () in
-  let traj = Fm.simulate p ~t_end:0.05 () in
+  let traj = Fm.simulate p ~t_end:0.05 in
   (* Wherever p = 1 the queue must be above K at that instant (relay). *)
   Array.iteri
     (fun i pi ->
@@ -143,7 +143,7 @@ let test_fluid_marking_indicator_consistent () =
 
 let test_fluid_dt_variant_runs () =
   let p = paper_fluid ~marking:(Fm.Double (30., 50.)) () in
-  let traj = Fm.simulate p ~t_end:0.3 () in
+  let traj = Fm.simulate p ~t_end:0.3 in
   let mean, std = Fm.queue_stats traj ~discard:0.1 in
   checkb "dt queue bounded" true (mean > 5. && mean < 100.);
   checkb "std finite" true (Float.is_finite std)
@@ -151,7 +151,7 @@ let test_fluid_dt_variant_runs () =
 let test_fluid_dt_hysteresis_marks_above_hi () =
   (* With Double(30,50), any instant with q > 50 must be marking. *)
   let p = paper_fluid ~marking:(Fm.Double (30., 50.)) () in
-  let traj = Fm.simulate p ~t_end:0.1 () in
+  let traj = Fm.simulate p ~t_end:0.1 in
   Array.iteri
     (fun i pi ->
       if traj.Fm.q.(i) > 50.5 then
@@ -160,13 +160,13 @@ let test_fluid_dt_hysteresis_marks_above_hi () =
 
 let test_fluid_oscillation_amplitude () =
   let p = paper_fluid () in
-  let traj = Fm.simulate p ~t_end:0.3 () in
+  let traj = Fm.simulate p ~t_end:0.3 in
   let amp = Fm.oscillation_amplitude traj ~discard:0.1 in
   checkb "positive amplitude" true (amp > 0.)
 
 let test_fluid_more_flows_higher_alpha () =
   let run n =
-    let traj = Fm.simulate (paper_fluid ~n ()) ~t_end:0.3 () in
+    let traj = Fm.simulate (paper_fluid ~n ()) ~t_end:0.3 in
     let start = Array.length traj.Fm.alpha / 2 in
     let sum = ref 0. in
     for i = start to Array.length traj.Fm.alpha - 1 do
@@ -188,7 +188,7 @@ let test_fluid_validation () =
     | exception Invalid_argument _ -> true
     | _ -> false);
   let p = paper_fluid () in
-  let traj = Fm.simulate p ~t_end:0.01 () in
+  let traj = Fm.simulate p ~t_end:0.01 in
   checkb "discard beyond end raises" true
     (match Fm.queue_stats traj ~discard:1. with
     | exception Invalid_argument _ -> true
@@ -259,7 +259,7 @@ let test_limit_cycle_of_fluid_oscillation () =
       Fm.make ~variable_rtt:false ~n:100 ~c ~r0 ~g ~marking
         ~init_w:(r0 *. c /. 100.) ~init_alpha:0.3 ~init_q:20. ()
     in
-    let traj = Fm.simulate p ~t_end:0.6 () in
+    let traj = Fm.simulate p ~t_end:0.6 in
     Fluid.Limit_cycle.of_queue traj ~discard:0.3
   in
   match (cycle (Fm.Single 40.), cycle (Fm.Double (30., 50.))) with

@@ -1204,6 +1204,44 @@ let test_fat_tree_all_pairs () =
     + no_route ft.Net.Topology.aggs
     + no_route ft.Net.Topology.cores)
 
+(* One [buffer] for the whole fabric: under [Dynamic_threshold] every
+   switch owns a shared pool. A lone loaded port, on any tier, admits up
+   to the pool's Dynamic-Threshold limit, not [queue_bytes]; a second
+   port of the same switch then sees a smaller limit, while a port on
+   another switch still sees the lone one. *)
+let test_fat_tree_shared_pools () =
+  let sim = Sim.create () in
+  let pool_bytes = 300_000 and queue_bytes = 15_000 in
+  let ft =
+    Net.Topology.fat_tree sim ~k:4 ~queue_bytes
+      ~buffer:(B.Dynamic_threshold { pool_bytes; alpha = 1.0 })
+      ~marking:(fun () -> Net.Marking.none ())
+      ()
+  in
+  let admitted_until_drop admit =
+    let rec go n = if admit () then go (n + 1) else n in
+    go 0
+  in
+  (* The oracle: 1500 B packets one port of an otherwise empty pool
+     admits. *)
+  let lone =
+    let port = B.attach (B.create_pool ~pool_bytes ~alpha:1.0) in
+    admitted_until_drop (fun () -> B.admit port 1500)
+  in
+  checkb "the DT limit lies past queue_bytes" true (lone * 1500 > queue_bytes);
+  let fill sw i =
+    let q = Net.Port.queue (Net.Switch.port sw i) in
+    admitted_until_drop (fun () -> Q.enqueue q (mk_pkt ~sim ()) = `Enqueued)
+  in
+  let edge = ft.Net.Topology.edges.(0) in
+  checki "lone edge port admits to the DT limit" lone (fill edge 0);
+  checkb "a second port of the same switch sees the shared pool" true
+    (fill edge 1 < lone);
+  checki "lone agg port, edge pool loaded" lone
+    (fill ft.Net.Topology.aggs.(0) 0);
+  checki "lone core port, edge and agg pools loaded" lone
+    (fill ft.Net.Topology.cores.(0) 0)
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suites =
@@ -1303,6 +1341,8 @@ let suites =
           test_fat_tree_build_words;
         Alcotest.test_case "fat tree all-pairs connectivity" `Quick
           test_fat_tree_all_pairs;
+        Alcotest.test_case "fat tree: one shared pool per switch" `Quick
+          test_fat_tree_shared_pools;
       ] );
     ( "net.invariants",
       [

@@ -185,18 +185,6 @@ let contains s sub =
   let rec scan i = i + m <= n && (String.sub s i m = sub || scan (i + 1)) in
   m = 0 || scan 0
 
-let render_table t =
-  let buf_name = Filename.temp_file "table" ".txt" in
-  let oc = open_out buf_name in
-  Stats.Table.print ~oc t;
-  close_out oc;
-  let ic = open_in buf_name in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  Sys.remove buf_name;
-  s
-
 let test_table_renders () =
   let t =
     Stats.Table.create ~title:"demo"
@@ -205,7 +193,7 @@ let test_table_renders () =
   in
   Stats.Table.add_row t [ "alpha"; "1.5" ];
   Stats.Table.add_row t (List.map (Stats.Table.fmt_f 2) [ 3.14159; 2.71828 ]);
-  let s = render_table t in
+  let s = Stats.Table.to_string t in
   checkb "has title" true
     (contains s "== demo ==");
   checkb "has row" true (contains s "alpha");

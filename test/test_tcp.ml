@@ -1,6 +1,6 @@
 (* Tests for the TCP substrate: RTO estimation, congestion-control
-   baselines, receiver echo policies, and the full sender state machine
-   driven end-to-end over a simulated dumbbell. *)
+   baselines, the receiver's per-packet echo, and the full sender state
+   machine driven end-to-end over a simulated dumbbell. *)
 
 module Sim = Engine.Sim
 module Time = Engine.Time
@@ -418,55 +418,6 @@ let test_receiver_echo_per_packet () =
     [ (1, false); (2, true); (3, false) ]
     (List.rev !acks)
 
-let test_receiver_echo_dctcp_delayed () =
-  let sim = Sim.create () in
-  let h = Net.Host.create sim ~id:1 in
-  let acks = ref [] in
-  let q = Net.Queue_disc.create sim ~buffer:(Net.Buffer_mgr.solo ~capacity_bytes:1_000_000) () in
-  Net.Host.attach_nic h
-    (Net.Port.create sim ~rate_bps:1e9 ~delay:(Time.span_of_int_ns 0) ~queue:q ~deliver:(fun p ->
-         let st = Net.Packet.store_of sim in
-         (match Tcp.Segment.view st p with
-         | Tcp.Segment.Ack { ack; ece; sack = _ } ->
-             acks := (ack, ece) :: !acks
-         | _ -> ());
-         Net.Packet.free st p));
-  let _r =
-    Tcp.Receiver.create sim ~host:h ~flow:0 ~peer:0
-      ~echo:(Tcp.Receiver.Dctcp_delayed 2) ()
-  in
-  let push seq ecn =
-    Net.Host.receive h
-      (Tcp.Segment.data (Net.Packet.store_of sim) ~src:0 ~dst:1 ~flow:0
-         ~size:1500 ~ecn ~seq)
-  in
-  (* two unmarked packets -> one coalesced ACK(ece=false) *)
-  push 0 Net.Packet.Ect;
-  push 1 Net.Packet.Ect;
-  (* CE state change -> nothing pending yet, next CE packet coalesces *)
-  push 2 Net.Packet.Ce;
-  push 3 Net.Packet.Ce;
-  Sim.run sim;
-  Alcotest.check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.bool))
-    "delayed ack stream"
-    [ (2, false); (4, true) ]
-    (List.rev !acks)
-
-let test_receiver_delayed_ack_halves_ack_count () =
-  let sim, d = mk_net () in
-  let flow =
-    Tcp.Flow.create sim ~src:d.Net.Topology.senders.(0)
-      ~dst:d.Net.Topology.receiver ~flow:0 ~cc:Tcp.Cc.reno ~config:fast_config
-      ~echo:(Tcp.Receiver.Dctcp_delayed 2) ~limit_segments:100 ()
-  in
-  Tcp.Flow.start flow;
-  Sim.run ~until:(Time.of_sec 2.) sim;
-  checkb "completed with delayed acks" true (Tcp.Flow.completed flow);
-  (* Every packet the receiver's NIC sends is an ACK. *)
-  let acks = Net.Port.packets_sent (Net.Host.nic d.Net.Topology.receiver) in
-  checkb "roughly half the acks" true (acks >= 50 && acks <= 80)
-
 (* --- SACK --- *)
 
 let test_receiver_sack_blocks () =
@@ -752,10 +703,6 @@ let suites =
           test_receiver_ooo_buffering;
         Alcotest.test_case "per-packet echo" `Quick
           test_receiver_echo_per_packet;
-        Alcotest.test_case "dctcp delayed echo" `Quick
-          test_receiver_echo_dctcp_delayed;
-        Alcotest.test_case "delayed ack halves ack count" `Quick
-          test_receiver_delayed_ack_halves_ack_count;
       ] );
     ( "tcp.flow",
       [
