@@ -9,8 +9,7 @@
      a list append — in a level-0 bucket at most a short walk back from
      the tail: no O(log n) sift;
    - cancel unlinks the slot from its bucket's intrusive doubly-linked
-     list and recycles it immediately: no dead weight carried to the next
-     compaction sweep, no sweep at all for wheel-resident events;
+     list and recycles it immediately: no dead weight, no sweep;
    - pop finds the next occupied 32 ns tick through occupancy bitmaps
      (find-first-set, not a scan) and cascades higher-level buckets down
      only when the virtual clock actually crosses into them — each event
@@ -37,33 +36,30 @@
    binary heap. A level-0 bucket holds one 32 ns tick, which may contain
    several distinct keys, so its list is kept in ascending (key, seq)
    order: an event that sorts after the tail appends (every same-tick
-   add in time order, and every overflow drain), anything else walks
-   back from the tail. The head of the first occupied level-0 bucket is
-   therefore the wheel's minimum. The qcheck suite proves the
-   equivalence against both a naive model and the reference binary heap
-   in test/heap.ml.
+   add in time order), anything else walks back from the tail. The head
+   of the first occupied level-0 bucket is therefore the wheel's
+   minimum. The qcheck suite proves the equivalence against both a
+   naive model and the reference binary heap in test/heap.ml.
 
-   Two small (key, seq) binary min-heaps back the wheel up at its edges:
+   Events beyond the wheel horizon (outside the current position's
+   2^35 ns ≈ 34.4 s block) wait in one more intrusive bucket, [far],
+   unordered. When the wheel drains below them the clock jumps to the
+   earliest far key and that key's horizon block is re-filed into the
+   wheel, where the level-0 tail walk restores (key, seq) order. Every
+   cancel, far ones included, is the same O(1) unlink.
 
-   - {e overdue}: events scheduled at or before an instant the wheel has
-     already passed (never produced by {!Sim}, which forbids scheduling
-     in the past, but the queue keeps the total order honest under
-     arbitrary call sequences);
-   - {e overflow}: events beyond the wheel horizon (2^35 ns ≈ 34.4 s
-     past the current position). When the wheel drains below them the
-     clock jumps to the earliest overflow block and that block's events
-     cascade into the wheel — in heap order, so same-instant residents
-     arrive seq-sorted.
-
-   Heap-resident events cancel lazily (marked dead, skipped at the root,
-   swept when the dead outnumber half the heap); wheel-resident events —
-   the hot case — cancel in O(1). *)
+   {b The position never passes the deadline.} [pop_until] moves the
+   position to an event's key or to an upper bucket's span only when
+   that point is at or before its [stop_ns]. A caller whose clock rests
+   at the last popped key or the last deadline (as {!Sim}'s does) can
+   therefore always add at or after its clock; an add before the
+   position is rejected, so the wheel is the only ordered structure. *)
 
 (* Wheel geometry: a wide bottom level of [l0_slots] one-tick (32 ns)
    buckets, then [upper] levels of [slots] buckets; level l >= 1 buckets
    span 2^(15 + 5(l-1)) ns. The wheel as a whole covers keys sharing the
    current position's bits at or above [horizon_bits]; everything further
-   out is overflow.
+   out waits in the [far] bucket.
 
    Why a 32 ns tick: with 1.2 us serialization and 25 us propagation
    delays, a 1 ns bottom level sees almost no event filed into it
@@ -99,10 +95,12 @@ let horizon_bits = l1_shift + (slot_bits * upper) (* 35 *)
 let n_buckets = l0_slots + (upper * slots)
 let l0_words = l0_slots lsr 5
 
-(* Location codes for [where]: a bucket index, or one of these. *)
+(* The past-horizon bucket, after the wheel's: its occupancy bit sits
+   alone in one more word, which no wheel search reads. *)
+let far = n_buckets
+
+(* [where] of a record in no bucket (free, or fired). *)
 let loc_none = -1
-let loc_overdue = -2
-let loc_overflow = -3
 
 type event = {
   mutable key_ns : int;
@@ -116,7 +114,7 @@ type event = {
   mutable live : bool;  (* Scheduled and not cancelled, not yet fired. *)
   mutable gen : int;  (* Bumped on every release; validates ids. *)
   mutable next_free : int;  (* Free-list link (pool index), -1 = end. *)
-  mutable where : int;  (* Bucket index, or a [loc_*] code. *)
+  mutable where : int;  (* Bucket index, or [loc_none]. *)
   mutable next_ev : int;  (* Intrusive bucket-list links (pool indices). *)
   mutable prev_ev : int;
   idx : int;  (* This record's pool slot; never changes. *)
@@ -146,15 +144,6 @@ let () =
 let id_of ev = (ev.idx lsl gen_bits) lor (ev.gen land gen_mask)
 let none = -1
 
-(* A (key, seq) binary min-heap of pool indices: the overdue / overflow
-   backstops. Cancelled entries stay until the root sweep or a compaction
-   reaches them (the wheel's own buckets never hold dead events). *)
-type mini = {
-  mutable arr : int array;
-  mutable n : int;
-  mutable dead : int;
-}
-
 type t = {
   mutable pool : event array;  (* pool slot -> record, in [0, pool_len) *)
   mutable oneshot : (unit -> unit) array;
@@ -167,15 +156,13 @@ type t = {
   mutable next_seq : int;
   mutable live_count : int;
   mutable pos : int;
-      (* The wheel's virtual position (ns): the key of the last event
-         popped out of the wheel, monotone. Bucket membership is always
-         relative to [pos]. *)
-  head : int array;  (* bucket -> first pool index, -1 = empty *)
+      (* The wheel's virtual position (ns), monotone: at or before every
+         resident's key and at or before the last [stop_ns] that moved
+         it. Bucket membership is always relative to [pos]. *)
+  head : int array;  (* bucket ([far] included) -> first pool index, -1 = empty *)
   tail : int array;  (* bucket -> last pool index, -1 = empty *)
   occ : int array;  (* occupancy words, see [n_buckets] *)
   mutable summary : int;  (* bit w set iff level-0 word [occ.(w)] <> 0 *)
-  overdue : mini;
-  overflow : mini;
   mutable popped_time : Time.t;
   mutable popped_act : int;  (* the fired event's [act] *)
   mutable fired : int;
@@ -184,8 +171,7 @@ type t = {
          free list so no add can take the slot, until the next pop. *)
 }
 
-let create ?(capacity = 1024) () =
-  let capacity = Int.max capacity 1 in
+let create () =
   {
     pool = [||];
     oneshot = [||];
@@ -197,12 +183,10 @@ let create ?(capacity = 1024) () =
     next_seq = 0;
     live_count = 0;
     pos = 0;
-    head = Array.make n_buckets (-1);
-    tail = Array.make n_buckets (-1);
-    occ = Array.make (n_buckets lsr 5) 0;
+    head = Array.make (far + 1) (-1);
+    tail = Array.make (far + 1) (-1);
+    occ = Array.make ((far lsr 5) + 1) 0;
     summary = 0;
-    overdue = { arr = Array.make 8 (-1); n = 0; dead = 0 };
-    overflow = { arr = Array.make capacity (-1); n = 0; dead = 0 };
     popped_time = Time.zero;
     popped_act = -1;
     fired = -1;
@@ -210,13 +194,6 @@ let create ?(capacity = 1024) () =
 
 let live t = t.live_count
 let pool_size t = t.pool_len
-
-(* Occupancy actually held: live events plus cancelled heap residents not
-   yet swept (wheel cancels recycle immediately and never linger). *)
-let length t = t.live_count + t.overdue.dead + t.overflow.dead
-
-let overdue_len t = t.overdue.n
-let overflow_len t = t.overflow.n
 
 (* --- actions -------------------------------------------------------- *)
 
@@ -281,7 +258,7 @@ let[@inline] alloc t =
   else fresh_event t
 
 (* A record is released exactly once, when it leaves the structure
-   (fired, cancelled out of the wheel, or swept out of a backstop heap).
+   (fired or cancelled).
    The generation bump invalidates outstanding ids. Every field is an
    immediate, so this stores no pointer; a one-shot's closure was already
    dropped by [drop_oneshot]. *)
@@ -330,7 +307,7 @@ let[@inline] unmark t b =
   if m = 0 && w < l0_words then t.summary <- t.summary land lnot (1 lsl w)
 
 (* [a] sorts strictly before [b] in (key, seq) order: the queue's one
-   ordering, shared by the level-0 buckets and the backstop heaps. *)
+   ordering, kept by the level-0 buckets. *)
 let[@inline] before a b =
   a.key_ns < b.key_ns || (a.key_ns = b.key_ns && a.seq < b.seq)
 
@@ -339,8 +316,9 @@ let[@inline] before a b =
    event that sorts after the tail appends, anything else walks back from
    the tail to its spot. Direct adds carry the highest seq ever issued,
    so they only walk past residents of the same tick with later keys.
-   Higher-level buckets are plain appends: a cascade re-files every
-   resident anyway, so their order is never observed. *)
+   Higher-level buckets and [far] are plain appends: a cascade or a far
+   jump re-files every resident anyway, so their order is never
+   observed. *)
 let[@inline] bucket_insert t ev b =
   let pool = t.pool in
   ev.where <- b;
@@ -387,7 +365,7 @@ let[@inline] bucket_unlink t ev =
    block above bit 15 where key and pos differ, and the slot is the key's
    bits at that level. Written as a compare chain: branch-predictable, no
    loop, no table. [x < 2^30] always holds, since [file] sends keys
-   outside the position's horizon block to the overflow heap. *)
+   outside the position's horizon block to [far]. *)
 let[@inline] wheel_insert t ev =
   let key = ev.key_ns in
   let x = (key lxor t.pos) lsr tick_bits in
@@ -406,133 +384,30 @@ let[@inline] wheel_insert t ev =
   in
   (bucket_insert [@inlined]) t ev b
 
-(* --- backstop heaps ------------------------------------------------- *)
-
-let mini_less pool a b = before pool.(a) pool.(b)
-
-let mini_push t (m : mini) ev =
-  if m.n = Array.length m.arr then begin
-    let arr = Array.make (2 * m.n) (-1) in
-    Array.blit m.arr 0 arr 0 m.n;
-    m.arr <- arr
-  end;
-  let pool = t.pool in
-  let arr = m.arr in
-  let i = ref m.n in
-  m.n <- m.n + 1;
-  let continue = ref true in
-  while !continue && !i > 0 do
-    let p = (!i - 1) lsr 1 in
-    if mini_less pool ev.idx arr.(p) then begin
-      arr.(!i) <- arr.(p);
-      i := p
-    end
-    else continue := false
-  done;
-  arr.(!i) <- ev.idx
-
-let mini_drop_root pool (m : mini) =
-  m.n <- m.n - 1;
-  let last = m.arr.(m.n) in
-  m.arr.(m.n) <- -1;
-  if m.n > 0 then begin
-    let arr = m.arr in
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let c1 = (2 * !i) + 1 in
-      if c1 >= m.n then continue := false
-      else begin
-        let c =
-          if c1 + 1 < m.n && mini_less pool arr.(c1 + 1) arr.(c1) then c1 + 1
-          else c1
-        in
-        if mini_less pool arr.(c) last then begin
-          arr.(!i) <- arr.(c);
-          i := c
-        end
-        else continue := false
-      end
-    done;
-    arr.(!i) <- last
-  end
-
-(* Root pool index after recycling any dead entries sitting on top, or
-   -1 when the heap has no live entry reachable without a full sweep
-   (dead entries below live ones are left for the compaction policy). *)
-let rec mini_min t (m : mini) =
-  if m.n = 0 then -1
-  else begin
-    let r = m.arr.(0) in
-    if t.pool.(r).live then r
-    else begin
-      mini_drop_root t.pool m;
-      m.dead <- m.dead - 1;
-      release t t.pool.(r);
-      mini_min t m
-    end
-  end
-
-(* Drop every dead entry, then bottom-up heapify in O(n). *)
-let mini_compact t (m : mini) =
-  let pool = t.pool in
-  let j = ref 0 in
-  for i = 0 to m.n - 1 do
-    let e = m.arr.(i) in
-    if pool.(e).live then begin
-      m.arr.(!j) <- e;
-      incr j
-    end
-    else release t pool.(e)
-  done;
-  for i = !j to m.n - 1 do
-    m.arr.(i) <- -1
-  done;
-  m.n <- !j;
-  m.dead <- 0;
-  for i = ((m.n - 2) asr 1) downto 0 do
-    let v = m.arr.(i) in
-    let k = ref i in
-    let continue = ref true in
-    while !continue do
-      let c1 = (2 * !k) + 1 in
-      if c1 >= m.n then continue := false
-      else begin
-        let c =
-          if c1 + 1 < m.n && mini_less pool m.arr.(c1 + 1) m.arr.(c1) then
-            c1 + 1
-          else c1
-        in
-        if mini_less pool m.arr.(c) v then begin
-          m.arr.(!k) <- m.arr.(c);
-          k := c
-        end
-        else continue := false
-      end
-    done;
-    m.arr.(!k) <- v
-  done
-
 (* --- scheduling ----------------------------------------------------- *)
 
 let[@inline] file t ev =
-  let key = ev.key_ns in
-  if key < t.pos then begin
-    ev.where <- loc_overdue;
-    mini_push t t.overdue ev
-  end
-  else if key lsr horizon_bits = t.pos lsr horizon_bits then
+  if ev.key_ns lsr horizon_bits = t.pos lsr horizon_bits then
     (wheel_insert [@inlined]) t ev
-  else begin
-    ev.where <- loc_overflow;
-    mini_push t t.overflow ev
-  end
+  else (bucket_insert [@inlined]) t ev far
+
+(* Raisers that build a message stay out of line: the inlined callers
+   keep a compare and a call, not the exception's construction. *)
+let[@inline never] before_position () =
+  invalid_arg "Event_queue.add: time before the queue's position"
+
+let[@inline never] unregistered () =
+  invalid_arg "Event_queue.add_action: not a registered action"
 
 (* Allocate, stamp and file a record carrying [act]; returns it so the
-   one-shot entry points can fill the closure slot. *)
+   one-shot entry points can fill the closure slot. An add before the
+   position is refused before it takes a record, so it leaves the queue
+   as it was. *)
 let[@inline] add_act t ~time act =
+  let key = Time.to_int_ns time in
+  if key < t.pos then before_position ();
   let ev = (alloc [@inlined]) t in
-  ev.key_ns <- Time.to_int_ns time;
+  ev.key_ns <- key;
   ev.seq <- t.next_seq;
   t.next_seq <- t.next_seq + 1;
   ev.act <- act;
@@ -540,11 +415,6 @@ let[@inline] add_act t ~time act =
   t.live_count <- t.live_count + 1;
   (file [@inlined]) t ev;
   ev
-
-(* Raisers that build a message stay out of line: the inlined callers
-   keep a compare and a call, not the exception's construction. *)
-let[@inline never] unregistered () =
-  invalid_arg "Event_queue.add_action: not a registered action"
 
 let[@inline] add_action t ~time a =
   if a < 0 || a >= t.n_actions then unregistered ();
@@ -568,19 +438,10 @@ let[@inline] cancel t id =
     if ev.live && ev.gen land gen_mask = id land gen_mask then begin
       t.live_count <- t.live_count - 1;
       (drop_oneshot [@inlined]) t ev;
-      if ev.where >= 0 then begin
-        (* Wheel resident: unlink and recycle immediately — the O(1)
-           cancel is the point of the wheel for rearm-heavy timers. *)
-        (bucket_unlink [@inlined]) t ev;
-        (release [@inlined]) t ev
-      end
-      else begin
-        (* Heap resident: mark dead, sweep lazily once corpses dominate. *)
-        ev.live <- false;
-        let m = if ev.where = loc_overdue then t.overdue else t.overflow in
-        m.dead <- m.dead + 1;
-        if m.n >= 64 && 2 * m.dead > m.n then mini_compact t m
-      end;
+      (* Unlink and recycle on the spot: the O(1) cancel is the point of
+         the wheel for rearm-heavy timers. *)
+      (bucket_unlink [@inlined]) t ev;
+      (release [@inlined]) t ev;
       true
     end
     else false
@@ -622,23 +483,35 @@ let[@inline] next_l0 t =
       (w lsl 5) lor (ctz [@inlined]) t.occ.(w)
   end
 
+(* [wheel_min]'s answers besides a pool index. *)
+let not_due = -1
+let wheel_empty = -2
+let searching = -3
+
 (* Pool index of the wheel's earliest event — the head of the first
-   occupied level-0 bucket at or after [pos]'s tick — or -1 when the
-   wheel is empty. Advances [pos] to that event's key, cascading any
-   higher-level bucket the position crosses into; skipped slots are
-   provably empty, so the advance never loses an event. Setting [pos] to
-   the key itself, not to its tick's start, keeps every wheel resident
-   at or after [pos], so [file]'s "key < pos means overdue" stays exact.
-   Each iteration either returns or strictly descends a level, bounding
-   the loop at [upper + 1] steps. *)
-let[@inline] wheel_min t =
-  let result = ref (-2) in
-  while !result = -2 do
+   occupied level-0 bucket at or after [pos]'s tick — if its key is at or
+   before [stop_ns]; else [not_due], or [wheel_empty]. Advances [pos] to
+   that event's key, cascading any higher-level bucket the position
+   crosses into; skipped slots are provably empty, so the advance never
+   loses an event. A head past [stop_ns], or an upper bucket whose span
+   starts past it, leaves [pos] where it is: the position never passes
+   the deadline, so a caller may still add anywhere from its own clock
+   on. Setting [pos] to the key itself, not to its tick's start, keeps
+   every wheel resident at or after [pos]. Each iteration either returns
+   or strictly descends a level, bounding the loop at [upper + 1]
+   steps. *)
+let[@inline] wheel_min t stop_ns =
+  let result = ref searching in
+  while !result = searching do
     let b = (next_l0 [@inlined]) t in
     if b >= 0 then begin
       let h = t.head.(b) in
-      t.pos <- t.pool.(h).key_ns;
-      result := h
+      let key = t.pool.(h).key_ns in
+      if key > stop_ns then result := not_due
+      else begin
+        t.pos <- key;
+        result := h
+      end
     end
     else begin
       (* Level 0 exhausted: find the lowest upper level with a bucket
@@ -654,67 +527,62 @@ let[@inline] wheel_min t =
         let m = t.occ.(l0_words + !l) land (-1 lsl (sl + 1)) in
         if m <> 0 then found := (ctz [@inlined]) m else incr l
       done;
-      if !found < 0 then result := -1
+      if !found < 0 then result := wheel_empty
       else begin
-        (* Enter the bucket's span: keep the bits above it, set its slot,
-           zero everything below. *)
+        (* The bucket's span: keep the bits above it, set its slot, zero
+           everything below. *)
         let shift = l1_shift + (slot_bits * !l) in
         let above = shift + slot_bits in
-        t.pos <- ((t.pos lsr above) lsl above) lor (!found lsl shift);
-        (cascade [@inlined]) t (l0_slots + (!l lsl slot_bits) + !found)
+        let start = ((t.pos lsr above) lsl above) lor (!found lsl shift) in
+        if start > stop_ns then result := not_due
+        else begin
+          t.pos <- start;
+          (cascade [@inlined]) t (l0_slots + (!l lsl slot_bits) + !found)
+        end
       end
     end
   done;
   !result
 
-(* Jump the wheel to the earliest overflow block and file that whole
-   block's events. Heap pops deliver them in (key, seq) order, so every
-   level-0 arrival appends at its bucket's tail. Only called when the wheel
-   is empty, so the position jump cannot skip a wheel event. *)
-let drain_overflow t root =
-  let pool = t.pool in
-  t.pos <- pool.(root).key_ns;
-  let block = t.pos lsr horizon_bits in
-  let continue = ref true in
-  while !continue do
-    let r = mini_min t t.overflow in
-    if r >= 0 && pool.(r).key_ns lsr horizon_bits = block then begin
-      mini_drop_root pool t.overflow;
-      (wheel_insert [@inlined]) t pool.(r)
-    end
-    else continue := false
-  done
-
 (* --- pop ------------------------------------------------------------ *)
 
-(* The wheel is empty: drain the overflow block if its root is due and
-   no overdue event undercuts it. Out of line, so [pop_until] holds one
-   inlined copy of [wheel_min], on its hot path. *)
-let[@inline never] overflow_min t stop_ns =
-  let o = mini_min t t.overflow in
-  if o < 0 || t.pool.(o).key_ns > stop_ns then -1
+(* The wheel is empty: if the earliest [far] key is due, jump the
+   position to it and re-file that key's whole horizon block into the
+   wheel, where level-0 buckets take each arrival to its (key, seq)
+   place. The jump cannot skip a wheel event, and every far key lies in
+   a later block than [pos], so a scan for the minimum suffices; later
+   blocks stay in [far]. Out of line, so [pop_until] holds one inlined
+   copy of [wheel_min], on its hot path. *)
+let[@inline never] far_min t stop_ns =
+  let pool = t.pool in
+  let cur = ref t.head.(far) in
+  let min = ref max_int in
+  while !cur >= 0 do
+    let ev = pool.(!cur) in
+    if ev.key_ns < !min then min := ev.key_ns;
+    cur := ev.next_ev
+  done;
+  if t.head.(far) < 0 || !min > stop_ns then not_due
   else begin
-    let od = mini_min t t.overdue in
-    if od >= 0 && mini_less t.pool od o then -1
-    else begin
-      drain_overflow t o;
-      (wheel_min [@inlined]) t
-    end
+    t.pos <- !min;
+    let block = !min lsr horizon_bits in
+    cur := t.head.(far);
+    while !cur >= 0 do
+      let ev = pool.(!cur) in
+      cur := ev.next_ev;
+      if ev.key_ns lsr horizon_bits = block then begin
+        (bucket_unlink [@inlined]) t ev;
+        (wheel_insert [@inlined]) t ev
+      end
+    done;
+    (wheel_min [@inlined]) t stop_ns
   end
 
-(* The three sources, cheapest first. The wheel beats the overflow heap
-   by construction (overflow keys live beyond the wheel's whole span);
-   only the overdue heap can undercut a wheel event. One walk finds the
-   live minimum and fires it if it is due, so a run-until loop pays for
-   [wheel_min] and both heap roots once per event. An overflow block is
-   drained only when its root is due: the wheel position never jumps
-   past [stop_ns], so an event scheduled between the deadline and that
-   root still files into the wheel.
-
-   The previous pop's one-shot, which the caller has run by now, is let
-   go first: its closure dropped and its record released. A registered
-   action's pop stores no pointer at all. *)
-
+(* One walk finds the earliest event and fires it if it is due, so a
+   run-until loop pays for [wheel_min] once per event. The previous
+   pop's one-shot, which the caller has run by now, is let go first: its
+   closure dropped and its record released. A registered action's pop
+   stores no pointer at all. *)
 let pop_until t stop_ns =
   let f = t.fired in
   if f >= 0 then begin
@@ -723,21 +591,12 @@ let pop_until t stop_ns =
     (drop_oneshot [@inlined]) t ev;
     (release [@inlined]) t ev
   end;
-  let w = (wheel_min [@inlined]) t in
-  let w = if w >= 0 then w else overflow_min t stop_ns in
-  let best =
-    (* [mini_min] is recursive, so never inlined: skip the call when the
-       overdue heap is empty, as it is on every run [Sim] drives. *)
-    if t.overdue.n = 0 then w
-    else
-      let od = mini_min t t.overdue in
-      if od >= 0 && (w < 0 || mini_less t.pool od w) then od else w
-  in
-  if best < 0 || t.pool.(best).key_ns > stop_ns then false
+  let w = (wheel_min [@inlined]) t stop_ns in
+  let w = if w = wheel_empty then far_min t stop_ns else w in
+  if w < 0 then false
   else begin
-    let ev = t.pool.(best) in
-    if ev.where >= 0 then (bucket_unlink [@inlined]) t ev
-    else mini_drop_root t.pool t.overdue;
+    let ev = t.pool.(w) in
+    (bucket_unlink [@inlined]) t ev;
     t.live_count <- t.live_count - 1;
     t.popped_time <- Time.of_int_ns ev.key_ns;
     t.popped_act <- ev.act;

@@ -9,16 +9,21 @@
     doubly-linked list over the pooled slots (bottom-level buckets kept
     in (time, seq) order). Occupancy bitmaps make finding the next tick
     a find-first-set, not a scan: 32 words plus a summary word for the
-    bottom level, one word per upper level. Two small (key, seq) binary
-    heaps back the wheel up at its edges: {e overdue} (events dated at
-    or before an instant the wheel already passed — {!Sim} never
-    produces these, but arbitrary call sequences may) and {e overflow}
-    (events beyond the horizon, drained into the wheel a block at a time
-    as the clock advances). Schedule and cancel are O(1) for
-    wheel-resident events; pop is near-O(1) — each event is filed at
-    most five times over its whole life, once per level it cascades
-    through. Pop order is exactly a (time, seq) min-heap's (a generic
-    binary heap, test/heap.ml, is the qcheck oracle).
+    bottom level, one word per upper level. Events beyond the horizon
+    wait in one more, unordered bucket and are re-filed into the wheel a
+    horizon block at a time as the clock reaches them. Schedule and
+    cancel are O(1); pop is near-O(1) — each event is filed at most once
+    per level it cascades through, plus once past the horizon. Pop
+    order is exactly a (time, seq) min-heap's (a generic binary heap,
+    test/heap.ml, is the qcheck oracle).
+
+    {b The position.} The wheel keeps a virtual position: at or before
+    every pending event's key, and never past the [stop_ns] of a
+    {!pop_until} that moved it. So the key of the last popped event and
+    the last deadline passed to {!pop_until} (whichever is later) are
+    always valid times to add at: a caller that, like {!Sim}, never adds
+    before its own clock never meets the position. An add dated before
+    the position raises [Invalid_argument].
 
     {b Actions.} An event record holds only immediates. Its action is
     either a {!register}ed {!action} — an index into a per-queue table,
@@ -28,10 +33,9 @@
     pointer, so they pay no write barrier ([caml_modify]).
 
     {b Pooling invariants.} An event record is owned by the queue from
-    {!add} until it leaves the structure — by firing ({!pop_until}), by
-    {!cancel} when wheel-resident (unlinked and recycled immediately),
-    or, for heap-resident events, when the lazy sweep or a later pop
-    reaches the dead record. At that point it is recycled: its
+    {!add} until it leaves the structure — by firing ({!pop_until}) or
+    by {!cancel} (unlinked and recycled immediately). At that point it
+    is recycled: its
     generation is bumped (invalidating outstanding {!id}s). A one-shot
     closure is dropped when its event is cancelled, or at the pop after
     the one that fired it (its record rejoins the pool then too), so the
@@ -52,16 +56,9 @@ val none : id
 (** A handle that matches no event; [cancel t none] is a no-op. Useful
     as an initial value for fields that later hold real ids. *)
 
-val create : ?capacity:int -> unit -> t
-(** Empty queue. [capacity] (default 1024) pre-sizes the overflow
-    heap's array. The event pool starts empty and grows by doubling on
-    demand, as does the heap. *)
-
-val length : t -> int
-(** Occupancy the queue actually holds in memory: live events plus
-    cancelled heap-resident events not yet swept. Wheel-resident
-    cancels recycle immediately and never linger, so on the {!Sim}
-    fast path (no past or beyond-horizon events) this equals {!live}. *)
+val create : unit -> t
+(** Empty queue at position 0. The event pool starts empty and grows by
+    doubling on demand. *)
 
 val live : t -> int
 (** Scheduled, not-yet-fired, not-cancelled events. *)
@@ -70,16 +67,6 @@ val pool_size : t -> int
 (** Number of event records ever allocated (live + dead + free). A
     steady schedule→pop cycle keeps this constant — the observable
     effect of pooling, asserted by the allocation regression tests. *)
-
-val overdue_len : t -> int (* dtlint: test-only: oracle tests *)
-(** Entries (live + unswept dead) in the overdue backstop heap — events
-    scheduled at or before an instant the wheel has already passed.
-    Always 0 under {!Sim}, which forbids scheduling in the past.
-    Exposed so tests can assert which structure a trace exercised. *)
-
-val overflow_len : t -> int (* dtlint: test-only: oracle tests *)
-(** Entries (live + unswept dead) in the far-future overflow heap —
-    events beyond the wheel's 2^35 ns horizon, waiting to drain. *)
 
 type action = private int
 (** A registered action: an immediate index into the queue's action
@@ -99,14 +86,15 @@ val register : t -> cls:int -> (unit -> unit) -> action
 val add_action : t -> time:Time.t -> action -> id
 (** Schedules a registered action, like {!add}. Stores no pointer:
     neither this nor the pop that fires it pays a write barrier.
-    @raise Invalid_argument if [a] is not registered with [t]. *)
+    @raise Invalid_argument if [a] is not registered with [t], or if
+    [time] is before the position. *)
 
 val add : t -> time:Time.t -> (unit -> unit) -> id
 (** Schedules a one-shot closure. Events added at equal [time] fire in
-    add order (across {!add}, {!add_cls} and {!add_action}). O(1) for
-    events within the wheel horizon (the common case); O(log n) into a
-    backstop heap otherwise. Allocates only when the pool has no free
-    record. The event carries class tag 0 ({!Event_class.Other}). *)
+    add order (across {!add}, {!add_cls} and {!add_action}). O(1).
+    Allocates only when the pool has no free record. The event carries
+    class tag 0 ({!Event_class.Other}).
+    @raise Invalid_argument if [time] is before the position. *)
 
 val add_cls : t -> time:Time.t -> cls:int -> (unit -> unit) -> id
 (** {!add} with an explicit {!Event_class} index tag for the
@@ -116,23 +104,19 @@ val add_cls : t -> time:Time.t -> cls:int -> (unit -> unit) -> id
 
 val cancel : t -> id -> bool
 (** Cancels the event; returns [false] (and does nothing) if the id is
-    stale — already fired, already cancelled, or recycled. A
-    wheel-resident event (the hot case: every pending timer within
-    ~34 s) is unlinked from its bucket and recycled immediately, O(1).
-    Heap-resident events (overdue / far-future) are marked dead and
-    swept lazily: once corpses exceed half that heap (and it holds at
-    least 64 entries) it is compacted in O(n). *)
+    stale — already fired, already cancelled, or recycled. The event is
+    unlinked from its bucket and recycled immediately, O(1), whether it
+    waits in the wheel or past its horizon. *)
 
 val pop_until : t -> int -> bool
 (** [pop_until t stop_ns] removes the minimum live event if its key is
     at or before [stop_ns] nanoseconds; otherwise it removes nothing and
     returns [false], as it does when no live event remains. Finding the
-    minimum advances the wheel's virtual position (cascading
-    higher-level buckets as it crosses into them) and recycles any
-    cancelled heap roots met on the way, so a cancelled root never hides
-    a live event behind it. An overflow block is drained into the wheel
-    only when its earliest event is due, so the position never jumps
-    past [stop_ns]. On [true] the fired event's fields are readable via
+    minimum advances the wheel's position (cascading higher-level
+    buckets as it crosses into them), but never past [stop_ns]: an
+    event past the deadline, or a past-horizon block, stays where it
+    is, and an add between the deadline and it still files into the
+    wheel. On [true] the fired event's fields are readable via
     {!popped_time} / {!popped_action} / {!popped_cls} until the next
     pop. *)
 

@@ -27,7 +27,7 @@ let no_event = Event_queue.none
 
 let create ?(seed = 1L) () =
   {
-    q = Event_queue.create ~capacity:1024 ();
+    q = Event_queue.create ();
     now = Time.zero;
     rng = Rng.create ~seed;
     processed = 0;
@@ -76,11 +76,6 @@ let[@inline] check_at t time = if Time.(time < t.now) then before_now t time
 let[@inline] check_after span =
   if Time.span_to_int_ns span < 0 then negative_delay ()
 
-(* High water tracks live events only. Counting unswept cancelled
-   entries (as before PR 9) made the manifest metric depend on the
-   queue's internal sweep schedule rather than on scheduling load; with
-   the wheel's immediate-reclaim cancel the two coincide anyway on every
-   run the engine can produce. *)
 let[@inline] note_live t =
   let occ = Event_queue.live t.q in
   if occ > t.hwm then t.hwm <- occ
@@ -138,17 +133,16 @@ let run ?until t =
   | None -> while step t do () done
   | Some stop ->
       (* Keys are int nanoseconds, so the deadline test inside
-         [pop_until] is a single unboxed compare on the live minimum —
-         found after cancelled roots are recycled, so a live event past
-         the deadline never fires just because a dead root sat in front
-         of it. *)
+         [pop_until] is a single unboxed compare on the live minimum.
+         [pop_until] never moves the queue's position past [stop_ns],
+         so with the clock left at [stop] every later [schedule_at]
+         (which [check_at] keeps at or after [now]) is a valid add. *)
       let stop_ns = Time.to_int_ns stop in
       while (step_until [@inlined]) t stop_ns do () done;
       if Time.(t.now < stop) then t.now <- stop
 
 let events_processed t = t.processed
 let pending t = Event_queue.live t.q
-let heap_size t = Event_queue.length t.q
 let heap_high_water t = t.hwm
 let event_pool_size t = Event_queue.pool_size t.q
 

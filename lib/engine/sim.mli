@@ -103,10 +103,9 @@ val schedule_after_cls : t -> Time.span -> cls:int -> (unit -> unit) -> event_id
 val cancel : t -> event_id -> unit
 (** Cancels a pending event; cancelling an already-fired or already-cancelled
     event is a no-op (stale handles are detected by the generation stamp,
-    even after the underlying pooled record has been recycled). Cancelled
-    events are swept from the heap lazily: whenever they come to outnumber
-    the live ones the heap is compacted in O(n), so cancel-heavy runs
-    (rearmed retransmission timers) do not accumulate dead weight. *)
+    even after the underlying pooled record has been recycled). The
+    event's record is reclaimed at once, in O(1), so cancel-heavy runs
+    (rearmed retransmission timers) accumulate no dead weight. *)
 
 val step : t -> bool (* dtlint: test-only: single-stepping tests *)
 (** Runs the next event, advancing the clock. Returns [false] if the queue
@@ -115,7 +114,10 @@ val step : t -> bool (* dtlint: test-only: single-stepping tests *)
 val run : ?until:Time.t -> t -> unit
 (** Runs events in time order. With [until], stops once all events at
     instants [<= until] have run and leaves the clock at [until]; without
-    it, runs until the queue is empty. *)
+    it, runs until the queue is empty. A bounded run never moves the
+    event queue past its deadline, so afterwards any instant from the
+    clock on can be scheduled, one before an event already pending
+    included. *)
 
 val events_processed : t -> int
 (** Number of events executed so far (cancelled events are not counted). *)
@@ -123,17 +125,10 @@ val events_processed : t -> int
 val pending : t -> int (* dtlint: test-only: reclaim tests *)
 (** Number of scheduled, not-yet-fired, not-cancelled events. *)
 
-val heap_size : t -> int (* dtlint: test-only: reclaim tests *)
-(** Current queue occupancy: [pending] plus cancelled backstop-heap
-    events not yet swept (wheel-resident cancels recycle immediately).
-    Exposed for the reclaim tests and as a memory gauge. *)
-
 val heap_high_water : t -> int
 (** Maximum number of simultaneously live (scheduled, not fired, not
     cancelled) events seen so far — the engine's memory-pressure signal
-    for the observability layer. Counts live events only; unswept
-    cancelled entries are an implementation detail of the backstop
-    heaps and no longer inflate this metric. *)
+    for the observability layer. *)
 
 val event_pool_size : t -> int (* dtlint: test-only: allocation tests *)
 (** Number of event records the engine has ever allocated (the event

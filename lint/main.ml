@@ -7,7 +7,8 @@
    - the typed pass (R11-R15) reads dune-produced .cmt Typedtrees; enable
      it with --typed (and point --cmt-root at the build dir, default
      _build/default when it exists, else "."). `dune build @lint` wires
-     this up with the right deps. *)
+     this up with the right deps. A clean typed run prints one census
+     line: how many lib/ exports the test-only annotation keeps. *)
 
 let default_paths = [ "lib"; "bin"; "examples"; "lint"; "test" ]
 
@@ -152,8 +153,8 @@ let () =
         Printf.eprintf "dtlint: %s:%d: cannot parse: %s\n" file line msg;
         exit 2
   in
-  let typed_violations =
-    if not o.typed then []
+  let typed_violations, test_only =
+    if not o.typed then ([], None)
     else begin
       let roots =
         match o.cmt_roots with
@@ -161,13 +162,20 @@ let () =
                 else [ "." ]
         | rs -> rs
       in
-      Dtlint.Typed_rules.lint_cmt_roots ~rules:typed_rules ~report_paths:paths
-        ~roots ()
+      let units = Dtlint.Cmt_loader.load_tree ~roots in
+      ( Dtlint.Typed_rules.lint_units ~rules:typed_rules ~report_paths:paths
+          units,
+        Some (Dtlint.Typed_rules.test_only_exports units) )
     end
   in
   let violations = syntactic_violations @ typed_violations in
   match violations with
-  | [] -> if o.json then print_json []
+  | [] ->
+      if o.json then print_json []
+      else
+        Option.iter
+          (Printf.printf "dtlint: %d test-only exports in lib/\n")
+          test_only
   | violations ->
       if o.json then print_json violations
       else

@@ -138,6 +138,51 @@ let default_read_source file =
       (fun () -> Some (really_input_string ic (in_channel_length ic)))
   else None
 
+(* Every [val] of a [lib/] interface, nested module signatures included,
+   with its unit, [.mli] path, full dotted name and line, plus a reader
+   for that interface's source lines (annotations live on the [val]
+   line). *)
+let iter_lib_vals ~read_source units f =
+  List.iter
+    (fun (u : Cmt_loader.unit_info) ->
+      match (u.interface, after_lib (segments u.source)) with
+      | Some { mli; signature }, Some _ ->
+          let lines =
+            lazy
+              (match read_source mli with
+              | Some s -> Array.of_list (String.split_on_char '\n' s)
+              | None -> [||])
+          in
+          let line_text n =
+            let a = Lazy.force lines in
+            if n >= 1 && n <= Array.length a then a.(n - 1) else ""
+          in
+          let rec items prefix (sg : Typedtree.signature) =
+            List.iter
+              (fun (item : Typedtree.signature_item) ->
+                match item.sig_desc with
+                | Tsig_value vd ->
+                    f u ~mli ~line_text
+                      ~id:(prefix ^ "." ^ Ident.name vd.val_id)
+                      ~line:(line_of_loc vd.val_loc)
+                | Tsig_module
+                    { md_id = Some i; md_type = { mty_desc = Tmty_signature sg; _ }; _ } ->
+                    items (prefix ^ "." ^ Ident.name i) sg
+                | _ -> ())
+              sg.sig_items
+          in
+          items u.canonical signature
+      | _ -> ())
+    units
+
+let test_only_exports ?(read_source = default_read_source) units =
+  let n = ref 0 in
+  iter_lib_vals ~read_source units (fun _ ~mli:_ ~line_text ~id:_ ~line ->
+      match Rules.test_only_reason (line_text line) with
+      | Some reason when reason <> "" -> incr n
+      | Some _ | None -> ());
+  !n
+
 let lint_units ?(rules = rules) ?(report_paths = [])
     ?(read_source = default_read_source) units =
   let graph = Callgraph.build units in
@@ -634,7 +679,7 @@ let lint_units ?(rules = rules) ?(report_paths = [])
               Hashtbl.replace users id (d.source :: prev))
           (Callgraph.refs graph d.id))
       defs;
-    let check (u : Cmt_loader.unit_info) mli line_text id line =
+    let check (u : Cmt_loader.unit_info) ~mli ~line_text ~id ~line =
       let emit_r15 message =
         emit ~suppressible:false Rules.R15 ~file:mli ~line ~message ~notes:[]
       in
@@ -668,37 +713,7 @@ let lint_units ?(rules = rules) ?(report_paths = [])
                    id
                    (String.concat ", " (List.sort String.compare tests))))
     in
-    List.iter
-      (fun (u : Cmt_loader.unit_info) ->
-        match (u.interface, after_lib (segments u.source)) with
-        | Some { mli; signature }, Some _ ->
-            let lines =
-              lazy
-                (match read_source mli with
-                | Some s -> Array.of_list (String.split_on_char '\n' s)
-                | None -> [||])
-            in
-            let line_text n =
-              let a = Lazy.force lines in
-              if n >= 1 && n <= Array.length a then a.(n - 1) else ""
-            in
-            let rec items prefix (sg : Typedtree.signature) =
-              List.iter
-                (fun (item : Typedtree.signature_item) ->
-                  match item.sig_desc with
-                  | Tsig_value vd ->
-                      check u mli line_text
-                        (prefix ^ "." ^ Ident.name vd.val_id)
-                        (line_of_loc vd.val_loc)
-                  | Tsig_module
-                      { md_id = Some i; md_type = { mty_desc = Tmty_signature sg; _ }; _ } ->
-                      items (prefix ^ "." ^ Ident.name i) sg
-                  | _ -> ())
-                sg.sig_items
-            in
-            items u.canonical signature
-        | _ -> ())
-      units
+    iter_lib_vals ~read_source units check
   end;
 
   List.sort
@@ -710,6 +725,3 @@ let lint_units ?(rules = rules) ?(report_paths = [])
           | c -> c)
       | c -> c)
     !out
-
-let lint_cmt_roots ?rules ?report_paths ?read_source ~roots () =
-  lint_units ?rules ?report_paths ?read_source (Cmt_loader.load_tree ~roots)

@@ -75,12 +75,9 @@ val lint_units :
     source path from disk; tests inject a tmpdir-relative reader).
     Violations are sorted by file, line, rule. *)
 
-val lint_cmt_roots :
-  ?rules:Rules.rule list ->
-  ?report_paths:string list ->
-  ?read_source:(string -> string option) ->
-  roots:string list ->
-  unit ->
-  Rules.violation list
-(** [lint_units] over every [.cmt] found under [roots]
-    (see {!Cmt_loader.load_tree}). *)
+val test_only_exports :
+  ?read_source:(string -> string option) -> Cmt_loader.unit_info list -> int
+(** The census of R15's escape: how many [val]s of [lib/] interfaces
+    (nested module signatures included) carry a
+    [(* dtlint: test-only: <reason> *)] annotation with a reason. An
+    annotation without one is an R15 finding, not an export kept. *)

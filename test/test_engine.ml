@@ -276,7 +276,7 @@ let test_sim_cancel () =
   checkb "not fired" false !fired;
   checki "nothing processed" 0 (Sim.events_processed sim)
 
-let test_sim_lazy_compaction () =
+let test_sim_cancel_reclaims () =
   (* Cancel-heavy schedule: cancelled events must be reclaimed (the
      wheel unlinks them immediately) instead of carried until popped. *)
   let sim = Sim.create () in
@@ -288,14 +288,21 @@ let test_sim_lazy_compaction () =
           (Time.of_us (float_of_int (i + 1)))
           (fun () -> fired := i :: !fired))
   in
-  checki "full occupancy" n (Sim.heap_size sim);
+  checki "full occupancy" n (Sim.pending sim);
+  let pool = Sim.event_pool_size sim in
   (* Cancel all but every 10th event, as a rearmed timer storm would. *)
   for i = 0 to n - 1 do
     if i mod 10 <> 0 then Sim.cancel sim evs.(i)
   done;
   checki "live survivors" (n / 10) (Sim.pending sim);
-  checkb "swept below live + dead ceiling" true
-    (Sim.heap_size sim <= 2 * Sim.pending sim);
+  (* The cancelled records are back in the pool: as many new events
+     again take no new record. *)
+  let refill =
+    Array.init (n - (n / 10)) (fun i ->
+        Sim.schedule_at sim (Time.of_us (float_of_int (n + i + 1))) ignore)
+  in
+  checki "cancelled records reused" pool (Sim.event_pool_size sim);
+  Array.iter (Sim.cancel sim) refill;
   (* High water saw the initial burst, measured as peak live events. *)
   checki "high water is peak occupancy" n (Sim.heap_high_water sim);
   Sim.run sim;
@@ -303,7 +310,7 @@ let test_sim_lazy_compaction () =
   let expected = List.init (n / 10) (fun k -> n - 10 - (10 * k)) in
   checkb "survivors fired in time order" true (!fired = expected);
   checki "only survivors processed" (n / 10) (Sim.events_processed sim);
-  checki "heap drained" 0 (Sim.heap_size sim)
+  checki "queue drained" 0 (Sim.pending sim)
 
 (* PR 9 regression pin: on a run with no cancels the live-only high
    water must equal the occupancy-based value it replaced — the
@@ -319,11 +326,9 @@ let test_sim_hwm_no_cancel_regression () =
   Sim.run sim;
   checki "draining does not move it" 37 (Sim.heap_high_water sim)
 
-(* The satellite fix itself: unswept corpses (held only by the backstop
-   heaps, which sweep lazily) must no longer inflate the high water.
-   Before the fix this run would report 15 — 9 far-future corpses plus
-   6 live — instead of the true live peak of 10. The far events sit past
-   the wheel's 2^35 ns (≈34.4 s) horizon, in the overflow heap. *)
+(* Cancelled events must not count toward the high water, past the
+   wheel's 2^35 ns (≈34.4 s) horizon included: 10 far events of which 9
+   are cancelled, then 5 near ones, peak at 10 live, not 15. *)
 let test_sim_hwm_counts_live_only () =
   let sim = Sim.create () in
   let far i = Time.of_sec (40.0 +. (0.001 *. float_of_int i)) in
@@ -331,13 +336,35 @@ let test_sim_hwm_counts_live_only () =
     Array.init 10 (fun i -> Sim.schedule_at sim (far i) (fun () -> ()))
   in
   Array.iteri (fun i id -> if i > 0 then Sim.cancel sim id) ids;
-  checkb "corpses really are held" true
-    (Sim.heap_size sim > Sim.pending sim);
+  checki "cancelled far events are gone at once" 1 (Sim.pending sim);
   for i = 0 to 4 do
     ignore
       (Sim.schedule_at sim (Time.of_us (float_of_int (20 + i))) (fun () -> ()))
   done;
+  checki "pending counts the live events" 6 (Sim.pending sim);
   checki "high water counts live events only" 10 (Sim.heap_high_water sim)
+
+(* A bounded run leaves the clock at its deadline, before an event that
+   is already pending; scheduling between the two must still work and
+   keep (time, seq) order. *)
+let test_sim_schedule_after_bounded_run () =
+  let sim = Sim.create () in
+  let fired = ref [] in
+  let at us tag =
+    ignore
+      (Sim.schedule_at sim (Time.of_us us) (fun () ->
+           fired := (tag, Time.to_int_ns (Sim.now sim)) :: !fired))
+  in
+  at 20. "a";
+  Sim.run ~until:(Time.of_us 10.) sim;
+  checki "nothing due by 10 us" 0 (List.length !fired);
+  at 15. "b";
+  at 15. "c";
+  Sim.run sim;
+  Alcotest.(check (list (pair string int)))
+    "15 us, 15 us, then 20 us, in schedule order"
+    [ ("b", 15_000); ("c", 15_000); ("a", 20_000) ]
+    (List.rev !fired)
 
 let test_sim_run_until_no_overshoot () =
   (* A not-yet-swept cancelled root must not let [run ~until] overshoot:
@@ -562,9 +589,12 @@ module Eq = Engine.Event_queue
    events, min found by scan) through the same trace and demand the
    same observable behaviour: pop order, popped times, cancel results.
    The model keys events by schedule order, which is exactly the
-   queue's [seq] tie-break, so the expected order is total. *)
+   queue's [seq] tie-break, so the expected order is total. A trace's
+   key [v] is an offset from the last popped key, the one clock the
+   queue promises an add may start from. *)
 let run_event_queue_trace ops =
-  let q = Eq.create ~capacity:4 () in
+  let q = Eq.create () in
+  let base = ref 0 in
   let ids = ref [] (* (tag, id), newest first *) in
   let n_issued = ref 0 in
   let model = Hashtbl.create 64 (* tag -> key_ns, live events only *) in
@@ -587,6 +617,7 @@ let run_event_queue_trace ops =
         if !fired <> tag then ok := false;
         if Time.to_int_ns (Eq.popped_time q) <> key then
           ok := false;
+        base := key;
         Hashtbl.remove model tag
     | true, None | false, Some _ -> ok := false
   in
@@ -596,12 +627,13 @@ let run_event_queue_trace ops =
       | 0 ->
           let tag = !n_issued in
           incr n_issued;
+          let key = !base + v in
           let id =
-            Eq.add q ~time:(Time.of_int_ns v) (fun () ->
+            Eq.add q ~time:(Time.of_int_ns key) (fun () ->
                 fired := tag)
           in
           ids := (tag, id) :: !ids;
-          Hashtbl.replace model tag v
+          Hashtbl.replace model tag key
       | 1 -> (
           match !ids with
           | [] -> ()
@@ -631,9 +663,9 @@ let prop_event_queue_matches_model =
         (pair (int_bound 2) (int_bound 1_000)))
     run_event_queue_trace
 
-(* Cancel-heavy traces: bias the op mix so live events accumulate past
-   the compaction threshold (64) and cancels then outnumber the
-   survivors, exercising the cancel-then-compact interleavings. *)
+(* Cancel-heavy traces: bias the op mix so live events accumulate into
+   the hundreds and cancels then outnumber the survivors, exercising
+   unlinks from every position of a bucket list. *)
 let prop_event_queue_cancel_heavy =
   QCheck.Test.make ~count:100
     ~name:"Event_queue survives cancel-then-compact interleavings"
@@ -653,8 +685,8 @@ let prop_event_queue_cancel_heavy =
 
 (* Mixed-magnitude keys: [v lsl (5 s)] places events across every wheel
    level and (for s = 6, v >= 32) beyond the 2^35 ns horizon, so the same model
-   equivalence also covers cascade boundaries, the overdue heap after
-   large pops, and overflow drains — the paths small-key traces miss.
+   equivalence also covers cascade boundaries and far-bucket jumps —
+   the paths small-key traces miss.
    The in-tick offset [o] (0-31 ns) and the frequent small [v] put
    several distinct keys into one 32 ns tick, at every level, in random
    key and seq order: cascaded and direct arrivals then meet occupied
@@ -676,12 +708,16 @@ let prop_event_queue_large_keys =
 (* Same game against the generic [Heap] the simulator used before: the
    reference orders (key, seq) pairs with a comparison closure and
    models cancellation as a skip-set consulted at pop, which is exactly
-   the old engine's scheme. Kind 0 adds an event keyed [v], kind 1
-   cancels a handle picked by [v], kind 2 calls [pop_until q (stop v)]:
-   it must fire exactly the reference's live minimum when that key is
-   at or before the deadline and fire nothing otherwise. *)
-let heap_oracle_trace ~stop ops =
-  let q = Eq.create ~capacity:4 () in
+   the old engine's scheme. Kind 0 adds an event keyed [key base v],
+   kind 1 cancels a handle picked by [v], kind 2 calls [pop_until] with
+   the deadline [key base v] ([max_int] unless [bounded]): it must fire
+   exactly the reference's live minimum when that key is at or before
+   the deadline and fire nothing otherwise. [base] is the clock a
+   caller of the queue keeps: the last popped key, or a later deadline
+   that fired nothing, so every add is at or after the position. *)
+let heap_oracle_trace ?(key = ( + )) ~bounded ops =
+  let q = Eq.create () in
+  let base = ref 0 in
   let cmp (k1, s1) (k2, s2) =
     if k1 <> k2 then Int.compare k1 k2 else Int.compare s1 s2
   in
@@ -705,13 +741,14 @@ let heap_oracle_trace ~stop ops =
       | _ -> None
     in
     match (Eq.pop_until q stop, due) with
-    | false, None -> ()
+    | false, None -> if stop <> max_int then base := Int.max !base stop
     | true, Some (k, s) ->
         ignore (Heap.pop h);
         fired := -1;
         (Eq.popped_action q) ();
         if !fired <> s then ok := false;
-        if Time.to_int_ns (Eq.popped_time q) <> k then ok := false
+        if Time.to_int_ns (Eq.popped_time q) <> k then ok := false;
+        base := k
     | true, None | false, Some _ -> ok := false
   in
   List.iter
@@ -720,8 +757,9 @@ let heap_oracle_trace ~stop ops =
       | 0 ->
           let s = !n in
           incr n;
-          let id = Eq.add q ~time:(Time.of_int_ns v) (fun () -> fired := s) in
-          Heap.push h (v, s);
+          let k = key !base v in
+          let id = Eq.add q ~time:(Time.of_int_ns k) (fun () -> fired := s) in
+          Heap.push h (k, s);
           ids := (s, id) :: !ids
       | 1 -> (
           match !ids with
@@ -729,7 +767,7 @@ let heap_oracle_trace ~stop ops =
           | l ->
               let s, id = List.nth l (v mod List.length l) in
               if Eq.cancel q id then Hashtbl.replace cancelled s ())
-      | _ -> do_pop (stop v))
+      | _ -> do_pop (if bounded then key !base v else max_int))
     ops;
   let guard = ref (List.length ops + 1) in
   while !ok && Eq.live q > 0 && !guard > 0 do
@@ -745,12 +783,13 @@ let prop_event_queue_matches_heap =
       list_of_size
         Gen.(int_range 0 150)
         (pair (int_bound 2) (int_bound 500)))
-    (heap_oracle_trace ~stop:(fun _ -> max_int))
+    (heap_oracle_trace ~bounded:false)
 
 (* Random deadlines: keys and deadlines mix every wheel level and the
-   beyond-horizon range (as in the large-keys property), so small keys
-   added after a large pop land in the overdue heap and deadlines fall
-   on both sides of undrained overflow roots. *)
+   beyond-horizon range (as in the large-keys property), so deadlines
+   fall on both sides of pending events, of upper-level spans and of
+   far-bucket keys, and adds land between a deadline and what it left
+   pending. *)
 let prop_event_queue_pop_until_matches_heap =
   QCheck.Test.make ~count:300
     ~name:"Event_queue.pop_until fires exactly the live events due by stop"
@@ -760,15 +799,18 @@ let prop_event_queue_pop_until_matches_heap =
         (list_of_size
            Gen.(int_range 0 200)
            (pair (int_bound 2) (pair (int_bound 6) (int_bound 2_000)))))
-    (heap_oracle_trace ~stop:Fun.id)
+    (heap_oracle_trace ~bounded:true)
 
 (* Keys aimed at the wide bottom level's bitmap and the horizon: [Word]
    keys sit within a few ticks of a 1024 ns occupancy-word edge, [Spread]
    keys land anywhere in the 32.8 us bottom span (all 32 words, so pops
    empty the summary word and later adds refill it), and [Horizon] keys
-   straddle a multiple of 2^35 ns (the overflow edge). Each family is
-   offset from a [base] block so it also meets the position after large
-   pops, in every (kind, deadline) interleaving the oracle checks. *)
+   straddle a multiple of 2^35 ns (the far-bucket edge). Each family is
+   offset from a block: [bitmap_at] adds it to the clock's 32.8 us span
+   (2^35 ns block for [Horizon] keys), so the edges stay aligned as the
+   clock moves; a key that would fall before the clock is the clock,
+   which makes same-instant groups. Deadlines are drawn the same way, in
+   every (kind, deadline) interleaving the oracle checks. *)
 let bitmap_key =
   QCheck.Gen.(
     let word = map2 (fun w o -> Int.max 0 ((w * 1024) + o)) (int_bound 40) (int_range (-40) 40) in
@@ -780,32 +822,33 @@ let bitmap_key =
       (frequency [ (3, return 0); (1, map (fun b -> b lsl 15) (int_bound 3)) ])
       (frequency [ (3, word); (3, spread); (2, horizon) ]))
 
+let bitmap_at base v =
+  let align = if v >= 1 lsl 34 then 35 else 15 in
+  Int.max base (((base lsr align) lsl align) + v)
+
 let prop_event_queue_bitmap_edges =
   QCheck.Test.make ~count:300
     ~name:"Event_queue matches the heap across bitmap words and the 2^35 edge"
     QCheck.(
       make
         Gen.(list_size (int_range 0 200) (pair (int_bound 2) bitmap_key)))
-    (heap_oracle_trace ~stop:Fun.id)
+    (heap_oracle_trace ~key:bitmap_at ~bounded:true)
 
-(* A lone overflow event past the deadline must stay parked: draining
-   its block would jump the wheel position to its key, and an event
-   scheduled afterwards between the deadline and that key would then
-   land in the overdue heap instead of the wheel. *)
+(* A lone past-horizon event beyond the deadline must stay parked:
+   jumping to its block would move the wheel position to its key, and
+   an event scheduled afterwards between the deadline and that key
+   would then be refused as dated before the position. *)
 let test_event_queue_pop_until_keeps_overflow () =
   let q = Eq.create () in
   ignore (Eq.add q ~time:(Time.of_int_ns (3 lsl 35)) ignore);
-  checki "parked in overflow" 1 (Eq.overflow_len q);
   checkb "nothing due by 2^35 ns" false (Eq.pop_until q (1 lsl 35));
-  checki "overflow block not drained" 1 (Eq.overflow_len q);
   ignore (Eq.add q ~time:(Time.of_int_ns 100) ignore);
-  checki "later add files into the wheel" 0 (Eq.overdue_len q);
   checkb "the wheel event fires by its deadline" true (Eq.pop_until q 100);
   checkb "overflow event fires once due" true (Eq.pop_until q (3 lsl 35));
   checkb "queue empty" false (Eq.pop q)
 
 let test_event_queue_compaction_sweep () =
-  let q = Eq.create ~capacity:4 () in
+  let q = Eq.create () in
   let fired = ref [] in
   let ids =
     List.init 200 (fun i ->
@@ -816,7 +859,6 @@ let test_event_queue_compaction_sweep () =
      unlinks and recycles its slot on the spot — no corpses at all. *)
   List.iteri (fun i id -> if i mod 4 <> 0 then ignore (Eq.cancel q id)) ids;
   checki "live survivors" 50 (Eq.live q);
-  checki "wheel cancels reclaimed immediately" 50 (Eq.length q);
   while Eq.pop q do
     (Eq.popped_action q) ()
   done;
@@ -845,7 +887,6 @@ let test_event_queue_wheel_cancel_reclaims () =
   let pool0 = Eq.pool_size q in
   Array.iteri (fun i id -> if i mod 4 <> 0 then ignore (Eq.cancel q id)) ids;
   checki "live survivors" 50 (Eq.live q);
-  checki "no corpses held" 50 (Eq.length q);
   for i = 0 to 149 do
     ignore (Eq.add q ~time:(Time.of_int_ns (1000 + i)) ignore)
   done;
@@ -857,63 +898,75 @@ let test_event_queue_wheel_cancel_reclaims () =
   ignore (Eq.add q ~time:(Time.of_int_ns 5000) ignore);
   checkb "still pops after draining to empty" true (Eq.pop q)
 
-(* Far-future events (beyond the 2^35 ns wheel horizon) park in the
-   overflow backstop heap, where cancels are lazy: corpses linger until
-   they exceed half the heap (at >= 64 entries), then one O(n) sweep
-   reclaims them all. *)
-let test_event_queue_overflow_lazy_sweep () =
-  let q = Eq.create ~capacity:4 () in
-  let far i = Time.of_int_ns ((2 lsl 35) + (i * 7)) in
-  let fired = ref [] in
-  let ids =
-    Array.init 100 (fun i ->
-        Eq.add q ~time:(far i) (fun () -> fired := i :: !fired))
-  in
-  checki "all parked in overflow" 100 (Eq.overflow_len q);
-  for i = 0 to 39 do
-    ignore (Eq.cancel q ids.(i))
-  done;
-  checki "live" 60 (Eq.live q);
-  checki "corpses linger below the sweep threshold" 100 (Eq.overflow_len q);
-  checki "length counts unswept dead" 100 (Eq.length q);
-  (* The 51st corpse tips dead past half the heap: swept to survivors. *)
-  for i = 40 to 50 do
-    ignore (Eq.cancel q ids.(i))
-  done;
-  checki "sweep reclaimed the corpses" 49 (Eq.overflow_len q);
-  checki "length after sweep" 49 (Eq.length q);
-  while Eq.pop q do
-    (Eq.popped_action q) ()
-  done;
-  checki "overflow drained through the wheel" 0 (Eq.overflow_len q);
-  let expected = List.init 49 (fun k -> 51 + k) in
-  Alcotest.(check (list int))
-    "survivors fired in schedule order" expected (List.rev !fired)
-
-(* Events dated at or before an instant the wheel already passed land in
-   the overdue backstop ({!Sim} never produces them, but the queue must
-   keep the (key, seq) total order under arbitrary call sequences). *)
-let test_event_queue_overdue_backstop () =
+(* Far-future events (beyond the 2^35 ns wheel horizon) wait in the far
+   bucket, where a cancel is the same O(1) unlink as in the wheel: the
+   record is back in the pool at once. The survivors span two horizon
+   blocks, added out of key order, with a same-instant group in each;
+   they fire in (key, seq) order, the second block only once the first
+   has drained. *)
+let test_event_queue_far_bucket () =
   let q = Eq.create () in
-  ignore (Eq.add q ~time:(Time.of_int_ns 1000) ignore);
-  checkb "advance the wheel to t=1000" true (Eq.pop q);
   let fired = ref [] in
-  let add ns tag =
-    ignore
-      (Eq.add q ~time:(Time.of_int_ns ns) (fun () -> fired := tag :: !fired))
+  let added = ref [] in
+  let add ns =
+    let tag = List.length !added in
+    added := (ns, tag) :: !added;
+    Eq.add q ~time:(Time.of_int_ns ns) (fun () -> fired := tag :: !fired)
   in
-  add 5 0;
-  add 1500 1;
-  add 5 2;
-  add 999 3;
-  checki "past-dated events sit in the overdue heap" 3 (Eq.overdue_len q);
+  let block k = k lsl 35 in
+  let doomed = Array.init 40 (fun i -> add (block 2 + (i * 7))) in
+  let pool = Eq.pool_size q in
+  Array.iter (fun id -> ignore (Eq.cancel q id)) doomed;
+  checki "cancels leave nothing live" 0 (Eq.live q);
+  added := [];
+  List.iter
+    (fun ns -> ignore (add ns))
+    [
+      block 3 + 500; block 2 + 900; block 3 + 5; block 2 + 900; block 2 + 1;
+      block 3 + 500; block 2 + (1 lsl 30); block 3 + 5; block 2 + 900;
+      block 2 + 64;
+    ];
+  checki "cancelled records reused, pool not grown" pool (Eq.pool_size q);
+  checki "live" 10 (Eq.live q);
+  checkb "nothing due before the first block" false
+    (Eq.pop_until q (block 2));
   while Eq.pop q do
     (Eq.popped_action q) ()
   done;
+  let expected =
+    List.rev !added
+    |> List.stable_sort (fun (k1, _) (k2, _) -> Int.compare k1 k2)
+    |> List.map snd
+  in
   Alcotest.(check (list int))
-    "fired in (key, seq) order across both structures" [ 0; 2; 3; 1 ]
-    (List.rev !fired);
-  checki "overdue drained" 0 (Eq.overdue_len q)
+    "(key, seq) order across two horizon blocks" expected (List.rev !fired)
+
+(* The wheel's position is the one time an add may not precede: after a
+   pop it is the popped key. An earlier add raises and leaves the queue
+   as it was; an add at the position itself is fine. *)
+let test_event_queue_add_before_position () =
+  let q = Eq.create () in
+  let a = Eq.register q ~cls:0 ignore in
+  ignore (Eq.add q ~time:(Time.of_int_ns 1000) ignore);
+  ignore (Eq.add q ~time:(Time.of_int_ns 1500) ignore);
+  checkb "advance the wheel to t=1000" true (Eq.pop q);
+  let pool = Eq.pool_size q in
+  let raises f =
+    match f () with
+    | (_ : Eq.id) -> false
+    | exception Invalid_argument _ -> true
+  in
+  checkb "a one-shot before the position raises" true
+    (raises (fun () -> Eq.add q ~time:(Time.of_int_ns 999) ignore));
+  checkb "a registered action before the position raises" true
+    (raises (fun () -> Eq.add_action q ~time:(Time.of_int_ns 5) a));
+  checki "the refused adds left nothing live" 1 (Eq.live q);
+  checki "nor took a record" pool (Eq.pool_size q);
+  ignore (Eq.add_action q ~time:(Time.of_int_ns 1000) a);
+  checkb "an add at the position fires" true (Eq.pop q);
+  checki "at the position" 1000 (Time.to_int_ns (Eq.popped_time q));
+  checkb "then the pending one" true (Eq.pop q);
+  checki "in key order" 1500 (Time.to_int_ns (Eq.popped_time q))
 
 (* Keys on every bucket edge of the wheel — the 32 ns tick (31/32/33,
    63/64), the bottom level's occupancy-word edge (1023/1024/1025), each
@@ -947,7 +1000,6 @@ let test_event_queue_cascade_boundaries () =
   List.iter add [ 62; 57; 50; 48; 57 ];
   let tick = (3 lsl 25) + (5 lsl 20) + (7 lsl 5) in
   List.iter (fun o -> add (tick + o)) [ 31; 20; 20; 9; 0 ];
-  checki "beyond-horizon keys overflowed" 2 (Eq.overflow_len q);
   while Eq.pop q do
     (Eq.popped_action q) ()
   done;
@@ -1098,8 +1150,8 @@ let test_event_queue_action_rearm_allocates_nothing () =
   checkb "pool stays tiny" true (Eq.pool_size q <= 8)
 
 (* A one-shot closure must not outlive its event: once it fired (and the
-   next pop let go of the popped register) or was cancelled — wheel- or
-   heap-resident — the 4 KB string it captured is garbage, which a
+   next pop let go of the popped register) or was cancelled — in the
+   wheel or past its horizon — the 4 KB string it captured is garbage, which a
    finaliser on each string counts after a full major collection. *)
 let test_event_queue_oneshot_reclaim () =
   let q = Eq.create () in
@@ -1115,9 +1167,7 @@ let test_event_queue_oneshot_reclaim () =
     (Obj.reachable_words (Obj.repr q) > 128 * 512);
   let cancel_evens = Array.iteri (fun i id -> if i mod 2 = 0 then ignore (Eq.cancel q id)) in
   cancel_evens wheel;
-  (* 32 of 64 dead is not past half the heap: no sweep yet *)
   cancel_evens far;
-  checki "heap corpses not yet swept" 64 (Eq.overflow_len q);
   Gc.full_major ();
   checki "cancels dropped their closures" 64 !freed;
   while Eq.pop q do
@@ -1339,11 +1389,14 @@ let suites =
         Alcotest.test_case "clock advances" `Quick test_sim_clock_advances;
         Alcotest.test_case "schedule_after" `Quick test_sim_schedule_after;
         Alcotest.test_case "cancel" `Quick test_sim_cancel;
-        Alcotest.test_case "lazy compaction" `Quick test_sim_lazy_compaction;
+        Alcotest.test_case "cancel reclaims at once" `Quick
+          test_sim_cancel_reclaims;
         Alcotest.test_case "high water pinned on a no-cancel run" `Quick
           test_sim_hwm_no_cancel_regression;
         Alcotest.test_case "high water counts live only" `Quick
           test_sim_hwm_counts_live_only;
+        Alcotest.test_case "schedule between a bounded run and a pending event"
+          `Quick test_sim_schedule_after_bounded_run;
         Alcotest.test_case "scheduling in the past" `Quick test_sim_past_raises;
         Alcotest.test_case "run until" `Quick test_sim_run_until;
         Alcotest.test_case "until inclusive" `Quick test_sim_until_inclusive;
@@ -1367,10 +1420,10 @@ let suites =
           test_event_queue_stale_cancel;
         Alcotest.test_case "wheel cancel reclaims slots" `Quick
           test_event_queue_wheel_cancel_reclaims;
-        Alcotest.test_case "overflow lazy sweep" `Quick
-          test_event_queue_overflow_lazy_sweep;
-        Alcotest.test_case "overdue backstop ordering" `Quick
-          test_event_queue_overdue_backstop;
+        Alcotest.test_case "far-bucket cancel, order" `Quick
+          test_event_queue_far_bucket;
+        Alcotest.test_case "add before pos raises" `Quick
+          test_event_queue_add_before_position;
         Alcotest.test_case "cascade boundaries" `Quick
           test_event_queue_cascade_boundaries;
         Alcotest.test_case "pop_until keeps an overflow block past stop"

@@ -501,6 +501,35 @@ let y = let module Q = Probe in Q.b
   check_renders "aliases resolve to the export" []
     (lint_root ~rules:[ R.R15 ] root)
 
+(* The census of R15's escape counts annotated lib/ exports that give a
+   reason, nested ones included; a bare annotation (an R15 finding of its
+   own) and an annotation outside lib/ do not count. *)
+let test_test_only_census () =
+  let root = mkdtemp () in
+  write root "lib/net/probe.mli"
+    "val plain : int
+val kept : int (* dtlint: test-only: leak checks *)
+val bare : int (* dtlint: test-only *)
+module Sub : sig
+  val inner : int (* dtlint: test-only: oracle *)
+end
+";
+  write root "lib/net/probe.ml"
+    "let plain = 1
+let kept = 2
+let bare = 3
+module Sub = struct let inner = 4 end
+";
+  write root "bin/tool.mli" "val run : int (* dtlint: test-only: not lib *)
+";
+  write root "bin/tool.ml" "let run = Probe.plain
+";
+  compile root
+    [ "lib/net/probe.mli"; "lib/net/probe.ml"; "bin/tool.mli"; "bin/tool.ml" ];
+  Alcotest.(check int) "two annotated lib/ exports with a reason" 2
+    (TR.test_only_exports ~read_source:(reader root)
+       (CL.load_tree ~roots:[ root ]))
+
 (* --- same-named executables in two directories -------------------------- *)
 
 (* Every executable module is mangled into dune's one [Dune__exe]
@@ -573,6 +602,7 @@ let suites =
         Alcotest.test_case "R15 acquitting fixtures" `Quick test_r15_acquits;
         Alcotest.test_case "R15 users in every tool directory" `Quick
           test_r15_counts_every_tool_dir;
+        Alcotest.test_case "test-only census" `Quick test_test_only_census;
         Alcotest.test_case "R15 follows module aliases" `Quick
           test_r15_follows_module_aliases;
         Alcotest.test_case "same-named executables both linted" `Quick
